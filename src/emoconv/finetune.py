@@ -62,12 +62,15 @@ def build_finetune_model(emb: L.EmbeddingMatrix, rng, kernel_sizes=(1, 2, 3),
     return FinetuneModel(emb=emb, bank=bank, out_w=out_w, out_b=out_b)
 
 
-def forward_finetune(model: FinetuneModel, ids, training: bool, rng) -> T.Tensor:
-    """Probability of the positive class for one token-id sequence."""
+def forward_finetune(model: FinetuneModel, rows, training: bool, rng) -> T.Tensor:
+    """Probability of the positive class for each token-id sequence in
+    ``rows``: one [B] tensor, in row order, from one pass over the batch."""
+    ids, lengths = L.pad_rows(rows)
     seq = L.embedding_lookup(model.emb, ids)
-    pooled = L.conv1d_over_time(model.bank, seq, seq.shape[0])
+    pooled = L.conv1d_over_time(model.bank, seq, lengths)
     pooled = L.dropout(pooled, model.dropout_rate, training, rng)
-    return T.sigmoid(L.linear(model.out_w, model.out_b, pooled))
+    logits = T.linear_rows(pooled, model.out_w, model.out_b)
+    return T.reshape(T.sigmoid(logits), (len(rows),))
 
 
 def binary_cross_entropy(probs: T.Tensor, labels) -> T.Tensor:
@@ -116,8 +119,7 @@ def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule
         loss_sum = 0.0
         for start in range(0, len(order), schedule.batch_size):
             chunk = [encoded[i] for i in order[start:start + schedule.batch_size]]
-            probs = T.concat([forward_finetune(model, ids, True, rng)
-                              for ids, _ in chunk], axis=0)
+            probs = forward_finetune(model, [ids for ids, _ in chunk], True, rng)
             loss = binary_cross_entropy(probs, [y for _, y in chunk])
             T.reset_grads(named.values())
             T.backward(loss)
@@ -132,9 +134,15 @@ def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule
 
 
 def predict_finetune(model: FinetuneModel, encoded) -> np.ndarray:
-    """Eval-mode 0/1 predictions for (ids, label) pairs."""
-    return np.array([int(forward_finetune(model, ids, False, None).item() >= 0.5)
-                     for ids, _ in encoded])
+    """Eval-mode 0/1 predictions for (ids, label) pairs, a batch at a time,
+    without building a graph."""
+    preds = []
+    step = FinetuneSchedule.batch_size
+    with T.no_grad():
+        for start in range(0, len(encoded), step):
+            rows = [ids for ids, _ in encoded[start:start + step]]
+            preds.append(forward_finetune(model, rows, False, None).values >= 0.5)
+    return np.concatenate(preds).astype(np.int64) if preds else np.zeros(0, dtype=np.int64)
 
 
 def load_finetune_corpus(path) -> list[tuple[str, int]]:

@@ -1,9 +1,13 @@
-"""Neural building blocks: embedding lookup, LSTM/BiLSTM, 1-D convolution
-over time, inverted dropout, and linear maps.
+"""Neural building blocks over whole batches: embedding lookup, the fused
+LSTM scan and stacked BiLSTM, 1-D convolution over time, inverted dropout.
 
-Everything here is expressed in terms of the ops in :mod:`emoconv.tensor`,
-so each layer's backward pass comes for free and is covered by the same
-finite-difference harness.
+A batch of sequences is a [B x T x k] tensor with per-row valid lengths;
+positions at or past a row's length are padding, and no layer lets padding
+change a result.  Most layers are compositions of :mod:`emoconv.tensor` ops;
+``embedding_lookup``, ``lstm_scan`` and the convolution's per-width window
+max are graph nodes of their own with hand-written backward passes, checked
+against finite differences and against the per-example, per-timestep oracle
+kept with the tests.
 
 Initialization convention (used by every init_* helper): weight matrices are
 uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases are zero except the
@@ -18,13 +22,10 @@ import numpy as np
 
 from . import tensor as T
 
-# LSTM gate block order within the stacked weight matrices.
-GATE_ORDER = ("input", "forget", "cell", "output")
-
-
 @dataclass
 class EmbeddingMatrix:
-    """Token-id rows of word vectors; row 0 is PAD and stays zero."""
+    """Token-id rows of word vectors; row 0 is PAD, stays zero and never
+    receives gradient."""
     vocab_size: int
     dim: int
     table: T.Tensor
@@ -41,7 +42,8 @@ class EmbeddingMatrix:
 
 @dataclass
 class LstmDirection:
-    """One scan direction: W [4h x input], U [4h x hidden], b [4h]."""
+    """One scan direction: W [4h x input], U [4h x hidden], b [4h], with the
+    gate blocks stacked in the order input, forget, cell, output."""
     w: T.Tensor
     u: T.Tensor
     b: T.Tensor
@@ -115,137 +117,246 @@ def init_conv_bank(rng, dim: int, kernel_sizes=(1, 2, 3),
     return bank
 
 
-def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
-    """Rows of the embedding table as an [n x dim] tensor.
+PAD_ID = 0
 
-    When the table is frozen the result is a gradient-free constant, so the
-    table receives exactly-zero gradients without any masking downstream.
+
+def pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Token-id sequences -> ([B x T] ids, PAD-filled past each length;
+    [B] lengths), with T the longest length."""
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    if lengths.size == 0 or lengths.min() < 1:
+        raise ValueError("need at least one row, and every row non-empty")
+    ids = np.full((lengths.size, int(lengths.max())), PAD_ID, dtype=np.int64)
+    ids[T.time_mask(lengths, ids.shape[1])] = np.concatenate(rows)
+    return ids, lengths
+
+
+def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
+    """Rows of the embedding table for an id array of any shape:
+    ids [...] -> [... x dim].
+
+    Backward scatter-adds into the rows that were used, except PAD, so the
+    PAD row never moves.  When the table is frozen the result is a
+    gradient-free constant and the table receives exactly-zero gradients.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError(f"ids must be a non-empty 1-d sequence, got shape {ids.shape}")
-    for i in ids:
-        if not 0 <= i < table.vocab_size:
-            raise ValueError(f"token id {int(i)} out of range for vocabulary "
-                             f"of size {table.vocab_size}")
+    if ids.size == 0:
+        raise ValueError(f"ids must be non-empty, got shape {ids.shape}")
+    bad = (ids < 0) | (ids >= table.vocab_size)
+    if bad.any():
+        raise ValueError(f"token id {int(ids[bad][0])} out of range for vocabulary "
+                         f"of size {table.vocab_size}")
     values = table.table.values[ids]
     if table.frozen or not table.table.requires_grad:
         return T.constant(values)
-    shape = table.table.shape
+    flat = ids.reshape(-1)
+    used = flat != PAD_ID
 
     def backward_fn(g):
-        z = np.zeros(shape)
-        np.add.at(z, ids, g)
-        return (z,)
+        return (T.RowGrad(flat[used], g.reshape(-1, table.dim)[used]),)
 
-    return T.from_op(values.copy(), "embedding_lookup", (table.table,), backward_fn)
+    return T.from_op(values, "embedding_lookup", (table.table,), backward_fn)
 
 
-def lstm_step(direction: LstmDirection, x_t: T.Tensor,
-              h_prev: T.Tensor, c_prev: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
-    """One LSTM cell update.
+def _sigmoid_(z: np.ndarray) -> None:
+    """In-place logistic function, in the overflow-free tanh form."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
 
-    pre = W x + U h + b, split into the four gate blocks (input, forget,
-    cell, output); c = f*c_prev + i*g; h = o*tanh(c).
+
+def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
+              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM cell update for the n rows still active, in numpy.
+
+    ``gates`` [n x 4h] holds x W^T + b on entry; it becomes
+    pre = x W^T + b + h_prev U^T, split into the four gate blocks and
+    activated in place (input, forget and output through the logistic,
+    cell through tanh), so the caller keeps them for backward.  Returns
+    (h, c) with c = f*c_prev + i*g and h = o*tanh(c).
     """
-    h = direction.hidden_size
-    if x_t.shape != (direction.w.shape[1],) or h_prev.shape != (h,) or c_prev.shape != (h,):
-        raise ValueError(f"lstm_step shapes disagree: x {x_t.shape} vs W {direction.w.shape}, "
-                         f"h {h_prev.shape}, c {c_prev.shape}, hidden {h}")
-    pre = T.add(T.add(T.matvec(direction.w, x_t), T.matvec(direction.u, h_prev)),
-                direction.b)
-    i = T.sigmoid(T.narrow(pre, 0, 0, h))
-    f = T.sigmoid(T.narrow(pre, 0, h, h))
-    g = T.tanh(T.narrow(pre, 0, 2 * h, h))
-    o = T.sigmoid(T.narrow(pre, 0, 3 * h, h))
-    c = T.add(T.mul(f, c_prev), T.mul(i, g))
-    h_out = T.mul(o, T.tanh(c))
-    return h_out, c
+    hs = u.shape[1]
+    gates += h_prev @ u.T
+    _sigmoid_(gates[:, :2 * hs])
+    np.tanh(gates[:, 2 * hs:3 * hs], out=gates[:, 2 * hs:3 * hs])
+    _sigmoid_(gates[:, 3 * hs:])
+    i, f, g, o = (gates[:, k * hs:(k + 1) * hs] for k in range(4))
+    c = f * c_prev + i * g
+    return o * np.tanh(c), c
 
 
-def _scan(direction: LstmDirection, steps: list[T.Tensor]) -> list[T.Tensor]:
-    h = T.constant(np.zeros(direction.hidden_size))
-    c = T.constant(np.zeros(direction.hidden_size))
-    out = []
-    for x_t in steps:
-        h, c = lstm_step(direction, x_t, h, c)
-        out.append(h)
-    return out
+def _packed_order(lengths: np.ndarray, reverse: bool):
+    """Time-major packing of a batch's valid cells.
+
+    Rows are sorted by length, longest first, so the rows still active at
+    step t are a prefix of that order.  Returns, per packed cell, the batch
+    row and the position it reads ([N] each), the packed index of the same
+    row's previous step (-1 at step 0), and the step offsets ([T+1]).  The
+    reverse direction walks each row's valid prefix from its last position.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    steps, rank = np.nonzero(T.time_mask(sorted_len, int(sorted_len[0])).T)
+    active = np.bincount(steps)
+    offsets = np.concatenate([[0], np.cumsum(active)])
+    rows = order[rank]
+    positions = sorted_len[rank] - 1 - steps if reverse else steps
+    prev = np.where(steps > 0, offsets[steps - 1] + rank, -1)
+    return rows, positions, prev, offsets
 
 
-def bilstm_encode(layers: list[LstmLayerParams], seq: T.Tensor, valid_length: int,
+def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
+              reverse: bool = False) -> T.Tensor:
+    """One LSTM direction over a batch: x [B x T x input] -> [B x T x hidden].
+
+    Each row starts from zero state and reads only its valid positions, left
+    to right, or right to left from its own last position when ``reverse``;
+    outputs at padded positions are zero.  Following the cuDNN formulation,
+    x W^T + b is one product over all valid cells, the recurrence keeps only
+    h U^T per step, and backward gets dW, dU and dx as single products.
+    """
+    if x.values.ndim != 3 or x.shape[2] != w.shape[1]:
+        raise ValueError(f"lstm_scan needs x [B x T x {w.shape[1]}], got {x.shape}")
+    batch, t_max, _ = x.shape
+    lengths = T.check_lengths(lengths, batch, t_max)
+    hs = u.shape[1]
+    if w.shape[0] != 4 * hs or u.shape != (4 * hs, hs) or b.shape != (4 * hs,):
+        raise ValueError(f"lstm_scan weight shapes disagree: W {w.shape}, "
+                         f"U {u.shape}, b {b.shape}")
+    rows, positions, prev, offsets = _packed_order(lengths, reverse)
+    wv, uv = w.values, u.values
+    xs = x.values[rows, positions]
+    gates = xs @ wv.T + b.values
+    h_all = np.empty((xs.shape[0], hs))
+    c_all = np.empty((xs.shape[0], hs))
+    h = c = np.zeros((offsets[1], hs))
+    for s, e in zip(offsets[:-1], offsets[1:]):
+        h, c = lstm_step(gates[s:e], h[:e - s], c[:e - s], uv)
+        h_all[s:e], c_all[s:e] = h, c
+    out = np.zeros((batch, t_max, hs))
+    out[rows, positions] = h_all
+
+    def backward_fn(g):
+        dh_in = g[rows, positions]
+        dz = np.empty_like(gates)
+        dh = np.zeros((offsets[1], hs))
+        dc = np.zeros((offsets[1], hs))
+        first = prev < 0
+        c_prev = np.where(first[:, None], 0.0, c_all[prev])
+        for s, e in zip(offsets[-2::-1], offsets[:0:-1]):
+            n = e - s
+            i, f, gg, o = (gates[s:e, k * hs:(k + 1) * hs] for k in range(4))
+            tc = np.tanh(c_all[s:e])
+            dh_t = dh_in[s:e] + dh[:n]
+            dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
+            dz[s:e, :hs] = dc_t * gg * i * (1.0 - i)
+            dz[s:e, hs:2 * hs] = dc_t * c_prev[s:e] * f * (1.0 - f)
+            dz[s:e, 2 * hs:3 * hs] = dc_t * i * (1.0 - gg * gg)
+            dz[s:e, 3 * hs:] = dh_t * tc * o * (1.0 - o)
+            dc[:n] = dc_t * f
+            dh[:n] = dz[s:e] @ uv
+        h_prev = np.where(first[:, None], 0.0, h_all[prev])
+        dx = None
+        if x.requires_grad:
+            dx = np.zeros(x.shape)
+            dx[rows, positions] = dz @ wv
+        return dx, dz.T @ xs, dz.T @ h_prev, dz.sum(axis=0)
+
+    return T.from_op(out, "lstm_scan", (x, w, u, b), backward_fn)
+
+
+def bilstm_encode(layers: list[LstmLayerParams], seq: T.Tensor, lengths,
                   dropout_rate: float, training: bool, rng) -> T.Tensor:
-    """Stacked bidirectional encoding: [n x input] -> [n x 2*hidden].
+    """Stacked bidirectional encoding: [B x T x input] -> [B x T x 2*hidden].
 
-    The forward direction scans positions 0..valid_length-1 left to right,
-    the backward direction right to left, both from zero initial state; each
-    position's output is the concatenation [h_f; h_b].  Layer k+1 consumes
-    layer k's output, with dropout between layers and on the final output
-    when training.  Rows at or beyond valid_length are zero.
+    Per layer, a forward and a reverse ``lstm_scan`` over each row's valid
+    positions, concatenated as [h_f; h_b] at every position; layer k+1
+    consumes layer k's output, with dropout after every layer when training.
+    Positions at or past a row's length are zero.
     """
     if not layers:
         raise ValueError("bilstm_encode needs at least one layer")
-    if seq.values.ndim != 2 or seq.shape[0] == 0:
-        raise ValueError(f"bilstm_encode needs a non-empty [n x input] tensor, got {seq.shape}")
-    n = seq.shape[0]
-    if not 1 <= valid_length <= n:
-        raise ValueError(f"valid_length {valid_length} out of range [1, {n}]")
-
-    steps = [T.take_row(seq, t) for t in range(valid_length)]
-    out = None
+    if seq.values.ndim != 3 or seq.shape[1] == 0:
+        raise ValueError(f"bilstm_encode needs a non-empty [B x T x input] tensor, "
+                         f"got {seq.shape}")
+    out = seq
     for layer in layers:
-        h_fwd = _scan(layer.fwd, steps)
-        h_bwd = _scan(layer.bwd, steps[::-1])[::-1]
-        merged = [T.concat([f, b], axis=0) for f, b in zip(h_fwd, h_bwd)]
-        out = T.stack_rows(merged)
-        out = dropout(out, dropout_rate, training, rng)
-        steps = [T.take_row(out, t) for t in range(valid_length)]
-    if valid_length < n:
-        pad = T.constant(np.zeros((n - valid_length, out.shape[1])))
-        out = T.concat([out, pad], axis=0)
+        halves = [lstm_scan(out, lengths, d.w, d.u, d.b, reverse=rev)
+                  for d, rev in ((layer.fwd, False), (layer.bwd, True))]
+        out = dropout(T.concat(halves, axis=2), dropout_rate, training, rng)
     return out
 
 
-def conv1d_over_time(bank: ConvFilterBank, seq: T.Tensor, valid_length: int) -> T.Tensor:
-    """Multi-width convolution with global max pooling.
+def _window_max(seq: T.Tensor, lengths: np.ndarray, w: T.Tensor, b: T.Tensor,
+                width: int) -> T.Tensor:
+    """Max over each row's windows of the affine filter response:
+    [B x T x dim] -> [B x filters].
 
-    For each kernel size k, every length-k window of valid positions goes
-    through the affine filters and a rectifier, then the maximum over windows
-    is kept, giving filters_per_size values per kernel size; the banks'
-    outputs concatenate in kernel-size order.  Sequences shorter than k are
-    zero-padded at the end to a single window.
+    Only valid windows are built, packed row after row: max(len - width + 1,
+    1) per row, positions at or past the row's length read as zero.  One
+    product scores them all; the max per row and filter keeps its first
+    window on ties, and backward routes the gradient to that window alone.
     """
-    if seq.values.ndim != 2 or seq.shape[1] != bank.dim:
-        raise ValueError(f"sequence dim {seq.shape} does not match bank dim {bank.dim}")
-    n = seq.shape[0]
-    if not 1 <= valid_length <= n:
-        raise ValueError(f"valid_length {valid_length} out of range [1, {n}]")
-    pooled = []
-    for k, w, b in zip(bank.kernel_sizes, bank.weights, bank.biases):
-        if valid_length >= k:
-            windows = [T.reshape(T.narrow(seq, 0, t, k), (k * bank.dim,))
-                       for t in range(valid_length - k + 1)]
-        else:
-            pad = T.constant(np.zeros((k - valid_length, bank.dim)))
-            short = T.concat([T.narrow(seq, 0, 0, valid_length), pad], axis=0)
-            windows = [T.reshape(short, (k * bank.dim,))]
-        activ = T.relu(T.linear_rows(T.stack_rows(windows), w, b))
-        pooled.append(T.max_over_time(activ, len(windows)))
-    return T.concat(pooled, axis=0)
+    batch, t, d = seq.shape
+    counts = np.maximum(lengths - width + 1, 1)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    rows = np.repeat(np.arange(batch), counts)
+    first = np.arange(rows.size) - starts[rows]
+    keep = T.time_mask(lengths, t)[:, :, None]
+    pad_shape = (batch, max(t, width), d)
+    padded = np.zeros(pad_shape)
+    padded[:, :t] = np.where(keep, seq.values, 0.0)
+    windows = np.concatenate([padded[rows, first + j] for j in range(width)], axis=1)
+    scores = windows @ w.values.T + b.values
+    best = np.maximum.reduceat(scores, starts, axis=0)
+    hits = np.where(scores == best[rows], np.arange(rows.size)[:, None], rows.size)
+    argmax = np.minimum.reduceat(hits, starts, axis=0)
+    cols = np.arange(scores.shape[1])
+    n_windows = rows.size
+
+    def backward_fn(g):
+        g_scores = np.zeros((n_windows, cols.size))
+        g_scores[argmax, cols] = g
+        dseq = None
+        if seq.requires_grad:
+            g_windows = g_scores @ w.values
+            dpad = np.zeros(pad_shape)
+            for j in range(width):  # (row, position) pairs are distinct per j
+                dpad[rows, first + j] += g_windows[:, j * d:(j + 1) * d]
+            dseq = np.where(keep, dpad[:, :t], 0.0)
+        return dseq, g_scores.T @ windows, g.sum(axis=0)
+
+    return T.from_op(best, "window_max", (seq, w, b), backward_fn)
+
+
+def conv1d_over_time(bank: ConvFilterBank, seq: T.Tensor, lengths) -> T.Tensor:
+    """Multi-width convolution with global max pooling: [B x T x dim] ->
+    [B x len(kernel_sizes)*filters_per_size].
+
+    For each kernel size k, every length-k window of a row's valid positions
+    goes through the affine filters and a rectifier, and the maximum over
+    those windows is kept; the banks' outputs concatenate in kernel-size
+    order.  A row shorter than k is zero-padded at its end to one window.
+    Each width is one unfold, one product and one max for the batch; the
+    rectifier runs after the max, which gives the same values and gradients
+    (it is monotonic) on [B x filters] values only.
+    """
+    if seq.values.ndim != 3 or seq.shape[2] != bank.dim:
+        raise ValueError(f"sequence shape {seq.shape} does not match bank dim {bank.dim}")
+    lengths = T.check_lengths(lengths, seq.shape[0], seq.shape[1])
+    return T.concat([T.relu(_window_max(seq, lengths, w, b, k))
+                     for k, w, b in zip(bank.kernel_sizes, bank.weights, bank.biases)],
+                    axis=1)
 
 
 def dropout(x: T.Tensor, rate: float, training: bool, rng) -> T.Tensor:
-    """Inverted dropout: zero with probability `rate`, scale survivors by
-    1/(1-rate); identity when rate is 0 or not training."""
+    """Inverted dropout with one mask for the whole tensor: zero with
+    probability `rate`, scale survivors by 1/(1-rate); identity when rate is
+    0 or not training."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return T.mul(x, T.constant(mask))
-
-
-def linear(weight: T.Tensor, bias: T.Tensor, x: T.Tensor) -> T.Tensor:
-    if weight.values.ndim != 2 or x.values.ndim != 1 or bias.shape != (weight.shape[0],):
-        raise ValueError(f"linear shapes disagree: W {weight.shape}, b {bias.shape}, x {x.shape}")
-    return T.add(T.matvec(weight, x), bias)

@@ -62,9 +62,10 @@ class Batch:
                              f"does not match batch size {b}")
         if (self.valid_lengths < 1).any() or (self.valid_lengths > n_max).any():
             raise ValueError("valid lengths must lie in [1, n_max]")
-        for i in range(b):
-            if (self.ids[i, self.valid_lengths[i]:] != 0).any():
-                raise ValueError(f"batch row {i} has non-PAD ids after its valid length")
+        past_end = ~T.time_mask(self.valid_lengths, n_max) & (self.ids != L.PAD_ID)
+        if past_end.any():
+            raise ValueError(f"batch row {int(np.flatnonzero(past_end.any(axis=1))[0])} "
+                             "has non-PAD ids after its valid length")
 
     def __len__(self) -> int:
         return self.ids.shape[0]
@@ -97,11 +98,14 @@ def init_model(config: TrainConfig, emb: L.EmbeddingMatrix, rng) -> RcnnParams:
 
 
 def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Tensor, T.Tensor]:
-    """Run the classifier over a batch; returns (logits, probabilities).
+    """Run the classifier over a batch; returns (logits, probabilities), one
+    row per example in batch order.
 
-    Each example is processed at its own valid length, so padding cannot
-    influence the result.  Dropout (when training) hits the BiLSTM layer
-    outputs and both linear-layer inputs, the fused sentence vector included.
+    The whole batch goes through each layer at once, trimmed to its longest
+    row; every sequence op reads only each row's valid positions, so padding
+    cannot influence the result.  Dropout (when training) hits the BiLSTM
+    layer outputs and both linear-layer inputs, the fused sentence vector
+    included.
     """
     if params.sentence_dim > 0:
         if batch.sentence_vectors is None:
@@ -109,25 +113,19 @@ def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Te
         if batch.sentence_vectors.shape != (len(batch), params.sentence_dim):
             raise ValueError(f"sentence vectors shape {batch.sentence_vectors.shape} "
                              f"!= ({len(batch)}, {params.sentence_dim})")
-    logits_rows = []
-    for i in range(len(batch)):
-        n = int(batch.valid_lengths[i])
-        emb = L.embedding_lookup(params.embedding, batch.ids[i, :n])
-        enc = L.bilstm_encode(params.bilstm, emb, n, params.dropout_bilstm,
-                              training, rng)
-        ctx = T.concat([enc, emb], axis=1)
-        ctx = L.dropout(ctx, params.dropout_linear, training, rng)
-        proj = T.linear_rows(ctx, params.proj_w, params.proj_b)
-        if params.projection_tanh:
-            proj = T.tanh(proj)
-        pooled = T.max_over_time(proj, n)
-        if params.sentence_dim > 0:
-            fused = T.concat([pooled, T.constant(batch.sentence_vectors[i])], axis=0)
-        else:
-            fused = pooled
-        fused = L.dropout(fused, params.dropout_linear, training, rng)
-        logits_rows.append(L.linear(params.out_w, params.out_b, fused))
-    logits = T.stack_rows(logits_rows)
+    lengths = batch.valid_lengths
+    emb = L.embedding_lookup(params.embedding, batch.ids[:, :int(lengths.max())])
+    enc = L.bilstm_encode(params.bilstm, emb, lengths, params.dropout_bilstm,
+                          training, rng)
+    ctx = L.dropout(T.concat([enc, emb], axis=2), params.dropout_linear, training, rng)
+    proj = T.linear_rows(ctx, params.proj_w, params.proj_b)
+    if params.projection_tanh:
+        proj = T.tanh(proj)
+    fused = T.max_over_time(proj, lengths)
+    if params.sentence_dim > 0:
+        fused = T.concat([fused, T.constant(batch.sentence_vectors)], axis=1)
+    fused = L.dropout(fused, params.dropout_linear, training, rng)
+    logits = T.linear_rows(fused, params.out_w, params.out_b)
     return logits, T.softmax_rows(logits)
 
 

@@ -6,18 +6,31 @@ the output gradient to input gradients.  ``backward`` walks the recorded
 graph once, in reverse topological order, and accumulates gradients into the
 ``grad`` field of every leaf that has ``requires_grad`` set.
 
-All arithmetic is 64-bit.  Broadcasting is restricted to scalar-vs-tensor;
-binary operations otherwise require exact shape agreement, which keeps every
-backward rule a direct transcription of its forward definition.
+All arithmetic is 64-bit.  The engine is batch-major: a batch of sequences
+is one ``[B x T x k]`` tensor, padded after each row's valid length, and one
+graph node covers the whole batch.  Broadcasting rules:
+
+- elementwise binary operations take exact-shape or scalar-vs-tensor
+  operands, and nothing else;
+- ``linear_rows`` maps the last axis and adds its bias to every row of every
+  leading axis (``[..., k] -> [..., m]``);
+- ``max_over_time`` takes per-row valid lengths and never reads a row's
+  padding, so padding cannot change its result.
+
+Inside ``with no_grad():`` operations record no parents and no backward
+closures, so an inference pass holds only the values it still uses.
 
 Thread safety: a graph and its tensors belong to one thread between
-construction and ``backward``.  Distinct graphs may run on distinct threads;
-leaf values may be read concurrently as long as no update is in flight.
+construction and ``backward``; ``no_grad`` applies to the calling thread
+only.  Distinct graphs may run on distinct threads; leaf values may be read
+concurrently as long as no update is in flight.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -77,21 +90,36 @@ class Tensor:
         return scale(self, -1.0)
 
 
-def tensor_new(shape: Sequence[int], values, requires_grad: bool = False) -> Tensor:
-    """Build a leaf tensor from an explicit shape and row-major values."""
-    shape = tuple(int(d) for d in shape)
-    if any(d < 1 for d in shape):
-        raise ValueError(f"all dimensions must be >= 1, got shape {shape}")
-    flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    want = math.prod(shape)
-    if flat.size != want:
-        raise ValueError(f"values length {flat.size} != shape product {want} for shape {shape}")
-    return Tensor(flat.reshape(shape).copy(), requires_grad=requires_grad)
-
-
 def constant(values) -> Tensor:
     """Leaf tensor that never receives gradient (inputs, masks, targets)."""
     return Tensor(values, requires_grad=False)
+
+
+_recording = threading.local()
+
+
+@contextmanager
+def no_grad():
+    """Build no graph on this thread for the duration of the block: results
+    carry values only, so ``backward`` cannot reach through them."""
+    was = getattr(_recording, "off", False)
+    _recording.off = True
+    try:
+        yield
+    finally:
+        _recording.off = was
+
+
+@dataclass(frozen=True)
+class RowGrad:
+    """A gradient that is zero outside a few rows: ``values[k]`` adds to row
+    ``rows[k]`` of the parent, and rows may repeat.  An op that reads a few
+    rows of a large table returns this rather than a table-sized array."""
+    rows: np.ndarray
+    values: np.ndarray
+
+    def add_to(self, dense: np.ndarray) -> None:
+        np.add.at(dense, self.rows, self.values)
 
 
 def from_op(values: np.ndarray, op: str, parents: tuple[Tensor, ...],
@@ -99,17 +127,17 @@ def from_op(values: np.ndarray, op: str, parents: tuple[Tensor, ...],
     """Register an operation result in the graph.
 
     ``backward_fn`` receives the gradient of the output and returns one
-    gradient array (or None) per parent, in parent order.  Returned arrays
-    must not be mutated afterwards; accumulation here is purely functional.
+    gradient (an array, a ``RowGrad``, or None) per parent, in parent order.
+    Returned arrays must not be mutated afterwards; accumulation here is
+    purely functional.  Under ``no_grad`` the result keeps neither its
+    parents nor the closure.
     """
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
+    out.op = op
+    if not getattr(_recording, "off", False) and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.op = op
         out.parents = parents
         out.backward_fn = backward_fn
-    else:
-        out.op = op
     return out
 
 
@@ -138,6 +166,15 @@ def backward(loss: Tensor) -> None:
         for parent, pg in zip(node.parents, parent_grads):
             if pg is None or not parent.requires_grad:
                 continue
+            if isinstance(pg, RowGrad):
+                if parent.backward_fn is None:  # a leaf: scatter into its grad
+                    if parent.grad is None:
+                        parent.grad = np.zeros_like(parent.values)
+                    pg.add_to(parent.grad)
+                    continue
+                dense = np.zeros_like(parent.values)
+                pg.add_to(dense)
+                pg = dense
             held = buffers.get(id(parent))
             buffers[id(parent)] = pg if held is None else held + pg
 
@@ -190,30 +227,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bv.T, av.T @ g
 
     return from_op(av @ bv, "matmul", (a, b), backward_fn)
-
-
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """w [m x k] times x [k] -> [m]."""
-    if w.values.ndim != 2 or x.values.ndim != 1:
-        raise ValueError(f"matvec needs a matrix and a vector, got {w.shape} and {x.shape}")
-    if w.shape[1] != x.shape[0]:
-        raise ValueError(f"matvec dimensions differ: {w.shape} vs {x.shape}")
-    wv, xv = w.values, x.values
-
-    def backward_fn(g):
-        return np.outer(g, xv), wv.T @ g
-
-    return from_op(wv @ xv, "matvec", (w, x), backward_fn)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ValueError(f"transpose needs a 2-d tensor, got shape {a.shape}")
-
-    def backward_fn(g):
-        return (g.T,)
-
-    return from_op(a.values.T, "transpose", (a,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +327,6 @@ def tanh(a: Tensor) -> Tensor:
     return from_op(out, "tanh", (a,), backward_fn)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.values)
-
-    def backward_fn(g):
-        return (g * out,)
-
-    return from_op(out, "exp", (a,), backward_fn)
-
-
 def log(a: Tensor) -> Tensor:
     v = a.values
     bad = np.flatnonzero(v.reshape(-1) <= 0.0)
@@ -353,24 +357,6 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
         return (g * (v > floor),)
 
     return from_op(np.maximum(v, floor), "clamp_min", (a,), backward_fn)
-
-
-_ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul, "scale": scale}
-_ELEMENTWISE_UNARY = {"sigmoid": sigmoid, "tanh": tanh, "exp": exp, "log": log}
-
-
-def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch by kind: add, sub, mul, scale take a second operand;
-    sigmoid, tanh, exp, log are unary."""
-    if kind in _ELEMENTWISE_BINARY:
-        if b is None:
-            raise ValueError(f"elementwise {kind!r} needs a second operand")
-        return _ELEMENTWISE_BINARY[kind](a, b)
-    if kind in _ELEMENTWISE_UNARY:
-        if b is not None:
-            raise ValueError(f"elementwise {kind!r} is unary")
-        return _ELEMENTWISE_UNARY[kind](a)
-    raise ValueError(f"unknown elementwise kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,59 +403,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return from_op(out, "concat", tuple(parts), backward_fn)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` entries along ``axis``."""
-    ndim = a.values.ndim
-    if not 0 <= axis < ndim:
-        raise ValueError(f"narrow axis {axis} out of range for shape {a.shape}")
-    if start < 0 or length < 1 or start + length > a.shape[axis]:
-        raise ValueError(f"narrow [{start}:{start + length}] out of range "
-                         f"for axis {axis} of shape {a.shape}")
-    slicer = [slice(None)] * ndim
-    slicer[axis] = slice(start, start + length)
-    slicer = tuple(slicer)
-    full_shape = a.shape
-
-    def backward_fn(g):
-        z = np.zeros(full_shape)
-        z[slicer] = g
-        return (z,)
-
-    return from_op(a.values[slicer], "narrow", (a,), backward_fn)
-
-
-def take_row(a: Tensor, index: int) -> Tensor:
-    """Row ``index`` of a matrix as a vector."""
-    if a.values.ndim != 2:
-        raise ValueError(f"take_row needs a 2-d tensor, got shape {a.shape}")
-    if not 0 <= index < a.shape[0]:
-        raise ValueError(f"row {index} out of range for shape {a.shape}")
-    full_shape = a.shape
-
-    def backward_fn(g):
-        z = np.zeros(full_shape)
-        z[index] = g
-        return (z,)
-
-    return from_op(a.values[index], "take_row", (a,), backward_fn)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one tensor per row."""
-    if not rows:
-        raise ValueError("stack_rows needs at least one row")
-    width = rows[0].shape
-    for r in rows:
-        if r.values.ndim != 1 or r.shape != width:
-            raise ValueError(f"stack_rows needs equal-length vectors, got {width} and {r.shape}")
-
-    def backward_fn(g):
-        return tuple(g[i] for i in range(len(rows)))
-
-    out = np.stack([r.values for r in rows])
-    return from_op(out, "stack_rows", tuple(rows), backward_fn)
-
-
 def take_per_row(a: Tensor, columns) -> Tensor:
     """Pick one entry per row: out[i] = a[i, columns[i]]."""
     if a.values.ndim != 2:
@@ -501,51 +434,71 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map of each row: out = x @ w.T + b, with b added to every row.
+    """Affine map of the last axis: out = x @ w.T + b, b added to every row.
 
-    x is [n x k], w is [m x k], b is [m]; the result is [n x m].  This is the
-    one place a vector broadcasts over rows, so the bias rule (sum over rows)
-    stays next to the op that needs it.
+    x is [..., k], w is [m x k], b is [m]; the result is [..., m].  This is
+    the one place a vector broadcasts over leading axes, so the bias rule
+    (sum over rows) stays next to the op that needs it.
     """
-    if x.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1:
-        raise ValueError(f"linear_rows needs (matrix, matrix, vector), got "
+    if x.values.ndim < 2 or w.values.ndim != 2 or b.values.ndim != 1:
+        raise ValueError(f"linear_rows needs (rows, matrix, vector), got "
                          f"{x.shape}, {w.shape}, {b.shape}")
-    if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
+    if x.shape[-1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise ValueError(f"linear_rows dimensions differ: x {x.shape}, w {w.shape}, b {b.shape}")
-    xv, wv = x.values, w.values
+    lead = x.shape[:-1]
+    m, k = w.shape
+    xv, wv = x.values.reshape(-1, k), w.values
 
     def backward_fn(g):
-        return g @ wv, g.T @ xv, g.sum(axis=0)
+        g = g.reshape(-1, m)
+        return (g @ wv).reshape(*lead, k), g.T @ xv, g.sum(axis=0)
 
-    return from_op(xv @ wv.T + b.values, "linear_rows", (x, w, b), backward_fn)
+    out = (xv @ wv.T + b.values).reshape(*lead, m)
+    return from_op(out, "linear_rows", (x, w, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
-# Sequence reductions
+# [B x T x k] batches with per-row valid lengths
 
 
-def max_over_time(seq: Tensor, valid_length: int) -> Tensor:
-    """Columnwise max over the first ``valid_length`` rows.
+def check_lengths(lengths, rows: int, steps: int) -> np.ndarray:
+    """Valid lengths as an int64 array of shape [rows], each in [1, steps]."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (rows,):
+        raise ValueError(f"need one valid length per row: got shape "
+                         f"{lengths.shape} for {rows} rows")
+    if rows and (lengths.min() < 1 or lengths.max() > steps):
+        raise ValueError(f"valid lengths must lie in [1, {steps}], got {lengths.tolist()}")
+    return lengths
 
-    Gradient flows only to the argmax row of each column; the first
+
+def time_mask(lengths, steps: int) -> np.ndarray:
+    """[B x T] booleans, true at each row's valid positions."""
+    return np.arange(steps)[None, :] < np.asarray(lengths)[:, None]
+
+
+def max_over_time(seq: Tensor, lengths) -> Tensor:
+    """Columnwise max over each row's first ``lengths[b]`` positions:
+    [B x T x k] -> [B x k].
+
+    Gradient flows only to the argmax position of each column; the first
     occurrence wins on ties.
     """
-    if seq.values.ndim != 2:
-        raise ValueError(f"max_over_time needs a 2-d tensor, got shape {seq.shape}")
-    n, d = seq.shape
-    if not 1 <= valid_length <= n:
-        raise ValueError(f"valid_length {valid_length} out of range [1, {n}]")
-    window = seq.values[:valid_length]
-    argmax = np.argmax(window, axis=0)
-    cols = np.arange(d)
+    if seq.values.ndim != 3:
+        raise ValueError(f"max_over_time needs a [B x T x k] tensor, got shape {seq.shape}")
+    b, t, k = seq.shape
+    lengths = check_lengths(lengths, b, t)
+    masked = np.where(time_mask(lengths, t)[:, :, None], seq.values, -np.inf)
+    argmax = np.argmax(masked, axis=1)
+    rows, cols = np.arange(b)[:, None], np.arange(k)[None, :]
     full_shape = seq.shape
 
     def backward_fn(g):
         z = np.zeros(full_shape)
-        z[argmax, cols] = g
+        z[rows, argmax, cols] = g
         return (z,)
 
-    return from_op(window[argmax, cols], "max_over_time", (seq,), backward_fn)
+    return from_op(seq.values[rows, argmax, cols], "max_over_time", (seq,), backward_fn)
 
 
 def softmax_rows(logits: Tensor) -> Tensor:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import layers as L
 from . import metrics, rcnn
 from . import tensor as T
 from .config import TrainConfig
@@ -207,6 +208,8 @@ def load_encoded(path) -> tuple[list[EncodedExample], dict[str, int]]:
         if len(fields) != 3 or not fields[2].strip():
             raise ValueError(f"{path}: line {number}: expected "
                              "id<TAB>label<TAB>ids")
+        if fields[1] != "-" and fields[1] not in LABEL_TO_INDEX:
+            raise ValueError(f"{path}: line {number}: unknown label {fields[1]!r}")
         label = None if fields[1] == "-" else LABEL_TO_INDEX[fields[1]]
         ids = np.array([int(v) for v in fields[2].split()], dtype=np.int64)
         examples.append(EncodedExample(fields[0], ids, label))
@@ -215,14 +218,12 @@ def load_encoded(path) -> tuple[list[EncodedExample], dict[str, int]]:
 
 def make_batch(examples: list[EncodedExample], store: SentenceVectorStore | None,
                sentence_dim: int) -> rcnn.Batch:
-    n_max = max(ex.n for ex in examples)
-    ids = np.zeros((len(examples), n_max), dtype=np.int64)
-    lengths = np.zeros(len(examples), dtype=np.int64)
-    for i, ex in enumerate(examples):
-        ids[i, :ex.n] = ex.ids
-        lengths[i] = ex.n
+    ids, lengths = L.pad_rows([ex.ids for ex in examples])
     sv = None
     if sentence_dim > 0:
+        if store is None:
+            raise ValueError(f"the model fuses {sentence_dim}-d sentence vectors "
+                             "but no sentence-vector store was given")
         missing = [ex.id for ex in examples if ex.id not in store.vectors]
         if missing:
             raise ValueError(f"missing sentence vectors for ids: {', '.join(missing)}")
@@ -241,12 +242,14 @@ def iter_batches(examples: list[EncodedExample], batch_size: int):
 
 def predict(params: rcnn.RcnnParams, examples: list[EncodedExample],
             store: SentenceVectorStore | None, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode argmax class index per example, in input order."""
+    """Eval-mode argmax class index per example, in input order, without
+    building a graph."""
     preds = []
-    for chunk in iter_batches(examples, batch_size):
-        batch = make_batch(chunk, store, params.sentence_dim)
-        _, probs = rcnn.forward(params, batch, training=False, rng=None)
-        preds.append(np.argmax(probs.values, axis=1))
+    with T.no_grad():
+        for chunk in iter_batches(examples, batch_size):
+            batch = make_batch(chunk, store, params.sentence_dim)
+            _, probs = rcnn.forward(params, batch, training=False, rng=None)
+            preds.append(np.argmax(probs.values, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 

@@ -1,0 +1,57 @@
+"""What the benchmark in ``perfbench/`` needs from the program.
+
+A traced benchmark run wraps every function named in ``perfbench/spans.py``
+by attribute name, so each must exist and be callable; the untraced
+``train_paper`` run wraps ``train.evaluate`` alone and splits training time
+from validation time at those calls, so ``train_encoded`` must reach it
+through the ``train`` module global, once per epoch.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import toycorpus
+from emoconv import layers as L
+from emoconv import rcnn
+from emoconv import train as tr
+from emoconv.config import TrainConfig
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _traced_names():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = spans  # its dataclasses look their module up
+    spec.loader.exec_module(spans)
+    return spans.ALL_TRACED
+
+
+@pytest.mark.parametrize("name", _traced_names())
+def test_every_traced_name_is_a_callable(name):
+    module, _, function = name.partition(".")
+    assert callable(getattr(importlib.import_module(f"emoconv.{module}"), function, None))
+
+
+def test_train_encoded_validates_through_the_module_global(monkeypatch):
+    config = TrainConfig(lr=0.01, batch_size=8, epochs=3, hidden_size=4, num_layers=1,
+                         sentence_dim=0, embedding_dim=4, freeze_embedding_epochs=1)
+    train_split = toycorpus.make_split("train", 12, seed=0)
+    val_split = toycorpus.make_split("val", 8, seed=1)
+    vocab = toycorpus.vocab_for(train_split, val_split)
+    rng = np.random.default_rng(0)
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (vocab.size, 4)))
+    params = rcnn.init_model(config, emb, rng)
+    calls = []
+    evaluate = tr.evaluate
+    monkeypatch.setattr(tr, "evaluate", lambda *a, **k: calls.append(1) or evaluate(*a, **k))
+    _, history = tr.train_encoded(
+        params, tr.encode_split(train_split, vocab), tr.encode_split(val_split, vocab),
+        None, config, rng, vocab=vocab,
+        weights=tr.compute_class_weights(train_split.label_counts, val_split.label_counts))
+    assert len(calls) == len(history) == config.epochs

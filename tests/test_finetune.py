@@ -47,16 +47,15 @@ def test_model_shapes_and_param_count():
 
 def test_forward_probability_range_and_zero_init():
     model, corpus, _, vocab, rng = _setup()
-    for text, _ in corpus[:10]:
-        ids = [vocab.lookup(t) for t in text.split()]
-        p = ft.forward_finetune(model, ids, False, None).item()
-        assert 0.0 < p < 1.0
+    rows = [[vocab.lookup(t) for t in text.split()] for text, _ in corpus[:10]]
+    probs = ft.forward_finetune(model, rows, False, None).values
+    assert probs.shape == (10,)
+    assert ((0.0 < probs) & (probs < 1.0)).all()
 
     model.out_w.values[:] = 0.0
     model.out_b.values[:] = 0.0
-    for text, _ in corpus[:5]:
-        ids = [vocab.lookup(t) for t in text.split()]
-        assert ft.forward_finetune(model, ids, False, None).item() == 0.5
+    npt.assert_array_equal(ft.forward_finetune(model, rows[:5], False, None).values,
+                           np.full(5, 0.5))
 
 
 def test_binary_cross_entropy_values_and_gradient():

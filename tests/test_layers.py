@@ -27,6 +27,42 @@ def test_embedding_lookup_padding_row_and_repeats():
         L.embedding_lookup(table, [])
 
 
+def test_batched_lookup_skips_pad_and_checks_every_id():
+    table = _lookup_table([[0, 0], [1, 2], [3, 4]])
+    ids = np.array([[1, 2, 0], [2, 0, 0]])
+    out = L.embedding_lookup(table, ids)
+    assert out.shape == (2, 3, 2)
+    npt.assert_array_equal(out.values[1], [[3, 4], [0, 0], [0, 0]])
+    # gradient at PAD positions is dropped, so row 0 never moves
+    T.sum_all(out).backward()
+    npt.assert_array_equal(table.table.grad, [[0, 0], [1, 1], [2, 2]])
+
+    with pytest.raises(ValueError) as err:
+        L.embedding_lookup(table, np.array([[1, 2], [-4, 7]]))
+    assert str(err.value) == "token id -4 out of range for vocabulary of size 3"
+
+
+def test_lookup_into_a_computed_table_gets_dense_gradient():
+    # the row gradient densifies when the table is not a leaf
+    base = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    table = L.EmbeddingMatrix(3, 2, T.scale(base, 2.0))
+    T.sum_all(L.embedding_lookup(table, [[2, 2, 1]])).backward()
+    npt.assert_array_equal(base.grad, [[0, 0], [2, 2], [4, 4]])
+
+
+def test_batched_lookup_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    table = L.EmbeddingMatrix.from_array(rng.uniform(-1, 1, (6, 3)))
+    ids = np.array([[1, 5, 5, 2], [4, 0, 0, 0], [3, 2, 1, 0]])
+    # downstream layers never read PAD positions; neither does this loss
+    weights = T.constant(rng.uniform(-1, 1, (3, 4, 3)) * (ids != 0)[..., None])
+
+    def f(ps):
+        return T.sum_all(T.tanh(T.mul(L.embedding_lookup(table, ids), weights)))
+
+    assert T.finite_diff_check(f, [table.table], eps=1e-5) < 1e-6
+
+
 def test_frozen_embedding_gets_exactly_zero_gradient():
     table = _lookup_table([[0, 0], [1, 2]], frozen=True)
     out = L.embedding_lookup(table, [1, 1])
@@ -36,45 +72,78 @@ def test_frozen_embedding_gets_exactly_zero_gradient():
     npt.assert_array_equal(T.grad_of(table.table), np.zeros((2, 2)))
 
 
+def _scan_params(rng, inp, hidden, scale=0.5):
+    return [T.Tensor(rng.uniform(-scale, scale, shape), requires_grad=True)
+            for shape in ((4 * hidden, inp), (4 * hidden, hidden), (4 * hidden,))]
+
+
 def test_lstm_step_zero_params_give_zero_state():
-    d = L.LstmDirection(w=T.Tensor(np.zeros((8, 3)), requires_grad=True),
-                        u=T.Tensor(np.zeros((8, 2)), requires_grad=True),
-                        b=T.Tensor(np.zeros(8), requires_grad=True), hidden_size=2)
-    h, c = L.lstm_step(d, T.constant(np.zeros(3)), T.constant(np.zeros(2)),
-                       T.constant(np.zeros(2)))
-    npt.assert_array_equal(h.values, [0.0, 0.0])
-    npt.assert_array_equal(c.values, [0.0, 0.0])
+    gates = np.zeros((2, 8))
+    h, c = L.lstm_step(gates, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((8, 2)))
+    npt.assert_array_equal(h, np.zeros((2, 2)))
+    npt.assert_array_equal(c, np.zeros((2, 2)))
+    # the gates are activated in place: logistic(0) = 0.5, tanh(0) = 0
+    npt.assert_array_equal(gates, [[0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.5]] * 2)
 
 
 def test_lstm_step_open_gates_add_candidate_to_cell():
-    # W = U = 0 and huge input/forget/output biases pin i = f = o = 1,
+    # U = 0 and huge input/forget/output pre-activations pin i = f = o = 1,
     # so c = c_prev + tanh(b_g) and h = tanh(c)
     b_g = 0.4
-    b = np.array([50.0, 50.0, b_g, 50.0])
-    d = L.LstmDirection(w=T.Tensor(np.zeros((4, 2)), requires_grad=True),
-                        u=T.Tensor(np.zeros((4, 1)), requires_grad=True),
-                        b=T.Tensor(b, requires_grad=True), hidden_size=1)
-    h, c = L.lstm_step(d, T.constant([1.0, -1.0]), T.constant([0.3]), T.constant([0.25]))
-    npt.assert_allclose(c.values, [0.25 + np.tanh(b_g)], atol=1e-12)
-    npt.assert_allclose(h.values, np.tanh(c.values), atol=1e-12)
+    gates = np.array([[50.0, 50.0, b_g, 50.0]])
+    h, c = L.lstm_step(gates, np.array([[0.3]]), np.array([[0.25]]), np.zeros((4, 1)))
+    npt.assert_allclose(c, [[0.25 + np.tanh(b_g)]], atol=1e-12)
+    npt.assert_allclose(h, np.tanh(c), atol=1e-12)
 
 
 def test_lstm_step_matches_finite_differences():
+    # one row, two steps: the second cell update sees non-zero h and c, so
+    # every term of lstm_step's derivative is exercised through lstm_scan
     rng = np.random.default_rng(5)
     hidden, inp = 3, 4
-    w = T.Tensor(rng.uniform(-0.5, 0.5, (4 * hidden, inp)), requires_grad=True)
-    u = T.Tensor(rng.uniform(-0.5, 0.5, (4 * hidden, hidden)), requires_grad=True)
-    b = T.Tensor(rng.uniform(-0.5, 0.5, 4 * hidden), requires_grad=True)
-    x = T.Tensor(rng.uniform(-1, 1, inp), requires_grad=True)
-    h0 = T.Tensor(rng.uniform(-1, 1, hidden), requires_grad=True)
-    c0 = T.Tensor(rng.uniform(-1, 1, hidden), requires_grad=True)
+    params = _scan_params(rng, inp, hidden)
+    x = T.Tensor(rng.uniform(-1, 1, (1, 2, inp)), requires_grad=True)
 
     def f(ps):
-        d = L.LstmDirection(w=ps[0], u=ps[1], b=ps[2], hidden_size=hidden)
-        h, c = L.lstm_step(d, ps[3], ps[4], ps[5])
-        return T.sum_all(T.concat([h, c], axis=0))
+        return T.sum_all(L.lstm_scan(ps[0], [2], *ps[1:]))
 
-    assert T.finite_diff_check(f, [w, u, b, x, h0, c0], eps=1e-5) < 1e-5
+    assert T.finite_diff_check(f, [x] + params, eps=1e-5) < 1e-5
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_scan_matches_finite_differences(reverse):
+    # mixed lengths, unsorted: a length-1 row and a row at the maximum
+    rng = np.random.default_rng(6 + reverse)
+    params = _scan_params(rng, 3, 2)
+    x = T.Tensor(rng.uniform(-1, 1, (4, 5, 3)), requires_grad=True)
+    lengths = [3, 5, 1, 4]
+    probe = T.constant(rng.uniform(-1, 1, (4, 5, 2)))
+
+    def f(ps):
+        return T.sum_all(T.mul(L.lstm_scan(ps[0], lengths, *ps[1:], reverse=reverse),
+                               probe))
+
+    assert T.finite_diff_check(f, [x] + params, eps=1e-5) < 1e-5
+
+
+def test_lstm_scan_zero_past_length_and_reverse_reads_own_end():
+    rng = np.random.default_rng(7)
+    w, u, b = _scan_params(rng, 2, 3)
+    body = rng.uniform(-1, 1, (3, 2))
+    x = np.concatenate([body, rng.uniform(-1, 1, (2, 2))])[None]  # junk past 3
+    for reverse in (False, True):
+        out = L.lstm_scan(T.Tensor(x), [3], w, u, b, reverse=reverse).values
+        alone = L.lstm_scan(T.Tensor(body[None]), [3], w, u, b, reverse=reverse).values
+        npt.assert_array_equal(out[0, 3:], np.zeros((2, 3)))
+        npt.assert_array_equal(out[:, :3], alone)
+    # reversing a row's valid prefix reverses the reverse scan's output
+    fwd = L.lstm_scan(T.Tensor(body[None]), [3], w, u, b).values
+    rev = L.lstm_scan(T.Tensor(body[None, ::-1].copy()), [3], w, u, b, reverse=True).values
+    npt.assert_allclose(fwd, rev[:, ::-1], atol=1e-15)
+    with pytest.raises(ValueError):
+        L.lstm_scan(T.Tensor(x), [6], w, u, b)
+    with pytest.raises(ValueError):
+        L.lstm_scan(T.Tensor(x[..., :1]), [3], w, u, b)
 
 
 def test_lstm_init_shapes_and_forget_bias():
@@ -92,29 +161,31 @@ def test_lstm_init_shapes_and_forget_bias():
 def test_bilstm_encode_shapes_and_padding():
     rng = np.random.default_rng(1)
     lay = [L.init_lstm_params(rng, 5, 3), L.init_lstm_params(rng, 6, 3)]
-    seq = T.Tensor(rng.uniform(-1, 1, (7, 5)), requires_grad=True)
-    out = L.bilstm_encode(lay, seq, valid_length=4, dropout_rate=0.0,
+    seq = T.Tensor(rng.uniform(-1, 1, (2, 7, 5)), requires_grad=True)
+    out = L.bilstm_encode(lay, seq, [4, 7], dropout_rate=0.0,
                           training=False, rng=None)
-    assert out.shape == (7, 6)
-    npt.assert_array_equal(out.values[4:], np.zeros((3, 6)))
-    assert np.abs(out.values[:4]).max() > 0
+    assert out.shape == (2, 7, 6)
+    npt.assert_array_equal(out.values[0, 4:], np.zeros((3, 6)))
+    assert np.abs(out.values[0, :4]).max() > 0 and np.abs(out.values[1]).min() > 0
 
-    single = L.bilstm_encode(lay, T.Tensor(rng.uniform(-1, 1, (1, 5))), 1,
+    single = L.bilstm_encode(lay, T.Tensor(rng.uniform(-1, 1, (1, 1, 5))), [1],
                              0.0, False, None)
-    assert single.shape == (1, 6)
+    assert single.shape == (1, 1, 6)
     with pytest.raises(ValueError):
-        L.bilstm_encode([], seq, 4, 0.0, False, None)
+        L.bilstm_encode([], seq, [4, 7], 0.0, False, None)
     with pytest.raises(ValueError):
-        L.bilstm_encode(lay, seq, 9, 0.0, False, None)
+        L.bilstm_encode(lay, seq, [4, 9], 0.0, False, None)
+    with pytest.raises(ValueError):
+        L.bilstm_encode(lay, T.Tensor(rng.uniform(-1, 1, (7, 5))), [4], 0.0, False, None)
 
 
 def test_bilstm_encode_zero_params_zero_output():
     zeros = L.LstmDirection(w=T.Tensor(np.zeros((12, 2))), u=T.Tensor(np.zeros((12, 3))),
                             b=T.Tensor(np.zeros(12)), hidden_size=3)
     lay = [L.LstmLayerParams(2, 3, fwd=zeros, bwd=zeros)]
-    seq = T.Tensor(np.random.default_rng(2).uniform(-1, 1, (4, 2)))
-    out = L.bilstm_encode(lay, seq, 4, 0.0, False, None)
-    npt.assert_array_equal(out.values, np.zeros((4, 6)))
+    seq = T.Tensor(np.random.default_rng(2).uniform(-1, 1, (2, 4, 2)))
+    out = L.bilstm_encode(lay, seq, [4, 2], 0.0, False, None)
+    npt.assert_array_equal(out.values, np.zeros((2, 4, 6)))
 
 
 def test_bilstm_reversal_swaps_direction_halves():
@@ -124,9 +195,10 @@ def test_bilstm_reversal_swaps_direction_halves():
         rng = np.random.default_rng(300 + seed)
         lay = [L.init_lstm_params(rng, 4, 3)]
         lay[0].bwd = lay[0].fwd  # shared weights make the symmetry exact
-        vals = rng.uniform(-1, 1, (6, 4))
-        fwd = L.bilstm_encode(lay, T.Tensor(vals), 6, 0.0, False, None).values
-        rev = L.bilstm_encode(lay, T.Tensor(vals[::-1].copy()), 6, 0.0, False, None).values
+        vals = rng.uniform(-1, 1, (1, 6, 4))
+        fwd = L.bilstm_encode(lay, T.Tensor(vals), [6], 0.0, False, None).values[0]
+        rev = L.bilstm_encode(lay, T.Tensor(vals[:, ::-1].copy()), [6], 0.0, False,
+                              None).values[0]
         swapped = np.concatenate([rev[::-1, 3:], rev[::-1, :3]], axis=1)
         npt.assert_allclose(fwd, swapped, atol=1e-12)
 
@@ -134,13 +206,13 @@ def test_bilstm_reversal_swaps_direction_halves():
 def test_bilstm_encode_matches_finite_differences():
     rng = np.random.default_rng(8)
     lay = [L.init_lstm_params(rng, 3, 2), L.init_lstm_params(rng, 4, 2)]
-    seq = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    seq = T.Tensor(rng.uniform(-1, 1, (3, 4, 3)), requires_grad=True)
     params = [seq]
     for p in lay:
         params += [p.fwd.w, p.fwd.u, p.fwd.b, p.bwd.w, p.bwd.u, p.bwd.b]
 
     def f(ps):
-        enc = L.bilstm_encode(lay, ps[0], 4, 0.0, False, None)
+        enc = L.bilstm_encode(lay, ps[0], [4, 1, 3], 0.0, False, None)
         return T.sum_all(T.tanh(enc))
 
     assert T.finite_diff_check(f, params, eps=1e-5) < 1e-4
@@ -150,19 +222,20 @@ def test_conv_identity_filter_takes_max():
     bank = L.ConvFilterBank((1,), 1, 1,
                             weights=[T.Tensor([[1.0]], requires_grad=True)],
                             biases=[T.Tensor([0.0], requires_grad=True)])
-    seq = T.Tensor(np.array([[1.0], [2.0], [3.0]]))
-    npt.assert_array_equal(L.conv1d_over_time(bank, seq, 3).values, [3.0])
-    # valid_length masks the later, larger values
-    npt.assert_array_equal(L.conv1d_over_time(bank, seq, 1).values, [1.0])
+    seq = T.Tensor(np.array([[[1.0], [2.0], [3.0]]] * 2))
+    # the second row's valid length masks the later, larger values
+    npt.assert_array_equal(L.conv1d_over_time(bank, seq, [3, 1]).values, [[3.0], [1.0]])
 
 
 def test_conv_short_sequence_zero_pads():
     bank = L.ConvFilterBank((2,), 1, 1,
                             weights=[T.Tensor([[1.0, 1.0]], requires_grad=True)],
                             biases=[T.Tensor([0.5], requires_grad=True)])
-    seq = T.Tensor(np.array([[2.0]]))
-    # single window is [2, pad 0]: relu(2 + 0 + 0.5) = 2.5
-    npt.assert_array_equal(L.conv1d_over_time(bank, seq, 1).values, [2.5])
+    # single window is [2, pad 0]: relu(2 + 0 + 0.5) = 2.5, whatever follows
+    npt.assert_array_equal(L.conv1d_over_time(bank, T.Tensor([[[2.0]]]), [1]).values,
+                           [[2.5]])
+    seq = T.Tensor(np.array([[[2.0], [9.0], [9.0]], [[1.0], [1.0], [1.0]]]))
+    npt.assert_array_equal(L.conv1d_over_time(bank, seq, [1, 3]).values, [[2.5], [2.5]])
 
 
 def test_conv_default_bank_is_900_dim():
@@ -171,30 +244,30 @@ def test_conv_default_bank_is_900_dim():
     assert bank.kernel_sizes == (1, 2, 3) and bank.output_dim == 900
     n_params = sum(w.size + b.size for w, b in zip(bank.weights, bank.biases))
     assert n_params == sum(300 * (k * 100 + 1) for k in (1, 2, 3))
-    seq = T.Tensor(rng.uniform(-1, 1, (5, 100)))
-    assert L.conv1d_over_time(bank, seq, 5).shape == (900,)
+    seq = T.Tensor(rng.uniform(-1, 1, (2, 5, 100)))
+    assert L.conv1d_over_time(bank, seq, [5, 2]).shape == (2, 900)
     with pytest.raises(ValueError):
-        L.conv1d_over_time(bank, T.Tensor(rng.uniform(-1, 1, (5, 99))), 5)
+        L.conv1d_over_time(bank, T.Tensor(rng.uniform(-1, 1, (1, 5, 99))), [5])
 
 
 def test_conv_ignores_trailing_padding():
     rng = np.random.default_rng(4)
     bank = L.init_conv_bank(rng, dim=3, kernel_sizes=(1, 2, 3), filters_per_size=2)
-    body = rng.uniform(-1, 1, (4, 3))
-    short = L.conv1d_over_time(bank, T.Tensor(body), 4).values
-    padded = np.vstack([body, rng.uniform(-1, 1, (3, 3))])
-    long = L.conv1d_over_time(bank, T.Tensor(padded), 4).values
+    body = rng.uniform(-1, 1, (1, 4, 3))
+    short = L.conv1d_over_time(bank, T.Tensor(body), [4]).values
+    padded = np.concatenate([body, rng.uniform(-1, 1, (1, 3, 3))], axis=1)
+    long = L.conv1d_over_time(bank, T.Tensor(padded), [4]).values
     npt.assert_array_equal(short, long)
 
 
 def test_conv_matches_finite_differences():
     rng = np.random.default_rng(9)
     bank = L.init_conv_bank(rng, dim=3, kernel_sizes=(1, 2, 3), filters_per_size=2)
-    seq = T.Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+    seq = T.Tensor(rng.uniform(-1, 1, (3, 5, 3)), requires_grad=True)
     params = [seq] + bank.weights + bank.biases
 
     def f(ps):
-        return T.sum_all(T.tanh(L.conv1d_over_time(bank, ps[0], 5)))
+        return T.sum_all(T.tanh(L.conv1d_over_time(bank, ps[0], [5, 1, 2])))
 
     assert T.finite_diff_check(f, params, eps=1e-5) < 1e-4
 
@@ -234,11 +307,19 @@ def test_dropout_reproducible_and_differentiable():
 def test_linear_identity_and_gradient():
     w = T.Tensor(np.eye(3), requires_grad=True)
     b = T.Tensor(np.zeros(3), requires_grad=True)
-    x = T.Tensor([1.0, -2.0, 0.5], requires_grad=True)
-    npt.assert_array_equal(L.linear(w, b, x).values, x.values)
+    x = T.Tensor([[1.0, -2.0, 0.5]], requires_grad=True)
+    npt.assert_array_equal(T.linear_rows(x, w, b).values, x.values)
 
-    err = T.finite_diff_check(lambda ps: T.sum_all(T.sigmoid(L.linear(*ps))),
-                              [w, b, x], eps=1e-5)
+    err = T.finite_diff_check(lambda ps: T.sum_all(T.sigmoid(T.linear_rows(*ps))),
+                              [x, w, b], eps=1e-5)
     assert err < 1e-6
     with pytest.raises(ValueError):
-        L.linear(w, b, T.Tensor([1.0, 2.0]))
+        T.linear_rows(T.Tensor([[1.0, 2.0]]), w, b)
+
+
+def test_pad_rows():
+    ids, lengths = L.pad_rows([np.array([4, 5]), np.array([6]), np.array([1, 2, 3])])
+    npt.assert_array_equal(ids, [[4, 5, 0], [6, 0, 0], [1, 2, 3]])
+    npt.assert_array_equal(lengths, [2, 1, 3])
+    with pytest.raises(ValueError):
+        L.pad_rows([np.array([1]), np.array([], dtype=np.int64)])

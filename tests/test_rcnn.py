@@ -124,8 +124,9 @@ def test_forward_requires_sentence_vectors():
     batch = _batch([[1, 2]], [2], 0, rng)
     with pytest.raises(ValueError):
         rcnn.forward(params, batch, False, None)
-    with pytest.raises(ValueError):
-        rcnn.Batch(np.array([[1, 2, 3]]), np.array([2]), None, None)  # PAD violation
+    with pytest.raises(ValueError) as err:
+        rcnn.Batch(np.array([[1, 2, 0], [1, 2, 3]]), np.array([2, 2]), None, None)
+    assert str(err.value) == "batch row 1 has non-PAD ids after its valid length"
 
 
 def test_sentence_dim_zero_changes_only_output_layer():

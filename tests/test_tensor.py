@@ -5,24 +5,17 @@ import pytest
 from emoconv import tensor as T
 
 
-def test_tensor_new_validates_shape_against_values():
-    t = T.tensor_new((2, 3), [1, 2, 3, 4, 5, 6])
-    assert t.shape == (2, 3)
-    assert t.values.dtype == np.float64
-    with pytest.raises(ValueError) as err:
-        T.tensor_new((2, 3), [1, 2, 3, 4, 5])
-    assert "5" in str(err.value) and "6" in str(err.value)
-    with pytest.raises(ValueError):
-        T.tensor_new((0, 3), [])
+def _t(shape, values, requires_grad=False):
+    return T.Tensor(np.asarray(values, dtype=float).reshape(shape), requires_grad)
 
 
 def test_matmul_known_values():
-    a = T.tensor_new((2, 2), [1, 2, 3, 4])
-    eye = T.tensor_new((2, 2), [1, 0, 0, 1])
+    a = _t((2, 2), [1, 2, 3, 4])
+    eye = _t((2, 2), [1, 0, 0, 1])
     npt.assert_array_equal(T.matmul(a, eye).values, a.values)
 
-    row = T.tensor_new((1, 2), [1, 2])
-    col = T.tensor_new((2, 1), [3, 4])
+    row = _t((1, 2), [1, 2])
+    col = _t((2, 1), [3, 4])
     npt.assert_array_equal(T.matmul(row, col).values, [[11.0]])
 
     with pytest.raises(ValueError):
@@ -30,40 +23,40 @@ def test_matmul_known_values():
 
 
 def test_elementwise_known_values():
-    x = T.tensor_new((3,), [0.0, 1.0, -1.0])
+    x = _t((3,), [0.0, 1.0, -1.0])
     npt.assert_allclose(T.sigmoid(x).values, [0.5, 1 / (1 + np.exp(-1)), 1 / (1 + np.exp(1))])
     npt.assert_allclose(T.tanh(x).values, np.tanh([0, 1, -1]))
-    npt.assert_allclose(T.elementwise("add", x, x).values, [0, 2, -2])
-    npt.assert_allclose(T.elementwise("scale", x, -2.0).values, [0, -2, 2])
+    npt.assert_allclose(T.add(x, x).values, [0, 2, -2])
+    npt.assert_allclose(T.scale(x, -2.0).values, [0, -2, 2])
     with pytest.raises(ValueError):
-        T.elementwise("mul", x)          # missing operand
+        T.mul(x, _t((2,), [1.0, 2.0]))   # neither exact-shape nor scalar
+    with pytest.raises(TypeError):
+        T.add(x, "1")
     with pytest.raises(ValueError):
-        T.elementwise("sigmoid", x, x)   # unary op given two operands
-    with pytest.raises(ValueError):
-        T.log(T.tensor_new((2,), [1.0, 0.0]))
+        T.log(_t((2,), [1.0, 0.0]))
 
 
 def test_sigmoid_saturates_without_overflow():
-    x = T.tensor_new((2,), [1000.0, -1000.0])
+    x = _t((2,), [1000.0, -1000.0])
     with np.errstate(over="raise"):
         out = T.sigmoid(x).values
     npt.assert_allclose(out, [1.0, 0.0])
 
 
 def test_softmax_rows_known_and_stable():
-    z = T.tensor_new((2, 2), [0.0, 0.0, 1000.0, 1000.0])
+    z = _t((2, 2), [0.0, 0.0, 1000.0, 1000.0])
     out = T.softmax_rows(z).values
     npt.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5]])
-    big = T.tensor_new((1, 3), [1000.0, 999.0, -1000.0])
+    big = _t((1, 3), [1000.0, 999.0, -1000.0])
     out = T.softmax_rows(big).values
     assert np.isfinite(out).all()
     npt.assert_allclose(out.sum(axis=1), 1.0)
     with pytest.raises(ValueError):
-        T.softmax_rows(T.tensor_new((1, 2), [np.inf, 0.0]))
+        T.softmax_rows(_t((1, 2), [np.inf, 0.0]))
 
 
 def test_backward_sum_and_square():
-    x = T.tensor_new((3,), [1.0, -2.0, 3.0], requires_grad=True)
+    x = _t((3,), [1.0, -2.0, 3.0], requires_grad=True)
     T.sum_all(x).backward()
     npt.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
@@ -73,7 +66,7 @@ def test_backward_sum_and_square():
 
 
 def test_backward_accumulates_until_reset():
-    x = T.tensor_new((2,), [1.0, 2.0], requires_grad=True)
+    x = _t((2,), [1.0, 2.0], requires_grad=True)
     T.sum_all(x).backward()
     T.sum_all(x).backward()
     npt.assert_array_equal(x.grad, [2.0, 2.0])
@@ -83,8 +76,8 @@ def test_backward_accumulates_until_reset():
 
 
 def test_backward_requires_scalar_and_skips_unreachable():
-    x = T.tensor_new((2,), [1.0, 2.0], requires_grad=True)
-    unused = T.tensor_new((2,), [5.0, 5.0], requires_grad=True)
+    x = _t((2,), [1.0, 2.0], requires_grad=True)
+    unused = _t((2,), [5.0, 5.0], requires_grad=True)
     with pytest.raises(ValueError):
         T.backward(T.mul(x, x))
     T.sum_all(x).backward()
@@ -94,7 +87,7 @@ def test_backward_requires_scalar_and_skips_unreachable():
 
 def test_shared_subexpression_gets_summed_gradient():
     # y = sum(x + x) so dy/dx = 2 along every coordinate
-    x = T.tensor_new((3,), [0.5, 1.5, -0.5], requires_grad=True)
+    x = _t((3,), [0.5, 1.5, -0.5], requires_grad=True)
     T.sum_all(T.add(x, x)).backward()
     npt.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
@@ -115,8 +108,8 @@ def test_backward_is_bit_deterministic():
 
 
 def test_grad_report_norms():
-    x = T.tensor_new((2,), [3.0, 4.0], requires_grad=True)
-    y = T.tensor_new((1,), [2.0], requires_grad=True)
+    x = _t((2,), [3.0, 4.0], requires_grad=True)
+    y = _t((1,), [2.0], requires_grad=True)
     loss = T.sum_all(T.concat([T.mul(x, x), T.mul(y, y)], axis=0))
     loss.backward()
     rep = T.grad_report({"x": x, "y": y})
@@ -127,14 +120,14 @@ def test_grad_report_norms():
 
 
 def test_finite_diff_check_simple_quadratic():
-    x = T.tensor_new((4,), [0.3, -1.2, 0.7, 2.0], requires_grad=True)
+    x = _t((4,), [0.3, -1.2, 0.7, 2.0], requires_grad=True)
     err = T.finite_diff_check(lambda ps: T.sum_all(T.mul(ps[0], ps[0])), [x], eps=1e-5)
     assert err < 1e-4
 
 
 def test_finite_diff_check_rejects_nondeterministic_f():
     rng = np.random.default_rng(0)
-    x = T.tensor_new((2,), [1.0, 2.0], requires_grad=True)
+    x = _t((2,), [1.0, 2.0], requires_grad=True)
 
     def noisy(ps):
         return T.scale(T.sum_all(ps[0]), 1.0 + rng.uniform(0, 1e-3))
@@ -160,16 +153,15 @@ def _separated(rng, shape):
 OP_CASES = {
     "matmul": lambda rng: ([_rand(rng, (3, 4)), _rand(rng, (4, 2))],
                            lambda ps: T.sum_all(T.tanh(T.matmul(ps[0], ps[1])))),
-    "matvec": lambda rng: ([_rand(rng, (3, 4)), _rand(rng, (4,))],
-                           lambda ps: T.sum_all(T.sigmoid(T.matvec(ps[0], ps[1])))),
     "linear_rows": lambda rng: ([_rand(rng, (5, 3)), _rand(rng, (2, 3)), _rand(rng, (2,))],
                                 lambda ps: T.sum_all(T.tanh(T.linear_rows(*ps)))),
-    "transpose": lambda rng: ([_rand(rng, (3, 4))],
-                              lambda ps: T.sum_all(T.mul(T.transpose(ps[0]), T.transpose(ps[0])))),
+    "linear_rows_batched": lambda rng: ([_rand(rng, (2, 4, 3)), _rand(rng, (2, 3)),
+                                         _rand(rng, (2,))],
+                                        lambda ps: T.sum_all(T.tanh(T.linear_rows(*ps)))),
     "add": lambda rng: ([_rand(rng, (3, 3)), _rand(rng, (3, 3))],
                         lambda ps: T.sum_all(T.tanh(T.add(ps[0], ps[1])))),
     "sub": lambda rng: ([_rand(rng, (6,)), _rand(rng, (6,))],
-                        lambda ps: T.sum_all(T.exp(T.sub(ps[0], ps[1])))),
+                        lambda ps: T.sum_all(T.tanh(T.sub(ps[0], ps[1])))),
     "mul": lambda rng: ([_rand(rng, (2, 5)), _rand(rng, (2, 5))],
                         lambda ps: T.sum_all(T.mul(ps[0], ps[1]))),
     "scale": lambda rng: ([_rand(rng, (7,))],
@@ -180,8 +172,6 @@ OP_CASES = {
                             lambda ps: T.sum_all(T.sigmoid(ps[0]))),
     "tanh": lambda rng: ([_rand(rng, (8,))],
                          lambda ps: T.sum_all(T.tanh(ps[0]))),
-    "exp": lambda rng: ([_rand(rng, (8,))],
-                        lambda ps: T.sum_all(T.exp(ps[0]))),
     "log": lambda rng: ([T.Tensor(rng.uniform(0.5, 2.0, (8,)), requires_grad=True)],
                         lambda ps: T.sum_all(T.log(ps[0]))),
     "relu": lambda rng: ([_separated(rng, (8,))],
@@ -192,21 +182,16 @@ OP_CASES = {
                             lambda ps: T.sum_all(T.tanh(T.reshape(ps[0], (2, 6))))),
     "concat": lambda rng: ([_rand(rng, (2, 3)), _rand(rng, (2, 2))],
                            lambda ps: T.sum_all(T.tanh(T.concat(ps, axis=1)))),
-    "narrow": lambda rng: ([_rand(rng, (5, 4))],
-                           lambda ps: T.sum_all(T.exp(T.narrow(ps[0], 0, 1, 3)))),
-    "take_row": lambda rng: ([_rand(rng, (5, 4))],
-                             lambda ps: T.sum_all(T.tanh(T.take_row(ps[0], 2)))),
-    "stack_rows": lambda rng: ([_rand(rng, (4,)), _rand(rng, (4,)), _rand(rng, (4,))],
-                               lambda ps: T.sum_all(T.sigmoid(T.stack_rows(ps)))),
     "take_per_row": lambda rng: ([_rand(rng, (4, 5))],
-                                 lambda ps: T.sum_all(T.exp(T.take_per_row(ps[0], [1, 0, 4, 2])))),
-    "max_over_time": lambda rng: ([_separated(rng, (6, 3))],
-                                  lambda ps: T.sum_all(T.tanh(T.max_over_time(ps[0], 5)))),
+                                 lambda ps: T.sum_all(T.tanh(T.take_per_row(ps[0], [1, 0, 4, 2])))),
+    # mixed lengths: a length-1 row, a row at the maximum, one in between
+    "max_over_time": lambda rng: ([_separated(rng, (3, 6, 2))],
+                                  lambda ps: T.sum_all(T.tanh(T.max_over_time(ps[0], [1, 6, 4])))),
     "softmax_rows": lambda rng: ([_rand(rng, (3, 4))],
                                  lambda ps: T.sum_all(T.mul(T.softmax_rows(ps[0]),
                                                             T.softmax_rows(ps[0])))),
     "sum_all": lambda rng: ([_rand(rng, (3, 3))],
-                            lambda ps: T.exp(T.scale(T.sum_all(ps[0]), 0.3))),
+                            lambda ps: T.tanh(T.scale(T.sum_all(ps[0]), 0.3))),
 }
 
 
@@ -220,43 +205,67 @@ def test_every_op_matches_finite_differences(op):
 
 
 def test_composite_graph_matches_finite_differences():
-    # a miniature of the real model: lookup rows, recur, project, pool, softmax
+    # a miniature of the real model: project, pool, softmax, loss
     for seed in range(5):
         rng = np.random.default_rng(200 + seed)
-        emb = T.Tensor(rng.uniform(-0.5, 0.5, (7, 4)), requires_grad=True)
+        seq = T.Tensor(rng.uniform(-0.5, 0.5, (2, 4, 4)), requires_grad=True)
         w = T.Tensor(rng.uniform(-0.5, 0.5, (3, 4)), requires_grad=True)
         b = T.Tensor(rng.uniform(-0.1, 0.1, (3,)), requires_grad=True)
 
         def f(ps):
-            e, wp, bp = ps
-            rows = T.stack_rows([T.take_row(e, i) for i in (1, 4, 2, 6)])
-            h = T.tanh(T.linear_rows(rows, wp, bp))
-            pooled = T.max_over_time(h, 4)
-            probs = T.softmax_rows(T.reshape(pooled, (1, 3)))
-            return T.scale(T.sum_all(T.log(T.take_per_row(probs, [1]))), -1.0)
+            x, wp, bp = ps
+            h = T.tanh(T.linear_rows(x, wp, bp))
+            pooled = T.max_over_time(h, [4, 2])
+            probs = T.softmax_rows(pooled)
+            return T.scale(T.sum_all(T.log(T.take_per_row(probs, [1, 2]))), -0.5)
 
-        err = T.finite_diff_check(f, [emb, w, b], eps=1e-5)
+        err = T.finite_diff_check(f, [seq, w, b], eps=1e-5)
         assert err < 1e-4, f"seed {seed}: max rel err {err}"
 
 
 def test_shape_errors_are_loud():
-    m = T.tensor_new((2, 3), range(6))
-    v = T.tensor_new((3,), [1, 2, 3])
+    m = _t((2, 3), range(6))
+    v = _t((3,), [1, 2, 3])
     with pytest.raises(ValueError):
-        T.concat([m, T.tensor_new((3, 3), range(9))], axis=1)
-    with pytest.raises(ValueError):
-        T.narrow(m, 0, 1, 5)
-    with pytest.raises(ValueError):
-        T.take_row(m, 2)
+        T.concat([m, _t((3, 3), range(9))], axis=1)
     with pytest.raises(ValueError):
         T.take_per_row(m, [0, 3])
-    with pytest.raises(ValueError):
-        T.max_over_time(m, 0)
-    with pytest.raises(ValueError):
-        T.stack_rows([v, T.tensor_new((2,), [1, 2])])
     with pytest.raises(ValueError):
         T.linear_rows(m, m, v)
     with pytest.raises(ValueError):
         T.reshape(m, (4, 2))
+    seq = _t((2, 3, 1), range(6))
     with pytest.raises(ValueError):
-        T.matvec(m, T.tensor_new((2,), [1, 2]))
+        T.max_over_time(m, [1, 1])          # not [B x T x k]
+    with pytest.raises(ValueError):
+        T.max_over_time(seq, [0, 3])        # empty row
+    with pytest.raises(ValueError):
+        T.max_over_time(seq, [1, 4])        # longer than T
+    with pytest.raises(ValueError):
+        T.max_over_time(seq, [1])           # one length for two rows
+
+
+def test_masked_max_known_values():
+    seq = _t((2, 3, 1), [1.0, 5.0, 2.0, 7.0, 9.0, 8.0])
+    # row 0 sees only its first position; row 1 all three
+    npt.assert_array_equal(T.max_over_time(seq, [1, 3]).values, [[1.0], [9.0]])
+    # ties go to the first position
+    seq = T.Tensor(np.array([[[3.0], [3.0], [1.0]]]), requires_grad=True)
+    T.sum_all(T.max_over_time(seq, [3])).backward()
+    npt.assert_array_equal(seq.grad, [[[1.0], [0.0], [0.0]]])
+
+
+def test_no_grad_records_no_graph():
+    x = _t((2, 2), [1.0, 2.0, 3.0, 4.0], requires_grad=True)
+    with T.no_grad():
+        y = T.tanh(T.matmul(x, x))
+    assert not y.requires_grad and y.parents == () and y.backward_fn is None
+    npt.assert_array_equal(y.values, np.tanh(x.values @ x.values))
+    # recording resumes after the block, also when the block raised
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("inside")
+    z = T.sum_all(T.mul(x, x))
+    assert z.requires_grad
+    z.backward()
+    npt.assert_array_equal(x.grad, 2.0 * x.values)

@@ -190,6 +190,19 @@ def test_make_batch_and_missing_vectors():
     with pytest.raises(ValueError) as err:
         tr.make_batch(encoded, store, 3)
     assert encoded[1].id in str(err.value)
+    with pytest.raises(ValueError) as err:
+        tr.make_batch(encoded, None, 3)
+    assert "no sentence-vector store" in str(err.value)
+    assert tr.make_batch(encoded, None, 0).sentence_vectors is None
+
+
+def test_load_encoded_names_file_and_line_of_unknown_label(tmp_path):
+    path = tmp_path / "train.ids.tsv"
+    path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 4\nb\tjoy\t5\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        tr.load_encoded(path)
+    assert str(err.value) == f"{path}: line 3: unknown label 'joy'"
 
 
 TOY_CONFIG = TrainConfig(lr=0.01, batch_size=8, epochs=3, hidden_size=6,
@@ -228,6 +241,17 @@ def test_train_freezes_embedding_then_updates_it():
     assert all(row.lr == 0.01 for row in history)  # anneal disabled here
     assert all(0 <= row.clip_fraction <= 1 for row in history)
     assert ckpt.best_val_f1 == max(r.val_micro_f1 for r in history)
+
+
+def test_unfrozen_epoch_keeps_pad_row_zero():
+    config = TOY_CONFIG.replace(epochs=2, freeze_embedding_epochs=1,
+                                dropout_bilstm=0.3, dropout_linear=0.3)
+    params, train_split, val_split, store, vocab, rng = _toy_setup(config)
+    initial = params.embedding.table.values.copy()
+    tr.train(params, train_split, val_split, store, config, rng, vocab=vocab)
+    table = params.embedding.table.values
+    assert not np.array_equal(table[1:], initial[1:])
+    assert (table[0] == 0.0).all() and not np.signbit(table[0]).any()
 
 
 def test_train_history_lr_annealing():
