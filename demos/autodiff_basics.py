@@ -10,23 +10,24 @@ import numpy as np
 from emoconv import tensor as T
 
 # -- 1. a tiny expression ----------------------------------------------------
-# loss = sum((w @ x + b)^2): two matmuls away from the classic linear layer.
+# loss = sum((x @ w.T + b)^2): the linear layer every model here is built on,
+# applied to each of the two rows of x.
 
 rng = np.random.default_rng(0)
 w = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-x = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-b = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+x = T.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+b = T.Tensor(rng.normal(size=3), requires_grad=True)
 
-y = T.add(T.matmul(w, x), b)
+y = T.linear_rows(x, w, b)
 loss = T.sum_all(T.mul(y, y))
 print("loss value:", loss.item())
 
 T.backward(loss)
 print("dL/dw row 0:", w.grad[0])
 
-# The analytic gradient of sum(y^2) wrt y is 2y, so wrt w it is 2y @ x^T.
-expected = 2.0 * y.values @ x.values.T
-print("matches 2*y@x.T:", np.allclose(w.grad, expected))
+# The analytic gradient of sum(y^2) wrt y is 2y, so wrt w it is 2 y^T @ x.
+expected = 2.0 * y.values.T @ x.values
+print("matches 2*y.T@x:", np.allclose(w.grad, expected))
 
 # -- 2. gradients accumulate until reset ------------------------------------
 # Backward twice without clearing and the leaf gradient doubles; training
@@ -42,7 +43,7 @@ T.reset_grads([w, x, b])
 
 
 def f(params):
-    y = T.add(T.matmul(params[0], x), b)
+    y = T.linear_rows(x, params[0], b)
     return T.sum_all(T.mul(y, y))
 
 

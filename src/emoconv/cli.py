@@ -184,15 +184,9 @@ def cmd_train(args) -> int:
     vocab = load_vocab(os.path.join(args.data_dir, "vocab.txt"))
     train_ex, train_counts = tr.load_encoded(os.path.join(args.data_dir, "train.ids.tsv"))
     val_ex, val_counts = tr.load_encoded(os.path.join(args.data_dir, "val.ids.tsv"))
-    if not train_ex or not val_ex:
-        raise ValueError("encoded train and val splits must be non-empty")
-
     store = _load_store(args.sentence_vectors, config.sentence_dim)
     if store is None:
         config = config.replace(sentence_dim=0)
-    else:
-        tr._check_sentence_coverage(train_ex, store, "training")
-        tr._check_sentence_coverage(val_ex, store, "validation")
 
     rng = np.random.default_rng(config.seed)
     pretrained = (load_word_vectors(args.embeddings, config.embedding_dim)
@@ -226,11 +220,6 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"{args.split}: evaluation needs labels on every row")
     examples = tr.encode_split(split, ckpt.vocab)
     store = _load_store(args.sentence_vectors, ckpt.config.sentence_dim)
-    if ckpt.config.sentence_dim > 0:
-        if store is None:
-            raise ValueError("checkpoint fuses sentence vectors; pass "
-                             "--sentence-vectors")
-        tr._check_sentence_coverage(examples, store, args.split_name)
     scored = LABELS if args.score_others else metrics.SCORED_CLASSES
     cm, _ = tr.evaluate(params, examples, store, ckpt.config.batch_size, scored)
     _emit(args, metrics.format_report(cm, scored))

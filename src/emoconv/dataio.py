@@ -59,9 +59,6 @@ class SentenceVectorStore:
     def get(self, conv_id: str) -> np.ndarray:
         return self.vectors[conv_id]
 
-    def missing_ids(self, conversations) -> list[str]:
-        return [c.id for c in conversations if c.id not in self.vectors]
-
 
 def load_dataset(path, split: str) -> DatasetSplit:
     """Parse a conversation TSV.
@@ -72,7 +69,7 @@ def load_dataset(path, split: str) -> DatasetSplit:
     """
     conversations: list[Conversation] = []
     counts = {name: 0 for name in LABELS}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\n").rstrip("\r")
         if header not in (DATASET_HEADER, DATASET_HEADER_UNLABELED):
             raise ValueError(f"{path}: unrecognized header {header!r}")
@@ -103,15 +100,21 @@ def load_dataset(path, split: str) -> DatasetSplit:
 def load_word_vectors(path, expected_dim: int) -> dict[str, np.ndarray]:
     """Text-format word vectors: token then whitespace-separated decimals.
 
-    Duplicate tokens keep their first occurrence; the number skipped is
-    logged.  Tokens containing whitespace are unsupported by the format.
+    A word2vec ``count dim`` first line is skipped when dim is
+    ``expected_dim`` and above 1.  Duplicate tokens keep their first
+    occurrence; the number skipped is logged.  Tokens containing whitespace
+    are unsupported by the format.
     """
     out: dict[str, np.ndarray] = {}
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
+                continue
+            if (lineno == 1 and expected_dim > 1 and len(parts) == 2
+                    and all(p.isdecimal() for p in parts)
+                    and int(parts[1]) == expected_dim):
                 continue
             token, raw = parts[0], parts[1:]
             if len(raw) != expected_dim:
@@ -133,7 +136,7 @@ def load_word_vectors(path, expected_dim: int) -> dict[str, np.ndarray]:
 def load_sentence_vectors(path, expected_dim: int) -> SentenceVectorStore:
     """Sentence-vector TSV: ``id<TAB>v1 v2 ... v_dim``, one id per line."""
     store = SentenceVectorStore(expected_dim)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
@@ -257,7 +260,7 @@ def load_checkpoint(path) -> Checkpoint:
             params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    vocab = Vocabulary(token_to_id={}, id_to_token=list(meta["vocab"]))
+    vocab = Vocabulary(id_to_token=list(meta["vocab"]))
     cfg = TrainConfig(**meta["config"]).validate()
     return Checkpoint(version, vocab, params, cfg, int(meta["epoch"]),
                       float(meta["best_val_f1"]))
@@ -275,4 +278,4 @@ def load_vocab(path) -> Vocabulary:
     if tokens[:3] != list(("<pad>", "<unk>", "<eos>")):
         raise ValueError(f"{path}: vocabulary file must start with the three "
                          "reserved tokens")
-    return Vocabulary(token_to_id={}, id_to_token=tokens)
+    return Vocabulary(id_to_token=tokens)

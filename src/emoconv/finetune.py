@@ -17,11 +17,11 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .textprep import Vocabulary, clean_text, tokenize
-from .train import adam_step, init_adam
+from .train import LOG_FLOOR, adam_step, init_adam
 
 log = logging.getLogger(__name__)
 
-LOG_FLOOR = 1e-12
+DROPOUT_RATE = 0.5  # on the pooled features, before the output layer
 
 
 @dataclass
@@ -42,7 +42,6 @@ class FinetuneModel:
     bank: L.ConvFilterBank
     out_w: T.Tensor
     out_b: T.Tensor
-    dropout_rate: float = 0.5
 
     def named(self) -> dict[str, T.Tensor]:
         out = {"embedding.table": self.emb.table}
@@ -68,7 +67,7 @@ def forward_finetune(model: FinetuneModel, rows, training: bool, rng) -> T.Tenso
     ids, lengths = L.pad_rows(rows)
     seq = L.embedding_lookup(model.emb, ids)
     pooled = L.conv1d_over_time(model.bank, seq, lengths)
-    pooled = L.dropout(pooled, model.dropout_rate, training, rng)
+    pooled = L.dropout(pooled, DROPOUT_RATE, training, rng)
     logits = T.linear_rows(pooled, model.out_w, model.out_b)
     return T.reshape(T.sigmoid(logits), (len(rows),))
 
@@ -148,7 +147,7 @@ def predict_finetune(model: FinetuneModel, encoded) -> np.ndarray:
 def load_finetune_corpus(path) -> list[tuple[str, int]]:
     """TSV with header ``text<TAB>label``, label 0 or 1."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\n")
         if header != "text\tlabel":
             raise ValueError(f"{path}: expected header 'text<TAB>label', got {header!r}")

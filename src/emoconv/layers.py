@@ -158,14 +158,6 @@ def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
     return T.from_op(values, "embedding_lookup", (table.table,), backward_fn)
 
 
-def _sigmoid_(z: np.ndarray) -> None:
-    """In-place logistic function, in the overflow-free tanh form."""
-    z *= 0.5
-    np.tanh(z, out=z)
-    z += 1.0
-    z *= 0.5
-
-
 def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM cell update for the n rows still active, in numpy.
@@ -178,9 +170,9 @@ def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     """
     hs = u.shape[1]
     gates += h_prev @ u.T
-    _sigmoid_(gates[:, :2 * hs])
+    T.sigmoid_(gates[:, :2 * hs])
     np.tanh(gates[:, 2 * hs:3 * hs], out=gates[:, 2 * hs:3 * hs])
-    _sigmoid_(gates[:, 3 * hs:])
+    T.sigmoid_(gates[:, 3 * hs:])
     i, f, g, o = (gates[:, k * hs:(k + 1) * hs] for k in range(4))
     c = f * c_prev + i * g
     return o * np.tanh(c), c

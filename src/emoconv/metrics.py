@@ -30,10 +30,6 @@ def _as_index(label) -> int:
 class ConfusionMatrix:
     counts: np.ndarray  # [gold x predicted]
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def confusion_matrix(gold, pred) -> ConfusionMatrix:
     gold, pred = list(gold), list(pred)

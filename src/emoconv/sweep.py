@@ -1,6 +1,7 @@
 """Single-axis hyperparameter sensitivity sweeps.
 
-Each (value, seed) pair is one full train+eval run.  Run results are
+Each (value, seed) pair is one full train+eval run; the splits are encoded
+once per sweep and shared by every run.  Run results are
 content-addressed by the SHA-256 of the effective config, so an interrupted
 sweep resumes without recomputing finished runs; aggregation reports the
 mean and sample standard deviation of validation micro-F1 per value, plus a
@@ -22,7 +23,8 @@ import numpy as np
 from . import rcnn
 from . import train as tr
 from .config import TrainConfig
-from .dataio import DatasetSplit, SentenceVectorStore, build_embedding_matrix
+from .dataio import (LABEL_TO_INDEX, DatasetSplit, SentenceVectorStore,
+                     build_embedding_matrix)
 from .metrics import aggregate_seeds
 from .textprep import Vocabulary
 
@@ -71,8 +73,26 @@ def _axis_value(axis: str, value):
     return int(value) if axis in ("hidden_size", "num_layers", "batch_size") else float(value)
 
 
-def run_one(base_config: TrainConfig, axis: str, value, seed: int,
-            train_split: DatasetSplit, val_split: DatasetSplit,
+@dataclass
+class SweepData:
+    """What every run of a sweep shares: both splits encoded, and the class
+    weights and uniform-prediction baseline loss of the raw splits."""
+    train_ex: list[tr.EncodedExample]
+    val_ex: list[tr.EncodedExample]
+    weights: tr.ClassWeights
+    baseline_loss: float
+
+    @classmethod
+    def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit,
+               vocab: Vocabulary) -> "SweepData":
+        weights = tr.compute_class_weights(train_split.label_counts,
+                                           val_split.label_counts)
+        labels = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
+        return cls(tr.encode_split(train_split, vocab), tr.encode_split(val_split, vocab),
+                   weights, tr.uniform_baseline_loss(weights, labels))
+
+
+def run_one(base_config: TrainConfig, axis: str, value, seed: int, data: SweepData,
             store: SentenceVectorStore | None, vocab: Vocabulary,
             pretrained: dict | None = None) -> RunRecord:
     """One sweep cell: reseed, rebuild the model, train, score."""
@@ -81,18 +101,15 @@ def run_one(base_config: TrainConfig, axis: str, value, seed: int,
     rng = np.random.default_rng(seed)
     emb, _ = build_embedding_matrix(vocab, pretrained or {}, config.embedding_dim, rng)
     params = rcnn.init_model(config, emb, rng)
-    ckpt, history = tr.train(params, train_split, val_split, store, config, rng,
-                             vocab=vocab)
-    weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
-    labels = [tr.LABEL_TO_INDEX[c.label] for c in train_split.conversations]
-    baseline = tr.uniform_baseline_loss(weights, labels)
+    ckpt, history = tr.train_encoded(params, data.train_ex, data.val_ex, store, config,
+                                     rng, weights=data.weights, vocab=vocab)
     final_loss = history[-1].train_loss
     return RunRecord(axis=axis, value=value, seed=seed,
                      config_hash=config_hash(config),
                      best_val_f1=ckpt.best_val_f1,
                      final_train_loss=final_loss,
-                     baseline_loss=baseline,
-                     trained_effectively=final_loss < baseline)
+                     baseline_loss=data.baseline_loss,
+                     trained_effectively=final_loss < data.baseline_loss)
 
 
 def _record_path(runs_dir, record_hash: str) -> str:
@@ -112,10 +129,12 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
 
     With ``runs_dir`` set, each run's record is written there as JSON and
     any pre-existing record with a matching config hash is reused instead
-    of retrained.
+    of retrained.  The splits are encoded on the first run that trains, so
+    a fully cached sweep encodes nothing.
     """
     if runs_dir is not None:
         os.makedirs(runs_dir, exist_ok=True)
+    data = None
     records: list[RunRecord] = []
     for raw_value in spec.values:
         value = _axis_value(spec.axis, raw_value)
@@ -127,8 +146,10 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
                 rec = load_record(path)
                 log.info("sweep %s=%s seed %d: reusing %s", spec.axis, value, seed, path)
             else:
-                rec = run_one(base_config, spec.axis, value, seed,
-                              train_split, val_split, store, vocab, pretrained)
+                if data is None:
+                    data = SweepData.encode(train_split, val_split, vocab)
+                rec = run_one(base_config, spec.axis, value, seed, data, store,
+                              vocab, pretrained)
                 if path is not None:
                     with open(path, "w", encoding="utf-8") as fh:
                         fh.write(rec.to_json() + "\n")

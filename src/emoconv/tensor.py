@@ -10,8 +10,8 @@ All arithmetic is 64-bit.  The engine is batch-major: a batch of sequences
 is one ``[B x T x k]`` tensor, padded after each row's valid length, and one
 graph node covers the whole batch.  Broadcasting rules:
 
-- elementwise binary operations take exact-shape or scalar-vs-tensor
-  operands, and nothing else;
+- elementwise binary operations take two tensors of exactly the same shape,
+  and nothing else: no Python numbers, no size-1 broadcasting;
 - ``linear_rows`` maps the last axis and adds its bias to every row of every
   leading axis (``[..., k] -> [..., m]``);
 - ``max_over_time`` takes per-row valid lengths and never reads a row's
@@ -63,31 +63,9 @@ class Tensor:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.values.reshape(-1)[0])
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag}, op={self.op!r})"
-
-    # Arithmetic sugar; every dunder routes through the recorded ops below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def constant(values) -> Tensor:
@@ -213,78 +191,35 @@ def grad_of(t: Tensor) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix products
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ValueError(f"matmul needs 2-d operands, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    av, bv = a.values, b.values
-
-    def backward_fn(g):
-        return g @ bv.T, av.T @ g
-
-    return from_op(av @ bv, "matmul", (a, b), backward_fn)
-
-
-# ---------------------------------------------------------------------------
 # Elementwise operations
 
 
-def _as_operand(other):
-    if isinstance(other, Tensor):
-        return other
-    if isinstance(other, (int, float, np.floating, np.integer)):
-        return float(other)
-    raise TypeError(f"unsupported operand type {type(other).__name__}")
-
-
-def _binary(op: str, a: Tensor, b, fwd, grad_a, grad_b) -> Tensor:
-    b = _as_operand(b)
-    if not isinstance(b, Tensor):
-        av = a.values
-        out = fwd(av, b)
-
-        def backward_scalar(g):
-            return (grad_a(g, av, b),)
-
-        return from_op(out, op, (a,), backward_scalar)
-
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} are not "
-                         "exact-match or scalar-broadcast compatible")
+def _binary(op: str, a: Tensor, b: Tensor, fwd, grad_a, grad_b) -> Tensor:
+    if a.shape != b.shape:
+        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} differ")
     av, bv = a.values, b.values
 
     def backward_fn(g):
-        return (_unbroadcast(grad_a(g, av, bv), av.shape),
-                _unbroadcast(grad_b(g, av, bv), bv.shape))
+        return grad_a(g, av, bv), grad_b(g, av, bv)
 
     return from_op(fwd(av, bv), op, (a, b), backward_fn)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum(), dtype=np.float64).reshape(shape)
-
-
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
     return _binary("add", a, b,
                    lambda x, y: x + y,
                    lambda g, x, y: g,
                    lambda g, x, y: g)
 
 
-def sub(a: Tensor, b) -> Tensor:
+def sub(a: Tensor, b: Tensor) -> Tensor:
     return _binary("sub", a, b,
                    lambda x, y: x - y,
                    lambda g, x, y: g,
                    lambda g, x, y: -g)
 
 
-def mul(a: Tensor, b) -> Tensor:
+def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", a, b,
                    lambda x, y: x * y,
                    lambda g, x, y: g * y,
@@ -300,17 +235,17 @@ def scale(a: Tensor, s: float) -> Tensor:
     return from_op(a.values * s, "scale", (a,), backward_fn)
 
 
-def _sigmoid_values(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+def sigmoid_(z: np.ndarray) -> np.ndarray:
+    """In-place logistic function, in the overflow-free tanh form; returns z."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid_values(a.values)
+    out = sigmoid_(a.values.copy())
 
     def backward_fn(g):
         return (g * out * (1.0 - out),)

@@ -1,8 +1,9 @@
 """Text preparation: cleaning, tokenization, turn assembly, vocabulary.
 
 The three turns of a conversation are cleaned and tokenized independently,
-then joined with EOS separator tokens into one sequence.  Training sequences
-longer than 75 tokens are dropped; validation and test pass through.
+then joined with EOS separator tokens into one sequence.  The length filter
+lives in ``train.encode_split``: it drops training sequences longer than
+``MAX_TRAIN_TOKENS`` (75); validation and test pass through.
 """
 
 from __future__ import annotations
@@ -60,12 +61,11 @@ class TokenSequence:
 
 @dataclass
 class Vocabulary:
-    token_to_id: dict[str, int] = field(default_factory=dict)
     id_to_token: list[str] = field(default_factory=lambda: list(SPECIALS))
+    token_to_id: dict[str, int] = field(init=False)  # always built from id_to_token
 
     def __post_init__(self):
-        if not self.token_to_id:
-            self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
 
     @property
     def size(self) -> int:
@@ -93,18 +93,6 @@ def assemble_input(turns) -> TokenSequence:
             tokens.append(EOS_TOKEN)
         tokens.extend(tokenize(clean_text(turn)))
     return TokenSequence(tokens)
-
-
-def filter_long(examples: list, max_tokens: int = MAX_TRAIN_TOKENS,
-                split: str = "train") -> list:
-    """Drop over-length sequences from training; other splits pass through.
-
-    Works on anything with an ``n`` attribute, so both bare TokenSequences
-    and (conversation, sequence) pairs filtered via the sequence.
-    """
-    if split != "train":
-        return list(examples)
-    return [e for e in examples if e.n <= max_tokens]
 
 
 def build_vocab(train_sequences: list[TokenSequence]) -> Vocabulary:

@@ -95,14 +95,14 @@ def clip_gradients(named_params: dict[str, T.Tensor], max_norm: float) -> float:
     return factor
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(named_params: dict[str, T.Tensor]) -> AdamState:
@@ -116,17 +116,17 @@ def adam_step(state: AdamState, named_params: dict[str, T.Tensor], lr: float) ->
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in named_params.items():
         g = T.grad_of(p)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
@@ -216,18 +216,29 @@ def load_encoded(path) -> tuple[list[EncodedExample], dict[str, int]]:
     return examples, counts
 
 
+def check_sentence_vectors(examples: list[EncodedExample], store: SentenceVectorStore | None,
+                           sentence_dim: int, what: str) -> None:
+    """Raise ValueError unless a model fusing ``sentence_dim``-d sentence
+    vectors (none when 0) finds one for every example in ``store``; the
+    message names at most 20 missing ids and counts the rest."""
+    if sentence_dim == 0:
+        return
+    if store is None:
+        raise ValueError(f"the model fuses {sentence_dim}-d sentence vectors "
+                         "but no sentence-vector store was given")
+    missing = [ex.id for ex in examples if ex.id not in store.vectors]
+    if missing:
+        shown = ", ".join(missing[:20])
+        more = f" (and {len(missing) - 20} more)" if len(missing) > 20 else ""
+        raise ValueError(f"missing sentence vectors for {what} ids: {shown}{more}")
+
+
 def make_batch(examples: list[EncodedExample], store: SentenceVectorStore | None,
                sentence_dim: int) -> rcnn.Batch:
+    """Pad examples into one batch; callers ran check_sentence_vectors."""
     ids, lengths = L.pad_rows([ex.ids for ex in examples])
-    sv = None
-    if sentence_dim > 0:
-        if store is None:
-            raise ValueError(f"the model fuses {sentence_dim}-d sentence vectors "
-                             "but no sentence-vector store was given")
-        missing = [ex.id for ex in examples if ex.id not in store.vectors]
-        if missing:
-            raise ValueError(f"missing sentence vectors for ids: {', '.join(missing)}")
-        sv = np.stack([store.get(ex.id) for ex in examples])
+    sv = (np.stack([store.get(ex.id) for ex in examples])
+          if sentence_dim > 0 else None)
     labels = None
     if all(ex.label is not None for ex in examples):
         labels = np.array([ex.label for ex in examples], dtype=np.int64)
@@ -244,6 +255,7 @@ def predict(params: rcnn.RcnnParams, examples: list[EncodedExample],
             store: SentenceVectorStore | None, batch_size: int = 64) -> np.ndarray:
     """Eval-mode argmax class index per example, in input order, without
     building a graph."""
+    check_sentence_vectors(examples, store, params.sentence_dim, "predicted")
     preds = []
     with T.no_grad():
         for chunk in iter_batches(examples, batch_size):
@@ -294,18 +306,28 @@ def write_history(history: list[HistoryRow], path) -> None:
         fh.write(format_history(history))
 
 
-def _check_sentence_coverage(examples, store, what):
-    missing = [ex.id for ex in examples if ex.id not in store.vectors]
-    if missing:
-        shown = ", ".join(missing[:20])
-        more = f" (and {len(missing) - 20} more)" if len(missing) > 20 else ""
-        raise ValueError(f"missing sentence vectors for {what} ids: {shown}{more}")
-
-
 def train(params: rcnn.RcnnParams, train_split: DatasetSplit, val_split: DatasetSplit,
           sentence_store: SentenceVectorStore | None, config: TrainConfig, rng,
           *, vocab: Vocabulary, select: str = "best", epoch_hook=None):
-    """Full training run; returns (checkpoint, per-epoch history).
+    """Encode both splits, weight the classes by their raw distributions,
+    and run :func:`train_encoded`."""
+    weights = compute_class_weights(train_split.label_counts, val_split.label_counts)
+    return train_encoded(params, encode_split(train_split, vocab),
+                         encode_split(val_split, vocab), sentence_store, config,
+                         rng, weights=weights, vocab=vocab, select=select,
+                         epoch_hook=epoch_hook)
+
+
+def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
+                  val_ex: list[EncodedExample],
+                  sentence_store: SentenceVectorStore | None, config: TrainConfig,
+                  rng, *, weights: ClassWeights, vocab: Vocabulary,
+                  select: str = "best", epoch_hook=None):
+    """Full training run over encoded examples, the one every entry uses;
+    returns (checkpoint, per-epoch history).
+
+    ``select``, the config, and non-empty, fully labeled train and val
+    examples with their sentence vectors are checked before the first step.
 
     Each epoch shuffles with the run rng, steps through batches with
     forward -> weighted CE -> backward -> clip -> Adam at the annealed rate,
@@ -316,30 +338,14 @@ def train(params: rcnn.RcnnParams, train_split: DatasetSplit, val_split: Dataset
     """
     if select not in ("best", "last"):
         raise ValueError(f"select must be 'best' or 'last', got {select!r}")
-    if not train_split.conversations or not val_split.conversations:
-        raise ValueError("training and validation splits must be non-empty")
     config.validate()
-    weights = compute_class_weights(train_split.label_counts, val_split.label_counts)
-    train_ex = encode_split(train_split, vocab)
-    val_ex = encode_split(val_split, vocab)
-    if not train_ex:
-        raise ValueError("no training examples remain after length filtering")
+    if not train_ex or not val_ex:
+        raise ValueError("training and validation need at least one example "
+                         "each (after the training length filter)")
     if any(ex.label is None for ex in train_ex) or any(ex.label is None for ex in val_ex):
-        raise ValueError("train and val splits must be fully labeled")
-    if params.sentence_dim > 0:
-        _check_sentence_coverage(train_ex, sentence_store, "training")
-        _check_sentence_coverage(val_ex, sentence_store, "validation")
-    return train_encoded(params, train_ex, val_ex, sentence_store, config, rng,
-                         weights=weights, vocab=vocab, select=select,
-                         epoch_hook=epoch_hook)
-
-
-def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
-                  val_ex: list[EncodedExample],
-                  sentence_store: SentenceVectorStore | None, config: TrainConfig,
-                  rng, *, weights: ClassWeights, vocab: Vocabulary,
-                  select: str = "best", epoch_hook=None):
-    """Training core over already-encoded examples (see ``train``)."""
+        raise ValueError("train and val examples must be fully labeled")
+    check_sentence_vectors(train_ex, sentence_store, params.sentence_dim, "training")
+    check_sentence_vectors(val_ex, sentence_store, params.sentence_dim, "validation")
     named = params.named()
     adam = init_adam(named)
     history: list[HistoryRow] = []

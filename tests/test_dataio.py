@@ -76,6 +76,37 @@ def test_load_word_vectors(tmp_path):
         dio.load_word_vectors(bad, 2)
 
 
+def test_outside_files_may_start_with_a_utf8_bom(tmp_path):
+    from emoconv.finetune import load_finetune_corpus
+
+    def bom(name, text):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        return path
+
+    split = dio.load_dataset(bom("train.txt", "id\tturn1\tturn2\tturn3\tlabel\n"
+                                              "c1\ta\tb\tc\tsad\n"), "train")
+    assert split.conversations[0].id == "c1"
+    assert list(dio.load_word_vectors(bom("vec.txt", "hi 1 2\n"), 2)) == ["hi"]
+    assert list(dio.load_sentence_vectors(bom("sv.tsv", "c1\t1 2\n"), 2).vectors) == ["c1"]
+    assert load_finetune_corpus(bom("ft.tsv", "text\tlabel\nyay\t1\n")) == [("yay", 1)]
+
+
+def test_load_word_vectors_skips_a_count_dim_header(tmp_path):
+    p = _write(tmp_path / "w2v.txt", "2 3\nhello 1 2 3\n4 5 6 7\n")
+    vecs = dio.load_word_vectors(p, 3)
+    assert list(vecs) == ["hello", "4"]
+    npt.assert_array_equal(vecs["4"], [5.0, 6.0, 7.0])
+
+    # a header whose dim disagrees is still an error on line 1
+    with pytest.raises(ValueError) as err:
+        dio.load_word_vectors(_write(tmp_path / "other.txt", "2 50\nhello 1 2 3\n"), 3)
+    assert "line 1" in str(err.value)
+    # with 1-d vectors "2 1" is a vector line: token "2", value 1
+    npt.assert_array_equal(dio.load_word_vectors(
+        _write(tmp_path / "one.txt", "2 1\nhi 4\n"), 1)["2"], [1.0])
+
+
 def test_load_word_vectors_keeps_first_duplicate(tmp_path, caplog):
     p = _write(tmp_path / "vec.txt", "a 1 1\na 2 2\nb 3 3\n")
     with caplog.at_level("WARNING", logger="emoconv.dataio"):
@@ -89,7 +120,6 @@ def test_load_sentence_vectors(tmp_path):
     p = _write(tmp_path / "sv.tsv", "c1\t0 0 0\nc2\t0.5 -1 2\n")
     store = dio.load_sentence_vectors(p, 3)
     npt.assert_array_equal(store.get("c1"), np.zeros(3))
-    assert store.missing_ids([dio.Conversation("c3", ("a", "b", "c"))]) == ["c3"]
 
     dup = _write(tmp_path / "dup.tsv", "c1\t0 0 0\nc1\t1 1 1\n")
     with pytest.raises(ValueError) as err:

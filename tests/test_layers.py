@@ -16,7 +16,7 @@ def test_embedding_lookup_padding_row_and_repeats():
 
     out = L.embedding_lookup(table, [2, 2])
     npt.assert_array_equal(out.values, [[3, 4], [3, 4]])
-    T.sum_all(out).backward()
+    T.backward(T.sum_all(out))
     # both rows feed the same table row, so its gradient is the sum
     npt.assert_array_equal(table.table.grad, [[0, 0], [0, 0], [2, 2]])
 
@@ -34,7 +34,7 @@ def test_batched_lookup_skips_pad_and_checks_every_id():
     assert out.shape == (2, 3, 2)
     npt.assert_array_equal(out.values[1], [[3, 4], [0, 0], [0, 0]])
     # gradient at PAD positions is dropped, so row 0 never moves
-    T.sum_all(out).backward()
+    T.backward(T.sum_all(out))
     npt.assert_array_equal(table.table.grad, [[0, 0], [1, 1], [2, 2]])
 
     with pytest.raises(ValueError) as err:
@@ -46,7 +46,7 @@ def test_lookup_into_a_computed_table_gets_dense_gradient():
     # the row gradient densifies when the table is not a leaf
     base = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     table = L.EmbeddingMatrix(3, 2, T.scale(base, 2.0))
-    T.sum_all(L.embedding_lookup(table, [[2, 2, 1]])).backward()
+    T.backward(T.sum_all(L.embedding_lookup(table, [[2, 2, 1]])))
     npt.assert_array_equal(base.grad, [[0, 0], [2, 2], [4, 4]])
 
 
@@ -68,7 +68,7 @@ def test_frozen_embedding_gets_exactly_zero_gradient():
     out = L.embedding_lookup(table, [1, 1])
     assert not out.requires_grad
     loss = T.sum_all(T.mul(out, out))
-    loss.backward()
+    T.backward(loss)
     npt.assert_array_equal(T.grad_of(table.table), np.zeros((2, 2)))
 
 
@@ -299,7 +299,7 @@ def test_dropout_reproducible_and_differentiable():
 
     x = T.Tensor(x_vals, requires_grad=True)
     out = L.dropout(x, 0.5, True, np.random.default_rng(42))
-    T.sum_all(out).backward()
+    T.backward(T.sum_all(out))
     mask = m1 / x_vals  # recover the applied mask (0 or 2)
     npt.assert_allclose(x.grad, mask)
 

@@ -10,7 +10,7 @@ from emoconv.dataio import LABELS
 
 def test_confusion_matrix_basics():
     cm = M.confusion_matrix(["happy"] * 5 + ["sad"] * 5, ["happy"] * 5 + ["sad"] * 5)
-    assert np.trace(cm.counts) == 10 and cm.total == 10
+    assert np.trace(cm.counts) == 10 and cm.counts.sum() == 10
 
     empty = M.confusion_matrix([], [])
     npt.assert_array_equal(empty.counts, np.zeros((4, 4)))

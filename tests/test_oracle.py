@@ -114,7 +114,7 @@ def test_conv_ignores_appended_pad_positions():
         seq = T.Tensor(np.concatenate([body, rng.uniform(-1, 1, (3, extra, 3))], axis=1),
                        requires_grad=True)
         T.reset_grads(bank.weights + bank.biases)
-        T.sum_all(T.tanh(L.conv1d_over_time(bank, seq, lengths))).backward()
+        T.backward(T.sum_all(T.tanh(L.conv1d_over_time(bank, seq, lengths))))
         out.append([seq.grad[:, :4].copy()] + [T.grad_of(p).copy()
                                                for p in bank.weights + bank.biases])
         npt.assert_array_equal(seq.grad[:, 4:], 0.0)

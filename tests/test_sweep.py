@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import toycorpus
+from emoconv import rcnn
 from emoconv import sweep as sw
+from emoconv import train as tr
 from emoconv.config import TrainConfig
+from emoconv.dataio import LABEL_TO_INDEX, build_embedding_matrix
 
 FAST = TrainConfig(lr=0.02, batch_size=4, epochs=2, hidden_size=4, num_layers=1,
                    sentence_dim=0, embedding_dim=6, dropout_bilstm=0.0,
@@ -83,12 +86,48 @@ def test_sweep_resumes_from_run_records(tmp_path):
 
 def test_sweep_runs_are_deterministic():
     train_split, val_split, vocab = _toy_data()
-    rec1 = sw.run_one(FAST, "lr", 0.02, 7, train_split, val_split, None, vocab)
-    rec2 = sw.run_one(FAST, "lr", 0.02, 7, train_split, val_split, None, vocab)
+    data = sw.SweepData.encode(train_split, val_split, vocab)
+    rec1 = sw.run_one(FAST, "lr", 0.02, 7, data, None, vocab)
+    rec2 = sw.run_one(FAST, "lr", 0.02, 7, data, None, vocab)
     assert rec1 == rec2
 
 
 def test_axis_values_are_coerced():
     train_split, val_split, vocab = _toy_data()
-    rec = sw.run_one(FAST, "batch_size", 6.0, 3, train_split, val_split, None, vocab)
+    data = sw.SweepData.encode(train_split, val_split, vocab)
+    rec = sw.run_one(FAST, "batch_size", 6.0, 3, data, None, vocab)
     assert rec.value == 6 and isinstance(rec.value, int)
+
+
+def test_sweep_encodes_once_and_matches_per_run_training(tmp_path, monkeypatch):
+    train_split, val_split, vocab = _toy_data()
+    calls = []
+    encode_split = tr.encode_split
+    monkeypatch.setattr(tr, "encode_split",
+                        lambda *a: calls.append(a[0].name) or encode_split(*a))
+    spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
+    records, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
+                              runs_dir=tmp_path / "runs")
+    assert calls == ["train", "val"]
+
+    # a resumed sweep whose records are all cached encodes nothing
+    calls.clear()
+    again, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
+                            runs_dir=tmp_path / "runs")
+    assert calls == [] and again == records
+
+    # each record equals one built run by run from the raw splits
+    weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
+    baseline = tr.uniform_baseline_loss(
+        weights, [LABEL_TO_INDEX[c.label] for c in train_split.conversations])
+    for rec in records:
+        config = FAST.replace(lr=rec.value, seed=rec.seed)
+        rng = np.random.default_rng(rec.seed)
+        emb, _ = build_embedding_matrix(vocab, {}, config.embedding_dim, rng)
+        ckpt, history = tr.train(rcnn.init_model(config, emb, rng), train_split,
+                                 val_split, None, config, rng, vocab=vocab)
+        assert rec == sw.RunRecord(
+            axis="lr", value=rec.value, seed=rec.seed,
+            config_hash=sw.config_hash(config), best_val_f1=ckpt.best_val_f1,
+            final_train_loss=history[-1].train_loss, baseline_loss=baseline,
+            trained_effectively=history[-1].train_loss < baseline)

@@ -9,19 +9,6 @@ def _t(shape, values, requires_grad=False):
     return T.Tensor(np.asarray(values, dtype=float).reshape(shape), requires_grad)
 
 
-def test_matmul_known_values():
-    a = _t((2, 2), [1, 2, 3, 4])
-    eye = _t((2, 2), [1, 0, 0, 1])
-    npt.assert_array_equal(T.matmul(a, eye).values, a.values)
-
-    row = _t((1, 2), [1, 2])
-    col = _t((2, 1), [3, 4])
-    npt.assert_array_equal(T.matmul(row, col).values, [[11.0]])
-
-    with pytest.raises(ValueError):
-        T.matmul(row, row)
-
-
 def test_elementwise_known_values():
     x = _t((3,), [0.0, 1.0, -1.0])
     npt.assert_allclose(T.sigmoid(x).values, [0.5, 1 / (1 + np.exp(-1)), 1 / (1 + np.exp(1))])
@@ -29,9 +16,9 @@ def test_elementwise_known_values():
     npt.assert_allclose(T.add(x, x).values, [0, 2, -2])
     npt.assert_allclose(T.scale(x, -2.0).values, [0, -2, 2])
     with pytest.raises(ValueError):
-        T.mul(x, _t((2,), [1.0, 2.0]))   # neither exact-shape nor scalar
-    with pytest.raises(TypeError):
-        T.add(x, "1")
+        T.mul(x, _t((2,), [1.0, 2.0]))   # shapes differ
+    with pytest.raises(ValueError):
+        T.add(x, _t((1,), [1.0]))        # no size-1 broadcasting
     with pytest.raises(ValueError):
         T.log(_t((2,), [1.0, 0.0]))
 
@@ -57,18 +44,18 @@ def test_softmax_rows_known_and_stable():
 
 def test_backward_sum_and_square():
     x = _t((3,), [1.0, -2.0, 3.0], requires_grad=True)
-    T.sum_all(x).backward()
+    T.backward(T.sum_all(x))
     npt.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     T.reset_grads([x])
-    T.sum_all(T.mul(x, x)).backward()
+    T.backward(T.sum_all(T.mul(x, x)))
     npt.assert_allclose(x.grad, 2.0 * x.values)
 
 
 def test_backward_accumulates_until_reset():
     x = _t((2,), [1.0, 2.0], requires_grad=True)
-    T.sum_all(x).backward()
-    T.sum_all(x).backward()
+    T.backward(T.sum_all(x))
+    T.backward(T.sum_all(x))
     npt.assert_array_equal(x.grad, [2.0, 2.0])
     T.reset_grads([x])
     assert x.grad is None
@@ -80,7 +67,7 @@ def test_backward_requires_scalar_and_skips_unreachable():
     unused = _t((2,), [5.0, 5.0], requires_grad=True)
     with pytest.raises(ValueError):
         T.backward(T.mul(x, x))
-    T.sum_all(x).backward()
+    T.backward(T.sum_all(x))
     assert unused.grad is None
     npt.assert_array_equal(T.grad_of(unused), [0.0, 0.0])
 
@@ -88,30 +75,31 @@ def test_backward_requires_scalar_and_skips_unreachable():
 def test_shared_subexpression_gets_summed_gradient():
     # y = sum(x + x) so dy/dx = 2 along every coordinate
     x = _t((3,), [0.5, 1.5, -0.5], requires_grad=True)
-    T.sum_all(T.add(x, x)).backward()
+    T.backward(T.sum_all(T.add(x, x)))
     npt.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_backward_is_bit_deterministic():
     def run():
         rng = np.random.default_rng(7)
+        x = T.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         w = T.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        x = T.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-        h = T.tanh(T.matmul(w, x))
+        b = T.Tensor(rng.standard_normal(4), requires_grad=True)
+        h = T.tanh(T.linear_rows(x, w, b))
         loss = T.sum_all(T.mul(h, h))
-        loss.backward()
-        return w.grad.copy(), x.grad.copy()
+        T.backward(loss)
+        return x.grad.copy(), w.grad.copy(), b.grad.copy()
 
     g1 = run()
     g2 = run()
-    assert (g1[0] == g2[0]).all() and (g1[1] == g2[1]).all()
+    assert all((a == b).all() for a, b in zip(g1, g2))
 
 
 def test_grad_report_norms():
     x = _t((2,), [3.0, 4.0], requires_grad=True)
     y = _t((1,), [2.0], requires_grad=True)
     loss = T.sum_all(T.concat([T.mul(x, x), T.mul(y, y)], axis=0))
-    loss.backward()
+    T.backward(loss)
     rep = T.grad_report({"x": x, "y": y})
     npt.assert_allclose(rep.per_parameter_norms["x"], 10.0)  # |(6, 8)|
     npt.assert_allclose(rep.per_parameter_norms["y"], 4.0)
@@ -151,8 +139,6 @@ def _separated(rng, shape):
 # One scalar-valued graph per op; finite differences validate every backward
 # rule through the same public entry point the training loop uses.
 OP_CASES = {
-    "matmul": lambda rng: ([_rand(rng, (3, 4)), _rand(rng, (4, 2))],
-                           lambda ps: T.sum_all(T.tanh(T.matmul(ps[0], ps[1])))),
     "linear_rows": lambda rng: ([_rand(rng, (5, 3)), _rand(rng, (2, 3)), _rand(rng, (2,))],
                                 lambda ps: T.sum_all(T.tanh(T.linear_rows(*ps)))),
     "linear_rows_batched": lambda rng: ([_rand(rng, (2, 4, 3)), _rand(rng, (2, 3)),
@@ -166,8 +152,6 @@ OP_CASES = {
                         lambda ps: T.sum_all(T.mul(ps[0], ps[1]))),
     "scale": lambda rng: ([_rand(rng, (7,))],
                           lambda ps: T.sum_all(T.scale(ps[0], -1.7))),
-    "scalar_broadcast": lambda rng: ([_rand(rng, (1,)), _rand(rng, (4,))],
-                                     lambda ps: T.sum_all(T.mul(ps[0], T.add(ps[1], ps[0])))),
     "sigmoid": lambda rng: ([_rand(rng, (8,))],
                             lambda ps: T.sum_all(T.sigmoid(ps[0]))),
     "tanh": lambda rng: ([_rand(rng, (8,))],
@@ -251,21 +235,22 @@ def test_masked_max_known_values():
     npt.assert_array_equal(T.max_over_time(seq, [1, 3]).values, [[1.0], [9.0]])
     # ties go to the first position
     seq = T.Tensor(np.array([[[3.0], [3.0], [1.0]]]), requires_grad=True)
-    T.sum_all(T.max_over_time(seq, [3])).backward()
+    T.backward(T.sum_all(T.max_over_time(seq, [3])))
     npt.assert_array_equal(seq.grad, [[[1.0], [0.0], [0.0]]])
 
 
 def test_no_grad_records_no_graph():
     x = _t((2, 2), [1.0, 2.0, 3.0, 4.0], requires_grad=True)
+    b = _t((2,), [0.5, -0.5], requires_grad=True)
     with T.no_grad():
-        y = T.tanh(T.matmul(x, x))
+        y = T.tanh(T.linear_rows(x, x, b))
     assert not y.requires_grad and y.parents == () and y.backward_fn is None
-    npt.assert_array_equal(y.values, np.tanh(x.values @ x.values))
+    npt.assert_array_equal(y.values, np.tanh(x.values @ x.values.T + b.values))
     # recording resumes after the block, also when the block raised
     with pytest.raises(RuntimeError):
         with T.no_grad():
             raise RuntimeError("inside")
     z = T.sum_all(T.mul(x, x))
     assert z.requires_grad
-    z.backward()
+    T.backward(z)
     npt.assert_array_equal(x.grad, 2.0 * x.values)

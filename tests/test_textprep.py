@@ -56,14 +56,6 @@ def test_assemble_input_always_has_two_eos():
         assert seq.tokens.count(tp.EOS_TOKEN) == 2
 
 
-def test_filter_long_train_only():
-    short = tp.TokenSequence(["w"] * 75)
-    long = tp.TokenSequence(["w"] * 76)
-    assert tp.filter_long([short, long], split="train") == [short]
-    assert tp.filter_long([long], split="val") == [long]
-    assert tp.filter_long([tp.TokenSequence(["w"] * 500)], split="test") != []
-
-
 def test_build_vocab_first_occurrence_order():
     seqs = [tp.TokenSequence(["a", "b"]), tp.TokenSequence(["b", "c"])]
     vocab = tp.build_vocab(seqs)

@@ -165,15 +165,21 @@ def test_lr_schedule():
 
 
 def test_encode_split_filters_only_train():
+    # turns (n words, "a", "b") assemble to n + 4 tokens: a, b and two EOS
     split = toycorpus.make_split("train", 8, seed=0)
-    long_turn = " ".join(["word"] * 80)
-    split.conversations[0].turns = (long_turn, "a", "b")
+    for conv, n in zip(split.conversations, (71, 72, 496)):
+        conv.turns = (" ".join(["word"] * n), "a", "b")
     vocab = toycorpus.vocab_for(split)
-    encoded = tr.encode_split(split, vocab)
-    assert len(encoded) == 7  # the 80-token conversation is dropped
+    kept = tr.encode_split(split, vocab)
+    assert kept[0].n == 75  # at the limit: kept; 76 and 500 tokens: dropped
+    assert [ex.id for ex in kept] == [c.id for c in split.conversations
+                                      if c not in split.conversations[1:3]]
 
-    split.name = "val"
-    assert len(tr.encode_split(split, vocab)) == 8
+    for name in ("val", "test"):
+        split.name = name
+        encoded = tr.encode_split(split, vocab)
+        assert len(encoded) == 8
+        assert [ex.n for ex in encoded[:3]] == [75, 76, 500]
 
 
 def test_make_batch_and_missing_vectors():
@@ -185,15 +191,21 @@ def test_make_batch_and_missing_vectors():
     assert batch.ids.shape[0] == 4
     assert batch.sentence_vectors.shape == (4, 3)
     assert batch.labels is not None
+    assert tr.make_batch(encoded, None, 0).sentence_vectors is None
 
+    # predict checks coverage up front; make_batch trusts its caller
+    config = TrainConfig(hidden_size=2, num_layers=1, sentence_dim=3, embedding_dim=2)
+    rng = np.random.default_rng(0)
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (vocab.size, 2)))
+    params = rcnn.init_model(config, emb, rng)
+    assert tr.predict(params, encoded, store).shape == (4,)
     del store.vectors[encoded[1].id]
     with pytest.raises(ValueError) as err:
-        tr.make_batch(encoded, store, 3)
+        tr.predict(params, encoded, store)
     assert encoded[1].id in str(err.value)
     with pytest.raises(ValueError) as err:
-        tr.make_batch(encoded, None, 3)
-    assert "no sentence-vector store" in str(err.value)
-    assert tr.make_batch(encoded, None, 0).sentence_vectors is None
+        tr.predict(params, encoded, None)
+    assert "sentence" in str(err.value)
 
 
 def test_load_encoded_names_file_and_line_of_unknown_label(tmp_path):
@@ -308,6 +320,38 @@ def test_train_input_validation():
     with pytest.raises(ValueError) as err:
         tr.train(params, train_split, val_split, store, TOY_CONFIG, rng, vocab=vocab)
     assert train_split.conversations[3].id in str(err.value)
+
+
+@pytest.mark.parametrize("case", ["select_typo", "empty_train", "unlabeled_val",
+                                  "val_vector_missing", "many_vectors_missing"])
+def test_train_encoded_validates_before_the_first_step(case, monkeypatch):
+    params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG, n_train=24)
+    train_ex = tr.encode_split(train_split, vocab)
+    val_ex = tr.encode_split(val_split, vocab)
+    select, expect = "best", None
+    if case == "select_typo":
+        select = "bset"
+    elif case == "empty_train":
+        train_ex = []
+    elif case == "unlabeled_val":
+        val_ex[0].label = None
+    elif case == "val_vector_missing":
+        del store.vectors[val_ex[0].id]
+        expect = val_ex[0].id
+    else:  # every training id missing: 20 named, the rest counted
+        for ex in train_ex:
+            del store.vectors[ex.id]
+        expect = f"{train_ex[19].id} (and 4 more)"
+    forwards = []
+    forward = rcnn.forward
+    monkeypatch.setattr(rcnn, "forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
+    weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
+    with pytest.raises(ValueError) as err:
+        tr.train_encoded(params, train_ex, val_ex, store, TOY_CONFIG, rng,
+                         weights=weights, vocab=vocab, select=select)
+    assert forwards == []
+    if expect is not None:
+        assert expect in str(err.value)
 
 
 def test_first_batch_loss_with_zero_output_layer_is_uniform_baseline():
