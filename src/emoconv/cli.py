@@ -216,8 +216,6 @@ def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     params = rcnn.restore(ckpt.config, ckpt.params)
     split = load_dataset(args.split, args.split_name)
-    if any(c.label is None for c in split.conversations):
-        raise ValueError(f"{args.split}: evaluation needs labels on every row")
     examples = tr.encode_split(split, ckpt.vocab)
     store = _load_store(args.sentence_vectors, ckpt.config.sentence_dim)
     scored = LABELS if args.score_others else metrics.SCORED_CLASSES

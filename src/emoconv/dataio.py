@@ -100,8 +100,9 @@ def load_dataset(path, split: str) -> DatasetSplit:
 def load_word_vectors(path, expected_dim: int) -> dict[str, np.ndarray]:
     """Text-format word vectors: token then whitespace-separated decimals.
 
-    A word2vec ``count dim`` first line is skipped when dim is
-    ``expected_dim`` and above 1.  Duplicate tokens keep their first
+    A word2vec ``count dim`` first line (two integers, when
+    ``expected_dim`` is above 1) is skipped if dim is ``expected_dim`` and
+    an error naming both dims otherwise.  Duplicate tokens keep their first
     occurrence; the number skipped is logged.  Tokens containing whitespace
     are unsupported by the format.
     """
@@ -113,8 +114,10 @@ def load_word_vectors(path, expected_dim: int) -> dict[str, np.ndarray]:
             if not parts:
                 continue
             if (lineno == 1 and expected_dim > 1 and len(parts) == 2
-                    and all(p.isdecimal() for p in parts)
-                    and int(parts[1]) == expected_dim):
+                    and all(p.isdecimal() for p in parts)):
+                if int(parts[1]) != expected_dim:
+                    raise ValueError(f"{path} line 1: header declares {int(parts[1])}-d "
+                                     f"vectors, expected {expected_dim}")
                 continue
             token, raw = parts[0], parts[1:]
             if len(raw) != expected_dim:

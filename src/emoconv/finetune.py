@@ -63,10 +63,10 @@ def build_finetune_model(emb: L.EmbeddingMatrix, rng, kernel_sizes=(1, 2, 3),
 
 def forward_finetune(model: FinetuneModel, rows, training: bool, rng) -> T.Tensor:
     """Probability of the positive class for each token-id sequence in
-    ``rows``: one [B] tensor, in row order, from one pass over the batch."""
-    ids, lengths = L.pad_rows(rows)
-    seq = L.embedding_lookup(model.emb, ids)
-    pooled = L.conv1d_over_time(model.bank, seq, lengths)
+    ``rows``: one [B] tensor, in row order, from one pass over the batch,
+    its token ids packed row after row."""
+    cells = L.embedding_lookup(model.emb, np.concatenate(rows))
+    pooled = L.conv1d_over_time(model.bank, cells, [len(r) for r in rows])
     pooled = L.dropout(pooled, DROPOUT_RATE, training, rng)
     logits = T.linear_rows(pooled, model.out_w, model.out_b)
     return T.reshape(T.sigmoid(logits), (len(rows),))

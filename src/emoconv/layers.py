@@ -1,13 +1,14 @@
 """Neural building blocks over whole batches: embedding lookup, the fused
 LSTM scan and stacked BiLSTM, 1-D convolution over time, inverted dropout.
 
-A batch of sequences is a [B x T x k] tensor with per-row valid lengths;
-positions at or past a row's length are padding, and no layer lets padding
-change a result.  Most layers are compositions of :mod:`emoconv.tensor` ops;
-``embedding_lookup``, ``lstm_scan`` and the convolution's per-width window
-max are graph nodes of their own with hand-written backward passes, checked
-against finite differences and against the per-example, per-timestep oracle
-kept with the tests.
+A batch of sequences is packed: one [N x k] tensor of valid cells, row
+after row, with [B] per-row lengths summing to N (see :mod:`emoconv.tensor`).
+No layer builds, reads or returns a padded grid, so padding cannot change a
+result.  Most layers are compositions of :mod:`emoconv.tensor` ops;
+``embedding_lookup``, ``lstm_scan`` and the convolution's window gather are
+graph nodes of their own with hand-written backward passes, checked against
+finite differences and against the per-example, per-timestep oracle kept
+with the tests.
 
 Initialization convention (used by every init_* helper): weight matrices are
 uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases are zero except the
@@ -122,7 +123,8 @@ PAD_ID = 0
 
 def pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """Token-id sequences -> ([B x T] ids, PAD-filled past each length;
-    [B] lengths), with T the longest length."""
+    [B] lengths), with T the longest length: the id container of a batch
+    of conversations, which the model packs before any layer runs."""
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
     if lengths.size == 0 or lengths.min() < 1:
         raise ValueError("need at least one row, and every row non-empty")
@@ -132,16 +134,15 @@ def pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
-    """Rows of the embedding table for an id array of any shape:
-    ids [...] -> [... x dim].
+    """Rows of the embedding table for a vector of ids: ids [N] -> [N x dim].
 
     Backward scatter-adds into the rows that were used, except PAD, so the
     PAD row never moves.  When the table is frozen the result is a
     gradient-free constant and the table receives exactly-zero gradients.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size == 0:
-        raise ValueError(f"ids must be non-empty, got shape {ids.shape}")
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError(f"ids must be a non-empty vector, got shape {ids.shape}")
     bad = (ids < 0) | (ids >= table.vocab_size)
     if bad.any():
         raise ValueError(f"token id {int(ids[bad][0])} out of range for vocabulary "
@@ -149,11 +150,10 @@ def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
     values = table.table.values[ids]
     if table.frozen or not table.table.requires_grad:
         return T.constant(values)
-    flat = ids.reshape(-1)
-    used = flat != PAD_ID
+    used = ids != PAD_ID
 
     def backward_fn(g):
-        return (T.RowGrad(flat[used], g.reshape(-1, table.dim)[used]),)
+        return (T.RowGrad(ids[used], g[used]),)
 
     return T.from_op(values, "embedding_lookup", (table.table,), backward_fn)
 
@@ -179,46 +179,47 @@ def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
 
 
 def _packed_order(lengths: np.ndarray, reverse: bool):
-    """Time-major packing of a batch's valid cells.
+    """Time-major order of a packed batch's cells, for the recurrence.
 
     Rows are sorted by length, longest first, so the rows still active at
-    step t are a prefix of that order.  Returns, per packed cell, the batch
-    row and the position it reads ([N] each), the packed index of the same
-    row's previous step (-1 at step 0), and the step offsets ([T+1]).  The
-    reverse direction walks each row's valid prefix from its last position.
+    step t are a prefix of that order.  Returns, per time-major cell, the
+    index of the cell it reads in the row-major packing ([N]), the
+    time-major index of the same row's previous step (-1 at step 0), and the
+    step offsets ([T+1]).  The reverse direction walks each row from its
+    last cell.
     """
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     steps, rank = np.nonzero(T.time_mask(sorted_len, int(sorted_len[0])).T)
     active = np.bincount(steps)
     offsets = np.concatenate([[0], np.cumsum(active)])
-    rows = order[rank]
     positions = sorted_len[rank] - 1 - steps if reverse else steps
+    src = (np.cumsum(lengths) - lengths)[order[rank]] + positions
     prev = np.where(steps > 0, offsets[steps - 1] + rank, -1)
-    return rows, positions, prev, offsets
+    return src, prev, offsets
 
 
 def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
               reverse: bool = False) -> T.Tensor:
-    """One LSTM direction over a batch: x [B x T x input] -> [B x T x hidden].
+    """One LSTM direction over a packed batch: x [N x input] -> [N x hidden].
 
-    Each row starts from zero state and reads only its valid positions, left
-    to right, or right to left from its own last position when ``reverse``;
-    outputs at padded positions are zero.  Following the cuDNN formulation,
-    x W^T + b is one product over all valid cells, the recurrence keeps only
-    h U^T per step, and backward gets dW, dU and dx as single products.
+    Each row starts from zero state and reads only its own cells, left to
+    right, or right to left from its last cell when ``reverse``; output cell
+    n is the hidden state after reading input cell n.  Following the cuDNN
+    formulation, x W^T + b is one product over all cells, the recurrence
+    keeps only h U^T per step, and backward gets dW, dU and dx as single
+    products.
     """
-    if x.values.ndim != 3 or x.shape[2] != w.shape[1]:
-        raise ValueError(f"lstm_scan needs x [B x T x {w.shape[1]}], got {x.shape}")
-    batch, t_max, _ = x.shape
-    lengths = T.check_lengths(lengths, batch, t_max)
+    if x.values.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ValueError(f"lstm_scan needs x [N x {w.shape[1]}], got {x.shape}")
+    lengths = T.check_lengths(lengths, x.shape[0])
     hs = u.shape[1]
     if w.shape[0] != 4 * hs or u.shape != (4 * hs, hs) or b.shape != (4 * hs,):
         raise ValueError(f"lstm_scan weight shapes disagree: W {w.shape}, "
                          f"U {u.shape}, b {b.shape}")
-    rows, positions, prev, offsets = _packed_order(lengths, reverse)
+    src, prev, offsets = _packed_order(lengths, reverse)
     wv, uv = w.values, u.values
-    xs = x.values[rows, positions]
+    xs = x.values[src]
     gates = xs @ wv.T + b.values
     h_all = np.empty((xs.shape[0], hs))
     c_all = np.empty((xs.shape[0], hs))
@@ -226,11 +227,11 @@ def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
     for s, e in zip(offsets[:-1], offsets[1:]):
         h, c = lstm_step(gates[s:e], h[:e - s], c[:e - s], uv)
         h_all[s:e], c_all[s:e] = h, c
-    out = np.zeros((batch, t_max, hs))
-    out[rows, positions] = h_all
+    out = np.empty_like(h_all)
+    out[src] = h_all
 
     def backward_fn(g):
-        dh_in = g[rows, positions]
+        dh_in = g[src]
         dz = np.empty_like(gates)
         dh = np.zeros((offsets[1], hs))
         dc = np.zeros((offsets[1], hs))
@@ -251,95 +252,85 @@ def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
         h_prev = np.where(first[:, None], 0.0, h_all[prev])
         dx = None
         if x.requires_grad:
-            dx = np.zeros(x.shape)
-            dx[rows, positions] = dz @ wv
+            dx = np.empty(x.shape)
+            dx[src] = dz @ wv
         return dx, dz.T @ xs, dz.T @ h_prev, dz.sum(axis=0)
 
     return T.from_op(out, "lstm_scan", (x, w, u, b), backward_fn)
 
 
-def bilstm_encode(layers: list[LstmLayerParams], seq: T.Tensor, lengths,
+def bilstm_encode(layers: list[LstmLayerParams], cells: T.Tensor, lengths,
                   dropout_rate: float, training: bool, rng) -> T.Tensor:
-    """Stacked bidirectional encoding: [B x T x input] -> [B x T x 2*hidden].
+    """Stacked bidirectional encoding of a packed batch:
+    [N x input] -> [N x 2*hidden].
 
-    Per layer, a forward and a reverse ``lstm_scan`` over each row's valid
-    positions, concatenated as [h_f; h_b] at every position; layer k+1
-    consumes layer k's output, with dropout after every layer when training.
-    Positions at or past a row's length are zero.
+    Per layer, a forward and a reverse ``lstm_scan`` over each row's cells,
+    concatenated as [h_f; h_b] at every cell; layer k+1 consumes layer k's
+    output, with dropout after every layer when training.
     """
     if not layers:
         raise ValueError("bilstm_encode needs at least one layer")
-    if seq.values.ndim != 3 or seq.shape[1] == 0:
-        raise ValueError(f"bilstm_encode needs a non-empty [B x T x input] tensor, "
-                         f"got {seq.shape}")
-    out = seq
+    if cells.values.ndim != 2:
+        raise ValueError(f"bilstm_encode needs a packed [N x input] tensor, got {cells.shape}")
+    out = cells
     for layer in layers:
         halves = [lstm_scan(out, lengths, d.w, d.u, d.b, reverse=rev)
                   for d, rev in ((layer.fwd, False), (layer.bwd, True))]
-        out = dropout(T.concat(halves, axis=2), dropout_rate, training, rng)
+        out = dropout(T.concat(halves, axis=1), dropout_rate, training, rng)
     return out
 
 
-def _window_max(seq: T.Tensor, lengths: np.ndarray, w: T.Tensor, b: T.Tensor,
-                width: int) -> T.Tensor:
-    """Max over each row's windows of the affine filter response:
-    [B x T x dim] -> [B x filters].
+def _windows(cells: T.Tensor, lengths: np.ndarray, counts: np.ndarray,
+             width: int) -> T.Tensor:
+    """Every window of ``width`` consecutive cells within each row, packed
+    row after row: [N x dim] -> [counts.sum() x width*dim], where the caller
+    passes ``counts = max(lengths - width + 1, 1)``, the windows per row.
 
-    Only valid windows are built, packed row after row: max(len - width + 1,
-    1) per row, positions at or past the row's length read as zero.  One
-    product scores them all; the max per row and filter keeps its first
-    window on ties, and backward routes the gradient to that window alone.
+    Positions past a row's last cell, in the one window of a row shorter
+    than ``width``, read a trailing zero row, so no row reads another row's
+    cells.
     """
-    batch, t, d = seq.shape
-    counts = np.maximum(lengths - width + 1, 1)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    rows = np.repeat(np.arange(batch), counts)
-    first = np.arange(rows.size) - starts[rows]
-    keep = T.time_mask(lengths, t)[:, :, None]
-    pad_shape = (batch, max(t, width), d)
-    padded = np.zeros(pad_shape)
-    padded[:, :t] = np.where(keep, seq.values, 0.0)
-    windows = np.concatenate([padded[rows, first + j] for j in range(width)], axis=1)
-    scores = windows @ w.values.T + b.values
-    best = np.maximum.reduceat(scores, starts, axis=0)
-    hits = np.where(scores == best[rows], np.arange(rows.size)[:, None], rows.size)
-    argmax = np.minimum.reduceat(hits, starts, axis=0)
-    cols = np.arange(scores.shape[1])
-    n_windows = rows.size
+    n, d = cells.shape
+    rows = np.repeat(np.arange(lengths.size), counts)
+    starts = np.cumsum(lengths) - lengths
+    # window i of a row starts at the row's cell i
+    first = starts[rows] + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    idx = first[:, None] + np.arange(width)
+    idx[idx >= (starts + lengths)[rows, None]] = n
+    with_zero = np.concatenate([cells.values, np.zeros((1, d))])
 
     def backward_fn(g):
-        g_scores = np.zeros((n_windows, cols.size))
-        g_scores[argmax, cols] = g
-        dseq = None
-        if seq.requires_grad:
-            g_windows = g_scores @ w.values
-            dpad = np.zeros(pad_shape)
-            for j in range(width):  # (row, position) pairs are distinct per j
-                dpad[rows, first + j] += g_windows[:, j * d:(j + 1) * d]
-            dseq = np.where(keep, dpad[:, :t], 0.0)
-        return dseq, g_scores.T @ windows, g.sum(axis=0)
+        g = g.reshape(rows.size, width, d)
+        dcells = np.zeros((n + 1, d))
+        for j in range(width):  # indices below n are distinct for a fixed j
+            dcells[idx[:, j]] += g[:, j]
+        return (dcells[:n],)
 
-    return T.from_op(best, "window_max", (seq, w, b), backward_fn)
+    return T.from_op(with_zero[idx].reshape(rows.size, width * d), "windows",
+                     (cells,), backward_fn)
 
 
-def conv1d_over_time(bank: ConvFilterBank, seq: T.Tensor, lengths) -> T.Tensor:
-    """Multi-width convolution with global max pooling: [B x T x dim] ->
-    [B x len(kernel_sizes)*filters_per_size].
+def conv1d_over_time(bank: ConvFilterBank, cells: T.Tensor, lengths) -> T.Tensor:
+    """Multi-width convolution with global max pooling over a packed batch:
+    [N x dim] -> [B x len(kernel_sizes)*filters_per_size].
 
-    For each kernel size k, every length-k window of a row's valid positions
-    goes through the affine filters and a rectifier, and the maximum over
-    those windows is kept; the banks' outputs concatenate in kernel-size
-    order.  A row shorter than k is zero-padded at its end to one window.
-    Each width is one unfold, one product and one max for the batch; the
-    rectifier runs after the max, which gives the same values and gradients
-    (it is monotonic) on [B x filters] values only.
+    For each kernel size k, every length-k window of a row's cells goes
+    through the affine filters and a rectifier, and the maximum over those
+    windows is kept; the banks' outputs concatenate in kernel-size order.  A
+    row shorter than k is zero-padded at its end to one window.  Each width
+    is one window gather, one product and one ``max_over_time`` over each
+    row's windows; the rectifier runs after the max, which gives the same
+    values and gradients (it is monotonic) on [B x filters] values only.
     """
-    if seq.values.ndim != 3 or seq.shape[2] != bank.dim:
-        raise ValueError(f"sequence shape {seq.shape} does not match bank dim {bank.dim}")
-    lengths = T.check_lengths(lengths, seq.shape[0], seq.shape[1])
-    return T.concat([T.relu(_window_max(seq, lengths, w, b, k))
-                     for k, w, b in zip(bank.kernel_sizes, bank.weights, bank.biases)],
-                    axis=1)
+    if cells.values.ndim != 2 or cells.shape[1] != bank.dim:
+        raise ValueError(f"cells shape {cells.shape} does not match bank dim {bank.dim}")
+    lengths = T.check_lengths(lengths, cells.shape[0])
+    pooled = []
+    for k, w, b in zip(bank.kernel_sizes, bank.weights, bank.biases):
+        counts = np.maximum(lengths - k + 1, 1)
+        scores = T.linear_rows(_windows(cells, lengths, counts, k), w, b)
+        pooled.append(T.relu(T.max_over_time(scores, counts)))
+    return T.concat(pooled, axis=1)
 
 
 def dropout(x: T.Tensor, rate: float, training: bool, rng) -> T.Tensor:

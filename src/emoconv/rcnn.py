@@ -101,11 +101,13 @@ def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Te
     """Run the classifier over a batch; returns (logits, probabilities), one
     row per example in batch order.
 
-    The whole batch goes through each layer at once, trimmed to its longest
-    row; every sequence op reads only each row's valid positions, so padding
-    cannot influence the result.  Dropout (when training) hits the BiLSTM
-    layer outputs and both linear-layer inputs, the fused sentence vector
-    included.
+    The batch is packed once at entry: its valid token ids, row after row,
+    become one [N x k] tensor of cells, and embedding, both BiLSTM layers,
+    the [h_f; h_b; w_i] concatenation, dropout and the projection all run on
+    those N cells; the max-pool reduces each row's own cells to [B x k].
+    Padding never enters the model, so it cannot influence the result.
+    Dropout (when training) hits the BiLSTM layer outputs and both
+    linear-layer inputs, the fused sentence vector included.
     """
     if params.sentence_dim > 0:
         if batch.sentence_vectors is None:
@@ -114,10 +116,11 @@ def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Te
             raise ValueError(f"sentence vectors shape {batch.sentence_vectors.shape} "
                              f"!= ({len(batch)}, {params.sentence_dim})")
     lengths = batch.valid_lengths
-    emb = L.embedding_lookup(params.embedding, batch.ids[:, :int(lengths.max())])
+    emb = L.embedding_lookup(params.embedding,
+                             batch.ids[T.time_mask(lengths, batch.ids.shape[1])])
     enc = L.bilstm_encode(params.bilstm, emb, lengths, params.dropout_bilstm,
                           training, rng)
-    ctx = L.dropout(T.concat([enc, emb], axis=2), params.dropout_linear, training, rng)
+    ctx = L.dropout(T.concat([enc, emb], axis=1), params.dropout_linear, training, rng)
     proj = T.linear_rows(ctx, params.proj_w, params.proj_b)
     if params.projection_tanh:
         proj = T.tanh(proj)

@@ -6,16 +6,17 @@ the output gradient to input gradients.  ``backward`` walks the recorded
 graph once, in reverse topological order, and accumulates gradients into the
 ``grad`` field of every leaf that has ``requires_grad`` set.
 
-All arithmetic is 64-bit.  The engine is batch-major: a batch of sequences
-is one ``[B x T x k]`` tensor, padded after each row's valid length, and one
+All arithmetic is 64-bit.  The engine is batch-major and packed: a batch
+of sequences is one ``[N x k]`` tensor of valid cells, row after row, plus
+``[B]`` per-row lengths that sum to N.  There is no padding to mask, and one
 graph node covers the whole batch.  Broadcasting rules:
 
 - elementwise binary operations take two tensors of exactly the same shape,
   and nothing else: no Python numbers, no size-1 broadcasting;
-- ``linear_rows`` maps the last axis and adds its bias to every row of every
-  leading axis (``[..., k] -> [..., m]``);
-- ``max_over_time`` takes per-row valid lengths and never reads a row's
-  padding, so padding cannot change its result.
+- ``linear_rows`` maps every row of an ``[n x k]`` matrix and adds its bias
+  to each (``[n x k] -> [n x m]``);
+- ``max_over_time`` is the one segment max: it reduces each row's own cells
+  of a packed tensor, ``[N x k] -> [B x k]``.
 
 Inside ``with no_grad():`` operations record no parents and no backward
 closures, so an inference pass holds only the values it still uses.
@@ -369,71 +370,69 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map of the last axis: out = x @ w.T + b, b added to every row.
+    """Affine map of every row: out = x @ w.T + b, b added to each row.
 
-    x is [..., k], w is [m x k], b is [m]; the result is [..., m].  This is
-    the one place a vector broadcasts over leading axes, so the bias rule
-    (sum over rows) stays next to the op that needs it.
+    x is [n x k], w is [m x k], b is [m]; the result is [n x m].  This is
+    the one place a vector broadcasts over rows, so the bias rule (sum over
+    rows) stays next to the op that needs it.
     """
-    if x.values.ndim < 2 or w.values.ndim != 2 or b.values.ndim != 1:
+    if x.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1:
         raise ValueError(f"linear_rows needs (rows, matrix, vector), got "
                          f"{x.shape}, {w.shape}, {b.shape}")
-    if x.shape[-1] != w.shape[1] or w.shape[0] != b.shape[0]:
+    if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise ValueError(f"linear_rows dimensions differ: x {x.shape}, w {w.shape}, b {b.shape}")
-    lead = x.shape[:-1]
-    m, k = w.shape
-    xv, wv = x.values.reshape(-1, k), w.values
+    xv, wv = x.values, w.values
 
     def backward_fn(g):
-        g = g.reshape(-1, m)
-        return (g @ wv).reshape(*lead, k), g.T @ xv, g.sum(axis=0)
+        return g @ wv if x.requires_grad else None, g.T @ xv, g.sum(axis=0)
 
-    out = (xv @ wv.T + b.values).reshape(*lead, m)
-    return from_op(out, "linear_rows", (x, w, b), backward_fn)
+    return from_op(xv @ wv.T + b.values, "linear_rows", (x, w, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
-# [B x T x k] batches with per-row valid lengths
+# Packed batches: [N x k] valid cells, row after row, with [B] lengths
 
 
-def check_lengths(lengths, rows: int, steps: int) -> np.ndarray:
-    """Valid lengths as an int64 array of shape [rows], each in [1, steps]."""
+def check_lengths(lengths, cells: int) -> np.ndarray:
+    """Per-row valid lengths of a packed batch as an int64 array [B]: at
+    least one row, each length at least 1, summing to its ``cells`` rows."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (rows,):
-        raise ValueError(f"need one valid length per row: got shape "
-                         f"{lengths.shape} for {rows} rows")
-    if rows and (lengths.min() < 1 or lengths.max() > steps):
-        raise ValueError(f"valid lengths must lie in [1, {steps}], got {lengths.tolist()}")
+    if lengths.ndim != 1 or lengths.size == 0:
+        raise ValueError(f"need a non-empty vector of valid lengths, got shape {lengths.shape}")
+    if lengths.min() < 1 or lengths.sum() != cells:
+        raise ValueError(f"valid lengths must be >= 1 and sum to the {cells} packed "
+                         f"cells, got {lengths.tolist()}")
     return lengths
 
 
 def time_mask(lengths, steps: int) -> np.ndarray:
-    """[B x T] booleans, true at each row's valid positions."""
+    """[B x T] booleans, true at each row's valid positions; indexing a
+    padded [B x T] array with it packs the valid cells row after row."""
     return np.arange(steps)[None, :] < np.asarray(lengths)[:, None]
 
 
-def max_over_time(seq: Tensor, lengths) -> Tensor:
-    """Columnwise max over each row's first ``lengths[b]`` positions:
-    [B x T x k] -> [B x k].
+def max_over_time(cells: Tensor, lengths) -> Tensor:
+    """Columnwise max over each row's own cells of a packed batch:
+    [N x k] -> [B x k], row b reducing its ``lengths[b]`` consecutive cells.
 
-    Gradient flows only to the argmax position of each column; the first
+    Gradient flows only to the argmax cell of each column; the first
     occurrence wins on ties.
     """
-    if seq.values.ndim != 3:
-        raise ValueError(f"max_over_time needs a [B x T x k] tensor, got shape {seq.shape}")
-    b, t, k = seq.shape
-    lengths = check_lengths(lengths, b, t)
-    masked = np.where(time_mask(lengths, t)[:, :, None], seq.values, -np.inf)
-    argmax = np.argmax(masked, axis=1)
-    rows, cols = np.arange(b)[:, None], np.arange(k)[None, :]
-    full_shape = seq.shape
+    if cells.values.ndim != 2:
+        raise ValueError(f"max_over_time needs a packed [N x k] tensor, got shape {cells.shape}")
+    v = cells.values
+    n, k = v.shape
+    lengths = check_lengths(lengths, n)
+    starts = np.cumsum(lengths) - lengths
+    best = np.maximum.reduceat(v, starts, axis=0)
 
     def backward_fn(g):
-        z = np.zeros(full_shape)
-        z[rows, argmax, cols] = g
+        hits = np.where(v == np.repeat(best, lengths, axis=0), np.arange(n)[:, None], n)
+        z = np.zeros((n, k))
+        z[np.minimum.reduceat(hits, starts, axis=0), np.arange(k)] = g
         return (z,)
 
-    return from_op(seq.values[rows, argmax, cols], "max_over_time", (seq,), backward_fn)
+    return from_op(best, "max_over_time", (cells,), backward_fn)
 
 
 def softmax_rows(logits: Tensor) -> Tensor:

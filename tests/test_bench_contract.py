@@ -4,7 +4,9 @@ A traced benchmark run wraps every function named in ``perfbench/spans.py``
 by attribute name, so each must exist and be callable; the untraced
 ``train_paper`` run wraps ``train.evaluate`` alone and splits training time
 from validation time at those calls, so ``train_encoded`` must reach it
-through the ``train`` module global, once per epoch.
+through the ``train`` module global, once per epoch.  The traced run also
+reads ``ids.size`` and ``valid_lengths.sum()`` off each ``train.make_batch``
+result for its padding ratio, so a batch keeps that padded container.
 """
 
 import importlib
@@ -55,3 +57,13 @@ def test_train_encoded_validates_through_the_module_global(monkeypatch):
         None, config, rng, vocab=vocab,
         weights=tr.compute_class_weights(train_split.label_counts, val_split.label_counts))
     assert len(calls) == len(history) == config.epochs
+
+
+def test_make_batch_keeps_what_the_padding_probe_reads():
+    split = toycorpus.make_split("train", 12, seed=0)
+    vocab = toycorpus.vocab_for(split)
+    examples = tr.encode_split(split, vocab)
+    batch = tr.make_batch(examples, None, 0)
+    valid, cells = int(batch.valid_lengths.sum()), int(batch.ids.size)
+    assert valid == sum(len(ex.ids) for ex in examples)
+    assert 0 < valid / cells <= 1

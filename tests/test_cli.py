@@ -151,6 +151,20 @@ def test_evaluate_demands_sentence_vectors_when_fused(world, capsys):
     assert "sentence" in capsys.readouterr().err
 
 
+def test_evaluate_names_the_first_unlabeled_example(world, capsys):
+    data_dir = preprocess(world)
+    assert run_train(world, data_dir, "run") == 0
+    split = toycorpus.make_split("val", 8, seed=2)
+    toycorpus.write_split(split, world / "unlabeled.txt", labeled=False)
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--checkpoint", str(world / "run" / "model.ckpt"),
+                   "--split", str(world / "unlabeled.txt"),
+                   "--sentence-vectors", str(world / "sv.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "labels" in err and split.conversations[0].id in err
+
+
 def test_finetune_writes_usable_vectors(world):
     lines = ["text\tlabel"]
     for i in range(8):

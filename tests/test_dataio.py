@@ -102,6 +102,11 @@ def test_load_word_vectors_skips_a_count_dim_header(tmp_path):
     with pytest.raises(ValueError) as err:
         dio.load_word_vectors(_write(tmp_path / "other.txt", "2 50\nhello 1 2 3\n"), 3)
     assert "line 1" in str(err.value)
+    # and it names both dims, not a count of values on the header line
+    w2v = _write(tmp_path / "glove.txt", "400000 300\nhello " + "0.5 " * 300 + "\n")
+    with pytest.raises(ValueError) as err:
+        dio.load_word_vectors(w2v, 100)
+    assert str(err.value) == f"{w2v} line 1: header declares 300-d vectors, expected 100"
     # with 1-d vectors "2 1" is a vector line: token "2", value 1
     npt.assert_array_equal(dio.load_word_vectors(
         _write(tmp_path / "one.txt", "2 1\nhi 4\n"), 1)["2"], [1.0])

@@ -29,33 +29,35 @@ def test_embedding_lookup_padding_row_and_repeats():
 
 def test_batched_lookup_skips_pad_and_checks_every_id():
     table = _lookup_table([[0, 0], [1, 2], [3, 4]])
-    ids = np.array([[1, 2, 0], [2, 0, 0]])
-    out = L.embedding_lookup(table, ids)
-    assert out.shape == (2, 3, 2)
-    npt.assert_array_equal(out.values[1], [[3, 4], [0, 0], [0, 0]])
-    # gradient at PAD positions is dropped, so row 0 never moves
+    # the packed ids of a batch, one stray PAD among them
+    out = L.embedding_lookup(table, np.array([1, 2, 0, 2]))
+    assert out.shape == (4, 2)
+    npt.assert_array_equal(out.values[2:], [[0, 0], [3, 4]])
+    # gradient at PAD is dropped, so row 0 never moves
     T.backward(T.sum_all(out))
     npt.assert_array_equal(table.table.grad, [[0, 0], [1, 1], [2, 2]])
 
     with pytest.raises(ValueError) as err:
-        L.embedding_lookup(table, np.array([[1, 2], [-4, 7]]))
+        L.embedding_lookup(table, np.array([1, 2, -4, 7]))
     assert str(err.value) == "token id -4 out of range for vocabulary of size 3"
+    with pytest.raises(ValueError):
+        L.embedding_lookup(table, np.array([[1, 2], [2, 0]]))  # a grid, not packed
 
 
 def test_lookup_into_a_computed_table_gets_dense_gradient():
     # the row gradient densifies when the table is not a leaf
     base = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     table = L.EmbeddingMatrix(3, 2, T.scale(base, 2.0))
-    T.backward(T.sum_all(L.embedding_lookup(table, [[2, 2, 1]])))
+    T.backward(T.sum_all(L.embedding_lookup(table, [2, 2, 1])))
     npt.assert_array_equal(base.grad, [[0, 0], [2, 2], [4, 4]])
 
 
 def test_batched_lookup_matches_finite_differences():
     rng = np.random.default_rng(12)
     table = L.EmbeddingMatrix.from_array(rng.uniform(-1, 1, (6, 3)))
-    ids = np.array([[1, 5, 5, 2], [4, 0, 0, 0], [3, 2, 1, 0]])
-    # downstream layers never read PAD positions; neither does this loss
-    weights = T.constant(rng.uniform(-1, 1, (3, 4, 3)) * (ids != 0)[..., None])
+    # rows [1, 5, 5, 2], [4], [3, 2, 1] packed, then a PAD the loss ignores
+    ids = np.array([1, 5, 5, 2, 4, 3, 2, 1, 0])
+    weights = T.constant(rng.uniform(-1, 1, (9, 3)) * (ids != 0)[:, None])
 
     def f(ps):
         return T.sum_all(T.tanh(T.mul(L.embedding_lookup(table, ids), weights)))
@@ -102,7 +104,7 @@ def test_lstm_step_matches_finite_differences():
     rng = np.random.default_rng(5)
     hidden, inp = 3, 4
     params = _scan_params(rng, inp, hidden)
-    x = T.Tensor(rng.uniform(-1, 1, (1, 2, inp)), requires_grad=True)
+    x = T.Tensor(rng.uniform(-1, 1, (2, inp)), requires_grad=True)
 
     def f(ps):
         return T.sum_all(L.lstm_scan(ps[0], [2], *ps[1:]))
@@ -115,9 +117,9 @@ def test_lstm_scan_matches_finite_differences(reverse):
     # mixed lengths, unsorted: a length-1 row and a row at the maximum
     rng = np.random.default_rng(6 + reverse)
     params = _scan_params(rng, 3, 2)
-    x = T.Tensor(rng.uniform(-1, 1, (4, 5, 3)), requires_grad=True)
     lengths = [3, 5, 1, 4]
-    probe = T.constant(rng.uniform(-1, 1, (4, 5, 2)))
+    x = T.Tensor(rng.uniform(-1, 1, (sum(lengths), 3)), requires_grad=True)
+    probe = T.constant(rng.uniform(-1, 1, (sum(lengths), 2)))
 
     def f(ps):
         return T.sum_all(T.mul(L.lstm_scan(ps[0], lengths, *ps[1:], reverse=reverse),
@@ -126,24 +128,28 @@ def test_lstm_scan_matches_finite_differences(reverse):
     assert T.finite_diff_check(f, [x] + params, eps=1e-5) < 1e-5
 
 
-def test_lstm_scan_zero_past_length_and_reverse_reads_own_end():
+def test_lstm_scan_rows_are_independent_and_reverse_reads_own_end():
     rng = np.random.default_rng(7)
     w, u, b = _scan_params(rng, 2, 3)
-    body = rng.uniform(-1, 1, (3, 2))
-    x = np.concatenate([body, rng.uniform(-1, 1, (2, 2))])[None]  # junk past 3
+    lengths = [3, 5, 1]
+    rows = [rng.uniform(-1, 1, (n, 2)) for n in lengths]
+    x = T.Tensor(np.concatenate(rows))
     for reverse in (False, True):
-        out = L.lstm_scan(T.Tensor(x), [3], w, u, b, reverse=reverse).values
-        alone = L.lstm_scan(T.Tensor(body[None]), [3], w, u, b, reverse=reverse).values
-        npt.assert_array_equal(out[0, 3:], np.zeros((2, 3)))
-        npt.assert_array_equal(out[:, :3], alone)
-    # reversing a row's valid prefix reverses the reverse scan's output
-    fwd = L.lstm_scan(T.Tensor(body[None]), [3], w, u, b).values
-    rev = L.lstm_scan(T.Tensor(body[None, ::-1].copy()), [3], w, u, b, reverse=True).values
-    npt.assert_allclose(fwd, rev[:, ::-1], atol=1e-15)
+        out = L.lstm_scan(x, lengths, w, u, b, reverse=reverse).values
+        alone = [L.lstm_scan(T.Tensor(r), [len(r)], w, u, b, reverse=reverse).values
+                 for r in rows]
+        npt.assert_allclose(out, np.concatenate(alone), rtol=0, atol=1e-15)
+    # reversing a row reverses the reverse scan's output
+    body = rows[0]
+    fwd = L.lstm_scan(T.Tensor(body), [3], w, u, b).values
+    rev = L.lstm_scan(T.Tensor(body[::-1].copy()), [3], w, u, b, reverse=True).values
+    npt.assert_allclose(fwd, rev[::-1], atol=1e-15)
     with pytest.raises(ValueError):
-        L.lstm_scan(T.Tensor(x), [6], w, u, b)
+        L.lstm_scan(x, [3, 5, 2], w, u, b)          # lengths sum to 10, not 9
     with pytest.raises(ValueError):
-        L.lstm_scan(T.Tensor(x[..., :1]), [3], w, u, b)
+        L.lstm_scan(T.Tensor(x.values[:, :1]), lengths, w, u, b)
+    with pytest.raises(ValueError):
+        L.lstm_scan(T.Tensor(x.values[None]), lengths, w, u, b)  # not packed
 
 
 def test_lstm_init_shapes_and_forget_bias():
@@ -159,33 +165,37 @@ def test_lstm_init_shapes_and_forget_bias():
 
 
 def test_bilstm_encode_shapes_and_padding():
+    # packed rows sit next to each other with no padding, and neither row's
+    # encoding reads the other's cells
     rng = np.random.default_rng(1)
     lay = [L.init_lstm_params(rng, 5, 3), L.init_lstm_params(rng, 6, 3)]
-    seq = T.Tensor(rng.uniform(-1, 1, (2, 7, 5)), requires_grad=True)
-    out = L.bilstm_encode(lay, seq, [4, 7], dropout_rate=0.0,
+    cells = T.Tensor(rng.uniform(-1, 1, (11, 5)), requires_grad=True)
+    out = L.bilstm_encode(lay, cells, [4, 7], dropout_rate=0.0,
                           training=False, rng=None)
-    assert out.shape == (2, 7, 6)
-    npt.assert_array_equal(out.values[0, 4:], np.zeros((3, 6)))
-    assert np.abs(out.values[0, :4]).max() > 0 and np.abs(out.values[1]).min() > 0
+    assert out.shape == (11, 6)
+    first = L.bilstm_encode(lay, T.Tensor(cells.values[:4]), [4], 0.0, False, None)
+    npt.assert_allclose(out.values[:4], first.values, rtol=0, atol=1e-15)
+    assert np.abs(out.values).min() > 0
 
-    single = L.bilstm_encode(lay, T.Tensor(rng.uniform(-1, 1, (1, 1, 5))), [1],
+    single = L.bilstm_encode(lay, T.Tensor(rng.uniform(-1, 1, (1, 5))), [1],
                              0.0, False, None)
-    assert single.shape == (1, 1, 6)
+    assert single.shape == (1, 6)
     with pytest.raises(ValueError):
-        L.bilstm_encode([], seq, [4, 7], 0.0, False, None)
+        L.bilstm_encode([], cells, [4, 7], 0.0, False, None)
     with pytest.raises(ValueError):
-        L.bilstm_encode(lay, seq, [4, 9], 0.0, False, None)
+        L.bilstm_encode(lay, cells, [4, 9], 0.0, False, None)
     with pytest.raises(ValueError):
-        L.bilstm_encode(lay, T.Tensor(rng.uniform(-1, 1, (7, 5))), [4], 0.0, False, None)
+        L.bilstm_encode(lay, T.Tensor(rng.uniform(-1, 1, (2, 7, 5))), [4, 7], 0.0, False,
+                        None)
 
 
 def test_bilstm_encode_zero_params_zero_output():
     zeros = L.LstmDirection(w=T.Tensor(np.zeros((12, 2))), u=T.Tensor(np.zeros((12, 3))),
                             b=T.Tensor(np.zeros(12)), hidden_size=3)
     lay = [L.LstmLayerParams(2, 3, fwd=zeros, bwd=zeros)]
-    seq = T.Tensor(np.random.default_rng(2).uniform(-1, 1, (2, 4, 2)))
-    out = L.bilstm_encode(lay, seq, [4, 2], 0.0, False, None)
-    npt.assert_array_equal(out.values, np.zeros((2, 4, 6)))
+    cells = T.Tensor(np.random.default_rng(2).uniform(-1, 1, (6, 2)))
+    out = L.bilstm_encode(lay, cells, [4, 2], 0.0, False, None)
+    npt.assert_array_equal(out.values, np.zeros((6, 6)))
 
 
 def test_bilstm_reversal_swaps_direction_halves():
@@ -195,10 +205,10 @@ def test_bilstm_reversal_swaps_direction_halves():
         rng = np.random.default_rng(300 + seed)
         lay = [L.init_lstm_params(rng, 4, 3)]
         lay[0].bwd = lay[0].fwd  # shared weights make the symmetry exact
-        vals = rng.uniform(-1, 1, (1, 6, 4))
-        fwd = L.bilstm_encode(lay, T.Tensor(vals), [6], 0.0, False, None).values[0]
-        rev = L.bilstm_encode(lay, T.Tensor(vals[:, ::-1].copy()), [6], 0.0, False,
-                              None).values[0]
+        vals = rng.uniform(-1, 1, (6, 4))
+        fwd = L.bilstm_encode(lay, T.Tensor(vals), [6], 0.0, False, None).values
+        rev = L.bilstm_encode(lay, T.Tensor(vals[::-1].copy()), [6], 0.0, False,
+                              None).values
         swapped = np.concatenate([rev[::-1, 3:], rev[::-1, :3]], axis=1)
         npt.assert_allclose(fwd, swapped, atol=1e-12)
 
@@ -206,8 +216,8 @@ def test_bilstm_reversal_swaps_direction_halves():
 def test_bilstm_encode_matches_finite_differences():
     rng = np.random.default_rng(8)
     lay = [L.init_lstm_params(rng, 3, 2), L.init_lstm_params(rng, 4, 2)]
-    seq = T.Tensor(rng.uniform(-1, 1, (3, 4, 3)), requires_grad=True)
-    params = [seq]
+    cells = T.Tensor(rng.uniform(-1, 1, (8, 3)), requires_grad=True)
+    params = [cells]
     for p in lay:
         params += [p.fwd.w, p.fwd.u, p.fwd.b, p.bwd.w, p.bwd.u, p.bwd.b]
 
@@ -222,9 +232,10 @@ def test_conv_identity_filter_takes_max():
     bank = L.ConvFilterBank((1,), 1, 1,
                             weights=[T.Tensor([[1.0]], requires_grad=True)],
                             biases=[T.Tensor([0.0], requires_grad=True)])
-    seq = T.Tensor(np.array([[[1.0], [2.0], [3.0]]] * 2))
-    # the second row's valid length masks the later, larger values
-    npt.assert_array_equal(L.conv1d_over_time(bank, seq, [3, 1]).values, [[3.0], [1.0]])
+    cells = T.Tensor(np.array([[1.0], [2.0], [3.0], [1.0]]))
+    # each row pools its own cells only: the 1-cell row never sees the 3
+    npt.assert_array_equal(L.conv1d_over_time(bank, cells, [3, 1]).values, [[3.0], [1.0]])
+    npt.assert_array_equal(L.conv1d_over_time(bank, cells, [1, 3]).values, [[1.0], [3.0]])
 
 
 def test_conv_short_sequence_zero_pads():
@@ -232,10 +243,13 @@ def test_conv_short_sequence_zero_pads():
                             weights=[T.Tensor([[1.0, 1.0]], requires_grad=True)],
                             biases=[T.Tensor([0.5], requires_grad=True)])
     # single window is [2, pad 0]: relu(2 + 0 + 0.5) = 2.5, whatever follows
-    npt.assert_array_equal(L.conv1d_over_time(bank, T.Tensor([[[2.0]]]), [1]).values,
+    npt.assert_array_equal(L.conv1d_over_time(bank, T.Tensor([[2.0]]), [1]).values,
                            [[2.5]])
-    seq = T.Tensor(np.array([[[2.0], [9.0], [9.0]], [[1.0], [1.0], [1.0]]]))
-    npt.assert_array_equal(L.conv1d_over_time(bank, seq, [1, 3]).values, [[2.5], [2.5]])
+    # a short row first, in the middle and last: its window pads with zero,
+    # never with the next row's first cell
+    cells = T.Tensor(np.array([[2.0], [1.0], [1.0], [1.0], [3.0], [9.0], [9.0], [4.0]]))
+    npt.assert_array_equal(L.conv1d_over_time(bank, cells, [1, 3, 1, 2, 1]).values,
+                           [[2.5], [2.5], [3.5], [18.5], [4.5]])
 
 
 def test_conv_default_bank_is_900_dim():
@@ -244,27 +258,29 @@ def test_conv_default_bank_is_900_dim():
     assert bank.kernel_sizes == (1, 2, 3) and bank.output_dim == 900
     n_params = sum(w.size + b.size for w, b in zip(bank.weights, bank.biases))
     assert n_params == sum(300 * (k * 100 + 1) for k in (1, 2, 3))
-    seq = T.Tensor(rng.uniform(-1, 1, (2, 5, 100)))
-    assert L.conv1d_over_time(bank, seq, [5, 2]).shape == (2, 900)
+    cells = T.Tensor(rng.uniform(-1, 1, (7, 100)))
+    assert L.conv1d_over_time(bank, cells, [5, 2]).shape == (2, 900)
     with pytest.raises(ValueError):
-        L.conv1d_over_time(bank, T.Tensor(rng.uniform(-1, 1, (1, 5, 99))), [5])
+        L.conv1d_over_time(bank, T.Tensor(rng.uniform(-1, 1, (5, 99))), [5])
+    with pytest.raises(ValueError):
+        L.conv1d_over_time(bank, cells, [5, 1])
 
 
-def test_conv_ignores_trailing_padding():
+def test_conv_rows_match_each_row_alone():
     rng = np.random.default_rng(4)
     bank = L.init_conv_bank(rng, dim=3, kernel_sizes=(1, 2, 3), filters_per_size=2)
-    body = rng.uniform(-1, 1, (1, 4, 3))
-    short = L.conv1d_over_time(bank, T.Tensor(body), [4]).values
-    padded = np.concatenate([body, rng.uniform(-1, 1, (1, 3, 3))], axis=1)
-    long = L.conv1d_over_time(bank, T.Tensor(padded), [4]).values
-    npt.assert_array_equal(short, long)
+    lengths = [4, 1, 2, 5]
+    rows = [rng.uniform(-1, 1, (n, 3)) for n in lengths]
+    together = L.conv1d_over_time(bank, T.Tensor(np.concatenate(rows)), lengths).values
+    alone = [L.conv1d_over_time(bank, T.Tensor(r), [len(r)]).values for r in rows]
+    npt.assert_allclose(together, np.concatenate(alone), rtol=0, atol=1e-12)
 
 
 def test_conv_matches_finite_differences():
     rng = np.random.default_rng(9)
     bank = L.init_conv_bank(rng, dim=3, kernel_sizes=(1, 2, 3), filters_per_size=2)
-    seq = T.Tensor(rng.uniform(-1, 1, (3, 5, 3)), requires_grad=True)
-    params = [seq] + bank.weights + bank.biases
+    cells = T.Tensor(rng.uniform(-1, 1, (8, 3)), requires_grad=True)
+    params = [cells] + bank.weights + bank.biases
 
     def f(ps):
         return T.sum_all(T.tanh(L.conv1d_over_time(bank, ps[0], [5, 1, 2])))

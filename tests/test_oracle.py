@@ -104,22 +104,48 @@ def test_finetune_cnn_matches_per_example_oracle():
         npt.assert_allclose(grads[name], want, rtol=0, atol=1e-10, err_msg=name)
 
 
-def test_conv_ignores_appended_pad_positions():
-    rng = np.random.default_rng(5)
-    bank = L.init_conv_bank(rng, dim=3, kernel_sizes=(1, 2, 3), filters_per_size=2)
-    body = rng.uniform(-1, 1, (3, 4, 3))
-    lengths = [4, 1, 2]
-    out = []
-    for extra in (0, 3):
-        seq = T.Tensor(np.concatenate([body, rng.uniform(-1, 1, (3, extra, 3))], axis=1),
-                       requires_grad=True)
-        T.reset_grads(bank.weights + bank.biases)
-        T.backward(T.sum_all(T.tanh(L.conv1d_over_time(bank, seq, lengths))))
-        out.append([seq.grad[:, :4].copy()] + [T.grad_of(p).copy()
-                                               for p in bank.weights + bank.biases])
-        npt.assert_array_equal(seq.grad[:, 4:], 0.0)
-    for got, want in zip(out[1], out[0]):
-        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+def test_rows_match_each_row_run_alone():
+    """A row's eval-mode RCNN logits and CNN probability do not depend on the
+    other rows packed next to it."""
+    params, rng = _model(5)
+    batch = _batch(rng, LENGTHS)
+    with T.no_grad():
+        together = rcnn.forward(params, batch, False, None)[0].values
+        for i, n in enumerate(LENGTHS):
+            alone = rcnn.Batch(batch.ids[i:i + 1, :n], batch.valid_lengths[i:i + 1],
+                               batch.sentence_vectors[i:i + 1], None)
+            npt.assert_allclose(rcnn.forward(params, alone, False, None)[0].values[0],
+                                together[i], rtol=0, atol=1e-12)
+
+        model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
+        rows = [rng.integers(1, 11, n) for n in (5, 1, 2, 6, 3)]
+        probs = ft.forward_finetune(model, rows, False, None).values
+        for row, p in zip(rows, probs):
+            npt.assert_allclose(ft.forward_finetune(model, [row], False, None).values,
+                                [p], rtol=0, atol=1e-12)
+
+
+def test_graph_holds_valid_cells_only(monkeypatch):
+    """A training step records values for each row's own cells: fifteen
+    2-token rows beside one 40-token row record under half the bytes of
+    sixteen 40-token rows."""
+    recorded = []
+    record = T.from_op
+
+    def counted(*args):
+        out = record(*args)
+        if out.requires_grad:
+            recorded[-1] += out.values.nbytes
+        return out
+
+    monkeypatch.setattr(T, "from_op", counted)
+    params, rng = _model(7, CONFIG.replace(dropout_bilstm=0.3, dropout_linear=0.3))
+    for lengths in ([2] * 15 + [40], [40] * 16):
+        recorded.append(0)
+        batch = _batch(rng, lengths)
+        _, probs = rcnn.forward(params, batch, True, rng)
+        T.backward(tr.weighted_cross_entropy(probs, batch.labels, WEIGHTS))
+    assert recorded[0] < recorded[1] / 2
 
 
 def test_forward_is_one_scan_per_layer_and_direction(monkeypatch):

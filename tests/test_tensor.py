@@ -141,7 +141,8 @@ def _separated(rng, shape):
 OP_CASES = {
     "linear_rows": lambda rng: ([_rand(rng, (5, 3)), _rand(rng, (2, 3)), _rand(rng, (2,))],
                                 lambda ps: T.sum_all(T.tanh(T.linear_rows(*ps)))),
-    "linear_rows_batched": lambda rng: ([_rand(rng, (2, 4, 3)), _rand(rng, (2, 3)),
+    # the packed [N x k] cells of a batch with lengths 1, 4 and 3
+    "linear_rows_batched": lambda rng: ([_rand(rng, (8, 3)), _rand(rng, (2, 3)),
                                          _rand(rng, (2,))],
                                         lambda ps: T.sum_all(T.tanh(T.linear_rows(*ps)))),
     "add": lambda rng: ([_rand(rng, (3, 3)), _rand(rng, (3, 3))],
@@ -169,7 +170,7 @@ OP_CASES = {
     "take_per_row": lambda rng: ([_rand(rng, (4, 5))],
                                  lambda ps: T.sum_all(T.tanh(T.take_per_row(ps[0], [1, 0, 4, 2])))),
     # mixed lengths: a length-1 row, a row at the maximum, one in between
-    "max_over_time": lambda rng: ([_separated(rng, (3, 6, 2))],
+    "max_over_time": lambda rng: ([_separated(rng, (11, 2))],
                                   lambda ps: T.sum_all(T.tanh(T.max_over_time(ps[0], [1, 6, 4])))),
     "softmax_rows": lambda rng: ([_rand(rng, (3, 4))],
                                  lambda ps: T.sum_all(T.mul(T.softmax_rows(ps[0]),
@@ -192,7 +193,7 @@ def test_composite_graph_matches_finite_differences():
     # a miniature of the real model: project, pool, softmax, loss
     for seed in range(5):
         rng = np.random.default_rng(200 + seed)
-        seq = T.Tensor(rng.uniform(-0.5, 0.5, (2, 4, 4)), requires_grad=True)
+        cells = T.Tensor(rng.uniform(-0.5, 0.5, (6, 4)), requires_grad=True)
         w = T.Tensor(rng.uniform(-0.5, 0.5, (3, 4)), requires_grad=True)
         b = T.Tensor(rng.uniform(-0.1, 0.1, (3,)), requires_grad=True)
 
@@ -203,7 +204,7 @@ def test_composite_graph_matches_finite_differences():
             probs = T.softmax_rows(pooled)
             return T.scale(T.sum_all(T.log(T.take_per_row(probs, [1, 2]))), -0.5)
 
-        err = T.finite_diff_check(f, [seq, w, b], eps=1e-5)
+        err = T.finite_diff_check(f, [cells, w, b], eps=1e-5)
         assert err < 1e-4, f"seed {seed}: max rel err {err}"
 
 
@@ -218,25 +219,30 @@ def test_shape_errors_are_loud():
         T.linear_rows(m, m, v)
     with pytest.raises(ValueError):
         T.reshape(m, (4, 2))
-    seq = _t((2, 3, 1), range(6))
+    cells = _t((4, 1), range(4))
     with pytest.raises(ValueError):
-        T.max_over_time(m, [1, 1])          # not [B x T x k]
+        T.max_over_time(_t((2, 2, 1), range(4)), [2, 2])  # a grid, not packed
     with pytest.raises(ValueError):
-        T.max_over_time(seq, [0, 3])        # empty row
+        T.max_over_time(cells, [0, 4])      # empty row
     with pytest.raises(ValueError):
-        T.max_over_time(seq, [1, 4])        # longer than T
+        T.max_over_time(cells, [1, 4])      # more cells than the tensor has
     with pytest.raises(ValueError):
-        T.max_over_time(seq, [1])           # one length for two rows
+        T.max_over_time(cells, [3])         # fewer
+    with pytest.raises(ValueError):
+        T.max_over_time(cells, [])          # no rows
+    with pytest.raises(ValueError):
+        T.max_over_time(cells, [[2, 2]])    # not a vector of lengths
 
 
 def test_masked_max_known_values():
-    seq = _t((2, 3, 1), [1.0, 5.0, 2.0, 7.0, 9.0, 8.0])
-    # row 0 sees only its first position; row 1 all three
-    npt.assert_array_equal(T.max_over_time(seq, [1, 3]).values, [[1.0], [9.0]])
-    # ties go to the first position
-    seq = T.Tensor(np.array([[[3.0], [3.0], [1.0]]]), requires_grad=True)
-    T.backward(T.sum_all(T.max_over_time(seq, [3])))
-    npt.assert_array_equal(seq.grad, [[[1.0], [0.0], [0.0]]])
+    cells = _t((4, 2), [1.0, 5.0, 7.0, 2.0, 9.0, 0.0, 8.0, 3.0])
+    # row 0 is its one cell; row 1 reduces the next three, per column
+    npt.assert_array_equal(T.max_over_time(cells, [1, 3]).values,
+                           [[1.0, 5.0], [9.0, 3.0]])
+    # ties go to the first cell of the row, and a tie across rows is two maxima
+    cells = T.Tensor(np.array([[3.0], [3.0], [1.0], [3.0], [3.0]]), requires_grad=True)
+    T.backward(T.sum_all(T.max_over_time(cells, [3, 1, 1])))
+    npt.assert_array_equal(cells.grad, [[1.0], [0.0], [0.0], [1.0], [1.0]])
 
 
 def test_no_grad_records_no_graph():
