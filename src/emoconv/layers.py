@@ -34,7 +34,7 @@ class EmbeddingMatrix:
 
     @classmethod
     def from_array(cls, values, frozen: bool = False) -> "EmbeddingMatrix":
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.ascontiguousarray(values, dtype=np.float64)  # Adam updates it in place
         if arr.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-d, got shape {arr.shape}")
         return cls(vocab_size=arr.shape[0], dim=arr.shape[1],

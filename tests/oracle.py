@@ -5,15 +5,20 @@ convolution window) at a time from small tensor ops, exactly as the engine
 did before ``lstm_scan``, the masked ``max_over_time`` and ``unfold``
 existed.  Tests run the batched model and this oracle on the same parameters
 and require equal logits and gradients.  The ops that only this path needs
-(``matvec``, ``narrow``, ``take_row``, ``stack_rows``) live here too.
+(``matvec``, ``narrow``, ``take_row``, ``stack_rows``) live here too, as do
+the whole-array Adam step and gradient clipping that the blocked, skipping
+ones in ``train`` must match byte for byte.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from emoconv import layers as L
 from emoconv import tensor as T
+from emoconv import train as tr
 
 # ---------------------------------------------------------------------------
 # Ops used only by the per-example path
@@ -182,3 +187,41 @@ def finetune_probs(model, rows) -> T.Tensor:
         pooled = conv1d_over_time(model.bank, seq, len(ids))
         out.append(T.sigmoid(linear(model.out_w, model.out_b, pooled)))
     return T.concat(out, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Optimizer, one whole-array pass per operation over every parameter
+
+
+def clip_gradients(named_params, max_norm: float) -> float:
+    sq = 0.0
+    for name, t in named_params.items():
+        g = T.grad_of(t)
+        if not np.isfinite(g).all():
+            raise ValueError(f"non-finite gradient in parameter {name!r}")
+        sq += float((g * g).sum())
+    norm = math.sqrt(sq)
+    if norm <= max_norm or norm == 0.0:
+        return 1.0
+    factor = max_norm / norm
+    for t in named_params.values():
+        if t.grad is not None:
+            t.grad *= factor
+    return factor
+
+
+def adam_step(state, named_params, lr: float) -> None:
+    if lr <= 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    state.t += 1
+    bc1 = 1.0 - tr.ADAM_BETA1 ** state.t
+    bc2 = 1.0 - tr.ADAM_BETA2 ** state.t
+    for name, p in named_params.items():
+        g = T.grad_of(p)
+        m = state.m[name]
+        v = state.v[name]
+        m *= tr.ADAM_BETA1
+        m += (1.0 - tr.ADAM_BETA1) * g
+        v *= tr.ADAM_BETA2
+        v += (1.0 - tr.ADAM_BETA2) * g * g
+        p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS)

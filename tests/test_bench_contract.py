@@ -7,10 +7,14 @@ from validation time at those calls, so ``train_encoded`` must reach it
 through the ``train`` module global, once per epoch.  The traced run also
 reads ``ids.size`` and ``valid_lengths.sum()`` off each ``train.make_batch``
 result for its padding ratio, so a batch keeps that padded container.
+Both training loops step through the one ``train.adam_step``, so its traced
+seconds measure the same call, with the same arguments, on both sides of a
+comparison.
 """
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -18,6 +22,7 @@ import numpy as np
 import pytest
 
 import toycorpus
+from emoconv import finetune as ft
 from emoconv import layers as L
 from emoconv import rcnn
 from emoconv import train as tr
@@ -67,3 +72,8 @@ def test_make_batch_keeps_what_the_padding_probe_reads():
     valid, cells = int(batch.valid_lengths.sum()), int(batch.ids.size)
     assert valid == sum(len(ex.ids) for ex in examples)
     assert 0 < valid / cells <= 1
+
+
+def test_both_loops_step_through_the_one_adam_step():
+    assert ft.adam_step is tr.adam_step
+    assert list(inspect.signature(tr.adam_step).parameters) == ["state", "named_params", "lr"]

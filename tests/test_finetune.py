@@ -5,6 +5,7 @@ import pytest
 from emoconv import finetune as ft
 from emoconv import layers as L
 from emoconv import tensor as T
+from emoconv import train as tr
 from emoconv.textprep import TokenSequence, build_vocab
 
 
@@ -90,14 +91,28 @@ def test_encode_corpus_validation():
         ft.encode_corpus([("", 1)], vocab)
 
 
-def test_frozen_epoch_keeps_embedding_bit_identical():
+def test_frozen_epoch_keeps_embedding_bit_identical(monkeypatch):
     model, corpus, _, vocab, rng = _setup(seed=5)
     before = model.emb.table.values.copy()
+    states = []
+
+    def read_only_table(named):  # a write to the frozen table would raise
+        states.append(tr.init_adam(named))
+        frozen = [named["embedding.table"].values, states[0].m["embedding.table"],
+                  states[0].v["embedding.table"]]
+        for arr in frozen:
+            arr.flags.writeable = False
+        return states[0]
+
+    monkeypatch.setattr(ft, "init_adam", read_only_table)
     schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=0, lr=0.01,
                                    batch_size=16)
     emb, losses = ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
     assert len(losses) == 1
     npt.assert_array_equal(emb.table.values, before)
+    m, v = states[0].m["embedding.table"], states[0].v["embedding.table"]
+    assert not (m.any() or v.any() or np.signbit(m).any())
+    assert states[0].m["output.w"].any()
     assert model.emb.frozen is False
 
 

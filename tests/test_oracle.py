@@ -172,3 +172,68 @@ def test_forward_is_one_scan_per_layer_and_direction(monkeypatch):
         assert len(calls) == 2 * CONFIG.num_layers * max(lengths)
         sizes.append(sum(nodes))
     assert sizes[0] == sizes[1] < 100
+
+
+def _twin_params(shapes, seed):
+    rng = np.random.default_rng(seed)
+    values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    return [{name: T.Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
+            for _ in range(2)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_adam_matches_the_whole_array_oracle_byte_for_byte():
+    block = tr.ADAM_BLOCK
+    shapes = {"below": (block - 1,), "block": (block,), "above": (block + 1,),
+              "matrix": (3, block // 2), "bias": (1,), "never": (5,),
+              "stops": (block + 1,), "zero": (4, 2)}
+    blocked, whole = _twin_params(shapes, seed=40)
+    state, want_state = tr.init_adam(blocked), tr.init_adam(whole)
+    rng = np.random.default_rng(41)
+    stops_m = []
+    for step, lr in enumerate([0.01, 0.0005, 0.1, 0.0005, 0.002, 0.01], start=1):
+        for name, shape in shapes.items():
+            if name == "never" or (name == "stops" and step > 2):
+                grad = None
+            elif name == "zero":
+                grad = np.zeros(shape)
+            else:  # magnitudes from underflow in g*g to overflow in v
+                grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-200, 160, shape)
+            for named in (blocked, whole):
+                named[name].grad = None if grad is None else grad.copy()
+        tr.adam_step(state, blocked, lr)
+        oracle.adam_step(want_state, whole, lr)
+        assert state.t == want_state.t == step
+        for name in shapes:
+            assert blocked[name].values.tobytes() == whole[name].values.tobytes(), name
+            assert state.m[name].tobytes() == want_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == want_state.v[name].tobytes(), name
+        stops_m.append(state.m["stops"].copy())
+    assert not state.m["never"].any() and not state.v["never"].any()
+    npt.assert_array_equal(blocked["never"].values, whole["never"].values)
+    # with no gradient after step 2, the moments keep decaying, so it keeps moving
+    npt.assert_array_equal(stops_m[3], stops_m[2] * tr.ADAM_BETA1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_clip_matches_the_whole_array_oracle_byte_for_byte():
+    shapes = {"a": (tr.ADAM_BLOCK + 1,), "none": (7,), "b": (3, 5), "bias": (1,)}
+    rng = np.random.default_rng(42)
+    for scale in (1e-3, 1.0, 1e3, 1e160):  # under the norm, over it, overflowing
+        clipped, whole = _twin_params(shapes, seed=43)
+        for name, shape in shapes.items():
+            grad = None if name == "none" else rng.normal(size=shape) * scale
+            for named in (clipped, whole):
+                named[name].grad = None if grad is None else grad.copy()
+        factor = tr.clip_gradients(clipped, 5.0)
+        assert factor.hex() == oracle.clip_gradients(whole, 5.0).hex()
+        assert clipped["none"].grad is None
+        for name in ("a", "b", "bias"):
+            assert clipped[name].grad.tobytes() == whole[name].grad.tobytes()
+    clipped["b"].grad[1, 2] = np.inf
+    whole["b"].grad[1, 2] = np.inf
+    with pytest.raises(ValueError) as want:
+        oracle.clip_gradients(whole, 5.0)
+    with pytest.raises(ValueError) as err:
+        tr.clip_gradients(clipped, 5.0)
+    assert str(err.value) == str(want.value) == "non-finite gradient in parameter 'b'"

@@ -154,6 +154,15 @@ def test_adam_unreachable_parameter_stays_put():
     npt.assert_array_equal(t.values, [2.0, 3.0])
 
 
+def test_adam_refuses_a_parameter_it_cannot_update_in_place():
+    named = _grad_tensors({"w": (np.zeros((3, 2)), np.ones((3, 2)))})
+    named["w"].values = np.asfortranarray(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        tr.adam_step(tr.init_adam(named), named, lr=0.1)
+    table = L.EmbeddingMatrix.from_array(np.asfortranarray(np.ones((3, 2)))).table
+    assert table.values.flags.c_contiguous
+
+
 def test_lr_schedule():
     cfg = TrainConfig()
     for epoch in range(1, 6):
@@ -237,22 +246,58 @@ def _toy_setup(config, n_train=16, n_val=8):
     return params, train_split, val_split, store, vocab, rng
 
 
-def test_train_freezes_embedding_then_updates_it():
+def test_train_freezes_embedding_then_updates_it(monkeypatch):
     params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG)
     initial = params.embedding.table.values.copy()
+    init_adam, states = tr.init_adam, []
+
+    def read_only_table(named):  # a write to the frozen table would raise
+        states.append(init_adam(named))
+        frozen = [named["embedding.table"].values, states[0].m["embedding.table"],
+                  states[0].v["embedding.table"]]
+        for arr in frozen:
+            arr.flags.writeable = False
+        return states[0]
+
     seen = {}
 
     def hook(epoch, p, row):
         seen[epoch] = np.array_equal(p.embedding.table.values, initial)
+        m, v = states[0].m["embedding.table"], states[0].v["embedding.table"]
+        seen[epoch, "moments"] = not (m.any() or v.any() or np.signbit(m).any())
+        if epoch == TOY_CONFIG.freeze_embedding_epochs:
+            for arr in (p.embedding.table.values, m, v):
+                arr.flags.writeable = True
 
+    monkeypatch.setattr(tr, "init_adam", read_only_table)
     ckpt, history = tr.train(params, train_split, val_split, store, TOY_CONFIG,
                              rng, vocab=vocab, epoch_hook=hook)
     assert seen[1] and seen[2]      # bit-identical through the frozen epochs
+    assert seen[1, "moments"] and seen[2, "moments"]  # still +0.0
     assert not seen[3]              # unfrozen epoch moved it
+    assert not seen[3, "moments"]
     assert len(history) == 3
     assert all(row.lr == 0.01 for row in history)  # anneal disabled here
     assert all(0 <= row.clip_fraction <= 1 for row in history)
     assert ckpt.best_val_f1 == max(r.val_micro_f1 for r in history)
+
+
+def test_non_finite_gradient_names_epoch_and_step(monkeypatch):
+    params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG)
+    steps_per_epoch = -(-len(train_split.conversations) // TOY_CONFIG.batch_size)
+    assert steps_per_epoch >= 2
+    backward, calls = T.backward, []
+
+    def poisoned_backward(loss):
+        backward(loss)
+        calls.append(1)
+        if len(calls) == steps_per_epoch + 2:  # epoch 2, step 2
+            params.out_w.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(T, "backward", poisoned_backward)
+    with pytest.raises(ValueError) as err:
+        tr.train(params, train_split, val_split, store, TOY_CONFIG, rng, vocab=vocab)
+    assert str(err.value) == "epoch 2, step 2: non-finite gradient in parameter 'output.w'"
 
 
 def test_unfrozen_epoch_keeps_pad_row_zero():
