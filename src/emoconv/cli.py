@@ -33,8 +33,8 @@ from .dataio import (LABELS, build_embedding_matrix, load_checkpoint,
                      save_word_vectors)
 from .finetune import (FinetuneSchedule, build_finetune_model,
                        finetune_embeddings, load_finetune_corpus)
-from .textprep import (TokenSequence, Vocabulary, assemble_input, build_vocab,
-                       clean_text, tokenize)
+from .textprep import (TokenSequence, Vocabulary, build_vocab, clean_text,
+                       tokenize)
 
 log = logging.getLogger(__name__)
 
@@ -122,30 +122,30 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _avg_utterance_tokens(split) -> float:
-    counts = [len(tokenize(clean_text(turn)))
-              for conv in split.conversations for turn in conv.turns]
-    return sum(counts) / len(counts) if counts else 0.0
+def _avg_utterance_tokens(sequences: list[TokenSequence]) -> float:
+    """Mean tokens per turn; a sequence is three turns and two EOS tokens."""
+    turns = 3 * len(sequences)
+    return sum(seq.n - 2 for seq in sequences) / turns if turns else 0.0
 
 
 def cmd_preprocess(args) -> int:
     splits = [load_dataset(args.train, "train"), load_dataset(args.val, "val")]
     if args.test:
         splits.append(load_dataset(args.test, "test"))
-    vocab = build_vocab([assemble_input(c.turns)
-                         for c in splits[0].conversations])
+    assembled = [tr.assemble_split(split) for split in splits]
+    vocab = build_vocab(assembled[0])
     os.makedirs(args.out_dir, exist_ok=True)
     save_vocab(vocab, os.path.join(args.out_dir, "vocab.txt"))
 
     lines = ["split\ttotal\t" + "\t".join(LABELS) +
              "\tavg_tokens_per_utterance\tencoded"]
-    for split in splits:
-        encoded = tr.encode_split(split, vocab)
+    for split, sequences in zip(splits, assembled):
+        encoded = tr.encode_split(split, vocab, sequences)
         tr.save_encoded(encoded, split.label_counts,
                         os.path.join(args.out_dir, f"{split.name}.ids.tsv"))
         counts = [str(split.label_counts.get(name, 0)) for name in LABELS]
         lines.append(f"{split.name}\t{len(split)}\t" + "\t".join(counts) +
-                     f"\t{_avg_utterance_tokens(split):.2f}\t{len(encoded)}")
+                     f"\t{_avg_utterance_tokens(sequences):.2f}\t{len(encoded)}")
     lines.append(f"vocab_size\t{vocab.size}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -228,8 +228,8 @@ def cmd_sweep(args) -> int:
     config = _load_base_config(args)
     train_split = load_dataset(args.train, "train")
     val_split = load_dataset(args.val, "val")
-    vocab = build_vocab([assemble_input(c.turns)
-                         for c in train_split.conversations])
+    train_sequences = tr.assemble_split(train_split)
+    vocab = build_vocab(train_sequences)
     store = _load_store(args.sentence_vectors, config.sentence_dim)
     if store is None:
         config = config.replace(sentence_dim=0)
@@ -244,7 +244,7 @@ def cmd_sweep(args) -> int:
     spec = sw.SweepSpec(args.axis, values, seeds)
     _, aggregates = sw.run_sweep(spec, config, train_split, val_split, store,
                                  vocab, runs_dir=args.runs_dir,
-                                 pretrained=pretrained)
+                                 pretrained=pretrained, train_sequences=train_sequences)
     _emit(args, sw.format_sweep_report(aggregates))
     return 0
 

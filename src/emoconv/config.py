@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -53,6 +54,22 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data) -> "TrainConfig":
+        """The inverse of ``to_dict``; absent keys keep their defaults, and an
+        unknown key or a value of the wrong JSON type is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a mapping, got {type(data).__name__}")
+        unknown = sorted(set(data) - set(_FIELD_TYPES))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        for key, value in data.items():
+            kind = _FIELD_TYPES[key]
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(
+                    value, int if kind == "int" else (int, float)) or not math.isfinite(value):
+                raise ValueError(f"config key {key!r} needs a finite {kind}, got {value!r}")
+        return dataclasses.replace(cls(), **data).validate()
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}

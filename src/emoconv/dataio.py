@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TrainConfig
-from .textprep import Vocabulary
+from .textprep import SPECIALS, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -233,14 +235,64 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(raw)
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+def _need(fh, n: int, path, what: str) -> None:
+    """Raise unless the file still holds ``n`` bytes.  Checked before
+    anything is allocated, so a corrupt length field cannot ask for more."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated checkpoint while reading {what}")
-    return data
+
+
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    _need(fh, n, path, what)
+    return fh.read(n)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checkpoint_meta(blob: bytes, path) -> tuple[dict, TrainConfig]:
+    """The metadata block, checked field by field: malformed metadata is a
+    ValueError that names the file, never a KeyError or TypeError."""
+    try:
+        meta = json.loads(blob)
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: checkpoint metadata is not valid JSON ({err})") from None
+
+    def bad(what):
+        return ValueError(f"{path}: checkpoint metadata has {what}")
+
+    if not isinstance(meta, dict):
+        raise bad("no JSON object")
+    missing = sorted({"arrays", "best_val_f1", "config", "epoch", "vocab"} - set(meta))
+    if missing:
+        raise bad(f"no {', '.join(missing)}")
+    arrays = meta["arrays"]
+    if not isinstance(arrays, list) or not all(
+            isinstance(a, dict) and isinstance(a.get("name"), str)
+            and isinstance(a.get("shape"), list)
+            and all(_is_int(d) and d >= 0 for d in a["shape"]) for a in arrays):
+        raise bad("an array list that is not [{name, shape}, ...]")
+    if len({a["name"] for a in arrays}) != len(arrays):
+        raise bad("a repeated array name")
+    vocab = meta["vocab"]
+    if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab) \
+            or vocab[:len(SPECIALS)] != list(SPECIALS):
+        raise bad("a vocabulary that is not a token list starting with the reserved tokens")
+    if not _is_int(meta["epoch"]) or meta["epoch"] < 1:
+        raise bad(f"epoch {meta['epoch']!r}, not an integer >= 1")
+    if not isinstance(meta["best_val_f1"], (int, float)) or isinstance(meta["best_val_f1"], bool):
+        raise bad(f"best_val_f1 {meta['best_val_f1']!r}, not a number")
+    try:
+        return meta, TrainConfig.from_dict(meta["config"])
+    except ValueError as err:
+        raise bad(f"a bad config: {err}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a file written by :func:`save_checkpoint`.  Each array payload is
+    read straight into its array.  A file that is not a checkpoint, is cut
+    short or has malformed metadata raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -250,23 +302,22 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"{path}: checkpoint version {version} is not the "
                              f"supported version {CHECKPOINT_VERSION}")
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "metadata length"))
-        meta = json.loads(_read_exact(fh, meta_len, path, "metadata"))
+        meta, config = _checkpoint_meta(_read_exact(fh, meta_len, path, "metadata"), path)
         params = {}
         for entry in meta["arrays"]:
-            shape = tuple(entry["shape"])
+            name, shape = entry["name"], tuple(entry["shape"])
             (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8, path, "array length"))
-            want = int(np.prod(shape, dtype=np.int64)) * 8
+            want = math.prod(shape) * 8
             if nbytes != want:
-                raise ValueError(f"{path}: array {entry['name']!r} payload is "
+                raise ValueError(f"{path}: array {name!r} payload is "
                                  f"{nbytes} bytes, expected {want}")
-            raw = _read_exact(fh, nbytes, path, f"array {entry['name']!r}")
-            params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            _need(fh, nbytes, path, f"array {name!r}")
+            params[name] = np.empty(shape, dtype="<f8")
+            fh.readinto(params[name])
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    vocab = Vocabulary(id_to_token=list(meta["vocab"]))
-    cfg = TrainConfig(**meta["config"]).validate()
-    return Checkpoint(version, vocab, params, cfg, int(meta["epoch"]),
-                      float(meta["best_val_f1"]))
+    return Checkpoint(version, Vocabulary(id_to_token=meta["vocab"]), params,
+                      config, meta["epoch"], float(meta["best_val_f1"]))
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
@@ -278,7 +329,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 def load_vocab(path) -> Vocabulary:
     with open(path, encoding="utf-8") as fh:
         tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-    if tokens[:3] != list(("<pad>", "<unk>", "<eos>")):
+    if tokens[:len(SPECIALS)] != list(SPECIALS):
         raise ValueError(f"{path}: vocabulary file must start with the three "
                          "reserved tokens")
     return Vocabulary(id_to_token=tokens)

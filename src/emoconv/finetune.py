@@ -122,8 +122,9 @@ def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule
             loss = binary_cross_entropy(probs, [y for _, y in chunk])
             T.reset_grads(named.values())
             T.backward(loss)
-            adam_step(adam, named, schedule.lr)
             loss_sum += loss.item() * len(chunk)
+            del probs, loss  # this step's graph: free it before Adam and the next forward
+            adam_step(adam, named, schedule.lr)
         losses.append(loss_sum / len(encoded))
         log.info("finetune epoch %d (%s): loss %.4f", epoch,
                  "frozen" if epoch <= schedule.frozen_epochs else "unfrozen",

@@ -5,10 +5,10 @@ A batch of sequences is packed: one [N x k] tensor of valid cells, row
 after row, with [B] per-row lengths summing to N (see :mod:`emoconv.tensor`).
 No layer builds, reads or returns a padded grid, so padding cannot change a
 result.  Most layers are compositions of :mod:`emoconv.tensor` ops;
-``embedding_lookup``, ``lstm_scan`` and the convolution's window gather are
-graph nodes of their own with hand-written backward passes, checked against
-finite differences and against the per-example, per-timestep oracle kept
-with the tests.
+``embedding_lookup``, ``lstm_scan``, ``dropout`` and the convolution's window
+gather are graph nodes of their own with hand-written backward passes,
+checked against finite differences and against the per-example,
+per-timestep oracle kept with the tests.
 
 Initialization convention (used by every init_* helper): weight matrices are
 uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases are zero except the
@@ -209,6 +209,10 @@ def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
     formulation, x W^T + b is one product over all cells, the recurrence
     keeps only h U^T per step, and backward gets dW, dU and dx as single
     products.
+
+    Backward keeps the activated gates and the cell states, both
+    time-major; it gathers the inputs from ``x`` and the previous hidden
+    states from the output again rather than keeping copies.
     """
     if x.values.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ValueError(f"lstm_scan needs x [N x {w.shape[1]}], got {x.shape}")
@@ -219,16 +223,14 @@ def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
                          f"U {u.shape}, b {b.shape}")
     src, prev, offsets = _packed_order(lengths, reverse)
     wv, uv = w.values, u.values
-    xs = x.values[src]
-    gates = xs @ wv.T + b.values
-    h_all = np.empty((xs.shape[0], hs))
-    c_all = np.empty((xs.shape[0], hs))
+    gates = x.values[src] @ wv.T
+    gates += b.values
+    c_all = np.empty((src.size, hs))
+    out = np.empty((src.size, hs))
     h = c = np.zeros((offsets[1], hs))
     for s, e in zip(offsets[:-1], offsets[1:]):
         h, c = lstm_step(gates[s:e], h[:e - s], c[:e - s], uv)
-        h_all[s:e], c_all[s:e] = h, c
-    out = np.empty_like(h_all)
-    out[src] = h_all
+        out[src[s:e]], c_all[s:e] = h, c
 
     def backward_fn(g):
         dh_in = g[src]
@@ -249,12 +251,12 @@ def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
             dz[s:e, 3 * hs:] = dh_t * tc * o * (1.0 - o)
             dc[:n] = dc_t * f
             dh[:n] = dz[s:e] @ uv
-        h_prev = np.where(first[:, None], 0.0, h_all[prev])
+        h_prev = np.where(first[:, None], 0.0, out[src[prev]])
         dx = None
         if x.requires_grad:
             dx = np.empty(x.shape)
             dx[src] = dz @ wv
-        return dx, dz.T @ xs, dz.T @ h_prev, dz.sum(axis=0)
+        return dx, dz.T @ x.values[src], dz.T @ h_prev, dz.sum(axis=0)
 
     return T.from_op(out, "lstm_scan", (x, w, u, b), backward_fn)
 
@@ -336,10 +338,15 @@ def conv1d_over_time(bank: ConvFilterBank, cells: T.Tensor, lengths) -> T.Tensor
 def dropout(x: T.Tensor, rate: float, training: bool, rng) -> T.Tensor:
     """Inverted dropout with one mask for the whole tensor: zero with
     probability `rate`, scale survivors by 1/(1-rate); identity when rate is
-    0 or not training."""
+    0 or not training.  The node keeps the boolean keep-mask, one byte per
+    value, and rebuilds the scaled mask when backward needs it."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return T.mul(x, T.constant(mask))
+    keep = rng.random(x.shape) >= rate
+
+    def backward_fn(g):
+        return (g * (keep / (1.0 - rate)),)
+
+    return T.from_op(x.values * (keep / (1.0 - rate)), "dropout", (x,), backward_fn)

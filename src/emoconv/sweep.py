@@ -84,11 +84,14 @@ class SweepData:
 
     @classmethod
     def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit,
-               vocab: Vocabulary) -> "SweepData":
+               vocab: Vocabulary, train_sequences=None) -> "SweepData":
+        """``train_sequences``: the training split already assembled, as
+        :func:`train.encode_split` takes it."""
         weights = tr.compute_class_weights(train_split.label_counts,
                                            val_split.label_counts)
         labels = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
-        return cls(tr.encode_split(train_split, vocab), tr.encode_split(val_split, vocab),
+        return cls(tr.encode_split(train_split, vocab, train_sequences),
+                   tr.encode_split(val_split, vocab),
                    weights, tr.uniform_baseline_loss(weights, labels))
 
 
@@ -124,13 +127,14 @@ def load_record(path) -> RunRecord:
 def run_sweep(spec: SweepSpec, base_config: TrainConfig,
               train_split: DatasetSplit, val_split: DatasetSplit,
               store: SentenceVectorStore | None, vocab: Vocabulary,
-              runs_dir=None, pretrained: dict | None = None):
+              runs_dir=None, pretrained: dict | None = None, train_sequences=None):
     """All |values| x |seeds| runs; returns (records, aggregate rows).
 
     With ``runs_dir`` set, each run's record is written there as JSON and
     any pre-existing record with a matching config hash is reused instead
     of retrained.  The splits are encoded on the first run that trains, so
-    a fully cached sweep encodes nothing.
+    a fully cached sweep encodes nothing; a caller that assembled the
+    training split to build ``vocab`` passes it as ``train_sequences``.
     """
     if runs_dir is not None:
         os.makedirs(runs_dir, exist_ok=True)
@@ -147,7 +151,7 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
                 log.info("sweep %s=%s seed %d: reusing %s", spec.axis, value, seed, path)
             else:
                 if data is None:
-                    data = SweepData.encode(train_split, val_split, vocab)
+                    data = SweepData.encode(train_split, val_split, vocab, train_sequences)
                 rec = run_one(base_config, spec.axis, value, seed, data, store,
                               vocab, pretrained)
                 if path is not None:

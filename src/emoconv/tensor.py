@@ -109,7 +109,10 @@ def from_op(values: np.ndarray, op: str, parents: tuple[Tensor, ...],
     gradient (an array, a ``RowGrad``, or None) per parent, in parent order.
     Returned arrays must not be mutated afterwards; accumulation here is
     purely functional.  Under ``no_grad`` the result keeps neither its
-    parents nor the closure.
+    parents nor the closure.  A closure captures only what backward reads,
+    and reads a parent's values through the parent, which stays alive,
+    rather than through a copy; whatever it captures lives as long as the
+    graph does.
     """
     out = Tensor(values)
     out.op = op

@@ -17,7 +17,8 @@ from . import tensor as T
 from .config import TrainConfig
 from .dataio import (CHECKPOINT_VERSION, LABEL_TO_INDEX, LABELS, Checkpoint,
                      DatasetSplit, SentenceVectorStore)
-from .textprep import MAX_TRAIN_TOKENS, Vocabulary, assemble_input, encode_ids
+from .textprep import (MAX_TRAIN_TOKENS, TokenSequence, Vocabulary, assemble_input,
+                       encode_ids)
 
 log = logging.getLogger(__name__)
 
@@ -192,11 +193,20 @@ class EncodedExample:
         return int(self.ids.size)
 
 
-def encode_split(split: DatasetSplit, vocab: Vocabulary) -> list[EncodedExample]:
-    """Assemble, length-filter (training only), and encode a split."""
+def assemble_split(split: DatasetSplit) -> list[TokenSequence]:
+    """Each conversation of a split as one EOS-joined token sequence, in order."""
+    return [assemble_input(conv.turns) for conv in split.conversations]
+
+
+def encode_split(split: DatasetSplit, vocab: Vocabulary,
+                 sequences: list[TokenSequence] | None = None) -> list[EncodedExample]:
+    """Length-filter (training only) and encode a split.  ``sequences`` are
+    its conversations already assembled by :func:`assemble_split`; when
+    they are not given, each conversation is assembled here in turn."""
+    if sequences is None:  # one at a time: only the encoded ids stay in memory
+        sequences = (assemble_input(conv.turns) for conv in split.conversations)
     out = []
-    for conv in split.conversations:
-        seq = assemble_input(conv.turns)
+    for conv, seq in zip(split.conversations, sequences, strict=True):
         if split.name == "train" and seq.n > MAX_TRAIN_TOKENS:
             continue
         ids = np.asarray(encode_ids(seq, vocab).ids, dtype=np.int64)
@@ -406,16 +416,17 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
         for chunk_start in range(0, len(order), config.batch_size):
             chunk = [train_ex[i] for i in order[chunk_start:chunk_start + config.batch_size]]
             batch = make_batch(chunk, sentence_store, params.sentence_dim)
-            _, probs = rcnn.forward(params, batch, training=True, rng=rng)
+            probs = rcnn.forward(params, batch, training=True, rng=rng)[1]
             loss = weighted_cross_entropy(probs, batch.labels, weights)
             T.reset_grads(named.values())
             T.backward(loss)
+            loss_sum += loss.item() * len(batch)
+            del probs, loss  # this step's graph: free it before Adam and the next forward
             try:
                 factor = clip_gradients(named, config.clip_norm)
             except ValueError as err:
                 raise ValueError(f"epoch {epoch}, step {steps + 1}: {err}") from err
             adam_step(adam, named, lr)
-            loss_sum += loss.item() * len(batch)
             steps += 1
             clipped += factor < 1.0
         _, val_f1 = evaluate(params, val_ex, sentence_store, config.batch_size)

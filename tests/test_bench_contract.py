@@ -9,7 +9,8 @@ reads ``ids.size`` and ``valid_lengths.sum()`` off each ``train.make_batch``
 result for its padding ratio, so a batch keeps that padded container.
 Both training loops step through the one ``train.adam_step``, so its traced
 seconds measure the same call, with the same arguments, on both sides of a
-comparison.
+comparison.  Likewise every dropout of both models runs through the
+module-level ``layers.dropout``, the function ``layers.dropout.s`` times.
 """
 
 import importlib
@@ -77,3 +78,21 @@ def test_make_batch_keeps_what_the_padding_probe_reads():
 def test_both_loops_step_through_the_one_adam_step():
     assert ft.adam_step is tr.adam_step
     assert list(inspect.signature(tr.adam_step).parameters) == ["state", "named_params", "lr"]
+
+
+def test_every_dropout_goes_through_layers_dropout(monkeypatch):
+    assert inspect.isfunction(L.dropout) and L.dropout.__module__ == "emoconv.layers"
+    assert list(inspect.signature(L.dropout).parameters) == ["x", "rate", "training", "rng"]
+    dropout, calls = L.dropout, []
+    monkeypatch.setattr(L, "dropout", lambda *a: calls.append(1) or dropout(*a))
+    config = TrainConfig(hidden_size=3, num_layers=2, sentence_dim=2, embedding_dim=4)
+    rng = np.random.default_rng(0)
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (9, 4)))
+    ids, lengths = L.pad_rows([np.array([1, 2, 3]), np.array([4])])
+    batch = rcnn.Batch(ids, lengths, np.zeros((2, 2)), None)
+    rcnn.forward(rcnn.init_model(config, emb, rng), batch, True, rng)
+    assert len(calls) == config.num_layers + 2  # after each BiLSTM layer, both linear inputs
+    calls.clear()
+    model = ft.build_finetune_model(emb, rng, filters_per_size=2)
+    ft.forward_finetune(model, [np.array([1, 2]), np.array([3])], True, rng)
+    assert len(calls) == 1

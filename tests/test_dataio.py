@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -232,6 +234,115 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError) as err:
         dio.load_checkpoint(truncated)
     assert "truncated" in str(err.value)
+
+
+def _write_with_meta(path, meta, arrays):
+    """A checkpoint file whose metadata block is ``meta`` verbatim."""
+    blob = json.dumps(meta).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(dio.CHECKPOINT_MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for a in arrays:
+            fh.write(struct.pack("<Q", a.nbytes) + a.tobytes())
+
+
+_ABSENT = object()
+
+
+def _good_meta():
+    return {"arrays": [{"name": "w", "shape": [2, 3]}], "best_val_f1": 0.5,
+            "config": TrainConfig(hidden_size=3).to_dict(), "epoch": 2,
+            "vocab": ["<pad>", "<unk>", "<eos>", "hi"]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arrays", [{"name": "w"}]),
+    ("arrays", [{"name": "w", "shape": [2, -3]}]),
+    ("arrays", [{"name": "w", "shape": [2, 3]}, {"name": "w", "shape": []}]),
+    ("arrays", {"w": [2, 3]}),
+    ("config", {"hidden_sise": 3}),
+    ("config", {"hidden_size": "3"}),
+    ("config", {"hidden_size": 3.0}),
+    ("config", {"projection_tanh": 1}),
+    ("config", {"hidden_size": 0}),
+    ("config", [1, 2]),
+    ("epoch", "2"),
+    ("epoch", True),
+    ("best_val_f1", None),
+    ("vocab", ["hi", "<pad>"]),
+    ("vocab", "<pad>"),
+    ("epoch", _ABSENT),
+])
+def test_checkpoint_metadata_errors_name_the_file(tmp_path, field, value):
+    meta = _good_meta()
+    meta[field] = value
+    if value is _ABSENT:
+        del meta[field]
+    path = tmp_path / "meta.ckpt"
+    _write_with_meta(path, meta, [np.zeros((2, 3))])
+    with pytest.raises(ValueError, match="checkpoint metadata") as err:
+        dio.load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_metadata_shape_drives_the_payload_read(tmp_path):
+    path = tmp_path / "meta.ckpt"
+    _write_with_meta(path, _good_meta(), [np.arange(6.0).reshape(2, 3)])
+    back = dio.load_checkpoint(path)
+    assert back.params["w"].tobytes() == np.arange(6.0).reshape(2, 3).tobytes()
+    assert back.params["w"].flags.writeable and back.config.hidden_size == 3
+
+    meta = _good_meta()
+    meta["arrays"][0]["shape"] = [2, 3 << 40]  # a corrupt shape asks for 48 TB
+    _write_with_meta(path, meta, [np.zeros((2, 3))])
+    with pytest.raises(ValueError, match="expected"):
+        dio.load_checkpoint(path)
+
+
+def _sections(data: bytes, ckpt) -> list[int]:
+    """Offsets where each section of a saved checkpoint ends: magic,
+    version, metadata length, metadata, then each array's length and
+    payload."""
+    meta_len = int.from_bytes(data[8:16], "little")
+    ends = [4, 8, 16, 16 + meta_len]
+    for name in sorted(ckpt.params):
+        ends.append(ends[-1] + 8)
+        ends.append(ends[-1] + ckpt.params[name].nbytes)
+    assert ends[-1] == len(data)
+    return ends
+
+
+def test_checkpoint_fuzz_truncations_and_flips_raise_value_error_naming_the_file(tmp_path):
+    ckpt = _toy_checkpoint()
+    good = tmp_path / "model.ckpt"
+    dio.save_checkpoint(ckpt, good)
+    data = good.read_bytes()
+    ends = _sections(data, ckpt)
+    bad = tmp_path / "bad.ckpt"
+    cuts = sorted({0, *ends[:-1], *(e - 1 for e in ends), *(e + 1 for e in ends[:-1])})
+    for cut in cuts:
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ValueError) as err:
+            dio.load_checkpoint(bad)
+        assert str(bad) in str(err.value), cut
+
+    rng = np.random.default_rng(20261018)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(400):
+        flipped = bytearray(data)
+        for pos in rng.integers(0, ends[3], size=int(rng.integers(1, 4))):
+            flipped[pos] ^= int(rng.integers(1, 256))
+        bad.write_bytes(bytes(flipped))
+        try:
+            back = dio.load_checkpoint(bad)
+        except ValueError as err:
+            assert str(bad) in str(err)
+            outcomes["rejected"] += 1
+        else:  # a flip the format cannot see, such as a changed vocabulary token
+            assert [a.tobytes() for a in back.params.values()] == \
+                [ckpt.params[n].tobytes() for n in sorted(ckpt.params)]
+            outcomes["loaded"] += 1
+    assert outcomes["rejected"] > 300
 
 
 def test_vocab_file_round_trip(tmp_path):

@@ -1,0 +1,155 @@
+"""What a training step's graph keeps, and for how long.
+
+A step's graph must be unreachable once its loss is read: the next step's
+forward and the epoch-end evaluation run without it.  While it lives, a
+graph holds its nodes' values plus the arrays its backward closures
+captured; ``held_bytes`` counts both, each buffer once, and a mixed-length
+step must fit a budget derived from the layer shapes, in which an LSTM scan
+keeps only its gates, its cell states and its output, and a dropout only a
+one-byte keep-mask.
+"""
+
+import weakref
+
+import numpy as np
+
+import toycorpus
+from emoconv import finetune as ft
+from emoconv import layers as L
+from emoconv import rcnn
+from emoconv import tensor as T
+from emoconv import train as tr
+from emoconv.config import TrainConfig
+from emoconv.textprep import TokenSequence, build_vocab
+
+
+def _nodes(*roots):
+    """Every tensor reachable from ``roots`` through parent edges."""
+    seen, stack, out = set(), list(roots), []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(node.parents)
+    return out
+
+
+def _base(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def held_bytes(root) -> int:
+    """Bytes the graph under ``root`` keeps alive: node values and the
+    ndarrays captured by backward closures, each underlying buffer counted
+    once.  Parameters (leaves that take gradients) belong to the model."""
+    nodes = _nodes(root)
+    params = {id(_base(n.values)) for n in nodes if n.requires_grad and n.backward_fn is None}
+    held = {}
+    for node in nodes:
+        arrays = [node.values]
+        if node.backward_fn is not None:
+            arrays += [c.cell_contents for c in node.backward_fn.__closure__ or ()
+                       if isinstance(c.cell_contents, np.ndarray)]
+        for a in arrays:
+            b = _base(a)
+            if id(b) not in params:
+                held[id(b)] = b
+    return sum(b.nbytes for b in held.values())
+
+
+def _watch(*roots):
+    """Weak references to the values of every op result under ``roots``;
+    only the graph holds those arrays."""
+    return [weakref.ref(n.values) for n in _nodes(*roots) if n.op is not None]
+
+
+def test_train_step_graph_is_gone_before_the_next_forward_and_evaluate(monkeypatch):
+    config = TrainConfig(lr=0.01, batch_size=8, epochs=2, hidden_size=4, num_layers=2,
+                         sentence_dim=3, embedding_dim=4, freeze_embedding_epochs=1,
+                         dropout_bilstm=0.3, dropout_linear=0.3)
+    train_split = toycorpus.make_split("train", 20, seed=0)
+    val_split = toycorpus.make_split("val", 8, seed=1)
+    vocab = toycorpus.vocab_for(train_split, val_split)
+    store = toycorpus.store_for([train_split, val_split], 3, seed=2)
+    rng = np.random.default_rng(0)
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (vocab.size, 4)))
+    params = rcnn.init_model(config, emb, rng)
+    watched, checks = [], []
+
+    def released(where):
+        checks.append(where)
+        alive = sum(r() is not None for r in watched)
+        assert alive == 0, f"{alive} arrays of the last step's graph alive at {where}"
+
+    forward, evaluate = rcnn.forward, tr.evaluate
+
+    def watched_forward(params, batch, training, rng):
+        if training:
+            released("the next forward")
+        logits, probs = forward(params, batch, training, rng)
+        if training:
+            watched[:] = _watch(logits, probs)
+        return logits, probs
+
+    def watched_evaluate(*args, **kwargs):
+        released("evaluate")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(rcnn, "forward", watched_forward)
+    monkeypatch.setattr(tr, "evaluate", watched_evaluate)
+    tr.train(params, train_split, val_split, store, config, rng, vocab=vocab)
+    assert checks.count("evaluate") == 2 and checks.count("the next forward") == 6
+
+
+def test_finetune_step_graph_is_gone_before_the_next_forward(monkeypatch):
+    corpus = [(f"good movie {i}" if i % 2 else f"bad plot {i}", i % 2) for i in range(20)]
+    vocab = build_vocab([TokenSequence(t.split()) for t, _ in corpus])
+    rng = np.random.default_rng(0)
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (vocab.size, 6)))
+    model = ft.build_finetune_model(emb, rng, filters_per_size=4)
+    watched, calls = [], []
+    forward = ft.forward_finetune
+
+    def watched_forward(model, rows, training, rng):
+        calls.append(1)
+        alive = sum(r() is not None for r in watched)
+        assert alive == 0, f"{alive} arrays of the last step's graph alive"
+        probs = forward(model, rows, training, rng)
+        watched[:] = _watch(probs)
+        return probs
+
+    monkeypatch.setattr(ft, "forward_finetune", watched_forward)
+    schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01, batch_size=8)
+    ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
+    assert len(calls) == 6
+
+
+def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
+    h, d, s, layers = 16, 8, 3, 2
+    config = TrainConfig(hidden_size=h, num_layers=layers, sentence_dim=s, embedding_dim=d,
+                         dropout_bilstm=0.3, dropout_linear=0.3)
+    lengths = [9, 1, 14, 5, 14, 3, 7, 2]
+    n, b = sum(lengths), len(lengths)
+    rng = np.random.default_rng(3)
+    table = np.vstack([np.zeros(d), rng.uniform(-0.5, 0.5, (20, d))])
+    params = rcnn.init_model(config, L.EmbeddingMatrix.from_array(table), rng)
+    ids, lens = L.pad_rows([rng.integers(1, 21, k) for k in lengths])
+    batch = rcnn.Batch(ids, lens, rng.normal(size=(b, s)), rng.integers(0, 4, b))
+    _, probs = rcnn.forward(params, batch, True, rng)
+    loss = tr.weighted_cross_entropy(probs, batch.labels,
+                                     tr.ClassWeights(np.full(4, 0.25)))
+    T.backward(loss)  # a graph that ran backward keeps what it kept before
+
+    scan = 4 * h + h + h                       # gates, cell states, output
+    per_layer = 2 * scan + 2 * h + 2 * h       # two scans, concat, dropout
+    ctx = 2 * h + d                            # [h_f; h_b; w_i]
+    floats = n * (d + layers * per_layer + 2 * ctx + h)  # lookup .. projection
+    floats += b * (h + 3 * (h + s) + 8 + 7)    # pool .. softmax, then the loss
+    masks = n * (layers * 2 * h + ctx) + b * (h + s)
+    index = 8 * n * (2 * 2 * layers + 2)       # scan src/prev, lookup ids/mask
+    budget = 8 * floats + masks + index + 4096  # offsets and per-row indices
+    held = held_bytes(loss)
+    assert 0.9 * budget < held <= budget, (held, budget)
