@@ -13,7 +13,8 @@ import numpy as np
 from emoconv import sweep
 from emoconv.config import TrainConfig
 from emoconv.dataio import Conversation, DatasetSplit
-from emoconv.textprep import assemble_input, build_vocab
+from emoconv.textprep import build_vocab
+from emoconv.train import assemble_split
 
 # -- 1. toy data (same recipe as the training demo) ---------------------------
 
@@ -37,8 +38,8 @@ def make_split(name, n, seed):
 
 train_split = make_split("train", 24, seed=1)
 val_split = make_split("val", 12, seed=2)
-vocab = build_vocab([assemble_input(c.turns)
-                     for c in train_split.conversations])
+train_sequences = assemble_split(train_split)
+vocab = build_vocab(train_sequences)
 
 # -- 2. sweep the learning rate ------------------------------------------------
 # Three seeds per value; a run whose final loss fails to beat the
@@ -54,7 +55,8 @@ spec = sweep.SweepSpec(axis="lr", values=[5.0, 0.02], seeds=(0, 1, 2))
 
 with tempfile.TemporaryDirectory() as runs_dir:
     records, aggregates = sweep.run_sweep(spec, base, train_split, val_split,
-                                          None, vocab, runs_dir=runs_dir)
+                                          None, vocab, train_sequences,
+                                          runs_dir=runs_dir)
     print(f"{len(records)} runs -> {len(list(Path(runs_dir).glob('*.json')))} "
           "record files\n")
     print(sweep.format_sweep_report(aggregates))
@@ -62,6 +64,7 @@ with tempfile.TemporaryDirectory() as runs_dir:
     # Calling run_sweep again with the same directory does no training at
     # all: every record is already on disk.
     again, _ = sweep.run_sweep(spec, base, train_split, val_split, None,
-                               vocab, runs_dir=runs_dir)
+                               vocab, assemble_split(train_split),
+                               runs_dir=runs_dir)
     print("\nresumed without retraining:",
           [f"{r.best_val_f1:.3f}" for r in again])

@@ -243,8 +243,8 @@ def cmd_sweep(args) -> int:
                          f"{args.seeds!r} as numbers") from None
     spec = sw.SweepSpec(args.axis, values, seeds)
     _, aggregates = sw.run_sweep(spec, config, train_split, val_split, store,
-                                 vocab, runs_dir=args.runs_dir,
-                                 pretrained=pretrained, train_sequences=train_sequences)
+                                 vocab, train_sequences, runs_dir=args.runs_dir,
+                                 pretrained=pretrained)
     _emit(args, sw.format_sweep_report(aggregates))
     return 0
 

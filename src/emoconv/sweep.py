@@ -26,7 +26,7 @@ from .config import TrainConfig
 from .dataio import (LABEL_TO_INDEX, DatasetSplit, SentenceVectorStore,
                      build_embedding_matrix)
 from .metrics import aggregate_seeds
-from .textprep import Vocabulary
+from .textprep import TokenSequence, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -84,14 +84,16 @@ class SweepData:
 
     @classmethod
     def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit,
-               vocab: Vocabulary, train_sequences=None) -> "SweepData":
-        """``train_sequences``: the training split already assembled, as
-        :func:`train.encode_split` takes it."""
+               vocab: Vocabulary, train_sequences: list[TokenSequence]) -> "SweepData":
+        """``train_sequences`` is the training split as
+        :func:`train.assemble_split` returns it.  It is emptied once encoded,
+        so its tokens are not kept through the sweep's training runs."""
         weights = tr.compute_class_weights(train_split.label_counts,
                                            val_split.label_counts)
         labels = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
-        return cls(tr.encode_split(train_split, vocab, train_sequences),
-                   tr.encode_split(val_split, vocab),
+        train_ex = tr.encode_split(train_split, vocab, train_sequences)
+        train_sequences.clear()
+        return cls(train_ex, tr.encode_split(val_split, vocab),
                    weights, tr.uniform_baseline_loss(weights, labels))
 
 
@@ -127,14 +129,16 @@ def load_record(path) -> RunRecord:
 def run_sweep(spec: SweepSpec, base_config: TrainConfig,
               train_split: DatasetSplit, val_split: DatasetSplit,
               store: SentenceVectorStore | None, vocab: Vocabulary,
-              runs_dir=None, pretrained: dict | None = None, train_sequences=None):
+              train_sequences: list[TokenSequence], runs_dir=None,
+              pretrained: dict | None = None):
     """All |values| x |seeds| runs; returns (records, aggregate rows).
 
     With ``runs_dir`` set, each run's record is written there as JSON and
     any pre-existing record with a matching config hash is reused instead
     of retrained.  The splits are encoded on the first run that trains, so
-    a fully cached sweep encodes nothing; a caller that assembled the
-    training split to build ``vocab`` passes it as ``train_sequences``.
+    a fully cached sweep encodes nothing; ``train_sequences`` is the
+    training split assembled once (:func:`train.assemble_split`), which
+    the encoding empties (see :meth:`SweepData.encode`).
     """
     if runs_dir is not None:
         os.makedirs(runs_dir, exist_ok=True)

@@ -415,7 +415,8 @@ def test_criterion_10_sweep_harness(tmp_path):
                            anneal_after_epoch=99)
         spec = sw.SweepSpec("lr", [1e-4, 5e-4], seeds=(0, 1, 2))
         records, aggregates = sw.run_sweep(spec, base, train_split, val_split,
-                                           None, vocab, runs_dir=tmp_path)
+                                           None, vocab, tr.assemble_split(train_split),
+                                           runs_dir=tmp_path)
         assert len(records) == 6 and len(aggregates) == 2
         assert len(list(tmp_path.glob("run_*.json"))) == 6
         assert sum(row["runs"] for row in aggregates) == 6

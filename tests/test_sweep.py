@@ -47,7 +47,8 @@ def test_sweep_shape_and_flag_consistency(tmp_path):
     train_split, val_split, vocab = _toy_data()
     spec = sw.SweepSpec("lr", [1e-7, 0.02], seeds=[0, 1, 2])
     records, aggregates = sw.run_sweep(spec, FAST, train_split, val_split, None,
-                                       vocab, runs_dir=tmp_path / "runs")
+                                       vocab, tr.assemble_split(train_split),
+                                       runs_dir=tmp_path / "runs")
     assert len(records) == 6 and len(aggregates) == 2
     for rec in records:
         assert rec.trained_effectively == (rec.final_train_loss < rec.baseline_loss)
@@ -69,7 +70,7 @@ def test_sweep_resumes_from_run_records(tmp_path):
     runs_dir = tmp_path / "runs"
     spec = sw.SweepSpec("hidden_size", [4], seeds=[0, 1])
     records1, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                               runs_dir=runs_dir)
+                               tr.assemble_split(train_split), runs_dir=runs_dir)
     files = sorted(runs_dir.glob("run_*.json"))
     assert len(files) == 2
 
@@ -78,7 +79,7 @@ def test_sweep_resumes_from_run_records(tmp_path):
     data["best_val_f1"] = 0.123456
     files[0].write_text(json.dumps(data, sort_keys=True) + "\n")
     records2, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                               runs_dir=runs_dir)
+                               tr.assemble_split(train_split), runs_dir=runs_dir)
     assert 0.123456 in [r.best_val_f1 for r in records2]
     untouched = json.loads(files[1].read_text())
     assert untouched["best_val_f1"] in [r.best_val_f1 for r in records2]
@@ -86,7 +87,8 @@ def test_sweep_resumes_from_run_records(tmp_path):
 
 def test_sweep_runs_are_deterministic():
     train_split, val_split, vocab = _toy_data()
-    data = sw.SweepData.encode(train_split, val_split, vocab)
+    data = sw.SweepData.encode(train_split, val_split, vocab,
+                               tr.assemble_split(train_split))
     rec1 = sw.run_one(FAST, "lr", 0.02, 7, data, None, vocab)
     rec2 = sw.run_one(FAST, "lr", 0.02, 7, data, None, vocab)
     assert rec1 == rec2
@@ -94,7 +96,8 @@ def test_sweep_runs_are_deterministic():
 
 def test_axis_values_are_coerced():
     train_split, val_split, vocab = _toy_data()
-    data = sw.SweepData.encode(train_split, val_split, vocab)
+    data = sw.SweepData.encode(train_split, val_split, vocab,
+                               tr.assemble_split(train_split))
     rec = sw.run_one(FAST, "batch_size", 6.0, 3, data, None, vocab)
     assert rec.value == 6 and isinstance(rec.value, int)
 
@@ -106,15 +109,19 @@ def test_sweep_encodes_once_and_matches_per_run_training(tmp_path, monkeypatch):
     monkeypatch.setattr(tr, "encode_split",
                         lambda *a: calls.append(a[0].name) or encode_split(*a))
     spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
+    sequences = tr.assemble_split(train_split)
     records, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                              runs_dir=tmp_path / "runs")
+                              sequences, runs_dir=tmp_path / "runs")
     assert calls == ["train", "val"]
+    assert sequences == []  # the tokens do not outlive the encoding
 
     # a resumed sweep whose records are all cached encodes nothing
     calls.clear()
+    sequences = tr.assemble_split(train_split)
     again, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                            runs_dir=tmp_path / "runs")
+                            sequences, runs_dir=tmp_path / "runs")
     assert calls == [] and again == records
+    assert len(sequences) == len(train_split.conversations)
 
     # each record equals one built run by run from the raw splits
     weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
