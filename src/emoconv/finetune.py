@@ -17,7 +17,7 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .textprep import Vocabulary, clean_text, tokenize
-from .train import LOG_FLOOR, adam_step, init_adam
+from .train import LOG_FLOOR, iter_batches, run_epochs
 
 log = logging.getLogger(__name__)
 
@@ -30,10 +30,6 @@ class FinetuneSchedule:
     unfrozen_epochs: int = 3
     lr: float = 0.0005
     batch_size: int = 64
-
-    @property
-    def total_epochs(self) -> int:
-        return self.frozen_epochs + self.unfrozen_epochs
 
 
 @dataclass
@@ -109,27 +105,20 @@ def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule
     if schedule.lr <= 0 or schedule.batch_size < 1:
         raise ValueError(f"bad schedule: lr {schedule.lr}, batch {schedule.batch_size}")
     encoded = encode_corpus(corpus, vocab)
-    named = model.named()
-    adam = init_adam(named)
+
+    def step(indices):
+        rows, labels = zip(*(encoded[i] for i in indices))
+        return binary_cross_entropy(forward_finetune(model, rows, True, rng), labels)
+
+    epochs = schedule.frozen_epochs + schedule.unfrozen_epochs
     losses = []
-    for epoch in range(1, schedule.total_epochs + 1):
-        model.emb.frozen = epoch <= schedule.frozen_epochs
-        order = rng.permutation(len(encoded))
-        loss_sum = 0.0
-        for start in range(0, len(order), schedule.batch_size):
-            chunk = [encoded[i] for i in order[start:start + schedule.batch_size]]
-            probs = forward_finetune(model, [ids for ids, _ in chunk], True, rng)
-            loss = binary_cross_entropy(probs, [y for _, y in chunk])
-            T.reset_grads(named.values())
-            T.backward(loss)
-            loss_sum += loss.item() * len(chunk)
-            del probs, loss  # this step's graph: free it before Adam and the next forward
-            adam_step(adam, named, schedule.lr)
-        losses.append(loss_sum / len(encoded))
+    for epoch, _, loss, _ in run_epochs(model.named(), step, len(encoded), rng,
+                                        lrs=[schedule.lr] * epochs,
+                                        batch_size=schedule.batch_size,
+                                        frozen_epochs=schedule.frozen_epochs):
+        losses.append(loss)
         log.info("finetune epoch %d (%s): loss %.4f", epoch,
-                 "frozen" if epoch <= schedule.frozen_epochs else "unfrozen",
-                 losses[-1])
-    model.emb.frozen = False
+                 "frozen" if epoch <= schedule.frozen_epochs else "unfrozen", loss)
     return model.emb, losses
 
 
@@ -137,10 +126,9 @@ def predict_finetune(model: FinetuneModel, encoded) -> np.ndarray:
     """Eval-mode 0/1 predictions for (ids, label) pairs, a batch at a time,
     without building a graph."""
     preds = []
-    step = FinetuneSchedule.batch_size
     with T.no_grad():
-        for start in range(0, len(encoded), step):
-            rows = [ids for ids, _ in encoded[start:start + step]]
+        for chunk in iter_batches(encoded, FinetuneSchedule.batch_size):
+            rows = [ids for ids, _ in chunk]
             preds.append(forward_finetune(model, rows, False, None).values >= 0.5)
     return np.concatenate(preds).astype(np.int64) if preds else np.zeros(0, dtype=np.int64)
 

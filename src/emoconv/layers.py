@@ -26,19 +26,18 @@ from . import tensor as T
 @dataclass
 class EmbeddingMatrix:
     """Token-id rows of word vectors; row 0 is PAD, stays zero and never
-    receives gradient."""
+    receives gradient.  Frozen while ``table.requires_grad`` is False."""
     vocab_size: int
     dim: int
     table: T.Tensor
-    frozen: bool = False
 
     @classmethod
-    def from_array(cls, values, frozen: bool = False) -> "EmbeddingMatrix":
+    def from_array(cls, values) -> "EmbeddingMatrix":
         arr = np.ascontiguousarray(values, dtype=np.float64)  # Adam updates it in place
         if arr.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-d, got shape {arr.shape}")
         return cls(vocab_size=arr.shape[0], dim=arr.shape[1],
-                   table=T.Tensor(arr, requires_grad=True), frozen=frozen)
+                   table=T.Tensor(arr, requires_grad=True))
 
 
 @dataclass
@@ -137,8 +136,8 @@ def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
     """Rows of the embedding table for a vector of ids: ids [N] -> [N x dim].
 
     Backward scatter-adds into the rows that were used, except PAD, so the
-    PAD row never moves.  When the table is frozen the result is a
-    gradient-free constant and the table receives exactly-zero gradients.
+    PAD row never moves.  When the table is frozen the result records no
+    graph and the table receives no gradient.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
@@ -148,8 +147,6 @@ def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
         raise ValueError(f"token id {int(ids[bad][0])} out of range for vocabulary "
                          f"of size {table.vocab_size}")
     values = table.table.values[ids]
-    if table.frozen or not table.table.requires_grad:
-        return T.constant(values)
     used = ids != PAD_ID
 
     def backward_fn(g):

@@ -1,12 +1,12 @@
 """Single-axis hyperparameter sensitivity sweeps.
 
 Each (value, seed) pair is one full train+eval run; the splits are encoded
-once per sweep and shared by every run.  Run results are
-content-addressed by the SHA-256 of the effective config, so an interrupted
-sweep resumes without recomputing finished runs; aggregation reports the
-mean and sample standard deviation of validation micro-F1 per value, plus a
-"not trained effectively" flag for runs whose final training loss never
-beat the uniform-prediction baseline.
+once per sweep and shared by every run.  Run results are content-addressed
+by the SHA-256 of the effective config and of the run's inputs, so an
+interrupted sweep resumes without recomputing finished runs; aggregation
+reports the mean and sample standard deviation of validation micro-F1 per
+value, plus a "not trained effectively" flag for runs whose final training
+loss never beat the uniform-prediction baseline.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,13 +118,34 @@ def run_one(base_config: TrainConfig, axis: str, value, seed: int, data: SweepDa
                      trained_effectively=final_loss < data.baseline_loss)
 
 
-def _record_path(runs_dir, record_hash: str) -> str:
-    return os.path.join(runs_dir, f"run_{record_hash[:16]}.json")
+def _inputs_digest(train_split: DatasetSplit, val_split: DatasetSplit, vocab: Vocabulary,
+                   store: SentenceVectorStore | None, pretrained: dict | None) -> str:
+    """SHA-256 over what the runs of a sweep read: both splits, the
+    vocabulary, the pretrained vectors and the splits' sentence vectors."""
+    convs = train_split.conversations + val_split.conversations
+    words = sorted(pretrained or {})
+    stored = [c.id for c in convs if store is not None and c.id in store.vectors]
+    vectors = [pretrained[w] for w in words] + [store.vectors[i] for i in stored]
+    h = hashlib.sha256(json.dumps([
+        len(train_split), train_split.label_counts, val_split.label_counts,
+        [[c.id, c.turns, c.label] for c in convs], vocab.id_to_token, words, stored,
+        [np.size(v) for v in vectors]]).encode("utf-8"))
+    for vec in vectors:
+        h.update(np.ascontiguousarray(vec, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _record_path(runs_dir, config: TrainConfig, inputs_digest: str) -> str:
+    return os.path.join(runs_dir, f"run_{config_hash(config)[:16]}_{inputs_digest[:16]}.json")
 
 
 def load_record(path) -> RunRecord:
-    with open(path, encoding="utf-8") as fh:
-        return RunRecord(**json.load(fh))
+    """A truncated or malformed record is a ValueError that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return RunRecord(**json.load(fh))
+    except (ValueError, TypeError) as err:  # bad JSON; not an object, or wrong keys
+        raise ValueError(f"{path}: malformed sweep record: {err}") from err
 
 
 def run_sweep(spec: SweepSpec, base_config: TrainConfig,
@@ -134,22 +156,22 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
     """All |values| x |seeds| runs; returns (records, aggregate rows).
 
     With ``runs_dir`` set, each run's record is written there as JSON and
-    any pre-existing record with a matching config hash is reused instead
-    of retrained.  The splits are encoded on the first run that trains, so
-    a fully cached sweep encodes nothing; ``train_sequences`` is the
-    training split assembled once (:func:`train.assemble_split`), which
+    any pre-existing record with a matching config and inputs is reused
+    instead of retrained.  The splits are encoded on the first run that
+    trains, so a fully cached sweep encodes nothing; ``train_sequences`` is
+    the training split assembled once (:func:`train.assemble_split`), which
     the encoding empties (see :meth:`SweepData.encode`).
     """
     if runs_dir is not None:
         os.makedirs(runs_dir, exist_ok=True)
+        inputs = _inputs_digest(train_split, val_split, vocab, store, pretrained)
     data = None
     records: list[RunRecord] = []
     for raw_value in spec.values:
         value = _axis_value(spec.axis, raw_value)
         for seed in spec.seeds:
             cfg = base_config.replace(**{spec.axis: value}, seed=seed)
-            h = config_hash(cfg)
-            path = _record_path(runs_dir, h) if runs_dir is not None else None
+            path = _record_path(runs_dir, cfg, inputs) if runs_dir is not None else None
             if path is not None and os.path.exists(path):
                 rec = load_record(path)
                 log.info("sweep %s=%s seed %d: reusing %s", spec.axis, value, seed, path)
@@ -158,9 +180,11 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
                     data = SweepData.encode(train_split, val_split, vocab, train_sequences)
                 rec = run_one(base_config, spec.axis, value, seed, data, store,
                               vocab, pretrained)
-                if path is not None:
-                    with open(path, "w", encoding="utf-8") as fh:
+                if path is not None:  # whole or not at all, even if killed
+                    with tempfile.NamedTemporaryFile("w", encoding="utf-8", dir=runs_dir,
+                                                     suffix=".tmp", delete=False) as fh:
                         fh.write(rec.to_json() + "\n")
+                    os.replace(fh.name, path)
             records.append(rec)
     aggregates = []
     for value in spec.values:

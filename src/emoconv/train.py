@@ -1,6 +1,6 @@
-"""Training loop: class-weighted cross-entropy, Adam with global-norm
-gradient clipping, learning-rate annealing, embedding freezing, and
-best-epoch selection on validation micro-F1.
+"""Training: the epoch loop both models share (Adam, global-norm gradient
+clipping, embedding freezing) and the classifier's class-weighted loss,
+learning-rate annealing, and best-epoch selection on validation micro-F1.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ LOG_FLOOR = 1e-12
 @dataclass
 class ClassWeights:
     weights: np.ndarray  # aligned with dataio.LABELS
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.weights[i])
 
 
 def _counts_vector(counts) -> np.ndarray:
@@ -296,10 +293,10 @@ def make_batch(examples: list[EncodedExample], store: SentenceVectorStore | None
     return rcnn.Batch(ids, lengths, sv, labels, conv_ids=[ex.id for ex in examples])
 
 
-def iter_batches(examples: list[EncodedExample], batch_size: int):
-    """Consecutive slices; the last, possibly smaller batch is kept."""
-    for start in range(0, len(examples), batch_size):
-        yield examples[start:start + batch_size]
+def iter_batches(items, batch_size: int):
+    """Consecutive slices of a list or array; the last may be smaller."""
+    for start in range(0, len(items), batch_size):
+        yield items[start:start + batch_size]
 
 
 def predict(params: rcnn.RcnnParams, examples: list[EncodedExample],
@@ -359,6 +356,40 @@ def write_history(history: list[HistoryRow], path) -> None:
         fh.write(format_history(history))
 
 
+def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, rng, *, lrs,
+               batch_size: int, frozen_epochs: int, clip_norm: float | None = None):
+    """The loop of both models: Adam over ``named``, one epoch per rate in
+    ``lrs``, yielding (epoch, lr, mean loss, clipped fraction).  ``step``
+    maps a shuffled batch of indices to the scalar loss, whose graph is freed
+    after backward.  Gradients are clipped to norm ``clip_norm`` unless None;
+    a non-finite one is a ValueError naming the epoch, step and parameter.
+    The embedding table is frozen through ``frozen_epochs``; its flag is
+    restored before each yield and on error."""
+    adam = init_adam(named)
+    table = named["embedding.table"]
+    trainable = table.requires_grad
+    for epoch, lr in enumerate(lrs, start=1):
+        loss_sum, steps, clipped = 0.0, 0, 0
+        table.requires_grad = trainable and epoch > frozen_epochs
+        try:
+            for indices in iter_batches(rng.permutation(n_examples), batch_size):
+                loss = step(indices)
+                T.reset_grads(named.values())
+                T.backward(loss)
+                loss_sum += loss.item() * len(indices)
+                del loss  # this step's graph: free it before Adam and the next forward
+                steps += 1
+                if clip_norm is not None:
+                    try:
+                        clipped += clip_gradients(named, clip_norm) < 1.0
+                    except ValueError as err:
+                        raise ValueError(f"epoch {epoch}, step {steps}: {err}") from err
+                adam_step(adam, named, lr)
+        finally:
+            table.requires_grad = trainable
+        yield epoch, lr, loss_sum / n_examples, clipped / steps
+
+
 def train(params: rcnn.RcnnParams, train_split: DatasetSplit, val_split: DatasetSplit,
           sentence_store: SentenceVectorStore | None, config: TrainConfig, rng,
           *, vocab: Vocabulary, select: str = "best", epoch_hook=None):
@@ -381,15 +412,10 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
 
     ``select``, the config, and non-empty, fully labeled train and val
     examples with their sentence vectors are checked before the first step.
-
-    Each epoch shuffles with the run rng, steps through batches with
-    forward -> weighted CE -> backward -> clip -> Adam at the annealed rate,
-    keeps the embedding frozen through the first ``freeze_embedding_epochs``
-    epochs, and scores validation micro-F1.  The checkpoint holds the
-    best-validation epoch (ties favor the earlier epoch) unless
-    ``select="last"``.  A non-finite gradient stops the run with a
-    ValueError that names the epoch, the 1-based step within it and the
-    parameter.
+    Each :func:`run_epochs` epoch (forward -> weighted CE -> backward -> clip
+    -> Adam at the annealed rate) is scored on validation micro-F1; the
+    checkpoint holds the best epoch (ties favor the earlier) unless
+    ``select="last"``.
     """
     if select not in ("best", "last"):
         raise ValueError(f"select must be 'best' or 'last', got {select!r}")
@@ -402,36 +428,20 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
     check_sentence_vectors(train_ex, sentence_store, params.sentence_dim, "training")
     check_sentence_vectors(val_ex, sentence_store, params.sentence_dim, "validation")
     named = params.named()
-    adam = init_adam(named)
     history: list[HistoryRow] = []
     best: tuple[float, int, dict] | None = None
 
-    for epoch in range(1, config.epochs + 1):
-        params.embedding.frozen = epoch <= config.freeze_embedding_epochs
-        lr = lr_at_epoch(config, epoch)
-        order = rng.permutation(len(train_ex))
-        loss_sum = 0.0
-        steps = 0
-        clipped = 0
-        for chunk_start in range(0, len(order), config.batch_size):
-            chunk = [train_ex[i] for i in order[chunk_start:chunk_start + config.batch_size]]
-            batch = make_batch(chunk, sentence_store, params.sentence_dim)
-            probs = rcnn.forward(params, batch, training=True, rng=rng)[1]
-            loss = weighted_cross_entropy(probs, batch.labels, weights)
-            T.reset_grads(named.values())
-            T.backward(loss)
-            loss_sum += loss.item() * len(batch)
-            del probs, loss  # this step's graph: free it before Adam and the next forward
-            try:
-                factor = clip_gradients(named, config.clip_norm)
-            except ValueError as err:
-                raise ValueError(f"epoch {epoch}, step {steps + 1}: {err}") from err
-            adam_step(adam, named, lr)
-            steps += 1
-            clipped += factor < 1.0
+    def step(indices):
+        batch = make_batch([train_ex[i] for i in indices], sentence_store, params.sentence_dim)
+        probs = rcnn.forward(params, batch, training=True, rng=rng)[1]
+        return weighted_cross_entropy(probs, batch.labels, weights)
+
+    lrs = [lr_at_epoch(config, epoch) for epoch in range(1, config.epochs + 1)]
+    for epoch, lr, train_loss, clip_fraction in run_epochs(
+            named, step, len(train_ex), rng, lrs=lrs, batch_size=config.batch_size,
+            frozen_epochs=config.freeze_embedding_epochs, clip_norm=config.clip_norm):
         _, val_f1 = evaluate(params, val_ex, sentence_store, config.batch_size)
-        row = HistoryRow(epoch=epoch, lr=lr, train_loss=loss_sum / len(train_ex),
-                         val_micro_f1=val_f1, clip_fraction=clipped / steps)
+        row = HistoryRow(epoch, lr, train_loss, val_f1, clip_fraction)
         history.append(row)
         log.info("epoch %d: lr %.6g loss %.4f val_f1 %.4f clip %.2f",
                  row.epoch, row.lr, row.train_loss, row.val_micro_f1, row.clip_fraction)

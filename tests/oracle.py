@@ -88,11 +88,10 @@ def linear(weight: T.Tensor, bias: T.Tensor, x: T.Tensor) -> T.Tensor:
 
 
 def embedding_rows(table: L.EmbeddingMatrix, ids) -> T.Tensor:
-    """One example's rows, with a dense table-sized gradient."""
+    """One example's rows, with a dense table-sized gradient; a frozen
+    table (``requires_grad`` False) records no graph."""
     ids = np.asarray(ids, dtype=np.int64)
     values = table.table.values[ids]
-    if table.frozen:
-        return T.constant(values)
     shape = table.table.shape
 
     def backward_fn(g):

@@ -7,10 +7,11 @@ from validation time at those calls, so ``train_encoded`` must reach it
 through the ``train`` module global, once per epoch.  The traced run also
 reads ``ids.size`` and ``valid_lengths.sum()`` off each ``train.make_batch``
 result for its padding ratio, so a batch keeps that padded container.
-Both training loops step through the one ``train.adam_step``, so its traced
-seconds measure the same call, with the same arguments, on both sides of a
-comparison.  Likewise every dropout of both models runs through the
-module-level ``layers.dropout``, the function ``layers.dropout.s`` times.
+Both models train through the one loop, ``train.run_epochs``, which steps
+through the module-level ``train.adam_step``, so its traced seconds measure
+the same call, with the same arguments, on both sides of a comparison.
+Likewise every dropout of both models runs through the module-level
+``layers.dropout``, the function ``layers.dropout.s`` times.
 """
 
 import importlib
@@ -28,6 +29,7 @@ from emoconv import layers as L
 from emoconv import rcnn
 from emoconv import train as tr
 from emoconv.config import TrainConfig
+from emoconv.textprep import Vocabulary
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -75,9 +77,33 @@ def test_make_batch_keeps_what_the_padding_probe_reads():
     assert 0 < valid / cells <= 1
 
 
-def test_both_loops_step_through_the_one_adam_step():
-    assert ft.adam_step is tr.adam_step
+def test_both_loops_step_through_the_one_adam_step(monkeypatch):
     assert list(inspect.signature(tr.adam_step).parameters) == ["state", "named_params", "lr"]
+    adam_step, calls = tr.adam_step, []
+    monkeypatch.setattr(tr, "adam_step", lambda *a: calls.append(1) or adam_step(*a))
+
+    vocab = Vocabulary()
+    for word in ("good", "bad", "film"):
+        vocab.add(word)
+    rng = np.random.default_rng(0)
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (vocab.size, 4)))
+    model = ft.build_finetune_model(emb, rng, filters_per_size=2)
+    corpus = [("good film", 1), ("bad film", 0), ("good", 1), ("bad", 0), ("film", 1)]
+    schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01,
+                                   batch_size=2)
+    ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
+    assert len(calls) == 2 * 3  # 2 epochs of ceil(5 / 2) batches
+
+    calls.clear()
+    config = TrainConfig(lr=0.01, batch_size=5, epochs=2, hidden_size=3, num_layers=1,
+                         sentence_dim=0, embedding_dim=4, freeze_embedding_epochs=1)
+    train_split = toycorpus.make_split("train", 12, seed=0)
+    val_split = toycorpus.make_split("val", 8, seed=1)
+    vocab = toycorpus.vocab_for(train_split, val_split)
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (vocab.size, 4)))
+    tr.train(rcnn.init_model(config, emb, rng), train_split, val_split, None, config,
+             rng, vocab=vocab)
+    assert len(calls) == 2 * 3  # 2 epochs of ceil(12 / 5) batches
 
 
 def test_every_dropout_goes_through_layers_dropout(monkeypatch):

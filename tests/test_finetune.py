@@ -94,17 +94,17 @@ def test_encode_corpus_validation():
 def test_frozen_epoch_keeps_embedding_bit_identical(monkeypatch):
     model, corpus, _, vocab, rng = _setup(seed=5)
     before = model.emb.table.values.copy()
-    states = []
+    init_adam, states = tr.init_adam, []
 
     def read_only_table(named):  # a write to the frozen table would raise
-        states.append(tr.init_adam(named))
+        states.append(init_adam(named))
         frozen = [named["embedding.table"].values, states[0].m["embedding.table"],
                   states[0].v["embedding.table"]]
         for arr in frozen:
             arr.flags.writeable = False
         return states[0]
 
-    monkeypatch.setattr(ft, "init_adam", read_only_table)
+    monkeypatch.setattr(tr, "init_adam", read_only_table)
     schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=0, lr=0.01,
                                    batch_size=16)
     emb, losses = ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
@@ -113,7 +113,35 @@ def test_frozen_epoch_keeps_embedding_bit_identical(monkeypatch):
     m, v = states[0].m["embedding.table"], states[0].v["embedding.table"]
     assert not (m.any() or v.any() or np.signbit(m).any())
     assert states[0].m["output.w"].any()
-    assert model.emb.frozen is False
+    assert len(states) == 1
+    _assert_table_unfrozen(model.emb)
+
+
+def _assert_table_unfrozen(emb):
+    assert emb.table.requires_grad is True
+    assert L.embedding_lookup(emb, [1]).requires_grad
+
+
+def test_the_freeze_switch_is_restored_after_frozen_epochs_and_errors(monkeypatch):
+    model, corpus, _, vocab, rng = _setup(seed=8)
+    schedule = ft.FinetuneSchedule(frozen_epochs=2, unfrozen_epochs=0, lr=0.01,
+                                   batch_size=16)
+    _, losses = ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
+    assert len(losses) == 2
+    _assert_table_unfrozen(model.emb)
+
+    forward, calls = ft.forward_finetune, []
+
+    def failing_forward(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("forward failed")
+        return forward(*args)
+
+    monkeypatch.setattr(ft, "forward_finetune", failing_forward)
+    with pytest.raises(RuntimeError):
+        ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
+    _assert_table_unfrozen(model.emb)
 
 
 def test_unfrozen_epochs_touch_only_corpus_rows():

@@ -7,7 +7,9 @@ from emoconv import tensor as T
 
 
 def _lookup_table(rows, frozen=False):
-    return L.EmbeddingMatrix.from_array(np.asarray(rows, dtype=float), frozen=frozen)
+    table = L.EmbeddingMatrix.from_array(np.asarray(rows, dtype=float))
+    table.table.requires_grad = not frozen
+    return table
 
 
 def test_embedding_lookup_padding_row_and_repeats():

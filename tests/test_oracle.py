@@ -58,7 +58,7 @@ def _batched(params, batch):
                                               (2, False, True)])
 def test_rcnn_matches_per_example_oracle(seed, tanh, frozen):
     params, rng = _model(seed, CONFIG.replace(projection_tanh=tanh))
-    params.embedding.frozen = frozen
+    params.embedding.table.requires_grad = not frozen
     batch = _batch(rng, LENGTHS)
     logits, grads = _batched(params, batch)
     want_logits, want_grads = _logits_and_grads(

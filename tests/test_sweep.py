@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -138,3 +140,72 @@ def test_sweep_encodes_once_and_matches_per_run_training(tmp_path, monkeypatch):
             config_hash=sw.config_hash(config), best_val_f1=ckpt.best_val_f1,
             final_train_loss=history[-1].train_loss, baseline_loss=baseline,
             trained_effectively=history[-1].train_loss < baseline)
+
+
+def test_a_sweep_on_other_training_data_retrains_in_the_same_runs_dir(tmp_path):
+    train_split, val_split, vocab = _toy_data()
+    other_train = toycorpus.make_split("train", 12, seed=200)
+    other_vocab = toycorpus.vocab_for(other_train, val_split)
+    spec = sw.SweepSpec("lr", [0.02], seeds=[0, 1])
+    first, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
+                            tr.assemble_split(train_split), runs_dir=tmp_path)
+    second, aggregates = sw.run_sweep(spec, FAST, other_train, val_split, None,
+                                      other_vocab, tr.assemble_split(other_train),
+                                      runs_dir=tmp_path)
+    alone, want = sw.run_sweep(spec, FAST, other_train, val_split, None, other_vocab,
+                               tr.assemble_split(other_train))
+    assert second == alone and aggregates == want
+    assert [r.final_train_loss for r in second] != [r.final_train_loss for r in first]
+    assert len(list(tmp_path.glob("run_*.json"))) == 4
+
+
+def test_sweep_inputs_digest_covers_what_a_run_reads():
+    train_split, val_split, vocab = _toy_data()
+    store = toycorpus.store_for([train_split, val_split], 3, seed=5)
+    pretrained = {"happy": np.ones(6)}
+    base = sw._inputs_digest(train_split, val_split, vocab, store, pretrained)
+    assert base == sw._inputs_digest(train_split, val_split, vocab, store,
+                                     {"happy": np.ones(6)})
+    relabeled = copy.deepcopy(val_split)
+    relabeled.conversations[0].label = "others"
+    moved = copy.deepcopy(store)
+    moved.vectors[train_split.conversations[0].id] = np.zeros(3)
+    changed = [
+        sw._inputs_digest(train_split, relabeled, vocab, store, pretrained),
+        sw._inputs_digest(train_split, val_split, vocab, moved, pretrained),
+        sw._inputs_digest(train_split, val_split, vocab, None, pretrained),
+        sw._inputs_digest(train_split, val_split, vocab, store, {"happy": np.zeros(6)}),
+        sw._inputs_digest(train_split, val_split, vocab, store, None),
+    ]
+    assert len({base, *changed}) == 1 + len(changed)
+
+
+def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path):
+    train_split, val_split, vocab = _toy_data()
+    spec = sw.SweepSpec("lr", [0.02], seeds=[0])
+    records, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
+                              tr.assemble_split(train_split), runs_dir=tmp_path)
+    (path,) = tmp_path.iterdir()  # no temporary file is left beside the record
+    whole = path.read_bytes()
+    assert sw.load_record(path) == records[0]
+
+    rng = np.random.default_rng(0)
+    cuts = {0, 1, len(whole) - 2, len(whole) - 1, *rng.integers(2, len(whole) - 2, 20)}
+    for cut in sorted(cuts):
+        path.write_bytes(whole[:cut])
+        if cut == len(whole) - 1:  # only the final newline is gone
+            assert sw.load_record(path) == records[0]
+            continue
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            sw.load_record(path)
+
+    fields = json.loads(whole)
+    for bad in ([1, 2], {**fields, "extra": 1},
+                {k: v for k, v in fields.items() if k != "seed"}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            sw.load_record(path)
+    # the sweep reports such a record rather than retraining over it
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
+                     tr.assemble_split(train_split), runs_dir=tmp_path)

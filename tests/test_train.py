@@ -300,6 +300,29 @@ def test_non_finite_gradient_names_epoch_and_step(monkeypatch):
     assert str(err.value) == "epoch 2, step 2: non-finite gradient in parameter 'output.w'"
 
 
+def test_the_freeze_switch_is_restored_on_return_and_on_error(monkeypatch):
+    def assert_unfrozen(params):
+        assert params.embedding.table.requires_grad is True
+        assert L.embedding_lookup(params.embedding, [1]).requires_grad
+
+    config = TOY_CONFIG.replace(epochs=2, freeze_embedding_epochs=3)
+    params, train_split, val_split, store, vocab, rng = _toy_setup(config)
+    tr.train(params, train_split, val_split, store, config, rng, vocab=vocab)
+    assert_unfrozen(params)
+
+    params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG)
+    backward = T.backward
+
+    def poisoned_backward(loss):  # the first step of frozen epoch 1
+        backward(loss)
+        params.out_w.grad[0, 0] = np.inf
+
+    monkeypatch.setattr(T, "backward", poisoned_backward)
+    with pytest.raises(ValueError, match="epoch 1, step 1: non-finite gradient"):
+        tr.train(params, train_split, val_split, store, TOY_CONFIG, rng, vocab=vocab)
+    assert_unfrozen(params)
+
+
 def test_unfrozen_epoch_keeps_pad_row_zero():
     config = TOY_CONFIG.replace(epochs=2, freeze_embedding_epochs=1,
                                 dropout_bilstm=0.3, dropout_linear=0.3)
