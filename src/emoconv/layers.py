@@ -156,7 +156,7 @@ def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
 
 
 def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              u: np.ndarray, ut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM cell update for the n rows still active, in numpy.
 
     ``gates`` [n x 4h] holds x W^T + b on entry; it becomes
@@ -164,9 +164,15 @@ def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     activated in place (input, forget and output through the logistic,
     cell through tanh), so the caller keeps them for backward.  Returns
     (h, c) with c = f*c_prev + i*g and h = o*tanh(c).
+
+    ``ut`` is U^T as a contiguous array.  Several rows multiply it: with 2
+    to 7 rows at hidden 200, OpenBLAS's product with the transposed view
+    ``u.T`` runs a kernel up to 3x slower.  One row multiplies ``u.T``: a
+    matrix-vector product, as fast either way, and at hidden 200 the only
+    row count whose result the contiguous copy would change.
     """
     hs = u.shape[1]
-    gates += h_prev @ u.T
+    gates += h_prev @ ut if h_prev.shape[0] > 1 else h_prev @ u.T
     T.sigmoid_(gates[:, :2 * hs])
     np.tanh(gates[:, 2 * hs:3 * hs], out=gates[:, 2 * hs:3 * hs])
     T.sigmoid_(gates[:, 3 * hs:])
@@ -220,13 +226,14 @@ def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
                          f"U {u.shape}, b {b.shape}")
     src, prev, offsets = _packed_order(lengths, reverse)
     wv, uv = w.values, u.values
+    ut = np.ascontiguousarray(uv.T)
     gates = x.values[src] @ wv.T
     gates += b.values
     c_all = np.empty((src.size, hs))
     out = np.empty((src.size, hs))
     h = c = np.zeros((offsets[1], hs))
     for s, e in zip(offsets[:-1], offsets[1:]):
-        h, c = lstm_step(gates[s:e], h[:e - s], c[:e - s], uv)
+        h, c = lstm_step(gates[s:e], h[:e - s], c[:e - s], uv, ut)
         out[src[s:e]], c_all[s:e] = h, c
 
     def backward_fn(g):

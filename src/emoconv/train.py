@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,14 +78,20 @@ def clip_gradients(named_params: dict[str, T.Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm;
     returns the factor applied (1.0 when under the threshold).  A parameter
     with no gradient adds nothing to the norm; a non-finite gradient is a
-    ValueError that names its parameter."""
+    ValueError that names its parameter.  A ``RowGrad`` is replaced by its
+    compact form and counts only its touched rows, so its squares sum in
+    another order than over the dense array and the factor may differ in its
+    last bits."""
     sq = 0.0
     for name, t in named_params.items():
         if t.grad is None:
             continue
-        s = float((t.grad * t.grad).sum())
+        if isinstance(t.grad, T.RowGrad):
+            t.grad = t.grad.compact()
+        g = t.grad.values if isinstance(t.grad, T.RowGrad) else t.grad
+        s = float((g * g).sum())
         # a non-finite entry makes s non-finite, so finite sums skip the scan
-        if not math.isfinite(s) and not np.isfinite(t.grad).all():
+        if not math.isfinite(s) and not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient in parameter {name!r}")
         sq += s
     norm = math.sqrt(sq)
@@ -93,7 +99,9 @@ def clip_gradients(named_params: dict[str, T.Tensor], max_norm: float) -> float:
         return 1.0
     factor = max_norm / norm
     for t in named_params.values():
-        if t.grad is not None:
+        if isinstance(t.grad, T.RowGrad):
+            t.grad = T.RowGrad(t.grad.rows, t.grad.values * factor)
+        elif t.grad is not None:
             t.grad *= factor
     return factor
 
@@ -107,14 +115,11 @@ ADAM_BLOCK = 1 << 15
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Moments by parameter name, each allocated at the parameter's first
+    gradient, and the global step count."""
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
-
-
-def init_adam(named_params: dict[str, T.Tensor]) -> AdamState:
-    return AdamState(m={n: np.zeros_like(p.values) for n, p in named_params.items()},
-                     v={n: np.zeros_like(p.values) for n, p in named_params.items()})
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -128,13 +133,15 @@ def adam_step(state: AdamState, named_params: dict[str, T.Tensor], lr: float) ->
     """One bias-corrected Adam update, in place, with a single global step
     count shared by all parameters.
 
-    A parameter with no gradient and all-zero moments is skipped: its update
-    is exactly zero (the moments start at +0.0 and never reach -0.0).  Every
-    other parameter is updated block by block through two scratch buffers,
-    with the same operations in the same order per value as
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    A parameter that has had no gradient yet has no moments and is skipped:
+    its update would be exactly zero (the moments start at +0.0 and never
+    reach -0.0).  Every other parameter is updated block by block through
+    two scratch buffers, with the same operations in the same order per
+    value as ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
     ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so the bytes are those of the
-    whole-array form.
+    whole-array form.  For a ``RowGrad`` (or no gradient) the moments decay
+    everywhere but the ``g`` terms are added only at the touched rows: the
+    skipped ``+ 0.0`` leaves a moment that is never -0.0 unchanged.
     """
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
@@ -143,22 +150,38 @@ def adam_step(state: AdamState, named_params: dict[str, T.Tensor], lr: float) ->
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     buf1, buf2 = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for name, p in named_params.items():
-        m, v = state.m[name], state.v[name]
-        if p.grad is None and not (m.any() or v.any()):
-            continue
-        g = T.grad_of(p).reshape(-1)
-        m, v, values = _flat(m), _flat(v), _flat(p.values)
+        if name not in state.m:
+            if p.grad is None:
+                continue
+            state.m[name], state.v[name] = np.zeros_like(p.values), np.zeros_like(p.values)
+        m, v, values = _flat(state.m[name]), _flat(state.v[name]), _flat(p.values)
+        g = p.grad
+        at, g_at = np.zeros(0, np.int64), np.zeros(0)  # touched flat positions, ascending
+        if isinstance(g, T.RowGrad):
+            g = g.compact()
+            width = math.prod(p.shape[1:])
+            at = (g.rows[:, None] * width + np.arange(width)).reshape(-1)
+            g_at = g.values.reshape(-1)
+        elif g is not None:
+            g = g.reshape(-1)
         for start in range(0, values.size, ADAM_BLOCK):
             block = slice(start, start + ADAM_BLOCK)
-            gb, mb, vb, pb = g[block], m[block], v[block], values[block]
+            mb, vb, pb = m[block], v[block], values[block]
             s1, s2 = buf1[:pb.size], buf2[:pb.size]
             mb *= ADAM_BETA1
-            np.multiply(gb, 1.0 - ADAM_BETA1, out=s1)
-            mb += s1
             vb *= ADAM_BETA2
-            np.multiply(gb, 1.0 - ADAM_BETA2, out=s1)
-            s1 *= gb
-            vb += s1
+            if isinstance(g, np.ndarray):
+                gb = g[block]
+                np.multiply(gb, 1.0 - ADAM_BETA1, out=s1)
+                mb += s1
+                np.multiply(gb, 1.0 - ADAM_BETA2, out=s1)
+                s1 *= gb
+                vb += s1
+            else:
+                lo, hi = np.searchsorted(at, (start, start + pb.size))
+                i, gi = at[lo:hi] - start, g_at[lo:hi]
+                mb[i] += gi * (1.0 - ADAM_BETA1)
+                vb[i] += gi * (1.0 - ADAM_BETA2) * gi
             np.divide(mb, bc1, out=s1)
             s1 *= lr
             np.divide(vb, bc2, out=s2)
@@ -362,10 +385,11 @@ def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, rng, *, lrs,
     ``lrs``, yielding (epoch, lr, mean loss, clipped fraction).  ``step``
     maps a shuffled batch of indices to the scalar loss, whose graph is freed
     after backward.  Gradients are clipped to norm ``clip_norm`` unless None;
-    a non-finite one is a ValueError naming the epoch, step and parameter.
-    The embedding table is frozen through ``frozen_epochs``; its flag is
-    restored before each yield and on error."""
-    adam = init_adam(named)
+    clipped or not, a non-finite one is a ValueError naming the epoch, step
+    and parameter.  The embedding table is frozen through ``frozen_epochs``;
+    its flag is restored before each yield and on error."""
+    adam = AdamState()
+    max_norm = math.inf if clip_norm is None else clip_norm
     table = named["embedding.table"]
     trainable = table.requires_grad
     for epoch, lr in enumerate(lrs, start=1):
@@ -379,11 +403,10 @@ def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, rng, *, lrs,
                 loss_sum += loss.item() * len(indices)
                 del loss  # this step's graph: free it before Adam and the next forward
                 steps += 1
-                if clip_norm is not None:
-                    try:
-                        clipped += clip_gradients(named, clip_norm) < 1.0
-                    except ValueError as err:
-                        raise ValueError(f"epoch {epoch}, step {steps}: {err}") from err
+                try:
+                    clipped += clip_gradients(named, max_norm) < 1.0
+                except ValueError as err:
+                    raise ValueError(f"epoch {epoch}, step {steps}: {err}") from err
                 adam_step(adam, named, lr)
         finally:
             table.requires_grad = trainable

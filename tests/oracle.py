@@ -6,8 +6,10 @@ did before ``lstm_scan``, the masked ``max_over_time`` and ``unfold``
 existed.  Tests run the batched model and this oracle on the same parameters
 and require equal logits and gradients.  The ops that only this path needs
 (``matvec``, ``narrow``, ``take_row``, ``stack_rows``) live here too, as do
-the whole-array Adam step and gradient clipping that the blocked, skipping
-ones in ``train`` must match byte for byte.
+the whole-array Adam step and gradient clipping that the blocked, skipping,
+row-sparse ones in ``train`` must match byte for byte, and the recurrence
+step whose product ``layers.lstm_step`` must match byte for byte at the
+paper's hidden size.
 """
 
 from __future__ import annotations
@@ -119,6 +121,16 @@ def lstm_step(direction: L.LstmDirection, x_t, h_prev, c_prev):
     return T.mul(o, T.tanh(c)), c
 
 
+_LAYERS_LSTM_STEP = L.lstm_step  # bound at import: tests patch L.lstm_step with the one below
+
+
+def packed_lstm_step(gates, h_prev, c_prev, u, ut):
+    """``layers.lstm_step`` with every step's recurrent product taken against
+    the transposed view ``u.T``, as ``lstm_scan`` did before it kept a
+    contiguous U^T."""
+    return _LAYERS_LSTM_STEP(gates, h_prev, c_prev, u, u.T)
+
+
 def scan(direction: L.LstmDirection, steps):
     h = T.constant(np.zeros(direction.hidden_size))
     c = T.constant(np.zeros(direction.hidden_size))
@@ -210,6 +222,8 @@ def clip_gradients(named_params, max_norm: float) -> float:
 
 
 def adam_step(state, named_params, lr: float) -> None:
+    """Every parameter, every step, with zero moments from the first step
+    and a dense gradient (zeros where there is none)."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     state.t += 1
@@ -217,6 +231,8 @@ def adam_step(state, named_params, lr: float) -> None:
     bc2 = 1.0 - tr.ADAM_BETA2 ** state.t
     for name, p in named_params.items():
         g = T.grad_of(p)
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p.values), np.zeros_like(p.values)
         m = state.m[name]
         v = state.v[name]
         m *= tr.ADAM_BETA1

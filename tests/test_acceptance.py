@@ -201,8 +201,7 @@ def test_criterion_05_training_schedule(monkeypatch):
         def recording_clip(named, max_norm):
             factor = real_clip(named, max_norm)
             total = math.sqrt(sum(
-                float(np.sum(t.grad ** 2)) for t in named.values()
-                if t.grad is not None))
+                float(np.sum(T.grad_of(t) ** 2)) for t in named.values()))
             post_clip_norms.append(total)
             return factor
 

@@ -94,26 +94,23 @@ def test_encode_corpus_validation():
 def test_frozen_epoch_keeps_embedding_bit_identical(monkeypatch):
     model, corpus, _, vocab, rng = _setup(seed=5)
     before = model.emb.table.values.copy()
-    init_adam, states = tr.init_adam, []
+    model.emb.table.values.flags.writeable = False  # a write to the frozen table would raise
+    adam_step, states = tr.adam_step, []
 
-    def read_only_table(named):  # a write to the frozen table would raise
-        states.append(init_adam(named))
-        frozen = [named["embedding.table"].values, states[0].m["embedding.table"],
-                  states[0].v["embedding.table"]]
-        for arr in frozen:
-            arr.flags.writeable = False
-        return states[0]
+    def recording_step(state, named, lr):
+        states.append(state)
+        adam_step(state, named, lr)
 
-    monkeypatch.setattr(tr, "init_adam", read_only_table)
+    monkeypatch.setattr(tr, "adam_step", recording_step)
     schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=0, lr=0.01,
                                    batch_size=16)
     emb, losses = ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
     assert len(losses) == 1
     npt.assert_array_equal(emb.table.values, before)
-    m, v = states[0].m["embedding.table"], states[0].v["embedding.table"]
-    assert not (m.any() or v.any() or np.signbit(m).any())
-    assert states[0].m["output.w"].any()
-    assert len(states) == 1
+    assert "embedding.table" not in states[-1].m  # the frozen epoch made no moments
+    assert states[-1].m["output.w"].any()
+    assert len({id(state) for state in states}) == 1
+    model.emb.table.values.flags.writeable = True
     _assert_table_unfrozen(model.emb)
 
 
@@ -142,6 +139,25 @@ def test_the_freeze_switch_is_restored_after_frozen_epochs_and_errors(monkeypatc
     with pytest.raises(RuntimeError):
         ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
     _assert_table_unfrozen(model.emb)
+
+
+def test_non_finite_gradient_names_epoch_and_step(monkeypatch):
+    model, corpus, _, vocab, rng = _setup(seed=9, corpus_size=16)
+    backward, calls = T.backward, []
+
+    def poisoned_backward(loss):
+        backward(loss)
+        calls.append(1)
+        model.out_w.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(T, "backward", poisoned_backward)
+    schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01,
+                                   batch_size=8)
+    with pytest.raises(ValueError) as err:
+        ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
+    assert str(err.value) == "epoch 1, step 1: non-finite gradient in parameter 'output.w'"
+    assert len(calls) == 1
+    assert np.isfinite(model.out_w.values).all()
 
 
 def test_unfrozen_epochs_touch_only_corpus_rows():

@@ -6,9 +6,11 @@ graph holds its nodes' values plus the arrays its backward closures
 captured; ``held_bytes`` counts both, each buffer once, and a mixed-length
 step must fit a budget derived from the layer shapes, in which an LSTM scan
 keeps only its gates, its cell states and its output, and a dropout only a
-one-byte keep-mask.
+one-byte keep-mask.  The gradient of the embedding table, and what clipping
+and Adam make of it, stays the size of the rows a step touched.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -153,3 +155,32 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     budget = 8 * floats + masks + index + 4096  # offsets and per-row indices
     held = held_bytes(loss)
     assert 0.9 * budget < held <= budget, (held, budget)
+
+
+def test_unfrozen_step_allocates_nothing_table_sized():
+    """backward leaves the table a RowGrad, and backward, clip and Adam
+    together allocate far less than one [V x d] array once the moments
+    exist; the first step, which makes the table's two moments, shows that
+    the tracer sees table-sized arrays."""
+    rng = np.random.default_rng(9)
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (50_000, 10)))
+    model = ft.build_finetune_model(emb, rng, filters_per_size=4)
+    named = model.named()
+    rows = [rng.integers(1, 50_000, n) for n in (5, 3, 7, 2)]
+    state, peaks = tr.AdamState(), []
+    for _ in range(2):
+        loss = ft.binary_cross_entropy(ft.forward_finetune(model, rows, True, rng),
+                                       [1, 0, 1, 0])
+        T.reset_grads(named.values())
+        tracemalloc.start()
+        try:
+            T.backward(loss)
+            assert isinstance(emb.table.grad, T.RowGrad)
+            assert tr.clip_gradients(named, 1e-3) < 1.0  # the scaling runs too
+            tr.adam_step(state, named, 0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    table_bytes = emb.table.values.nbytes
+    assert peaks[0] > 2 * table_bytes
+    assert peaks[1] < table_bytes / 4, (peaks, table_bytes)

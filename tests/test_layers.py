@@ -20,7 +20,7 @@ def test_embedding_lookup_padding_row_and_repeats():
     npt.assert_array_equal(out.values, [[3, 4], [3, 4]])
     T.backward(T.sum_all(out))
     # both rows feed the same table row, so its gradient is the sum
-    npt.assert_array_equal(table.table.grad, [[0, 0], [0, 0], [2, 2]])
+    npt.assert_array_equal(T.grad_of(table.table), [[0, 0], [0, 0], [2, 2]])
 
     with pytest.raises(ValueError) as err:
         L.embedding_lookup(table, [3])
@@ -37,13 +37,33 @@ def test_batched_lookup_skips_pad_and_checks_every_id():
     npt.assert_array_equal(out.values[2:], [[0, 0], [3, 4]])
     # gradient at PAD is dropped, so row 0 never moves
     T.backward(T.sum_all(out))
-    npt.assert_array_equal(table.table.grad, [[0, 0], [1, 1], [2, 2]])
+    npt.assert_array_equal(T.grad_of(table.table), [[0, 0], [1, 1], [2, 2]])
 
     with pytest.raises(ValueError) as err:
         L.embedding_lookup(table, np.array([1, 2, -4, 7]))
     assert str(err.value) == "token id -4 out of range for vocabulary of size 3"
     with pytest.raises(ValueError):
         L.embedding_lookup(table, np.array([[1, 2], [2, 0]]))  # a grid, not packed
+
+
+def test_table_gradient_stays_row_sparse_until_a_dense_contribution():
+    table = _lookup_table(np.arange(12.0).reshape(6, 2))
+    both = T.concat([L.embedding_lookup(table, [2, 5, 2]),
+                     L.embedding_lookup(table, [5, 1])], axis=0)
+    T.backward(T.sum_all(both))
+    grad = table.table.grad
+    assert isinstance(grad, T.RowGrad)
+    assert sorted(grad.rows.tolist()) == [1, 2, 2, 5, 5]  # both lookups, uncompacted
+    compact = grad.compact()
+    npt.assert_array_equal(compact.rows, [1, 2, 5])
+    npt.assert_array_equal(compact.values, [[1, 1], [2, 2], [2, 2]])
+    assert compact.compact() is compact
+    want = [[0, 0], [1, 1], [2, 2], [0, 0], [0, 0], [2, 2]]
+    npt.assert_array_equal(T.grad_of(table.table), want)
+
+    T.backward(T.sum_all(T.mul(table.table, table.table)))  # a dense one on top
+    assert isinstance(table.table.grad, np.ndarray)
+    npt.assert_array_equal(table.table.grad, np.array(want) + 2 * table.table.values)
 
 
 def test_lookup_into_a_computed_table_gets_dense_gradient():
@@ -83,7 +103,8 @@ def _scan_params(rng, inp, hidden, scale=0.5):
 
 def test_lstm_step_zero_params_give_zero_state():
     gates = np.zeros((2, 8))
-    h, c = L.lstm_step(gates, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((8, 2)))
+    h, c = L.lstm_step(gates, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((8, 2)),
+                       np.zeros((2, 8)))
     npt.assert_array_equal(h, np.zeros((2, 2)))
     npt.assert_array_equal(c, np.zeros((2, 2)))
     # the gates are activated in place: logistic(0) = 0.5, tanh(0) = 0
@@ -95,7 +116,8 @@ def test_lstm_step_open_gates_add_candidate_to_cell():
     # so c = c_prev + tanh(b_g) and h = tanh(c)
     b_g = 0.4
     gates = np.array([[50.0, 50.0, b_g, 50.0]])
-    h, c = L.lstm_step(gates, np.array([[0.3]]), np.array([[0.25]]), np.zeros((4, 1)))
+    h, c = L.lstm_step(gates, np.array([[0.3]]), np.array([[0.25]]), np.zeros((4, 1)),
+                       np.zeros((1, 4)))
     npt.assert_allclose(c, [[0.25 + np.tanh(b_g)]], atol=1e-12)
     npt.assert_allclose(h, np.tanh(c), atol=1e-12)
 

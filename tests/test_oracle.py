@@ -8,6 +8,8 @@ batch against one per example and step), which moves results by a few ulps,
 far inside 1e-10.
 """
 
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -174,6 +176,30 @@ def test_forward_is_one_scan_per_layer_and_direction(monkeypatch):
     assert sizes[0] == sizes[1] < 100
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scan_bytes_match_the_transposed_view_product(monkeypatch, reverse):
+    """At the paper's hidden size, the contiguous U^T product leaves the
+    scan's output and all four gradients byte-identical, at every count of
+    active rows from 64 down to 1."""
+    rng = np.random.default_rng(50)
+    hidden, inp = 200, 16
+    lengths = rng.permutation(np.arange(1, 65))  # step t has 64 - t rows active
+    x = T.Tensor(rng.normal(size=(lengths.sum(), inp)), requires_grad=True)
+    params = [T.Tensor(rng.uniform(-0.1, 0.1, shape), requires_grad=True)
+              for shape in ((4 * hidden, inp), (4 * hidden, hidden), (4 * hidden,))]
+    weights = T.constant(rng.normal(size=(lengths.sum(), hidden)))
+
+    def run():
+        T.reset_grads([x] + params)
+        out = L.lstm_scan(x, lengths, *params, reverse=reverse)
+        T.backward(T.sum_all(T.mul(out, weights)))
+        return [out.values.tobytes()] + [t.grad.tobytes() for t in [x] + params]
+
+    got = run()
+    monkeypatch.setattr(L, "lstm_step", oracle.packed_lstm_step)
+    assert got == run()
+
+
 def _twin_params(shapes, seed):
     rng = np.random.default_rng(seed)
     values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
@@ -181,38 +207,65 @@ def _twin_params(shapes, seed):
             for _ in range(2)]
 
 
+# rows of "table" (100 values each) at and after the rows that straddle a block boundary
+BOUNDARY_ROWS = [0, tr.ADAM_BLOCK // 100, tr.ADAM_BLOCK // 100 + 1,
+                 2 * tr.ADAM_BLOCK // 100, 2 * tr.ADAM_BLOCK // 100 + 1, 699]
+
+
+def _row_grad(rng, step):
+    """A repeated row, the block-boundary rows, row 100 at step 1 only,
+    and a few random rows, at magnitudes from 1e-200 to 1e160."""
+    rows = np.array(BOUNDARY_ROWS + [5, 327, 5] + ([100] if step == 1 else [])
+                    + rng.integers(101, 700, 6).tolist())
+    rows = rng.permutation(rows)
+    values = rng.normal(size=(rows.size, 100)) * 10.0 ** rng.uniform(-200, 160, (rows.size, 1))
+    return T.RowGrad(rows, values)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_adam_matches_the_whole_array_oracle_byte_for_byte():
     block = tr.ADAM_BLOCK
     shapes = {"below": (block - 1,), "block": (block,), "above": (block + 1,),
               "matrix": (3, block // 2), "bias": (1,), "never": (5,),
-              "stops": (block + 1,), "zero": (4, 2)}
+              "stops": (block + 1,), "zero": (4, 2), "table": (700, 100),
+              "late": (40, 3)}
     blocked, whole = _twin_params(shapes, seed=40)
-    state, want_state = tr.init_adam(blocked), tr.init_adam(whole)
+    state, want_state = tr.AdamState(), tr.AdamState()
     rng = np.random.default_rng(41)
-    stops_m = []
+    stops_m, table_m = [], []
     for step, lr in enumerate([0.01, 0.0005, 0.1, 0.0005, 0.002, 0.01], start=1):
         for name, shape in shapes.items():
-            if name == "never" or (name == "stops" and step > 2):
+            if name == "never" or (name == "stops" and step > 2) or (name == "late" and step < 3):
                 grad = None
             elif name == "zero":
                 grad = np.zeros(shape)
+            elif name == "table":
+                grad = _row_grad(rng, step)
+            elif name == "late":  # row-sparse, with moments made at step 3
+                grad = T.RowGrad(np.array([39, 0, 39]), rng.normal(size=(3, 3)))
             else:  # magnitudes from underflow in g*g to overflow in v
                 grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-200, 160, shape)
             for named in (blocked, whole):
-                named[name].grad = None if grad is None else grad.copy()
+                named[name].grad = None if grad is None else copy.deepcopy(grad)
         tr.adam_step(state, blocked, lr)
         oracle.adam_step(want_state, whole, lr)
         assert state.t == want_state.t == step
         for name in shapes:
             assert blocked[name].values.tobytes() == whole[name].values.tobytes(), name
-            assert state.m[name].tobytes() == want_state.m[name].tobytes(), name
-            assert state.v[name].tobytes() == want_state.v[name].tobytes(), name
+            if name in state.m:
+                assert state.m[name].tobytes() == want_state.m[name].tobytes(), name
+                assert state.v[name].tobytes() == want_state.v[name].tobytes(), name
+            else:  # the oracle's moments for a parameter never given a gradient
+                assert not (want_state.m[name].any() or want_state.v[name].any()), name
+        assert ("late" in state.m) == (step >= 3)
         stops_m.append(state.m["stops"].copy())
-    assert not state.m["never"].any() and not state.v["never"].any()
+        table_m.append(state.m["table"][100].copy())
+    assert "never" not in state.m and "never" not in state.v
     npt.assert_array_equal(blocked["never"].values, whole["never"].values)
     # with no gradient after step 2, the moments keep decaying, so it keeps moving
     npt.assert_array_equal(stops_m[3], stops_m[2] * tr.ADAM_BETA1)
+    # so does a table row touched once
+    npt.assert_array_equal(table_m[2], table_m[1] * tr.ADAM_BETA1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -237,3 +290,23 @@ def test_clip_matches_the_whole_array_oracle_byte_for_byte():
     with pytest.raises(ValueError) as err:
         tr.clip_gradients(clipped, 5.0)
     assert str(err.value) == str(want.value) == "non-finite gradient in parameter 'b'"
+
+
+def test_clip_scales_a_row_sparse_gradient_over_its_touched_rows():
+    """A RowGrad is compacted and scaled row by row.  Its squares sum over
+    the touched rows alone, in another order than the oracle's dense sum, so
+    the factors agree to rounding, not to the byte."""
+    rng = np.random.default_rng(44)
+    sparse, whole = _twin_params({"table": (9, 4), "b": (3,)}, seed=45)
+    grad = T.RowGrad(np.array([7, 2, 7, 4]), rng.normal(size=(4, 4)) * 10.0)
+    b_grad = rng.normal(size=3)
+    sparse["table"].grad, sparse["b"].grad = grad, b_grad.copy()
+    whole["table"].grad, whole["b"].grad = T.grad_of(sparse["table"]), b_grad.copy()
+    factor = tr.clip_gradients(sparse, 5.0)
+    assert factor < 1.0
+    npt.assert_allclose(factor, oracle.clip_gradients(whole, 5.0), rtol=1e-15)
+    clipped = sparse["table"].grad
+    assert isinstance(clipped, T.RowGrad)
+    npt.assert_array_equal(clipped.rows, [2, 4, 7])
+    assert clipped.values.tobytes() == (grad.compact().values * factor).tobytes()
+    npt.assert_allclose(T.grad_of(sparse["table"]), whole["table"].grad, rtol=1e-15)
