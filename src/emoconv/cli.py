@@ -33,8 +33,7 @@ from .dataio import (LABELS, build_embedding_matrix, load_checkpoint,
                      save_word_vectors)
 from .finetune import (FinetuneSchedule, build_finetune_model,
                        finetune_embeddings, load_finetune_corpus)
-from .textprep import (TokenSequence, Vocabulary, build_vocab, clean_text,
-                       tokenize)
+from .textprep import TokenSequence, build_vocab, token_rows
 
 log = logging.getLogger(__name__)
 
@@ -153,8 +152,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_finetune(args) -> int:
     corpus = load_finetune_corpus(args.corpus)
-    vocab = build_vocab([TokenSequence(tokenize(clean_text(text)))
-                         for text, _ in corpus])
+    vocab = build_vocab(TokenSequence(tokens)
+                        for tokens in token_rows((text for text, _ in corpus), 1))
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     pretrained = load_word_vectors(args.embeddings_in, args.dim)

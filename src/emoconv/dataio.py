@@ -67,9 +67,11 @@ def load_dataset(path, split: str) -> DatasetSplit:
 
     The header must be exactly ``id/turn1/turn2/turn3/label`` (tab-separated)
     or the same without the label column.  Labels parse case-insensitively;
-    train and val rows must carry one.
+    train and val rows must carry one.  Conversation ids are unique, and no
+    text holds a NUL character (the tokenizer's separator).
     """
     conversations: list[Conversation] = []
+    first_line: dict[str, int] = {}
     counts = {name: 0 for name in LABELS}
     with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\n").rstrip("\r")
@@ -92,11 +94,30 @@ def load_dataset(path, split: str) -> DatasetSplit:
                 counts[label] += 1
             elif split in ("train", "val"):
                 raise ValueError(f"{path} line {lineno}: split {split!r} requires a label")
+            if "\0" in line:
+                raise ValueError(f"{path} line {lineno}: NUL character, "
+                                 "which no text may hold")
+            if fields[0] in first_line:
+                raise ValueError(f"{path} line {lineno}: repeated conversation id "
+                                 f"{fields[0]!r} (first on line {first_line[fields[0]]})")
+            first_line[fields[0]] = lineno
             conversations.append(Conversation(fields[0], (fields[1], fields[2], fields[3]),
                                               label))
     if not any(counts.values()):
         counts = {}
     return DatasetSplit(split, conversations, counts)
+
+
+def _vector(values: list[str], path, lineno: int) -> np.ndarray:
+    """One row of decimals; a non-numeric or non-finite entry names its line."""
+    try:
+        vec = np.array(values, dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{path} line {lineno}: non-numeric vector entry") from None
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{path} line {lineno}: non-finite vector entry "
+                         f"{values[int(np.argmin(np.isfinite(vec)))]!r}")
+    return vec
 
 
 def load_word_vectors(path, expected_dim: int) -> dict[str, np.ndarray]:
@@ -125,10 +146,7 @@ def load_word_vectors(path, expected_dim: int) -> dict[str, np.ndarray]:
             if len(raw) != expected_dim:
                 raise ValueError(f"{path} line {lineno}: expected {expected_dim} "
                                  f"values, got {len(raw)}")
-            try:
-                vec = np.array(raw, dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}: non-numeric vector entry") from None
+            vec = _vector(raw, path, lineno)
             if token in out:
                 duplicates += 1
                 continue
@@ -155,7 +173,7 @@ def load_sentence_vectors(path, expected_dim: int) -> SentenceVectorStore:
             if len(values) != expected_dim:
                 raise ValueError(f"{path} line {lineno}: expected {expected_dim} "
                                  f"values, got {len(values)}")
-            store.vectors[conv_id] = np.array(values, dtype=np.float64)
+            store.vectors[conv_id] = _vector(values, path, lineno)
     return store
 
 
@@ -327,8 +345,18 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
+    """One token per line, the three reserved tokens first, none repeated."""
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        for lineno, line in enumerate(fh, start=1):
+            token = line.rstrip("\n")
+            if not token:
+                continue
+            if token in first_line:
+                raise ValueError(f"{path} line {lineno}: repeated token {token!r} "
+                                 f"(first on line {first_line[token]})")
+            first_line[token] = lineno
+    tokens = list(first_line)
     if tokens[:len(SPECIALS)] != list(SPECIALS):
         raise ValueError(f"{path}: vocabulary file must start with the three "
                          "reserved tokens")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .textprep import Vocabulary, clean_text, tokenize
+from .textprep import Vocabulary, id_rows
 from .train import LOG_FLOOR, iter_batches, run_epochs
 
 log = logging.getLogger(__name__)
@@ -82,14 +82,12 @@ def binary_cross_entropy(probs: T.Tensor, labels) -> T.Tensor:
 def encode_corpus(corpus, vocab: Vocabulary) -> list[tuple[np.ndarray, int]]:
     """(text, 0/1) pairs -> (token-id array, label) pairs."""
     out = []
-    for text, label in corpus:
+    for (_, label), ids in zip(corpus, id_rows((text for text, _ in corpus), 1, vocab),
+                               strict=True):
         if label not in (0, 1):
             raise ValueError(f"finetune labels must be 0 or 1, got {label!r}")
-        tokens = tokenize(clean_text(text))
-        if not tokens:
-            continue
-        out.append((np.array([vocab.lookup(t) for t in tokens], dtype=np.int64),
-                    int(label)))
+        if ids.size:
+            out.append((ids, int(label)))
     if not out:
         raise ValueError("finetune corpus is empty after tokenization")
     return out
@@ -134,7 +132,8 @@ def predict_finetune(model: FinetuneModel, encoded) -> np.ndarray:
 
 
 def load_finetune_corpus(path) -> list[tuple[str, int]]:
-    """TSV with header ``text<TAB>label``, label 0 or 1."""
+    """TSV with header ``text<TAB>label``, label 0 or 1; no text holds a NUL
+    character (the tokenizer's separator)."""
     out = []
     with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\n")
@@ -147,5 +146,8 @@ def load_finetune_corpus(path) -> list[tuple[str, int]]:
             text, tab, raw = line.rpartition("\t")
             if not tab or raw not in ("0", "1"):
                 raise ValueError(f"{path} line {lineno}: expected 'text<TAB>0|1'")
+            if "\0" in text:
+                raise ValueError(f"{path} line {lineno}: NUL character, "
+                                 "which no text may hold")
             out.append((text, int(raw)))
     return out

@@ -4,6 +4,23 @@ The three turns of a conversation are cleaned and tokenized independently,
 then joined with EOS separator tokens into one sequence.  The length filter
 lives in ``train.encode_split``: it drops training sequences longer than
 ``MAX_TRAIN_TOKENS`` (75); validation and test pass through.
+
+One core tokenizes every text the program reads.  It joins many texts
+with a NUL separator and makes four passes over the joined string:
+collapse same-character punctuation runs, lowercase, split "n't" from its
+word, find the tokens.  A text so costs a share of a few regex scans, not
+a Python loop per character and four regex calls of its own.  NUL is the
+one character the loaders reject in a text.  It is not punctuation, so no
+collapsed run crosses it; it is a non-word character that is neither cased
+nor case-ignorable, so ``\\b`` and the final-sigma rule of ``str.lower``
+see it as the edge of the string; and ``\\S`` makes it a token of its own,
+which marks where each text ends.  Whitespace is neither collapsed nor
+stripped as :func:`clean_text` does: no token holds whitespace, and every
+whitespace character is a non-word character that is neither cased nor
+case-ignorable, so one space, a run of them, a tab or the string's edge all
+end a word alike and the tokens are the same.  ``tests/oracle.py`` keeps the
+per-turn path as the reference.  ``CHUNK_ROWS`` conversations or tweets
+share one joined string, and only one chunk's tokens are alive at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +28,9 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+
+import numpy as np
 
 EOS_TOKEN = "<eos>"
 PAD_ID, UNK_ID, EOS_ID = 0, 1, 2
@@ -18,11 +38,28 @@ SPECIALS = ("<pad>", "<unk>", EOS_TOKEN)
 
 MAX_TRAIN_TOKENS = 75
 
+SEP = "\0"
+CHUNK_ROWS = 1024
+
 _WS_RUN = re.compile(r"\s+")
+# a run of one repeated non-word character; `_` is a word character but
+# also punctuation (Pc), so it joins the class
+_MARK_RUN = re.compile(r"([\W_])\1+")
+# "n't" is split from its word before matching, or the word run would take
+# its "n"; "'s", "'ll" and the rest start at a non-word character, where the
+# word run stops anyway, so the token pattern peels them as it goes
 _CONTRACTION_NT = re.compile(r"n't\b")
-_CONTRACTION_SUFFIX = re.compile(r"'(m|s|re|ve|ll|d)\b")
 # contraction pieces first so the alternation wins before the word run
 _TOKEN = re.compile(r"n't\b|'(?:m|s|re|ve|ll|d)\b|[^\W_]+|\S")
+
+
+def _one_mark(run: re.Match) -> str:
+    text = run.group()
+    return text[0] if unicodedata.category(text[0])[0] == "P" else text
+
+
+def _collapse_marks(text: str) -> str:
+    return _MARK_RUN.sub(_one_mark, text)
 
 
 def clean_text(raw: str) -> str:
@@ -31,22 +68,77 @@ def clean_text(raw: str) -> str:
     "wow!!!   nice" becomes "wow! nice"; alternating marks like "!?!?" are
     left alone because no two adjacent characters repeat.
     """
-    out = []
-    prev = None
-    for ch in raw:
-        if ch == prev and unicodedata.category(ch).startswith("P"):
-            continue
-        out.append(ch)
-        prev = ch
-    return _WS_RUN.sub(" ", "".join(out)).strip()
+    return _WS_RUN.sub(" ", _collapse_marks(raw)).strip()
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace and punctuation, peel contractions."""
     text = text.lower()
     text = _CONTRACTION_NT.sub(" n't", text)
-    text = _CONTRACTION_SUFFIX.sub(r" '\1", text)
     return _TOKEN.findall(text)
+
+
+def _tokens(texts: list[str]) -> list[str]:
+    """The core: the tokens of every text in order, each text followed by
+    one ``SEP`` token.  A text that contains ``SEP`` is a ValueError."""
+    joined = SEP.join(texts)
+    if joined.count(SEP) != len(texts) - 1:
+        bad = next(t for t in texts if SEP in t)
+        raise ValueError(f"text contains a NUL character: {bad[:60]!r}")
+    tokens = tokenize(_collapse_marks(joined))
+    tokens.append(SEP)
+    return tokens
+
+
+def _chunks(texts, per_row: int):
+    """Lists of ``CHUNK_ROWS`` rows of ``per_row`` texts each (the last may be short)."""
+    texts = iter(texts)
+    while chunk := list(islice(texts, per_row * CHUNK_ROWS)):
+        if len(chunk) % per_row:
+            raise ValueError(f"{len(chunk)} texts do not fill rows of {per_row}")
+        yield chunk
+
+
+def _split_chunk(chunk: list[str], per_row: int) -> tuple[list[str], list[int]]:
+    """A chunk's tokens with ``EOS_TOKEN`` in place of each ``SEP``, and the
+    position of the separator that ends each row of ``per_row`` texts."""
+    tokens = _tokens(chunk)
+    ends, end = [], -1
+    for _ in range(len(chunk) // per_row):
+        for _ in range(per_row):
+            end = tokens.index(SEP, end + 1)
+            tokens[end] = EOS_TOKEN
+        ends.append(end)
+    return tokens, ends
+
+
+def _token_rows(chunk: list[str], per_row: int) -> list[list[str]]:
+    """The rows of one chunk: each row's tokens, ``EOS_TOKEN`` between its texts."""
+    tokens, ends = _split_chunk(chunk, per_row)
+    return [tokens[start:end] for start, end in zip([0] + [e + 1 for e in ends], ends)]
+
+
+def token_rows(texts, per_row: int):
+    """Yield the tokens of each row of ``per_row`` consecutive ``texts``
+    (a conversation's three turns, or one tweet), with ``EOS_TOKEN`` between
+    the texts of a row, tokenizing ``CHUNK_ROWS`` rows at a time."""
+    for chunk in _chunks(texts, per_row):
+        yield from _token_rows(chunk, per_row)
+
+
+def id_rows(texts, per_row: int, vocab: Vocabulary):
+    """Yield the int64 token ids of each row of ``per_row`` consecutive
+    ``texts``: the ids of :func:`token_rows` (``EOS_ID`` between the texts
+    of a row), looked up a chunk at a time.  Rows are views into their
+    chunk's array."""
+    lookup = vocab.token_to_id.get
+    for chunk in _chunks(texts, per_row):
+        tokens, ends = _split_chunk(chunk, per_row)
+        ids = np.array(list(map(lookup, tokens, repeat(UNK_ID))), dtype=np.int64)
+        start = 0
+        for end in ends:
+            yield ids[start:end]
+            start = end + 1
 
 
 @dataclass
@@ -71,14 +163,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def add(self, token: str) -> int:
-        i = self.token_to_id.get(token)
-        if i is None:
-            i = len(self.id_to_token)
-            self.token_to_id[token] = i
-            self.id_to_token.append(token)
-        return i
-
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
@@ -87,23 +171,13 @@ def assemble_input(turns) -> TokenSequence:
     """Three turns -> one EOS-separated token sequence."""
     if len(turns) != 3:
         raise ValueError(f"need exactly 3 turns, got {len(turns)}")
-    tokens = []
-    for i, turn in enumerate(turns):
-        if i:
-            tokens.append(EOS_TOKEN)
-        tokens.extend(tokenize(clean_text(turn)))
-    return TokenSequence(tokens)
+    return TokenSequence(_token_rows(list(turns), 3)[0])
 
 
-def build_vocab(train_sequences: list[TokenSequence]) -> Vocabulary:
+def build_vocab(train_sequences) -> Vocabulary:
     """First-occurrence vocabulary over training tokens; specials at 0,1,2."""
-    vocab = Vocabulary()
-    for seq in train_sequences:
-        for tok in seq.tokens:
-            if tok == EOS_TOKEN:
-                continue
-            vocab.add(tok)
-    return vocab
+    tokens = chain(SPECIALS, chain.from_iterable(seq.tokens for seq in train_sequences))
+    return Vocabulary(list(dict.fromkeys(tokens)))
 
 
 def encode_ids(seq: TokenSequence, vocab: Vocabulary) -> TokenSequence:

@@ -17,8 +17,8 @@ from . import tensor as T
 from .config import TrainConfig
 from .dataio import (CHECKPOINT_VERSION, LABEL_TO_INDEX, LABELS, Checkpoint,
                      DatasetSplit, SentenceVectorStore)
-from .textprep import (MAX_TRAIN_TOKENS, TokenSequence, Vocabulary, assemble_input,
-                       encode_ids)
+from .textprep import (MAX_TRAIN_TOKENS, TokenSequence, Vocabulary, encode_ids, id_rows,
+                       token_rows)
 
 log = logging.getLogger(__name__)
 
@@ -213,23 +213,29 @@ class EncodedExample:
         return int(self.ids.size)
 
 
+def _turns(split: DatasetSplit):
+    return (turn for conv in split.conversations for turn in conv.turns)
+
+
 def assemble_split(split: DatasetSplit) -> list[TokenSequence]:
     """Each conversation of a split as one EOS-joined token sequence, in order."""
-    return [assemble_input(conv.turns) for conv in split.conversations]
+    return [TokenSequence(tokens) for tokens in token_rows(_turns(split), 3)]
 
 
 def encode_split(split: DatasetSplit, vocab: Vocabulary,
                  sequences: list[TokenSequence] | None = None) -> list[EncodedExample]:
     """Length-filter (training only) and encode a split.  ``sequences`` are
     its conversations already assembled by :func:`assemble_split`; when
-    they are not given, each conversation is assembled here in turn."""
-    if sequences is None:  # one at a time: only the encoded ids stay in memory
-        sequences = (assemble_input(conv.turns) for conv in split.conversations)
+    they are not given, the split is tokenized here a chunk at a time, so
+    only the encoded ids stay in memory."""
+    if sequences is None:
+        rows = id_rows(_turns(split), 3, vocab)
+    else:
+        rows = (np.asarray(encode_ids(seq, vocab).ids, dtype=np.int64) for seq in sequences)
     out = []
-    for conv, seq in zip(split.conversations, sequences, strict=True):
-        if split.name == "train" and seq.n > MAX_TRAIN_TOKENS:
+    for conv, ids in zip(split.conversations, rows, strict=True):
+        if split.name == "train" and ids.size > MAX_TRAIN_TOKENS:
             continue
-        ids = np.asarray(encode_ids(seq, vocab).ids, dtype=np.int64)
         label = LABEL_TO_INDEX[conv.label] if conv.label is not None else None
         out.append(EncodedExample(conv.id, ids, label))
     return out

@@ -7,20 +7,25 @@ existed.  Tests run the batched model and this oracle on the same parameters
 and require equal logits and gradients.  The ops that only this path needs
 (``matvec``, ``narrow``, ``take_row``, ``stack_rows``) live here too, as do
 the whole-array Adam step and gradient clipping that the blocked, skipping,
-row-sparse ones in ``train`` must match byte for byte, and the recurrence
+row-sparse ones in ``train`` must match byte for byte, the recurrence
 step whose product ``layers.lstm_step`` must match byte for byte at the
-paper's hidden size.
+paper's hidden size, and the per-turn text preparation (a Python loop per
+character, then four regex calls per turn) whose tokens the chunked
+tokenizer core of ``textprep`` must reproduce exactly.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import unicodedata
 
 import numpy as np
 
 from emoconv import layers as L
 from emoconv import tensor as T
 from emoconv import train as tr
+from emoconv.textprep import EOS_TOKEN, TokenSequence
 
 # ---------------------------------------------------------------------------
 # Ops used only by the per-example path
@@ -240,3 +245,42 @@ def adam_step(state, named_params, lr: float) -> None:
         v *= tr.ADAM_BETA2
         v += (1.0 - tr.ADAM_BETA2) * g * g
         p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS)
+
+
+# ---------------------------------------------------------------------------
+# Per-turn text preparation
+
+_WS_RUN = re.compile(r"\s+")
+_CONTRACTION_NT = re.compile(r"n't\b")
+_CONTRACTION_SUFFIX = re.compile(r"'(m|s|re|ve|ll|d)\b")
+_TOKEN = re.compile(r"n't\b|'(?:m|s|re|ve|ll|d)\b|[^\W_]+|\S")
+
+
+def clean_text(raw: str) -> str:
+    """Drop each punctuation character equal to the one kept before it,
+    then collapse whitespace runs to one space and strip."""
+    out = []
+    prev = None
+    for ch in raw:
+        if ch == prev and unicodedata.category(ch).startswith("P"):
+            continue
+        out.append(ch)
+        prev = ch
+    return _WS_RUN.sub(" ", "".join(out)).strip()
+
+
+def tokenize(text: str) -> list[str]:
+    text = text.lower()
+    text = _CONTRACTION_NT.sub(" n't", text)
+    text = _CONTRACTION_SUFFIX.sub(r" '\1", text)
+    return _TOKEN.findall(text)
+
+
+def assemble_input(turns) -> TokenSequence:
+    """Each turn cleaned and tokenized on its own, joined with EOS."""
+    tokens = []
+    for i, turn in enumerate(turns):
+        if i:
+            tokens.append(EOS_TOKEN)
+        tokens.extend(tokenize(clean_text(turn)))
+    return TokenSequence(tokens)

@@ -29,7 +29,7 @@ from emoconv import layers as L
 from emoconv import rcnn
 from emoconv import train as tr
 from emoconv.config import TrainConfig
-from emoconv.textprep import Vocabulary
+from emoconv.textprep import SPECIALS, Vocabulary
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -82,9 +82,7 @@ def test_both_loops_step_through_the_one_adam_step(monkeypatch):
     adam_step, calls = tr.adam_step, []
     monkeypatch.setattr(tr, "adam_step", lambda *a: calls.append(1) or adam_step(*a))
 
-    vocab = Vocabulary()
-    for word in ("good", "bad", "film"):
-        vocab.add(word)
+    vocab = Vocabulary([*SPECIALS, "good", "bad", "film"])
     rng = np.random.default_rng(0)
     emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (vocab.size, 4)))
     model = ft.build_finetune_model(emb, rng, filters_per_size=2)

@@ -4,8 +4,6 @@ Each test drives ``cli.main`` with real files in a temp directory, the way a
 user would, and inspects the artifacts it leaves behind.
 """
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -79,44 +77,40 @@ def test_preprocess_artifacts(world):
     assert f"vocab_size\t{vocab.size}" in stats
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls of ``textprep.<name>`` made through any emoconv module."""
-    original, calls = getattr(textprep, name), []
+def _count_texts(monkeypatch):
+    """Count the texts the tokenizer core receives, through any caller."""
+    core, texts = textprep._tokens, []
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def counted(chunk):
+        texts.extend(chunk)
+        return core(chunk)
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("emoconv") and \
-                getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
-    return calls
+    monkeypatch.setattr(textprep, "_tokens", counted)
+    return texts
 
 
 def test_preprocess_and_sweep_parse_each_conversation_once(world, monkeypatch):
     test_split = toycorpus.make_split("test", 6, seed=4)
     toycorpus.write_split(test_split, world / "test.txt")
-    assembled = _count_calls(monkeypatch, "assemble_input")
-    tokenized = _count_calls(monkeypatch, "tokenize")
+    texts = _count_texts(monkeypatch)
     rc = cli.main(["--out", str(world / "stats.tsv"), "preprocess",
                    "--train", str(world / "train.txt"), "--val", str(world / "val.txt"),
                    "--test", str(world / "test.txt"), "--out-dir", str(world / "data")])
     assert rc == 0
     conversations = 16 + 8 + 6
-    assert len(assembled) == conversations and len(tokenized) == 3 * conversations
+    assert len(texts) == 3 * conversations
     stats = (world / "stats.tsv").read_text().splitlines()
     turns = [len(textprep.tokenize(textprep.clean_text(t)))
              for c in test_split.conversations for t in c.turns]
     assert stats[3].split("\t")[-2] == f"{sum(turns) / len(turns):.2f}"
 
-    assembled.clear()
+    texts.clear()
     rc = cli.main(["--config", str(world / "config.txt"), "--out", str(world / "sweep.tsv"),
                    "sweep", "--train", str(world / "train.txt"), "--val", str(world / "val.txt"),
                    "--axis", "lr", "--values", "0.02,0.001", "--seeds", "0",
                    "--sentence-vectors", "none", "--runs-dir", str(world / "runs")])
     assert rc == 0
-    assert len(assembled) == 16 + 8
+    assert len(texts) == 3 * (16 + 8)
 
 
 def test_preprocess_rejects_malformed_file(world, capsys):

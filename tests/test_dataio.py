@@ -8,7 +8,7 @@ import pytest
 
 from emoconv import dataio as dio
 from emoconv.config import TrainConfig, load_config
-from emoconv.textprep import Vocabulary
+from emoconv.textprep import SPECIALS, Vocabulary
 
 
 def _write(path, text):
@@ -51,6 +51,27 @@ def test_load_dataset_errors(tmp_path):
                              "id\tturn1\tturn2\tturn3\nc1\ta\tb\tc\n")
     with pytest.raises(ValueError):
         dio.load_dataset(unlabeled_train, "train")
+
+
+def test_load_dataset_rejects_a_repeated_id_naming_both_lines(tmp_path):
+    p = _write(tmp_path / "train.txt",
+               "id\tturn1\tturn2\tturn3\tlabel\n"
+               "c1\ta\tb\tc\thappy\n"
+               "c2\ta\tb\tc\tsad\n"
+               "c1\td\te\tf\tangry\n")
+    with pytest.raises(ValueError) as err:
+        dio.load_dataset(p, "train")
+    assert str(err.value) == f"{p} line 4: repeated conversation id 'c1' (first on line 2)"
+
+
+def test_load_dataset_rejects_a_nul_character_naming_the_line(tmp_path):
+    p = _write(tmp_path / "val.txt",
+               "id\tturn1\tturn2\tturn3\tlabel\n"
+               "c1\ta\tb\tc\thappy\n"
+               "c2\ta\tb\0x\tc\tsad\n")
+    with pytest.raises(ValueError) as err:
+        dio.load_dataset(p, "val")
+    assert str(err.value).startswith(f"{p} line 3: NUL character")
 
 
 def test_load_dataset_unlabeled_test_split(tmp_path):
@@ -114,6 +135,14 @@ def test_load_word_vectors_skips_a_count_dim_header(tmp_path):
         _write(tmp_path / "one.txt", "2 1\nhi 4\n"), 1)["2"], [1.0])
 
 
+@pytest.mark.parametrize("entry", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_load_word_vectors_rejects_a_non_finite_entry_naming_the_line(tmp_path, entry):
+    p = _write(tmp_path / "vec.txt", f"hello 0.1 0.2\nbye 0.3 {entry}\n")
+    with pytest.raises(ValueError) as err:
+        dio.load_word_vectors(p, 2)
+    assert str(err.value) == f"{p} line 2: non-finite vector entry {entry!r}"
+
+
 def test_load_word_vectors_keeps_first_duplicate(tmp_path, caplog):
     p = _write(tmp_path / "vec.txt", "a 1 1\na 2 2\nb 3 3\n")
     with caplog.at_level("WARNING", logger="emoconv.dataio"):
@@ -139,6 +168,16 @@ def test_load_sentence_vectors(tmp_path):
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("entry, problem", [("nan", "non-finite vector entry 'nan'"),
+                                            ("-inf", "non-finite vector entry '-inf'"),
+                                            ("x", "non-numeric vector entry")])
+def test_load_sentence_vectors_rejects_a_bad_entry_naming_the_line(tmp_path, entry, problem):
+    p = _write(tmp_path / "sv.tsv", f"c1\t0 0 0\nc2\t0.5 {entry} 2\n")
+    with pytest.raises(ValueError) as err:
+        dio.load_sentence_vectors(p, 3)
+    assert str(err.value) == f"{p} line 2: {problem}"
+
+
 def test_sentence_vectors_round_trip(tmp_path):
     store = dio.SentenceVectorStore(4)
     rng = np.random.default_rng(0)
@@ -152,9 +191,7 @@ def test_sentence_vectors_round_trip(tmp_path):
 
 
 def test_build_embedding_matrix_copies_and_fills():
-    vocab = Vocabulary()
-    for tok in ("a", "b", "c", "d"):
-        vocab.add(tok)
+    vocab = Vocabulary([*SPECIALS, "a", "b", "c", "d"])
     pretrained = {"a": np.array([1.0, 2.0]), "c": np.array([-3.0, 4.0]),
                   "zzz": np.array([9.0, 9.0])}
     emb, coverage = dio.build_embedding_matrix(vocab, pretrained, 2,
@@ -174,17 +211,14 @@ def test_build_embedding_matrix_copies_and_fills():
 
 
 def test_build_embedding_matrix_deterministic():
-    vocab = Vocabulary()
-    for tok in ("a", "b"):
-        vocab.add(tok)
+    vocab = Vocabulary([*SPECIALS, "a", "b"])
     m1, _ = dio.build_embedding_matrix(vocab, {}, 3, np.random.default_rng(9))
     m2, _ = dio.build_embedding_matrix(vocab, {}, 3, np.random.default_rng(9))
     npt.assert_array_equal(m1.table.values, m2.table.values)
 
 
 def _toy_checkpoint():
-    vocab = Vocabulary()
-    vocab.add("hello")
+    vocab = Vocabulary([*SPECIALS, "hello"])
     rng = np.random.default_rng(3)
     params = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)}
     return dio.Checkpoint(dio.CHECKPOINT_VERSION, vocab, params,
@@ -346,9 +380,7 @@ def test_checkpoint_fuzz_truncations_and_flips_raise_value_error_naming_the_file
 
 
 def test_vocab_file_round_trip(tmp_path):
-    vocab = Vocabulary()
-    for tok in ("hi", "there", "🙂"):
-        vocab.add(tok)
+    vocab = Vocabulary([*SPECIALS, "hi", "there", "🙂"])
     path = tmp_path / "vocab.txt"
     dio.save_vocab(vocab, path)
     back = dio.load_vocab(path)
@@ -358,6 +390,13 @@ def test_vocab_file_round_trip(tmp_path):
     (tmp_path / "bad.txt").write_text("hi\nthere\n", encoding="utf-8")
     with pytest.raises(ValueError):
         dio.load_vocab(tmp_path / "bad.txt")
+
+
+def test_load_vocab_rejects_a_repeated_token_naming_its_line(tmp_path):
+    p = _write(tmp_path / "vocab.txt", "<pad>\n<unk>\n<eos>\nhi\n\nthere\nhi\n")
+    with pytest.raises(ValueError) as err:
+        dio.load_vocab(p)
+    assert str(err.value) == f"{p} line 7: repeated token 'hi' (first on line 4)"
 
 
 def test_config_defaults_match_stated_hyperparameters(tmp_path):

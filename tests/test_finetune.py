@@ -6,7 +6,7 @@ from emoconv import finetune as ft
 from emoconv import layers as L
 from emoconv import tensor as T
 from emoconv import train as tr
-from emoconv.textprep import TokenSequence, build_vocab
+from emoconv.textprep import TokenSequence, Vocabulary, build_vocab
 
 
 def _corpus(n, seed, positive="good", held_out=0):
@@ -163,7 +163,8 @@ def test_non_finite_gradient_names_epoch_and_step(monkeypatch):
 def test_unfrozen_epochs_touch_only_corpus_rows():
     model, corpus, _, vocab, rng = _setup(seed=6)
     # an extra vocabulary row no corpus text references
-    absent_id = vocab.add("neverused")
+    vocab = Vocabulary([*vocab.id_to_token, "neverused"])
+    absent_id = vocab.size - 1
     dim = model.emb.dim
     grown = np.vstack([model.emb.table.values,
                        np.random.default_rng(1).uniform(-0.1, 0.1, (1, dim))])
@@ -206,3 +207,11 @@ def test_load_finetune_corpus(tmp_path):
     noheader.write_text("liked it\t1\n", encoding="utf-8")
     with pytest.raises(ValueError):
         ft.load_finetune_corpus(noheader)
+
+
+def test_load_finetune_corpus_rejects_a_nul_character_naming_the_line(tmp_path):
+    p = tmp_path / "corpus.tsv"
+    p.write_text("text\tlabel\nliked it\t1\nme\0h\t0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        ft.load_finetune_corpus(p)
+    assert str(err.value).startswith(f"{p} line 3: NUL character")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
+import golden
+import oracle
+import toycorpus
+from emoconv import dataio
+from emoconv import finetune as ft
 from emoconv import textprep as tp
+from emoconv import train as tr
 
 
 def test_clean_text_collapses_same_char_punctuation():
@@ -91,3 +97,118 @@ def test_pipeline_deterministic_end_to_end():
     a = tp.encode_ids(tp.assemble_input(turns), tp.build_vocab([tp.assemble_input(turns)]))
     b = tp.encode_ids(tp.assemble_input(turns), tp.build_vocab([tp.assemble_input(turns)]))
     assert a.tokens == b.tokens and a.ids == b.ids
+
+
+# ---------------------------------------------------------------------------
+# The chunked tokenizer core against the per-turn oracle
+
+# Pieces the fuzz draws turns from: contractions in both cases, quotes, the
+# final-sigma and dotted-I cases of str.lower, case-ignorable marks ("'",
+# ".", ":", a combining dot, a soft hyphen), `_` (a word character that is
+# also punctuation), punctuation runs, and whitespace other than a space
+# that \s still matches (\x0b, \x1c, NBSP).
+FUZZ_PIECES = ("a", "B", "n", "N", "t", "T", "don", "n't", "N'T", "'ll", "'s", "'M",
+               "'d", "'re", "'ve", "'", "''", "\"", "\u201c", "\u201d", "\u0130", "\u03a3",
+               "\u0391\u03a3", "\u03c3", ".", "..", ":", "\u0307", "\u00ad", "_", "__", "!",
+               "!!", "?!", "\u00a1", "\U0001f642", "\U0001f642\U0001f642", "\u00e9", "e\u0301",
+               "2", "-", "--", "\u00df", "\u01c5", " ", "  ", "\t", "\x0b", "\x1c", "\u00a0",
+               "\n")
+BLANKS = ("", " ", "\t\x0b", "\x1c ", "\u00a0")
+
+
+def _fuzz_turns(rng, n):
+    """n random (t1, t2, t3) triples; about one turn in ten is empty or blank."""
+    picks = rng.integers(0, len(FUZZ_PIECES), size=(3 * n, 8)).tolist()
+    lengths = rng.integers(0, 9, size=3 * n).tolist()
+    blank = (rng.random(3 * n) < 0.1).tolist()
+    piece = FUZZ_PIECES.__getitem__
+    turns = [BLANKS[p[0] % len(BLANKS)] if b else "".join(map(piece, p[:k]))
+             for p, k, b in zip(picks, lengths, blank)]
+    return list(zip(turns[0::3], turns[1::3], turns[2::3]))
+
+
+def _split(name, triples):
+    convs = [dataio.Conversation(f"{name}{i}", t, "others") for i, t in enumerate(triples)]
+    return dataio.DatasetSplit(name, convs, {})
+
+
+def _oracle_ids(tokens, vocab):
+    return [vocab.token_to_id.get(t, tp.UNK_ID) for t in tokens]
+
+
+def _check_split(split, vocab):
+    """assemble_split and encode_split (chunked and from sequences) against the oracle."""
+    want = [oracle.assemble_input(c.turns).tokens for c in split.conversations]
+    got = tr.assemble_split(split)
+    assert [s.tokens for s in got] == want
+    for encoded in (tr.encode_split(split, vocab), tr.encode_split(split, vocab, got)):
+        kept = [w for w in want if split.name != "train" or len(w) <= tp.MAX_TRAIN_TOKENS]
+        assert len(encoded) == len(kept)
+        for ex, tokens in zip(encoded, kept):
+            assert ex.ids.dtype == np.int64
+            assert ex.ids.tolist() == _oracle_ids(tokens, vocab)
+
+
+def _check_corpus(corpus, vocab):
+    want = [(_oracle_ids(tokens, vocab), label) for tokens, label in
+            ((oracle.tokenize(oracle.clean_text(text)), label) for text, label in corpus)
+            if tokens]
+    got = ft.encode_corpus(corpus, vocab)
+    assert all(ids.dtype == np.int64 for ids, _ in got)
+    assert [(ids.tolist(), label) for ids, label in got] == want
+
+
+def test_core_matches_the_per_turn_oracle_on_the_toy_corpora(tmp_path):
+    train = toycorpus.make_split("train", 40, seed=1)
+    val = toycorpus.make_split("val", 12, seed=2)
+    vocab = tp.build_vocab(oracle.assemble_input(c.turns) for c in train.conversations)
+    for split in (train, val):
+        _check_split(split, vocab)
+
+    gen = golden.perfbench_gen()
+    gen.generate(tmp_path, 5, gen.TOY)
+    splits = [dataio.load_dataset(tmp_path / f"{name}.txt", name)
+              for name in ("train", "val", "test")]
+    vocab = tp.build_vocab(oracle.assemble_input(c.turns) for c in splits[0].conversations)
+    assert vocab.id_to_token == tp.build_vocab(tr.assemble_split(splits[0])).id_to_token
+    for split in splits:
+        _check_split(split, vocab)
+    corpus = ft.load_finetune_corpus(tmp_path / "finetune.tsv")
+    tweets = tp.build_vocab(tp.TokenSequence(oracle.tokenize(oracle.clean_text(text)))
+                            for text, _ in corpus)
+    _check_corpus(corpus, tweets)
+
+
+def test_core_matches_the_per_turn_oracle_on_seeded_fuzz():
+    rng = np.random.default_rng(2024)
+    triples = _fuzz_turns(rng, 100_000)
+    want = [oracle.assemble_input(t).tokens for t in triples]
+    got = list(tp.token_rows((turn for t in triples for turn in t), 3))
+    assert got == want
+    for t, tokens in zip(triples[:3000], want):
+        assert tp.assemble_input(t).tokens == tokens
+    for turn in (turn for t in triples[:20_000] for turn in t):
+        assert tp.clean_text(turn) == oracle.clean_text(turn)
+
+
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_chunks_of_1_to_7_rows_match_the_oracle(monkeypatch, rows):
+    """Chunk edges at every few conversations or tweets: about 430 chunks
+    of conversations per size, 3,000 in all."""
+    rng = np.random.default_rng(rows)
+    triples = _fuzz_turns(rng, 430 * rows + rows // 2)
+    vocab = tp.build_vocab(oracle.assemble_input(t) for t in triples[::2])
+    monkeypatch.setattr(tp, "CHUNK_ROWS", rows)
+    _check_split(_split("val", triples), vocab)
+    corpus = [(turn, i % 2) for i, t in enumerate(triples) for turn in t[:2]]
+    _check_corpus(corpus, vocab)
+
+
+def test_a_nul_character_in_a_text_is_an_error():
+    with pytest.raises(ValueError, match="NUL"):
+        tp.assemble_input(("a", "b\0c", "d"))
+    split = _split("val", [("a", "b", "c"), ("d", "e\0", "f")])
+    with pytest.raises(ValueError, match="NUL"):
+        tr.encode_split(split, tp.build_vocab([]))
+    with pytest.raises(ValueError, match="NUL"):
+        ft.encode_corpus([("ok", 1), ("\0", 0)], tp.build_vocab([]))
