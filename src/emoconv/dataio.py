@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,6 +298,9 @@ def _checkpoint_meta(blob: bytes, path) -> tuple[dict, TrainConfig]:
     if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab) \
             or vocab[:len(SPECIALS)] != list(SPECIALS):
         raise bad("a vocabulary that is not a token list starting with the reserved tokens")
+    repeated = [token for token, n in Counter(vocab).items() if n > 1]
+    if repeated:
+        raise bad(f"a repeated vocabulary token {repeated[0]!r}")
     if not _is_int(meta["epoch"]) or meta["epoch"] < 1:
         raise bad(f"epoch {meta['epoch']!r}, not an integer >= 1")
     if not isinstance(meta["best_val_f1"], (int, float)) or isinstance(meta["best_val_f1"], bool):

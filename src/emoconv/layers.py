@@ -327,6 +327,9 @@ def conv1d_over_time(bank: ConvFilterBank, cells: T.Tensor, lengths) -> T.Tensor
     is one window gather, one product and one ``max_over_time`` over each
     row's windows; the rectifier runs after the max, which gives the same
     values and gradients (it is monotonic) on [B x filters] values only.
+    Width 1 reads the cells themselves, which are its windows, so it records
+    no gather.  The pool keeps each filter's argmax window from forward, so
+    backward reads no score again (see ``tensor.max_over_time``).
     """
     if cells.values.ndim != 2 or cells.shape[1] != bank.dim:
         raise ValueError(f"cells shape {cells.shape} does not match bank dim {bank.dim}")
@@ -334,7 +337,8 @@ def conv1d_over_time(bank: ConvFilterBank, cells: T.Tensor, lengths) -> T.Tensor
     pooled = []
     for k, w, b in zip(bank.kernel_sizes, bank.weights, bank.biases):
         counts = np.maximum(lengths - k + 1, 1)
-        scores = T.linear_rows(_windows(cells, lengths, counts, k), w, b)
+        windows = cells if k == 1 else _windows(cells, lengths, counts, k)
+        scores = T.linear_rows(windows, w, b)
         pooled.append(T.relu(T.max_over_time(scores, counts)))
     return T.concat(pooled, axis=1)
 

@@ -19,7 +19,9 @@ graph node covers the whole batch.  Broadcasting rules:
 - ``linear_rows`` maps every row of an ``[n x k]`` matrix and adds its bias
   to each (``[n x k] -> [n x m]``);
 - ``max_over_time`` is the one segment max: it reduces each row's own cells
-  of a packed tensor, ``[N x k] -> [B x k]``.
+  of a packed tensor, ``[N x k] -> [B x k]``.  It keeps each column's
+  argmax cell from forward, so backward reads no input; the first cell wins
+  a tie, and a NaN wins its column.
 
 Inside ``with no_grad():`` operations record no parents and no backward
 closures, so an inference pass holds only the values it still uses.
@@ -419,7 +421,9 @@ def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g):
         return g @ wv if x.requires_grad else None, g.T @ xv, g.sum(axis=0)
 
-    return from_op(xv @ wv.T + b.values, "linear_rows", (x, w, b), backward_fn)
+    out = xv @ wv.T
+    out += b.values  # in place: the same sums without a second [n x m] array
+    return from_op(out, "linear_rows", (x, w, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +452,11 @@ def max_over_time(cells: Tensor, lengths) -> Tensor:
     """Columnwise max over each row's own cells of a packed batch:
     [N x k] -> [B x k], row b reducing its ``lengths[b]`` consecutive cells.
 
-    Gradient flows only to the argmax cell of each column; the first
-    occurrence wins on ties.
+    Forward finds each column's argmax cell once, per row, and keeps those
+    [B x k] indices; the result is the values there, and backward sends each
+    column's gradient to that one cell without reading the input again.  The
+    first occurrence wins on ties, and a column's first NaN wins over every
+    number, so a NaN pools and takes the gradient.
     """
     if cells.values.ndim != 2:
         raise ValueError(f"max_over_time needs a packed [N x k] tensor, got shape {cells.shape}")
@@ -457,15 +464,18 @@ def max_over_time(cells: Tensor, lengths) -> Tensor:
     n, k = v.shape
     lengths = check_lengths(lengths, n)
     starts = np.cumsum(lengths) - lengths
-    best = np.maximum.reduceat(v, starts, axis=0)
+    arg = np.empty((lengths.size, k), dtype=np.int64)
+    for row, (s, e) in enumerate(zip(starts.tolist(), (starts + lengths).tolist())):
+        v[s:e].argmax(axis=0, out=arg[row])
+    arg += starts[:, None]
+    cols = np.arange(k)
 
     def backward_fn(g):
-        hits = np.where(v == np.repeat(best, lengths, axis=0), np.arange(n)[:, None], n)
         z = np.zeros((n, k))
-        z[np.minimum.reduceat(hits, starts, axis=0), np.arange(k)] = g
+        z[arg, cols] = g
         return (z,)
 
-    return from_op(best, "max_over_time", (cells,), backward_fn)
+    return from_op(v[arg, cols], "max_over_time", (cells,), backward_fn)
 
 
 def softmax_rows(logits: Tensor) -> Tensor:

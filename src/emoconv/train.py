@@ -262,6 +262,11 @@ def save_encoded(examples: list[EncodedExample], label_counts, path) -> None:
             fh.write(f"{ex.id}\t{label}\t{' '.join(str(i) for i in ex.ids)}\n")
 
 
+def _is_natural(text: str) -> bool:
+    """Whether ``text`` is a plain decimal integer >= 0 (no sign, no space)."""
+    return text.isascii() and text.isdigit()
+
+
 def load_encoded(path) -> tuple[list[EncodedExample], dict[str, int]]:
     """Read a file written by :func:`save_encoded`.
 
@@ -276,6 +281,9 @@ def load_encoded(path) -> tuple[list[EncodedExample], dict[str, int]]:
     if lines and lines[0].startswith("# label_counts\t"):
         for pair in lines[0].split("\t")[1:]:
             name, _, value = pair.partition("=")
+            if not _is_natural(value):
+                raise ValueError(f"{path}: line 1: label count {pair!r} is not "
+                                 "name=integer >= 0")
             counts[name] = int(value)
         start = 1
     if start >= len(lines) or lines[start] != ENCODED_HEADER:
@@ -288,7 +296,12 @@ def load_encoded(path) -> tuple[list[EncodedExample], dict[str, int]]:
         if fields[1] != "-" and fields[1] not in LABEL_TO_INDEX:
             raise ValueError(f"{path}: line {number}: unknown label {fields[1]!r}")
         label = None if fields[1] == "-" else LABEL_TO_INDEX[fields[1]]
-        ids = np.array([int(v) for v in fields[2].split()], dtype=np.int64)
+        raw = fields[2].split()
+        bad = next((v for v in raw if not _is_natural(v)), None)
+        if bad is not None:
+            raise ValueError(f"{path}: line {number}: token id {bad!r} is not "
+                             "an integer >= 0")
+        ids = np.array([int(v) for v in raw], dtype=np.int64)
         examples.append(EncodedExample(fields[0], ids, label))
     return examples, counts
 

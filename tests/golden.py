@@ -20,7 +20,24 @@ leaves behind:
   benchmark builds it, and ``finetune.encode_corpus`` of that corpus.
 
 Text preparation runs no BLAS, so these digests do not depend on the numpy
-build and carry no numpy/BLAS key.  Worlds that train would need one.
+build and carry no numpy/BLAS key.  The worlds that train do: BLAS kernels
+round differently from CPU to CPU, so their digests are recorded per key, the
+numpy version and the ``openblas configuration`` string of
+``np.show_config(mode="dicts")`` (which names the kernel the CPU picked).
+They run in a child process with one BLAS thread (numpy reads the thread
+variables at import time), and on a key with no recorded digests the
+comparison skips them and says why:
+
+- ``finetune_gen_toy``: ``finetune_embeddings`` on that tweet corpus with 1
+  frozen and 3 unfrozen epochs, kernel widths 1 to 3 (rows shorter than a
+  width, repeated tokens whose windows tie, and the row-sparse table
+  gradient); the tuned table, every CNN parameter, the epoch losses,
+  ``predict_finetune`` on the corpus and the generator state afterwards;
+- ``classifier_hidden6_best`` and ``classifier_hidden6_last``: the RCNN at
+  hidden 6 and 2 layers, batch 8, clipping every step (``clip_norm``
+  0.02), 2 of 4 epochs frozen, annealed after epoch 2, 3-d sentence vectors
+  and dropout, keeping the best or the last epoch; the checkpoint file,
+  ``history.tsv`` and the generator state afterwards.
 """
 
 from __future__ import annotations
@@ -29,6 +46,8 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -45,13 +64,21 @@ def _import_paths() -> None:
             sys.path.insert(0, str(path))
 
 
+def _perfbench(name: str):
+    """``perfbench/<name>.py`` as a module, with ``perfbench`` importable."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.append(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def perfbench_gen():
     """``perfbench/gen.py``, the benchmark's input generator, as a module."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # its dataclasses look their module up
-    spec.loader.exec_module(gen)
-    return gen
+    return _perfbench("gen")
 
 
 def _sha(data: bytes) -> str:
@@ -89,14 +116,23 @@ def _world_gen_toy(tmp: Path) -> dict[str, str]:
     return _preprocess(tmp / "inputs", tmp)
 
 
-def _world_finetune_encoding(tmp: Path) -> dict[str, str]:
+def _gen_toy_tweets(tmp: Path):
+    """The generator's TOY tweet corpus and its vocabulary, built from
+    ``tokenize(clean_text(text))`` per tweet as the benchmark builds it."""
     from emoconv import finetune as ft
     from emoconv.textprep import TokenSequence, build_vocab, clean_text, tokenize
 
     gen = perfbench_gen()
     gen.generate(tmp, GEN_SEED, gen.TOY)
     corpus = ft.load_finetune_corpus(tmp / "finetune.tsv")
-    vocab = build_vocab([TokenSequence(tokenize(clean_text(text))) for text, _ in corpus])
+    return corpus, build_vocab([TokenSequence(tokenize(clean_text(text)))
+                                for text, _ in corpus])
+
+
+def _world_finetune_encoding(tmp: Path) -> dict[str, str]:
+    from emoconv import finetune as ft
+
+    corpus, vocab = _gen_toy_tweets(tmp)
     encoded = ft.encode_corpus(corpus, vocab)
     blob = b"".join(ids.dtype.str.encode() + ids.tobytes() + bytes([label])
                     for ids, label in encoded)
@@ -104,25 +140,130 @@ def _world_finetune_encoding(tmp: Path) -> dict[str, str]:
             "encoded": _sha(blob)}
 
 
+def _rng_state(rng) -> str:
+    return _sha(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+
+
+def _arrays(named) -> str:
+    """One digest over (name, shape, bytes) of every array, in name order."""
+    return _sha(b"".join(f"{name}{a.shape}".encode() + a.tobytes()
+                         for name, a in sorted(named.items())))
+
+
+def _world_finetune(tmp: Path) -> dict[str, str]:
+    import numpy as np
+
+    from emoconv import finetune as ft
+    from emoconv import layers as L
+
+    corpus, vocab = _gen_toy_tweets(tmp)
+    rng = np.random.default_rng(5)
+    table = np.vstack([np.zeros(8), rng.uniform(-0.5, 0.5, (vocab.size - 1, 8))])
+    model = ft.build_finetune_model(L.EmbeddingMatrix.from_array(table), rng,
+                                    filters_per_size=6)
+    schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=3, lr=0.01,
+                                   batch_size=16)
+    emb, losses = ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
+    named = model.named()
+    del named["embedding.table"]
+    preds = ft.predict_finetune(model, ft.encode_corpus(corpus, vocab))
+    return {"embedding": _sha(emb.table.values.tobytes()),
+            "cnn": _arrays({n: t.values for n, t in named.items()}),
+            "losses": _sha(np.array(losses).tobytes()),
+            "predictions": _sha(preds.tobytes()),
+            "rng": _rng_state(rng)}
+
+
+def _world_classifier(tmp: Path, select: str) -> dict[str, str]:
+    import numpy as np
+    import toycorpus
+
+    from emoconv import dataio, rcnn
+    from emoconv import layers as L
+    from emoconv import train as tr
+    from emoconv.config import TrainConfig
+
+    config = TrainConfig(lr=0.01, batch_size=8, epochs=4, clip_norm=0.02,
+                         anneal_factor=0.5, anneal_after_epoch=2,
+                         freeze_embedding_epochs=2, dropout_bilstm=0.3,
+                         dropout_linear=0.3, hidden_size=6, num_layers=2,
+                         sentence_dim=3, embedding_dim=6, seed=13)
+    train_split = toycorpus.make_split("train", 24, seed=13)
+    val_split = toycorpus.make_split("val", 8, seed=14)
+    vocab = toycorpus.vocab_for(train_split, val_split)
+    store = toycorpus.store_for([train_split, val_split], 3, seed=15)
+    rng = np.random.default_rng(13)
+    table = np.vstack([np.zeros(6), rng.uniform(-0.1, 0.1, (vocab.size - 1, 6))])
+    params = rcnn.init_model(config, L.EmbeddingMatrix.from_array(table), rng)
+    ckpt, history = tr.train(params, train_split, val_split, store, config, rng,
+                             vocab=vocab, select=select)
+    if any(row.clip_fraction != 1.0 for row in history):
+        raise RuntimeError("the hidden-6 world must clip every step")
+    dataio.save_checkpoint(ckpt, tmp / "model.ckpt")
+    tr.write_history(history, tmp / "history.tsv")
+    return {"model.ckpt": _sha((tmp / "model.ckpt").read_bytes()),
+            "history.tsv": _sha((tmp / "history.tsv").read_bytes()),
+            "rng": _rng_state(rng)}
+
+
 WORLDS = {
     "preprocess_toycorpus": _world_toycorpus,
     "preprocess_gen_toy": _world_gen_toy,
     "finetune_encoding_gen_toy": _world_finetune_encoding,
 }
+KEYED_WORLDS = {
+    "finetune_gen_toy": _world_finetune,
+    "classifier_hidden6_best": lambda tmp: _world_classifier(tmp, "best"),
+    "classifier_hidden6_last": lambda tmp: _world_classifier(tmp, "last"),
+}
 
 
-def compute() -> dict[str, dict[str, str]]:
-    """Run every world in its own temporary directory; world -> file -> digest."""
+def _run(worlds) -> dict[str, dict[str, str]]:
+    """Run each world in its own temporary directory; world -> file -> digest."""
     _import_paths()
     out = {}
-    for name, world in WORLDS.items():
+    for name, world in worlds.items():
         with tempfile.TemporaryDirectory() as tmp:
             out[name] = world(Path(tmp))
     return out
 
 
+def compute() -> dict[str, dict[str, str]]:
+    return _run(WORLDS)
+
+
+def blas_key() -> str:
+    """numpy's version and its OpenBLAS build and kernel, in this process."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
+    return f"numpy {np.__version__}; {build}"
+
+
+def compute_keyed() -> tuple[str, dict[str, dict[str, str]]]:
+    """(numpy/BLAS key, digests) of the keyed worlds, run in a child process
+    with every BLAS thread variable of ``perfbench/run.py`` set to 1."""
+    env = dict(os.environ, **{var: "1" for var in _perfbench("run").THREAD_VARS})
+    child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--keyed-here"],
+                           env=env, capture_output=True, text=True, check=False)
+    if child.returncode != 0:
+        raise RuntimeError(f"the keyed worlds failed:\n{child.stderr}")
+    out = json.loads(child.stdout.splitlines()[-1])
+    return out["key"], out["worlds"]
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
 def recorded() -> dict[str, dict[str, str]]:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))["worlds"]
+    return _golden()["worlds"]
+
+
+def recorded_keyed(key: str) -> dict[str, dict[str, str]] | None:
+    """The keyed worlds' digests recorded for ``key``, None if there are none."""
+    return _golden().get("keyed", {}).get(key)
 
 
 def differences(got, want) -> list[str]:
@@ -143,14 +284,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true",
                         help="record the current digests in tests/golden.json")
+    parser.add_argument("--keyed-here", action="store_true",
+                        help="run only the keyed worlds, in this process, and print "
+                             "their key and digests as one JSON line")
     args = parser.parse_args(argv)
+    if args.keyed_here:
+        print(json.dumps({"key": blas_key(), "worlds": _run(KEYED_WORLDS)}))
+        return 0
     got = compute()
+    key, got_keyed = compute_keyed()
     if args.write:
-        GOLDEN.write_text(json.dumps({"worlds": got}, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-        print(f"wrote {sum(map(len, got.values()))} digests to {GOLDEN}")
+        keyed = _golden().get("keyed", {}) if GOLDEN.exists() else {}
+        keyed[key] = got_keyed
+        GOLDEN.write_text(json.dumps({"worlds": got, "keyed": keyed}, indent=2,
+                                     sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {sum(map(len, got.values())) + sum(map(len, got_keyed.values()))} "
+              f"digests to {GOLDEN}, the keyed ones under {key!r}")
         return 0
     moved = differences(got, recorded())
+    want_keyed = recorded_keyed(key)
+    if want_keyed is None:
+        print(f"no keyed digests recorded for {key!r}: the keyed worlds are not compared")
+    else:
+        moved += differences(got_keyed, want_keyed)
     print("\n".join(moved) if moved else "every digest matches")
     return 1 if moved else 0
 

@@ -319,6 +319,17 @@ def test_checkpoint_metadata_errors_name_the_file(tmp_path, field, value):
     assert str(path) in str(err.value)
 
 
+def test_checkpoint_with_a_repeated_vocabulary_token_does_not_load(tmp_path):
+    ckpt = _toy_checkpoint()
+    ckpt.vocab = Vocabulary([*SPECIALS, "hi", "hi"])  # "hi" would look up row 4 only
+    path = tmp_path / "model.ckpt"
+    dio.save_checkpoint(ckpt, path)
+    with pytest.raises(ValueError) as err:
+        dio.load_checkpoint(path)
+    assert str(err.value) == (f"{path}: checkpoint metadata has a repeated "
+                              "vocabulary token 'hi'")
+
+
 def test_checkpoint_metadata_shape_drives_the_payload_read(tmp_path):
     path = tmp_path / "meta.ckpt"
     _write_with_meta(path, _good_meta(), [np.arange(6.0).reshape(2, 3)])

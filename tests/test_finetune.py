@@ -160,6 +160,17 @@ def test_non_finite_gradient_names_epoch_and_step(monkeypatch):
     assert np.isfinite(model.out_w.values).all()
 
 
+def test_a_nan_conv_weight_stops_at_the_first_gradient_check():
+    # the NaN pools in every row, and its column's gradient finds its cell
+    model, corpus, _, vocab, rng = _setup(seed=9, corpus_size=16)
+    model.bank.weights[1].values[0, 0] = np.nan
+    schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01,
+                                   batch_size=8)
+    with pytest.raises(ValueError) as err:
+        ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
+    assert str(err.value).startswith("epoch 1, step 1: non-finite gradient in parameter ")
+
+
 def test_unfrozen_epochs_touch_only_corpus_rows():
     model, corpus, _, vocab, rng = _setup(seed=6)
     # an extra vocabulary row no corpus text references

@@ -14,6 +14,7 @@ import tracemalloc
 import weakref
 
 import numpy as np
+import numpy.testing as npt
 
 import toycorpus
 from emoconv import finetune as ft
@@ -155,6 +156,21 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     budget = 8 * floats + masks + index + 4096  # offsets and per-row indices
     held = held_bytes(loss)
     assert 0.9 * budget < held <= budget, (held, budget)
+
+
+def test_max_over_time_keeps_its_argmax_and_not_its_input():
+    rng = np.random.default_rng(4)
+    lengths, k = [5, 1, 9, 3], 7
+    cells = T.Tensor(rng.normal(size=(sum(lengths), k)), requires_grad=True)
+    pooled = T.max_over_time(cells, lengths)
+    kept = [c.cell_contents for c in pooled.backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    # the [B x k] argmax cells, the column numbers, and nothing [N x k]
+    assert sorted(a.shape for a in kept) == sorted([(k,), (len(lengths), k)])
+    assert all(a.dtype == np.int64 for a in kept)
+    T.backward(T.sum_all(pooled))
+    npt.assert_array_equal(cells.grad, cells.values == np.repeat(pooled.values,
+                                                                 lengths, axis=0))
 
 
 def test_unfrozen_step_allocates_nothing_table_sized():

@@ -290,6 +290,18 @@ def test_conv_default_bank_is_900_dim():
         L.conv1d_over_time(bank, cells, [5, 1])
 
 
+def test_conv_width_one_reads_the_cells_without_a_window_gather():
+    rng = np.random.default_rng(5)
+    cells = T.Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
+    bank = L.init_conv_bank(rng, dim=3, kernel_sizes=(1, 2), filters_per_size=2)
+    out = L.conv1d_over_time(bank, cells, [4, 2])
+    # concat <- relu <- max_over_time <- linear_rows <- cells or windows
+    products = [relu.parents[0].parents[0] for relu in out.parents]
+    assert [p.op for p in products] == ["linear_rows", "linear_rows"]
+    assert products[0].parents[0] is cells
+    assert products[1].parents[0].op == "windows"
+
+
 def test_conv_rows_match_each_row_alone():
     rng = np.random.default_rng(4)
     bank = L.init_conv_bank(rng, dim=3, kernel_sizes=(1, 2, 3), filters_per_size=2)

@@ -245,6 +245,18 @@ def test_masked_max_known_values():
     npt.assert_array_equal(cells.grad, [[1.0], [0.0], [0.0], [1.0], [1.0]])
 
 
+def test_masked_max_nan_wins_its_column_and_takes_its_gradient():
+    nan = np.nan
+    cells = T.Tensor(np.array([[1.0, nan, 4.0], [nan, 2.0, 5.0], [3.0, nan, 6.0],
+                               [0.0, 1.0, nan]]), requires_grad=True)
+    pooled = T.max_over_time(cells, [3, 1])
+    # row 0's first NaN per column pools, and a column without one its max
+    npt.assert_array_equal(pooled.values, [[nan, nan, 6.0], [0.0, 1.0, nan]])
+    T.backward(T.sum_all(pooled))
+    npt.assert_array_equal(cells.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                        [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+
+
 def test_no_grad_records_no_graph():
     x = _t((2, 2), [1.0, 2.0, 3.0, 4.0], requires_grad=True)
     b = _t((2,), [0.5, -0.5], requires_grad=True)

@@ -226,6 +226,26 @@ def test_load_encoded_names_file_and_line_of_unknown_label(tmp_path):
     assert str(err.value) == f"{path}: line 3: unknown label 'joy'"
 
 
+@pytest.mark.parametrize("ids, bad", [("3 x4", "x4"), ("3 -4", "-4"), ("3 4.0", "4.0")])
+def test_load_encoded_names_file_and_line_of_a_bad_token_id(tmp_path, ids, bad):
+    path = tmp_path / "train.ids.tsv"
+    path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 4\nb\tsad\t{ids}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        tr.load_encoded(path)
+    assert str(err.value) == f"{path}: line 3: token id {bad!r} is not an integer >= 0"
+
+
+def test_load_encoded_names_file_and_line_of_a_bad_label_count(tmp_path):
+    path = tmp_path / "train.ids.tsv"
+    path.write_text(f"# label_counts\thappy=2\tsad=two\n{tr.ENCODED_HEADER}\n"
+                    "a\thappy\t3 4\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        tr.load_encoded(path)
+    assert str(err.value) == (f"{path}: line 1: label count 'sad=two' is not "
+                              "name=integer >= 0")
+
+
 TOY_CONFIG = TrainConfig(lr=0.01, batch_size=8, epochs=3, hidden_size=6,
                          num_layers=1, sentence_dim=4, embedding_dim=6,
                          dropout_bilstm=0.0, dropout_linear=0.0,
