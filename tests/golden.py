@@ -33,6 +33,9 @@ comparison skips them and says why:
   width, repeated tokens whose windows tie, and the row-sparse table
   gradient); the tuned table, every CNN parameter, the epoch losses,
   ``predict_finetune`` on the corpus and the generator state afterwards;
+- ``finetune_gen_toy_0_1`` and ``finetune_gen_toy_1_0``: the same with 0
+  frozen and 1 unfrozen epoch (every step of it from a fresh table
+  moment state) and with 1 frozen and no unfrozen epoch;
 - ``classifier_hidden6_best`` and ``classifier_hidden6_last``: the RCNN at
   hidden 6 and 2 layers, batch 8, clipping every step (``clip_norm``
   0.02), 2 of 4 epochs frozen, annealed after epoch 2, 3-d sentence vectors
@@ -150,7 +153,7 @@ def _arrays(named) -> str:
                          for name, a in sorted(named.items())))
 
 
-def _world_finetune(tmp: Path) -> dict[str, str]:
+def _world_finetune(tmp: Path, frozen: int, unfrozen: int) -> dict[str, str]:
     import numpy as np
 
     from emoconv import finetune as ft
@@ -161,8 +164,8 @@ def _world_finetune(tmp: Path) -> dict[str, str]:
     table = np.vstack([np.zeros(8), rng.uniform(-0.5, 0.5, (vocab.size - 1, 8))])
     model = ft.build_finetune_model(L.EmbeddingMatrix.from_array(table), rng,
                                     filters_per_size=6)
-    schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=3, lr=0.01,
-                                   batch_size=16)
+    schedule = ft.FinetuneSchedule(frozen_epochs=frozen, unfrozen_epochs=unfrozen,
+                                   lr=0.01, batch_size=16)
     emb, losses = ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
     named = model.named()
     del named["embedding.table"]
@@ -212,7 +215,9 @@ WORLDS = {
     "finetune_encoding_gen_toy": _world_finetune_encoding,
 }
 KEYED_WORLDS = {
-    "finetune_gen_toy": _world_finetune,
+    "finetune_gen_toy": lambda tmp: _world_finetune(tmp, 1, 3),
+    "finetune_gen_toy_0_1": lambda tmp: _world_finetune(tmp, 0, 1),
+    "finetune_gen_toy_1_0": lambda tmp: _world_finetune(tmp, 1, 0),
     "classifier_hidden6_best": lambda tmp: _world_classifier(tmp, "best"),
     "classifier_hidden6_last": lambda tmp: _world_classifier(tmp, "last"),
 }
