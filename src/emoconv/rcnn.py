@@ -78,20 +78,41 @@ def init_model(config: TrainConfig, emb: L.EmbeddingMatrix, rng) -> RcnnParams:
     the [h_f; h_b; w_i] concatenation (2*hidden + embedding_dim wide) down to
     hidden_size, and the output layer consumes hidden_size + sentence_dim.
     """
-    config.validate()
-    if emb.dim != config.embedding_dim:
-        raise ValueError(f"embedding dim {emb.dim} does not match configured "
-                         f"embedding_dim {config.embedding_dim}")
+    _check_embedding(config, emb)
     h, d = config.hidden_size, config.embedding_dim
     bilstm = []
     for i in range(config.num_layers):
         in_size = d if i == 0 else 2 * h
         bilstm.append(L.init_lstm_params(rng, in_size, h))
-    proj_w, proj_b = L.init_linear(rng, h, 2 * h + d)
-    out_w, out_b = L.init_linear(rng, N_CLASSES, h + config.sentence_dim)
-    return RcnnParams(embedding=emb, bilstm=bilstm,
-                      proj_w=proj_w, proj_b=proj_b, out_w=out_w, out_b=out_b,
-                      sentence_dim=config.sentence_dim,
+    return _model(config, emb, bilstm, L.init_linear(rng, h, 2 * h + d),
+                  L.init_linear(rng, N_CLASSES, h + config.sentence_dim))
+
+
+def _check_embedding(config: TrainConfig, emb: L.EmbeddingMatrix) -> None:
+    config.validate()
+    if emb.dim != config.embedding_dim:
+        raise ValueError(f"embedding dim {emb.dim} does not match configured "
+                         f"embedding_dim {config.embedding_dim}")
+
+
+def _shapes(config: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each parameter :func:`init_model` makes besides the
+    embedding table, in ``RcnnParams.named`` order."""
+    h, d = config.hidden_size, config.embedding_dim
+    out = {}
+    for i in range(config.num_layers):
+        for tag in ("fwd", "bwd"):
+            out[f"bilstm{i}.{tag}.w"] = (4 * h, d if i == 0 else 2 * h)
+            out[f"bilstm{i}.{tag}.u"] = (4 * h, h)
+            out[f"bilstm{i}.{tag}.b"] = (4 * h,)
+    out["projection.w"], out["projection.b"] = (h, 2 * h + d), (h,)
+    out["output.w"], out["output.b"] = (N_CLASSES, h + config.sentence_dim), (N_CLASSES,)
+    return out
+
+
+def _model(config: TrainConfig, emb: L.EmbeddingMatrix, bilstm, proj, out) -> RcnnParams:
+    return RcnnParams(embedding=emb, bilstm=bilstm, proj_w=proj[0], proj_b=proj[1],
+                      out_w=out[0], out_b=out[1], sentence_dim=config.sentence_dim,
                       dropout_bilstm=config.dropout_bilstm,
                       dropout_linear=config.dropout_linear,
                       projection_tanh=config.projection_tanh)
@@ -133,23 +154,31 @@ def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Te
 
 
 def restore(config: TrainConfig, arrays: dict[str, np.ndarray]) -> RcnnParams:
-    """Rebuild a model from checkpoint arrays (name -> float64 array)."""
+    """Rebuild a model from checkpoint arrays (name -> array); each parameter
+    is a float64 copy of its array, and nothing is drawn."""
     if "embedding.table" not in arrays:
         raise ValueError("checkpoint has no 'embedding.table' array")
     emb = L.EmbeddingMatrix.from_array(arrays["embedding.table"])
-    params = init_model(config, emb, np.random.default_rng(0))
-    named = params.named()
-    missing = sorted(set(named) - set(arrays))
-    extra = sorted(set(arrays) - set(named))
+    _check_embedding(config, emb)
+    shapes = _shapes(config)
+    names = {"embedding.table", *shapes}
+    missing = sorted(names - set(arrays))
+    extra = sorted(set(arrays) - names)
     if missing or extra:
         raise ValueError(f"checkpoint arrays do not match the configured model "
                          f"(missing {missing}, unexpected {extra})")
-    for name, t in named.items():
-        if t.shape != arrays[name].shape:
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
             raise ValueError(f"checkpoint array {name!r} has shape "
-                             f"{arrays[name].shape}, model expects {t.shape}")
-        t.values[:] = arrays[name]
-    return params
+                             f"{arrays[name].shape}, model expects {shape}")
+    t = {name: T.Tensor(np.array(arrays[name], dtype=np.float64, order="C"),
+                        requires_grad=True) for name in shapes}
+    h = config.hidden_size
+    bilstm = [L.LstmLayerParams(shapes[f"bilstm{i}.fwd.w"][1], h, *(
+        L.LstmDirection(t[f"{pre}.w"], t[f"{pre}.u"], t[f"{pre}.b"], h)
+        for pre in (f"bilstm{i}.fwd", f"bilstm{i}.bwd"))) for i in range(config.num_layers)]
+    return _model(config, emb, bilstm, (t["projection.w"], t["projection.b"]),
+                  (t["output.w"], t["output.b"]))
 
 
 def shape_report(params: RcnnParams) -> tuple[dict[str, tuple[int, ...]], int]:

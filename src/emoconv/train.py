@@ -115,11 +115,20 @@ ADAM_BLOCK = 1 << 15
 
 @dataclass
 class AdamState:
-    """Moments by parameter name, each allocated at the parameter's first
-    gradient, and the global step count."""
+    """Moments by parameter name, made at the parameter's first gradient,
+    and the global step count.
+
+    While a parameter has had only ``RowGrad`` gradients, its moments cover
+    only the rows they touched: ``rows[name]`` holds those rows, sorted, and
+    row k of ``m[name]`` and ``v[name]`` (each ``[len(rows) x width]``)
+    belongs to parameter row ``rows[name][k]``.  Every other row's moments
+    are +0.0.  Once the touched rows are every row, or a dense gradient
+    arrives, the name leaves ``rows`` and its moments take the parameter's
+    shape, as a dense parameter's do from the start."""
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -129,19 +138,54 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
+def _held_rows(state: AdamState, name: str, shape: tuple[int, ...], g) -> np.ndarray | None:
+    """Lay out ``name``'s moments for a step whose gradient is ``g`` (an
+    array, a compact ``RowGrad`` or None; not None for a parameter with no
+    moments yet) and return the rows they hold, or None when they are
+    parameter-shaped.  Moments that grow are scattered into fresh zeros."""
+    held = state.rows.pop(name, None)
+    if name in state.m and held is None:
+        return None
+    rows = np.zeros(0, np.int64) if held is None else held
+    if isinstance(g, T.RowGrad):
+        rows = np.union1d(rows, g.rows)
+    elif g is not None:
+        rows = None
+    if rows is not None and rows.size < shape[0]:
+        if held is None or rows.size > held.size:
+            m, v = np.zeros((rows.size,) + shape[1:]), np.zeros((rows.size,) + shape[1:])
+            if held is not None:
+                at = np.searchsorted(rows, held)
+                m[at], v[at] = state.m[name], state.v[name]
+            state.m[name], state.v[name] = m, v
+        state.rows[name] = rows
+        return rows
+    m, v = np.zeros(shape), np.zeros(shape)
+    if held is not None:
+        m[held], v[held] = state.m[name], state.v[name]
+    state.m[name], state.v[name] = m, v
+    return None
+
+
 def adam_step(state: AdamState, named_params: dict[str, T.Tensor], lr: float) -> None:
     """One bias-corrected Adam update, in place, with a single global step
     count shared by all parameters.
 
-    A parameter that has had no gradient yet has no moments and is skipped:
-    its update would be exactly zero (the moments start at +0.0 and never
-    reach -0.0).  Every other parameter is updated block by block through
-    two scratch buffers, with the same operations in the same order per
-    value as ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    A value whose moments are +0.0 and whose gradient is zero would move by
+    exactly ``-= +0.0``, which leaves every value as it was, -0.0 and NaN
+    included (the moments start at +0.0 and never reach -0.0).  So a
+    parameter that has had no gradient yet has no moments and is skipped,
+    and a parameter with row-held moments (see :class:`AdamState`) is
+    updated only at the rows it has touched: those rows are gathered, walked
+    with their moments and scattered back.  Every other parameter is walked
+    whole, in place.  A walk goes block by block through two scratch
+    buffers, with the same operations in the same order per value as
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
     ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so the bytes are those of the
-    whole-array form.  For a ``RowGrad`` (or no gradient) the moments decay
-    everywhere but the ``g`` terms are added only at the touched rows: the
-    skipped ``+ 0.0`` leaves a moment that is never -0.0 unchanged.
+    whole-array form.  For a ``RowGrad`` (or no gradient) the walked
+    moments all decay but the ``g`` terms are added only at the touched
+    rows: the skipped ``+ 0.0`` leaves a moment that is never -0.0
+    unchanged.
     """
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
@@ -150,17 +194,20 @@ def adam_step(state: AdamState, named_params: dict[str, T.Tensor], lr: float) ->
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     buf1, buf2 = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for name, p in named_params.items():
-        if name not in state.m:
-            if p.grad is None:
-                continue
-            state.m[name], state.v[name] = np.zeros_like(p.values), np.zeros_like(p.values)
-        m, v, values = _flat(state.m[name]), _flat(state.v[name]), _flat(p.values)
-        g = p.grad
+        g = p.grad.compact() if isinstance(p.grad, T.RowGrad) else p.grad
+        if g is None and name not in state.m:
+            continue
+        held = _held_rows(state, name, p.shape, g)
+        values = _flat(p.values)
+        if held is not None:
+            table = values.reshape(p.shape[0], -1)
+            values = table[held].reshape(-1)
+        m, v = _flat(state.m[name]), _flat(state.v[name])
         at, g_at = np.zeros(0, np.int64), np.zeros(0)  # touched flat positions, ascending
         if isinstance(g, T.RowGrad):
-            g = g.compact()
             width = math.prod(p.shape[1:])
-            at = (g.rows[:, None] * width + np.arange(width)).reshape(-1)
+            rows = g.rows if held is None else np.searchsorted(held, g.rows)
+            at = (rows[:, None] * width + np.arange(width)).reshape(-1)
             g_at = g.values.reshape(-1)
         elif g is not None:
             g = g.reshape(-1)
@@ -189,6 +236,8 @@ def adam_step(state: AdamState, named_params: dict[str, T.Tensor], lr: float) ->
             s2 += ADAM_EPS
             s1 /= s2
             pb -= s1
+        if held is not None:
+            table[held] = values.reshape(held.size, table.shape[1])
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
@@ -301,7 +350,12 @@ def load_encoded(path) -> tuple[list[EncodedExample], dict[str, int]]:
         if bad is not None:
             raise ValueError(f"{path}: line {number}: token id {bad!r} is not "
                              "an integer >= 0")
-        ids = np.array([int(v) for v in raw], dtype=np.int64)
+        try:
+            ids = np.array([int(v) for v in raw], dtype=np.int64)
+        except OverflowError:
+            big = next(v for v in raw if int(v) > np.iinfo(np.int64).max)
+            raise ValueError(f"{path}: line {number}: token id {big!r} does not fit "
+                             "in a 64-bit integer") from None
         examples.append(EncodedExample(fields[0], ids, label))
     return examples, counts
 

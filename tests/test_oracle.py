@@ -222,14 +222,43 @@ def _row_grad(rng, step):
     return T.RowGrad(rows, values)
 
 
+def _full_moments(state, name, shape):
+    """``name``'s (m, v) in the parameter's shape: row-held moments
+    scattered into zeros, parameter-shaped ones as they are."""
+    if name not in state.rows:
+        return state.m[name], state.v[name]
+    full = [np.zeros(shape), np.zeros(shape)]
+    for dense, held in zip(full, (state.m[name], state.v[name])):
+        assert held.shape == (state.rows[name].size,) + shape[1:], name
+        dense[state.rows[name]] = held
+    return tuple(full)
+
+
+def _covering_grad(rng, step):
+    """Rows of a (6, 4) table: two, then a repeat plus a row whose gradient
+    sums to zeros (one -0.0 among them), then none, then the last three
+    rows, which make the touched set every row; then one row a step."""
+    if step == 3:
+        return None
+    rows = {1: [3, 1], 2: [1, 0, 0], 4: [5, 2, 4]}.get(step, [5])
+    values = rng.normal(size=(len(rows), 4))
+    if step == 2:
+        values[1] = [0.5, -0.0, 0.0, 1.0]
+        values[2] = [-0.5, -0.0, -0.0, -1.0]
+    return T.RowGrad(np.array(rows), values)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_adam_matches_the_whole_array_oracle_byte_for_byte():
     block = tr.ADAM_BLOCK
     shapes = {"below": (block - 1,), "block": (block,), "above": (block + 1,),
               "matrix": (3, block // 2), "bias": (1,), "never": (5,),
               "stops": (block + 1,), "zero": (4, 2), "table": (700, 100),
-              "late": (40, 3)}
+              "late": (40, 3), "covered": (6, 4), "densified": (5, 3)}
     blocked, whole = _twin_params(shapes, seed=40)
+    for named in (blocked, whole):  # rows 1 and 2 of the table are never touched
+        named["table"].values[1, :50] = -0.0
+        named["table"].values[2, ::7] = np.nan
     state, want_state = tr.AdamState(), tr.AdamState()
     rng = np.random.default_rng(41)
     stops_m, table_m = [], []
@@ -243,6 +272,11 @@ def test_adam_matches_the_whole_array_oracle_byte_for_byte():
                 grad = _row_grad(rng, step)
             elif name == "late":  # row-sparse, with moments made at step 3
                 grad = T.RowGrad(np.array([39, 0, 39]), rng.normal(size=(3, 3)))
+            elif name == "covered":
+                grad = _covering_grad(rng, step)
+            elif name == "densified":  # row-sparse twice, then dense, then row-sparse
+                grad = (rng.normal(size=shape) if step == 3
+                        else T.RowGrad(np.array([step % 5]), rng.normal(size=(1, 3))))
             else:  # magnitudes from underflow in g*g to overflow in v
                 grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-200, 160, shape)
             for named in (blocked, whole):
@@ -250,22 +284,67 @@ def test_adam_matches_the_whole_array_oracle_byte_for_byte():
         tr.adam_step(state, blocked, lr)
         oracle.adam_step(want_state, whole, lr)
         assert state.t == want_state.t == step
-        for name in shapes:
+        for name, shape in shapes.items():
             assert blocked[name].values.tobytes() == whole[name].values.tobytes(), name
             if name in state.m:
-                assert state.m[name].tobytes() == want_state.m[name].tobytes(), name
-                assert state.v[name].tobytes() == want_state.v[name].tobytes(), name
+                m, v = _full_moments(state, name, shape)
+                assert m.tobytes() == want_state.m[name].tobytes(), name
+                assert v.tobytes() == want_state.v[name].tobytes(), name
             else:  # the oracle's moments for a parameter never given a gradient
                 assert not (want_state.m[name].any() or want_state.v[name].any()), name
         assert ("late" in state.m) == (step >= 3)
+        # row-held moments until the touched rows are every row or a dense gradient comes
+        assert set(state.rows) == {"table"} | ({"covered"} if step < 4 else set()) \
+            | ({"densified"} if step < 3 else set()) | ({"late"} if step >= 3 else set())
+        assert state.rows["table"].size < 700
         stops_m.append(state.m["stops"].copy())
-        table_m.append(state.m["table"][100].copy())
+        table_m.append(_full_moments(state, "table", shapes["table"])[0][100].copy())
     assert "never" not in state.m and "never" not in state.v
     npt.assert_array_equal(blocked["never"].values, whole["never"].values)
     # with no gradient after step 2, the moments keep decaying, so it keeps moving
     npt.assert_array_equal(stops_m[3], stops_m[2] * tr.ADAM_BETA1)
     # so does a table row touched once
     npt.assert_array_equal(table_m[2], table_m[1] * tr.ADAM_BETA1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_adam_matches_the_oracle_on_seeded_row_sparse_tables():
+    """30 seeded tables of -0.0, NaN and normal values, 12 steps each, with
+    no gradient, row gradients (repeated, empty, summing to zeros, from
+    1e-200 to 1e160) and now and then a dense one: the parameters and the
+    moments keep the whole-array oracle's bytes."""
+    rng = np.random.default_rng(46)
+    for case in range(30):
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 5)))
+        blocked, whole = _twin_params({"t": shape}, seed=100 + case)
+        kinds = rng.random(shape)
+        for named in (blocked, whole):
+            named["t"].values[kinds < 0.1] = -0.0
+            named["t"].values[kinds > 0.95] = np.nan
+        state, want_state = tr.AdamState(), tr.AdamState()
+        for _ in range(12):
+            draw = rng.random()
+            if draw < 0.15:
+                grad = None
+            elif draw < 0.2:
+                grad = rng.normal(size=shape)
+            else:
+                rows = rng.integers(0, shape[0], int(rng.integers(0, 4)))
+                values = rng.normal(size=(rows.size, shape[1])) \
+                    * 10.0 ** rng.uniform(-200, 160, (rows.size, 1))
+                if draw < 0.3:
+                    values = np.where(rng.random(values.shape) < 0.5, -0.0, 0.0)
+                grad = T.RowGrad(rows, values)
+            for named in (blocked, whole):
+                named["t"].grad = None if grad is None else copy.deepcopy(grad)
+            tr.adam_step(state, blocked, 0.01)
+            oracle.adam_step(want_state, whole, 0.01)
+            assert blocked["t"].values.tobytes() == whole["t"].values.tobytes(), case
+            if "t" in state.m:
+                m, v = _full_moments(state, "t", shape)
+                assert m.tobytes() == want_state.m["t"].tobytes(), case
+                assert v.tobytes() == want_state.v["t"].tobytes(), case
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

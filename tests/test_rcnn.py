@@ -66,6 +66,51 @@ def test_shape_report_counts():
     assert "projection.w\t200x500\t100000" in report
 
 
+@pytest.mark.parametrize("config", [TINY, TINY.replace(num_layers=1, sentence_dim=0,
+                                                        projection_tanh=True)])
+def test_restore_rebuilds_the_model_from_its_arrays_without_drawing(monkeypatch, config):
+    params, rng = _tiny_model(3, config=config)
+    arrays = {name: t.values.copy() for name, t in params.named().items()}
+    monkeypatch.setattr(L, "_uniform", lambda *a: pytest.fail("restore drew a parameter"))
+    restored = rcnn.restore(config, arrays)
+    named = restored.named()
+    assert list(named) == list(params.named())
+    for name, t in named.items():
+        assert t.values.dtype == np.float64 and t.values.flags.c_contiguous, name
+        assert t.values.tobytes() == arrays[name].tobytes(), name
+        assert t.requires_grad, name
+        if name != "embedding.table":
+            assert not np.shares_memory(t.values, arrays[name]), name
+    assert [(lay.input_size, lay.hidden_size, lay.fwd.hidden_size) for lay in restored.bilstm] \
+        == [(lay.input_size, lay.hidden_size, lay.fwd.hidden_size) for lay in params.bilstm]
+    assert (restored.sentence_dim, restored.dropout_bilstm, restored.dropout_linear,
+            restored.projection_tanh) == (params.sentence_dim, params.dropout_bilstm,
+                                          params.dropout_linear, params.projection_tanh)
+    batch = _batch([[1, 2, 3], [4, 5, 0]], [3, 2], config.sentence_dim, rng)
+    npt.assert_array_equal(rcnn.forward(restored, batch, False, None)[1].values,
+                           rcnn.forward(params, batch, False, None)[1].values)
+
+
+def test_restore_names_missing_unexpected_and_misshapen_arrays():
+    params, _ = _tiny_model(4)
+    arrays = {name: t.values.copy() for name, t in params.named().items()}
+    with pytest.raises(ValueError) as err:
+        rcnn.restore(TINY, {n: a for n, a in arrays.items() if n != "embedding.table"})
+    assert str(err.value) == "checkpoint has no 'embedding.table' array"
+    with pytest.raises(ValueError) as err:
+        rcnn.restore(TINY.replace(embedding_dim=5), arrays)
+    assert str(err.value) == "embedding dim 4 does not match configured embedding_dim 5"
+    broken = {n: a for n, a in arrays.items() if n != "output.b"} | {"extra.w": np.zeros(2)}
+    with pytest.raises(ValueError) as err:
+        rcnn.restore(TINY, broken)
+    assert str(err.value) == ("checkpoint arrays do not match the configured model "
+                              "(missing ['output.b'], unexpected ['extra.w'])")
+    with pytest.raises(ValueError) as err:
+        rcnn.restore(TINY, arrays | {"bilstm1.bwd.u": np.zeros((12, 4))})
+    assert str(err.value) == ("checkpoint array 'bilstm1.bwd.u' has shape (12, 4), "
+                              "model expects (12, 3)")
+
+
 def test_forward_probabilities_sum_to_one():
     params, rng = _tiny_model()
     batch = _batch([[1, 2, 3], [4, 5, 0]], [3, 2], 2, rng)

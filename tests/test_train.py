@@ -236,6 +236,17 @@ def test_load_encoded_names_file_and_line_of_a_bad_token_id(tmp_path, ids, bad):
     assert str(err.value) == f"{path}: line 3: token id {bad!r} is not an integer >= 0"
 
 
+@pytest.mark.parametrize("big", [str(2 ** 63), "99999999999999999999"])
+def test_load_encoded_names_file_and_line_of_an_oversized_token_id(tmp_path, big):
+    path = tmp_path / "train.ids.tsv"
+    path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 {2 ** 63 - 1}\nb\tsad\t3 {big}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        tr.load_encoded(path)
+    assert str(err.value) == (f"{path}: line 3: token id {big!r} does not fit "
+                              "in a 64-bit integer")
+
+
 def test_load_encoded_names_file_and_line_of_a_bad_label_count(tmp_path):
     path = tmp_path / "train.ids.tsv"
     path.write_text(f"# label_counts\thappy=2\tsad=two\n{tr.ENCODED_HEADER}\n"
