@@ -173,10 +173,11 @@ def restore(config: TrainConfig, arrays: dict[str, np.ndarray]) -> RcnnParams:
                              f"{arrays[name].shape}, model expects {shape}")
     t = {name: T.Tensor(np.array(arrays[name], dtype=np.float64, order="C"),
                         requires_grad=True) for name in shapes}
-    h = config.hidden_size
-    bilstm = [L.LstmLayerParams(shapes[f"bilstm{i}.fwd.w"][1], h, *(
-        L.LstmDirection(t[f"{pre}.w"], t[f"{pre}.u"], t[f"{pre}.b"], h)
-        for pre in (f"bilstm{i}.fwd", f"bilstm{i}.bwd"))) for i in range(config.num_layers)]
+    h, bilstm = config.hidden_size, []
+    for i in range(config.num_layers):
+        fwd, bwd = (L.LstmDirection(t[f"bilstm{i}.{tag}.w"], t[f"bilstm{i}.{tag}.u"],
+                                    t[f"bilstm{i}.{tag}.b"], h) for tag in ("fwd", "bwd"))
+        bilstm.append(L.LstmLayerParams(shapes[f"bilstm{i}.fwd.w"][1], h, fwd, bwd))
     return _model(config, emb, bilstm, (t["projection.w"], t["projection.b"]),
                   (t["output.w"], t["output.b"]))
 

@@ -152,11 +152,10 @@ def _held_rows(state: AdamState, name: str, shape: tuple[int, ...], g) -> np.nda
     held = state.rows.pop(name, None)
     if name in state.m and held is None:
         return None
-    rows = np.zeros(0, np.int64) if held is None else held
     if isinstance(g, T.RowGrad):
-        rows = np.union1d(rows, g.rows)
-    elif g is not None:
-        rows = None
+        rows = np.union1d(np.zeros(0, np.int64) if held is None else held, g.rows)
+    else:  # no gradient keeps the held rows, a dense one ends them
+        rows = held if g is None else None
     if rows is not None and rows.size < ADAM_HELD_SHARE * shape[0]:
         if held is None or rows.size > held.size:
             m, v = np.zeros((rows.size,) + shape[1:]), np.zeros((rows.size,) + shape[1:])
