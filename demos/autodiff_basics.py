@@ -2,39 +2,47 @@
 
 Tensors record the operation that produced them; calling ``backward`` on a
 scalar loss walks that record once, in a deterministic order, and deposits
-gradients on every reachable leaf.
+gradients on every reachable leaf.  Everything below runs the classifier's
+own ops: its output layer, its softmax and its class-weighted loss.
 """
 
 import numpy as np
 
 from emoconv import tensor as T
+from emoconv import train as tr
 
-# -- 1. a tiny expression ----------------------------------------------------
-# loss = sum((x @ w.T + b)^2): the linear layer every model here is built on,
-# applied to each of the two rows of x.
+# -- 1. the classifier's head -------------------------------------------------
+# Two examples' 5-d features through the output layer (x @ w.T + b), a row
+# softmax over the four classes, and the class-weighted cross-entropy.  The
+# loss is one graph node over the softmax output.
 
 rng = np.random.default_rng(0)
-w = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-x = T.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-b = T.Tensor(rng.normal(size=3), requires_grad=True)
+w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+x = T.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+b = T.Tensor(rng.normal(size=4), requires_grad=True)
+labels = [2, 0]
+weights = tr.ClassWeights(np.array([0.1, 0.2, 0.3, 0.4]))
 
-y = T.linear_rows(x, w, b)
-loss = T.sum_all(T.mul(y, y))
+probs = T.softmax_rows(T.linear_rows(x, w, b))
+loss = tr.weighted_cross_entropy(probs, labels, weights)
 print("loss value:", loss.item())
+print("loss node:", loss, "over", loss.parents[0])
 
 T.backward(loss)
-print("dL/dw row 0:", w.grad[0])
+print("dL/db:", b.grad)
 
-# The analytic gradient of sum(y^2) wrt y is 2y, so wrt w it is 2 y^T @ x.
-expected = 2.0 * y.values.T @ x.values
-print("matches 2*y.T@x:", np.allclose(w.grad, expected))
+# The loss is -mean(w_y * log p_y), so its gradient wrt the logits is
+# (p - onehot(y)) * w_y / B per row, and wrt b the sum of those rows.
+onehot = np.eye(4)[labels]
+expected = ((probs.values - onehot) * weights.weights[labels][:, None] / 2).sum(axis=0)
+print("matches (p - onehot) * w / B:", np.allclose(b.grad, expected))
 
 # -- 2. gradients accumulate until reset ------------------------------------
 # Backward twice without clearing and the leaf gradient doubles; training
 # loops call reset_grads between steps for exactly this reason.
 
 T.backward(loss)
-print("after second backward, ratio:", w.grad[0, 0] / expected[0, 0])
+print("after second backward, ratio:", b.grad[0] / expected[0])
 T.reset_grads([w, x, b])
 
 # -- 3. finite-difference checking ------------------------------------------
@@ -43,13 +51,20 @@ T.reset_grads([w, x, b])
 
 
 def f(params):
-    y = T.linear_rows(x, params[0], b)
-    return T.sum_all(T.mul(y, y))
+    probs = T.softmax_rows(T.linear_rows(x, params[0], b))
+    return tr.weighted_cross_entropy(probs, labels, weights)
 
 
 err = T.finite_diff_check(f, [w], eps=1e-6)
 print(f"max relative error vs central differences: {err:.2e}")
 
-# -- 4. a glance at the norms of everything ---------------------------------
-report = T.grad_report({"w": w, "x": x, "b": b})
-print(report)
+# -- 4. clipping to a global norm -------------------------------------------
+# The training loop scales every gradient so their global L2 norm is at most
+# clip_norm; clip_gradients returns the factor it applied (1.0 when under).
+
+T.reset_grads([w, x, b])
+T.backward(f([w]))
+named = {"w": w, "x": x, "b": b}
+norm = np.sqrt(sum(float((T.grad_of(t) ** 2).sum()) for t in named.values()))
+factor = tr.clip_gradients(named, max_norm=norm / 2)
+print(f"global norm {norm:.4f}, clip factor {factor:.4f}")

@@ -181,8 +181,10 @@ def _load_store(path_or_none, dim: int):
 def cmd_train(args) -> int:
     config = _load_base_config(args)
     vocab = load_vocab(os.path.join(args.data_dir, "vocab.txt"))
-    train_ex, train_counts = tr.load_encoded(os.path.join(args.data_dir, "train.ids.tsv"))
-    val_ex, val_counts = tr.load_encoded(os.path.join(args.data_dir, "val.ids.tsv"))
+    train_ex, train_counts = tr.load_encoded(os.path.join(args.data_dir, "train.ids.tsv"),
+                                             vocab.size)
+    val_ex, val_counts = tr.load_encoded(os.path.join(args.data_dir, "val.ids.tsv"),
+                                         vocab.size)
     store = _load_store(args.sentence_vectors, config.sentence_dim)
     if store is None:
         config = config.replace(sentence_dim=0)

@@ -60,23 +60,41 @@ def build_finetune_model(emb: L.EmbeddingMatrix, rng, kernel_sizes=(1, 2, 3),
 def forward_finetune(model: FinetuneModel, rows, training: bool, rng) -> T.Tensor:
     """Probability of the positive class for each token-id sequence in
     ``rows``: one [B] tensor, in row order, from one pass over the batch,
-    its token ids packed row after row."""
+    its token ids packed row after row; one node takes the sigmoid of the
+    output layer's one column."""
     cells = L.embedding_lookup(model.emb, np.concatenate(rows))
     pooled = L.conv1d_over_time(model.bank, cells, [len(r) for r in rows])
     pooled = L.dropout(pooled, DROPOUT_RATE, training, rng)
     logits = T.linear_rows(pooled, model.out_w, model.out_b)
-    return T.reshape(T.sigmoid(logits), (len(rows),))
+    out = T.sigmoid_(logits.values[:, 0].copy())
+
+    def backward_fn(g):
+        return ((g * out * (1.0 - out)).reshape(logits.shape),)
+
+    return T.from_op(out, "sigmoid_column", (logits,), backward_fn)
 
 
 def binary_cross_entropy(probs: T.Tensor, labels) -> T.Tensor:
-    """Mean BCE over a probability vector, logs floored at 1e-12."""
+    """Mean BCE over a probability vector, logs floored at 1e-12, as one
+    graph node.  Its ufuncs run in the order of the chain floor, log, weight
+    by the label, add, sum, scale, whose bytes it keeps; no gradient flows
+    from a term whose probability (p or 1 - p) is at or below the floor."""
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape:
         raise ValueError(f"probs shape {probs.shape} != labels shape {labels.shape}")
-    pos = T.mul(T.log(T.clamp_min(probs, LOG_FLOOR)), T.constant(labels))
-    anti = T.sub(T.constant(np.ones_like(labels)), probs)
-    neg = T.mul(T.log(T.clamp_min(anti, LOG_FLOOR)), T.constant(1.0 - labels))
-    return T.scale(T.sum_all(T.add(pos, neg)), -1.0 / labels.size)
+    p = probs.values
+    a = 1.0 - p
+    vp, va = np.maximum(p, LOG_FLOOR), np.maximum(a, LOG_FLOOR)
+    anti = 1.0 - labels
+    s = -1.0 / labels.size
+
+    def backward_fn(g):
+        gs = g * s
+        return (((gs * labels) / vp) * (p > LOG_FLOOR)
+                - ((gs * anti) / va) * (a > LOG_FLOOR),)
+
+    loss = np.asarray((np.log(vp) * labels + np.log(va) * anti).sum()) * s
+    return T.from_op(loss, "binary_cross_entropy", (probs,), backward_fn)
 
 
 def encode_corpus(corpus, vocab: Vocabulary) -> list[tuple[np.ndarray, int]]:

@@ -12,16 +12,25 @@ dense array.
 All arithmetic is 64-bit.  The engine is batch-major and packed: a batch
 of sequences is one ``[N x k]`` tensor of valid cells, row after row, plus
 ``[B]`` per-row lengths that sum to N.  There is no padding to mask, and one
-graph node covers the whole batch.  Broadcasting rules:
+graph node covers the whole batch.
 
-- elementwise binary operations take two tensors of exactly the same shape,
-  and nothing else: no Python numbers, no size-1 broadcasting;
+The engine holds only the ops the two models run:
+
+- ``tanh`` and ``relu``, elementwise, and ``sigmoid_``, the in-place
+  logistic function on a plain array that the LSTM gates and the
+  fine-tuning CNN's output node use;
+- ``concat`` of tensors that agree on every other axis;
 - ``linear_rows`` maps every row of an ``[n x k]`` matrix and adds its bias
-  to each (``[n x k] -> [n x m]``);
+  to each (``[n x k] -> [n x m]``), the one place a vector broadcasts;
 - ``max_over_time`` is the one segment max: it reduces each row's own cells
   of a packed tensor, ``[N x k] -> [B x k]``.  It keeps each column's
   argmax cell from forward, so backward reads no input; the first cell wins
-  a tie, and a NaN wins its column.
+  a tie, and a NaN wins its column;
+- ``softmax_rows``, the classifier's output distribution.
+
+A model's loss is one node of its own, built with ``from_op`` where the
+model lives (``train.weighted_cross_entropy``,
+``finetune.binary_cross_entropy``).
 
 Inside ``with no_grad():`` operations record no parents and no backward
 closures, so an inference pass holds only the values it still uses.
@@ -230,47 +239,6 @@ def grad_of(t: Tensor) -> np.ndarray:
 # Elementwise operations
 
 
-def _binary(op: str, a: Tensor, b: Tensor, fwd, grad_a, grad_b) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} differ")
-    av, bv = a.values, b.values
-
-    def backward_fn(g):
-        return grad_a(g, av, bv), grad_b(g, av, bv)
-
-    return from_op(fwd(av, bv), op, (a, b), backward_fn)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("add", a, b,
-                   lambda x, y: x + y,
-                   lambda g, x, y: g,
-                   lambda g, x, y: g)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("sub", a, b,
-                   lambda x, y: x - y,
-                   lambda g, x, y: g,
-                   lambda g, x, y: -g)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("mul", a, b,
-                   lambda x, y: x * y,
-                   lambda g, x, y: g * y,
-                   lambda g, x, y: g * x)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def backward_fn(g):
-        return (g * s,)
-
-    return from_op(a.values * s, "scale", (a,), backward_fn)
-
-
 def sigmoid_(z: np.ndarray) -> np.ndarray:
     """In-place logistic function, in the overflow-free tanh form; returns z."""
     z *= 0.5
@@ -278,15 +246,6 @@ def sigmoid_(z: np.ndarray) -> np.ndarray:
     z += 1.0
     z *= 0.5
     return z
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = sigmoid_(a.values.copy())
-
-    def backward_fn(g):
-        return (g * out * (1.0 - out),)
-
-    return from_op(out, "sigmoid", (a,), backward_fn)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -298,19 +257,6 @@ def tanh(a: Tensor) -> Tensor:
     return from_op(out, "tanh", (a,), backward_fn)
 
 
-def log(a: Tensor) -> Tensor:
-    v = a.values
-    bad = np.flatnonzero(v.reshape(-1) <= 0.0)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"log of non-positive value {v.reshape(-1)[i]} at flat index {i}")
-
-    def backward_fn(g):
-        return (g / v,)
-
-    return from_op(np.log(v), "log", (a,), backward_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     v = a.values
 
@@ -320,30 +266,8 @@ def relu(a: Tensor) -> Tensor:
     return from_op(np.maximum(v, 0.0), "relu", (a,), backward_fn)
 
 
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    v = a.values
-    floor = float(floor)
-
-    def backward_fn(g):
-        return (g * (v > floor),)
-
-    return from_op(np.maximum(v, floor), "clamp_min", (a,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # Shape manipulation
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(d) for d in shape)
-    if math.prod(shape) != a.size:
-        raise ValueError(f"cannot reshape {a.shape} ({a.size} values) to {shape}")
-    old = a.shape
-
-    def backward_fn(g):
-        return (g.reshape(old),)
-
-    return from_op(a.values.reshape(shape), "reshape", (a,), backward_fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -372,36 +296,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
     out = np.concatenate([p.values for p in parts], axis=axis)
     return from_op(out, "concat", tuple(parts), backward_fn)
-
-
-def take_per_row(a: Tensor, columns) -> Tensor:
-    """Pick one entry per row: out[i] = a[i, columns[i]]."""
-    if a.values.ndim != 2:
-        raise ValueError(f"take_per_row needs a 2-d tensor, got shape {a.shape}")
-    cols = np.asarray(columns, dtype=np.int64)
-    n, c = a.shape
-    if cols.shape != (n,):
-        raise ValueError(f"need one column index per row: {cols.shape} vs {n} rows")
-    if cols.min(initial=0) < 0 or cols.max(initial=0) >= c:
-        raise ValueError(f"column index out of range [0, {c}) in {cols.tolist()}")
-    rows = np.arange(n)
-    full_shape = a.shape
-
-    def backward_fn(g):
-        z = np.zeros(full_shape)
-        z[rows, cols] = g
-        return (z,)
-
-    return from_op(a.values[rows, cols], "take_per_row", (a,), backward_fn)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def backward_fn(g):
-        return (np.broadcast_to(g, shape),)
-
-    return from_op(np.asarray(a.values.sum()), "sum_all", (a,), backward_fn)
 
 
 def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -494,34 +388,6 @@ def softmax_rows(logits: Tensor) -> Tensor:
         return (out * (g - dot),)
 
     return from_op(out, "softmax_rows", (logits,), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# Gradient inspection
-
-
-@dataclass
-class GradReport:
-    max_abs_grad: float
-    global_l2_norm: float
-    per_parameter_norms: dict[str, float]
-
-
-def grad_report(named_params: dict[str, Tensor]) -> GradReport:
-    """L2 norms of current gradients; absent gradients count as zero."""
-    per: dict[str, float] = {}
-    sq_total = 0.0
-    max_abs = 0.0
-    for name, p in named_params.items():
-        g = grad_of(p)
-        sq = float((g * g).sum())
-        per[name] = math.sqrt(sq)
-        sq_total += sq
-        if g.size:
-            max_abs = max(max_abs, float(np.abs(g).max()))
-    return GradReport(max_abs_grad=max_abs,
-                      global_l2_norm=math.sqrt(sq_total),
-                      per_parameter_norms=per)
 
 
 def finite_diff_check(f: Callable[[list[Tensor]], Tensor],

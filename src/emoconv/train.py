@@ -55,17 +55,32 @@ def compute_class_weights(train_counts, val_counts) -> ClassWeights:
 
 
 def weighted_cross_entropy(probabilities: T.Tensor, labels, weights: ClassWeights) -> T.Tensor:
-    """Mean over the batch of w_label * (-log p[label]), log floored at 1e-12."""
+    """Mean over the batch of w_label * (-log p[label]), log floored at 1e-12,
+    as one graph node.  Its ufuncs run in the order of the chain pick, floor,
+    log, weight, sum, scale, whose bytes it keeps; no gradient flows where
+    p[label] is at or below the floor."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError(f"labels must be a non-empty 1-d sequence, got shape {labels.shape}")
     if (labels < 0).any() or (labels >= len(LABELS)).any():
         bad = labels[(labels < 0) | (labels >= len(LABELS))][0]
         raise ValueError(f"label index {int(bad)} out of range [0, {len(LABELS)})")
-    picked = T.take_per_row(probabilities, labels)
-    logs = T.log(T.clamp_min(picked, LOG_FLOOR))
-    weighted = T.mul(logs, T.constant(weights.weights[labels]))
-    return T.scale(T.sum_all(weighted), -1.0 / labels.size)
+    if probabilities.shape != (labels.size, len(LABELS)):
+        raise ValueError(f"need [{labels.size} x {len(LABELS)}] probabilities for "
+                         f"{labels.size} labels, got shape {probabilities.shape}")
+    rows = np.arange(labels.size)
+    p = probabilities.values[rows, labels]
+    v = np.maximum(p, LOG_FLOOR)
+    w_l = weights.weights[labels]
+    s = -1.0 / labels.size
+
+    def backward_fn(g):
+        z = np.zeros(probabilities.shape)
+        z[rows, labels] = (((g * s) * w_l) / v) * (p > LOG_FLOOR)
+        return (z,)
+
+    loss = np.asarray((np.log(v) * w_l).sum()) * s
+    return T.from_op(loss, "weighted_cross_entropy", (probabilities,), backward_fn)
 
 
 def uniform_baseline_loss(weights: ClassWeights, labels) -> float:
@@ -321,8 +336,9 @@ def _is_natural(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def load_encoded(path) -> tuple[list[EncodedExample], dict[str, int]]:
-    """Read a file written by :func:`save_encoded`.
+def load_encoded(path, vocab_size: int) -> tuple[list[EncodedExample], dict[str, int]]:
+    """Read a file written by :func:`save_encoded` against a vocabulary of
+    ``vocab_size`` tokens; a token id outside it names its line.
 
     Returns the examples plus the recorded pre-filter label counts (empty
     dict when the file has no counts line).
@@ -361,6 +377,10 @@ def load_encoded(path) -> tuple[list[EncodedExample], dict[str, int]]:
             big = next(v for v in raw if int(v) > np.iinfo(np.int64).max)
             raise ValueError(f"{path}: line {number}: token id {big!r} does not fit "
                              "in a 64-bit integer") from None
+        outside = np.flatnonzero(ids >= vocab_size)
+        if outside.size:
+            raise ValueError(f"{path}: line {number}: token id {raw[outside[0]]!r} out of "
+                             f"range for a vocabulary of size {vocab_size}")
         examples.append(EncodedExample(fields[0], ids, label))
     return examples, counts
 

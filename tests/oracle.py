@@ -6,8 +6,11 @@ did before ``lstm_scan``, the masked ``max_over_time`` and ``unfold``
 existed.  Tests run the batched model and this oracle on the same parameters
 and require equal logits and gradients.  The ops that only this path needs
 (``matvec``, ``narrow``, ``take_row``, ``stack_rows``) live here too, as do
-the whole-array Adam step and gradient clipping that the blocked, skipping,
-row-sparse ones in ``train`` must match byte for byte, the recurrence
+the generic elementwise and shape ops (``add``, ``mul``, ``log``,
+``sum_all`` and the rest) that tests use as probes, the chains of them that
+each loss node must match byte for byte, the whole-array Adam step and
+gradient clipping that the blocked, skipping, row-sparse ones in ``train``
+must match byte for byte, the recurrence
 step whose product ``layers.lstm_step`` must match byte for byte at the
 paper's hidden size, and the per-turn text preparation (a Python loop per
 character, then four regex calls per turn) whose tokens the chunked
@@ -26,6 +29,149 @@ from emoconv import layers as L
 from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.textprep import EOS_TOKEN, TokenSequence
+
+# ---------------------------------------------------------------------------
+# Generic elementwise and shape ops: two tensors of exactly the same shape,
+# no Python numbers, no size-1 broadcasting
+
+
+def _binary(op: str, a: T.Tensor, b: T.Tensor, fwd, grad_a, grad_b) -> T.Tensor:
+    if a.shape != b.shape:
+        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} differ")
+    av, bv = a.values, b.values
+
+    def backward_fn(g):
+        return grad_a(g, av, bv), grad_b(g, av, bv)
+
+    return T.from_op(fwd(av, bv), op, (a, b), backward_fn)
+
+
+def add(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    return _binary("add", a, b,
+                   lambda x, y: x + y,
+                   lambda g, x, y: g,
+                   lambda g, x, y: g)
+
+
+def sub(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    return _binary("sub", a, b,
+                   lambda x, y: x - y,
+                   lambda g, x, y: g,
+                   lambda g, x, y: -g)
+
+
+def mul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    return _binary("mul", a, b,
+                   lambda x, y: x * y,
+                   lambda g, x, y: g * y,
+                   lambda g, x, y: g * x)
+
+
+def scale(a: T.Tensor, s: float) -> T.Tensor:
+    s = float(s)
+
+    def backward_fn(g):
+        return (g * s,)
+
+    return T.from_op(a.values * s, "scale", (a,), backward_fn)
+
+
+def sigmoid(a: T.Tensor) -> T.Tensor:
+    out = T.sigmoid_(a.values.copy())
+
+    def backward_fn(g):
+        return (g * out * (1.0 - out),)
+
+    return T.from_op(out, "sigmoid", (a,), backward_fn)
+
+
+def log(a: T.Tensor) -> T.Tensor:
+    v = a.values
+    bad = np.flatnonzero(v.reshape(-1) <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"log of non-positive value {v.reshape(-1)[i]} at flat index {i}")
+
+    def backward_fn(g):
+        return (g / v,)
+
+    return T.from_op(np.log(v), "log", (a,), backward_fn)
+
+
+def clamp_min(a: T.Tensor, floor: float) -> T.Tensor:
+    v = a.values
+    floor = float(floor)
+
+    def backward_fn(g):
+        return (g * (v > floor),)
+
+    return T.from_op(np.maximum(v, floor), "clamp_min", (a,), backward_fn)
+
+
+def reshape(a: T.Tensor, shape) -> T.Tensor:
+    shape = tuple(int(d) for d in shape)
+    if math.prod(shape) != a.size:
+        raise ValueError(f"cannot reshape {a.shape} ({a.size} values) to {shape}")
+    old = a.shape
+
+    def backward_fn(g):
+        return (g.reshape(old),)
+
+    return T.from_op(a.values.reshape(shape), "reshape", (a,), backward_fn)
+
+
+def take_per_row(a: T.Tensor, columns) -> T.Tensor:
+    """Pick one entry per row: out[i] = a[i, columns[i]]."""
+    if a.values.ndim != 2:
+        raise ValueError(f"take_per_row needs a 2-d tensor, got shape {a.shape}")
+    cols = np.asarray(columns, dtype=np.int64)
+    n, c = a.shape
+    if cols.shape != (n,):
+        raise ValueError(f"need one column index per row: {cols.shape} vs {n} rows")
+    if cols.min(initial=0) < 0 or cols.max(initial=0) >= c:
+        raise ValueError(f"column index out of range [0, {c}) in {cols.tolist()}")
+    rows = np.arange(n)
+    full_shape = a.shape
+
+    def backward_fn(g):
+        z = np.zeros(full_shape)
+        z[rows, cols] = g
+        return (z,)
+
+    return T.from_op(a.values[rows, cols], "take_per_row", (a,), backward_fn)
+
+
+def sum_all(a: T.Tensor) -> T.Tensor:
+    shape = a.shape
+
+    def backward_fn(g):
+        return (np.broadcast_to(g, shape),)
+
+    return T.from_op(np.asarray(a.values.sum()), "sum_all", (a,), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# The losses as chains of generic ops, and the fine-tuning CNN's output
+
+
+def weighted_cross_entropy_chain(probabilities: T.Tensor, labels, weights) -> T.Tensor:
+    """``train.weighted_cross_entropy`` as six nodes: pick, floor, log,
+    weight, sum, scale."""
+    labels = np.asarray(labels, dtype=np.int64)
+    picked = take_per_row(probabilities, labels)
+    logs = log(clamp_min(picked, tr.LOG_FLOOR))
+    weighted = mul(logs, T.constant(weights.weights[labels]))
+    return scale(sum_all(weighted), -1.0 / labels.size)
+
+
+def binary_cross_entropy_chain(probs: T.Tensor, labels) -> T.Tensor:
+    """``finetune.binary_cross_entropy`` as ten nodes."""
+    labels = np.asarray(labels, dtype=np.float64)
+    pos = mul(log(clamp_min(probs, tr.LOG_FLOOR)), T.constant(labels))
+    anti = sub(T.constant(np.ones_like(labels)), probs)
+    neg = mul(log(clamp_min(anti, tr.LOG_FLOOR)), T.constant(1.0 - labels))
+    return scale(sum_all(add(pos, neg)), -1.0 / labels.size)
+
 
 # ---------------------------------------------------------------------------
 # Ops used only by the per-example path
@@ -91,7 +237,7 @@ def max_rows(seq: T.Tensor, valid_length: int) -> T.Tensor:
 
 
 def linear(weight: T.Tensor, bias: T.Tensor, x: T.Tensor) -> T.Tensor:
-    return T.add(matvec(weight, x), bias)
+    return add(matvec(weight, x), bias)
 
 
 def embedding_rows(table: L.EmbeddingMatrix, ids) -> T.Tensor:
@@ -116,14 +262,14 @@ def embedding_rows(table: L.EmbeddingMatrix, ids) -> T.Tensor:
 def lstm_step(direction: L.LstmDirection, x_t, h_prev, c_prev):
     """pre = W x + U h + b; c = f*c_prev + i*g; h = o*tanh(c)."""
     h = direction.hidden_size
-    pre = T.add(T.add(matvec(direction.w, x_t), matvec(direction.u, h_prev)),
-                direction.b)
-    i = T.sigmoid(narrow(pre, 0, 0, h))
-    f = T.sigmoid(narrow(pre, 0, h, h))
+    pre = add(add(matvec(direction.w, x_t), matvec(direction.u, h_prev)),
+              direction.b)
+    i = sigmoid(narrow(pre, 0, 0, h))
+    f = sigmoid(narrow(pre, 0, h, h))
     g = T.tanh(narrow(pre, 0, 2 * h, h))
-    o = T.sigmoid(narrow(pre, 0, 3 * h, h))
-    c = T.add(T.mul(f, c_prev), T.mul(i, g))
-    return T.mul(o, T.tanh(c)), c
+    o = sigmoid(narrow(pre, 0, 3 * h, h))
+    c = add(mul(f, c_prev), mul(i, g))
+    return mul(o, T.tanh(c)), c
 
 
 _LAYERS_LSTM_STEP = L.lstm_step  # bound at import: tests patch L.lstm_step with the one below
@@ -163,12 +309,12 @@ def conv1d_over_time(bank: L.ConvFilterBank, seq: T.Tensor, valid_length: int) -
     pooled = []
     for k, w, b in zip(bank.kernel_sizes, bank.weights, bank.biases):
         if valid_length >= k:
-            windows = [T.reshape(narrow(seq, 0, t, k), (k * bank.dim,))
+            windows = [reshape(narrow(seq, 0, t, k), (k * bank.dim,))
                        for t in range(valid_length - k + 1)]
         else:
             pad = T.constant(np.zeros((k - valid_length, bank.dim)))
             short = T.concat([narrow(seq, 0, 0, valid_length), pad], axis=0)
-            windows = [T.reshape(short, (k * bank.dim,))]
+            windows = [reshape(short, (k * bank.dim,))]
         activ = T.relu(T.linear_rows(stack_rows(windows), w, b))
         pooled.append(max_rows(activ, len(windows)))
     return T.concat(pooled, axis=0)
@@ -201,7 +347,7 @@ def finetune_probs(model, rows) -> T.Tensor:
     for ids in rows:
         seq = embedding_rows(model.emb, ids)
         pooled = conv1d_over_time(model.bank, seq, len(ids))
-        out.append(T.sigmoid(linear(model.out_w, model.out_b, pooled)))
+        out.append(sigmoid(linear(model.out_w, model.out_b, pooled)))
     return T.concat(out, axis=0)
 
 

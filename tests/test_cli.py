@@ -63,7 +63,7 @@ def test_preprocess_artifacts(world):
 
     text = (data_dir / "train.ids.tsv").read_text()
     assert text.startswith("# label_counts\t")
-    examples, counts = tr.load_encoded(data_dir / "train.ids.tsv")
+    examples, counts = tr.load_encoded(data_dir / "train.ids.tsv", vocab.size)
     assert len(examples) == 16
     assert sum(counts.values()) == 16
     raw = dataio.load_dataset(world / "train.txt", "train")
@@ -237,6 +237,19 @@ def test_sweep_report_and_records(world):
     assert report[0].startswith("axis\tvalue")
     assert len(report) == 3
     assert len(list((world / "runs").glob("run_*.json"))) == 4
+
+
+def test_train_names_the_line_of_an_id_outside_the_vocabulary(world, capsys):
+    data_dir = preprocess(world)
+    size = dataio.load_vocab(data_dir / "vocab.txt").size
+    path = data_dir / "val.ids.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = f"{lines[3]} {size}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_train(world, data_dir, "run") == 1
+    assert (f"{path}: line 4: token id '{size}' out of range for a vocabulary of "
+            f"size {size}") in capsys.readouterr().err
 
 
 def test_errors_exit_nonzero(world, capsys):

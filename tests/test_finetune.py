@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracle
 from emoconv import finetune as ft
 from emoconv import layers as L
 from emoconv import tensor as T
@@ -74,9 +75,20 @@ def test_binary_cross_entropy_values_and_gradient():
     labels = [1, 0, 1, 1, 0, 0]
 
     def f(ps):
-        return ft.binary_cross_entropy(T.sigmoid(ps[0]), labels)
+        return ft.binary_cross_entropy(oracle.sigmoid(ps[0]), labels)
 
     assert T.finite_diff_check(f, [z], eps=1e-5) < 1e-4
+
+    # the loss node alone, on probabilities away from the floor
+    probs = T.Tensor(rng.uniform(0.05, 0.95, 6), requires_grad=True)
+    assert T.finite_diff_check(lambda ps: ft.binary_cross_entropy(ps[0], labels),
+                               [probs], eps=1e-5) < 1e-4
+
+    # no gradient from a term whose probability (p or 1 - p) is at or below
+    # the floor
+    probs = T.Tensor(np.array([1e-15, 0.0, 1.0, 0.5]), requires_grad=True)
+    T.backward(ft.binary_cross_entropy(probs, [1, 1, 0, 1]))
+    npt.assert_allclose(probs.grad, [0.0, 0.0, 0.0, -0.25 / 0.5], rtol=1e-15, atol=0)
 
 
 def test_encode_corpus_validation():

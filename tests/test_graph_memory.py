@@ -16,6 +16,7 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 
+import oracle
 import toycorpus
 from emoconv import finetune as ft
 from emoconv import layers as L
@@ -130,6 +131,27 @@ def test_finetune_step_graph_is_gone_before_the_next_forward(monkeypatch):
     assert len(calls) == 6
 
 
+def test_each_loss_is_one_node_over_its_model_output():
+    """The classifier's loss is one node on the softmax output, and the
+    CNN's is one node on the one node that turns its logits into [B]
+    probabilities."""
+    config = TrainConfig(hidden_size=3, num_layers=1, sentence_dim=2, embedding_dim=4)
+    rng = np.random.default_rng(5)
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (9, 4)))
+    params = rcnn.init_model(config, emb, rng)
+    ids, lens = L.pad_rows([rng.integers(1, 9, k) for k in (3, 1, 4)])
+    batch = rcnn.Batch(ids, lens, rng.normal(size=(3, 2)), np.array([0, 3, 1]))
+    _, probs = rcnn.forward(params, batch, True, rng)
+    loss = tr.weighted_cross_entropy(probs, batch.labels, tr.ClassWeights(np.full(4, 0.25)))
+    assert loss.parents == (probs,) and probs.op == "softmax_rows"
+
+    model = ft.build_finetune_model(emb, rng, filters_per_size=2)
+    probs = ft.forward_finetune(model, [np.array([1, 2, 3]), np.array([4])], True, rng)
+    loss = ft.binary_cross_entropy(probs, [1, 0])
+    assert loss.parents == (probs,) and len(probs.parents) == 1
+    assert probs.parents[0].op == "linear_rows" and probs.shape == (2,)
+
+
 def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     h, d, s, layers = 16, 8, 3, 2
     config = TrainConfig(hidden_size=h, num_layers=layers, sentence_dim=s, embedding_dim=d,
@@ -150,7 +172,7 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     per_layer = 2 * scan + 2 * h + 2 * h       # two scans, concat, dropout
     ctx = 2 * h + d                            # [h_f; h_b; w_i]
     floats = n * (d + layers * per_layer + 2 * ctx + h)  # lookup .. projection
-    floats += b * (h + 3 * (h + s) + 8 + 7)    # pool .. softmax, then the loss
+    floats += b * (h + 3 * (h + s) + 8 + 5)    # pool .. softmax, then the loss
     masks = n * (layers * 2 * h + ctx) + b * (h + s)
     index = 8 * n * (2 * 2 * layers + 2)       # scan src/prev, lookup ids/mask
     budget = 8 * floats + masks + index + 4096  # offsets and per-row indices
@@ -168,7 +190,7 @@ def test_max_over_time_keeps_its_argmax_and_not_its_input():
     # the [B x k] argmax cells, the column numbers, and nothing [N x k]
     assert sorted(a.shape for a in kept) == sorted([(k,), (len(lengths), k)])
     assert all(a.dtype == np.int64 for a in kept)
-    T.backward(T.sum_all(pooled))
+    T.backward(oracle.sum_all(pooled))
     npt.assert_array_equal(cells.grad, cells.values == np.repeat(pooled.values,
                                                                  lengths, axis=0))
 

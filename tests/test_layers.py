@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracle
 from emoconv import layers as L
 from emoconv import tensor as T
 
@@ -18,7 +19,7 @@ def test_embedding_lookup_padding_row_and_repeats():
 
     out = L.embedding_lookup(table, [2, 2])
     npt.assert_array_equal(out.values, [[3, 4], [3, 4]])
-    T.backward(T.sum_all(out))
+    T.backward(oracle.sum_all(out))
     # both rows feed the same table row, so its gradient is the sum
     npt.assert_array_equal(T.grad_of(table.table), [[0, 0], [0, 0], [2, 2]])
 
@@ -36,7 +37,7 @@ def test_batched_lookup_skips_pad_and_checks_every_id():
     assert out.shape == (4, 2)
     npt.assert_array_equal(out.values[2:], [[0, 0], [3, 4]])
     # gradient at PAD is dropped, so row 0 never moves
-    T.backward(T.sum_all(out))
+    T.backward(oracle.sum_all(out))
     npt.assert_array_equal(T.grad_of(table.table), [[0, 0], [1, 1], [2, 2]])
 
     with pytest.raises(ValueError) as err:
@@ -50,7 +51,7 @@ def test_table_gradient_stays_row_sparse_until_a_dense_contribution():
     table = _lookup_table(np.arange(12.0).reshape(6, 2))
     both = T.concat([L.embedding_lookup(table, [2, 5, 2]),
                      L.embedding_lookup(table, [5, 1])], axis=0)
-    T.backward(T.sum_all(both))
+    T.backward(oracle.sum_all(both))
     grad = table.table.grad
     assert isinstance(grad, T.RowGrad)
     assert sorted(grad.rows.tolist()) == [1, 2, 2, 5, 5]  # both lookups, uncompacted
@@ -61,7 +62,7 @@ def test_table_gradient_stays_row_sparse_until_a_dense_contribution():
     want = [[0, 0], [1, 1], [2, 2], [0, 0], [0, 0], [2, 2]]
     npt.assert_array_equal(T.grad_of(table.table), want)
 
-    T.backward(T.sum_all(T.mul(table.table, table.table)))  # a dense one on top
+    T.backward(oracle.sum_all(oracle.mul(table.table, table.table)))  # a dense one on top
     assert isinstance(table.table.grad, np.ndarray)
     npt.assert_array_equal(table.table.grad, np.array(want) + 2 * table.table.values)
 
@@ -69,8 +70,8 @@ def test_table_gradient_stays_row_sparse_until_a_dense_contribution():
 def test_lookup_into_a_computed_table_gets_dense_gradient():
     # the row gradient densifies when the table is not a leaf
     base = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    table = L.EmbeddingMatrix(3, 2, T.scale(base, 2.0))
-    T.backward(T.sum_all(L.embedding_lookup(table, [2, 2, 1])))
+    table = L.EmbeddingMatrix(3, 2, oracle.scale(base, 2.0))
+    T.backward(oracle.sum_all(L.embedding_lookup(table, [2, 2, 1])))
     npt.assert_array_equal(base.grad, [[0, 0], [2, 2], [4, 4]])
 
 
@@ -82,7 +83,7 @@ def test_batched_lookup_matches_finite_differences():
     weights = T.constant(rng.uniform(-1, 1, (9, 3)) * (ids != 0)[:, None])
 
     def f(ps):
-        return T.sum_all(T.tanh(T.mul(L.embedding_lookup(table, ids), weights)))
+        return oracle.sum_all(T.tanh(oracle.mul(L.embedding_lookup(table, ids), weights)))
 
     assert T.finite_diff_check(f, [table.table], eps=1e-5) < 1e-6
 
@@ -91,7 +92,7 @@ def test_frozen_embedding_gets_exactly_zero_gradient():
     table = _lookup_table([[0, 0], [1, 2]], frozen=True)
     out = L.embedding_lookup(table, [1, 1])
     assert not out.requires_grad
-    loss = T.sum_all(T.mul(out, out))
+    loss = oracle.sum_all(oracle.mul(out, out))
     T.backward(loss)
     npt.assert_array_equal(T.grad_of(table.table), np.zeros((2, 2)))
 
@@ -131,7 +132,7 @@ def test_lstm_step_matches_finite_differences():
     x = T.Tensor(rng.uniform(-1, 1, (2, inp)), requires_grad=True)
 
     def f(ps):
-        return T.sum_all(L.lstm_scan(ps[0], [2], *ps[1:]))
+        return oracle.sum_all(L.lstm_scan(ps[0], [2], *ps[1:]))
 
     assert T.finite_diff_check(f, [x] + params, eps=1e-5) < 1e-5
 
@@ -146,7 +147,7 @@ def test_lstm_scan_matches_finite_differences(reverse):
     probe = T.constant(rng.uniform(-1, 1, (sum(lengths), 2)))
 
     def f(ps):
-        return T.sum_all(T.mul(L.lstm_scan(ps[0], lengths, *ps[1:], reverse=reverse),
+        return oracle.sum_all(oracle.mul(L.lstm_scan(ps[0], lengths, *ps[1:], reverse=reverse),
                                probe))
 
     assert T.finite_diff_check(f, [x] + params, eps=1e-5) < 1e-5
@@ -247,7 +248,7 @@ def test_bilstm_encode_matches_finite_differences():
 
     def f(ps):
         enc = L.bilstm_encode(lay, ps[0], [4, 1, 3], 0.0, False, None)
-        return T.sum_all(T.tanh(enc))
+        return oracle.sum_all(T.tanh(enc))
 
     assert T.finite_diff_check(f, params, eps=1e-5) < 1e-4
 
@@ -319,7 +320,7 @@ def test_conv_matches_finite_differences():
     params = [cells] + bank.weights + bank.biases
 
     def f(ps):
-        return T.sum_all(T.tanh(L.conv1d_over_time(bank, ps[0], [5, 1, 2])))
+        return oracle.sum_all(T.tanh(L.conv1d_over_time(bank, ps[0], [5, 1, 2])))
 
     assert T.finite_diff_check(f, params, eps=1e-5) < 1e-4
 
@@ -351,7 +352,7 @@ def test_dropout_reproducible_and_differentiable():
 
     x = T.Tensor(x_vals, requires_grad=True)
     out = L.dropout(x, 0.5, True, np.random.default_rng(42))
-    T.backward(T.sum_all(out))
+    T.backward(oracle.sum_all(out))
     mask = m1 / x_vals  # recover the applied mask (0 or 2)
     npt.assert_allclose(x.grad, mask)
 
@@ -362,7 +363,7 @@ def test_linear_identity_and_gradient():
     x = T.Tensor([[1.0, -2.0, 0.5]], requires_grad=True)
     npt.assert_array_equal(T.linear_rows(x, w, b).values, x.values)
 
-    err = T.finite_diff_check(lambda ps: T.sum_all(T.sigmoid(T.linear_rows(*ps))),
+    err = T.finite_diff_check(lambda ps: oracle.sum_all(oracle.sigmoid(T.linear_rows(*ps))),
                               [x, w, b], eps=1e-5)
     assert err < 1e-6
     with pytest.raises(ValueError):

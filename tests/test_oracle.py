@@ -192,12 +192,90 @@ def test_scan_bytes_match_the_transposed_view_product(monkeypatch, reverse):
     def run():
         T.reset_grads([x] + params)
         out = L.lstm_scan(x, lengths, *params, reverse=reverse)
-        T.backward(T.sum_all(T.mul(out, weights)))
+        T.backward(oracle.sum_all(oracle.mul(out, weights)))
         return [out.values.tobytes()] + [t.grad.tobytes() for t in [x] + params]
 
     got = run()
     monkeypatch.setattr(L, "lstm_step", oracle.packed_lstm_step)
     assert got == run()
+
+
+def _probabilities(rng, shape):
+    """Probabilities in [0, 1]: about one in five far below the 1e-12 floor
+    (down to 1e-20), some at the floor itself, some exactly 0, and some
+    within 1e-11 of 1 or exactly 1, so that 1 - p is below the floor too."""
+    p = rng.uniform(0.0, 1.0, shape)
+    for share, draw in ((0.2, lambda n: 10.0 ** rng.uniform(-20, -12, n)),
+                        (0.03, lambda n: np.full(n, tr.LOG_FLOOR)),
+                        (0.05, np.zeros),
+                        (0.1, lambda n: 1.0 - 10.0 ** rng.uniform(-20, -11, n))):
+        pick = rng.random(shape) < share
+        p[pick] = draw(int(pick.sum()))
+    return p
+
+
+def _loss_bytes(loss_fn, values, *args):
+    """The bytes of a loss on a leaf holding ``values``, and of its gradient."""
+    probs = T.Tensor(values.copy(), requires_grad=True)
+    loss = loss_fn(probs, *args)
+    T.backward(loss)
+    return loss.values.tobytes(), probs.grad.tobytes()
+
+
+def test_fused_losses_match_their_chains_byte_for_byte():
+    """Each loss node against the chain of single ops it replaced, on
+    seeded batches of 1 to 69 rows, every class label among them, with
+    probabilities below the floor and BCE probabilities of exactly 0 and 1."""
+    rng = np.random.default_rng(61)
+    labels_seen, below_floor, exact = set(), 0, set()
+    for _ in range(400):
+        b = int(rng.integers(1, 70))
+        probs = _probabilities(rng, (b, 4))
+        labels = rng.integers(0, 4, b)
+        weights = tr.ClassWeights(rng.dirichlet(np.ones(4)))
+        assert (_loss_bytes(tr.weighted_cross_entropy, probs, labels, weights)
+                == _loss_bytes(oracle.weighted_cross_entropy_chain, probs, labels, weights))
+        labels_seen.update(labels.tolist())
+        below_floor += int((probs[np.arange(b), labels] < tr.LOG_FLOOR).sum())
+
+        p, y = _probabilities(rng, b), rng.integers(0, 2, b)
+        assert (_loss_bytes(ft.binary_cross_entropy, p, y)
+                == _loss_bytes(oracle.binary_cross_entropy_chain, p, y))
+        exact.update(p[(p == 0.0) | (p == 1.0)].tolist())
+    assert labels_seen == {0, 1, 2, 3} and below_floor > 100 and exact == {0.0, 1.0}
+
+
+def test_models_with_fused_losses_match_their_chains_byte_for_byte():
+    """Every parameter gradient of both models, with dropout on, through the
+    loss node and through the chain; the CNN's chain also ends in the
+    sigmoid and reshape nodes that ``forward_finetune`` no longer records."""
+    params, rng = _model(6)
+    batch = _batch(rng, LENGTHS)
+    model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
+    rows = [rng.integers(1, 11, n) for n in (5, 1, 2, 6, 3)]
+    labels = [1, 0, 1, 0, 0]
+
+    def rcnn_grads(loss_fn):
+        T.reset_grads(params.named().values())
+        _, probs = rcnn.forward(params, batch, True, np.random.default_rng(7))
+        T.backward(loss_fn(probs, batch.labels, WEIGHTS))
+        return {n: T.grad_of(t).tobytes() for n, t in params.named().items()}
+
+    def cnn_grads(chain):
+        T.reset_grads(model.named().values())
+        probs = ft.forward_finetune(model, rows, True, np.random.default_rng(8))
+        if chain:
+            logits = probs.parents[0]
+            probs = oracle.reshape(oracle.sigmoid(logits), (len(rows),))
+            loss = oracle.binary_cross_entropy_chain(probs, labels)
+        else:
+            loss = ft.binary_cross_entropy(probs, labels)
+        T.backward(loss)
+        return {n: T.grad_of(t).tobytes() for n, t in model.named().items()}
+
+    assert rcnn_grads(tr.weighted_cross_entropy) == rcnn_grads(
+        oracle.weighted_cross_entropy_chain)
+    assert cnn_grads(False) == cnn_grads(True)
 
 
 def _twin_params(shapes, seed):

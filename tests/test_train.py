@@ -64,6 +64,8 @@ def test_weighted_cross_entropy_values():
 
     with pytest.raises(ValueError):
         tr.weighted_cross_entropy(uniform, [0, 1, 2, 3, 4, 0], w)
+    with pytest.raises(ValueError):
+        tr.weighted_cross_entropy(uniform, [0, 1], w)  # a label per row
     # the clamp keeps a zero probability finite
     zero = T.constant(np.array([[1.0, 0.0, 0.0, 0.0]]))
     loss = tr.weighted_cross_entropy(zero, [1], w)
@@ -80,6 +82,21 @@ def test_weighted_cross_entropy_gradient():
         return tr.weighted_cross_entropy(T.softmax_rows(ps[0]), labels, w)
 
     assert T.finite_diff_check(f, [logits], eps=1e-5) < 1e-4
+
+    # the loss node alone, on probabilities away from the floor
+    probs = T.Tensor(rng.uniform(0.05, 0.95, (5, 4)), requires_grad=True)
+    labels = [2, 0, 3, 1, 2]
+    assert T.finite_diff_check(lambda ps: tr.weighted_cross_entropy(ps[0], labels, w),
+                               [probs], eps=1e-5) < 1e-4
+
+    # no gradient where the picked probability is at or below the floor,
+    # and none to the entries a row does not pick
+    probs = T.Tensor(np.full((3, 4), 0.5), requires_grad=True)
+    probs.values[[0, 1], [1, 3]] = [1e-15, tr.LOG_FLOOR]
+    T.backward(tr.weighted_cross_entropy(probs, [1, 3, 0], w))
+    expect = np.zeros((3, 4))
+    expect[2, 0] = -0.1 / 3 / 0.5
+    npt.assert_allclose(probs.grad, expect, rtol=1e-15, atol=0)
 
 
 def test_uniform_baseline_loss():
@@ -222,7 +239,7 @@ def test_load_encoded_names_file_and_line_of_unknown_label(tmp_path):
     path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 4\nb\tjoy\t5\n",
                     encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        tr.load_encoded(path)
+        tr.load_encoded(path, 10)
     assert str(err.value) == f"{path}: line 3: unknown label 'joy'"
 
 
@@ -232,7 +249,7 @@ def test_load_encoded_names_file_and_line_of_a_bad_token_id(tmp_path, ids, bad):
     path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 4\nb\tsad\t{ids}\n",
                     encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        tr.load_encoded(path)
+        tr.load_encoded(path, 10)
     assert str(err.value) == f"{path}: line 3: token id {bad!r} is not an integer >= 0"
 
 
@@ -241,10 +258,22 @@ def test_load_encoded_names_file_and_line_of_an_oversized_token_id(tmp_path, big
     path = tmp_path / "train.ids.tsv"
     path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 {2 ** 63 - 1}\nb\tsad\t3 {big}\n",
                     encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        tr.load_encoded(path)
+    with pytest.raises(ValueError) as err:  # a vocabulary that holds every int64 id
+        tr.load_encoded(path, 2 ** 63)
     assert str(err.value) == (f"{path}: line 3: token id {big!r} does not fit "
                               "in a 64-bit integer")
+
+
+def test_load_encoded_names_file_and_line_of_an_id_outside_the_vocabulary(tmp_path):
+    path = tmp_path / "train.ids.tsv"
+    path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 9\nb\tsad\t3 10 12\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        tr.load_encoded(path, 10)
+    assert str(err.value) == (f"{path}: line 3: token id '10' out of range for a "
+                              "vocabulary of size 10")
+    examples, _ = tr.load_encoded(path, 13)
+    assert [ex.ids.tolist() for ex in examples] == [[3, 9], [3, 10, 12]]
 
 
 def test_load_encoded_names_file_and_line_of_a_bad_label_count(tmp_path):
@@ -252,7 +281,7 @@ def test_load_encoded_names_file_and_line_of_a_bad_label_count(tmp_path):
     path.write_text(f"# label_counts\thappy=2\tsad=two\n{tr.ENCODED_HEADER}\n"
                     "a\thappy\t3 4\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        tr.load_encoded(path)
+        tr.load_encoded(path, 10)
     assert str(err.value) == (f"{path}: line 1: label count 'sad=two' is not "
                               "name=integer >= 0")
 
