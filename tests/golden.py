@@ -36,6 +36,10 @@ comparison skips them and says why:
 - ``finetune_gen_toy_0_1`` and ``finetune_gen_toy_1_0``: the same with 0
   frozen and 1 unfrozen epoch (every step of it from a fresh table
   moment state) and with 1 frozen and no unfrozen epoch;
+- ``finetune_gen_toy_batch13``: 1 frozen and 2 unfrozen epochs in batches
+  of 13, so each epoch ends in a batch of 5.  Every loss scale -1/13 and
+  -1/5 rounds, unlike the -1/16 and -1/8 of the worlds above, so a
+  reordered product in the BCE backward shows;
 - ``classifier_hidden6_best`` and ``classifier_hidden6_last``: the RCNN at
   hidden 6 and 2 layers, batch 8, clipping every step (``clip_norm``
   0.02), 2 of 4 epochs frozen, annealed after epoch 2, 3-d sentence vectors
@@ -46,7 +50,13 @@ comparison skips them and says why:
   best epoch: batches of at most 8 rows against 50- and 200-wide weights
   take BLAS's few-row GEMM kernels, and the classifier loss runs on a
   second shape.  Each epoch ends in a batch of 3, whose loss scale -1/3,
-  unlike -1/8, rounds, so a reordered product in the loss shows.
+  unlike -1/8, rounds, so a reordered product in the loss shows;
+- ``cli_pipeline_gen_toy``: the whole toy pipeline through ``cli.main``, on
+  toy corpora of ``toycorpus.py`` with 3-d sentence vectors: ``preprocess``,
+  ``finetune`` of 8-d word vectors on a 45-tweet corpus, ``train`` on the
+  fine-tuned vectors, ``evaluate`` on the test split and a 2 x 2 ``sweep``
+  (two hidden sizes, two seeds); the reports, the fine-tuned vectors, the
+  checkpoint, ``history.tsv`` and the contents of the sweep records.
 """
 
 from __future__ import annotations
@@ -159,7 +169,8 @@ def _arrays(named) -> str:
                          for name, a in sorted(named.items())))
 
 
-def _world_finetune(tmp: Path, frozen: int, unfrozen: int) -> dict[str, str]:
+def _world_finetune(tmp: Path, frozen: int, unfrozen: int,
+                    batch_size: int = 16) -> dict[str, str]:
     import numpy as np
 
     from emoconv import finetune as ft
@@ -171,7 +182,7 @@ def _world_finetune(tmp: Path, frozen: int, unfrozen: int) -> dict[str, str]:
     model = ft.build_finetune_model(L.EmbeddingMatrix.from_array(table), rng,
                                     filters_per_size=6)
     schedule = ft.FinetuneSchedule(frozen_epochs=frozen, unfrozen_epochs=unfrozen,
-                                   lr=0.01, batch_size=16)
+                                   lr=0.01, batch_size=batch_size)
     emb, losses = ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
     named = model.named()
     del named["embedding.table"]
@@ -216,6 +227,72 @@ def _world_classifier(tmp: Path, select: str, hidden_size: int = 6,
             "rng": _rng_state(rng)}
 
 
+CLI_CONFIG = """\
+lr = 0.02
+batch_size = 8
+epochs = 2
+hidden_size = 6
+num_layers = 2
+sentence_dim = 3
+embedding_dim = 8
+dropout_bilstm = 0.2
+dropout_linear = 0.2
+freeze_embedding_epochs = 1
+anneal_after_epoch = 1
+seed = 5
+"""
+
+
+def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
+    import numpy as np
+    import toycorpus
+
+    from emoconv import cli, dataio
+
+    def run(*argv) -> None:
+        rc = cli.main([str(a) for a in argv])
+        if rc != 0:
+            raise RuntimeError(f"emoconv {' '.join(map(str, argv))} exited with {rc}")
+
+    made = {name: toycorpus.make_split(name, n, seed)
+            for name, n, seed in (("train", 40, 21), ("val", 12, 22), ("test", 12, 23))}
+    splits = {name: toycorpus.write_split(split, tmp / f"{name}.txt")
+              for name, split in made.items()}
+    dataio.save_sentence_vectors(toycorpus.store_for(made.values(), 3, seed=24), tmp / "sv.tsv")
+    tweets = toycorpus.make_split("tweets", 45, seed=25).conversations
+    (tmp / "tweets.tsv").write_text("text\tlabel\n" + "".join(
+        f"{' '.join(c.turns)}\t{int(c.label == 'happy')}\n" for c in tweets),
+        encoding="utf-8")
+    words = toycorpus.FILLER[1:] + list(toycorpus.KEYWORDS.values())
+    dataio.save_word_vectors(words, np.random.default_rng(26).uniform(-0.5, 0.5, (len(words), 8)),
+                             tmp / "words.txt")
+    config = tmp / "config.txt"
+    config.write_text(CLI_CONFIG, encoding="utf-8")
+    run("--out", tmp / "stats.tsv", "preprocess", "--train", splits["train"],
+        "--val", splits["val"], "--test", splits["test"], "--out-dir", tmp / "data")
+    run("--seed", 3, "--out", tmp / "finetune.tsv", "finetune",
+        "--corpus", tmp / "tweets.tsv", "--embeddings-in", tmp / "words.txt",
+        "--embeddings-out", tmp / "tuned.txt", "--epochs-frozen", 1,
+        "--epochs-unfrozen", 1, "--lr", 0.01, "--batch-size", 16, "--dim", 8,
+        "--filters", 4)
+    run("--config", config, "--out", tmp / "run", "train", "--data-dir", tmp / "data",
+        "--embeddings", tmp / "tuned.txt", "--sentence-vectors", tmp / "sv.tsv")
+    run("--out", tmp / "evaluate.tsv", "evaluate", "--checkpoint", tmp / "run" / "model.ckpt",
+        "--split", splits["test"], "--sentence-vectors", tmp / "sv.tsv")
+    run("--config", config, "--out", tmp / "sweep.tsv", "sweep", "--train", splits["train"],
+        "--val", splits["val"], "--axis", "hidden_size", "--values", "4,6",
+        "--seeds", "0,1", "--embeddings", tmp / "tuned.txt",
+        "--sentence-vectors", tmp / "sv.tsv", "--runs-dir", tmp / "runs")
+    records = sorted((tmp / "runs").glob("*.json"))
+    if len(records) != 4:
+        raise RuntimeError(f"the 2 x 2 sweep left {len(records)} records")
+    files = ["stats.tsv", "finetune.tsv", "tuned.txt", "run/model.ckpt", "run/history.tsv",
+             "evaluate.tsv", "sweep.tsv"]
+    digests = {name: _sha((tmp / name).read_bytes()) for name in files}
+    digests["runs"] = _sha(b"".join(p.name.encode() + p.read_bytes() for p in records))
+    return digests
+
+
 WORLDS = {
     "preprocess_toycorpus": _world_toycorpus,
     "preprocess_gen_toy": _world_gen_toy,
@@ -225,9 +302,11 @@ KEYED_WORLDS = {
     "finetune_gen_toy": lambda tmp: _world_finetune(tmp, 1, 3),
     "finetune_gen_toy_0_1": lambda tmp: _world_finetune(tmp, 0, 1),
     "finetune_gen_toy_1_0": lambda tmp: _world_finetune(tmp, 1, 0),
+    "finetune_gen_toy_batch13": lambda tmp: _world_finetune(tmp, 1, 2, batch_size=13),
     "classifier_hidden6_best": lambda tmp: _world_classifier(tmp, "best"),
     "classifier_hidden6_last": lambda tmp: _world_classifier(tmp, "last"),
     "classifier_hidden50_batch8": lambda tmp: _world_classifier(tmp, "best", 50, 5.0, 27),
+    "cli_pipeline_gen_toy": _world_cli_pipeline,
 }
 
 
