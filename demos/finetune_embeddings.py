@@ -10,9 +10,8 @@ import numpy as np
 
 from emoconv.dataio import build_embedding_matrix
 from emoconv.finetune import (FinetuneSchedule, build_finetune_model,
-                              encode_corpus, finetune_embeddings,
-                              predict_finetune)
-from emoconv.textprep import TokenSequence, build_vocab, clean_text, tokenize
+                              encode_corpus, finetune_encoded, predict_finetune)
+from emoconv.textprep import TokenSequence, build_vocab, token_rows
 
 # -- 1. a noisy sentiment corpus ----------------------------------------------
 # Positive texts contain "glee"; the rest is shared filler, so the only way
@@ -27,10 +26,13 @@ for i in range(100):
     if label:
         words.insert(int(rng.integers(0, len(words))), "glee")
     corpus.append((" ".join(words), label))
-train_part, held_out = corpus[:80], corpus[80:]
 
-vocab = build_vocab([TokenSequence(tokenize(clean_text(t)))
-                     for t, _ in corpus])
+# Each text is tokenized once: its token row builds the vocabulary and is
+# then looked up as ids.
+rows = list(token_rows((text for text, _ in corpus), 1))
+vocab = build_vocab(map(TokenSequence, rows))
+encoded = encode_corpus(corpus, vocab, rows)
+train_part, held_out = encoded[:80], encoded[80:]
 embedding, _ = build_embedding_matrix(vocab, {}, 8, rng)
 before = embedding.table.values.copy()
 
@@ -39,8 +41,7 @@ before = embedding.table.values.copy()
 model = build_finetune_model(embedding, rng, filters_per_size=8)
 schedule = FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=5, lr=0.02,
                             batch_size=16)
-embedding, losses = finetune_embeddings(model, train_part, schedule, rng,
-                                        vocab=vocab)
+embedding, losses = finetune_encoded(model, train_part, schedule, rng)
 for epoch, loss in enumerate(losses, start=1):
     tag = "frozen" if epoch <= schedule.frozen_epochs else "unfrozen"
     print(f"epoch {epoch} ({tag:8s}) loss {loss:.4f}")
@@ -53,7 +54,6 @@ print("\nrows that moved most:")
 for dist, token in moved:
     print(f"  {token:8s} {dist:.4f}")
 
-encoded = encode_corpus(held_out, vocab)
-preds = predict_finetune(model, encoded)
+preds = predict_finetune(model, held_out)
 accuracy = float(np.mean(preds == [label for _, label in held_out]))
 print(f"\nheld-out accuracy: {accuracy:.2f}")

@@ -13,8 +13,8 @@ import numpy as np
 from emoconv import sweep
 from emoconv.config import TrainConfig
 from emoconv.dataio import Conversation, DatasetSplit
-from emoconv.textprep import build_vocab
-from emoconv.train import assemble_split
+from emoconv.textprep import TokenSequence, build_vocab
+from emoconv.train import split_rows
 
 # -- 1. toy data (same recipe as the training demo) ---------------------------
 
@@ -38,8 +38,8 @@ def make_split(name, n, seed):
 
 train_split = make_split("train", 24, seed=1)
 val_split = make_split("val", 12, seed=2)
-train_sequences = assemble_split(train_split)
-vocab = build_vocab(train_sequences)
+train_rows = list(split_rows(train_split))  # tokenized once, for both uses
+vocab = build_vocab(map(TokenSequence, train_rows))
 
 # -- 2. sweep the learning rate ------------------------------------------------
 # Three seeds per value; a run whose final loss fails to beat the
@@ -55,7 +55,7 @@ spec = sweep.SweepSpec(axis="lr", values=[5.0, 0.02], seeds=(0, 1, 2))
 
 with tempfile.TemporaryDirectory() as runs_dir:
     records, aggregates = sweep.run_sweep(spec, base, train_split, val_split,
-                                          None, vocab, train_sequences,
+                                          None, vocab, train_rows,
                                           runs_dir=runs_dir)
     print(f"{len(records)} runs -> {len(list(Path(runs_dir).glob('*.json')))} "
           "record files\n")
@@ -64,7 +64,7 @@ with tempfile.TemporaryDirectory() as runs_dir:
     # Calling run_sweep again with the same directory does no training at
     # all: every record is already on disk.
     again, _ = sweep.run_sweep(spec, base, train_split, val_split, None,
-                               vocab, assemble_split(train_split),
+                               vocab, list(split_rows(train_split)),
                                runs_dir=runs_dir)
     print("\nresumed without retraining:",
           [f"{r.best_val_f1:.3f}" for r in again])

@@ -12,7 +12,7 @@ from emoconv import rcnn, train
 from emoconv.config import TrainConfig
 from emoconv.dataio import (Conversation, DatasetSplit, build_embedding_matrix)
 from emoconv.metrics import format_report
-from emoconv.textprep import assemble_input, build_vocab
+from emoconv.textprep import TokenSequence, build_vocab
 
 # -- 1. a corpus whose third turn gives the emotion away ----------------------
 
@@ -46,8 +46,7 @@ config = TrainConfig(lr=0.02, batch_size=8, epochs=8, hidden_size=8,
                      num_layers=1, sentence_dim=0, embedding_dim=8,
                      dropout_bilstm=0.0, dropout_linear=0.0,
                      freeze_embedding_epochs=2, anneal_after_epoch=99, seed=3)
-vocab = build_vocab([assemble_input(c.turns)
-                     for c in train_split.conversations])
+vocab = build_vocab(map(TokenSequence, train.split_rows(train_split)))
 rng = np.random.default_rng(config.seed)
 embedding, _ = build_embedding_matrix(vocab, {}, config.embedding_dim, rng)
 params = rcnn.init_model(config, embedding, rng)

@@ -31,8 +31,8 @@ from .dataio import (LABELS, build_embedding_matrix, load_checkpoint,
                      load_dataset, load_sentence_vectors, load_vocab,
                      load_word_vectors, save_checkpoint, save_vocab,
                      save_word_vectors)
-from .finetune import (FinetuneSchedule, build_finetune_model,
-                       finetune_embeddings, load_finetune_corpus)
+from .finetune import (FinetuneSchedule, build_finetune_model, encode_corpus,
+                       finetune_encoded, load_finetune_corpus)
 from .textprep import TokenSequence, build_vocab, token_rows
 
 log = logging.getLogger(__name__)
@@ -121,30 +121,30 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _avg_utterance_tokens(sequences: list[TokenSequence]) -> float:
-    """Mean tokens per turn; a sequence is three turns and two EOS tokens."""
-    turns = 3 * len(sequences)
-    return sum(seq.n - 2 for seq in sequences) / turns if turns else 0.0
+def _avg_utterance_tokens(rows: list[list[str]]) -> float:
+    """Mean tokens per turn; a row is three turns and two EOS tokens."""
+    turns = 3 * len(rows)
+    return sum(len(row) - 2 for row in rows) / turns if turns else 0.0
 
 
 def cmd_preprocess(args) -> int:
     splits = [load_dataset(args.train, "train"), load_dataset(args.val, "val")]
     if args.test:
         splits.append(load_dataset(args.test, "test"))
-    assembled = [tr.assemble_split(split) for split in splits]
-    vocab = build_vocab(assembled[0])
+    rows_by_split = [list(tr.split_rows(split)) for split in splits]
+    vocab = build_vocab(map(TokenSequence, rows_by_split[0]))
     os.makedirs(args.out_dir, exist_ok=True)
     save_vocab(vocab, os.path.join(args.out_dir, "vocab.txt"))
 
     lines = ["split\ttotal\t" + "\t".join(LABELS) +
              "\tavg_tokens_per_utterance\tencoded"]
-    for split, sequences in zip(splits, assembled):
-        encoded = tr.encode_split(split, vocab, sequences)
+    for split, rows in zip(splits, rows_by_split):
+        encoded = tr.encode_split(split, vocab, rows)
         tr.save_encoded(encoded, split.label_counts,
                         os.path.join(args.out_dir, f"{split.name}.ids.tsv"))
         counts = [str(split.label_counts.get(name, 0)) for name in LABELS]
         lines.append(f"{split.name}\t{len(split)}\t" + "\t".join(counts) +
-                     f"\t{_avg_utterance_tokens(sequences):.2f}\t{len(encoded)}")
+                     f"\t{_avg_utterance_tokens(rows):.2f}\t{len(encoded)}")
     lines.append(f"vocab_size\t{vocab.size}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -152,8 +152,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_finetune(args) -> int:
     corpus = load_finetune_corpus(args.corpus)
-    vocab = build_vocab(TokenSequence(tokens)
-                        for tokens in token_rows((text for text, _ in corpus), 1))
+    rows = list(token_rows((text for text, _ in corpus), 1))
+    vocab = build_vocab(map(TokenSequence, rows))
+    encoded = encode_corpus(corpus, vocab, rows)
+    del rows  # only the ids stay through training
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     pretrained = load_word_vectors(args.embeddings_in, args.dim)
@@ -164,7 +166,7 @@ def cmd_finetune(args) -> int:
     schedule = FinetuneSchedule(frozen_epochs=args.epochs_frozen,
                                 unfrozen_epochs=args.epochs_unfrozen,
                                 lr=args.lr, batch_size=args.batch_size)
-    emb, losses = finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
+    emb, losses = finetune_encoded(model, encoded, schedule, rng)
     save_word_vectors(vocab.id_to_token[3:], emb.table.values[3:],
                       args.embeddings_out)
     _emit(args, "epoch\tloss\n" +
@@ -229,8 +231,8 @@ def cmd_sweep(args) -> int:
     config = _load_base_config(args)
     train_split = load_dataset(args.train, "train")
     val_split = load_dataset(args.val, "val")
-    train_sequences = tr.assemble_split(train_split)
-    vocab = build_vocab(train_sequences)
+    train_rows = list(tr.split_rows(train_split))
+    vocab = build_vocab(map(TokenSequence, train_rows))
     store = _load_store(args.sentence_vectors, config.sentence_dim)
     if store is None:
         config = config.replace(sentence_dim=0)
@@ -244,7 +246,7 @@ def cmd_sweep(args) -> int:
                          f"{args.seeds!r} as numbers") from None
     spec = sw.SweepSpec(args.axis, values, seeds)
     _, aggregates = sw.run_sweep(spec, config, train_split, val_split, store,
-                                 vocab, train_sequences, runs_dir=args.runs_dir,
+                                 vocab, train_rows, runs_dir=args.runs_dir,
                                  pretrained=pretrained)
     _emit(args, sw.format_sweep_report(aggregates))
     return 0

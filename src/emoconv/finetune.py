@@ -16,7 +16,8 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .textprep import Vocabulary, id_rows
+from .rcnn import Batch
+from .textprep import Vocabulary, token_rows
 from .train import LOG_FLOOR, iter_batches, run_epochs
 
 log = logging.getLogger(__name__)
@@ -57,13 +58,12 @@ def build_finetune_model(emb: L.EmbeddingMatrix, rng, kernel_sizes=(1, 2, 3),
     return FinetuneModel(emb=emb, bank=bank, out_w=out_w, out_b=out_b)
 
 
-def forward_finetune(model: FinetuneModel, rows, training: bool, rng) -> T.Tensor:
-    """Probability of the positive class for each token-id sequence in
-    ``rows``: one [B] tensor, in row order, from one pass over the batch,
-    its token ids packed row after row; one node takes the sigmoid of the
-    output layer's one column."""
-    cells = L.embedding_lookup(model.emb, np.concatenate(rows))
-    pooled = L.conv1d_over_time(model.bank, cells, [len(r) for r in rows])
+def forward_finetune(model: FinetuneModel, batch: Batch, training: bool, rng) -> T.Tensor:
+    """Probability of the positive class for each row of a packed batch:
+    one [B] tensor, in row order, from one pass over the batch; one node
+    takes the sigmoid of the output layer's one column."""
+    cells = L.embedding_lookup(model.emb, batch.ids)
+    pooled = L.conv1d_over_time(model.bank, cells, batch.valid_lengths)
     pooled = L.dropout(pooled, DROPOUT_RATE, training, rng)
     logits = T.linear_rows(pooled, model.out_w, model.out_b)
     out = T.sigmoid_(logits.values[:, 0].copy())
@@ -97,34 +97,38 @@ def binary_cross_entropy(probs: T.Tensor, labels) -> T.Tensor:
     return T.from_op(loss, "binary_cross_entropy", (probs,), backward_fn)
 
 
-def encode_corpus(corpus, vocab: Vocabulary) -> list[tuple[np.ndarray, int]]:
-    """(text, 0/1) pairs -> (token-id array, label) pairs."""
+def encode_corpus(corpus, vocab: Vocabulary, rows=None) -> list[tuple[np.ndarray, int]]:
+    """(text, 0/1) pairs -> (token-id array, label) pairs, without the texts
+    that hold no token.  ``rows`` are the texts' token rows
+    (``token_rows(texts, 1)``), for a caller that has them already;
+    otherwise the texts are tokenized here."""
+    if rows is None:
+        rows = token_rows((text for text, _ in corpus), 1)
     out = []
-    for (_, label), ids in zip(corpus, id_rows((text for text, _ in corpus), 1, vocab),
-                               strict=True):
+    for (_, label), tokens in zip(corpus, rows, strict=True):
         if label not in (0, 1):
             raise ValueError(f"finetune labels must be 0 or 1, got {label!r}")
-        if ids.size:
-            out.append((ids, int(label)))
+        if tokens:
+            out.append((vocab.ids(tokens), int(label)))
     if not out:
         raise ValueError("finetune corpus is empty after tokenization")
     return out
 
 
-def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule,
-                        rng, *, vocab: Vocabulary):
-    """Train the CNN on the corpus; returns (embedding matrix, epoch losses).
+def finetune_encoded(model: FinetuneModel, encoded, schedule: FinetuneSchedule, rng):
+    """Train the CNN on (token-id array, label) pairs from
+    :func:`encode_corpus`; returns (embedding matrix, epoch losses).
 
     The embedding stays bit-identical through ``frozen_epochs`` and is
     returned still attached to ``model.emb`` after the unfrozen epochs.
     """
     if schedule.lr <= 0 or schedule.batch_size < 1:
         raise ValueError(f"bad schedule: lr {schedule.lr}, batch {schedule.batch_size}")
-    encoded = encode_corpus(corpus, vocab)
 
     def step(indices):
         rows, labels = zip(*(encoded[i] for i in indices))
-        return binary_cross_entropy(forward_finetune(model, rows, True, rng), labels)
+        return binary_cross_entropy(forward_finetune(model, Batch.of_rows(rows), True, rng),
+                                    labels)
 
     epochs = schedule.frozen_epochs + schedule.unfrozen_epochs
     losses = []
@@ -138,14 +142,20 @@ def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule
     return model.emb, losses
 
 
+def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule,
+                        rng, *, vocab: Vocabulary):
+    """:func:`encode_corpus` over (text, 0/1) pairs, then :func:`finetune_encoded`."""
+    return finetune_encoded(model, encode_corpus(corpus, vocab), schedule, rng)
+
+
 def predict_finetune(model: FinetuneModel, encoded) -> np.ndarray:
     """Eval-mode 0/1 predictions for (ids, label) pairs, a batch at a time,
     without building a graph."""
     preds = []
     with T.no_grad():
         for chunk in iter_batches(encoded, FinetuneSchedule.batch_size):
-            rows = [ids for ids, _ in chunk]
-            preds.append(forward_finetune(model, rows, False, None).values >= 0.5)
+            batch = Batch.of_rows([ids for ids, _ in chunk])
+            preds.append(forward_finetune(model, batch, False, None).values >= 0.5)
     return np.concatenate(preds).astype(np.int64) if preds else np.zeros(0, dtype=np.int64)
 
 

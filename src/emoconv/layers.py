@@ -120,18 +120,6 @@ def init_conv_bank(rng, dim: int, kernel_sizes=(1, 2, 3),
 PAD_ID = 0
 
 
-def pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Token-id sequences -> ([B x T] ids, PAD-filled past each length;
-    [B] lengths), with T the longest length: the id container of a batch
-    of conversations, which the model packs before any layer runs."""
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    if lengths.size == 0 or lengths.min() < 1:
-        raise ValueError("need at least one row, and every row non-empty")
-    ids = np.full((lengths.size, int(lengths.max())), PAD_ID, dtype=np.int64)
-    ids[T.time_mask(lengths, ids.shape[1])] = np.concatenate(rows)
-    return ids, lengths
-
-
 def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
     """Rows of the embedding table for a vector of ids: ids [N] -> [N x dim].
 
@@ -193,7 +181,8 @@ def _packed_order(lengths: np.ndarray, reverse: bool):
     """
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
-    steps, rank = np.nonzero(T.time_mask(sorted_len, int(sorted_len[0])).T)
+    # (step, rank) of each cell in step-major order: rank r runs while step < sorted_len[r]
+    steps, rank = np.nonzero(np.arange(sorted_len[0])[:, None] < sorted_len[None, :])
     active = np.bincount(steps)
     offsets = np.concatenate([[0], np.cumsum(active)])
     positions = sorted_len[rank] - 1 - steps if reverse else steps

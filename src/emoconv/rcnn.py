@@ -49,26 +49,23 @@ class RcnnParams:
 
 @dataclass
 class Batch:
-    ids: np.ndarray            # [b x n_max], PAD-filled after each valid length
-    valid_lengths: np.ndarray  # [b]
-    sentence_vectors: np.ndarray | None  # [b x sentence_dim]
-    labels: np.ndarray | None  # [b] class indices
-    conv_ids: list[str] | None = None
+    """The input of both models, packed: every row's token ids, row after
+    row, and each row's length.  There is no padding to check or skip."""
+    ids: np.ndarray            # [N] token ids, row after row
+    valid_lengths: np.ndarray  # [b], each >= 1, summing to N
+    sentence_vectors: np.ndarray | None = None  # [b x sentence_dim]
+    labels: np.ndarray | None = None  # [b] class indices
 
     def __post_init__(self):
-        b, n_max = self.ids.shape
-        if self.valid_lengths.shape != (b,):
-            raise ValueError(f"valid_lengths shape {self.valid_lengths.shape} "
-                             f"does not match batch size {b}")
-        if (self.valid_lengths < 1).any() or (self.valid_lengths > n_max).any():
-            raise ValueError("valid lengths must lie in [1, n_max]")
-        past_end = ~T.time_mask(self.valid_lengths, n_max) & (self.ids != L.PAD_ID)
-        if past_end.any():
-            raise ValueError(f"batch row {int(np.flatnonzero(past_end.any(axis=1))[0])} "
-                             "has non-PAD ids after its valid length")
+        self.valid_lengths = T.check_lengths(self.valid_lengths, self.ids.size)
+
+    @classmethod
+    def of_rows(cls, rows, sentence_vectors=None, labels=None) -> "Batch":
+        """Pack token-id rows; an empty row is a ValueError."""
+        return cls(np.concatenate(rows), [len(r) for r in rows], sentence_vectors, labels)
 
     def __len__(self) -> int:
-        return self.ids.shape[0]
+        return self.valid_lengths.size
 
 
 def init_model(config: TrainConfig, emb: L.EmbeddingMatrix, rng) -> RcnnParams:
@@ -122,11 +119,11 @@ def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Te
     """Run the classifier over a batch; returns (logits, probabilities), one
     row per example in batch order.
 
-    The batch is packed once at entry: its valid token ids, row after row,
-    become one [N x k] tensor of cells, and embedding, both BiLSTM layers,
-    the [h_f; h_b; w_i] concatenation, dropout and the projection all run on
-    those N cells; the max-pool reduces each row's own cells to [B x k].
-    Padding never enters the model, so it cannot influence the result.
+    The batch's packed token ids index one [N x k] tensor of cells, row
+    after row, and embedding, both BiLSTM layers, the [h_f; h_b; w_i]
+    concatenation, dropout and the projection all run on those N cells;
+    the max-pool reduces each row's own cells to [B x k].  A batch holds no
+    padding, so none can influence the result.
     Dropout (when training) hits the BiLSTM layer outputs and both
     linear-layer inputs, the fused sentence vector included.
     """
@@ -137,8 +134,7 @@ def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Te
             raise ValueError(f"sentence vectors shape {batch.sentence_vectors.shape} "
                              f"!= ({len(batch)}, {params.sentence_dim})")
     lengths = batch.valid_lengths
-    emb = L.embedding_lookup(params.embedding,
-                             batch.ids[T.time_mask(lengths, batch.ids.shape[1])])
+    emb = L.embedding_lookup(params.embedding, batch.ids)
     enc = L.bilstm_encode(params.bilstm, emb, lengths, params.dropout_bilstm,
                           training, rng)
     ctx = L.dropout(T.concat([enc, emb], axis=1), params.dropout_linear, training, rng)

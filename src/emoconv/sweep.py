@@ -27,7 +27,7 @@ from .config import TrainConfig
 from .dataio import (LABEL_TO_INDEX, DatasetSplit, SentenceVectorStore,
                      build_embedding_matrix)
 from .metrics import aggregate_seeds
-from .textprep import TokenSequence, Vocabulary
+from .textprep import Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -85,15 +85,15 @@ class SweepData:
 
     @classmethod
     def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit,
-               vocab: Vocabulary, train_sequences: list[TokenSequence]) -> "SweepData":
-        """``train_sequences`` is the training split as
-        :func:`train.assemble_split` returns it.  It is emptied once encoded,
+               vocab: Vocabulary, train_rows: list[list[str]]) -> "SweepData":
+        """``train_rows`` are the training split's token rows
+        (:func:`train.split_rows`), in a list.  It is emptied once encoded,
         so its tokens are not kept through the sweep's training runs."""
         weights = tr.compute_class_weights(train_split.label_counts,
                                            val_split.label_counts)
         labels = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
-        train_ex = tr.encode_split(train_split, vocab, train_sequences)
-        train_sequences.clear()
+        train_ex = tr.encode_split(train_split, vocab, train_rows)
+        train_rows.clear()
         return cls(train_ex, tr.encode_split(val_split, vocab),
                    weights, tr.uniform_baseline_loss(weights, labels))
 
@@ -151,15 +151,15 @@ def load_record(path) -> RunRecord:
 def run_sweep(spec: SweepSpec, base_config: TrainConfig,
               train_split: DatasetSplit, val_split: DatasetSplit,
               store: SentenceVectorStore | None, vocab: Vocabulary,
-              train_sequences: list[TokenSequence], runs_dir=None,
+              train_rows: list[list[str]], runs_dir=None,
               pretrained: dict | None = None):
     """All |values| x |seeds| runs; returns (records, aggregate rows).
 
     With ``runs_dir`` set, each run's record is written there as JSON and
     any pre-existing record with a matching config and inputs is reused
     instead of retrained.  The splits are encoded on the first run that
-    trains, so a fully cached sweep encodes nothing; ``train_sequences`` is
-    the training split assembled once (:func:`train.assemble_split`), which
+    trains, so a fully cached sweep encodes nothing; ``train_rows`` are the
+    training split's token rows, made once (:func:`train.split_rows`), which
     the encoding empties (see :meth:`SweepData.encode`).
     """
     if runs_dir is not None:
@@ -177,7 +177,7 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
                 log.info("sweep %s=%s seed %d: reusing %s", spec.axis, value, seed, path)
             else:
                 if data is None:
-                    data = SweepData.encode(train_split, val_split, vocab, train_sequences)
+                    data = SweepData.encode(train_split, val_split, vocab, train_rows)
                 rec = run_one(base_config, spec.axis, value, seed, data, store,
                               vocab, pretrained)
                 if path is not None:  # whole or not at all, even if killed

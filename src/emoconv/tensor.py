@@ -336,12 +336,6 @@ def check_lengths(lengths, cells: int) -> np.ndarray:
     return lengths
 
 
-def time_mask(lengths, steps: int) -> np.ndarray:
-    """[B x T] booleans, true at each row's valid positions; indexing a
-    padded [B x T] array with it packs the valid cells row after row."""
-    return np.arange(steps)[None, :] < np.asarray(lengths)[:, None]
-
-
 def max_over_time(cells: Tensor, lengths) -> Tensor:
     """Columnwise max over each row's own cells of a packed batch:
     [N x k] -> [B x k], row b reducing its ``lengths[b]`` consecutive cells.

@@ -90,65 +90,34 @@ def _tokens(texts: list[str]) -> list[str]:
     return tokens
 
 
-def _chunks(texts, per_row: int):
-    """Lists of ``CHUNK_ROWS`` rows of ``per_row`` texts each (the last may be short)."""
-    texts = iter(texts)
-    while chunk := list(islice(texts, per_row * CHUNK_ROWS)):
-        if len(chunk) % per_row:
-            raise ValueError(f"{len(chunk)} texts do not fill rows of {per_row}")
-        yield chunk
-
-
-def _split_chunk(chunk: list[str], per_row: int) -> tuple[list[str], list[int]]:
-    """A chunk's tokens with ``EOS_TOKEN`` in place of each ``SEP``, and the
-    position of the separator that ends each row of ``per_row`` texts."""
+def _token_rows(chunk: list[str], per_row: int) -> list[list[str]]:
+    """The rows of one chunk of ``per_row`` texts each: each row's tokens,
+    ``EOS_TOKEN`` between its texts."""
     tokens = _tokens(chunk)
-    ends, end = [], -1
+    rows, start, end = [], 0, -1
     for _ in range(len(chunk) // per_row):
         for _ in range(per_row):
             end = tokens.index(SEP, end + 1)
             tokens[end] = EOS_TOKEN
-        ends.append(end)
-    return tokens, ends
-
-
-def _token_rows(chunk: list[str], per_row: int) -> list[list[str]]:
-    """The rows of one chunk: each row's tokens, ``EOS_TOKEN`` between its texts."""
-    tokens, ends = _split_chunk(chunk, per_row)
-    return [tokens[start:end] for start, end in zip([0] + [e + 1 for e in ends], ends)]
+        rows.append(tokens[start:end])
+        start = end + 1
+    return rows
 
 
 def token_rows(texts, per_row: int):
     """Yield the tokens of each row of ``per_row`` consecutive ``texts``
     (a conversation's three turns, or one tweet), with ``EOS_TOKEN`` between
     the texts of a row, tokenizing ``CHUNK_ROWS`` rows at a time."""
-    for chunk in _chunks(texts, per_row):
+    texts = iter(texts)
+    while chunk := list(islice(texts, per_row * CHUNK_ROWS)):
+        if len(chunk) % per_row:
+            raise ValueError(f"{len(chunk)} texts do not fill rows of {per_row}")
         yield from _token_rows(chunk, per_row)
-
-
-def id_rows(texts, per_row: int, vocab: Vocabulary):
-    """Yield the int64 token ids of each row of ``per_row`` consecutive
-    ``texts``: the ids of :func:`token_rows` (``EOS_ID`` between the texts
-    of a row), looked up a chunk at a time.  Rows are views into their
-    chunk's array."""
-    lookup = vocab.token_to_id.get
-    for chunk in _chunks(texts, per_row):
-        tokens, ends = _split_chunk(chunk, per_row)
-        ids = np.array(list(map(lookup, tokens, repeat(UNK_ID))), dtype=np.int64)
-        start = 0
-        for end in ends:
-            yield ids[start:end]
-            start = end + 1
 
 
 @dataclass
 class TokenSequence:
     tokens: list[str]
-    ids: list[int] | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass
@@ -163,8 +132,11 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
+    def ids(self, tokens) -> np.ndarray:
+        """The int64 id of each token; ``UNK_ID`` for a token outside the
+        vocabulary.  The one lookup from tokens to ids."""
+        return np.fromiter(map(self.token_to_id.get, tokens, repeat(UNK_ID)),
+                           dtype=np.int64, count=len(tokens))
 
 
 def assemble_input(turns) -> TokenSequence:
@@ -178,7 +150,3 @@ def build_vocab(train_sequences) -> Vocabulary:
     """First-occurrence vocabulary over training tokens; specials at 0,1,2."""
     tokens = chain(SPECIALS, chain.from_iterable(seq.tokens for seq in train_sequences))
     return Vocabulary(list(dict.fromkeys(tokens)))
-
-
-def encode_ids(seq: TokenSequence, vocab: Vocabulary) -> TokenSequence:
-    return TokenSequence(seq.tokens, ids=[vocab.lookup(t) for t in seq.tokens])

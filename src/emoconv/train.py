@@ -11,14 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import layers as L
 from . import metrics, rcnn
 from . import tensor as T
 from .config import TrainConfig
 from .dataio import (CHECKPOINT_VERSION, LABEL_TO_INDEX, LABELS, Checkpoint,
                      DatasetSplit, SentenceVectorStore)
-from .textprep import (MAX_TRAIN_TOKENS, TokenSequence, Vocabulary, encode_ids, id_rows,
-                       token_rows)
+from .textprep import MAX_TRAIN_TOKENS, Vocabulary, token_rows
 
 log = logging.getLogger(__name__)
 
@@ -282,31 +280,24 @@ class EncodedExample:
         return int(self.ids.size)
 
 
-def _turns(split: DatasetSplit):
-    return (turn for conv in split.conversations for turn in conv.turns)
+def split_rows(split: DatasetSplit):
+    """Yield each conversation of a split as one token row, ``EOS_TOKEN``
+    between its turns, in order, tokenizing a chunk at a time."""
+    return token_rows((turn for conv in split.conversations for turn in conv.turns), 3)
 
 
-def assemble_split(split: DatasetSplit) -> list[TokenSequence]:
-    """Each conversation of a split as one EOS-joined token sequence, in order."""
-    return [TokenSequence(tokens) for tokens in token_rows(_turns(split), 3)]
-
-
-def encode_split(split: DatasetSplit, vocab: Vocabulary,
-                 sequences: list[TokenSequence] | None = None) -> list[EncodedExample]:
-    """Length-filter (training only) and encode a split.  ``sequences`` are
-    its conversations already assembled by :func:`assemble_split`; when
-    they are not given, the split is tokenized here a chunk at a time, so
-    only the encoded ids stay in memory."""
-    if sequences is None:
-        rows = id_rows(_turns(split), 3, vocab)
-    else:
-        rows = (np.asarray(encode_ids(seq, vocab).ids, dtype=np.int64) for seq in sequences)
+def encode_split(split: DatasetSplit, vocab: Vocabulary, rows=None) -> list[EncodedExample]:
+    """Length-filter (training only) and encode a split.  ``rows`` are its
+    token rows from :func:`split_rows`, for a caller that has them already;
+    otherwise the split is tokenized here a chunk at a time, so only the
+    encoded ids stay in memory."""
     out = []
-    for conv, ids in zip(split.conversations, rows, strict=True):
-        if split.name == "train" and ids.size > MAX_TRAIN_TOKENS:
+    for conv, tokens in zip(split.conversations, split_rows(split) if rows is None else rows,
+                            strict=True):
+        if split.name == "train" and len(tokens) > MAX_TRAIN_TOKENS:
             continue
         label = LABEL_TO_INDEX[conv.label] if conv.label is not None else None
-        out.append(EncodedExample(conv.id, ids, label))
+        out.append(EncodedExample(conv.id, vocab.ids(tokens), label))
     return out
 
 
@@ -404,14 +395,14 @@ def check_sentence_vectors(examples: list[EncodedExample], store: SentenceVector
 
 def make_batch(examples: list[EncodedExample], store: SentenceVectorStore | None,
                sentence_dim: int) -> rcnn.Batch:
-    """Pad examples into one batch; callers ran check_sentence_vectors."""
-    ids, lengths = L.pad_rows([ex.ids for ex in examples])
+    """Pack examples into one batch, their ids row after row; callers ran
+    check_sentence_vectors."""
     sv = (np.stack([store.get(ex.id) for ex in examples])
           if sentence_dim > 0 else None)
     labels = None
     if all(ex.label is not None for ex in examples):
         labels = np.array([ex.label for ex in examples], dtype=np.int64)
-    return rcnn.Batch(ids, lengths, sv, labels, conv_ids=[ex.id for ex in examples])
+    return rcnn.Batch.of_rows([ex.ids for ex in examples], sv, labels)
 
 
 def iter_batches(items, batch_size: int):

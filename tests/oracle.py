@@ -324,12 +324,17 @@ def conv1d_over_time(bank: L.ConvFilterBank, seq: T.Tensor, valid_length: int) -
 # Models, one example at a time, dropout off
 
 
+def rows_of(batch) -> list[np.ndarray]:
+    """A packed batch's token ids, one array per row."""
+    return np.split(batch.ids, np.cumsum(batch.valid_lengths)[:-1])
+
+
 def rcnn_logits(params, batch) -> T.Tensor:
     """[b x 4] logits of ``rcnn.forward`` in eval mode."""
     rows = []
-    for i in range(len(batch)):
-        n = int(batch.valid_lengths[i])
-        emb = embedding_rows(params.embedding, batch.ids[i, :n])
+    for i, ids in enumerate(rows_of(batch)):
+        n = ids.size
+        emb = embedding_rows(params.embedding, ids)
         enc = bilstm_encode(params.bilstm, emb, n)
         proj = T.linear_rows(T.concat([enc, emb], axis=1), params.proj_w, params.proj_b)
         if params.projection_tanh:
@@ -341,10 +346,10 @@ def rcnn_logits(params, batch) -> T.Tensor:
     return stack_rows(rows)
 
 
-def finetune_probs(model, rows) -> T.Tensor:
+def finetune_probs(model, batch) -> T.Tensor:
     """[b] probabilities of ``finetune.forward_finetune`` in eval mode."""
     out = []
-    for ids in rows:
+    for ids in rows_of(batch):
         seq = embedding_rows(model.emb, ids)
         pooled = conv1d_over_time(model.bank, seq, len(ids))
         out.append(sigmoid(linear(model.out_w, model.out_b, pooled)))

@@ -59,11 +59,10 @@ def test_criterion_01_end_to_end_gradient_check():
         emb = EmbeddingMatrix.from_array(rng.uniform(-0.3, 0.3, (8, 6)))
         params = rcnn.init_model(config, emb, rng)
         batch = rcnn.Batch(
-            ids=np.array([[1, 2, 3, 4, 5], [6, 7, 2, 0, 0]]),
+            ids=np.array([1, 2, 3, 4, 5, 6, 7, 2]),
             valid_lengths=np.array([5, 3]),
             sentence_vectors=rng.normal(0.0, 0.5, (2, 3)),
-            labels=np.array([0, 3]),
-            conv_ids=["a", "b"])
+            labels=np.array([0, 3]))
         weights = tr.ClassWeights(np.array([0.14, 0.10, 0.11, 0.65]))
         named = params.named()
         tensors = [named[name] for name in sorted(named)]
@@ -414,7 +413,7 @@ def test_criterion_10_sweep_harness(tmp_path):
                            anneal_after_epoch=99)
         spec = sw.SweepSpec("lr", [1e-4, 5e-4], seeds=(0, 1, 2))
         records, aggregates = sw.run_sweep(spec, base, train_split, val_split,
-                                           None, vocab, tr.assemble_split(train_split),
+                                           None, vocab, list(tr.split_rows(train_split)),
                                            runs_dir=tmp_path)
         assert len(records) == 6 and len(aggregates) == 2
         assert len(list(tmp_path.glob("run_*.json"))) == 6

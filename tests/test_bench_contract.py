@@ -6,7 +6,8 @@ by attribute name, so each must exist and be callable; the untraced
 from validation time at those calls, so ``train_encoded`` must reach it
 through the ``train`` module global, once per epoch.  The traced run also
 reads ``ids.size`` and ``valid_lengths.sum()`` off each ``train.make_batch``
-result for its padding ratio, so a batch keeps that padded container.
+result for its padding ratio; a packed batch keeps both, and the ratio
+reads 1.
 Both models train through the one loop, ``train.run_epochs``, which steps
 through the module-level ``train.adam_step``, so its traced seconds measure
 the same call, with the same arguments, on both sides of a comparison.
@@ -74,7 +75,7 @@ def test_make_batch_keeps_what_the_padding_probe_reads():
     batch = tr.make_batch(examples, None, 0)
     valid, cells = int(batch.valid_lengths.sum()), int(batch.ids.size)
     assert valid == sum(len(ex.ids) for ex in examples)
-    assert 0 < valid / cells <= 1
+    assert valid == cells  # packed: no padding, so the ratio reads 1
 
 
 def test_both_loops_step_through_the_one_adam_step(monkeypatch):
@@ -112,11 +113,10 @@ def test_every_dropout_goes_through_layers_dropout(monkeypatch):
     config = TrainConfig(hidden_size=3, num_layers=2, sentence_dim=2, embedding_dim=4)
     rng = np.random.default_rng(0)
     emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (9, 4)))
-    ids, lengths = L.pad_rows([np.array([1, 2, 3]), np.array([4])])
-    batch = rcnn.Batch(ids, lengths, np.zeros((2, 2)), None)
+    batch = rcnn.Batch.of_rows([[1, 2, 3], [4]], np.zeros((2, 2)))
     rcnn.forward(rcnn.init_model(config, emb, rng), batch, True, rng)
     assert len(calls) == config.num_layers + 2  # after each BiLSTM layer, both linear inputs
     calls.clear()
     model = ft.build_finetune_model(emb, rng, filters_per_size=2)
-    ft.forward_finetune(model, [np.array([1, 2]), np.array([3])], True, rng)
+    ft.forward_finetune(model, rcnn.Batch.of_rows([[1, 2], [3]]), True, rng)
     assert len(calls) == 1

@@ -113,6 +113,23 @@ def test_preprocess_and_sweep_parse_each_conversation_once(world, monkeypatch):
     assert len(texts) == 3 * (16 + 8)
 
 
+def test_finetune_tokenizes_each_tweet_once(world, monkeypatch):
+    lines = ["text\tlabel"] + [f"{'yay great' if i % 2 else 'sigh bad'} day {i}\t{i % 2}"
+                               for i in range(20)]
+    (world / "corpus.tsv").write_text("\n".join(lines) + "\n")
+    dataio.save_word_vectors(["yay", "sigh"], np.ones((2, 6)), world / "vec_in.txt")
+    texts = _count_texts(monkeypatch)
+    rc = cli.main(["--out", str(world / "ft.tsv"), "finetune",
+                   "--corpus", str(world / "corpus.tsv"),
+                   "--embeddings-in", str(world / "vec_in.txt"),
+                   "--embeddings-out", str(world / "vec_out.txt"),
+                   "--epochs-frozen", "1", "--epochs-unfrozen", "1",
+                   "--dim", "6", "--filters", "2", "--batch-size", "8"])
+    assert rc == 0
+    assert len(texts) == 20  # each tweet once, not once for the vocabulary and again to encode
+    assert sorted(texts) == sorted(line.rpartition("\t")[0] for line in lines[1:])
+
+
 def test_preprocess_rejects_malformed_file(world, capsys):
     bad = world / "bad.txt"
     bad.write_text("not\ta\tdataset\n")

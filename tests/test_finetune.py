@@ -5,6 +5,7 @@ import pytest
 import oracle
 from emoconv import finetune as ft
 from emoconv import layers as L
+from emoconv import rcnn
 from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.textprep import TokenSequence, Vocabulary, build_vocab
@@ -49,14 +50,15 @@ def test_model_shapes_and_param_count():
 
 def test_forward_probability_range_and_zero_init():
     model, corpus, _, vocab, rng = _setup()
-    rows = [[vocab.lookup(t) for t in text.split()] for text, _ in corpus[:10]]
-    probs = ft.forward_finetune(model, rows, False, None).values
+    rows = [vocab.ids(text.split()) for text, _ in corpus[:10]]
+    probs = ft.forward_finetune(model, rcnn.Batch.of_rows(rows), False, None).values
     assert probs.shape == (10,)
     assert ((0.0 < probs) & (probs < 1.0)).all()
 
     model.out_w.values[:] = 0.0
     model.out_b.values[:] = 0.0
-    npt.assert_array_equal(ft.forward_finetune(model, rows[:5], False, None).values,
+    npt.assert_array_equal(ft.forward_finetune(model, rcnn.Batch.of_rows(rows[:5]), False,
+                                               None).values,
                            np.full(5, 0.5))
 
 

@@ -117,11 +117,11 @@ def test_finetune_step_graph_is_gone_before_the_next_forward(monkeypatch):
     watched, calls = [], []
     forward = ft.forward_finetune
 
-    def watched_forward(model, rows, training, rng):
+    def watched_forward(model, batch, training, rng):
         calls.append(1)
         alive = sum(r() is not None for r in watched)
         assert alive == 0, f"{alive} arrays of the last step's graph alive"
-        probs = forward(model, rows, training, rng)
+        probs = forward(model, batch, training, rng)
         watched[:] = _watch(probs)
         return probs
 
@@ -139,14 +139,14 @@ def test_each_loss_is_one_node_over_its_model_output():
     rng = np.random.default_rng(5)
     emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (9, 4)))
     params = rcnn.init_model(config, emb, rng)
-    ids, lens = L.pad_rows([rng.integers(1, 9, k) for k in (3, 1, 4)])
-    batch = rcnn.Batch(ids, lens, rng.normal(size=(3, 2)), np.array([0, 3, 1]))
+    batch = rcnn.Batch.of_rows([rng.integers(1, 9, k) for k in (3, 1, 4)],
+                               rng.normal(size=(3, 2)), np.array([0, 3, 1]))
     _, probs = rcnn.forward(params, batch, True, rng)
     loss = tr.weighted_cross_entropy(probs, batch.labels, tr.ClassWeights(np.full(4, 0.25)))
     assert loss.parents == (probs,) and probs.op == "softmax_rows"
 
     model = ft.build_finetune_model(emb, rng, filters_per_size=2)
-    probs = ft.forward_finetune(model, [np.array([1, 2, 3]), np.array([4])], True, rng)
+    probs = ft.forward_finetune(model, rcnn.Batch.of_rows([[1, 2, 3], [4]]), True, rng)
     loss = ft.binary_cross_entropy(probs, [1, 0])
     assert loss.parents == (probs,) and len(probs.parents) == 1
     assert probs.parents[0].op == "linear_rows" and probs.shape == (2,)
@@ -161,8 +161,8 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     rng = np.random.default_rng(3)
     table = np.vstack([np.zeros(d), rng.uniform(-0.5, 0.5, (20, d))])
     params = rcnn.init_model(config, L.EmbeddingMatrix.from_array(table), rng)
-    ids, lens = L.pad_rows([rng.integers(1, 21, k) for k in lengths])
-    batch = rcnn.Batch(ids, lens, rng.normal(size=(b, s)), rng.integers(0, 4, b))
+    batch = rcnn.Batch.of_rows([rng.integers(1, 21, k) for k in lengths],
+                               rng.normal(size=(b, s)), rng.integers(0, 4, b))
     _, probs = rcnn.forward(params, batch, True, rng)
     loss = tr.weighted_cross_entropy(probs, batch.labels,
                                      tr.ClassWeights(np.full(4, 0.25)))
@@ -208,7 +208,7 @@ def test_unfrozen_step_allocates_nothing_table_sized():
     rows = [rng.integers(1, 50_000, n) for n in (5, 3, 7, 2)]
     state, peaks = tr.AdamState(), []
     for _ in range(2):
-        loss = ft.binary_cross_entropy(ft.forward_finetune(model, rows, True, rng),
+        loss = ft.binary_cross_entropy(ft.forward_finetune(model, rcnn.Batch.of_rows(rows), True, rng),
                                        [1, 0, 1, 0])
         T.reset_grads(named.values())
         tracemalloc.start()

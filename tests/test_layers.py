@@ -368,11 +368,3 @@ def test_linear_identity_and_gradient():
     assert err < 1e-6
     with pytest.raises(ValueError):
         T.linear_rows(T.Tensor([[1.0, 2.0]]), w, b)
-
-
-def test_pad_rows():
-    ids, lengths = L.pad_rows([np.array([4, 5]), np.array([6]), np.array([1, 2, 3])])
-    npt.assert_array_equal(ids, [[4, 5, 0], [6, 0, 0], [1, 2, 3]])
-    npt.assert_array_equal(lengths, [2, 1, 3])
-    with pytest.raises(ValueError):
-        L.pad_rows([np.array([1]), np.array([], dtype=np.int64)])

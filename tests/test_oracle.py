@@ -1,11 +1,10 @@
 """The batched engine against the per-example, per-timestep oracle.
 
 With dropout off, the batched model and ``oracle`` must agree on logits and
-on every parameter gradient, and appending PAD columns to a batch must
-change neither.  Tolerances are fixed beforehand from float64 rounding: the
-two paths sum the same terms in a different order (one product over the
-batch against one per example and step), which moves results by a few ulps,
-far inside 1e-10.
+on every parameter gradient.  Tolerances are fixed beforehand from float64
+rounding: the two paths sum the same terms in a different order (one product
+over the batch against one per example and step), which moves results by a
+few ulps, far inside 1e-10.
 """
 
 import copy
@@ -21,6 +20,7 @@ from emoconv import rcnn
 from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.config import TrainConfig
+from emoconv.dataio import SentenceVectorStore
 
 CONFIG = TrainConfig(hidden_size=5, num_layers=2, sentence_dim=3, embedding_dim=4,
                      dropout_bilstm=0.0, dropout_linear=0.0)
@@ -36,11 +36,10 @@ def _model(seed, config=CONFIG, vocab=11):
     return rcnn.init_model(config, L.EmbeddingMatrix.from_array(table), rng), rng
 
 
-def _batch(rng, lengths, extra_pad=0, vocab=11, sentence_dim=3):
-    ids, lens = L.pad_rows([rng.integers(1, vocab, n) for n in lengths])
-    ids = np.pad(ids, ((0, 0), (0, extra_pad)))
+def _batch(rng, lengths, vocab=11, sentence_dim=3):
+    rows = [rng.integers(1, vocab, n) for n in lengths]
     sv = rng.normal(size=(len(lengths), sentence_dim)) if sentence_dim else None
-    return rcnn.Batch(ids, lens, sv, rng.integers(0, 4, len(lengths)))
+    return rcnn.Batch.of_rows(rows, sv, rng.integers(0, 4, len(lengths)))
 
 
 def _logits_and_grads(params, batch, logits_fn):
@@ -72,25 +71,13 @@ def test_rcnn_matches_per_example_oracle(seed, tanh, frozen):
     assert (np.abs(grads["embedding.table"]).max() > 0) != frozen
 
 
-def test_rcnn_ignores_appended_pad_columns():
-    params, _ = _model(3)
-    base = _batch(np.random.default_rng(30), LENGTHS)
-    padded = _batch(np.random.default_rng(30), LENGTHS, extra_pad=5)
-    assert padded.ids.shape[1] == base.ids.shape[1] + 5
-    logits, grads = _batched(params, base)
-    p_logits, p_grads = _batched(params, padded)
-    npt.assert_allclose(p_logits, logits, rtol=0, atol=1e-12)
-    for name, g in grads.items():
-        npt.assert_allclose(p_grads[name], g, rtol=0, atol=1e-12, err_msg=name)
-
-
 def test_finetune_cnn_matches_per_example_oracle():
     rng = np.random.default_rng(4)
     table = np.vstack([np.zeros(3), rng.uniform(-0.5, 0.5, (8, 3))])
     model = ft.build_finetune_model(L.EmbeddingMatrix.from_array(table), rng,
                                     filters_per_size=4)
     # rows shorter than the widest kernel take the zero-padded-window path
-    rows = [rng.integers(1, 9, n) for n in (5, 1, 2, 6, 3)]
+    batch = rcnn.Batch.of_rows([rng.integers(1, 9, n) for n in (5, 1, 2, 6, 3)])
     named = model.named()
 
     def run(fn):
@@ -99,11 +86,32 @@ def test_finetune_cnn_matches_per_example_oracle():
         T.backward(ft.binary_cross_entropy(probs, [1, 0, 1, 0, 0]))
         return probs.values, {n: T.grad_of(t).copy() for n, t in named.items()}
 
-    probs, grads = run(lambda: ft.forward_finetune(model, rows, False, None))
-    want_probs, want_grads = run(lambda: oracle.finetune_probs(model, rows))
+    probs, grads = run(lambda: ft.forward_finetune(model, batch, False, None))
+    want_probs, want_grads = run(lambda: oracle.finetune_probs(model, batch))
     npt.assert_allclose(probs, want_probs, rtol=0, atol=1e-10)
     for name, want in want_grads.items():
         npt.assert_allclose(grads[name], want, rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_both_models_match_the_oracle_on_a_batch_from_make_batch():
+    """``make_batch``'s packed rows of 1 to 7 tokens, several shorter than
+    the CNN's widest kernel, through both models in eval mode: the CNN's
+    probabilities equal the per-example oracle's byte for byte; the RCNN's
+    logits, whose oracle sums its products in another order, agree to 1e-10."""
+    params, rng = _model(8)
+    lengths = [1, 2, 7, 1, 3, 2]
+    examples = [tr.EncodedExample(f"c{i}", rng.integers(1, 11, n), i % 4)
+                for i, n in enumerate(lengths)]
+    store = SentenceVectorStore(3)
+    store.vectors.update({ex.id: rng.normal(size=3) for ex in examples})
+    batch = tr.make_batch(examples, store, 3)
+    model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
+    assert max(model.bank.kernel_sizes) == 3
+    with T.no_grad():
+        npt.assert_array_equal(ft.forward_finetune(model, batch, False, None).values,
+                               oracle.finetune_probs(model, batch).values)
+        npt.assert_allclose(rcnn.forward(params, batch, False, None)[0].values,
+                            oracle.rcnn_logits(params, batch).values, rtol=0, atol=1e-10)
 
 
 def test_rows_match_each_row_run_alone():
@@ -113,18 +121,17 @@ def test_rows_match_each_row_run_alone():
     batch = _batch(rng, LENGTHS)
     with T.no_grad():
         together = rcnn.forward(params, batch, False, None)[0].values
-        for i, n in enumerate(LENGTHS):
-            alone = rcnn.Batch(batch.ids[i:i + 1, :n], batch.valid_lengths[i:i + 1],
-                               batch.sentence_vectors[i:i + 1], None)
+        for i, row in enumerate(oracle.rows_of(batch)):
+            alone = rcnn.Batch.of_rows([row], batch.sentence_vectors[i:i + 1])
             npt.assert_allclose(rcnn.forward(params, alone, False, None)[0].values[0],
                                 together[i], rtol=0, atol=1e-12)
 
         model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
         rows = [rng.integers(1, 11, n) for n in (5, 1, 2, 6, 3)]
-        probs = ft.forward_finetune(model, rows, False, None).values
+        probs = ft.forward_finetune(model, rcnn.Batch.of_rows(rows), False, None).values
         for row, p in zip(rows, probs):
-            npt.assert_allclose(ft.forward_finetune(model, [row], False, None).values,
-                                [p], rtol=0, atol=1e-12)
+            alone = ft.forward_finetune(model, rcnn.Batch.of_rows([row]), False, None)
+            npt.assert_allclose(alone.values, [p], rtol=0, atol=1e-12)
 
 
 def test_graph_holds_valid_cells_only(monkeypatch):
@@ -263,7 +270,8 @@ def test_models_with_fused_losses_match_their_chains_byte_for_byte():
 
     def cnn_grads(chain):
         T.reset_grads(model.named().values())
-        probs = ft.forward_finetune(model, rows, True, np.random.default_rng(8))
+        probs = ft.forward_finetune(model, rcnn.Batch.of_rows(rows), True,
+                                    np.random.default_rng(8))
         if chain:
             logits = probs.parents[0]
             probs = oracle.reshape(oracle.sigmoid(logits), (len(rows),))

@@ -21,13 +21,9 @@ def _tiny_model(seed=0, config=TINY, vocab_size=7):
 
 
 def _batch(ids_rows, lengths, sdim, rng, labels=None):
-    n_max = max(lengths)
-    ids = np.zeros((len(ids_rows), n_max), dtype=np.int64)
-    for i, row in enumerate(ids_rows):
-        ids[i, :lengths[i]] = row[:lengths[i]]
     sv = rng.uniform(-1, 1, (len(ids_rows), sdim)) if sdim else None
-    return rcnn.Batch(ids, np.array(lengths), sv,
-                      None if labels is None else np.array(labels))
+    return rcnn.Batch.of_rows([row[:n] for row, n in zip(ids_rows, lengths)], sv,
+                              None if labels is None else np.array(labels))
 
 
 def test_init_model_default_dimension_chain():
@@ -130,16 +126,17 @@ def test_forward_zero_params_uniform():
 
 
 def test_forward_padding_invariance():
+    """A packed batch cannot carry padding past its rows' lengths, and PAD
+    ids packed as a row of their own leave the other row's result as it was."""
     for seed in range(8):
         params, rng = _tiny_model(seed + 10)
         row = list(rng.integers(1, 7, 4))
-        sv = rng.uniform(-1, 1, 2)
-        short = rcnn.Batch(np.array([row]), np.array([4]), sv[None, :], None)
-        padded = rcnn.Batch(np.array([row + [0, 0, 0]]), np.array([4]),
-                            sv[None, :], None)
-        _, p_short = rcnn.forward(params, short, False, None)
-        _, p_padded = rcnn.forward(params, padded, False, None)
-        npt.assert_allclose(p_short.values, p_padded.values, atol=1e-10)
+        sv = rng.uniform(-1, 1, (2, 2))
+        with pytest.raises(ValueError):
+            rcnn.Batch(np.array(row + [0, 0, 0]), np.array([4]), sv[:1])
+        _, alone = rcnn.forward(params, rcnn.Batch.of_rows([row], sv[:1]), False, None)
+        _, beside = rcnn.forward(params, rcnn.Batch.of_rows([row, [0, 0, 0]], sv), False, None)
+        npt.assert_allclose(beside.values[0], alone.values[0], atol=1e-10)
 
 
 def test_forward_batch_permutation():
@@ -147,22 +144,12 @@ def test_forward_batch_permutation():
     rows = [list(rng.integers(1, 7, 5)) for _ in range(4)]
     lengths = [5, 3, 4, 2]
     sv = rng.uniform(-1, 1, (4, 2))
-    base = rcnn.forward(params, rcnn.Batch(_pad(rows, lengths), np.array(lengths),
-                                           sv, None), False, None)[1].values
+    rows = [row[:n] for row, n in zip(rows, lengths)]
+    base = rcnn.forward(params, rcnn.Batch.of_rows(rows, sv), False, None)[1].values
     order = [2, 0, 3, 1]
-    perm = rcnn.forward(params, rcnn.Batch(_pad([rows[i] for i in order],
-                                                [lengths[i] for i in order]),
-                                           np.array([lengths[i] for i in order]),
-                                           sv[order], None), False, None)[1].values
+    perm = rcnn.forward(params, rcnn.Batch.of_rows([rows[i] for i in order], sv[order]),
+                        False, None)[1].values
     npt.assert_allclose(perm, base[order], atol=1e-12)
-
-
-def _pad(rows, lengths):
-    n_max = max(lengths)
-    out = np.zeros((len(rows), n_max), dtype=np.int64)
-    for i, row in enumerate(rows):
-        out[i, :lengths[i]] = row[:lengths[i]]
-    return out
 
 
 def test_forward_requires_sentence_vectors():
@@ -170,9 +157,8 @@ def test_forward_requires_sentence_vectors():
     batch = _batch([[1, 2]], [2], 0, rng)
     with pytest.raises(ValueError):
         rcnn.forward(params, batch, False, None)
-    with pytest.raises(ValueError) as err:
-        rcnn.Batch(np.array([[1, 2, 0], [1, 2, 3]]), np.array([2, 2]), None, None)
-    assert str(err.value) == "batch row 1 has non-PAD ids after its valid length"
+    with pytest.raises(ValueError, match="sum to the 3 packed cells, got \\[2, 2\\]"):
+        rcnn.Batch(np.array([1, 2, 3]), np.array([2, 2]))
 
 
 def test_sentence_dim_zero_changes_only_output_layer():

@@ -25,6 +25,11 @@ def _toy_data():
     return train_split, val_split, vocab
 
 
+def list_rows(split):
+    """The split's token rows in a list, as ``run_sweep`` takes them."""
+    return list(tr.split_rows(split))
+
+
 def test_sweep_spec_validation():
     spec = sw.SweepSpec("lr", [1e-4, 5e-4])
     assert spec.seeds == [0, 1, 2, 3, 4]
@@ -49,7 +54,7 @@ def test_sweep_shape_and_flag_consistency(tmp_path):
     train_split, val_split, vocab = _toy_data()
     spec = sw.SweepSpec("lr", [1e-7, 0.02], seeds=[0, 1, 2])
     records, aggregates = sw.run_sweep(spec, FAST, train_split, val_split, None,
-                                       vocab, tr.assemble_split(train_split),
+                                       vocab, list_rows(train_split),
                                        runs_dir=tmp_path / "runs")
     assert len(records) == 6 and len(aggregates) == 2
     for rec in records:
@@ -72,7 +77,7 @@ def test_sweep_resumes_from_run_records(tmp_path):
     runs_dir = tmp_path / "runs"
     spec = sw.SweepSpec("hidden_size", [4], seeds=[0, 1])
     records1, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                               tr.assemble_split(train_split), runs_dir=runs_dir)
+                               list_rows(train_split), runs_dir=runs_dir)
     files = sorted(runs_dir.glob("run_*.json"))
     assert len(files) == 2
 
@@ -81,7 +86,7 @@ def test_sweep_resumes_from_run_records(tmp_path):
     data["best_val_f1"] = 0.123456
     files[0].write_text(json.dumps(data, sort_keys=True) + "\n")
     records2, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                               tr.assemble_split(train_split), runs_dir=runs_dir)
+                               list_rows(train_split), runs_dir=runs_dir)
     assert 0.123456 in [r.best_val_f1 for r in records2]
     untouched = json.loads(files[1].read_text())
     assert untouched["best_val_f1"] in [r.best_val_f1 for r in records2]
@@ -90,7 +95,7 @@ def test_sweep_resumes_from_run_records(tmp_path):
 def test_sweep_runs_are_deterministic():
     train_split, val_split, vocab = _toy_data()
     data = sw.SweepData.encode(train_split, val_split, vocab,
-                               tr.assemble_split(train_split))
+                               list_rows(train_split))
     rec1 = sw.run_one(FAST, "lr", 0.02, 7, data, None, vocab)
     rec2 = sw.run_one(FAST, "lr", 0.02, 7, data, None, vocab)
     assert rec1 == rec2
@@ -99,7 +104,7 @@ def test_sweep_runs_are_deterministic():
 def test_axis_values_are_coerced():
     train_split, val_split, vocab = _toy_data()
     data = sw.SweepData.encode(train_split, val_split, vocab,
-                               tr.assemble_split(train_split))
+                               list_rows(train_split))
     rec = sw.run_one(FAST, "batch_size", 6.0, 3, data, None, vocab)
     assert rec.value == 6 and isinstance(rec.value, int)
 
@@ -111,19 +116,19 @@ def test_sweep_encodes_once_and_matches_per_run_training(tmp_path, monkeypatch):
     monkeypatch.setattr(tr, "encode_split",
                         lambda *a: calls.append(a[0].name) or encode_split(*a))
     spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
-    sequences = tr.assemble_split(train_split)
+    rows = list_rows(train_split)
     records, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                              sequences, runs_dir=tmp_path / "runs")
+                              rows, runs_dir=tmp_path / "runs")
     assert calls == ["train", "val"]
-    assert sequences == []  # the tokens do not outlive the encoding
+    assert rows == []  # the tokens do not outlive the encoding
 
     # a resumed sweep whose records are all cached encodes nothing
     calls.clear()
-    sequences = tr.assemble_split(train_split)
+    rows = list_rows(train_split)
     again, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                            sequences, runs_dir=tmp_path / "runs")
+                            rows, runs_dir=tmp_path / "runs")
     assert calls == [] and again == records
-    assert len(sequences) == len(train_split.conversations)
+    assert len(rows) == len(train_split.conversations)
 
     # each record equals one built run by run from the raw splits
     weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
@@ -148,12 +153,12 @@ def test_a_sweep_on_other_training_data_retrains_in_the_same_runs_dir(tmp_path):
     other_vocab = toycorpus.vocab_for(other_train, val_split)
     spec = sw.SweepSpec("lr", [0.02], seeds=[0, 1])
     first, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                            tr.assemble_split(train_split), runs_dir=tmp_path)
+                            list_rows(train_split), runs_dir=tmp_path)
     second, aggregates = sw.run_sweep(spec, FAST, other_train, val_split, None,
-                                      other_vocab, tr.assemble_split(other_train),
+                                      other_vocab, list_rows(other_train),
                                       runs_dir=tmp_path)
     alone, want = sw.run_sweep(spec, FAST, other_train, val_split, None, other_vocab,
-                               tr.assemble_split(other_train))
+                               list_rows(other_train))
     assert second == alone and aggregates == want
     assert [r.final_train_loss for r in second] != [r.final_train_loss for r in first]
     assert len(list(tmp_path.glob("run_*.json"))) == 4
@@ -184,7 +189,7 @@ def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path):
     train_split, val_split, vocab = _toy_data()
     spec = sw.SweepSpec("lr", [0.02], seeds=[0])
     records, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                              tr.assemble_split(train_split), runs_dir=tmp_path)
+                              list_rows(train_split), runs_dir=tmp_path)
     (path,) = tmp_path.iterdir()  # no temporary file is left beside the record
     whole = path.read_bytes()
     assert sw.load_record(path) == records[0]
@@ -208,4 +213,4 @@ def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path):
     # the sweep reports such a record rather than retraining over it
     with pytest.raises(ValueError, match=re.escape(str(path))):
         sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                     tr.assemble_split(train_split), runs_dir=tmp_path)
+                     list_rows(train_split), runs_dir=tmp_path)

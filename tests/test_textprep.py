@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import golden
@@ -45,7 +46,7 @@ def test_tokenize_contractions_and_punctuation():
 def test_assemble_input_joins_with_eos():
     seq = tp.assemble_input(("hi", "hello", "why"))
     assert seq.tokens == ["hi", tp.EOS_TOKEN, "hello", tp.EOS_TOKEN, "why"]
-    assert seq.n == 5
+    assert len(seq.tokens) == 5
 
     empty_mid = tp.assemble_input(("hi", "", "why"))
     assert empty_mid.tokens == ["hi", tp.EOS_TOKEN, tp.EOS_TOKEN, "why"]
@@ -79,24 +80,25 @@ def test_build_vocab_first_occurrence_order():
 def test_eos_in_sequences_maps_to_reserved_id():
     seqs = [tp.assemble_input(("a b", "c", "a"))]
     vocab = tp.build_vocab(seqs)
-    enc = tp.encode_ids(seqs[0], vocab)
-    assert enc.ids == [3, 4, tp.EOS_ID, 5, tp.EOS_ID, 3]
+    ids = vocab.ids(seqs[0].tokens)
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [3, 4, tp.EOS_ID, 5, tp.EOS_ID, 3]
 
 
-def test_encode_ids_unk_only_off_train():
+def test_vocabulary_ids_unk_only_off_train():
     train = [tp.TokenSequence(["a", "b"]), tp.TokenSequence(["b", "c"])]
     vocab = tp.build_vocab(train)
     for seq in train:
-        assert tp.UNK_ID not in tp.encode_ids(seq, vocab).ids
-    val = tp.encode_ids(tp.TokenSequence(["a", "zzz"]), vocab)
-    assert val.ids == [3, tp.UNK_ID]
+        assert tp.UNK_ID not in vocab.ids(seq.tokens)
+    assert vocab.ids(["a", "zzz"]).tolist() == [3, tp.UNK_ID]
+    assert vocab.ids([]).dtype == np.int64 and vocab.ids([]).shape == (0,)
 
 
 def test_pipeline_deterministic_end_to_end():
     turns = ("Wow!!! I'm SO happy :)", "me   too!!", "don't ask why...")
-    a = tp.encode_ids(tp.assemble_input(turns), tp.build_vocab([tp.assemble_input(turns)]))
-    b = tp.encode_ids(tp.assemble_input(turns), tp.build_vocab([tp.assemble_input(turns)]))
-    assert a.tokens == b.tokens and a.ids == b.ids
+    a, b = (tp.assemble_input(turns) for _ in range(2))
+    assert a.tokens == b.tokens
+    npt.assert_array_equal(tp.build_vocab([a]).ids(a.tokens), tp.build_vocab([b]).ids(b.tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +139,10 @@ def _oracle_ids(tokens, vocab):
 
 
 def _check_split(split, vocab):
-    """assemble_split and encode_split (chunked and from sequences) against the oracle."""
+    """split_rows and encode_split (tokenizing, and from the rows) against the oracle."""
     want = [oracle.assemble_input(c.turns).tokens for c in split.conversations]
-    got = tr.assemble_split(split)
-    assert [s.tokens for s in got] == want
+    got = list(tr.split_rows(split))
+    assert got == want
     for encoded in (tr.encode_split(split, vocab), tr.encode_split(split, vocab, got)):
         kept = [w for w in want if split.name != "train" or len(w) <= tp.MAX_TRAIN_TOKENS]
         assert len(encoded) == len(kept)
@@ -153,9 +155,10 @@ def _check_corpus(corpus, vocab):
     want = [(_oracle_ids(tokens, vocab), label) for tokens, label in
             ((oracle.tokenize(oracle.clean_text(text)), label) for text, label in corpus)
             if tokens]
-    got = ft.encode_corpus(corpus, vocab)
-    assert all(ids.dtype == np.int64 for ids, _ in got)
-    assert [(ids.tolist(), label) for ids, label in got] == want
+    rows = list(tp.token_rows((text for text, _ in corpus), 1))
+    for got in (ft.encode_corpus(corpus, vocab), ft.encode_corpus(corpus, vocab, rows)):
+        assert all(ids.dtype == np.int64 for ids, _ in got)
+        assert [(ids.tolist(), label) for ids, label in got] == want
 
 
 def test_core_matches_the_per_turn_oracle_on_the_toy_corpora(tmp_path):
@@ -170,7 +173,8 @@ def test_core_matches_the_per_turn_oracle_on_the_toy_corpora(tmp_path):
     splits = [dataio.load_dataset(tmp_path / f"{name}.txt", name)
               for name in ("train", "val", "test")]
     vocab = tp.build_vocab(oracle.assemble_input(c.turns) for c in splits[0].conversations)
-    assert vocab.id_to_token == tp.build_vocab(tr.assemble_split(splits[0])).id_to_token
+    rows = tr.split_rows(splits[0])
+    assert vocab.id_to_token == tp.build_vocab(map(tp.TokenSequence, rows)).id_to_token
     for split in splits:
         _check_split(split, vocab)
     corpus = ft.load_finetune_corpus(tmp_path / "finetune.tsv")

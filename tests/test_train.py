@@ -10,7 +10,7 @@ from emoconv import rcnn
 from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.config import TrainConfig
-from emoconv.dataio import save_checkpoint
+from emoconv.dataio import SentenceVectorStore, save_checkpoint
 
 PUBLISHED_TRAIN = {"happy": 4243, "sad": 5463, "angry": 5506, "others": 14948}
 PUBLISHED_VAL = {"happy": 142, "sad": 125, "angry": 150, "others": 2338}
@@ -208,13 +208,35 @@ def test_encode_split_filters_only_train():
         assert [ex.n for ex in encoded[:3]] == [75, 76, 500]
 
 
+def test_make_batch_packs_rows_of_any_length():
+    """Rows of one token and rows shorter than the widest conv kernel pack
+    back to back; an empty row is a ValueError."""
+    lengths = [1, 2, 1, 5, 3, 1]
+    rng = np.random.default_rng(3)
+    examples = [tr.EncodedExample(f"c{i}", rng.integers(1, 9, n), i % 4)
+                for i, n in enumerate(lengths)]
+    store = SentenceVectorStore(2)
+    store.vectors.update({ex.id: np.full(2, float(i)) for i, ex in enumerate(examples)})
+    batch = tr.make_batch(examples, store, 2)
+    npt.assert_array_equal(batch.ids, np.concatenate([ex.ids for ex in examples]))
+    assert batch.ids.dtype == np.int64
+    npt.assert_array_equal(batch.valid_lengths, lengths)
+    npt.assert_array_equal(batch.labels, [0, 1, 2, 3, 0, 1])
+    npt.assert_array_equal(batch.sentence_vectors[:, 0], np.arange(6.0))
+    assert len(batch) == 6
+
+    examples[2] = tr.EncodedExample("empty", np.zeros(0, dtype=np.int64), 0)
+    with pytest.raises(ValueError, match="valid lengths must be >= 1"):
+        tr.make_batch(examples, None, 0)
+
+
 def test_make_batch_and_missing_vectors():
     split = toycorpus.make_split("train", 4, seed=1)
     vocab = toycorpus.vocab_for(split)
     encoded = tr.encode_split(split, vocab)
     store = toycorpus.store_for([split], dim=3, seed=2)
     batch = tr.make_batch(encoded, store, 3)
-    assert batch.ids.shape[0] == 4
+    assert len(batch) == 4 and batch.ids.size == sum(ex.n for ex in encoded)
     assert batch.sentence_vectors.shape == (4, 3)
     assert batch.labels is not None
     assert tr.make_batch(encoded, None, 0).sentence_vectors is None
