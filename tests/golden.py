@@ -17,11 +17,18 @@ leaves behind:
   out-of-vocabulary words;
 - ``finetune_encoding_gen_toy``: the vocabulary of the same generator's
   tweet corpus, built from ``tokenize(clean_text(text))`` per tweet as the
-  benchmark builds it, and ``finetune.encode_corpus`` of that corpus.
+  benchmark builds it, and ``finetune.encode_corpus`` of that corpus;
+- ``init_draws``: the initial parameters of both models, as
+  ``rcnn.init_model`` draws them at the paper's sizes (the default
+  ``TrainConfig``) and at hidden 6, and as ``finetune.build_finetune_model``
+  draws them at dim 100 with 300 filters per width and at dim 8 with 6: the
+  ``named()`` names in order, every array in that order, and the generator
+  state after each build.
 
 Text preparation runs no BLAS, so these digests do not depend on the numpy
-build and carry no numpy/BLAS key.  The worlds that train do: BLAS kernels
-round differently from CPU to CPU, so their digests are recorded per key, the
+build and carry no numpy/BLAS key; nor do the initial draws, which are
+uniform draws and zeros.  The worlds that train do: BLAS kernels round
+differently from CPU to CPU, so their digests are recorded per key, the
 numpy version and the ``openblas configuration`` string of
 ``np.show_config(mode="dicts")`` (which names the kernel the CPU picked).
 They run in a child process with one BLAS thread (numpy reads the thread
@@ -169,6 +176,39 @@ def _arrays(named) -> str:
                          for name, a in sorted(named.items())))
 
 
+def _world_init_draws(tmp: Path) -> dict[str, str]:
+    import numpy as np
+
+    from emoconv import finetune as ft
+    from emoconv import layers as L
+    from emoconv import rcnn
+    from emoconv.config import TrainConfig
+
+    def embedding(rng, dim):
+        return L.EmbeddingMatrix.from_array(
+            np.vstack([np.zeros(dim), rng.uniform(-0.1, 0.1, (4, dim))]))
+
+    def digests(tag, model, rng):
+        named = {name: t.values for name, t in model.named().items()}
+        return {f"{tag}.names": _sha("\n".join(named).encode()),
+                f"{tag}.arrays": _sha(b"".join(f"{name}{a.shape}{a.dtype.str}".encode()
+                                               + a.tobytes() for name, a in named.items())),
+                f"{tag}.rng": _rng_state(rng)}
+
+    out = {}
+    for tag, config in (("rcnn_paper", TrainConfig()),
+                        ("rcnn_hidden6", TrainConfig(hidden_size=6, sentence_dim=3,
+                                                     embedding_dim=6))):
+        rng = np.random.default_rng(17)
+        params = rcnn.init_model(config, embedding(rng, config.embedding_dim), rng)
+        out.update(digests(tag, params, rng))
+    for tag, dim, filters in (("cnn_paper", 100, 300), ("cnn_toy", 8, 6)):
+        rng = np.random.default_rng(19)
+        model = ft.build_finetune_model(embedding(rng, dim), rng, filters_per_size=filters)
+        out.update(digests(tag, model, rng))
+    return out
+
+
 def _world_finetune(tmp: Path, frozen: int, unfrozen: int,
                     batch_size: int = 16) -> dict[str, str]:
     import numpy as np
@@ -297,6 +337,7 @@ WORLDS = {
     "preprocess_toycorpus": _world_toycorpus,
     "preprocess_gen_toy": _world_gen_toy,
     "finetune_encoding_gen_toy": _world_finetune_encoding,
+    "init_draws": _world_init_draws,
 }
 KEYED_WORLDS = {
     "finetune_gen_toy": lambda tmp: _world_finetune(tmp, 1, 3),
