@@ -46,7 +46,13 @@ config = TrainConfig(lr=0.02, batch_size=8, epochs=8, hidden_size=8,
                      num_layers=1, sentence_dim=0, embedding_dim=8,
                      dropout_bilstm=0.0, dropout_linear=0.0,
                      freeze_embedding_epochs=2, anneal_after_epoch=99, seed=3)
-vocab = build_vocab(map(TokenSequence, train.split_rows(train_split)))
+# Each split is tokenized once: the training rows build the vocabulary and
+# are then encoded, and the encoded validation split serves training and the
+# report below.
+train_rows = list(train.split_rows(train_split))
+vocab = build_vocab(map(TokenSequence, train_rows))
+train_examples = train.encode_split(train_split, vocab, train_rows)
+val_examples = train.encode_split(val_split, vocab)
 rng = np.random.default_rng(config.seed)
 embedding, _ = build_embedding_matrix(vocab, {}, config.embedding_dim, rng)
 params = rcnn.init_model(config, embedding, rng)
@@ -58,8 +64,9 @@ print(f"{total} trainable parameters; projection {shapes['projection.w']}")
 # The embedding stays frozen for two epochs (watch the loss still fall), then
 # the whole model moves together.
 
-checkpoint, history = train.train(params, train_split, val_split, None,
-                                  config, rng, vocab=vocab)
+weights = train.compute_class_weights(train_split.label_counts, val_split.label_counts)
+checkpoint, history = train.train_encoded(params, train_examples, val_examples, None,
+                                          config, rng, weights=weights, vocab=vocab)
 print()
 print(train.format_history(history))
 print(f"best epoch {checkpoint.epoch} at val micro-F1 "
@@ -68,7 +75,6 @@ print(f"best epoch {checkpoint.epoch} at val micro-F1 "
 # -- 4. inspect the selected model on the validation split ----------------------
 
 best = rcnn.restore(config, checkpoint.params)
-examples = train.encode_split(val_split, vocab)
-cm, f1 = train.evaluate(best, examples, None, config.batch_size)
+cm, f1 = train.evaluate(best, val_examples, None, config.batch_size)
 print()
 print(format_report(cm))

@@ -33,29 +33,50 @@ class FinetuneSchedule:
     batch_size: int = 64
 
 
+KERNEL_SIZES = (1, 2, 3)  # convolution widths, one filter bank each
+
+
 @dataclass
 class FinetuneModel:
+    """The CNN over ``emb``: every parameter besides the table under its
+    name in the table of :func:`_shapes`."""
     emb: L.EmbeddingMatrix
-    bank: L.ConvFilterBank
-    out_w: T.Tensor
-    out_b: T.Tensor
+    tensors: dict[str, T.Tensor]
 
     def named(self) -> dict[str, T.Tensor]:
-        out = {"embedding.table": self.emb.table}
-        for i, k in enumerate(self.bank.kernel_sizes):
-            out[f"conv_k{k}.w"] = self.bank.weights[i]
-            out[f"conv_k{k}.b"] = self.bank.biases[i]
-        out["output.w"] = self.out_w
-        out["output.b"] = self.out_b
-        return out
+        return {"embedding.table": self.emb.table, **self.tensors}
+
+    @property
+    def bank(self) -> list[tuple[T.Tensor, T.Tensor]]:
+        """Per width of ``KERNEL_SIZES``, the (W, b) pair that
+        ``layers.conv1d_over_time`` takes."""
+        return [(self.tensors[f"conv_k{k}.w"], self.tensors[f"conv_k{k}.b"])
+                for k in KERNEL_SIZES]
 
 
-def build_finetune_model(emb: L.EmbeddingMatrix, rng, kernel_sizes=(1, 2, 3),
+def _shapes(dim: int, filters_per_size: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each parameter besides the embedding table, in
+    ``FinetuneModel.named`` order: the model's one parameter table."""
+    out = {}
+    for k in KERNEL_SIZES:
+        out[f"conv_k{k}.w"] = (filters_per_size, k * dim)
+        out[f"conv_k{k}.b"] = (filters_per_size,)
+    out["output.w"], out["output.b"] = (1, len(KERNEL_SIZES) * filters_per_size), (1,)
+    return out
+
+
+def _build(emb: L.EmbeddingMatrix, arrays: dict[str, np.ndarray]) -> FinetuneModel:
+    """The model over ``emb`` whose other parameters are ``arrays`` (in
+    table order), each held as a trainable tensor without a copy."""
+    return FinetuneModel(emb, {name: T.Tensor(a, requires_grad=True)
+                               for name, a in arrays.items()})
+
+
+def build_finetune_model(emb: L.EmbeddingMatrix, rng,
                          filters_per_size: int = 300) -> FinetuneModel:
-    """CNN over the embedding: conv bank -> max pool -> dropout -> sigmoid."""
-    bank = L.init_conv_bank(rng, emb.dim, kernel_sizes, filters_per_size)
-    out_w, out_b = L.init_linear(rng, 1, bank.output_dim)
-    return FinetuneModel(emb=emb, bank=bank, out_w=out_w, out_b=out_b)
+    """CNN over the embedding: conv bank -> max pool -> dropout -> sigmoid,
+    its parameters drawn in table order (``layers.init_arrays``)."""
+    return _build(emb, L.init_arrays(_shapes(emb.dim, filters_per_size), rng))
 
 
 def forward_finetune(model: FinetuneModel, batch: Batch, training: bool, rng) -> T.Tensor:
@@ -65,7 +86,7 @@ def forward_finetune(model: FinetuneModel, batch: Batch, training: bool, rng) ->
     cells = L.embedding_lookup(model.emb, batch.ids)
     pooled = L.conv1d_over_time(model.bank, cells, batch.valid_lengths)
     pooled = L.dropout(pooled, DROPOUT_RATE, training, rng)
-    logits = T.linear_rows(pooled, model.out_w, model.out_b)
+    logits = T.linear_rows(pooled, model.tensors["output.w"], model.tensors["output.b"])
     out = T.sigmoid_(logits.values[:, 0].copy())
 
     def backward_fn(g):

@@ -10,14 +10,15 @@ gather are graph nodes of their own with hand-written backward passes,
 checked against finite differences and against the per-example,
 per-timestep oracle kept with the tests.
 
-Initialization convention (used by every init_* helper): weight matrices are
-uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases are zero except the
-LSTM forget gate, which starts at 1 so memory cells default to remembering.
+Initialization convention, applied by ``init_arrays`` to each model's one
+parameter table: weight matrices are uniform in
+[-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases are zero except the LSTM forget
+gate, which starts at 1 so memory cells default to remembering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,81 +41,26 @@ class EmbeddingMatrix:
                    table=T.Tensor(arr, requires_grad=True))
 
 
-@dataclass
-class LstmDirection:
-    """One scan direction: W [4h x input], U [4h x hidden], b [4h], with the
-    gate blocks stacked in the order input, forget, cell, output."""
-    w: T.Tensor
-    u: T.Tensor
-    b: T.Tensor
-    hidden_size: int
+def init_arrays(shapes: dict[str, tuple[int, ...]], rng) -> dict[str, np.ndarray]:
+    """Initial values for a model's parameter table (name -> shape), drawn
+    in table order.
 
-
-@dataclass
-class LstmLayerParams:
-    input_size: int
-    hidden_size: int
-    fwd: LstmDirection
-    bwd: LstmDirection
-
-    def named(self, prefix: str) -> dict[str, T.Tensor]:
-        out = {}
-        for tag, d in (("fwd", self.fwd), ("bwd", self.bwd)):
-            out[f"{prefix}.{tag}.w"] = d.w
-            out[f"{prefix}.{tag}.u"] = d.u
-            out[f"{prefix}.{tag}.b"] = d.b
-        return out
-
-
-@dataclass
-class ConvFilterBank:
-    """Per kernel size k: weights [filters x (k*dim)] and bias [filters]."""
-    kernel_sizes: tuple[int, ...]
-    filters_per_size: int
-    dim: int
-    weights: list[T.Tensor] = field(default_factory=list)
-    biases: list[T.Tensor] = field(default_factory=list)
-
-    @property
-    def output_dim(self) -> int:
-        return len(self.kernel_sizes) * self.filters_per_size
-
-
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return T.Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
-
-
-def init_lstm_direction(rng, input_size: int, hidden_size: int) -> LstmDirection:
-    w = _uniform(rng, (4 * hidden_size, input_size), input_size)
-    u = _uniform(rng, (4 * hidden_size, hidden_size), hidden_size)
-    b = np.zeros(4 * hidden_size)
-    b[hidden_size:2 * hidden_size] = 1.0  # forget gate
-    return LstmDirection(w=w, u=u, b=T.Tensor(b, requires_grad=True),
-                         hidden_size=hidden_size)
-
-
-def init_lstm_params(rng, input_size: int, hidden_size: int) -> LstmLayerParams:
-    if input_size < 1 or hidden_size < 1:
-        raise ValueError(f"sizes must be >= 1, got input {input_size}, hidden {hidden_size}")
-    return LstmLayerParams(input_size, hidden_size,
-                           fwd=init_lstm_direction(rng, input_size, hidden_size),
-                           bwd=init_lstm_direction(rng, input_size, hidden_size))
-
-
-def init_linear(rng, out_size: int, in_size: int) -> tuple[T.Tensor, T.Tensor]:
-    w = _uniform(rng, (out_size, in_size), in_size)
-    b = T.Tensor(np.zeros(out_size), requires_grad=True)
-    return w, b
-
-
-def init_conv_bank(rng, dim: int, kernel_sizes=(1, 2, 3),
-                   filters_per_size: int = 300) -> ConvFilterBank:
-    bank = ConvFilterBank(tuple(kernel_sizes), filters_per_size, dim)
-    for k in bank.kernel_sizes:
-        bank.weights.append(_uniform(rng, (filters_per_size, k * dim), k * dim))
-        bank.biases.append(T.Tensor(np.zeros(filters_per_size), requires_grad=True))
-    return bank
+    A matrix [out x fan_in] is uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]
+    and a vector is zeros, except an LSTM direction's bias: the vector
+    ``<direction>.b`` of a table that also holds the direction's recurrent
+    matrix ``<direction>.u`` [4h x h], whose forget block is 1.
+    """
+    out = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[1])
+            out[name] = rng.uniform(-bound, bound, shape)
+            continue
+        out[name] = np.zeros(shape)
+        u = shapes.get(name.removesuffix(".b") + ".u") if name.endswith(".b") else None
+        if u is not None:
+            out[name][u[1]:2 * u[1]] = 1.0  # the forget gate, second of four blocks
+    return out
 
 
 PAD_ID = 0
@@ -254,23 +200,23 @@ def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
     return T.from_op(out, "lstm_scan", (x, w, u, b), backward_fn)
 
 
-def bilstm_encode(layers: list[LstmLayerParams], cells: T.Tensor, lengths,
-                  dropout_rate: float, training: bool, rng) -> T.Tensor:
+def bilstm_encode(layers, cells: T.Tensor, lengths, dropout_rate: float,
+                  training: bool, rng) -> T.Tensor:
     """Stacked bidirectional encoding of a packed batch:
     [N x input] -> [N x 2*hidden].
 
-    Per layer, a forward and a reverse ``lstm_scan`` over each row's cells,
-    concatenated as [h_f; h_b] at every cell; layer k+1 consumes layer k's
-    output, with dropout after every layer when training.
+    ``layers`` holds one ((W, U, b) forward, (W, U, b) backward) pair per
+    layer.  Per layer, a forward and a reverse ``lstm_scan`` over each row's
+    cells, concatenated as [h_f; h_b] at every cell; layer k+1 consumes layer
+    k's output, with dropout after every layer when training.
     """
     if not layers:
         raise ValueError("bilstm_encode needs at least one layer")
     if cells.values.ndim != 2:
         raise ValueError(f"bilstm_encode needs a packed [N x input] tensor, got {cells.shape}")
     out = cells
-    for layer in layers:
-        halves = [lstm_scan(out, lengths, d.w, d.u, d.b, reverse=rev)
-                  for d, rev in ((layer.fwd, False), (layer.bwd, True))]
+    for fwd, bwd in layers:
+        halves = [lstm_scan(out, lengths, *fwd), lstm_scan(out, lengths, *bwd, reverse=True)]
         out = dropout(T.concat(halves, axis=1), dropout_rate, training, rng)
     return out
 
@@ -305,26 +251,31 @@ def _windows(cells: T.Tensor, lengths: np.ndarray, counts: np.ndarray,
                      (cells,), backward_fn)
 
 
-def conv1d_over_time(bank: ConvFilterBank, cells: T.Tensor, lengths) -> T.Tensor:
+def conv1d_over_time(bank, cells: T.Tensor, lengths) -> T.Tensor:
     """Multi-width convolution with global max pooling over a packed batch:
-    [N x dim] -> [B x len(kernel_sizes)*filters_per_size].
+    [N x dim] -> [B x total filters].
 
-    For each kernel size k, every length-k window of a row's cells goes
-    through the affine filters and a rectifier, and the maximum over those
-    windows is kept; the banks' outputs concatenate in kernel-size order.  A
-    row shorter than k is zero-padded at its end to one window.  Each width
-    is one window gather, one product and one ``max_over_time`` over each
-    row's windows; the rectifier runs after the max, which gives the same
-    values and gradients (it is monotonic) on [B x filters] values only.
-    Width 1 reads the cells themselves, which are its windows, so it records
+    ``bank`` holds one (W [filters x k*dim], b [filters]) pair per kernel
+    size k, which W's width gives.  For each, every length-k window of a
+    row's cells goes through the affine filters and a rectifier, and the
+    maximum over those windows is kept; the outputs concatenate in bank
+    order.  A row shorter than k is zero-padded at its end to one window.
+    Each width is one window gather, one product and one ``max_over_time``
+    over each row's windows; the rectifier runs after the max, which gives
+    the same values and gradients (it is monotonic) on [B x filters] values
+    only.  Width 1 reads the cells themselves, which are its windows, so it records
     no gather.  The pool keeps each filter's argmax window from forward, so
     backward reads no score again (see ``tensor.max_over_time``).
     """
-    if cells.values.ndim != 2 or cells.shape[1] != bank.dim:
-        raise ValueError(f"cells shape {cells.shape} does not match bank dim {bank.dim}")
+    if cells.values.ndim != 2:
+        raise ValueError(f"conv1d_over_time needs packed [N x dim] cells, got {cells.shape}")
     lengths = T.check_lengths(lengths, cells.shape[0])
     pooled = []
-    for k, w, b in zip(bank.kernel_sizes, bank.weights, bank.biases):
+    for w, b in bank:
+        k, rest = divmod(w.shape[1], cells.shape[1])
+        if rest or k < 1:
+            raise ValueError(f"filter width {w.shape[1]} is not a multiple of "
+                             f"the cells' dim {cells.shape[1]}")
         counts = np.maximum(lengths - k + 1, 1)
         windows = cells if k == 1 else _windows(cells, lengths, counts, k)
         scores = T.linear_rows(windows, w, b)

@@ -25,26 +25,22 @@ N_CLASSES = 4
 
 @dataclass
 class RcnnParams:
+    """The classifier ``config`` describes: its embedding table, and every
+    other parameter under its name in the table of :func:`_shapes`."""
+    config: TrainConfig
     embedding: L.EmbeddingMatrix
-    bilstm: list[L.LstmLayerParams]
-    proj_w: T.Tensor
-    proj_b: T.Tensor
-    out_w: T.Tensor
-    out_b: T.Tensor
-    sentence_dim: int
-    dropout_bilstm: float
-    dropout_linear: float
-    projection_tanh: bool = False
+    tensors: dict[str, T.Tensor]
 
     def named(self) -> dict[str, T.Tensor]:
-        out = {"embedding.table": self.embedding.table}
-        for i, layer in enumerate(self.bilstm):
-            out.update(layer.named(f"bilstm{i}"))
-        out["projection.w"] = self.proj_w
-        out["projection.b"] = self.proj_b
-        out["output.w"] = self.out_w
-        out["output.b"] = self.out_b
-        return out
+        return {"embedding.table": self.embedding.table, **self.tensors}
+
+    @property
+    def bilstm(self) -> list:
+        """Per layer, the ((W, U, b) forward, (W, U, b) backward) pair that
+        ``layers.bilstm_encode`` takes."""
+        return [tuple(tuple(self.tensors[f"bilstm{i}.{tag}.{p}"] for p in "wub")
+                      for tag in ("fwd", "bwd"))
+                for i in range(self.config.num_layers)]
 
 
 @dataclass
@@ -69,20 +65,10 @@ class Batch:
 
 
 def init_model(config: TrainConfig, emb: L.EmbeddingMatrix, rng) -> RcnnParams:
-    """Allocate all parameters for the configured dimension chain.
-
-    Per-direction hidden size is ``config.hidden_size``; the projection maps
-    the [h_f; h_b; w_i] concatenation (2*hidden + embedding_dim wide) down to
-    hidden_size, and the output layer consumes hidden_size + sentence_dim.
-    """
+    """Draw every parameter of :func:`_shapes` in its order
+    (``layers.init_arrays``) over the given embedding table."""
     _check_embedding(config, emb)
-    h, d = config.hidden_size, config.embedding_dim
-    bilstm = []
-    for i in range(config.num_layers):
-        in_size = d if i == 0 else 2 * h
-        bilstm.append(L.init_lstm_params(rng, in_size, h))
-    return _model(config, emb, bilstm, L.init_linear(rng, h, 2 * h + d),
-                  L.init_linear(rng, N_CLASSES, h + config.sentence_dim))
+    return _build(config, emb, L.init_arrays(_shapes(config), rng))
 
 
 def _check_embedding(config: TrainConfig, emb: L.EmbeddingMatrix) -> None:
@@ -93,8 +79,13 @@ def _check_embedding(config: TrainConfig, emb: L.EmbeddingMatrix) -> None:
 
 
 def _shapes(config: TrainConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of each parameter :func:`init_model` makes besides the
-    embedding table, in ``RcnnParams.named`` order."""
+    """Name -> shape of each parameter besides the embedding table, in
+    ``RcnnParams.named`` order: the model's one parameter table.
+
+    Per-direction hidden size is ``config.hidden_size``; the projection maps
+    the [h_f; h_b; w_i] concatenation (2*hidden + embedding_dim wide) down to
+    hidden_size, and the output layer consumes hidden_size + sentence_dim.
+    """
     h, d = config.hidden_size, config.embedding_dim
     out = {}
     for i in range(config.num_layers):
@@ -107,12 +98,13 @@ def _shapes(config: TrainConfig) -> dict[str, tuple[int, ...]]:
     return out
 
 
-def _model(config: TrainConfig, emb: L.EmbeddingMatrix, bilstm, proj, out) -> RcnnParams:
-    return RcnnParams(embedding=emb, bilstm=bilstm, proj_w=proj[0], proj_b=proj[1],
-                      out_w=out[0], out_b=out[1], sentence_dim=config.sentence_dim,
-                      dropout_bilstm=config.dropout_bilstm,
-                      dropout_linear=config.dropout_linear,
-                      projection_tanh=config.projection_tanh)
+def _build(config: TrainConfig, emb: L.EmbeddingMatrix,
+           arrays: dict[str, np.ndarray]) -> RcnnParams:
+    """The model over ``emb`` whose other parameters are ``arrays``
+    (float64, in table order), each held as a trainable tensor without a
+    copy."""
+    return RcnnParams(config, emb, {name: T.Tensor(a, requires_grad=True)
+                                    for name, a in arrays.items()})
 
 
 def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Tensor, T.Tensor]:
@@ -127,31 +119,33 @@ def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Te
     Dropout (when training) hits the BiLSTM layer outputs and both
     linear-layer inputs, the fused sentence vector included.
     """
-    if params.sentence_dim > 0:
+    config, t = params.config, params.tensors
+    if config.sentence_dim > 0:
         if batch.sentence_vectors is None:
             raise ValueError("model fuses sentence vectors but the batch has none")
-        if batch.sentence_vectors.shape != (len(batch), params.sentence_dim):
+        if batch.sentence_vectors.shape != (len(batch), config.sentence_dim):
             raise ValueError(f"sentence vectors shape {batch.sentence_vectors.shape} "
-                             f"!= ({len(batch)}, {params.sentence_dim})")
+                             f"!= ({len(batch)}, {config.sentence_dim})")
     lengths = batch.valid_lengths
     emb = L.embedding_lookup(params.embedding, batch.ids)
-    enc = L.bilstm_encode(params.bilstm, emb, lengths, params.dropout_bilstm,
+    enc = L.bilstm_encode(params.bilstm, emb, lengths, config.dropout_bilstm,
                           training, rng)
-    ctx = L.dropout(T.concat([enc, emb], axis=1), params.dropout_linear, training, rng)
-    proj = T.linear_rows(ctx, params.proj_w, params.proj_b)
-    if params.projection_tanh:
+    ctx = L.dropout(T.concat([enc, emb], axis=1), config.dropout_linear, training, rng)
+    proj = T.linear_rows(ctx, t["projection.w"], t["projection.b"])
+    if config.projection_tanh:
         proj = T.tanh(proj)
     fused = T.max_over_time(proj, lengths)
-    if params.sentence_dim > 0:
+    if config.sentence_dim > 0:
         fused = T.concat([fused, T.constant(batch.sentence_vectors)], axis=1)
-    fused = L.dropout(fused, params.dropout_linear, training, rng)
-    logits = T.linear_rows(fused, params.out_w, params.out_b)
+    fused = L.dropout(fused, config.dropout_linear, training, rng)
+    logits = T.linear_rows(fused, t["output.w"], t["output.b"])
     return logits, T.softmax_rows(logits)
 
 
 def restore(config: TrainConfig, arrays: dict[str, np.ndarray]) -> RcnnParams:
-    """Rebuild a model from checkpoint arrays (name -> array); each parameter
-    is a float64 copy of its array, and nothing is drawn."""
+    """Rebuild a model from checkpoint arrays (name -> array) against the
+    table of :func:`_shapes`; each parameter besides the embedding table is
+    a float64 copy of its array, and nothing is drawn."""
     if "embedding.table" not in arrays:
         raise ValueError("checkpoint has no 'embedding.table' array")
     emb = L.EmbeddingMatrix.from_array(arrays["embedding.table"])
@@ -167,15 +161,8 @@ def restore(config: TrainConfig, arrays: dict[str, np.ndarray]) -> RcnnParams:
         if arrays[name].shape != shape:
             raise ValueError(f"checkpoint array {name!r} has shape "
                              f"{arrays[name].shape}, model expects {shape}")
-    t = {name: T.Tensor(np.array(arrays[name], dtype=np.float64, order="C"),
-                        requires_grad=True) for name in shapes}
-    h, bilstm = config.hidden_size, []
-    for i in range(config.num_layers):
-        fwd, bwd = (L.LstmDirection(t[f"bilstm{i}.{tag}.w"], t[f"bilstm{i}.{tag}.u"],
-                                    t[f"bilstm{i}.{tag}.b"], h) for tag in ("fwd", "bwd"))
-        bilstm.append(L.LstmLayerParams(shapes[f"bilstm{i}.fwd.w"][1], h, fwd, bwd))
-    return _model(config, emb, bilstm, (t["projection.w"], t["projection.b"]),
-                  (t["output.w"], t["output.b"]))
+    return _build(config, emb, {name: np.array(arrays[name], dtype=np.float64, order="C")
+                                for name in shapes})
 
 
 def shape_report(params: RcnnParams) -> tuple[dict[str, tuple[int, ...]], int]:

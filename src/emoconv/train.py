@@ -415,11 +415,11 @@ def predict(params: rcnn.RcnnParams, examples: list[EncodedExample],
             store: SentenceVectorStore | None, batch_size: int = 64) -> np.ndarray:
     """Eval-mode argmax class index per example, in input order, without
     building a graph."""
-    check_sentence_vectors(examples, store, params.sentence_dim, "predicted")
+    check_sentence_vectors(examples, store, params.config.sentence_dim, "predicted")
     preds = []
     with T.no_grad():
         for chunk in iter_batches(examples, batch_size):
-            batch = make_batch(chunk, store, params.sentence_dim)
+            batch = make_batch(chunk, store, params.config.sentence_dim)
             _, probs = rcnn.forward(params, batch, training=False, rng=None)
             preds.append(np.argmax(probs.values, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
@@ -502,18 +502,6 @@ def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, rng, *, lrs,
         yield epoch, lr, loss_sum / n_examples, clipped / steps
 
 
-def train(params: rcnn.RcnnParams, train_split: DatasetSplit, val_split: DatasetSplit,
-          sentence_store: SentenceVectorStore | None, config: TrainConfig, rng,
-          *, vocab: Vocabulary, select: str = "best", epoch_hook=None):
-    """Encode both splits, weight the classes by their raw distributions,
-    and run :func:`train_encoded`."""
-    weights = compute_class_weights(train_split.label_counts, val_split.label_counts)
-    return train_encoded(params, encode_split(train_split, vocab),
-                         encode_split(val_split, vocab), sentence_store, config,
-                         rng, weights=weights, vocab=vocab, select=select,
-                         epoch_hook=epoch_hook)
-
-
 def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
                   val_ex: list[EncodedExample],
                   sentence_store: SentenceVectorStore | None, config: TrainConfig,
@@ -537,14 +525,15 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
                          "each (after the training length filter)")
     if any(ex.label is None for ex in train_ex) or any(ex.label is None for ex in val_ex):
         raise ValueError("train and val examples must be fully labeled")
-    check_sentence_vectors(train_ex, sentence_store, params.sentence_dim, "training")
-    check_sentence_vectors(val_ex, sentence_store, params.sentence_dim, "validation")
+    sentence_dim = params.config.sentence_dim
+    check_sentence_vectors(train_ex, sentence_store, sentence_dim, "training")
+    check_sentence_vectors(val_ex, sentence_store, sentence_dim, "validation")
     named = params.named()
     history: list[HistoryRow] = []
     best: tuple[float, int, dict] | None = None
 
     def step(indices):
-        batch = make_batch([train_ex[i] for i in indices], sentence_store, params.sentence_dim)
+        batch = make_batch([train_ex[i] for i in indices], sentence_store, sentence_dim)
         probs = rcnn.forward(params, batch, training=True, rng=rng)[1]
         return weighted_cross_entropy(probs, batch.labels, weights)
 

@@ -256,8 +256,8 @@ def _world_classifier(tmp: Path, select: str, hidden_size: int = 6,
     rng = np.random.default_rng(13)
     table = np.vstack([np.zeros(6), rng.uniform(-0.1, 0.1, (vocab.size - 1, 6))])
     params = rcnn.init_model(config, L.EmbeddingMatrix.from_array(table), rng)
-    ckpt, history = tr.train(params, train_split, val_split, store, config, rng,
-                             vocab=vocab, select=select)
+    ckpt, history = toycorpus.train_splits(params, train_split, val_split, store, config, rng,
+                                           vocab=vocab, select=select)
     if hidden_size == 6 and any(row.clip_fraction != 1.0 for row in history):
         raise RuntimeError("the hidden-6 world must clip every step")
     dataio.save_checkpoint(ckpt, tmp / "model.ckpt")

@@ -259,11 +259,12 @@ def embedding_rows(table: L.EmbeddingMatrix, ids) -> T.Tensor:
 # Layers, one example and one step at a time
 
 
-def lstm_step(direction: L.LstmDirection, x_t, h_prev, c_prev):
-    """pre = W x + U h + b; c = f*c_prev + i*g; h = o*tanh(c)."""
-    h = direction.hidden_size
-    pre = add(add(matvec(direction.w, x_t), matvec(direction.u, h_prev)),
-              direction.b)
+def lstm_step(direction, x_t, h_prev, c_prev):
+    """pre = W x + U h + b; c = f*c_prev + i*g; h = o*tanh(c), for one
+    direction's (W, U, b)."""
+    w, u, b = direction
+    h = u.shape[1]
+    pre = add(add(matvec(w, x_t), matvec(u, h_prev)), b)
     i = sigmoid(narrow(pre, 0, 0, h))
     f = sigmoid(narrow(pre, 0, h, h))
     g = T.tanh(narrow(pre, 0, 2 * h, h))
@@ -282,9 +283,9 @@ def packed_lstm_step(gates, h_prev, c_prev, u, ut):
     return _LAYERS_LSTM_STEP(gates, h_prev, c_prev, u, u.T)
 
 
-def scan(direction: L.LstmDirection, steps):
-    h = T.constant(np.zeros(direction.hidden_size))
-    c = T.constant(np.zeros(direction.hidden_size))
+def scan(direction, steps):
+    h = T.constant(np.zeros(direction[1].shape[1]))
+    c = T.constant(np.zeros(direction[1].shape[1]))
     out = []
     for x_t in steps:
         h, c = lstm_step(direction, x_t, h, c)
@@ -293,28 +294,32 @@ def scan(direction: L.LstmDirection, steps):
 
 
 def bilstm_encode(layers, seq: T.Tensor, valid_length: int) -> T.Tensor:
-    """[n x input] -> [valid_length x 2*hidden], no dropout."""
+    """[n x input] -> [valid_length x 2*hidden], no dropout; one
+    (forward, backward) pair of (W, U, b) per layer."""
     steps = [take_row(seq, t) for t in range(valid_length)]
     out = None
-    for layer in layers:
-        h_fwd = scan(layer.fwd, steps)
-        h_bwd = scan(layer.bwd, steps[::-1])[::-1]
+    for fwd, bwd in layers:
+        h_fwd = scan(fwd, steps)
+        h_bwd = scan(bwd, steps[::-1])[::-1]
         out = stack_rows([T.concat([f, b], axis=0) for f, b in zip(h_fwd, h_bwd)])
         steps = [take_row(out, t) for t in range(valid_length)]
     return out
 
 
-def conv1d_over_time(bank: L.ConvFilterBank, seq: T.Tensor, valid_length: int) -> T.Tensor:
-    """One affine map per window, then a max over windows, per kernel size."""
+def conv1d_over_time(bank, seq: T.Tensor, valid_length: int) -> T.Tensor:
+    """One affine map per window, then a max over windows, per (W, b) of
+    ``bank``, whose kernel size is W's width over the cells' dim."""
+    dim = seq.shape[1]
     pooled = []
-    for k, w, b in zip(bank.kernel_sizes, bank.weights, bank.biases):
+    for w, b in bank:
+        k = w.shape[1] // dim
         if valid_length >= k:
-            windows = [reshape(narrow(seq, 0, t, k), (k * bank.dim,))
+            windows = [reshape(narrow(seq, 0, t, k), (k * dim,))
                        for t in range(valid_length - k + 1)]
         else:
-            pad = T.constant(np.zeros((k - valid_length, bank.dim)))
+            pad = T.constant(np.zeros((k - valid_length, dim)))
             short = T.concat([narrow(seq, 0, 0, valid_length), pad], axis=0)
-            windows = [reshape(short, (k * bank.dim,))]
+            windows = [reshape(short, (k * dim,))]
         activ = T.relu(T.linear_rows(stack_rows(windows), w, b))
         pooled.append(max_rows(activ, len(windows)))
     return T.concat(pooled, axis=0)
@@ -330,29 +335,37 @@ def rows_of(batch) -> list[np.ndarray]:
 
 
 def rcnn_logits(params, batch) -> T.Tensor:
-    """[b x 4] logits of ``rcnn.forward`` in eval mode."""
+    """[b x 4] logits of ``rcnn.forward`` in eval mode, with the parameters
+    read from ``named()`` by name."""
+    config, t = params.config, params.named()
+    layers = [[tuple(t[f"bilstm{i}.{tag}.{p}"] for p in "wub") for tag in ("fwd", "bwd")]
+              for i in range(config.num_layers)]
     rows = []
     for i, ids in enumerate(rows_of(batch)):
         n = ids.size
         emb = embedding_rows(params.embedding, ids)
-        enc = bilstm_encode(params.bilstm, emb, n)
-        proj = T.linear_rows(T.concat([enc, emb], axis=1), params.proj_w, params.proj_b)
-        if params.projection_tanh:
+        enc = bilstm_encode(layers, emb, n)
+        proj = T.linear_rows(T.concat([enc, emb], axis=1), t["projection.w"],
+                             t["projection.b"])
+        if config.projection_tanh:
             proj = T.tanh(proj)
         fused = max_rows(proj, n)
-        if params.sentence_dim > 0:
+        if config.sentence_dim > 0:
             fused = T.concat([fused, T.constant(batch.sentence_vectors[i])], axis=0)
-        rows.append(linear(params.out_w, params.out_b, fused))
+        rows.append(linear(t["output.w"], t["output.b"], fused))
     return stack_rows(rows)
 
 
 def finetune_probs(model, batch) -> T.Tensor:
-    """[b] probabilities of ``finetune.forward_finetune`` in eval mode."""
+    """[b] probabilities of ``finetune.forward_finetune`` in eval mode, with
+    the parameters read from ``named()`` by name, widths 1 to 3."""
+    t = model.named()
+    bank = [(t[f"conv_k{k}.w"], t[f"conv_k{k}.b"]) for k in (1, 2, 3)]
     out = []
     for ids in rows_of(batch):
         seq = embedding_rows(model.emb, ids)
-        pooled = conv1d_over_time(model.bank, seq, len(ids))
-        out.append(sigmoid(linear(model.out_w, model.out_b, pooled)))
+        pooled = conv1d_over_time(bank, seq, len(ids))
+        out.append(sigmoid(linear(t["output.w"], t["output.b"], pooled)))
     return T.concat(out, axis=0)
 
 

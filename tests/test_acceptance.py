@@ -171,8 +171,8 @@ def test_criterion_04_dimension_chain():
         shapes, _ = rcnn.shape_report(params)
         assert shapes["projection.w"] == (200, 500), shapes["projection.w"]
         assert shapes["output.w"] == (4, 2504), shapes["output.w"]
-        assert params.bilstm[0].fwd.w.shape == (800, 100)
-        assert params.bilstm[1].fwd.w.shape == (800, 400)
+        assert shapes["bilstm0.fwd.w"] == (800, 100)
+        assert shapes["bilstm1.fwd.w"] == (800, 400)
         return "concat 500 -> projection 200 -> fused 2504 -> classes 4"
 
     _verdict(4, body)
@@ -210,8 +210,8 @@ def test_criterion_05_training_schedule(monkeypatch):
         def hook(epoch, live_params, row):
             tables[epoch] = live_params.embedding.table.values.copy()
 
-        _, history = tr.train(params, train_split, val_split, None, config,
-                              rng, vocab=vocab, epoch_hook=hook)
+        _, history = toycorpus.train_splits(params, train_split, val_split, None, config,
+                                            rng, vocab=vocab, epoch_hook=hook)
 
         lrs = [row.lr for row in history]
         assert lrs[:5] == [0.0005] * 5, lrs
@@ -247,8 +247,8 @@ def test_criterion_06_trainable_on_synthetic_corpus():
         params = rcnn.init_model(config, emb, rng)
 
         start = time.perf_counter()
-        tr.train(params, train_split, val_split, None, config, rng,
-                 vocab=vocab, select="last")
+        toycorpus.train_splits(params, train_split, val_split, None, config, rng,
+                               vocab=vocab, select="last")
         elapsed = time.perf_counter() - start
 
         examples = tr.encode_split(train_split, vocab)
@@ -313,8 +313,8 @@ def _train_toy_run(tmp_path, tag):
     rng = np.random.default_rng(config.seed)
     emb, _ = build_embedding_matrix(vocab, {}, config.embedding_dim, rng)
     params = rcnn.init_model(config, emb, rng)
-    ckpt, history = tr.train(params, train_split, val_split, store, config,
-                             rng, vocab=vocab)
+    ckpt, history = toycorpus.train_splits(params, train_split, val_split, store, config,
+                                           rng, vocab=vocab)
     dataio.save_checkpoint(ckpt, tmp_path / f"{tag}.ckpt")
     tr.write_history(history, tmp_path / f"{tag}.tsv")
     return (tmp_path / f"{tag}.ckpt").read_bytes(), \

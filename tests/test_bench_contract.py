@@ -100,8 +100,8 @@ def test_both_loops_step_through_the_one_adam_step(monkeypatch):
     val_split = toycorpus.make_split("val", 8, seed=1)
     vocab = toycorpus.vocab_for(train_split, val_split)
     emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (vocab.size, 4)))
-    tr.train(rcnn.init_model(config, emb, rng), train_split, val_split, None, config,
-             rng, vocab=vocab)
+    toycorpus.train_splits(rcnn.init_model(config, emb, rng), train_split, val_split, None, config,
+                           rng, vocab=vocab)
     assert len(calls) == 2 * 3  # 2 epochs of ceil(12 / 5) batches
 
 

@@ -39,13 +39,14 @@ def test_model_shapes_and_param_count():
     rng = np.random.default_rng(0)
     emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (20, 100)))
     model = ft.build_finetune_model(emb, rng)
-    bank_params = sum(w.size + b.size for w, b in zip(model.bank.weights,
-                                                      model.bank.biases))
+    bank_params = sum(t.size for name, t in model.named().items() if name.startswith("conv_"))
     assert bank_params == 180900
-    assert model.out_w.shape == (1, 900)
-    assert set(model.named()) == {"embedding.table", "conv_k1.w", "conv_k1.b",
-                                  "conv_k2.w", "conv_k2.b", "conv_k3.w",
-                                  "conv_k3.b", "output.w", "output.b"}
+    assert [model.named()[f"conv_k{k}.w"].shape for k in (1, 2, 3)] == \
+        [(300, 100), (300, 200), (300, 300)]
+    assert model.named()["output.w"].shape == (1, 900)
+    assert list(model.named()) == ["embedding.table", "conv_k1.w", "conv_k1.b",
+                                   "conv_k2.w", "conv_k2.b", "conv_k3.w",
+                                   "conv_k3.b", "output.w", "output.b"]
 
 
 def test_forward_probability_range_and_zero_init():
@@ -55,8 +56,8 @@ def test_forward_probability_range_and_zero_init():
     assert probs.shape == (10,)
     assert ((0.0 < probs) & (probs < 1.0)).all()
 
-    model.out_w.values[:] = 0.0
-    model.out_b.values[:] = 0.0
+    model.named()["output.w"].values[:] = 0.0
+    model.named()["output.b"].values[:] = 0.0
     npt.assert_array_equal(ft.forward_finetune(model, rcnn.Batch.of_rows(rows[:5]), False,
                                                None).values,
                            np.full(5, 0.5))
@@ -162,7 +163,7 @@ def test_non_finite_gradient_names_epoch_and_step(monkeypatch):
     def poisoned_backward(loss):
         backward(loss)
         calls.append(1)
-        model.out_w.grad[0, 0] = np.nan
+        model.named()["output.w"].grad[0, 0] = np.nan
 
     monkeypatch.setattr(T, "backward", poisoned_backward)
     schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01,
@@ -171,13 +172,13 @@ def test_non_finite_gradient_names_epoch_and_step(monkeypatch):
         ft.finetune_embeddings(model, corpus, schedule, rng, vocab=vocab)
     assert str(err.value) == "epoch 1, step 1: non-finite gradient in parameter 'output.w'"
     assert len(calls) == 1
-    assert np.isfinite(model.out_w.values).all()
+    assert np.isfinite(model.named()["output.w"].values).all()
 
 
 def test_a_nan_conv_weight_stops_at_the_first_gradient_check():
     # the NaN pools in every row, and its column's gradient finds its cell
     model, corpus, _, vocab, rng = _setup(seed=9, corpus_size=16)
-    model.bank.weights[1].values[0, 0] = np.nan
+    model.named()["conv_k2.w"].values[0, 0] = np.nan
     schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01,
                                    batch_size=8)
     with pytest.raises(ValueError) as err:

@@ -104,7 +104,7 @@ def test_train_step_graph_is_gone_before_the_next_forward_and_evaluate(monkeypat
 
     monkeypatch.setattr(rcnn, "forward", watched_forward)
     monkeypatch.setattr(tr, "evaluate", watched_evaluate)
-    tr.train(params, train_split, val_split, store, config, rng, vocab=vocab)
+    toycorpus.train_splits(params, train_split, val_split, store, config, rng, vocab=vocab)
     assert checks.count("evaluate") == 2 and checks.count("the next forward") == 6
 
 

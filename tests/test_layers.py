@@ -3,8 +3,30 @@ import numpy.testing as npt
 import pytest
 
 import oracle
+from emoconv import finetune as ft
 from emoconv import layers as L
+from emoconv import rcnn
 from emoconv import tensor as T
+from emoconv.config import TrainConfig
+
+
+def _bilstm(rng, input_size, hidden_size, num_layers):
+    """The classifier's BiLSTM layers, as its table draws them: layer 0 reads
+    ``input_size`` wide cells, each later layer 2*hidden."""
+    config = TrainConfig(hidden_size=hidden_size, num_layers=num_layers, sentence_dim=0,
+                         embedding_dim=input_size)
+    emb = L.EmbeddingMatrix.from_array(np.zeros((2, input_size)))
+    return rcnn.init_model(config, emb, rng).bilstm
+
+
+def _bank(rng, dim, filters_per_size):
+    """The fine-tuning CNN's filter bank, widths 1 to 3, as its table draws it."""
+    emb = L.EmbeddingMatrix.from_array(np.zeros((2, dim)))
+    return ft.build_finetune_model(emb, rng, filters_per_size).bank
+
+
+def _fixed(*arrays):
+    return tuple(T.Tensor(np.asarray(a, dtype=float), requires_grad=True) for a in arrays)
 
 
 def _lookup_table(rows, frozen=False):
@@ -178,22 +200,41 @@ def test_lstm_scan_rows_are_independent_and_reverse_reads_own_end():
 
 
 def test_lstm_init_shapes_and_forget_bias():
-    rng = np.random.default_rng(0)
-    p = L.init_lstm_params(rng, input_size=5, hidden_size=4)
-    assert p.fwd.w.shape == (16, 5) and p.fwd.u.shape == (16, 4) and p.fwd.b.shape == (16,)
-    npt.assert_array_equal(p.fwd.b.values[4:8], np.ones(4))   # forget block
-    npt.assert_array_equal(p.fwd.b.values[:4], np.zeros(4))
-    assert np.abs(p.fwd.w.values).max() <= 1 / np.sqrt(5)
-    assert np.abs(p.bwd.u.values).max() <= 1 / np.sqrt(4)
-    assert set(p.named("l0")) == {"l0.fwd.w", "l0.fwd.u", "l0.fwd.b",
-                                  "l0.bwd.w", "l0.bwd.u", "l0.bwd.b"}
+    config = TrainConfig(hidden_size=4, num_layers=1, sentence_dim=0, embedding_dim=5)
+    emb = L.EmbeddingMatrix.from_array(np.zeros((2, 5)))
+    p = rcnn.init_model(config, emb, np.random.default_rng(0)).named()
+    assert p["bilstm0.fwd.w"].shape == (16, 5) and p["bilstm0.fwd.u"].shape == (16, 4)
+    assert p["bilstm0.fwd.b"].shape == (16,)
+    for tag in ("fwd", "bwd"):
+        npt.assert_array_equal(p[f"bilstm0.{tag}.b"].values[4:8], np.ones(4))   # forget block
+        npt.assert_array_equal(p[f"bilstm0.{tag}.b"].values[:4], np.zeros(4))
+        npt.assert_array_equal(p[f"bilstm0.{tag}.b"].values[8:], np.zeros(8))
+    assert np.abs(p["bilstm0.fwd.w"].values).max() <= 1 / np.sqrt(5)
+    assert np.abs(p["bilstm0.bwd.u"].values).max() <= 1 / np.sqrt(4)
+    assert np.abs(p["projection.w"].values).max() <= 1 / np.sqrt(2 * 4 + 5)
+    npt.assert_array_equal(p["projection.b"].values, np.zeros(4))  # not an LSTM bias
+    assert [n for n in p if n.startswith("bilstm")] == [
+        "bilstm0.fwd.w", "bilstm0.fwd.u", "bilstm0.fwd.b",
+        "bilstm0.bwd.w", "bilstm0.bwd.u", "bilstm0.bwd.b"]
+
+
+def test_init_arrays_draws_in_table_order():
+    shapes = {"a.w": (3, 4), "a.b": (3,), "l.w": (8, 3), "l.u": (8, 2), "l.b": (8,)}
+    got = L.init_arrays(shapes, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    npt.assert_array_equal(got["a.w"], rng.uniform(-1 / np.sqrt(4), 1 / np.sqrt(4), (3, 4)))
+    npt.assert_array_equal(got["l.w"], rng.uniform(-1 / np.sqrt(3), 1 / np.sqrt(3), (8, 3)))
+    npt.assert_array_equal(got["l.u"], rng.uniform(-1 / np.sqrt(2), 1 / np.sqrt(2), (8, 2)))
+    npt.assert_array_equal(got["a.b"], np.zeros(3))
+    npt.assert_array_equal(got["l.b"], [0, 0, 1, 1, 0, 0, 0, 0])  # beside l.u: an LSTM bias
+    assert list(got) == list(shapes)
 
 
 def test_bilstm_encode_shapes_and_padding():
     # packed rows sit next to each other with no padding, and neither row's
     # encoding reads the other's cells
     rng = np.random.default_rng(1)
-    lay = [L.init_lstm_params(rng, 5, 3), L.init_lstm_params(rng, 6, 3)]
+    lay = _bilstm(rng, 5, 3, num_layers=2)
     cells = T.Tensor(rng.uniform(-1, 1, (11, 5)), requires_grad=True)
     out = L.bilstm_encode(lay, cells, [4, 7], dropout_rate=0.0,
                           training=False, rng=None)
@@ -215,9 +256,8 @@ def test_bilstm_encode_shapes_and_padding():
 
 
 def test_bilstm_encode_zero_params_zero_output():
-    zeros = L.LstmDirection(w=T.Tensor(np.zeros((12, 2))), u=T.Tensor(np.zeros((12, 3))),
-                            b=T.Tensor(np.zeros(12)), hidden_size=3)
-    lay = [L.LstmLayerParams(2, 3, fwd=zeros, bwd=zeros)]
+    zeros = _fixed(np.zeros((12, 2)), np.zeros((12, 3)), np.zeros(12))
+    lay = [(zeros, zeros)]
     cells = T.Tensor(np.random.default_rng(2).uniform(-1, 1, (6, 2)))
     out = L.bilstm_encode(lay, cells, [4, 2], 0.0, False, None)
     npt.assert_array_equal(out.values, np.zeros((6, 6)))
@@ -228,8 +268,8 @@ def test_bilstm_reversal_swaps_direction_halves():
     # swaps the forward/backward halves of each row
     for seed in range(5):
         rng = np.random.default_rng(300 + seed)
-        lay = [L.init_lstm_params(rng, 4, 3)]
-        lay[0].bwd = lay[0].fwd  # shared weights make the symmetry exact
+        fwd, _ = _bilstm(rng, 4, 3, num_layers=1)[0]
+        lay = [(fwd, fwd)]  # shared weights make the symmetry exact
         vals = rng.uniform(-1, 1, (6, 4))
         fwd = L.bilstm_encode(lay, T.Tensor(vals), [6], 0.0, False, None).values
         rev = L.bilstm_encode(lay, T.Tensor(vals[::-1].copy()), [6], 0.0, False,
@@ -240,11 +280,10 @@ def test_bilstm_reversal_swaps_direction_halves():
 
 def test_bilstm_encode_matches_finite_differences():
     rng = np.random.default_rng(8)
-    lay = [L.init_lstm_params(rng, 3, 2), L.init_lstm_params(rng, 4, 2)]
+    lay = _bilstm(rng, 3, 2, num_layers=2)
     cells = T.Tensor(rng.uniform(-1, 1, (8, 3)), requires_grad=True)
-    params = [cells]
-    for p in lay:
-        params += [p.fwd.w, p.fwd.u, p.fwd.b, p.bwd.w, p.bwd.u, p.bwd.b]
+    params = [cells] + [t for layer in lay for direction in layer for t in direction]
+    assert len(params) == 1 + 2 * 6
 
     def f(ps):
         enc = L.bilstm_encode(lay, ps[0], [4, 1, 3], 0.0, False, None)
@@ -254,9 +293,7 @@ def test_bilstm_encode_matches_finite_differences():
 
 
 def test_conv_identity_filter_takes_max():
-    bank = L.ConvFilterBank((1,), 1, 1,
-                            weights=[T.Tensor([[1.0]], requires_grad=True)],
-                            biases=[T.Tensor([0.0], requires_grad=True)])
+    bank = [_fixed([[1.0]], [0.0])]
     cells = T.Tensor(np.array([[1.0], [2.0], [3.0], [1.0]]))
     # each row pools its own cells only: the 1-cell row never sees the 3
     npt.assert_array_equal(L.conv1d_over_time(bank, cells, [3, 1]).values, [[3.0], [1.0]])
@@ -264,9 +301,7 @@ def test_conv_identity_filter_takes_max():
 
 
 def test_conv_short_sequence_zero_pads():
-    bank = L.ConvFilterBank((2,), 1, 1,
-                            weights=[T.Tensor([[1.0, 1.0]], requires_grad=True)],
-                            biases=[T.Tensor([0.5], requires_grad=True)])
+    bank = [_fixed([[1.0, 1.0]], [0.5])]
     # single window is [2, pad 0]: relu(2 + 0 + 0.5) = 2.5, whatever follows
     npt.assert_array_equal(L.conv1d_over_time(bank, T.Tensor([[2.0]]), [1]).values,
                            [[2.5]])
@@ -279,9 +314,9 @@ def test_conv_short_sequence_zero_pads():
 
 def test_conv_default_bank_is_900_dim():
     rng = np.random.default_rng(3)
-    bank = L.init_conv_bank(rng, dim=100)
-    assert bank.kernel_sizes == (1, 2, 3) and bank.output_dim == 900
-    n_params = sum(w.size + b.size for w, b in zip(bank.weights, bank.biases))
+    bank = _bank(rng, dim=100, filters_per_size=300)
+    assert [w.shape[1] // 100 for w, _ in bank] == [1, 2, 3]
+    n_params = sum(w.size + b.size for w, b in bank)
     assert n_params == sum(300 * (k * 100 + 1) for k in (1, 2, 3))
     cells = T.Tensor(rng.uniform(-1, 1, (7, 100)))
     assert L.conv1d_over_time(bank, cells, [5, 2]).shape == (2, 900)
@@ -294,18 +329,18 @@ def test_conv_default_bank_is_900_dim():
 def test_conv_width_one_reads_the_cells_without_a_window_gather():
     rng = np.random.default_rng(5)
     cells = T.Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
-    bank = L.init_conv_bank(rng, dim=3, kernel_sizes=(1, 2), filters_per_size=2)
+    bank = _bank(rng, dim=3, filters_per_size=2)
     out = L.conv1d_over_time(bank, cells, [4, 2])
     # concat <- relu <- max_over_time <- linear_rows <- cells or windows
     products = [relu.parents[0].parents[0] for relu in out.parents]
-    assert [p.op for p in products] == ["linear_rows", "linear_rows"]
+    assert [p.op for p in products] == ["linear_rows"] * 3
     assert products[0].parents[0] is cells
-    assert products[1].parents[0].op == "windows"
+    assert [p.parents[0].op for p in products[1:]] == ["windows", "windows"]
 
 
 def test_conv_rows_match_each_row_alone():
     rng = np.random.default_rng(4)
-    bank = L.init_conv_bank(rng, dim=3, kernel_sizes=(1, 2, 3), filters_per_size=2)
+    bank = _bank(rng, dim=3, filters_per_size=2)
     lengths = [4, 1, 2, 5]
     rows = [rng.uniform(-1, 1, (n, 3)) for n in lengths]
     together = L.conv1d_over_time(bank, T.Tensor(np.concatenate(rows)), lengths).values
@@ -315,9 +350,9 @@ def test_conv_rows_match_each_row_alone():
 
 def test_conv_matches_finite_differences():
     rng = np.random.default_rng(9)
-    bank = L.init_conv_bank(rng, dim=3, kernel_sizes=(1, 2, 3), filters_per_size=2)
+    bank = _bank(rng, dim=3, filters_per_size=2)
     cells = T.Tensor(rng.uniform(-1, 1, (8, 3)), requires_grad=True)
-    params = [cells] + bank.weights + bank.biases
+    params = [cells] + [t for pair in bank for t in pair]
 
     def f(ps):
         return oracle.sum_all(T.tanh(L.conv1d_over_time(bank, ps[0], [5, 1, 2])))

@@ -106,7 +106,7 @@ def test_both_models_match_the_oracle_on_a_batch_from_make_batch():
     store.vectors.update({ex.id: rng.normal(size=3) for ex in examples})
     batch = tr.make_batch(examples, store, 3)
     model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
-    assert max(model.bank.kernel_sizes) == 3
+    assert max(ft.KERNEL_SIZES) == 3
     with T.no_grad():
         npt.assert_array_equal(ft.forward_finetune(model, batch, False, None).values,
                                oracle.finetune_probs(model, batch).values)

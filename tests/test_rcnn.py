@@ -31,14 +31,16 @@ def test_init_model_default_dimension_chain():
     emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (10, 100)))
     emb.table.values[0] = 0.0
     params = rcnn.init_model(TrainConfig(), emb, rng)
-    assert params.proj_w.shape == (200, 500)
-    assert params.out_w.shape == (4, 2504)
-    assert params.bilstm[0].fwd.w.shape == (800, 100)
-    assert params.bilstm[1].fwd.w.shape == (800, 400)
+    named = params.named()
+    assert named["projection.w"].shape == (200, 500)
+    assert named["output.w"].shape == (4, 2504)
+    assert named["bilstm0.fwd.w"].shape == (800, 100)
+    assert named["bilstm1.fwd.w"].shape == (800, 400)
+    assert params.config == TrainConfig()
 
     none_ablation = rcnn.init_model(TrainConfig(sentence_dim=0), emb,
                                     np.random.default_rng(0))
-    assert none_ablation.out_w.shape == (4, 200)
+    assert none_ablation.named()["output.w"].shape == (4, 200)
 
     with pytest.raises(ValueError):
         rcnn.init_model(TrainConfig(embedding_dim=50), emb, rng)
@@ -68,21 +70,20 @@ def test_shape_report_counts():
 def test_restore_rebuilds_the_model_from_its_arrays_without_drawing(monkeypatch, config):
     params, rng = _tiny_model(3, config=config)
     arrays = {name: t.values.copy() for name, t in params.named().items()}
-    monkeypatch.setattr(L, "_uniform", lambda *a: pytest.fail("restore drew a parameter"))
+    monkeypatch.setattr(L, "init_arrays", lambda *a: pytest.fail("restore drew a parameter"))
     restored = rcnn.restore(config, arrays)
     named = restored.named()
     assert list(named) == list(params.named())
     for name, t in named.items():
         assert t.values.dtype == np.float64 and t.values.flags.c_contiguous, name
+        assert t.shape == arrays[name].shape, name
         assert t.values.tobytes() == arrays[name].tobytes(), name
         assert t.requires_grad, name
-        if name != "embedding.table":
+        if name == "embedding.table":
+            assert t.values is arrays[name], name  # the table is not copied
+        else:
             assert not np.shares_memory(t.values, arrays[name]), name
-    assert [(lay.input_size, lay.hidden_size, lay.fwd.hidden_size) for lay in restored.bilstm] \
-        == [(lay.input_size, lay.hidden_size, lay.fwd.hidden_size) for lay in params.bilstm]
-    assert (restored.sentence_dim, restored.dropout_bilstm, restored.dropout_linear,
-            restored.projection_tanh) == (params.sentence_dim, params.dropout_bilstm,
-                                          params.dropout_linear, params.projection_tanh)
+    assert restored.config == params.config == config
     batch = _batch([[1, 2, 3], [4, 5, 0]], [3, 2], config.sentence_dim, rng)
     npt.assert_array_equal(rcnn.forward(restored, batch, False, None)[1].values,
                            rcnn.forward(params, batch, False, None)[1].values)
@@ -166,7 +167,7 @@ def test_sentence_dim_zero_changes_only_output_layer():
     batch = _batch([[1, 2, 3]], [3], 0, rng)
     _, probs = rcnn.forward(params, batch, False, None)
     npt.assert_allclose(probs.values.sum(axis=1), [1.0], atol=1e-12)
-    assert params.out_w.shape == (4, 3)
+    assert params.named()["output.w"].shape == (4, 3)
 
 
 def test_training_dropout_is_seeded_and_eval_is_deterministic():

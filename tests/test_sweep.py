@@ -138,8 +138,8 @@ def test_sweep_encodes_once_and_matches_per_run_training(tmp_path, monkeypatch):
         config = FAST.replace(lr=rec.value, seed=rec.seed)
         rng = np.random.default_rng(rec.seed)
         emb, _ = build_embedding_matrix(vocab, {}, config.embedding_dim, rng)
-        ckpt, history = tr.train(rcnn.init_model(config, emb, rng), train_split,
-                                 val_split, None, config, rng, vocab=vocab)
+        ckpt, history = toycorpus.train_splits(rcnn.init_model(config, emb, rng), train_split,
+                                               val_split, None, config, rng, vocab=vocab)
         assert rec == sw.RunRecord(
             axis="lr", value=rec.value, seed=rec.seed,
             config_hash=sw.config_hash(config), best_val_f1=ckpt.best_val_f1,

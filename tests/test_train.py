@@ -348,8 +348,8 @@ def test_train_freezes_embedding_then_updates_it(monkeypatch):
             table.values.flags.writeable = True
 
     monkeypatch.setattr(tr, "adam_step", recording_step)
-    ckpt, history = tr.train(params, train_split, val_split, store, TOY_CONFIG,
-                             rng, vocab=vocab, epoch_hook=hook)
+    ckpt, history = toycorpus.train_splits(params, train_split, val_split, store, TOY_CONFIG,
+                                           rng, vocab=vocab, epoch_hook=hook)
     assert seen[1] and seen[2]      # bit-identical through the frozen epochs
     assert not (seen[1, "moments"] or seen[2, "moments"])  # and given no moments
     assert not seen[3]              # unfrozen epoch moved it
@@ -371,11 +371,11 @@ def test_non_finite_gradient_names_epoch_and_step(monkeypatch):
         backward(loss)
         calls.append(1)
         if len(calls) == steps_per_epoch + 2:  # epoch 2, step 2
-            params.out_w.grad[0, 0] = np.nan
+            params.named()["output.w"].grad[0, 0] = np.nan
 
     monkeypatch.setattr(T, "backward", poisoned_backward)
     with pytest.raises(ValueError) as err:
-        tr.train(params, train_split, val_split, store, TOY_CONFIG, rng, vocab=vocab)
+        toycorpus.train_splits(params, train_split, val_split, store, TOY_CONFIG, rng, vocab=vocab)
     assert str(err.value) == "epoch 2, step 2: non-finite gradient in parameter 'output.w'"
 
 
@@ -386,7 +386,7 @@ def test_the_freeze_switch_is_restored_on_return_and_on_error(monkeypatch):
 
     config = TOY_CONFIG.replace(epochs=2, freeze_embedding_epochs=3)
     params, train_split, val_split, store, vocab, rng = _toy_setup(config)
-    tr.train(params, train_split, val_split, store, config, rng, vocab=vocab)
+    toycorpus.train_splits(params, train_split, val_split, store, config, rng, vocab=vocab)
     assert_unfrozen(params)
 
     params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG)
@@ -394,11 +394,11 @@ def test_the_freeze_switch_is_restored_on_return_and_on_error(monkeypatch):
 
     def poisoned_backward(loss):  # the first step of frozen epoch 1
         backward(loss)
-        params.out_w.grad[0, 0] = np.inf
+        params.named()["output.w"].grad[0, 0] = np.inf
 
     monkeypatch.setattr(T, "backward", poisoned_backward)
     with pytest.raises(ValueError, match="epoch 1, step 1: non-finite gradient"):
-        tr.train(params, train_split, val_split, store, TOY_CONFIG, rng, vocab=vocab)
+        toycorpus.train_splits(params, train_split, val_split, store, TOY_CONFIG, rng, vocab=vocab)
     assert_unfrozen(params)
 
 
@@ -407,7 +407,7 @@ def test_unfrozen_epoch_keeps_pad_row_zero():
                                 dropout_bilstm=0.3, dropout_linear=0.3)
     params, train_split, val_split, store, vocab, rng = _toy_setup(config)
     initial = params.embedding.table.values.copy()
-    tr.train(params, train_split, val_split, store, config, rng, vocab=vocab)
+    toycorpus.train_splits(params, train_split, val_split, store, config, rng, vocab=vocab)
     table = params.embedding.table.values
     assert not np.array_equal(table[1:], initial[1:])
     assert (table[0] == 0.0).all() and not np.signbit(table[0]).any()
@@ -417,8 +417,8 @@ def test_train_history_lr_annealing():
     config = TOY_CONFIG.replace(epochs=4, anneal_after_epoch=2, anneal_factor=0.2,
                                 freeze_embedding_epochs=0)
     params, train_split, val_split, store, vocab, rng = _toy_setup(config)
-    _, history = tr.train(params, train_split, val_split, store, config, rng,
-                          vocab=vocab)
+    _, history = toycorpus.train_splits(params, train_split, val_split, store, config, rng,
+                                        vocab=vocab)
     npt.assert_allclose([r.lr for r in history],
                         [0.01, 0.01, 0.002, 0.0004], rtol=1e-12)
 
@@ -426,8 +426,8 @@ def test_train_history_lr_annealing():
 def test_train_is_bit_deterministic(tmp_path):
     def run():
         params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG)
-        ckpt, history = tr.train(params, train_split, val_split, store,
-                                 TOY_CONFIG, rng, vocab=vocab)
+        ckpt, history = toycorpus.train_splits(params, train_split, val_split, store,
+                                               TOY_CONFIG, rng, vocab=vocab)
         return ckpt, tr.format_history(history)
 
     ckpt1, hist1 = run()
@@ -440,15 +440,15 @@ def test_train_is_bit_deterministic(tmp_path):
 
 def test_train_select_last_vs_best():
     params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG)
-    ckpt_best, history = tr.train(params, train_split, val_split, store,
-                                  TOY_CONFIG, rng, vocab=vocab, select="best")
+    ckpt_best, history = toycorpus.train_splits(params, train_split, val_split, store,
+                                                TOY_CONFIG, rng, vocab=vocab, select="best")
     best_epoch = min((r.epoch for r in history
                       if r.val_micro_f1 == ckpt_best.best_val_f1))
     assert ckpt_best.epoch == best_epoch  # ties resolve to the earlier epoch
 
     params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG)
-    ckpt_last, _ = tr.train(params, train_split, val_split, store, TOY_CONFIG,
-                            rng, vocab=vocab, select="last")
+    ckpt_last, _ = toycorpus.train_splits(params, train_split, val_split, store, TOY_CONFIG,
+                                          rng, vocab=vocab, select="last")
     assert ckpt_last.epoch == TOY_CONFIG.epochs
     npt.assert_array_equal(ckpt_last.params["embedding.table"],
                            params.embedding.table.values)
@@ -458,14 +458,14 @@ def test_train_input_validation():
     params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG)
     empty = toycorpus.make_split("train", 0, seed=0)
     with pytest.raises(ValueError):
-        tr.train(params, empty, val_split, store, TOY_CONFIG, rng, vocab=vocab)
+        toycorpus.train_splits(params, empty, val_split, store, TOY_CONFIG, rng, vocab=vocab)
     with pytest.raises(ValueError):
-        tr.train(params, train_split, val_split, store, TOY_CONFIG, rng,
-                 vocab=vocab, select="median")
+        toycorpus.train_splits(params, train_split, val_split, store, TOY_CONFIG, rng,
+                               vocab=vocab, select="median")
 
     del store.vectors[train_split.conversations[3].id]
     with pytest.raises(ValueError) as err:
-        tr.train(params, train_split, val_split, store, TOY_CONFIG, rng, vocab=vocab)
+        toycorpus.train_splits(params, train_split, val_split, store, TOY_CONFIG, rng, vocab=vocab)
     assert train_split.conversations[3].id in str(err.value)
 
 
@@ -503,11 +503,11 @@ def test_train_encoded_validates_before_the_first_step(case, monkeypatch):
 
 def test_first_batch_loss_with_zero_output_layer_is_uniform_baseline():
     params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG)
-    params.out_w.values[:] = 0.0
-    params.out_b.values[:] = 0.0
+    params.named()["output.w"].values[:] = 0.0
+    params.named()["output.b"].values[:] = 0.0
     weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
     encoded = tr.encode_split(train_split, vocab)
-    batch = tr.make_batch(encoded[:8], store, params.sentence_dim)
+    batch = tr.make_batch(encoded[:8], store, params.config.sentence_dim)
     _, probs = rcnn.forward(params, batch, training=True, rng=rng)
     loss = tr.weighted_cross_entropy(probs, batch.labels, weights)
     expect = tr.uniform_baseline_loss(weights, batch.labels)
@@ -517,8 +517,8 @@ def test_first_batch_loss_with_zero_output_layer_is_uniform_baseline():
 def test_trainability_on_separable_toy_corpus():
     config = TOY_CONFIG.replace(epochs=10, sentence_dim=0, lr=0.02)
     params, train_split, val_split, store, vocab, rng = _toy_setup(config, n_train=32)
-    ckpt, history = tr.train(params, train_split, val_split, None, config, rng,
-                             vocab=vocab, select="last")
+    ckpt, history = toycorpus.train_splits(params, train_split, val_split, None, config, rng,
+                                           vocab=vocab, select="last")
     encoded = tr.encode_split(train_split, vocab)
     preds = tr.predict(params, encoded, None, config.batch_size)
     accuracy = float(np.mean([p == ex.label for p, ex in zip(preds, encoded)]))

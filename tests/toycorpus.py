@@ -7,6 +7,7 @@ small pool.
 
 import numpy as np
 
+from emoconv import train as tr
 from emoconv.dataio import (LABELS, Conversation, DatasetSplit,
                             SentenceVectorStore)
 from emoconv.textprep import build_vocab, assemble_input
@@ -60,3 +61,13 @@ def write_split(split, path, labeled=True):
             for c in split.conversations:
                 fh.write("\t".join([c.id, *c.turns]) + "\n")
     return path
+
+
+def train_splits(params, train_split, val_split, store, config, rng, *, vocab, **kwargs):
+    """``train.train_encoded`` on two raw splits: encode both, weight the
+    classes by their raw distributions, and train; the keyword arguments
+    (``select``, ``epoch_hook``) pass through."""
+    weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
+    return tr.train_encoded(params, tr.encode_split(train_split, vocab),
+                            tr.encode_split(val_split, vocab), store, config, rng,
+                            weights=weights, vocab=vocab, **kwargs)
