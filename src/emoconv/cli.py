@@ -27,7 +27,7 @@ from . import metrics, rcnn
 from . import sweep as sw
 from . import train as tr
 from .config import TrainConfig, load_config
-from .dataio import (LABELS, build_embedding_matrix, load_checkpoint,
+from .dataio import (LABELS, atomic_write, build_embedding_matrix, load_checkpoint,
                      load_dataset, load_sentence_vectors, load_vocab,
                      load_word_vectors, save_checkpoint, save_vocab,
                      save_word_vectors)
@@ -114,7 +114,7 @@ def _load_base_config(args) -> TrainConfig:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text)
         log.info("report written to %s", args.out)
     else:

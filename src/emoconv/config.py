@@ -28,6 +28,9 @@ class TrainConfig:
     projection_tanh: bool = False
 
     def validate(self) -> "TrainConfig":
+        for name, kind in _FIELD_TYPES.items():
+            if kind == "float" and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
@@ -58,7 +61,8 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, data) -> "TrainConfig":
         """The inverse of ``to_dict``; absent keys keep their defaults, and an
-        unknown key or a value of the wrong JSON type is a ValueError."""
+        unknown key, a value of the wrong JSON type or one that ``validate``
+        rejects is a ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a mapping, got {type(data).__name__}")
         unknown = sorted(set(data) - set(_FIELD_TYPES))
@@ -67,8 +71,8 @@ class TrainConfig:
         for key, value in data.items():
             kind = _FIELD_TYPES[key]
             if isinstance(value, bool) != (kind == "bool") or not isinstance(
-                    value, int if kind == "int" else (int, float)) or not math.isfinite(value):
-                raise ValueError(f"config key {key!r} needs a finite {kind}, got {value!r}")
+                    value, int if kind == "int" else (int, float)):
+                raise ValueError(f"config key {key!r} needs a {kind}, got {value!r}")
         return dataclasses.replace(cls(), **data).validate()
 
 
@@ -89,29 +93,29 @@ def _parse_value(key: str, raw: str):
     return float(raw)
 
 
-def parse_config_lines(lines, defaults: TrainConfig | None = None,
-                       where: str = "<config>") -> TrainConfig:
-    overrides = {}
-    for lineno, line in enumerate(lines, start=1):
+def load_config(path) -> TrainConfig:
+    """Read a key=value config file; unspecified keys keep their defaults, and
+    a line whose value ``TrainConfig.validate`` rejects names that line."""
+    from .dataio import line_error, read_lines  # dataio imports this module
+
+    config = TrainConfig()
+    for lineno, line in read_lines(path):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            raise ValueError(f"{where} line {lineno}: expected 'key = value', got {line.strip()!r}")
+            raise line_error(path, lineno, f"expected 'key = value', got {line.strip()!r}")
         key, _, raw = body.partition("=")
         key, raw = key.strip(), raw.strip()
         if key not in _FIELD_TYPES:
-            raise ValueError(f"{where} line {lineno}: unknown config key {key!r}")
+            raise line_error(path, lineno, f"unknown config key {key!r}")
         try:
-            overrides[key] = _parse_value(key, raw)
+            value = _parse_value(key, raw)
         except ValueError:
-            raise ValueError(f"{where} line {lineno}: cannot parse value {raw!r} "
+            raise line_error(path, lineno, f"cannot parse value {raw!r} "
                              f"for key {key!r}") from None
-    base = defaults if defaults is not None else TrainConfig()
-    return dataclasses.replace(base, **overrides).validate()
-
-
-def load_config(path) -> TrainConfig:
-    """Read a key=value config file; unspecified keys keep their defaults."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_lines(fh, where=str(path))
+        try:
+            config = config.replace(**{key: value})
+        except ValueError as err:
+            raise line_error(path, lineno, str(err)) from None
+    return config

@@ -1,4 +1,21 @@
-"""File formats: dataset TSV, word vectors, sentence vectors, checkpoints.
+"""File formats, and the one reader and one writer every file goes through.
+
+The text inputs are the dataset TSV, word vectors, sentence vectors and the
+vocabulary (parsed here), and the encoded split (``train``), the fine-tuning
+corpus (``finetune``), the config file (``config``) and the sweep record
+(``sweep``), each parsed in its own module.  All of them are read by
+:func:`read_lines`: UTF-8, one line at a time, ending at LF, CRLF or a lone
+CR as in Python's text mode, with the ending and a byte-order mark on line 1
+removed.  A fault on a line, a byte that is not UTF-8 included, is the
+ValueError of :func:`line_error`, ``FILE line N: message``; a fault of the
+whole file names the file alone.
+
+Every output (checkpoint, vocabulary, encoded splits, word and sentence
+vectors, ``history.tsv``, reports and sweep records) is written through
+:func:`atomic_write`: to a temporary file beside the target, which replaces
+the target only when the block ends without error, so a reader sees the old
+file or the new one, never part of one.  ``open`` is called only in this
+module.
 
 Checkpoint layout (version 1, little-endian):
 
@@ -12,6 +29,8 @@ are raw float64, so a save/load round trip is bit-exact.
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import json
 import logging
 import math
@@ -35,6 +54,57 @@ DATASET_HEADER_UNLABELED = "id\tturn1\tturn2\tturn3"
 
 CHECKPOINT_MAGIC = b"EMOC"
 CHECKPOINT_VERSION = 1
+
+
+def line_error(path, lineno: int, message: str) -> ValueError:
+    """The one form of a fault on a line of an input file."""
+    return ValueError(f"{path} line {lineno}: {message}")
+
+
+def read_lines(path):
+    """Yield (line number from 1, text) for each line of the UTF-8 file at
+    ``path``.  A byte-order mark at its start and each line's ending are
+    removed.  Lines end at LF, CRLF or a lone CR, as in Python's text mode;
+    a byte that is not UTF-8 is a :func:`line_error`."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        if fh.peek(3).startswith(codecs.BOM_UTF8):
+            fh.read(3)
+        for raw in fh:
+            try:
+                text = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as err:
+                lone_crs = raw.count(b"\r", 0, err.start)
+                raise line_error(path, lineno + 1 + lone_crs,
+                                 f"byte {raw[err.start]:#04x} is not UTF-8") from None
+            for piece in (text,) if "\r" not in text else text.removesuffix("\r").split("\r"):
+                lineno += 1
+                yield lineno, piece
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A file handle (UTF-8 text, or bytes for mode ``"wb"``) whose contents
+    replace ``path`` when the block ends.  They go to a temporary file beside
+    it, created like a plain ``open`` would (mode 0666 less the umask) and
+    moved into place by ``os.replace``; if the block raises, the temporary
+    file is deleted and ``path`` is left as it was.  Through a symlink, the
+    file it names is replaced.  A path that exists but is no regular file,
+    such as ``/dev/null`` or a pipe, cannot be replaced and is written in
+    place."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = os.path.realpath(path)
+    tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        if not in_place:
+            os.replace(tmp, target)
+    except BaseException:
+        if not in_place:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -74,36 +144,34 @@ def load_dataset(path, split: str) -> DatasetSplit:
     conversations: list[Conversation] = []
     first_line: dict[str, int] = {}
     counts = {name: 0 for name in LABELS}
-    with open(path, encoding="utf-8-sig") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
-        if header not in (DATASET_HEADER, DATASET_HEADER_UNLABELED):
-            raise ValueError(f"{path}: unrecognized header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (4, 5):
-                raise ValueError(f"{path} line {lineno}: expected 4 or 5 "
-                                 f"tab-separated fields, got {len(fields)}")
-            label = None
-            if len(fields) == 5:
-                raw = fields[4].strip().lower()
-                if raw not in LABEL_TO_INDEX:
-                    raise ValueError(f"{path} line {lineno}: unknown label {fields[4]!r}")
-                label = raw
-                counts[label] += 1
-            elif split in ("train", "val"):
-                raise ValueError(f"{path} line {lineno}: split {split!r} requires a label")
-            if "\0" in line:
-                raise ValueError(f"{path} line {lineno}: NUL character, "
-                                 "which no text may hold")
-            if fields[0] in first_line:
-                raise ValueError(f"{path} line {lineno}: repeated conversation id "
-                                 f"{fields[0]!r} (first on line {first_line[fields[0]]})")
-            first_line[fields[0]] = lineno
-            conversations.append(Conversation(fields[0], (fields[1], fields[2], fields[3]),
-                                              label))
+    lines = read_lines(path)
+    _, header = next(lines, (1, ""))
+    if header not in (DATASET_HEADER, DATASET_HEADER_UNLABELED):
+        raise ValueError(f"{path}: unrecognized header {header!r}")
+    for lineno, line in lines:
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (4, 5):
+            raise line_error(path, lineno, "expected 4 or 5 tab-separated fields, "
+                             f"got {len(fields)}")
+        label = None
+        if len(fields) == 5:
+            raw = fields[4].strip().lower()
+            if raw not in LABEL_TO_INDEX:
+                raise line_error(path, lineno, f"unknown label {fields[4]!r}")
+            label = raw
+            counts[label] += 1
+        elif split in ("train", "val"):
+            raise line_error(path, lineno, f"split {split!r} requires a label")
+        if "\0" in line:
+            raise line_error(path, lineno, "NUL character, which no text may hold")
+        if fields[0] in first_line:
+            raise line_error(path, lineno, f"repeated conversation id {fields[0]!r} "
+                             f"(first on line {first_line[fields[0]]})")
+        first_line[fields[0]] = lineno
+        conversations.append(Conversation(fields[0], (fields[1], fields[2], fields[3]),
+                                          label))
     if not any(counts.values()):
         counts = {}
     return DatasetSplit(split, conversations, counts)
@@ -114,9 +182,9 @@ def _vector(values: list[str], path, lineno: int) -> np.ndarray:
     try:
         vec = np.array(values, dtype=np.float64)
     except ValueError:
-        raise ValueError(f"{path} line {lineno}: non-numeric vector entry") from None
+        raise line_error(path, lineno, "non-numeric vector entry") from None
     if not np.isfinite(vec).all():
-        raise ValueError(f"{path} line {lineno}: non-finite vector entry "
+        raise line_error(path, lineno, "non-finite vector entry "
                          f"{values[int(np.argmin(np.isfinite(vec)))]!r}")
     return vec
 
@@ -132,26 +200,24 @@ def load_word_vectors(path, expected_dim: int) -> dict[str, np.ndarray]:
     """
     out: dict[str, np.ndarray] = {}
     duplicates = 0
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if (lineno == 1 and expected_dim > 1 and len(parts) == 2
-                    and all(p.isdecimal() for p in parts)):
-                if int(parts[1]) != expected_dim:
-                    raise ValueError(f"{path} line 1: header declares {int(parts[1])}-d "
-                                     f"vectors, expected {expected_dim}")
-                continue
-            token, raw = parts[0], parts[1:]
-            if len(raw) != expected_dim:
-                raise ValueError(f"{path} line {lineno}: expected {expected_dim} "
-                                 f"values, got {len(raw)}")
-            vec = _vector(raw, path, lineno)
-            if token in out:
-                duplicates += 1
-                continue
-            out[token] = vec
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if (lineno == 1 and expected_dim > 1 and len(parts) == 2
+                and all(p.isdecimal() for p in parts)):
+            if int(parts[1]) != expected_dim:
+                raise line_error(path, 1, f"header declares {int(parts[1])}-d vectors, "
+                                 f"expected {expected_dim}")
+            continue
+        token, raw = parts[0], parts[1:]
+        if len(raw) != expected_dim:
+            raise line_error(path, lineno, f"expected {expected_dim} values, got {len(raw)}")
+        vec = _vector(raw, path, lineno)
+        if token in out:
+            duplicates += 1
+            continue
+        out[token] = vec
     if duplicates:
         log.warning("%s: skipped %d duplicate token lines", path, duplicates)
     return out
@@ -160,26 +226,24 @@ def load_word_vectors(path, expected_dim: int) -> dict[str, np.ndarray]:
 def load_sentence_vectors(path, expected_dim: int) -> SentenceVectorStore:
     """Sentence-vector TSV: ``id<TAB>v1 v2 ... v_dim``, one id per line."""
     store = SentenceVectorStore(expected_dim)
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            conv_id, tab, raw = line.partition("\t")
-            if not tab:
-                raise ValueError(f"{path} line {lineno}: expected 'id<TAB>values'")
-            if conv_id in store.vectors:
-                raise ValueError(f"{path} line {lineno}: duplicate id {conv_id!r}")
-            values = raw.split()
-            if len(values) != expected_dim:
-                raise ValueError(f"{path} line {lineno}: expected {expected_dim} "
-                                 f"values, got {len(values)}")
-            store.vectors[conv_id] = _vector(values, path, lineno)
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        conv_id, tab, raw = line.partition("\t")
+        if not tab:
+            raise line_error(path, lineno, "expected 'id<TAB>values'")
+        if conv_id in store.vectors:
+            raise line_error(path, lineno, f"duplicate id {conv_id!r}")
+        values = raw.split()
+        if len(values) != expected_dim:
+            raise line_error(path, lineno, f"expected {expected_dim} values, "
+                             f"got {len(values)}")
+        store.vectors[conv_id] = _vector(values, path, lineno)
     return store
 
 
 def save_sentence_vectors(store: SentenceVectorStore, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for conv_id, vec in store.vectors.items():
             fh.write(conv_id + "\t" + " ".join(repr(float(v)) for v in vec) + "\n")
 
@@ -217,7 +281,7 @@ def build_embedding_matrix(vocab: Vocabulary, pretrained: dict[str, np.ndarray],
 
 def save_word_vectors(tokens: list[str], matrix: np.ndarray, path) -> None:
     """Write rows in the word-vector text format, one token per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for token, row in zip(tokens, matrix):
             fh.write(token + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
@@ -242,7 +306,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "vocab": ckpt.vocab.id_to_token,
     }
     blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", ckpt.format_version))
         fh.write(struct.pack("<Q", len(blob)))
@@ -343,7 +407,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for token in vocab.id_to_token:
             fh.write(token + "\n")
 
@@ -351,15 +415,13 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 def load_vocab(path) -> Vocabulary:
     """One token per line, the three reserved tokens first, none repeated."""
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.rstrip("\n")
-            if not token:
-                continue
-            if token in first_line:
-                raise ValueError(f"{path} line {lineno}: repeated token {token!r} "
-                                 f"(first on line {first_line[token]})")
-            first_line[token] = lineno
+    for lineno, token in read_lines(path):
+        if not token:
+            continue
+        if token in first_line:
+            raise line_error(path, lineno, f"repeated token {token!r} "
+                             f"(first on line {first_line[token]})")
+        first_line[token] = lineno
     tokens = list(first_line)
     if tokens[:len(SPECIALS)] != list(SPECIALS):
         raise ValueError(f"{path}: vocabulary file must start with the three "

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
+from .dataio import line_error, read_lines
 from .rcnn import Batch
 from .textprep import Vocabulary, token_rows
 from .train import LOG_FLOOR, iter_batches, run_epochs
@@ -47,10 +48,10 @@ class FinetuneModel:
         return {"embedding.table": self.emb.table, **self.tensors}
 
     @property
-    def bank(self) -> list[tuple[T.Tensor, T.Tensor]]:
-        """Per width of ``KERNEL_SIZES``, the (W, b) pair that
+    def bank(self) -> list[tuple[int, T.Tensor, T.Tensor]]:
+        """Per width k of ``KERNEL_SIZES``, the (k, W, b) triple that
         ``layers.conv1d_over_time`` takes."""
-        return [(self.tensors[f"conv_k{k}.w"], self.tensors[f"conv_k{k}.b"])
+        return [(k, self.tensors[f"conv_k{k}.w"], self.tensors[f"conv_k{k}.b"])
                 for k in KERNEL_SIZES]
 
 
@@ -184,19 +185,17 @@ def load_finetune_corpus(path) -> list[tuple[str, int]]:
     """TSV with header ``text<TAB>label``, label 0 or 1; no text holds a NUL
     character (the tokenizer's separator)."""
     out = []
-    with open(path, encoding="utf-8-sig") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "text\tlabel":
-            raise ValueError(f"{path}: expected header 'text<TAB>label', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            text, tab, raw = line.rpartition("\t")
-            if not tab or raw not in ("0", "1"):
-                raise ValueError(f"{path} line {lineno}: expected 'text<TAB>0|1'")
-            if "\0" in text:
-                raise ValueError(f"{path} line {lineno}: NUL character, "
-                                 "which no text may hold")
-            out.append((text, int(raw)))
+    lines = read_lines(path)
+    _, header = next(lines, (1, ""))
+    if header != "text\tlabel":
+        raise ValueError(f"{path}: expected header 'text<TAB>label', got {header!r}")
+    for lineno, line in lines:
+        if not line:
+            continue
+        text, tab, raw = line.rpartition("\t")
+        if not tab or raw not in ("0", "1"):
+            raise line_error(path, lineno, "expected 'text<TAB>0|1'")
+        if "\0" in text:
+            raise line_error(path, lineno, "NUL character, which no text may hold")
+        out.append((text, int(raw)))
     return out

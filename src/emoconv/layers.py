@@ -255,27 +255,26 @@ def conv1d_over_time(bank, cells: T.Tensor, lengths) -> T.Tensor:
     """Multi-width convolution with global max pooling over a packed batch:
     [N x dim] -> [B x total filters].
 
-    ``bank`` holds one (W [filters x k*dim], b [filters]) pair per kernel
-    size k, which W's width gives.  For each, every length-k window of a
-    row's cells goes through the affine filters and a rectifier, and the
-    maximum over those windows is kept; the outputs concatenate in bank
-    order.  A row shorter than k is zero-padded at its end to one window.
-    Each width is one window gather, one product and one ``max_over_time``
-    over each row's windows; the rectifier runs after the max, which gives
-    the same values and gradients (it is monotonic) on [B x filters] values
-    only.  Width 1 reads the cells themselves, which are its windows, so it records
-    no gather.  The pool keeps each filter's argmax window from forward, so
+    ``bank`` holds one (k, W [filters x k*dim], b [filters]) triple per
+    kernel size k.  For each, every length-k window of a row's cells goes
+    through the affine filters and a rectifier, and the maximum over those
+    windows is kept; the outputs concatenate in bank order.  A row shorter
+    than k is zero-padded at its end to one window.  Each width is one
+    window gather, one product and one ``max_over_time`` over each row's
+    windows; the rectifier runs after the max, which gives the same values
+    and gradients (it is monotonic) on [B x filters] values only.  Width 1
+    reads the cells themselves, which are its windows, so it records no
+    gather.  The pool keeps each filter's argmax window from forward, so
     backward reads no score again (see ``tensor.max_over_time``).
     """
     if cells.values.ndim != 2:
         raise ValueError(f"conv1d_over_time needs packed [N x dim] cells, got {cells.shape}")
     lengths = T.check_lengths(lengths, cells.shape[0])
     pooled = []
-    for w, b in bank:
-        k, rest = divmod(w.shape[1], cells.shape[1])
-        if rest or k < 1:
-            raise ValueError(f"filter width {w.shape[1]} is not a multiple of "
-                             f"the cells' dim {cells.shape[1]}")
+    for k, w, b in bank:
+        if w.shape[1] != k * cells.shape[1]:
+            raise ValueError(f"cells shape {cells.shape} does not match bank dim "
+                             f"{w.shape[1] // k} of width {k}")
         counts = np.maximum(lengths - k + 1, 1)
         windows = cells if k == 1 else _windows(cells, lengths, counts, k)
         scores = T.linear_rows(windows, w, b)

@@ -16,7 +16,6 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,8 @@ from . import rcnn
 from . import train as tr
 from .config import TrainConfig
 from .dataio import (LABEL_TO_INDEX, DatasetSplit, SentenceVectorStore,
-                     build_embedding_matrix)
+                     atomic_write, build_embedding_matrix, line_error,
+                     read_lines)
 from .metrics import aggregate_seeds
 from .textprep import Vocabulary
 
@@ -140,12 +140,17 @@ def _record_path(runs_dir, config: TrainConfig, inputs_digest: str) -> str:
 
 
 def load_record(path) -> RunRecord:
-    """A truncated or malformed record is a ValueError that names the file."""
+    """A truncated or malformed record is a ValueError that names the file,
+    and the line of a JSON fault."""
+    text = "\n".join(line for _, line in read_lines(path))
     try:
-        with open(path, encoding="utf-8") as fh:
-            return RunRecord(**json.load(fh))
-    except (ValueError, TypeError) as err:  # bad JSON; not an object, or wrong keys
-        raise ValueError(f"{path}: malformed sweep record: {err}") from err
+        fields = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise line_error(path, err.lineno, f"malformed sweep record: {err.msg}") from None
+    try:
+        return RunRecord(**fields)
+    except TypeError as err:  # not an object, or wrong keys
+        raise ValueError(f"{path}: malformed sweep record: {err}") from None
 
 
 def run_sweep(spec: SweepSpec, base_config: TrainConfig,
@@ -181,10 +186,8 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
                 rec = run_one(base_config, spec.axis, value, seed, data, store,
                               vocab, pretrained)
                 if path is not None:  # whole or not at all, even if killed
-                    with tempfile.NamedTemporaryFile("w", encoding="utf-8", dir=runs_dir,
-                                                     suffix=".tmp", delete=False) as fh:
+                    with atomic_write(path) as fh:
                         fh.write(rec.to_json() + "\n")
-                    os.replace(fh.name, path)
             records.append(rec)
     aggregates = []
     for value in spec.values:

@@ -15,7 +15,8 @@ from . import metrics, rcnn
 from . import tensor as T
 from .config import TrainConfig
 from .dataio import (CHECKPOINT_VERSION, LABEL_TO_INDEX, LABELS, Checkpoint,
-                     DatasetSplit, SentenceVectorStore)
+                     DatasetSplit, SentenceVectorStore, atomic_write, line_error,
+                     read_lines)
 from .textprep import MAX_TRAIN_TOKENS, Vocabulary, token_rows
 
 log = logging.getLogger(__name__)
@@ -311,7 +312,7 @@ def save_encoded(examples: list[EncodedExample], label_counts, path) -> None:
     ``label_counts`` records the pre-filter class distribution in a comment
     line so that class weights computed downstream match the raw split.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         if label_counts:
             pairs = "\t".join(f"{name}={label_counts.get(name, 0)}"
                               for name in LABELS)
@@ -327,50 +328,65 @@ def _is_natural(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _label_counts(line: str, path) -> dict[str, int]:
+    """The counts of a ``# label_counts`` first line: name=integer >= 0 for
+    each of the four labels, once."""
+    counts: dict[str, int] = {}
+    names = []
+    for pair in line.split("\t")[1:]:
+        name, _, value = pair.partition("=")
+        if not _is_natural(value):
+            raise line_error(path, 1, f"label count {pair!r} is not name=integer >= 0")
+        names.append(name)
+        counts[name] = int(value)
+    if sorted(names) != sorted(LABELS):
+        raise line_error(path, 1, f"label counts for {names}, not one for each of "
+                         f"{list(LABELS)}")
+    return counts
+
+
 def load_encoded(path, vocab_size: int) -> tuple[list[EncodedExample], dict[str, int]]:
     """Read a file written by :func:`save_encoded` against a vocabulary of
-    ``vocab_size`` tokens; a token id outside it names its line.
+    ``vocab_size`` tokens; a token id outside it or a repeated conversation
+    id names its line.
 
     Returns the examples plus the recorded pre-filter label counts (empty
     dict when the file has no counts line).
     """
     counts: dict[str, int] = {}
     examples: list[EncodedExample] = []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    start = 0
-    if lines and lines[0].startswith("# label_counts\t"):
-        for pair in lines[0].split("\t")[1:]:
-            name, _, value = pair.partition("=")
-            if not _is_natural(value):
-                raise ValueError(f"{path}: line 1: label count {pair!r} is not "
-                                 "name=integer >= 0")
-            counts[name] = int(value)
-        start = 1
-    if start >= len(lines) or lines[start] != ENCODED_HEADER:
+    first_line: dict[str, int] = {}
+    lines = read_lines(path)
+    _, line = next(lines, (1, None))
+    if line is not None and line.startswith("# label_counts\t"):
+        counts = _label_counts(line, path)
+        _, line = next(lines, (2, None))
+    if line != ENCODED_HEADER:
         raise ValueError(f"{path}: expected header {ENCODED_HEADER!r}")
-    for number, line in enumerate(lines[start + 1:], start=start + 2):
+    for number, line in lines:
         fields = line.split("\t")
         if len(fields) != 3 or not fields[2].strip():
-            raise ValueError(f"{path}: line {number}: expected "
-                             "id<TAB>label<TAB>ids")
+            raise line_error(path, number, "expected id<TAB>label<TAB>ids")
         if fields[1] != "-" and fields[1] not in LABEL_TO_INDEX:
-            raise ValueError(f"{path}: line {number}: unknown label {fields[1]!r}")
+            raise line_error(path, number, f"unknown label {fields[1]!r}")
+        if fields[0] in first_line:
+            raise line_error(path, number, f"repeated conversation id {fields[0]!r} "
+                             f"(first on line {first_line[fields[0]]})")
+        first_line[fields[0]] = number
         label = None if fields[1] == "-" else LABEL_TO_INDEX[fields[1]]
         raw = fields[2].split()
         bad = next((v for v in raw if not _is_natural(v)), None)
         if bad is not None:
-            raise ValueError(f"{path}: line {number}: token id {bad!r} is not "
-                             "an integer >= 0")
+            raise line_error(path, number, f"token id {bad!r} is not an integer >= 0")
         try:
             ids = np.array([int(v) for v in raw], dtype=np.int64)
         except OverflowError:
             big = next(v for v in raw if int(v) > np.iinfo(np.int64).max)
-            raise ValueError(f"{path}: line {number}: token id {big!r} does not fit "
+            raise line_error(path, number, f"token id {big!r} does not fit "
                              "in a 64-bit integer") from None
         outside = np.flatnonzero(ids >= vocab_size)
         if outside.size:
-            raise ValueError(f"{path}: line {number}: token id {raw[outside[0]]!r} out of "
+            raise line_error(path, number, f"token id {raw[outside[0]]!r} out of "
                              f"range for a vocabulary of size {vocab_size}")
         examples.append(EncodedExample(fields[0], ids, label))
     return examples, counts
@@ -464,7 +480,7 @@ def format_history(history: list[HistoryRow]) -> str:
 
 
 def write_history(history: list[HistoryRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(format_history(history))
 
 

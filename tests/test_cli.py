@@ -265,7 +265,7 @@ def test_train_names_the_line_of_an_id_outside_the_vocabulary(world, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert run_train(world, data_dir, "run") == 1
-    assert (f"{path}: line 4: token id '{size}' out of range for a vocabulary of "
+    assert (f"{path} line 4: token id '{size}' out of range for a vocabulary of "
             f"size {size}") in capsys.readouterr().err
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import re
 import struct
 
 import numpy as np
@@ -100,7 +102,9 @@ def test_load_word_vectors(tmp_path):
 
 
 def test_outside_files_may_start_with_a_utf8_bom(tmp_path):
+    from emoconv import sweep
     from emoconv.finetune import load_finetune_corpus
+    from emoconv.train import ENCODED_HEADER, load_encoded
 
     def bom(name, text):
         path = tmp_path / name
@@ -113,6 +117,30 @@ def test_outside_files_may_start_with_a_utf8_bom(tmp_path):
     assert list(dio.load_word_vectors(bom("vec.txt", "hi 1 2\n"), 2)) == ["hi"]
     assert list(dio.load_sentence_vectors(bom("sv.tsv", "c1\t1 2\n"), 2).vectors) == ["c1"]
     assert load_finetune_corpus(bom("ft.tsv", "text\tlabel\nyay\t1\n")) == [("yay", 1)]
+    assert load_config(bom("c.cfg", "lr = 0.01\n")).lr == 0.01
+    assert dio.load_vocab(bom("vocab.txt", "<pad>\n<unk>\n<eos>\nhi\n")).size == 4
+    examples, _ = load_encoded(bom("ids.tsv", f"{ENCODED_HEADER}\nc1\tsad\t3\n"), 4)
+    assert [ex.id for ex in examples] == ["c1"]
+    record = sweep.RunRecord("lr", 0.01, 0, "ab", 0.5, 1.0, 1.4, True)
+    assert sweep.load_record(bom("run.json", record.to_json())) == record
+
+
+def test_read_lines_ends_lines_as_text_mode_does(tmp_path):
+    p = tmp_path / "mixed.txt"
+    p.write_bytes(b"\xef\xbb\xbfa\r\nb\rc\n\r\nd\r\re")
+    assert list(dio.read_lines(p)) == [(1, "a"), (2, "b"), (3, "c"), (4, ""), (5, "d"),
+                                       (6, ""), (7, "e")]
+    with open(p, encoding="utf-8-sig") as fh:
+        assert [line.rstrip("\n") for line in fh] == ["a", "b", "c", "", "d", "", "e"]
+
+
+@pytest.mark.parametrize("data, line", [(b"ok\nb\xffad\n", 2), (b"\xc3\n", 1),
+                                        (b"a\rb\r\x80\n", 3), (b"a\nb\n\xed\xa0\x80", 3)])
+def test_read_lines_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, line):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(data)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))} line {line}: byte 0x.. is not UTF-8$"):
+        list(dio.read_lines(p))
 
 
 def test_load_word_vectors_skips_a_count_dim_header(tmp_path):
@@ -440,9 +468,99 @@ def test_config_overrides_and_errors(tmp_path):
         load_config(_write(tmp_path / "noeq.cfg", "just words\n"))
 
 
+@pytest.mark.parametrize("key, value", [("lr", "nan"), ("lr", "inf"), ("clip_norm", "nan"),
+                                        ("clip_norm", "inf"), ("anneal_factor", "-inf")])
+def test_config_file_rejects_a_non_finite_value_naming_its_line(tmp_path, key, value):
+    p = _write(tmp_path / "c.cfg", f"# comment\nhidden_size = 8\n{key} = {value}\n")
+    with pytest.raises(ValueError) as err:
+        load_config(p)
+    assert str(err.value) == f"{p} line 3: {key} must be finite, got {float(value)}"
+
+
+def test_config_file_names_the_line_of_a_value_out_of_range(tmp_path):
+    p = _write(tmp_path / "c.cfg", "lr = 0.1\n\ndropout_bilstm = 1.0\n")
+    with pytest.raises(ValueError) as err:
+        load_config(p)
+    assert str(err.value) == f"{p} line 3: dropout_bilstm must be in [0, 1), got 1.0"
+
+
+def test_every_config_path_rejects_non_finite_floats():
+    for key in ("lr", "clip_norm", "anneal_factor", "dropout_linear"):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            TrainConfig().replace(**{key: float("inf")})
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            TrainConfig.from_dict({key: float("nan")})
+
+
 def test_config_replace_validates():
     with pytest.raises(ValueError):
         TrainConfig().replace(lr=-1.0)
     cfg = TrainConfig().replace(num_layers=1, hidden_size=4)
     assert cfg.num_layers == 1
     assert dataclasses.asdict(cfg) == cfg.to_dict()
+
+
+class _Boom(Exception):
+    pass
+
+
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+def test_outputs_are_created_with_the_mode_of_a_plain_open(tmp_path):
+    dio.save_vocab(Vocabulary(id_to_token=list(SPECIALS)), tmp_path / "vocab.txt")
+    dio.save_checkpoint(_toy_checkpoint(), tmp_path / "model.ckpt")
+    for name in ("vocab.txt", "model.ckpt"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~_umask()
+
+
+def test_a_write_that_raises_leaves_the_old_file_and_no_temporary_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(_Boom):
+        with dio.atomic_write(path) as fh:
+            fh.write("new, half written")
+            fh.flush()
+            raise _Boom
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    with dio.atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_bytes() == b"new\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_a_write_through_a_symlink_or_into_a_pipe_keeps_the_link_and_the_pipe(tmp_path):
+    (tmp_path / "real.txt").write_text("old\n")
+    (tmp_path / "link.txt").symlink_to("real.txt")
+    with dio.atomic_write(tmp_path / "link.txt") as fh:
+        fh.write("new\n")
+    assert (tmp_path / "link.txt").is_symlink()
+    assert (tmp_path / "real.txt").read_text() == "new\n"
+
+    pipe = tmp_path / "report.pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with dio.atomic_write(pipe) as fh:
+            fh.write("report\n")
+        assert os.read(reader, 100) == b"report\n"
+    finally:
+        os.close(reader)
+    assert pipe.is_fifo()
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt", "report.pipe"]
+
+
+def test_a_checkpoint_write_that_fails_leaves_the_old_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    dio.save_checkpoint(_toy_checkpoint(), path)
+    old = path.read_bytes()
+    bad = _toy_checkpoint()
+    bad.params["zz"] = np.array(["not a number"])  # sorted last: fails after the others
+    with pytest.raises(ValueError):
+        dio.save_checkpoint(bad, path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["model.ckpt"]

@@ -293,7 +293,7 @@ def test_bilstm_encode_matches_finite_differences():
 
 
 def test_conv_identity_filter_takes_max():
-    bank = [_fixed([[1.0]], [0.0])]
+    bank = [(1, *_fixed([[1.0]], [0.0]))]
     cells = T.Tensor(np.array([[1.0], [2.0], [3.0], [1.0]]))
     # each row pools its own cells only: the 1-cell row never sees the 3
     npt.assert_array_equal(L.conv1d_over_time(bank, cells, [3, 1]).values, [[3.0], [1.0]])
@@ -301,7 +301,7 @@ def test_conv_identity_filter_takes_max():
 
 
 def test_conv_short_sequence_zero_pads():
-    bank = [_fixed([[1.0, 1.0]], [0.5])]
+    bank = [(2, *_fixed([[1.0, 1.0]], [0.5]))]
     # single window is [2, pad 0]: relu(2 + 0 + 0.5) = 2.5, whatever follows
     npt.assert_array_equal(L.conv1d_over_time(bank, T.Tensor([[2.0]]), [1]).values,
                            [[2.5]])
@@ -315,8 +315,8 @@ def test_conv_short_sequence_zero_pads():
 def test_conv_default_bank_is_900_dim():
     rng = np.random.default_rng(3)
     bank = _bank(rng, dim=100, filters_per_size=300)
-    assert [w.shape[1] // 100 for w, _ in bank] == [1, 2, 3]
-    n_params = sum(w.size + b.size for w, b in bank)
+    assert [(k, w.shape[1]) for k, w, _ in bank] == [(1, 100), (2, 200), (3, 300)]
+    n_params = sum(w.size + b.size for _, w, b in bank)
     assert n_params == sum(300 * (k * 100 + 1) for k in (1, 2, 3))
     cells = T.Tensor(rng.uniform(-1, 1, (7, 100)))
     assert L.conv1d_over_time(bank, cells, [5, 2]).shape == (2, 900)
@@ -324,6 +324,13 @@ def test_conv_default_bank_is_900_dim():
         L.conv1d_over_time(bank, T.Tensor(rng.uniform(-1, 1, (5, 99))), [5])
     with pytest.raises(ValueError):
         L.conv1d_over_time(bank, cells, [5, 1])
+
+
+def test_conv_bank_rejects_cells_of_another_dim_even_when_it_divides():
+    bank = _bank(np.random.default_rng(3), dim=100, filters_per_size=4)
+    cells = T.Tensor(np.ones((6, 50)))  # 100 = 2 x 50: no width can absorb it
+    with pytest.raises(ValueError, match=r"cells shape \(6, 50\) does not match bank dim 100"):
+        L.conv1d_over_time(bank, cells, [3, 3])
 
 
 def test_conv_width_one_reads_the_cells_without_a_window_gather():
@@ -352,7 +359,7 @@ def test_conv_matches_finite_differences():
     rng = np.random.default_rng(9)
     bank = _bank(rng, dim=3, filters_per_size=2)
     cells = T.Tensor(rng.uniform(-1, 1, (8, 3)), requires_grad=True)
-    params = [cells] + [t for pair in bank for t in pair]
+    params = [cells] + [t for _, w, b in bank for t in (w, b)]
 
     def f(ps):
         return oracle.sum_all(T.tanh(L.conv1d_over_time(bank, ps[0], [5, 1, 2])))

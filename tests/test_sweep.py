@@ -185,6 +185,20 @@ def test_sweep_inputs_digest_covers_what_a_run_reads():
     assert len({base, *changed}) == 1 + len(changed)
 
 
+def test_a_record_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
+    train_split, val_split, vocab = _toy_data()
+    spec = sw.SweepSpec("lr", [0.02], seeds=[0])
+
+    def fail(self):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(sw.RunRecord, "to_json", fail)
+    with pytest.raises(RuntimeError):
+        sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
+                     list_rows(train_split), runs_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []  # neither a record nor a temporary file
+
+
 def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path):
     train_split, val_split, vocab = _toy_data()
     spec = sw.SweepSpec("lr", [0.02], seeds=[0])
