@@ -58,6 +58,14 @@ comparison skips them and says why:
   take BLAS's few-row GEMM kernels, and the classifier loss runs on a
   second shape.  Each epoch ends in a batch of 3, whose loss scale -1/3,
   unlike -1/8, rounds, so a reordered product in the loss shows;
+- ``classifier_paper``: the RCNN at the paper's sizes (the default
+  ``TrainConfig``: hidden 200, 2 layers, 100-d embeddings, 2304-d sentence
+  vectors, batch 64, dropout) with 1 frozen and 2 unfrozen epochs, annealed
+  in the third, on 193 training and 64 validation conversations, keeping the
+  last epoch: the only world that runs the hidden-200 kernels.  Each epoch
+  ends in a batch of one row, whose recurrence multiplies ``U^T`` as a
+  view, not as the contiguous copy (see ``layers.lstm_step``); the same
+  three digests;
 - ``cli_pipeline_gen_toy``: the whole toy pipeline through ``cli.main``, on
   toy corpora of ``toycorpus.py`` with 3-d sentence vectors: ``preprocess``,
   ``finetune`` of 8-d word vectors on a 45-tweet corpus, ``train`` on the
@@ -236,12 +244,6 @@ def _world_finetune(tmp: Path, frozen: int, unfrozen: int,
 
 def _world_classifier(tmp: Path, select: str, hidden_size: int = 6,
                       clip_norm: float = 0.02, train_size: int = 24) -> dict[str, str]:
-    import numpy as np
-    import toycorpus
-
-    from emoconv import dataio, rcnn
-    from emoconv import layers as L
-    from emoconv import train as tr
     from emoconv.config import TrainConfig
 
     config = TrainConfig(lr=0.01, batch_size=8, epochs=4, clip_norm=clip_norm,
@@ -249,22 +251,46 @@ def _world_classifier(tmp: Path, select: str, hidden_size: int = 6,
                          freeze_embedding_epochs=2, dropout_bilstm=0.3,
                          dropout_linear=0.3, hidden_size=hidden_size, num_layers=2,
                          sentence_dim=3, embedding_dim=6, seed=13)
+    digests, history = _train_toy(tmp, config, select, train_size, 8)
+    if hidden_size == 6 and any(row.clip_fraction != 1.0 for row in history):
+        raise RuntimeError("the hidden-6 world must clip every step")
+    return digests
+
+
+def _train_toy(tmp: Path, config, select: str, train_size: int, val_size: int):
+    """Train ``config`` on toy splits of ``train_size`` and ``val_size``
+    conversations with ``config.sentence_dim``-d sentence vectors; the
+    digests of the checkpoint, ``history.tsv`` and the generator state
+    afterwards, and the history."""
+    import numpy as np
+    import toycorpus
+
+    from emoconv import dataio, rcnn
+    from emoconv import layers as L
+    from emoconv import train as tr
+
     train_split = toycorpus.make_split("train", train_size, seed=13)
-    val_split = toycorpus.make_split("val", 8, seed=14)
+    val_split = toycorpus.make_split("val", val_size, seed=14)
     vocab = toycorpus.vocab_for(train_split, val_split)
-    store = toycorpus.store_for([train_split, val_split], 3, seed=15)
+    store = toycorpus.store_for([train_split, val_split], config.sentence_dim, seed=15)
     rng = np.random.default_rng(13)
-    table = np.vstack([np.zeros(6), rng.uniform(-0.1, 0.1, (vocab.size - 1, 6))])
+    dim = config.embedding_dim
+    table = np.vstack([np.zeros(dim), rng.uniform(-0.1, 0.1, (vocab.size - 1, dim))])
     params = rcnn.init_model(config, L.EmbeddingMatrix.from_array(table), rng)
     ckpt, history = toycorpus.train_splits(params, train_split, val_split, store, config, rng,
                                            vocab=vocab, select=select)
-    if hidden_size == 6 and any(row.clip_fraction != 1.0 for row in history):
-        raise RuntimeError("the hidden-6 world must clip every step")
     dataio.save_checkpoint(ckpt, tmp / "model.ckpt")
     tr.write_history(history, tmp / "history.tsv")
     return {"model.ckpt": _sha((tmp / "model.ckpt").read_bytes()),
             "history.tsv": _sha((tmp / "history.tsv").read_bytes()),
-            "rng": _rng_state(rng)}
+            "rng": _rng_state(rng)}, history
+
+
+def _world_classifier_paper(tmp: Path) -> dict[str, str]:
+    from emoconv.config import TrainConfig
+
+    config = TrainConfig(epochs=3, freeze_embedding_epochs=1, anneal_after_epoch=2, seed=13)
+    return _train_toy(tmp, config, "last", 193, 64)[0]
 
 
 CLI_CONFIG = """\
@@ -347,6 +373,7 @@ KEYED_WORLDS = {
     "classifier_hidden6_best": lambda tmp: _world_classifier(tmp, "best"),
     "classifier_hidden6_last": lambda tmp: _world_classifier(tmp, "last"),
     "classifier_hidden50_batch8": lambda tmp: _world_classifier(tmp, "best", 50, 5.0, 27),
+    "classifier_paper": _world_classifier_paper,
     "cli_pipeline_gen_toy": _world_cli_pipeline,
 }
 
