@@ -2,9 +2,9 @@
 
 Subcommands:
 
-    preprocess  raw TSVs -> vocabulary, encoded splits, statistics table
+    preprocess  raw TSVs -> statistics table
     finetune    word vectors + binary-sentiment corpus -> fine-tuned vectors
-    train       encoded splits -> checkpoint + per-epoch history TSV
+    train       raw TSVs -> checkpoint + per-epoch history TSV
     evaluate    checkpoint + labeled split -> metrics report
     sweep       single-axis hyperparameter sensitivity runs -> report
 
@@ -28,12 +28,11 @@ from . import sweep as sw
 from . import train as tr
 from .config import TrainConfig, load_config
 from .dataio import (LABELS, atomic_write, build_embedding_matrix, load_checkpoint,
-                     load_dataset, load_sentence_vectors, load_vocab,
-                     load_word_vectors, save_checkpoint, save_vocab,
-                     save_word_vectors)
+                     load_dataset, load_sentence_vectors, load_word_vectors,
+                     save_checkpoint, save_word_vectors)
 from .finetune import (FinetuneSchedule, build_finetune_model, encode_corpus,
                        finetune_encoded, load_finetune_corpus)
-from .textprep import TokenSequence, build_vocab, token_rows
+from .textprep import SPECIALS, TokenSequence, build_vocab, token_rows
 
 log = logging.getLogger(__name__)
 
@@ -49,11 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="encode raw dataset TSVs")
+    p = sub.add_parser("preprocess", help="statistics of raw dataset TSVs")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--test", default=None)
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("finetune", help="fine-tune word vectors on a binary corpus")
@@ -68,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filters", type=int, default=300)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("train", help="train the classifier on encoded splits")
-    p.add_argument("--data-dir", required=True,
-                   help="directory produced by the preprocess command")
+    p = sub.add_parser("train", help="train the classifier on dataset TSVs")
+    p.add_argument("--train", required=True)
+    p.add_argument("--val", required=True)
     p.add_argument("--embeddings", default=None,
                    help="pretrained word vectors (text format); random if absent")
     p.add_argument("--sentence-vectors", required=True,
@@ -127,21 +125,41 @@ def _avg_utterance_tokens(rows: list[list[str]]) -> float:
     return sum(len(row) - 2 for row in rows) / turns if turns else 0.0
 
 
-def cmd_preprocess(args) -> int:
-    splits = [load_dataset(args.train, "train"), load_dataset(args.val, "val")]
-    if args.test:
-        splits.append(load_dataset(args.test, "test"))
-    rows_by_split = [list(tr.split_rows(split)) for split in splits]
-    vocab = build_vocab(map(TokenSequence, rows_by_split[0]))
-    os.makedirs(args.out_dir, exist_ok=True)
-    save_vocab(vocab, os.path.join(args.out_dir, "vocab.txt"))
+def _read_splits(args):
+    """The splits of ``--train`` and ``--val``, the training split's token
+    rows (:func:`train.split_rows`), made once, and the vocabulary built
+    from them."""
+    train_split = load_dataset(args.train, "train")
+    val_split = load_dataset(args.val, "val")
+    train_rows = list(tr.split_rows(train_split))
+    vocab = build_vocab(map(TokenSequence, train_rows))
+    return train_split, val_split, train_rows, vocab
 
+
+def _load_store(path: str, dim: int):
+    return None if path == "none" else load_sentence_vectors(path, dim)
+
+
+def _read_vectors(args, config: TrainConfig):
+    """The config, with ``sentence_dim`` 0 for ``--sentence-vectors none``,
+    the sentence-vector store (None for ``none``) and the word vectors of
+    ``--embeddings`` (empty when it is absent)."""
+    store = _load_store(args.sentence_vectors, config.sentence_dim)
+    if store is None:
+        config = config.replace(sentence_dim=0)
+    pretrained = (load_word_vectors(args.embeddings, config.embedding_dim)
+                  if args.embeddings else {})
+    return config, store, pretrained
+
+
+def cmd_preprocess(args) -> int:
+    train_split, val_split, train_rows, vocab = _read_splits(args)
+    splits = [train_split, val_split] + ([load_dataset(args.test, "test")] if args.test else [])
+    rows_by_split = [train_rows] + [list(tr.split_rows(split)) for split in splits[1:]]
     lines = ["split\ttotal\t" + "\t".join(LABELS) +
              "\tavg_tokens_per_utterance\tencoded"]
     for split, rows in zip(splits, rows_by_split):
         encoded = tr.encode_split(split, vocab, rows)
-        tr.save_encoded(encoded, split.label_counts,
-                        os.path.join(args.out_dir, f"{split.name}.ids.tsv"))
         counts = [str(split.label_counts.get(name, 0)) for name in LABELS]
         lines.append(f"{split.name}\t{len(split)}\t" + "\t".join(counts) +
                      f"\t{_avg_utterance_tokens(rows):.2f}\t{len(encoded)}")
@@ -167,40 +185,30 @@ def cmd_finetune(args) -> int:
                                 unfrozen_epochs=args.epochs_unfrozen,
                                 lr=args.lr, batch_size=args.batch_size)
     emb, losses = finetune_encoded(model, encoded, schedule, rng)
-    save_word_vectors(vocab.id_to_token[3:], emb.table.values[3:],
+    reserved = len(SPECIALS)
+    save_word_vectors(vocab.id_to_token[reserved:], emb.table.values[reserved:],
                       args.embeddings_out)
     _emit(args, "epoch\tloss\n" +
           "".join(f"{i + 1}\t{loss!r}\n" for i, loss in enumerate(losses)))
     return 0
 
 
-def _load_store(path_or_none, dim: int):
-    if path_or_none is None or path_or_none == "none":
-        return None
-    return load_sentence_vectors(path_or_none, dim)
-
-
 def cmd_train(args) -> int:
     config = _load_base_config(args)
-    vocab = load_vocab(os.path.join(args.data_dir, "vocab.txt"))
-    train_ex, train_counts = tr.load_encoded(os.path.join(args.data_dir, "train.ids.tsv"),
-                                             vocab.size)
-    val_ex, val_counts = tr.load_encoded(os.path.join(args.data_dir, "val.ids.tsv"),
-                                         vocab.size)
-    store = _load_store(args.sentence_vectors, config.sentence_dim)
-    if store is None:
-        config = config.replace(sentence_dim=0)
+    train_split, val_split, train_rows, vocab = _read_splits(args)
+    config, store, pretrained = _read_vectors(args, config)
+    train_ex = tr.encode_split(train_split, vocab, train_rows)
+    val_ex = tr.encode_split(val_split, vocab)
+    weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
+    del train_split, val_split, train_rows  # only the ids stay through training
 
     rng = np.random.default_rng(config.seed)
-    pretrained = (load_word_vectors(args.embeddings, config.embedding_dim)
-                  if args.embeddings else {})
     emb, coverage = build_embedding_matrix(vocab, pretrained,
                                            config.embedding_dim, rng)
     if args.embeddings:
         log.info("pretrained coverage %.1f%% of %d tokens", 100 * coverage,
-                 vocab.size - 3)
+                 vocab.size - len(SPECIALS))
     params = rcnn.init_model(config, emb, rng)
-    weights = tr.compute_class_weights(train_counts, val_counts)
     ckpt, history = tr.train_encoded(params, train_ex, val_ex, store, config,
                                      rng, weights=weights, vocab=vocab,
                                      select=args.select)
@@ -229,15 +237,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_base_config(args)
-    train_split = load_dataset(args.train, "train")
-    val_split = load_dataset(args.val, "val")
-    train_rows = list(tr.split_rows(train_split))
-    vocab = build_vocab(map(TokenSequence, train_rows))
-    store = _load_store(args.sentence_vectors, config.sentence_dim)
-    if store is None:
-        config = config.replace(sentence_dim=0)
-    pretrained = (load_word_vectors(args.embeddings, config.embedding_dim)
-                  if args.embeddings else None)
+    train_split, val_split, train_rows, vocab = _read_splits(args)
+    config, store, pretrained = _read_vectors(args, config)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]

@@ -1,21 +1,19 @@
 """File formats, and the one reader and one writer every file goes through.
 
-The text inputs are the dataset TSV, word vectors, sentence vectors and the
-vocabulary (parsed here), and the encoded split (``train``), the fine-tuning
-corpus (``finetune``), the config file (``config``) and the sweep record
-(``sweep``), each parsed in its own module.  All of them are read by
-:func:`read_lines`: UTF-8, one line at a time, ending at LF, CRLF or a lone
-CR as in Python's text mode, with the ending and a byte-order mark on line 1
-removed.  A fault on a line, a byte that is not UTF-8 included, is the
-ValueError of :func:`line_error`, ``FILE line N: message``; a fault of the
-whole file names the file alone.
+The text inputs are the dataset TSV, word vectors and sentence vectors
+(parsed here), and the fine-tuning corpus (``finetune``), the config file
+(``config``) and the sweep record (``sweep``), each parsed in its own
+module.  All of them are read by :func:`read_lines`: UTF-8, one line at a
+time, ending at LF, CRLF or a lone CR as in Python's text mode, with the
+ending and a byte-order mark on line 1 removed.  A fault on a line, a byte
+that is not UTF-8 included, is the ValueError of :func:`line_error`,
+``FILE line N: message``; a fault of the whole file names the file alone.
 
-Every output (checkpoint, vocabulary, encoded splits, word and sentence
-vectors, ``history.tsv``, reports and sweep records) is written through
-:func:`atomic_write`: to a temporary file beside the target, which replaces
-the target only when the block ends without error, so a reader sees the old
-file or the new one, never part of one.  ``open`` is called only in this
-module.
+Every output (checkpoint, word and sentence vectors, ``history.tsv``,
+reports and sweep records) is written through :func:`atomic_write`: to a
+temporary file beside the target, which replaces the target only when the
+block ends without error, so a reader sees the old file or the new one,
+never part of one.  ``open`` is called only in this module.
 
 Checkpoint layout (version 1, little-endian):
 
@@ -265,16 +263,16 @@ def build_embedding_matrix(vocab: Vocabulary, pretrained: dict[str, np.ndarray],
                              f"expected ({dim},)")
         break
     values = np.zeros((vocab.size, dim))
-    found = 0
+    found, reserved = 0, len(SPECIALS)
     for idx in range(1, vocab.size):
         token = vocab.id_to_token[idx]
-        vec = pretrained.get(token) if idx >= 3 else None
+        vec = pretrained.get(token) if idx >= reserved else None
         if vec is not None:
             values[idx] = vec
             found += 1
         else:
             values[idx] = rng.uniform(-0.05, 0.05, dim)
-    real_tokens = vocab.size - 3
+    real_tokens = vocab.size - reserved
     coverage = found / real_tokens if real_tokens else 0.0
     return EmbeddingMatrix.from_array(values), coverage
 
@@ -404,26 +402,3 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
     return Checkpoint(version, Vocabulary(id_to_token=meta["vocab"]), params,
                       config, meta["epoch"], float(meta["best_val_f1"]))
-
-
-def save_vocab(vocab: Vocabulary, path) -> None:
-    with atomic_write(path) as fh:
-        for token in vocab.id_to_token:
-            fh.write(token + "\n")
-
-
-def load_vocab(path) -> Vocabulary:
-    """One token per line, the three reserved tokens first, none repeated."""
-    first_line: dict[str, int] = {}
-    for lineno, token in read_lines(path):
-        if not token:
-            continue
-        if token in first_line:
-            raise line_error(path, lineno, f"repeated token {token!r} "
-                             f"(first on line {first_line[token]})")
-        first_line[token] = lineno
-    tokens = list(first_line)
-    if tokens[:len(SPECIALS)] != list(SPECIALS):
-        raise ValueError(f"{path}: vocabulary file must start with the three "
-                         "reserved tokens")
-    return Vocabulary(id_to_token=tokens)

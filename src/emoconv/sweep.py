@@ -23,9 +23,8 @@ import numpy as np
 from . import rcnn
 from . import train as tr
 from .config import TrainConfig
-from .dataio import (LABEL_TO_INDEX, DatasetSplit, SentenceVectorStore,
-                     atomic_write, build_embedding_matrix, line_error,
-                     read_lines)
+from .dataio import (DatasetSplit, SentenceVectorStore, atomic_write,
+                     build_embedding_matrix, line_error, read_lines)
 from .metrics import aggregate_seeds
 from .textprep import Vocabulary
 
@@ -76,8 +75,10 @@ def _axis_value(axis: str, value):
 
 @dataclass
 class SweepData:
-    """What every run of a sweep shares: both splits encoded, and the class
-    weights and uniform-prediction baseline loss of the raw splits."""
+    """What every run of a sweep shares: both splits encoded, the class
+    weights of the raw splits, and the uniform-prediction baseline loss over
+    the training examples the runs train on, those the length filter
+    keeps."""
     train_ex: list[tr.EncodedExample]
     val_ex: list[tr.EncodedExample]
     weights: tr.ClassWeights
@@ -91,11 +92,10 @@ class SweepData:
         so its tokens are not kept through the sweep's training runs."""
         weights = tr.compute_class_weights(train_split.label_counts,
                                            val_split.label_counts)
-        labels = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
         train_ex = tr.encode_split(train_split, vocab, train_rows)
         train_rows.clear()
-        return cls(train_ex, tr.encode_split(val_split, vocab),
-                   weights, tr.uniform_baseline_loss(weights, labels))
+        return cls(train_ex, tr.encode_split(val_split, vocab), weights,
+                   tr.uniform_baseline_loss(weights, [ex.label for ex in train_ex]))
 
 
 def run_one(base_config: TrainConfig, axis: str, value, seed: int, data: SweepData,
@@ -139,8 +139,13 @@ def _record_path(runs_dir, config: TrainConfig, inputs_digest: str) -> str:
     return os.path.join(runs_dir, f"run_{config_hash(config)[:16]}_{inputs_digest[:16]}.json")
 
 
+# the JSON types a record field of each annotated type may hold
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
 def load_record(path) -> RunRecord:
-    """A truncated or malformed record is a ValueError that names the file,
+    """A truncated or malformed record, a field of the wrong JSON type
+    included (a bool is not a number), is a ValueError that names the file,
     and the line of a JSON fault."""
     text = "\n".join(line for _, line in read_lines(path))
     try:
@@ -148,9 +153,16 @@ def load_record(path) -> RunRecord:
     except json.JSONDecodeError as err:
         raise line_error(path, err.lineno, f"malformed sweep record: {err.msg}") from None
     try:
-        return RunRecord(**fields)
+        record = RunRecord(**fields)
     except TypeError as err:  # not an object, or wrong keys
         raise ValueError(f"{path}: malformed sweep record: {err}") from None
+    for f in dataclasses.fields(RunRecord):
+        value = getattr(record, f.name)
+        if isinstance(value, bool) != (f.type == "bool") or \
+                not isinstance(value, _JSON_TYPES[f.type]):
+            raise ValueError(f"{path}: malformed sweep record: field {f.name!r} "
+                             f"holds {value!r}, not a {f.type}")
+    return record
 
 
 def run_sweep(spec: SweepSpec, base_config: TrainConfig,

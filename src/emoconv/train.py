@@ -15,8 +15,7 @@ from . import metrics, rcnn
 from . import tensor as T
 from .config import TrainConfig
 from .dataio import (CHECKPOINT_VERSION, LABEL_TO_INDEX, LABELS, Checkpoint,
-                     DatasetSplit, SentenceVectorStore, atomic_write, line_error,
-                     read_lines)
+                     DatasetSplit, SentenceVectorStore, atomic_write)
 from .textprep import MAX_TRAIN_TOKENS, Vocabulary, token_rows
 
 log = logging.getLogger(__name__)
@@ -300,96 +299,6 @@ def encode_split(split: DatasetSplit, vocab: Vocabulary, rows=None) -> list[Enco
         label = LABEL_TO_INDEX[conv.label] if conv.label is not None else None
         out.append(EncodedExample(conv.id, vocab.ids(tokens), label))
     return out
-
-
-ENCODED_HEADER = "id\tlabel\tids"
-
-
-def save_encoded(examples: list[EncodedExample], label_counts, path) -> None:
-    """Write an encoded split as TSV: id, label name (``-`` when absent),
-    space-separated token ids.
-
-    ``label_counts`` records the pre-filter class distribution in a comment
-    line so that class weights computed downstream match the raw split.
-    """
-    with atomic_write(path) as fh:
-        if label_counts:
-            pairs = "\t".join(f"{name}={label_counts.get(name, 0)}"
-                              for name in LABELS)
-            fh.write(f"# label_counts\t{pairs}\n")
-        fh.write(ENCODED_HEADER + "\n")
-        for ex in examples:
-            label = LABELS[ex.label] if ex.label is not None else "-"
-            fh.write(f"{ex.id}\t{label}\t{' '.join(str(i) for i in ex.ids)}\n")
-
-
-def _is_natural(text: str) -> bool:
-    """Whether ``text`` is a plain decimal integer >= 0 (no sign, no space)."""
-    return text.isascii() and text.isdigit()
-
-
-def _label_counts(line: str, path) -> dict[str, int]:
-    """The counts of a ``# label_counts`` first line: name=integer >= 0 for
-    each of the four labels, once."""
-    counts: dict[str, int] = {}
-    names = []
-    for pair in line.split("\t")[1:]:
-        name, _, value = pair.partition("=")
-        if not _is_natural(value):
-            raise line_error(path, 1, f"label count {pair!r} is not name=integer >= 0")
-        names.append(name)
-        counts[name] = int(value)
-    if sorted(names) != sorted(LABELS):
-        raise line_error(path, 1, f"label counts for {names}, not one for each of "
-                         f"{list(LABELS)}")
-    return counts
-
-
-def load_encoded(path, vocab_size: int) -> tuple[list[EncodedExample], dict[str, int]]:
-    """Read a file written by :func:`save_encoded` against a vocabulary of
-    ``vocab_size`` tokens; a token id outside it or a repeated conversation
-    id names its line.
-
-    Returns the examples plus the recorded pre-filter label counts (empty
-    dict when the file has no counts line).
-    """
-    counts: dict[str, int] = {}
-    examples: list[EncodedExample] = []
-    first_line: dict[str, int] = {}
-    lines = read_lines(path)
-    _, line = next(lines, (1, None))
-    if line is not None and line.startswith("# label_counts\t"):
-        counts = _label_counts(line, path)
-        _, line = next(lines, (2, None))
-    if line != ENCODED_HEADER:
-        raise ValueError(f"{path}: expected header {ENCODED_HEADER!r}")
-    for number, line in lines:
-        fields = line.split("\t")
-        if len(fields) != 3 or not fields[2].strip():
-            raise line_error(path, number, "expected id<TAB>label<TAB>ids")
-        if fields[1] != "-" and fields[1] not in LABEL_TO_INDEX:
-            raise line_error(path, number, f"unknown label {fields[1]!r}")
-        if fields[0] in first_line:
-            raise line_error(path, number, f"repeated conversation id {fields[0]!r} "
-                             f"(first on line {first_line[fields[0]]})")
-        first_line[fields[0]] = number
-        label = None if fields[1] == "-" else LABEL_TO_INDEX[fields[1]]
-        raw = fields[2].split()
-        bad = next((v for v in raw if not _is_natural(v)), None)
-        if bad is not None:
-            raise line_error(path, number, f"token id {bad!r} is not an integer >= 0")
-        try:
-            ids = np.array([int(v) for v in raw], dtype=np.int64)
-        except OverflowError:
-            big = next(v for v in raw if int(v) > np.iinfo(np.int64).max)
-            raise line_error(path, number, f"token id {big!r} does not fit "
-                             "in a 64-bit integer") from None
-        outside = np.flatnonzero(ids >= vocab_size)
-        if outside.size:
-            raise line_error(path, number, f"token id {raw[outside[0]]!r} out of "
-                             f"range for a vocabulary of size {vocab_size}")
-        examples.append(EncodedExample(fields[0], ids, label))
-    return examples, counts
 
 
 def check_sentence_vectors(examples: list[EncodedExample], store: SentenceVectorStore | None,

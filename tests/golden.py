@@ -10,10 +10,14 @@ purpose refreshes the digests and lists each one that moved.
 Each world runs the program the way a user does and hashes the files it
 leaves behind:
 
-- ``preprocess_toycorpus``: ``emoconv preprocess`` on the toy corpus of
-  ``toycorpus.py`` (train, val and test splits);
-- ``preprocess_gen_toy``: ``emoconv preprocess`` on the ``perfbench/gen.py``
-  TOY corpus, whose turns carry capitals, punctuation runs, contractions and
+- ``preprocess_toycorpus``: the statistics report of ``emoconv
+  preprocess`` on the toy corpus of ``toycorpus.py`` (train, val and test
+  splits), and the vocabulary and encoded splits that ``emoconv train``
+  builds from it, hashed in the layout of the ``vocab.txt`` and
+  ``*.ids.tsv`` files ``preprocess`` once wrote, so the digests recorded
+  from those files still hold;
+- ``preprocess_gen_toy``: the same on the ``perfbench/gen.py`` TOY corpus,
+  whose turns carry capitals, punctuation runs, contractions and
   out-of-vocabulary words;
 - ``finetune_encoding_gen_toy``: the vocabulary of the same generator's
   tweet corpus, built from ``tokenize(clean_text(text))`` per tweet as the
@@ -69,9 +73,10 @@ comparison skips them and says why:
 - ``cli_pipeline_gen_toy``: the whole toy pipeline through ``cli.main``, on
   toy corpora of ``toycorpus.py`` with 3-d sentence vectors: ``preprocess``,
   ``finetune`` of 8-d word vectors on a 45-tweet corpus, ``train`` on the
-  fine-tuned vectors, ``evaluate`` on the test split and a 2 x 2 ``sweep``
-  (two hidden sizes, two seeds); the reports, the fine-tuned vectors, the
-  checkpoint, ``history.tsv`` and the contents of the sweep records.
+  dataset TSVs and the fine-tuned vectors, ``evaluate`` on the test split
+  and a 2 x 2 ``sweep`` (two hidden sizes, two seeds); the reports, the
+  fine-tuned vectors, the checkpoint, ``history.tsv`` and the contents of
+  the sweep records.
 """
 
 from __future__ import annotations
@@ -119,17 +124,41 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _encoded_tsv(split, examples) -> bytes:
+    """An encoded split in the layout ``emoconv preprocess`` once wrote: the
+    raw class counts in a comment line, then ``id<TAB>label<TAB>ids`` rows."""
+    from emoconv.dataio import LABELS
+
+    lines = []
+    if split.label_counts:
+        lines.append("# label_counts\t" + "\t".join(
+            f"{name}={split.label_counts.get(name, 0)}" for name in LABELS))
+    lines.append("id\tlabel\tids")
+    lines += [f"{ex.id}\t{'-' if ex.label is None else LABELS[ex.label]}\t"
+              f"{' '.join(str(i) for i in ex.ids)}" for ex in examples]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def _preprocess(inputs: Path, out: Path) -> dict[str, str]:
-    from emoconv import cli
+    """The statistics report of ``emoconv preprocess``, and the vocabulary
+    and encoded splits that ``emoconv train`` builds from the same files,
+    hashed in the layout of the ``vocab.txt`` and ``*.ids.tsv`` files that
+    ``preprocess`` once wrote."""
+    from emoconv import cli, dataio
+    from emoconv import train as tr
 
     report = out / "stats.tsv"
-    rc = cli.main(["--out", str(report), "preprocess",
-                   "--train", str(inputs / "train.txt"), "--val", str(inputs / "val.txt"),
-                   "--test", str(inputs / "test.txt"), "--out-dir", str(out / "data")])
+    paths = {name: str(inputs / f"{name}.txt") for name in ("train", "val", "test")}
+    rc = cli.main(["--out", str(report), "preprocess", "--train", paths["train"],
+                   "--val", paths["val"], "--test", paths["test"]])
     if rc != 0:
         raise RuntimeError(f"emoconv preprocess on {inputs} exited with {rc}")
-    files = ["vocab.txt", "train.ids.tsv", "val.ids.tsv", "test.ids.tsv"]
-    digests = {name: _sha((out / "data" / name).read_bytes()) for name in files}
+    train_split, val_split, train_rows, vocab = cli._read_splits(argparse.Namespace(**paths))
+    test_split = dataio.load_dataset(paths["test"], "test")
+    digests = {"vocab.txt": _sha("".join(t + "\n" for t in vocab.id_to_token).encode("utf-8"))}
+    for split, rows in ((train_split, train_rows), (val_split, None), (test_split, None)):
+        encoded = tr.encode_split(split, vocab, rows)
+        digests[f"{split.name}.ids.tsv"] = _sha(_encoded_tsv(split, encoded))
     digests["stats.tsv"] = _sha(report.read_bytes())
     return digests
 
@@ -335,14 +364,15 @@ def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
     config = tmp / "config.txt"
     config.write_text(CLI_CONFIG, encoding="utf-8")
     run("--out", tmp / "stats.tsv", "preprocess", "--train", splits["train"],
-        "--val", splits["val"], "--test", splits["test"], "--out-dir", tmp / "data")
+        "--val", splits["val"], "--test", splits["test"])
     run("--seed", 3, "--out", tmp / "finetune.tsv", "finetune",
         "--corpus", tmp / "tweets.tsv", "--embeddings-in", tmp / "words.txt",
         "--embeddings-out", tmp / "tuned.txt", "--epochs-frozen", 1,
         "--epochs-unfrozen", 1, "--lr", 0.01, "--batch-size", 16, "--dim", 8,
         "--filters", 4)
-    run("--config", config, "--out", tmp / "run", "train", "--data-dir", tmp / "data",
-        "--embeddings", tmp / "tuned.txt", "--sentence-vectors", tmp / "sv.tsv")
+    run("--config", config, "--out", tmp / "run", "train", "--train", splits["train"],
+        "--val", splits["val"], "--embeddings", tmp / "tuned.txt",
+        "--sentence-vectors", tmp / "sv.tsv")
     run("--out", tmp / "evaluate.tsv", "evaluate", "--checkpoint", tmp / "run" / "model.ckpt",
         "--split", splits["test"], "--sentence-vectors", tmp / "sv.tsv")
     run("--config", config, "--out", tmp / "sweep.tsv", "sweep", "--train", splits["train"],

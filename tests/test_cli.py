@@ -4,6 +4,10 @@ Each test drives ``cli.main`` with real files in a temp directory, the way a
 user would, and inspects the artifacts it leaves behind.
 """
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,41 +44,27 @@ def world(tmp_path):
     return tmp_path
 
 
-def preprocess(world, out_dir="data", report="stats.tsv"):
-    rc = cli.main(["--out", str(world / report), "preprocess",
-                   "--train", str(world / "train.txt"),
-                   "--val", str(world / "val.txt"),
-                   "--out-dir", str(world / out_dir)])
-    assert rc == 0
-    return world / out_dir
-
-
-def run_train(world, data_dir, out_dir, extra=()):
+def run_train(world, out_dir, extra=(), sentence_vectors=None):
     return cli.main(["--config", str(world / "config.txt"),
                      "--out", str(world / out_dir), *extra,
-                     "train", "--data-dir", str(data_dir),
-                     "--sentence-vectors", str(world / "sv.tsv")])
+                     "train", "--train", str(world / "train.txt"),
+                     "--val", str(world / "val.txt"),
+                     "--sentence-vectors", sentence_vectors or str(world / "sv.tsv")])
 
 
 def test_preprocess_artifacts(world):
-    data_dir = preprocess(world)
-    vocab = dataio.load_vocab(data_dir / "vocab.txt")
-    assert vocab.id_to_token[:3] == list(SPECIALS)
-
-    text = (data_dir / "train.ids.tsv").read_text()
-    assert text.startswith("# label_counts\t")
-    examples, counts = tr.load_encoded(data_dir / "train.ids.tsv", vocab.size)
-    assert len(examples) == 16
-    assert sum(counts.values()) == 16
-    raw = dataio.load_dataset(world / "train.txt", "train")
-    npt = np.testing
-    for got, want in zip(examples, tr.encode_split(raw, vocab)):
-        assert got.id == want.id and got.label == want.label
-        npt.assert_array_equal(got.ids, want.ids)
-
-    stats = (world / "stats.tsv").read_text()
-    assert stats.splitlines()[0].startswith("split\ttotal\thappy")
-    assert f"vocab_size\t{vocab.size}" in stats
+    rc = cli.main(["--out", str(world / "stats.tsv"), "preprocess",
+                   "--train", str(world / "train.txt"), "--val", str(world / "val.txt")])
+    assert rc == 0
+    assert sorted(p.name for p in world.iterdir()) == [
+        "config.txt", "stats.tsv", "sv.tsv", "train.txt", "val.txt"]  # a report and no more
+    vocab = toycorpus.vocab_for(dataio.load_dataset(world / "train.txt", "train"))
+    assert vocab.id_to_token[:len(SPECIALS)] == list(SPECIALS)
+    stats = (world / "stats.tsv").read_text().splitlines()
+    assert stats[0].startswith("split\ttotal\thappy")
+    assert stats[1].startswith("train\t16\t4\t4\t4\t4\t") and stats[1].endswith("\t16")
+    assert stats[2].startswith("val\t8\t2\t2\t2\t2\t") and stats[2].endswith("\t8")
+    assert stats[3] == f"vocab_size\t{vocab.size}"
 
 
 def _count_texts(monkeypatch):
@@ -95,7 +85,7 @@ def test_preprocess_and_sweep_parse_each_conversation_once(world, monkeypatch):
     texts = _count_texts(monkeypatch)
     rc = cli.main(["--out", str(world / "stats.tsv"), "preprocess",
                    "--train", str(world / "train.txt"), "--val", str(world / "val.txt"),
-                   "--test", str(world / "test.txt"), "--out-dir", str(world / "data")])
+                   "--test", str(world / "test.txt")])
     assert rc == 0
     conversations = 16 + 8 + 6
     assert len(texts) == 3 * conversations
@@ -103,6 +93,10 @@ def test_preprocess_and_sweep_parse_each_conversation_once(world, monkeypatch):
     turns = [len(textprep.tokenize(textprep.clean_text(t)))
              for c in test_split.conversations for t in c.turns]
     assert stats[3].split("\t")[-2] == f"{sum(turns) / len(turns):.2f}"
+
+    texts.clear()
+    assert run_train(world, "run") == 0
+    assert len(texts) == 3 * (16 + 8)
 
     texts.clear()
     rc = cli.main(["--config", str(world / "config.txt"), "--out", str(world / "sweep.tsv"),
@@ -134,15 +128,13 @@ def test_preprocess_rejects_malformed_file(world, capsys):
     bad = world / "bad.txt"
     bad.write_text("not\ta\tdataset\n")
     rc = cli.main(["preprocess", "--train", str(bad),
-                   "--val", str(world / "val.txt"),
-                   "--out-dir", str(world / "data")])
+                   "--val", str(world / "val.txt")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
 
 def test_train_then_evaluate(world, capsys):
-    data_dir = preprocess(world)
-    assert run_train(world, data_dir, "run") == 0
+    assert run_train(world, "run") == 0
     out = capsys.readouterr().out
     assert out.startswith(tr.HISTORY_HEADER)
     assert (world / "run" / "model.ckpt").exists()
@@ -166,9 +158,8 @@ def test_train_then_evaluate(world, capsys):
 
 
 def test_train_runs_are_bit_identical(world):
-    data_dir = preprocess(world)
-    assert run_train(world, data_dir, "a") == 0
-    assert run_train(world, data_dir, "b") == 0
+    assert run_train(world, "a") == 0
+    assert run_train(world, "b") == 0
     assert ((world / "a" / "model.ckpt").read_bytes()
             == (world / "b" / "model.ckpt").read_bytes())
     assert ((world / "a" / "history.tsv").read_text()
@@ -176,27 +167,20 @@ def test_train_runs_are_bit_identical(world):
 
 
 def test_seed_flag_overrides_config(world):
-    data_dir = preprocess(world)
-    assert run_train(world, data_dir, "a") == 0
-    assert run_train(world, data_dir, "c", extra=("--seed", "11")) == 0
+    assert run_train(world, "a") == 0
+    assert run_train(world, "c", extra=("--seed", "11")) == 0
     assert ((world / "a" / "model.ckpt").read_bytes()
             != (world / "c" / "model.ckpt").read_bytes())
 
 
 def test_sentence_vector_ablation(world):
-    data_dir = preprocess(world)
-    rc = cli.main(["--config", str(world / "config.txt"),
-                   "--out", str(world / "ablate"),
-                   "train", "--data-dir", str(data_dir),
-                   "--sentence-vectors", "none"])
-    assert rc == 0
+    assert run_train(world, "ablate", sentence_vectors="none") == 0
     ckpt = dataio.load_checkpoint(world / "ablate" / "model.ckpt")
     assert ckpt.config.sentence_dim == 0
 
 
 def test_evaluate_demands_sentence_vectors_when_fused(world, capsys):
-    data_dir = preprocess(world)
-    assert run_train(world, data_dir, "run") == 0
+    assert run_train(world, "run") == 0
     capsys.readouterr()
     rc = cli.main(["evaluate", "--checkpoint", str(world / "run" / "model.ckpt"),
                    "--split", str(world / "val.txt")])
@@ -205,8 +189,7 @@ def test_evaluate_demands_sentence_vectors_when_fused(world, capsys):
 
 
 def test_evaluate_names_the_first_unlabeled_example(world, capsys):
-    data_dir = preprocess(world)
-    assert run_train(world, data_dir, "run") == 0
+    assert run_train(world, "run") == 0
     split = toycorpus.make_split("val", 8, seed=2)
     toycorpus.write_split(split, world / "unlabeled.txt", labeled=False)
     capsys.readouterr()
@@ -256,23 +239,25 @@ def test_sweep_report_and_records(world):
     assert len(list((world / "runs").glob("run_*.json"))) == 4
 
 
-def test_train_names_the_line_of_an_id_outside_the_vocabulary(world, capsys):
-    data_dir = preprocess(world)
-    size = dataio.load_vocab(data_dir / "vocab.txt").size
-    path = data_dir / "val.ids.tsv"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[3] = f"{lines[3]} {size}"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert run_train(world, data_dir, "run") == 1
-    assert (f"{path} line 4: token id '{size}' out of range for a vocabulary of "
-            f"size {size}") in capsys.readouterr().err
-
-
 def test_errors_exit_nonzero(world, capsys):
-    rc = cli.main(["train", "--data-dir", str(world / "nowhere"),
-                   "--sentence-vectors", "none"])
+    rc = cli.main(["train", "--train", str(world / "nowhere.txt"),
+                   "--val", str(world / "val.txt"), "--sentence-vectors", "none"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         cli.main(["not-a-command"])
+
+
+def test_readme_commands_parse():
+    """Every ``emoconv`` command of the README's "Command line" block parses
+    with the program's own parser (nothing is run)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("emoconv ")]
+    assert len(commands) == 5
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])  # a flag it does not know exits
+        assert args.func is getattr(cli, f"cmd_{args.command}")

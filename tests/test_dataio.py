@@ -104,7 +104,6 @@ def test_load_word_vectors(tmp_path):
 def test_outside_files_may_start_with_a_utf8_bom(tmp_path):
     from emoconv import sweep
     from emoconv.finetune import load_finetune_corpus
-    from emoconv.train import ENCODED_HEADER, load_encoded
 
     def bom(name, text):
         path = tmp_path / name
@@ -118,9 +117,6 @@ def test_outside_files_may_start_with_a_utf8_bom(tmp_path):
     assert list(dio.load_sentence_vectors(bom("sv.tsv", "c1\t1 2\n"), 2).vectors) == ["c1"]
     assert load_finetune_corpus(bom("ft.tsv", "text\tlabel\nyay\t1\n")) == [("yay", 1)]
     assert load_config(bom("c.cfg", "lr = 0.01\n")).lr == 0.01
-    assert dio.load_vocab(bom("vocab.txt", "<pad>\n<unk>\n<eos>\nhi\n")).size == 4
-    examples, _ = load_encoded(bom("ids.tsv", f"{ENCODED_HEADER}\nc1\tsad\t3\n"), 4)
-    assert [ex.id for ex in examples] == ["c1"]
     record = sweep.RunRecord("lr", 0.01, 0, "ab", 0.5, 1.0, 1.4, True)
     assert sweep.load_record(bom("run.json", record.to_json())) == record
 
@@ -418,26 +414,6 @@ def test_checkpoint_fuzz_truncations_and_flips_raise_value_error_naming_the_file
     assert outcomes["rejected"] > 300
 
 
-def test_vocab_file_round_trip(tmp_path):
-    vocab = Vocabulary([*SPECIALS, "hi", "there", "🙂"])
-    path = tmp_path / "vocab.txt"
-    dio.save_vocab(vocab, path)
-    back = dio.load_vocab(path)
-    assert back.id_to_token == vocab.id_to_token
-    assert back.token_to_id == vocab.token_to_id
-
-    (tmp_path / "bad.txt").write_text("hi\nthere\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        dio.load_vocab(tmp_path / "bad.txt")
-
-
-def test_load_vocab_rejects_a_repeated_token_naming_its_line(tmp_path):
-    p = _write(tmp_path / "vocab.txt", "<pad>\n<unk>\n<eos>\nhi\n\nthere\nhi\n")
-    with pytest.raises(ValueError) as err:
-        dio.load_vocab(p)
-    assert str(err.value) == f"{p} line 7: repeated token 'hi' (first on line 4)"
-
-
 def test_config_defaults_match_stated_hyperparameters(tmp_path):
     cfg = load_config(_write(tmp_path / "empty.cfg", ""))
     assert cfg == TrainConfig()
@@ -511,9 +487,9 @@ def _umask() -> int:
 
 
 def test_outputs_are_created_with_the_mode_of_a_plain_open(tmp_path):
-    dio.save_vocab(Vocabulary(id_to_token=list(SPECIALS)), tmp_path / "vocab.txt")
+    dio.save_word_vectors(["hi"], np.ones((1, 2)), tmp_path / "vectors.txt")
     dio.save_checkpoint(_toy_checkpoint(), tmp_path / "model.ckpt")
-    for name in ("vocab.txt", "model.ckpt"):
+    for name in ("vectors.txt", "model.ckpt"):
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~_umask()
 
 

@@ -1,10 +1,10 @@
 """Seeded fuzz over every line format the program reads from outside.
 
-Each of the eight formats (dataset TSV, word vectors, sentence vectors,
-vocabulary, encoded split, fine-tuning corpus, config file, sweep record)
-starts from a valid file.  The file is then truncated, has bytes flipped,
-has a byte that is not UTF-8 put into one line, has a number swapped for a
-non-number, ``nan`` or ``inf``, or has a line repeated.  Every case must
+Each of the six formats (dataset TSV, word vectors, sentence vectors,
+fine-tuning corpus, config file, sweep record) starts from a valid file.
+The file is then truncated, has bytes flipped, has a byte that is not
+UTF-8 put into one line, has a number swapped for a non-number, ``nan`` or
+``inf``, or has a line repeated.  Every case must
 either load or raise a ValueError of one of the two forms ``FILE line N:``
 (a fault on a line) and ``FILE:`` (a fault of the whole file).  Where the
 fault is known to sit on one line, that line must be the one named.
@@ -17,7 +17,6 @@ import pytest
 
 from emoconv import dataio as dio
 from emoconv import sweep as sw
-from emoconv import train as tr
 from emoconv.config import load_config
 from emoconv.finetune import load_finetune_corpus
 
@@ -34,10 +33,6 @@ FORMATS = {
                      lambda p: dio.load_word_vectors(p, 3), 2, False),
     "sentence_vectors": ("c1\t0.1 0.2 0.3\nc2\t1 2 3\nc3\t-0.5 0 1e2\n",
                          lambda p: dio.load_sentence_vectors(p, 3), 1, True),
-    "vocab": ("<pad>\n<unk>\n<eos>\nhi\nthere\nyay\n", dio.load_vocab, 4, True),
-    "encoded": ("# label_counts\thappy=1\tsad=0\tangry=1\tothers=1\n"
-                f"{tr.ENCODED_HEADER}\nc1\thappy\t3 4 2 5\nc2\tangry\t5 2 3\nc3\tothers\t4\n",
-                lambda p: tr.load_encoded(p, 6), 3, True),
     "finetune_corpus": ("text\tlabel\nyay so good 2\t1\nugh bad\t0\nmeh\t1\n",
                         load_finetune_corpus, 2, False),
     "config": ("# comment\nlr = 0.001\nhidden_size = 8\nclip_norm = 2.5  # inline\n"

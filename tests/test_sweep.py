@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import toycorpus
-from emoconv import rcnn
+from emoconv import rcnn, textprep
 from emoconv import sweep as sw
 from emoconv import train as tr
 from emoconv.config import TrainConfig
-from emoconv.dataio import LABEL_TO_INDEX, build_embedding_matrix
+from emoconv.dataio import LABEL_TO_INDEX, Conversation, build_embedding_matrix
 
 FAST = TrainConfig(lr=0.02, batch_size=4, epochs=2, hidden_size=4, num_layers=1,
                    sentence_dim=0, embedding_dim=6, dropout_bilstm=0.0,
@@ -107,6 +107,20 @@ def test_axis_values_are_coerced():
                                list_rows(train_split))
     rec = sw.run_one(FAST, "batch_size", 6.0, 3, data, None, vocab)
     assert rec.value == 6 and isinstance(rec.value, int)
+
+
+def test_baseline_loss_is_over_the_examples_the_runs_train_on():
+    train_split, val_split, vocab = _toy_data()
+    long_turn = " ".join(["so"] * 79)
+    assert len(textprep.assemble_input((long_turn, "yay", "um")).tokens) == 83
+    train_split.conversations.append(Conversation("long", (long_turn, "yay", "um"), "happy"))
+    train_split.label_counts["happy"] += 1
+    data = sw.SweepData.encode(train_split, val_split, vocab, list_rows(train_split))
+    kept = [ex.label for ex in data.train_ex]
+    assert len(kept) == 12  # the 83-token conversation is filtered out
+    assert data.baseline_loss == tr.uniform_baseline_loss(data.weights, kept)
+    every = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
+    assert data.baseline_loss != tr.uniform_baseline_loss(data.weights, every)
 
 
 def test_sweep_encodes_once_and_matches_per_run_training(tmp_path, monkeypatch):
@@ -220,7 +234,9 @@ def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path):
 
     fields = json.loads(whole)
     for bad in ([1, 2], {**fields, "extra": 1},
-                {k: v for k, v in fields.items() if k != "seed"}):
+                {k: v for k, v in fields.items() if k != "seed"},
+                {**fields, "trained_effectively": "no"}, {**fields, "best_val_f1": "x"},
+                {**fields, "seed": 1.0}, {**fields, "value": True}, {**fields, "axis": 3}):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             sw.load_record(path)

@@ -256,94 +256,6 @@ def test_make_batch_and_missing_vectors():
     assert "sentence" in str(err.value)
 
 
-def test_load_encoded_names_file_and_line_of_unknown_label(tmp_path):
-    path = tmp_path / "train.ids.tsv"
-    path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 4\nb\tjoy\t5\n",
-                    encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        tr.load_encoded(path, 10)
-    assert str(err.value) == f"{path} line 3: unknown label 'joy'"
-
-
-@pytest.mark.parametrize("ids, bad", [("3 x4", "x4"), ("3 -4", "-4"), ("3 4.0", "4.0")])
-def test_load_encoded_names_file_and_line_of_a_bad_token_id(tmp_path, ids, bad):
-    path = tmp_path / "train.ids.tsv"
-    path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 4\nb\tsad\t{ids}\n",
-                    encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        tr.load_encoded(path, 10)
-    assert str(err.value) == f"{path} line 3: token id {bad!r} is not an integer >= 0"
-
-
-@pytest.mark.parametrize("big", [str(2 ** 63), "99999999999999999999"])
-def test_load_encoded_names_file_and_line_of_an_oversized_token_id(tmp_path, big):
-    path = tmp_path / "train.ids.tsv"
-    path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 {2 ** 63 - 1}\nb\tsad\t3 {big}\n",
-                    encoding="utf-8")
-    with pytest.raises(ValueError) as err:  # a vocabulary that holds every int64 id
-        tr.load_encoded(path, 2 ** 63)
-    assert str(err.value) == (f"{path} line 3: token id {big!r} does not fit "
-                              "in a 64-bit integer")
-
-
-def test_load_encoded_names_file_and_line_of_an_id_outside_the_vocabulary(tmp_path):
-    path = tmp_path / "train.ids.tsv"
-    path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 9\nb\tsad\t3 10 12\n",
-                    encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        tr.load_encoded(path, 10)
-    assert str(err.value) == (f"{path} line 3: token id '10' out of range for a "
-                              "vocabulary of size 10")
-    examples, _ = tr.load_encoded(path, 13)
-    assert [ex.ids.tolist() for ex in examples] == [[3, 9], [3, 10, 12]]
-
-
-def test_load_encoded_names_file_and_line_of_a_bad_label_count(tmp_path):
-    path = tmp_path / "train.ids.tsv"
-    path.write_text(f"# label_counts\thappy=2\tsad=two\n{tr.ENCODED_HEADER}\n"
-                    "a\thappy\t3 4\n", encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        tr.load_encoded(path, 10)
-    assert str(err.value) == (f"{path} line 1: label count 'sad=two' is not "
-                              "name=integer >= 0")
-
-
-@pytest.mark.parametrize("pairs, names", [
-    ("happy=1\tsad=0\tangry=2\tothers=3\tjoy=2", "'happy', 'sad', 'angry', 'others', 'joy'"),
-    ("happy=1\tsad=0\tangry=2", "'happy', 'sad', 'angry'"),
-    ("happy=1\tsad=0\tangry=2\tothers=3\tsad=4", "'happy', 'sad', 'angry', 'others', 'sad'"),
-])
-def test_load_encoded_requires_each_label_count_once(tmp_path, pairs, names):
-    path = tmp_path / "train.ids.tsv"
-    path.write_text(f"# label_counts\t{pairs}\n{tr.ENCODED_HEADER}\na\thappy\t3 4\n",
-                    encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        tr.load_encoded(path, 10)
-    assert str(err.value) == (f"{path} line 1: label counts for [{names}], not one for "
-                              "each of ['happy', 'sad', 'angry', 'others']")
-
-
-def test_load_encoded_reads_back_what_save_encoded_wrote(tmp_path):
-    path = tmp_path / "train.ids.tsv"
-    examples = [tr.EncodedExample("a", np.array([3, 4]), 0),
-                tr.EncodedExample("b", np.array([5]), None)]
-    counts = {"happy": 1, "sad": 0, "angry": 2, "others": 3}
-    tr.save_encoded(examples, counts, path)
-    back, back_counts = tr.load_encoded(path, 6)
-    assert back_counts == counts
-    assert [(ex.id, ex.ids.tolist(), ex.label) for ex in back] == [("a", [3, 4], 0),
-                                                                    ("b", [5], None)]
-
-
-def test_load_encoded_rejects_a_repeated_id_naming_both_lines(tmp_path):
-    path = tmp_path / "train.ids.tsv"
-    path.write_text(f"{tr.ENCODED_HEADER}\na\thappy\t3 4\nb\tsad\t5\na\tsad\t6\n",
-                    encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        tr.load_encoded(path, 10)
-    assert str(err.value) == f"{path} line 4: repeated conversation id 'a' (first on line 2)"
-
-
 TOY_CONFIG = TrainConfig(lr=0.01, batch_size=8, epochs=3, hidden_size=6,
                          num_layers=1, sentence_dim=4, embedding_dim=6,
                          dropout_bilstm=0.0, dropout_linear=0.0,
