@@ -79,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", required=True, help="labeled dataset TSV")
-    p.add_argument("--split-name", default="test",
-                   help="split semantics for loading (train applies the "
-                        "length filter)")
     p.add_argument("--sentence-vectors", default="none")
     p.add_argument("--score-others", action="store_true",
                    help="include the 'others' class in micro-F1")
@@ -205,6 +202,7 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(config.seed)
     emb, coverage = build_embedding_matrix(vocab, pretrained,
                                            config.embedding_dim, rng)
+    del pretrained  # every vector of --embeddings; the matrix holds what is used
     if args.embeddings:
         log.info("pretrained coverage %.1f%% of %d tokens", 100 * coverage,
                  vocab.size - len(SPECIALS))
@@ -226,7 +224,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     params = rcnn.restore(ckpt.config, ckpt.params)
-    split = load_dataset(args.split, args.split_name)
+    split = load_dataset(args.split, "test")
     examples = tr.encode_split(split, ckpt.vocab)
     store = _load_store(args.sentence_vectors, ckpt.config.sentence_dim)
     scored = LABELS if args.score_others else metrics.SCORED_CLASSES

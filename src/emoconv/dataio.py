@@ -124,7 +124,6 @@ class DatasetSplit:
 
 @dataclass
 class SentenceVectorStore:
-    dim: int
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def get(self, conv_id: str) -> np.ndarray:
@@ -223,7 +222,7 @@ def load_word_vectors(path, expected_dim: int) -> dict[str, np.ndarray]:
 
 def load_sentence_vectors(path, expected_dim: int) -> SentenceVectorStore:
     """Sentence-vector TSV: ``id<TAB>v1 v2 ... v_dim``, one id per line."""
-    store = SentenceVectorStore(expected_dim)
+    store = SentenceVectorStore()
     for lineno, line in read_lines(path):
         if not line:
             continue
@@ -286,7 +285,6 @@ def save_word_vectors(tokens: list[str], matrix: np.ndarray, path) -> None:
 
 @dataclass
 class Checkpoint:
-    format_version: int
     vocab: Vocabulary
     params: dict[str, np.ndarray]
     config: TrainConfig
@@ -306,7 +304,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", ckpt.format_version))
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for name in names:
@@ -400,5 +398,5 @@ def load_checkpoint(path) -> Checkpoint:
             fh.readinto(params[name])
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    return Checkpoint(version, Vocabulary(id_to_token=meta["vocab"]), params,
+    return Checkpoint(Vocabulary(id_to_token=meta["vocab"]), params,
                       config, meta["epoch"], float(meta["best_val_f1"]))

@@ -1,11 +1,11 @@
-"""Neural building blocks over whole batches: embedding lookup, the fused
-LSTM scan and stacked BiLSTM, 1-D convolution over time, inverted dropout.
+"""Neural building blocks over whole batches: embedding lookup, the stacked
+BiLSTM, 1-D convolution over time, inverted dropout.
 
 A batch of sequences is packed: one [N x k] tensor of valid cells, row
 after row, with [B] per-row lengths summing to N (see :mod:`emoconv.tensor`).
 No layer builds, reads or returns a padded grid, so padding cannot change a
 result.  Most layers are compositions of :mod:`emoconv.tensor` ops;
-``embedding_lookup``, ``lstm_scan``, ``dropout`` and the convolution's window
+``embedding_lookup``, a BiLSTM layer, ``dropout`` and the convolution's window
 gather are graph nodes of their own with hand-written backward passes,
 checked against finite differences and against the per-example,
 per-timestep oracle kept with the tests.
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .textprep import PAD_ID
 
 @dataclass
 class EmbeddingMatrix:
@@ -61,9 +62,6 @@ def init_arrays(shapes: dict[str, tuple[int, ...]], rng) -> dict[str, np.ndarray
         if u is not None:
             out[name][u[1]:2 * u[1]] = 1.0  # the forget gate, second of four blocks
     return out
-
-
-PAD_ID = 0
 
 
 def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
@@ -116,15 +114,12 @@ def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
 
 
 def _packed_order(lengths: np.ndarray, reverse: bool):
-    """Time-major order of a packed batch's cells, for the recurrence.
-
-    Rows are sorted by length, longest first, so the rows still active at
-    step t are a prefix of that order.  Returns, per time-major cell, the
-    index of the cell it reads in the row-major packing ([N]), the
-    time-major index of the same row's previous step (-1 at step 0), and the
-    step offsets ([T+1]).  The reverse direction walks each row from its
-    last cell.
-    """
+    """Time-major order of a packed batch's cells, for the recurrence: rows
+    sorted longest first, so the rows still active at step t are a prefix.
+    Returns, per time-major cell, the index of the cell it reads in the
+    row-major packing ([N]) and the time-major index of the same row's
+    previous step (-1 at step 0); then the step offsets ([T+1]).  The
+    reverse direction walks each row from its last cell."""
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     # (step, rank) of each cell in step-major order: rank r runs while step < sorted_len[r]
@@ -137,45 +132,31 @@ def _packed_order(lengths: np.ndarray, reverse: bool):
     return src, prev, offsets
 
 
-def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
-              reverse: bool = False) -> T.Tensor:
-    """One LSTM direction over a packed batch: x [N x input] -> [N x hidden].
-
-    Each row starts from zero state and reads only its own cells, left to
-    right, or right to left from its last cell when ``reverse``; output cell
-    n is the hidden state after reading input cell n.  Following the cuDNN
-    formulation, x W^T + b is one product over all cells, the recurrence
-    keeps only h U^T per step, and backward gets dW, dU and dx as single
-    products.
-
-    Backward keeps the activated gates and the cell states, both
-    time-major; it gathers the inputs from ``x`` and the previous hidden
-    states from the output again rather than keeping copies.
-    """
-    if x.values.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ValueError(f"lstm_scan needs x [N x {w.shape[1]}], got {x.shape}")
-    lengths = T.check_lengths(lengths, x.shape[0])
+def _scan(x: np.ndarray, order, direction, out: np.ndarray, keep: bool):
+    """One LSTM direction (W, U, b) in the ``order`` of :func:`_packed_order`:
+    fills ``out`` [N x hidden] from x [N x input], each row from zero state,
+    and returns ``backward(g, need_dx) -> (dx, dW, dU, db)`` if ``keep``.  As
+    in cuDNN, x W^T + b is one product over all cells, a step adds only
+    h U^T, and dW, dU and dx are single products.  Backward keeps the gates
+    and cell states, time-major, and gathers x and the previous h again."""
+    w, u, b = (p.values for p in direction)
     hs = u.shape[1]
-    if w.shape[0] != 4 * hs or u.shape != (4 * hs, hs) or b.shape != (4 * hs,):
-        raise ValueError(f"lstm_scan weight shapes disagree: W {w.shape}, "
-                         f"U {u.shape}, b {b.shape}")
-    src, prev, offsets = _packed_order(lengths, reverse)
-    wv, uv = w.values, u.values
-    ut = np.ascontiguousarray(uv.T)
-    gates = x.values[src] @ wv.T
-    gates += b.values
+    if (w.shape[1], w.shape[0], u.shape, b.shape) != (x.shape[1], 4 * hs, (4 * hs, hs), (4 * hs,)):
+        raise ValueError(f"LSTM weights {w.shape}, {u.shape}, {b.shape} do not fit x {x.shape}")
+    src, prev, offsets = order
+    ut = np.ascontiguousarray(u.T)
+    gates = x[src] @ w.T
+    gates += b
     c_all = np.empty((src.size, hs))
-    out = np.empty((src.size, hs))
     h = c = np.zeros((offsets[1], hs))
     for s, e in zip(offsets[:-1], offsets[1:]):
-        h, c = lstm_step(gates[s:e], h[:e - s], c[:e - s], uv, ut)
+        h, c = lstm_step(gates[s:e], h[:e - s], c[:e - s], u, ut)
         out[src[s:e]], c_all[s:e] = h, c
 
-    def backward_fn(g):
+    def backward(g, need_dx):
         dh_in = g[src]
         dz = np.empty_like(gates)
-        dh = np.zeros((offsets[1], hs))
-        dc = np.zeros((offsets[1], hs))
+        dh, dc = np.zeros((2, offsets[1], hs))
         first = prev < 0
         c_prev = np.where(first[:, None], 0.0, c_all[prev])
         for s, e in zip(offsets[-2::-1], offsets[:0:-1]):
@@ -189,15 +170,34 @@ def lstm_scan(x: T.Tensor, lengths, w: T.Tensor, u: T.Tensor, b: T.Tensor,
             dz[s:e, 2 * hs:3 * hs] = dc_t * i * (1.0 - gg * gg)
             dz[s:e, 3 * hs:] = dh_t * tc * o * (1.0 - o)
             dc[:n] = dc_t * f
-            dh[:n] = dz[s:e] @ uv
+            dh[:n] = dz[s:e] @ u
         h_prev = np.where(first[:, None], 0.0, out[src[prev]])
-        dx = None
-        if x.requires_grad:
-            dx = np.empty(x.shape)
-            dx[src] = dz @ wv
-        return dx, dz.T @ x.values[src], dz.T @ h_prev, dz.sum(axis=0)
+        dx = np.empty(x.shape) if need_dx else None
+        if need_dx:
+            dx[src] = dz @ w
+        return dx, dz.T @ x[src], dz.T @ h_prev, dz.sum(axis=0)
 
-    return T.from_op(out, "lstm_scan", (x, w, u, b), backward_fn)
+    return backward if keep else None
+
+
+def _bilstm_layer(x: T.Tensor, orders, fwd, bwd) -> T.Tensor:
+    """One BiLSTM layer, one node: [N x input] -> [N x 2*hidden], [h_f; h_b]
+    at every cell.  Its parents are (x, x, *fwd, *bwd), so the engine adds
+    the two directions' input gradients forward first."""
+    hs = fwd[1].shape[1]
+    halves, backs = (slice(0, hs), slice(hs, None)), []
+
+    def backward_fn(g):
+        (dx_f, *d_f), (dx_b, *d_b) = (back(g[:, h], x.requires_grad)
+                                      for back, h in zip(backs, halves))
+        return (dx_f, dx_b, *d_f, *d_b)
+
+    # made first, so that without a graph (no_grad) no direction's gates outlive its scan
+    node = T.from_op(np.empty((x.shape[0], 2 * hs)), "bilstm_layer", (x, x, *fwd, *bwd),
+                     backward_fn)
+    backs += [_scan(x.values, order, ps, node.values[:, half], node.requires_grad)
+              for order, ps, half in zip(orders, (fwd, bwd), halves)]
+    return node
 
 
 def bilstm_encode(layers, cells: T.Tensor, lengths, dropout_rate: float,
@@ -206,18 +206,18 @@ def bilstm_encode(layers, cells: T.Tensor, lengths, dropout_rate: float,
     [N x input] -> [N x 2*hidden].
 
     ``layers`` holds one ((W, U, b) forward, (W, U, b) backward) pair per
-    layer.  Per layer, a forward and a reverse ``lstm_scan`` over each row's
-    cells, concatenated as [h_f; h_b] at every cell; layer k+1 consumes layer
-    k's output, with dropout after every layer when training.
+    layer; the reverse direction reads each row from its last cell.  Layer k+1
+    consumes layer k's output, with dropout after every layer when training.
     """
     if not layers:
         raise ValueError("bilstm_encode needs at least one layer")
     if cells.values.ndim != 2:
         raise ValueError(f"bilstm_encode needs a packed [N x input] tensor, got {cells.shape}")
+    lengths = T.check_lengths(lengths, cells.shape[0])
+    orders = (_packed_order(lengths, False), _packed_order(lengths, True))
     out = cells
     for fwd, bwd in layers:
-        halves = [lstm_scan(out, lengths, *fwd), lstm_scan(out, lengths, *bwd, reverse=True)]
-        out = dropout(T.concat(halves, axis=1), dropout_rate, training, rng)
+        out = dropout(_bilstm_layer(out, orders, fwd, bwd), dropout_rate, training, rng)
     return out
 
 

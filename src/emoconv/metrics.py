@@ -66,7 +66,6 @@ def micro_f1(cm: ConfusionMatrix, scored_classes=SCORED_CLASSES) -> float:
 
 @dataclass
 class SeedAggregate:
-    scores: list[float]
     mean: float
     sd: float
 
@@ -81,7 +80,7 @@ def aggregate_seeds(scores) -> SeedAggregate:
         sd = 0.0
     else:
         sd = math.sqrt(sum((s - mean) ** 2 for s in scores) / (len(scores) - 1))
-    return SeedAggregate(scores, mean, sd)
+    return SeedAggregate(mean, sd)
 
 
 def format_report(cm: ConfusionMatrix, scored_classes=SCORED_CLASSES) -> str:

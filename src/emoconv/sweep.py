@@ -38,6 +38,8 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
 @dataclass
 class SweepSpec:
+    """One axis and its values, each converted to the axis's type: a whole
+    number on an integer axis, no two alike once converted."""
     axis: str
     values: list
     seeds: list[int] = dataclasses.field(default_factory=lambda: list(DEFAULT_SEEDS))
@@ -47,6 +49,11 @@ class SweepSpec:
             raise ValueError(f"axis {self.axis!r} is not one of {', '.join(SWEEP_AXES)}")
         if not self.values or not self.seeds:
             raise ValueError("sweep needs at least one value and one seed")
+        values = [_axis_value(self.axis, v) for v in self.values]
+        repeats = [raw for k, raw in enumerate(self.values) if values[k] in values[:k]]
+        if repeats:
+            raise ValueError(f"sweep value {repeats[0]!r} repeats another on axis {self.axis}")
+        self.values = values
 
 
 @dataclass
@@ -70,7 +77,11 @@ def config_hash(config: TrainConfig) -> str:
 
 
 def _axis_value(axis: str, value):
-    return int(value) if axis in ("hidden_size", "num_layers", "batch_size") else float(value)
+    if axis not in ("hidden_size", "num_layers", "batch_size"):
+        return float(value)
+    if not float(value).is_integer():
+        raise ValueError(f"sweep value {value!r} for {axis} is not a whole number")
+    return int(value)
 
 
 @dataclass
@@ -184,8 +195,7 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
         inputs = _inputs_digest(train_split, val_split, vocab, store, pretrained)
     data = None
     records: list[RunRecord] = []
-    for raw_value in spec.values:
-        value = _axis_value(spec.axis, raw_value)
+    for value in spec.values:
         for seed in spec.seeds:
             cfg = base_config.replace(**{spec.axis: value}, seed=seed)
             path = _record_path(runs_dir, cfg, inputs) if runs_dir is not None else None
@@ -203,9 +213,9 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
             records.append(rec)
     aggregates = []
     for value in spec.values:
-        cell = [r for r in records if r.value == _axis_value(spec.axis, value)]
+        cell = [r for r in records if r.value == value]
         agg = aggregate_seeds([r.best_val_f1 for r in cell])
-        aggregates.append({"axis": spec.axis, "value": _axis_value(spec.axis, value),
+        aggregates.append({"axis": spec.axis, "value": value,
                            "mean_val_f1": agg.mean, "sd_val_f1": agg.sd,
                            "runs": len(cell),
                            "not_trained_effectively": sum(not r.trained_effectively

@@ -14,7 +14,7 @@ import numpy as np
 from . import metrics, rcnn
 from . import tensor as T
 from .config import TrainConfig
-from .dataio import (CHECKPOINT_VERSION, LABEL_TO_INDEX, LABELS, Checkpoint,
+from .dataio import (LABEL_TO_INDEX, LABELS, Checkpoint,
                      DatasetSplit, SentenceVectorStore, atomic_write)
 from .textprep import MAX_TRAIN_TOKENS, Vocabulary, token_rows
 
@@ -28,21 +28,16 @@ class ClassWeights:
     weights: np.ndarray  # aligned with dataio.LABELS
 
 
-def _counts_vector(counts) -> np.ndarray:
-    if isinstance(counts, dict):
-        missing = [name for name in LABELS if name not in counts]
-        if missing:
-            raise ValueError(f"missing counts for classes {missing}")
-        counts = [counts[name] for name in LABELS]
-    vec = np.asarray(list(counts), dtype=np.float64)
-    if vec.shape != (len(LABELS),):
-        raise ValueError(f"need {len(LABELS)} class counts, got shape {vec.shape}")
-    return vec
+def _counts_vector(counts: dict[str, int]) -> np.ndarray:
+    missing = [name for name in LABELS if name not in counts]
+    if missing:
+        raise ValueError(f"missing counts for classes {missing}")
+    return np.array([counts[name] for name in LABELS], dtype=np.float64)
 
 
-def compute_class_weights(train_counts, val_counts) -> ClassWeights:
-    """Per-class loss weights: validation distribution over training
-    distribution, normalized to sum to 1."""
+def compute_class_weights(train_counts: dict, val_counts: dict) -> ClassWeights:
+    """Per-class loss weights from two label -> count maps: validation
+    distribution over training distribution, normalized to sum to 1."""
     tr = _counts_vector(train_counts)
     va = _counts_vector(val_counts)
     if (tr <= 0).any() or (va <= 0).any():
@@ -480,6 +475,5 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
         final_arrays, final_epoch = best[2], best[1]
     else:
         final_arrays, final_epoch = {n: t.values.copy() for n, t in named.items()}, config.epochs
-    ckpt = Checkpoint(CHECKPOINT_VERSION, vocab, final_arrays, config,
-                      final_epoch, best[0])
+    ckpt = Checkpoint(vocab, final_arrays, config, final_epoch, best[0])
     return ckpt, history

@@ -2,8 +2,8 @@
 
 Every function here builds its graph one example and one timestep (or one
 convolution window) at a time from small tensor ops, exactly as the engine
-did before ``lstm_scan``, the masked ``max_over_time`` and ``unfold``
-existed.  Tests run the batched model and this oracle on the same parameters
+did before the fused LSTM scans, the masked ``max_over_time`` and
+``unfold`` existed.  Tests run the batched model and this oracle on the same parameters
 and require equal logits and gradients.  The ops that only this path needs
 (``matvec``, ``narrow``, ``take_row``, ``stack_rows``) live here too, as do
 the generic elementwise and shape ops (``add``, ``mul``, ``log``,
@@ -278,7 +278,7 @@ _LAYERS_LSTM_STEP = L.lstm_step  # bound at import: tests patch L.lstm_step with
 
 def packed_lstm_step(gates, h_prev, c_prev, u, ut):
     """``layers.lstm_step`` with every step's recurrent product taken against
-    the transposed view ``u.T``, as ``lstm_scan`` did before it kept a
+    the transposed view ``u.T``, as the LSTM scan did before it kept a
     contiguous U^T."""
     return _LAYERS_LSTM_STEP(gates, h_prev, c_prev, u, u.T)
 

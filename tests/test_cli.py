@@ -6,6 +6,7 @@ user would, and inspects the artifacts it leaves behind.
 
 import re
 import shlex
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,34 @@ def test_train_then_evaluate(world, capsys):
                    "--score-others"])
     assert rc == 0
     assert "scored_classes\thappy,sad,angry,others" in capsys.readouterr().out
+
+
+def test_train_frees_the_word_vectors_before_training(world, monkeypatch):
+    """Of ``--embeddings`` only the embedding matrix lives through training:
+    every vector the file held is freed before the first step."""
+    tokens = toycorpus.vocab_for(dataio.load_dataset(world / "train.txt", "train")).id_to_token
+    words = tokens[len(SPECIALS):len(SPECIALS) + 3] + ["unused"]
+    dataio.save_word_vectors(words, np.random.default_rng(0).normal(size=(4, 6)),
+                             world / "vec.txt")
+    refs, alive = [], []
+    load, train_encoded = cli.load_word_vectors, tr.train_encoded
+
+    def loaded(*args):
+        vectors = load(*args)
+        refs.extend(weakref.ref(v) for v in vectors.values())
+        return vectors
+
+    def entered(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        return train_encoded(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_word_vectors", loaded)
+    monkeypatch.setattr(tr, "train_encoded", entered)
+    assert cli.main(["--config", str(world / "config.txt"), "--out", str(world / "run"),
+                     "train", "--train", str(world / "train.txt"),
+                     "--val", str(world / "val.txt"), "--embeddings", str(world / "vec.txt"),
+                     "--sentence-vectors", str(world / "sv.tsv")]) == 0
+    assert len(refs) == 4 and alive == [0]
 
 
 def test_train_runs_are_bit_identical(world):

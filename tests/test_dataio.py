@@ -203,7 +203,7 @@ def test_load_sentence_vectors_rejects_a_bad_entry_naming_the_line(tmp_path, ent
 
 
 def test_sentence_vectors_round_trip(tmp_path):
-    store = dio.SentenceVectorStore(4)
+    store = dio.SentenceVectorStore()
     rng = np.random.default_rng(0)
     for i in range(5):
         store.vectors[f"c{i}"] = rng.standard_normal(4)
@@ -245,7 +245,7 @@ def _toy_checkpoint():
     vocab = Vocabulary([*SPECIALS, "hello"])
     rng = np.random.default_rng(3)
     params = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)}
-    return dio.Checkpoint(dio.CHECKPOINT_VERSION, vocab, params,
+    return dio.Checkpoint(vocab, params,
                           TrainConfig(hidden_size=3, sentence_dim=0),
                           epoch=4, best_val_f1=0.625)
 

@@ -3,10 +3,12 @@
 A step's graph must be unreachable once its loss is read: the next step's
 forward and the epoch-end evaluation run without it.  While it lives, a
 graph holds its nodes' values plus the arrays its backward closures
-captured; ``held_bytes`` counts both, each buffer once, and a mixed-length
-step must fit a budget derived from the layer shapes, in which an LSTM scan
-keeps only its gates, its cell states and its output, and a dropout only a
-one-byte keep-mask.  The gradient of the embedding table, and what clipping
+captured, and the arrays those closures reach through the functions they
+capture; ``held_bytes`` counts all of them, each buffer once.  A
+mixed-length step must fit a budget derived from the layer shapes, in which
+a BiLSTM layer keeps only the gates and cell states of its two directions
+and its one output, and a dropout only a one-byte keep-mask.  A BiLSTM
+layer is one node.  The gradient of the embedding table, and what clipping
 and Adam make of it, stays the size of the rows a step touched.
 """
 
@@ -45,18 +47,36 @@ def _base(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _captured(fn, seen: set) -> list[np.ndarray]:
+    """The ndarrays a function holds in its closure cells and default
+    arguments, directly, in a list or tuple, or through a function it holds
+    there in turn."""
+    if id(fn) in seen:
+        return []
+    seen.add(id(fn))
+    out = []
+    held = [c.cell_contents for c in fn.__closure__ or ()] + list(fn.__defaults__ or ())
+    for value in held:
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(item, np.ndarray):
+                out.append(item)
+            elif hasattr(item, "__code__"):
+                out += _captured(item, seen)
+    return out
+
+
 def held_bytes(root) -> int:
     """Bytes the graph under ``root`` keeps alive: node values and the
-    ndarrays captured by backward closures, each underlying buffer counted
-    once.  Parameters (leaves that take gradients) belong to the model."""
+    ndarrays its backward closures reach (``_captured``), each underlying
+    buffer counted once.  Parameters (leaves that take gradients) belong to
+    the model."""
     nodes = _nodes(root)
     params = {id(_base(n.values)) for n in nodes if n.requires_grad and n.backward_fn is None}
-    held = {}
+    held, seen = {}, set()
     for node in nodes:
         arrays = [node.values]
         if node.backward_fn is not None:
-            arrays += [c.cell_contents for c in node.backward_fn.__closure__ or ()
-                       if isinstance(c.cell_contents, np.ndarray)]
+            arrays += _captured(node.backward_fn, seen)
         for a in arrays:
             b = _base(a)
             if id(b) not in params:
@@ -152,6 +172,30 @@ def test_each_loss_is_one_node_over_its_model_output():
     assert probs.parents[0].op == "linear_rows" and probs.shape == (2,)
 
 
+def test_each_bilstm_layer_is_one_node_over_its_input_and_weights():
+    """A two-layer training step, table unfrozen, records 14 nodes: one per
+    BiLSTM layer, listing its input once per direction, and no per-direction
+    node or per-layer concat.  The two concats left are [enc; emb] and the
+    sentence vectors'."""
+    config = TrainConfig(hidden_size=3, num_layers=2, sentence_dim=2, embedding_dim=4,
+                         dropout_bilstm=0.3, dropout_linear=0.3)
+    rng = np.random.default_rng(6)
+    params = rcnn.init_model(config, L.EmbeddingMatrix.from_array(rng.uniform(-1, 1, (9, 4))),
+                             rng)
+    batch = rcnn.Batch.of_rows([rng.integers(1, 9, k) for k in (3, 1, 4)],
+                               rng.normal(size=(3, 2)), np.array([0, 3, 1]))
+    _, probs = rcnn.forward(params, batch, True, rng)
+    loss = tr.weighted_cross_entropy(probs, batch.labels, tr.ClassWeights(np.full(4, 0.25)))
+    ops = [n for n in _nodes(loss) if n.op is not None]
+    layers = [n for n in ops if n.op == "bilstm_layer"]
+    assert len(ops) == 14 and len(layers) == 2
+    assert sum(n.op == "concat" for n in ops) == 2
+    for fwd, bwd in params.bilstm:
+        (node,) = [n for n in layers if n.parents[2] is fwd[0]]
+        x = node.parents[0]
+        assert node.parents == (x, x, *fwd, *bwd) and node.shape == (8, 6)
+
+
 def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     h, d, s, layers = 16, 8, 3, 2
     config = TrainConfig(hidden_size=h, num_layers=layers, sentence_dim=s, embedding_dim=d,
@@ -168,13 +212,12 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
                                      tr.ClassWeights(np.full(4, 0.25)))
     T.backward(loss)  # a graph that ran backward keeps what it kept before
 
-    scan = 4 * h + h + h                       # gates, cell states, output
-    per_layer = 2 * scan + 2 * h + 2 * h       # two scans, concat, dropout
+    per_layer = 2 * (4 * h + h) + 2 * h + 2 * h  # per direction gates and cells; output, dropout
     ctx = 2 * h + d                            # [h_f; h_b; w_i]
     floats = n * (d + layers * per_layer + 2 * ctx + h)  # lookup .. projection
     floats += b * (h + 3 * (h + s) + 8 + 5)    # pool .. softmax, then the loss
     masks = n * (layers * 2 * h + ctx) + b * (h + s)
-    index = 8 * n * (2 * 2 * layers + 2)       # scan src/prev, lookup ids/mask
+    index = 8 * n * (2 * 2 + 2)                # src/prev per direction, lookup ids/mask
     budget = 8 * floats + masks + index + 4096  # offsets and per-row indices
     held = held_bytes(loss)
     assert 0.9 * budget < held <= budget, (held, budget)

@@ -124,6 +124,11 @@ def _scan_params(rng, inp, hidden, scale=0.5):
             for shape in ((4 * hidden, inp), (4 * hidden, hidden), (4 * hidden,))]
 
 
+def _one_layer(x, lengths, fwd, bwd):
+    """A one-layer ``bilstm_encode`` without dropout: [h_f; h_b] per cell."""
+    return L.bilstm_encode([(fwd, bwd)], x, lengths, 0.0, False, None)
+
+
 def test_lstm_step_zero_params_give_zero_state():
     gates = np.zeros((2, 8))
     h, c = L.lstm_step(gates, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((8, 2)),
@@ -147,56 +152,59 @@ def test_lstm_step_open_gates_add_candidate_to_cell():
 
 def test_lstm_step_matches_finite_differences():
     # one row, two steps: the second cell update sees non-zero h and c, so
-    # every term of lstm_step's derivative is exercised through lstm_scan
+    # every term of lstm_step's derivative is exercised, in both directions
     rng = np.random.default_rng(5)
     hidden, inp = 3, 4
-    params = _scan_params(rng, inp, hidden)
+    params = _scan_params(rng, inp, hidden) + _scan_params(rng, inp, hidden)
     x = T.Tensor(rng.uniform(-1, 1, (2, inp)), requires_grad=True)
 
     def f(ps):
-        return oracle.sum_all(L.lstm_scan(ps[0], [2], *ps[1:]))
+        return oracle.sum_all(_one_layer(ps[0], [2], ps[1:4], ps[4:]))
 
     assert T.finite_diff_check(f, [x] + params, eps=1e-5) < 1e-5
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_scan_matches_finite_differences(reverse):
-    # mixed lengths, unsorted: a length-1 row and a row at the maximum
+    # one direction's scan, probed through its half of a one-layer
+    # bilstm_encode; mixed lengths, unsorted: a length-1 row and a row at
+    # the maximum
     rng = np.random.default_rng(6 + reverse)
-    params = _scan_params(rng, 3, 2)
+    params = _scan_params(rng, 3, 2) + _scan_params(rng, 3, 2)
     lengths = [3, 5, 1, 4]
     x = T.Tensor(rng.uniform(-1, 1, (sum(lengths), 3)), requires_grad=True)
-    probe = T.constant(rng.uniform(-1, 1, (sum(lengths), 2)))
+    probe = np.zeros((sum(lengths), 4))
+    probe[:, 2 * reverse:2 * reverse + 2] = rng.uniform(-1, 1, (sum(lengths), 2))
+    probe = T.constant(probe)
 
-    def f(ps):
-        return oracle.sum_all(oracle.mul(L.lstm_scan(ps[0], lengths, *ps[1:], reverse=reverse),
-                               probe))
+    def f(_):  # finite_diff_check moves the checked values in place
+        return oracle.sum_all(oracle.mul(_one_layer(x, lengths, params[:3], params[3:]), probe))
 
-    assert T.finite_diff_check(f, [x] + params, eps=1e-5) < 1e-5
+    direction = params[3 * reverse:3 * reverse + 3]
+    assert T.finite_diff_check(f, [x] + direction, eps=1e-5) < 1e-5
 
 
 def test_lstm_scan_rows_are_independent_and_reverse_reads_own_end():
     rng = np.random.default_rng(7)
-    w, u, b = _scan_params(rng, 2, 3)
+    fwd, bwd = _scan_params(rng, 2, 3), _scan_params(rng, 2, 3)
     lengths = [3, 5, 1]
     rows = [rng.uniform(-1, 1, (n, 2)) for n in lengths]
     x = T.Tensor(np.concatenate(rows))
-    for reverse in (False, True):
-        out = L.lstm_scan(x, lengths, w, u, b, reverse=reverse).values
-        alone = [L.lstm_scan(T.Tensor(r), [len(r)], w, u, b, reverse=reverse).values
-                 for r in rows]
-        npt.assert_allclose(out, np.concatenate(alone), rtol=0, atol=1e-15)
-    # reversing a row reverses the reverse scan's output
+    out = _one_layer(x, lengths, fwd, bwd).values
+    alone = [_one_layer(T.Tensor(r), [len(r)], fwd, bwd).values for r in rows]
+    npt.assert_allclose(out, np.concatenate(alone), rtol=0, atol=1e-15)
+    # with one set of weights in both directions, reversing a row reverses
+    # the reverse scan's output into the forward one's
     body = rows[0]
-    fwd = L.lstm_scan(T.Tensor(body), [3], w, u, b).values
-    rev = L.lstm_scan(T.Tensor(body[::-1].copy()), [3], w, u, b, reverse=True).values
-    npt.assert_allclose(fwd, rev[::-1], atol=1e-15)
-    with pytest.raises(ValueError):
-        L.lstm_scan(x, [3, 5, 2], w, u, b)          # lengths sum to 10, not 9
-    with pytest.raises(ValueError):
-        L.lstm_scan(T.Tensor(x.values[:, :1]), lengths, w, u, b)
-    with pytest.raises(ValueError):
-        L.lstm_scan(T.Tensor(x.values[None]), lengths, w, u, b)  # not packed
+    there = _one_layer(T.Tensor(body), [3], fwd, fwd).values
+    back = _one_layer(T.Tensor(body[::-1].copy()), [3], fwd, fwd).values
+    npt.assert_allclose(there[:, :3], back[::-1, 3:], atol=1e-15)
+    with pytest.raises(ValueError, match="sum"):
+        _one_layer(x, [3, 5, 2], fwd, bwd)          # lengths sum to 10, not 9
+    with pytest.raises(ValueError, match="do not fit"):
+        _one_layer(T.Tensor(x.values[:, :1]), lengths, fwd, bwd)
+    with pytest.raises(ValueError, match="packed"):
+        _one_layer(T.Tensor(x.values[None]), lengths, fwd, bwd)
 
 
 def test_lstm_init_shapes_and_forget_bias():

@@ -100,7 +100,7 @@ def test_aggregate_seeds():
     with pytest.raises(ValueError):
         M.aggregate_seeds([])
     agg = M.aggregate_seeds([0.1, 0.9, 0.5])
-    assert min(agg.scores) <= agg.mean <= max(agg.scores)
+    assert 0.1 <= agg.mean <= 0.9
 
 
 def test_format_report_contains_the_numbers():

@@ -102,7 +102,7 @@ def test_both_models_match_the_oracle_on_a_batch_from_make_batch():
     lengths = [1, 2, 7, 1, 3, 2]
     examples = [tr.EncodedExample(f"c{i}", rng.integers(1, 11, n), i % 4)
                 for i, n in enumerate(lengths)]
-    store = SentenceVectorStore(3)
+    store = SentenceVectorStore()
     store.vectors.update({ex.id: rng.normal(size=3) for ex in examples})
     batch = tr.make_batch(examples, store, 3)
     model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
@@ -185,22 +185,26 @@ def test_forward_is_one_scan_per_layer_and_direction(monkeypatch):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_scan_bytes_match_the_transposed_view_product(monkeypatch, reverse):
-    """At the paper's hidden size, the contiguous U^T product leaves the
-    scan's output and all four gradients byte-identical, at every count of
-    active rows from 64 down to 1."""
+    """At the paper's hidden size, the contiguous U^T product leaves a
+    one-layer encoding and the four gradients of the direction read through
+    its half byte-identical, at every count of active rows from 64 down to
+    1."""
     rng = np.random.default_rng(50)
     hidden, inp = 200, 16
     lengths = rng.permutation(np.arange(1, 65))  # step t has 64 - t rows active
     x = T.Tensor(rng.normal(size=(lengths.sum(), inp)), requires_grad=True)
-    params = [T.Tensor(rng.uniform(-0.1, 0.1, shape), requires_grad=True)
-              for shape in ((4 * hidden, inp), (4 * hidden, hidden), (4 * hidden,))]
-    weights = T.constant(rng.normal(size=(lengths.sum(), hidden)))
+    fwd, bwd = ([T.Tensor(rng.uniform(-0.1, 0.1, shape), requires_grad=True)
+                 for shape in ((4 * hidden, inp), (4 * hidden, hidden), (4 * hidden,))]
+                for _ in range(2))
+    probe = np.zeros((lengths.sum(), 2 * hidden))
+    probe[:, hidden * reverse:hidden * (reverse + 1)] = rng.normal(size=(lengths.sum(), hidden))
+    direction = [x] + (bwd if reverse else fwd)
 
     def run():
-        T.reset_grads([x] + params)
-        out = L.lstm_scan(x, lengths, *params, reverse=reverse)
-        T.backward(oracle.sum_all(oracle.mul(out, weights)))
-        return [out.values.tobytes()] + [t.grad.tobytes() for t in [x] + params]
+        T.reset_grads(direction)
+        out = L.bilstm_encode([(fwd, bwd)], x, lengths, 0.0, False, None)
+        T.backward(oracle.sum_all(oracle.mul(out, T.constant(probe))))
+        return [out.values.tobytes()] + [t.grad.tobytes() for t in direction]
 
     got = run()
     monkeypatch.setattr(L, "lstm_step", oracle.packed_lstm_step)

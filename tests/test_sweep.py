@@ -42,6 +42,22 @@ def test_sweep_spec_validation():
         sw.SweepSpec("lr", [1e-4], seeds=[])
 
 
+def test_sweep_values_must_fit_the_axis_and_differ():
+    """An integer axis takes whole numbers only, and no two values may be
+    one once converted; either way the error names the value.  Truncating
+    4.2 and 4.7 trained batch 4 twice into one record file."""
+    spec = sw.SweepSpec("batch_size", [4.0, 6], seeds=[0])
+    assert spec.values == [4, 6] and all(isinstance(v, int) for v in spec.values)
+    for axis, values, named in (("batch_size", [4.2, 4.7], "4.2"),
+                                ("hidden_size", [4, 6.5], "6.5"),
+                                ("num_layers", [1, float("nan")], "nan"),
+                                ("hidden_size", [4, 6, 4.0], "4.0"),
+                                ("lr", [0.01, 0.02, 0.01], "0.01")):
+        with pytest.raises(ValueError, match=named):
+            sw.SweepSpec(axis, values, seeds=[0, 1])
+    assert sw.SweepSpec("lr", [1, 0.5]).values == [1.0, 0.5]
+
+
 def test_config_hash_distinguishes_runs():
     a = sw.config_hash(FAST.replace(seed=0))
     b = sw.config_hash(FAST.replace(seed=1))

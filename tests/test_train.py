@@ -10,7 +10,7 @@ from emoconv import rcnn
 from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.config import TrainConfig
-from emoconv.dataio import SentenceVectorStore, save_checkpoint
+from emoconv.dataio import LABELS, SentenceVectorStore, save_checkpoint
 
 PUBLISHED_TRAIN = {"happy": 4243, "sad": 5463, "angry": 5506, "others": 14948}
 PUBLISHED_VAL = {"happy": 142, "sad": 125, "angry": 150, "others": 2338}
@@ -30,7 +30,7 @@ def test_class_weights_from_the_dataset_distributions():
 
 
 def test_class_weights_invariances():
-    flat = tr.compute_class_weights([10, 10, 10, 10], [3, 3, 3, 3]).weights
+    flat = tr.compute_class_weights(dict.fromkeys(LABELS, 10), dict.fromkeys(LABELS, 3)).weights
     npt.assert_allclose(flat, [0.25] * 4, atol=1e-12)
 
     base = tr.compute_class_weights(PUBLISHED_TRAIN, PUBLISHED_VAL).weights
@@ -43,8 +43,8 @@ def test_class_weights_invariances():
 
     with pytest.raises(ValueError):
         tr.compute_class_weights({**PUBLISHED_TRAIN, "sad": 0}, PUBLISHED_VAL)
-    with pytest.raises(ValueError):
-        tr.compute_class_weights([1, 2, 3], [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="missing counts for classes \\['others'\\]"):
+        tr.compute_class_weights({"happy": 1, "sad": 2, "angry": 3}, PUBLISHED_VAL)
 
 
 def test_weighted_cross_entropy_values():
@@ -215,7 +215,7 @@ def test_make_batch_packs_rows_of_any_length():
     rng = np.random.default_rng(3)
     examples = [tr.EncodedExample(f"c{i}", rng.integers(1, 9, n), i % 4)
                 for i, n in enumerate(lengths)]
-    store = SentenceVectorStore(2)
+    store = SentenceVectorStore()
     store.vectors.update({ex.id: np.full(2, float(i)) for i, ex in enumerate(examples)})
     batch = tr.make_batch(examples, store, 2)
     npt.assert_array_equal(batch.ids, np.concatenate([ex.ids for ex in examples]))

@@ -43,7 +43,7 @@ def vocab_for(*splits):
 
 def store_for(splits, dim, seed):
     rng = np.random.default_rng(seed)
-    store = SentenceVectorStore(dim)
+    store = SentenceVectorStore()
     for split in splits:
         for conv in split.conversations:
             store.vectors[conv.id] = rng.uniform(-1, 1, dim)
