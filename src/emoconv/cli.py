@@ -30,8 +30,8 @@ from .config import TrainConfig, load_config
 from .dataio import (LABELS, atomic_write, build_embedding_matrix, load_checkpoint,
                      load_dataset, load_sentence_vectors, load_word_vectors,
                      save_checkpoint, save_word_vectors)
-from .finetune import (FinetuneSchedule, build_finetune_model, encode_corpus,
-                       finetune_encoded, load_finetune_corpus)
+from .finetune import (FILTERS_PER_SIZE, FinetuneSchedule, build_finetune_model,
+                       encode_corpus, finetune_encoded, load_finetune_corpus)
 from .textprep import SPECIALS, TokenSequence, build_vocab, token_rows
 
 log = logging.getLogger(__name__)
@@ -58,12 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="TSV with header text<TAB>label")
     p.add_argument("--embeddings-in", required=True)
     p.add_argument("--embeddings-out", required=True)
-    p.add_argument("--epochs-frozen", type=int, default=1)
-    p.add_argument("--epochs-unfrozen", type=int, default=3)
-    p.add_argument("--lr", type=float, default=0.0005)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--filters", type=int, default=300)
+    schedule = FinetuneSchedule()
+    p.add_argument("--epochs-frozen", type=int, default=schedule.frozen_epochs)
+    p.add_argument("--epochs-unfrozen", type=int, default=schedule.unfrozen_epochs)
+    p.add_argument("--lr", type=float, default=schedule.lr)
+    p.add_argument("--batch-size", type=int, default=schedule.batch_size)
+    p.add_argument("--dim", type=int, default=TrainConfig().embedding_dim)
+    p.add_argument("--filters", type=int, default=FILTERS_PER_SIZE)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("train", help="train the classifier on dataset TSVs")
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated values for the axis")
-    p.add_argument("--seeds", default="0,1,2,3,4",
+    p.add_argument("--seeds", default=",".join(map(str, sw.DEFAULT_SEEDS)),
                    help="comma-separated run seeds")
     p.add_argument("--embeddings", default=None)
     p.add_argument("--sentence-vectors", default="none")
@@ -166,13 +167,12 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    rng = np.random.default_rng(_load_base_config(args).seed)
     corpus = load_finetune_corpus(args.corpus)
     rows = list(token_rows((text for text, _ in corpus), 1))
     vocab = build_vocab(map(TokenSequence, rows))
     encoded = encode_corpus(corpus, vocab, rows)
     del rows  # only the ids stay through training
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
     pretrained = load_word_vectors(args.embeddings_in, args.dim)
     emb, coverage = build_embedding_matrix(vocab, pretrained, args.dim, rng)
     log.info("corpus vocabulary %d tokens, pretrained coverage %.1f%%",

@@ -48,8 +48,9 @@ class TrainConfig:
             raise ValueError(f"anneal_factor must be in (0, 1], got {self.anneal_factor}")
         if self.anneal_after_epoch < 0 or self.freeze_embedding_epochs < 0:
             raise ValueError("epoch thresholds must be >= 0")
-        if self.sentence_dim < 0:
-            raise ValueError(f"sentence_dim must be >= 0, got {self.sentence_dim}")
+        for name in ("seed", "sentence_dim"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         return self
 
     def replace(self, **kwargs) -> "TrainConfig":

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
+from .layers import EmbeddingMatrix
 from .textprep import SPECIALS, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -254,8 +255,6 @@ def build_embedding_matrix(vocab: Vocabulary, pretrained: dict[str, np.ndarray],
     entries.  Returns the matrix plus the fraction of real (non-special)
     vocabulary tokens that were found.
     """
-    from .layers import EmbeddingMatrix
-
     for token, vec in pretrained.items():
         if vec.shape != (dim,):
             raise ValueError(f"pretrained vector for {token!r} has shape {vec.shape}, "

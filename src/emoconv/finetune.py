@@ -35,6 +35,7 @@ class FinetuneSchedule:
 
 
 KERNEL_SIZES = (1, 2, 3)  # convolution widths, one filter bank each
+FILTERS_PER_SIZE = 300
 
 
 @dataclass
@@ -74,7 +75,7 @@ def _build(emb: L.EmbeddingMatrix, arrays: dict[str, np.ndarray]) -> FinetuneMod
 
 
 def build_finetune_model(emb: L.EmbeddingMatrix, rng,
-                         filters_per_size: int = 300) -> FinetuneModel:
+                         filters_per_size: int = FILTERS_PER_SIZE) -> FinetuneModel:
     """CNN over the embedding: conv bank -> max pool -> dropout -> sigmoid,
     its parameters drawn in table order (``layers.init_arrays``)."""
     return _build(emb, L.init_arrays(_shapes(emb.dim, filters_per_size), rng))

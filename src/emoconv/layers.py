@@ -271,7 +271,9 @@ def conv1d_over_time(bank, cells: T.Tensor, lengths) -> T.Tensor:
         raise ValueError(f"conv1d_over_time needs packed [N x dim] cells, got {cells.shape}")
     lengths = T.check_lengths(lengths, cells.shape[0])
     pooled = []
-    for k, w, b in bank:
+    # last width first: backward visits the latest-made node first, so the
+    # cells' gradient adds the widths' contributions in bank order
+    for k, w, b in reversed(bank):
         if w.shape[1] != k * cells.shape[1]:
             raise ValueError(f"cells shape {cells.shape} does not match bank dim "
                              f"{w.shape[1] // k} of width {k}")
@@ -279,7 +281,7 @@ def conv1d_over_time(bank, cells: T.Tensor, lengths) -> T.Tensor:
         windows = cells if k == 1 else _windows(cells, lengths, counts, k)
         scores = T.linear_rows(windows, w, b)
         pooled.append(T.relu(T.max_over_time(scores, counts)))
-    return T.concat(pooled, axis=1)
+    return T.concat(pooled[::-1], axis=1)
 
 
 def dropout(x: T.Tensor, rate: float, training: bool, rng) -> T.Tensor:

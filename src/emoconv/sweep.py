@@ -39,7 +39,8 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 @dataclass
 class SweepSpec:
     """One axis and its values, each converted to the axis's type: a whole
-    number on an integer axis, no two alike once converted."""
+    number on an integer axis, no two alike once converted; and the run
+    seeds, each a distinct non-negative integer."""
     axis: str
     values: list
     seeds: list[int] = dataclasses.field(default_factory=lambda: list(DEFAULT_SEEDS))
@@ -54,6 +55,10 @@ class SweepSpec:
         if repeats:
             raise ValueError(f"sweep value {repeats[0]!r} repeats another on axis {self.axis}")
         self.values = values
+        for k, seed in enumerate(self.seeds):
+            if seed < 0 or seed in self.seeds[:k]:
+                fault = "is negative" if seed < 0 else "repeats another"
+                raise ValueError(f"sweep seed {seed} {fault}")
 
 
 @dataclass

@@ -2,12 +2,13 @@
 
 Graphs are built define-by-run: every operation returns a new ``Tensor``
 holding the numeric result, references to its inputs, and a closure that maps
-the output gradient to input gradients.  ``backward`` walks the recorded
-graph once, in reverse topological order, and accumulates gradients into the
-``grad`` field of every leaf that has ``requires_grad`` set.  A leaf that
-only row-gathering ops read (the embedding table) keeps a row-sparse
-``RowGrad`` there instead of a table-sized array; ``grad_of`` gives the
-dense array.
+the output gradient to input gradients.  Every tensor takes a creation
+number, and an op's result is made after its inputs, so creation order is a
+topological order: ``backward`` visits the nodes that hold a gradient, latest
+made first, and accumulates gradients into the ``grad`` field of every leaf
+that has ``requires_grad`` set.  A leaf that only row-gathering ops read
+(the embedding table) keeps a row-sparse ``RowGrad`` there instead of a
+table-sized array; ``grad_of`` gives the dense array.
 
 All arithmetic is 64-bit.  The engine is batch-major and packed: a batch
 of sequences is one ``[N x k]`` tensor of valid cells, row after row, plus
@@ -38,26 +39,34 @@ closures, so an inference pass holds only the values it still uses.
 Thread safety: a graph and its tensors belong to one thread between
 construction and ``backward``; ``no_grad`` applies to the calling thread
 only.  Distinct graphs may run on distinct threads; leaf values may be read
-concurrently as long as no update is in flight.
+concurrently as long as no update is in flight.  All threads draw creation
+numbers from one counter, so a graph's numbers still rise in the order its
+thread made its tensors.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 
+# creation numbers: a tensor is numbered after every tensor it reads
+_creation = itertools.count()
+
+
 class Tensor:
     """Shape + float64 values + gradient slot + record of the producing op."""
 
-    __slots__ = ("values", "grad", "requires_grad", "op", "parents", "backward_fn")
+    __slots__ = ("values", "grad", "requires_grad", "op", "parents", "backward_fn", "number")
 
     def __init__(self, values, requires_grad: bool = False):
+        self.number = next(_creation)
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | RowGrad | None = None
         self.requires_grad = bool(requires_grad)
@@ -103,31 +112,30 @@ def no_grad():
         _recording.off = was
 
 
-@dataclass(frozen=True)
 class RowGrad:
     """A gradient that is zero outside a few rows: ``values[k]`` adds to row
-    ``rows[k]`` of the parent, and rows may repeat.  An op that reads a few
-    rows of a large table returns this rather than a table-sized array."""
-    rows: np.ndarray
-    values: np.ndarray
+    ``rows[k]`` of the parent, and ``rows`` is sorted and unique.  An op that
+    reads a few rows of a large table returns this rather than a table-sized
+    array.
+
+    Made from rows that repeat or are out of order, it sums each row's values
+    from zero in their given order, as ``np.add.at`` into a zero array does,
+    so the bytes are the same (``bincount`` adds that way; on a 1,400 x 100
+    batch gradient it took a quarter of the time of ``np.add.at``).  Rows
+    that are sorted and unique already keep their arrays."""
+    __slots__ = ("rows", "values")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray):
+        if not (rows[1:] > rows[:-1]).all():
+            rows, inverse = np.unique(rows, return_inverse=True)
+            width = math.prod(values.shape[1:])
+            flat = (inverse[:, None] * width + np.arange(width)).reshape(-1)
+            sums = np.bincount(flat, values.reshape(-1), minlength=rows.size * width)
+            values = sums.reshape((rows.size,) + values.shape[1:])
+        self.rows, self.values = rows, values
 
     def add_to(self, dense: np.ndarray) -> None:
-        np.add.at(dense, self.rows, self.values)
-
-    def compact(self) -> "RowGrad":
-        """Sorted unique rows, each with the sum of its values; rows that
-        are sorted and unique already come back as they are.  A sum starts
-        from zero and adds the row's values in their original order, as
-        ``add_to`` does into a zero array, so the bytes are the same
-        (``bincount`` adds that way; on a 1,400 x 100 batch gradient it
-        took a quarter of the time of ``np.add.at``)."""
-        if (self.rows[1:] > self.rows[:-1]).all():
-            return self
-        rows, inverse = np.unique(self.rows, return_inverse=True)
-        width = math.prod(self.values.shape[1:])
-        flat = (inverse[:, None] * width + np.arange(width)).reshape(-1)
-        sums = np.bincount(flat, self.values.reshape(-1), minlength=rows.size * width)
-        return RowGrad(rows, sums.reshape((rows.size,) + self.values.shape[1:]))
+        dense[self.rows] += self.values
 
 
 def from_op(values: np.ndarray, op: str, parents: tuple[Tensor, ...],
@@ -155,68 +163,52 @@ def from_op(values: np.ndarray, op: str, parents: tuple[Tensor, ...],
 def backward(loss: Tensor) -> None:
     """Populate the grad of every requires_grad leaf reachable from ``loss``.
 
+    A node's consumers are all made after it, so popping the latest-made of
+    the nodes that hold a gradient finds each node with every contribution
+    summed, and a node that receives no gradient is never visited.
     Leaves that do not appear in the graph keep ``grad=None``; read them with
     ``grad_of``, which treats None as zero.  A leaf reached only through
-    ``RowGrad`` contributions keeps them row-sparse: its grad is one
-    ``RowGrad`` holding every contribution's rows in arrival order, which
-    ``RowGrad.compact`` sums.  Any dense contribution makes it dense.
-    Repeated calls accumulate until ``reset_grads`` is invoked.
+    ``RowGrad`` contributions keeps them row-sparse, merged into one
+    ``RowGrad``.  Any dense contribution makes it dense.  Repeated calls
+    accumulate until ``reset_grads`` is invoked.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    order = _topo_order(loss)
-    buffers: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-    for node in reversed(order):
-        g = buffers.pop(id(node), None)
-        if g is None:
-            continue
-        if node.backward_fn is None:
-            if node.requires_grad:
-                if not isinstance(node.grad, np.ndarray):
-                    node.grad = grad_of(node)
-                node.grad += g
-            continue
-        parent_grads = node.backward_fn(g)
-        for parent, pg in zip(node.parents, parent_grads):
-            if pg is None or not parent.requires_grad:
-                continue
-            if isinstance(pg, RowGrad):
-                if parent.backward_fn is None:  # a leaf keeps it row-sparse
-                    have = parent.grad
-                    if have is None:
-                        parent.grad = pg
-                    elif isinstance(have, RowGrad):
-                        parent.grad = RowGrad(np.concatenate([have.rows, pg.rows]),
-                                              np.concatenate([have.values, pg.values]))
-                    else:
-                        pg.add_to(have)
-                    continue
-                dense = np.zeros_like(parent.values)
-                pg.add_to(dense)
-                pg = dense
-            held = buffers.get(id(parent))
-            buffers[id(parent)] = pg if held is None else held + pg
+    buffers = {}  # creation number -> (node, its gradient so far)
+    latest = []  # the negated creation numbers in buffers, a heap
 
+    def send(t: Tensor, g) -> None:
+        """Add ``g`` to the gradient of ``t``: to the buffer of a node, and at
+        once to a leaf's grad.  Leaves (the parameters) are made first, so a
+        buffered leaf gradient would wait until the walk ends, holding
+        memory the walk could reuse."""
+        if g is None or not t.requires_grad:
+            return
+        if t.backward_fn is None:
+            have = t.grad
+            if isinstance(g, RowGrad) and not isinstance(have, np.ndarray):  # stays row-sparse
+                t.grad = g if have is None else RowGrad(np.concatenate([have.rows, g.rows]),
+                                                        np.concatenate([have.values, g.values]))
+            elif isinstance(g, RowGrad):
+                g.add_to(have)
+            else:
+                t.grad = grad_of(t)
+                t.grad += g
+            return
+        if isinstance(g, RowGrad):
+            dense = np.zeros_like(t.values)
+            g.add_to(dense)
+            g = dense
+        held = buffers.get(t.number)
+        if held is None:
+            heapq.heappush(latest, -t.number)
+        buffers[t.number] = (t, g if held is None else held[1] + g)
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Post-order over parent edges: leaves first, root last. Structural,
-    hence bit-for-bit reproducible across identical graphs."""
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
+    send(loss, np.ones_like(loss.values))
+    while latest:
+        node, g = buffers.pop(-heapq.heappop(latest))
+        for parent, pg in zip(node.parents, node.backward_fn(g)):
+            send(parent, pg)
 
 
 def reset_grads(tensors: Iterable[Tensor]) -> None:

@@ -86,16 +86,13 @@ def clip_gradients(named_params: dict[str, T.Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm;
     returns the factor applied (1.0 when under the threshold).  A parameter
     with no gradient adds nothing to the norm; a non-finite gradient is a
-    ValueError that names its parameter.  A ``RowGrad`` is replaced by its
-    compact form and counts only its touched rows, so its squares sum in
-    another order than over the dense array and the factor may differ in its
-    last bits."""
+    ValueError that names its parameter.  A ``RowGrad`` counts only its
+    touched rows, so its squares sum in another order than over the dense
+    array and the factor may differ in its last bits."""
     sq = 0.0
     for name, t in named_params.items():
         if t.grad is None:
             continue
-        if isinstance(t.grad, T.RowGrad):
-            t.grad = t.grad.compact()
         g = t.grad.values if isinstance(t.grad, T.RowGrad) else t.grad
         s = float((g * g).sum())
         # a non-finite entry makes s non-finite, so finite sums skip the scan
@@ -133,12 +130,13 @@ class AdamState:
 
     While a parameter has had only ``RowGrad`` gradients, and they touched
     under ``ADAM_HELD_SHARE`` of its rows, its moments cover only those rows:
-    ``rows[name]`` holds them, sorted, and row k of ``m[name]`` and
-    ``v[name]`` (each ``[len(rows) x width]``) belongs to parameter row
-    ``rows[name][k]``.  Every other row's moments are +0.0.  Once the touched
-    rows reach that share, or a dense gradient arrives, the name leaves
-    ``rows`` and its moments take the parameter's shape, as a dense
-    parameter's do from the start."""
+    ``rows[name]`` holds them, sorted (the union of the gradients' rows,
+    each sorted and unique as a ``RowGrad`` keeps them), and row k of
+    ``m[name]`` and ``v[name]`` (each ``[len(rows) x width]``) belongs to
+    parameter row ``rows[name][k]``.  Every other row's moments are +0.0.
+    Once the touched rows reach that share, or a dense gradient arrives, the
+    name leaves ``rows`` and its moments take the parameter's shape, as a
+    dense parameter's do from the start."""
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
@@ -154,7 +152,7 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 def _held_rows(state: AdamState, name: str, shape: tuple[int, ...], g) -> np.ndarray | None:
     """Lay out ``name``'s moments for a step whose gradient is ``g`` (an
-    array, a compact ``RowGrad`` or None; not None for a parameter with no
+    array, a ``RowGrad`` or None; not None for a parameter with no
     moments yet) and return the rows they hold, or None when they are
     parameter-shaped.  Moments that grow are scattered into fresh zeros."""
     held = state.rows.pop(name, None)
@@ -207,7 +205,7 @@ def adam_step(state: AdamState, named_params: dict[str, T.Tensor], lr: float) ->
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     buf1, buf2 = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for name, p in named_params.items():
-        g = p.grad.compact() if isinstance(p.grad, T.RowGrad) else p.grad
+        g = p.grad
         if g is None and name not in state.m:
             continue
         held = _held_rows(state, name, p.shape, g)

@@ -15,6 +15,9 @@ import pytest
 import toycorpus
 from emoconv import cli, dataio, textprep
 from emoconv import train as tr
+from emoconv.config import TrainConfig
+from emoconv.finetune import FILTERS_PER_SIZE, FinetuneSchedule
+from emoconv.sweep import DEFAULT_SEEDS
 from emoconv.textprep import SPECIALS
 
 CONFIG_TEXT = """\
@@ -266,6 +269,29 @@ def test_sweep_report_and_records(world):
     assert report[0].startswith("axis\tvalue")
     assert len(report) == 3
     assert len(list((world / "runs").glob("run_*.json"))) == 4
+
+
+def test_a_negative_seed_flag_names_the_field(world, capsys):
+    assert run_train(world, "run", extra=("--seed", "-1")) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    rc = cli.main(["--seed", "-1", "finetune", "--corpus", str(world / "corpus.tsv"),
+                   "--embeddings-in", str(world / "vec_in.txt"),
+                   "--embeddings-out", str(world / "vec_out.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+def test_flag_defaults_come_from_the_code_they_set():
+    parser = cli.build_parser()
+    ft_args = parser.parse_args(["finetune", "--corpus", "c", "--embeddings-in", "i",
+                                 "--embeddings-out", "o"])
+    schedule = FinetuneSchedule()
+    assert (ft_args.epochs_frozen, ft_args.epochs_unfrozen, ft_args.lr, ft_args.batch_size) \
+        == (schedule.frozen_epochs, schedule.unfrozen_epochs, schedule.lr, schedule.batch_size)
+    assert (ft_args.dim, ft_args.filters) == (TrainConfig().embedding_dim, FILTERS_PER_SIZE)
+    sweep_args = parser.parse_args(["sweep", "--train", "t", "--val", "v", "--axis", "lr",
+                                    "--values", "0.1"])
+    assert [int(s) for s in sweep_args.seeds.split(",")] == list(DEFAULT_SEEDS)
 
 
 def test_errors_exit_nonzero(world, capsys):

@@ -460,6 +460,16 @@ def test_config_file_names_the_line_of_a_value_out_of_range(tmp_path):
     assert str(err.value) == f"{p} line 3: dropout_bilstm must be in [0, 1), got 1.0"
 
 
+def test_a_negative_seed_names_its_field_and_its_line(tmp_path):
+    with pytest.raises(ValueError) as err:
+        TrainConfig(seed=-1).validate()
+    assert str(err.value) == "seed must be >= 0, got -1"
+    p = _write(tmp_path / "c.cfg", "lr = 0.1\nseed = -1\n")
+    with pytest.raises(ValueError) as err:
+        load_config(p)
+    assert str(err.value) == f"{p} line 2: seed must be >= 0, got -1"
+
+
 def test_every_config_path_rejects_non_finite_floats():
     for key in ("lr", "clip_norm", "anneal_factor", "dropout_linear"):
         with pytest.raises(ValueError, match=f"{key} must be finite"):

@@ -76,11 +76,9 @@ def test_table_gradient_stays_row_sparse_until_a_dense_contribution():
     T.backward(oracle.sum_all(both))
     grad = table.table.grad
     assert isinstance(grad, T.RowGrad)
-    assert sorted(grad.rows.tolist()) == [1, 2, 2, 5, 5]  # both lookups, uncompacted
-    compact = grad.compact()
-    npt.assert_array_equal(compact.rows, [1, 2, 5])
-    npt.assert_array_equal(compact.values, [[1, 1], [2, 2], [2, 2]])
-    assert compact.compact() is compact
+    # both lookups merged: each row once, sorted, with its summed gradient
+    npt.assert_array_equal(grad.rows, [1, 2, 5])
+    npt.assert_array_equal(grad.values, [[1, 1], [2, 2], [2, 2]])
     want = [[0, 0], [1, 1], [2, 2], [0, 0], [0, 0], [2, 2]]
     npt.assert_array_equal(T.grad_of(table.table), want)
 
@@ -373,6 +371,26 @@ def test_conv_matches_finite_differences():
         return oracle.sum_all(T.tanh(L.conv1d_over_time(bank, ps[0], [5, 1, 2])))
 
     assert T.finite_diff_check(f, params, eps=1e-5) < 1e-4
+
+
+def test_conv_cells_gradient_adds_the_widths_in_bank_order():
+    """The cells' gradient is (g1 + g2) + g3, each gk being width k's
+    contribution on its own; float addition does not associate, and on
+    these inputs (g3 + g2) + g1 has other bytes."""
+    rng = np.random.default_rng(21)
+    bank = _bank(rng, dim=3, filters_per_size=4)
+    values, lengths = rng.uniform(-1, 1, (9, 3)), [5, 1, 3]
+    upstream = rng.normal(size=(3, 12)) * 10.0 ** rng.uniform(-6, 6, (3, 12))
+
+    def cells_grad(widths, g):
+        cells = T.Tensor(values.copy(), requires_grad=True)
+        out = L.conv1d_over_time(widths, cells, lengths)
+        T.backward(oracle.sum_all(oracle.mul(out, T.constant(g))))
+        return cells.grad
+
+    g1, g2, g3 = (cells_grad([bank[i]], upstream[:, 4 * i:4 * i + 4]) for i in range(3))
+    assert ((g1 + g2) + g3).tobytes() != ((g3 + g2) + g1).tobytes()
+    assert cells_grad(bank, upstream).tobytes() == ((g1 + g2) + g3).tobytes()
 
 
 def test_dropout_identity_cases():

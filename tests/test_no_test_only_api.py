@@ -24,7 +24,7 @@ ALLOWED = {
     "save_sentence_vectors": "the writer of the format load_sentence_vectors "
                              "reads; tests write their fixtures with it",
     "format_shape_report": "kept for the planned `emoconv inspect` command "
-                           "(ROADMAP item 3)",
+                           "(ROADMAP item 6)",
 }
 
 

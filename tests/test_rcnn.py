@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -201,3 +204,57 @@ def test_end_to_end_gradients_match_finite_differences():
 
     err = T.finite_diff_check(f, tensors, eps=1e-5)
     assert err < 1e-4, f"max rel err {err}"
+
+
+def _train_steps(params, batch, steps):
+    """Seeded training steps with dropout, clipping and Adam: each step's
+    gradients, whether each loss recorded a graph, and the final values."""
+    named, state, rng = params.named(), tr.AdamState(), np.random.default_rng(31)
+    weights = tr.ClassWeights(np.full(4, 0.25))
+    grads, recorded = [], []
+    for _ in range(steps):
+        loss = tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng)[1],
+                                         batch.labels, weights)
+        recorded.append(loss.backward_fn is not None)
+        T.reset_grads(named.values())
+        T.backward(loss)
+        grads.append({n: T.grad_of(t).tobytes() for n, t in named.items()})
+        tr.clip_gradients(named, 0.5)
+        tr.adam_step(state, named, 0.01)
+    return grads, recorded, {n: t.values.tobytes() for n, t in named.items()}
+
+
+def test_training_beside_a_no_grad_evaluation_thread_keeps_its_bytes():
+    """One thread trains its copy of a model while another evaluates its own
+    copy under no_grad: the training thread still records its graph, and its
+    gradients and parameters are those of a run alone, although both threads
+    draw creation numbers from one counter."""
+    config = TINY.replace(dropout_bilstm=0.3, dropout_linear=0.3)
+    rows = [[1, 2, 3, 4], [5, 6], [2, 2, 1]]
+    batch = rcnn.Batch.of_rows(rows, np.random.default_rng(30).uniform(-1, 1, (3, 2)),
+                               np.array([0, 3, 1]))
+    alone = _train_steps(_tiny_model(8, config)[0], batch, 4)
+    want_eval = rcnn.forward(_tiny_model(8, config)[0], batch, False, None)[1].values.tobytes()
+    evaluating, trained = threading.Event(), threading.Event()
+
+    def evaluate():
+        params, evals = _tiny_model(8, config)[0], []
+        with T.no_grad():
+            evaluating.set()
+            while not (trained.is_set() and evals):
+                evals.append(rcnn.forward(params, batch, False, None)[1].values.tobytes())
+        return evals
+
+    def train():
+        assert evaluating.wait(timeout=60)
+        try:
+            return _train_steps(_tiny_model(8, config)[0], batch, 4)
+        finally:
+            trained.set()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        evals, beside = pool.submit(evaluate), pool.submit(train)
+        evals, beside = evals.result(), beside.result()
+    assert beside[1] == [True] * 4
+    assert beside == alone
+    assert set(evals) == {want_eval}

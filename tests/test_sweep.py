@@ -42,6 +42,18 @@ def test_sweep_spec_validation():
         sw.SweepSpec("lr", [1e-4], seeds=[])
 
 
+def test_sweep_seeds_must_be_distinct_and_non_negative():
+    """A repeated seed trained one run twice into one record file and
+    counted it twice in the mean and sd; a negative one failed only when
+    its cell ran, inside the generator, naming no field."""
+    with pytest.raises(ValueError) as err:
+        sw.SweepSpec("lr", [0.02], seeds=[0, 0, 1])
+    assert str(err.value) == "sweep seed 0 repeats another"
+    with pytest.raises(ValueError) as err:
+        sw.SweepSpec("lr", [0.02], seeds=[3, -1])
+    assert str(err.value) == "sweep seed -1 is negative"
+
+
 def test_sweep_values_must_fit_the_axis_and_differ():
     """An integer axis takes whole numbers only, and no two values may be
     one once converted; either way the error names the value.  Truncating

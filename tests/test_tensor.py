@@ -96,6 +96,25 @@ def test_backward_is_bit_deterministic():
     assert all((a == b).all() for a, b in zip(g1, g2))
 
 
+def test_row_grad_sums_repeated_rows_as_a_scatter_into_zeros():
+    rng = np.random.default_rng(12)
+    rows = np.array([7, 2, 7, 0, 2, 9, 7, 0])
+    values = rng.normal(size=(rows.size, 3)) * 10.0 ** rng.uniform(-8, 8, (rows.size, 1))
+    values[[3, 7]] = [[-0.0, 1.0, -0.0], [-0.0, -1.0, 0.0]]  # row 0 sums to signed zeros
+    grad = T.RowGrad(rows, values)
+    want = np.zeros((10, 3))
+    np.add.at(want, rows, values)
+    npt.assert_array_equal(grad.rows, [0, 2, 7, 9])
+    assert grad.values.tobytes() == want[[0, 2, 7, 9]].tobytes()
+    dense = np.zeros((10, 3))
+    grad.add_to(dense)
+    assert dense.tobytes() == want.tobytes()
+    # sorted and unique already: the arrays are kept, -0.0 included
+    own = values[:4].copy()
+    kept = T.RowGrad(grad.rows, own)
+    assert kept.rows is grad.rows and kept.values is own
+
+
 def test_finite_diff_check_simple_quadratic():
     x = _t((4,), [0.3, -1.2, 0.7, 2.0], requires_grad=True)
     err = T.finite_diff_check(lambda ps: oracle.sum_all(oracle.mul(ps[0], ps[0])), [x], eps=1e-5)
