@@ -29,13 +29,15 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         for name, kind in _FIELD_TYPES.items():
-            if kind == "float" and not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)  # a float field also takes an int
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(
+                    value, int if kind == "int" else (int, float)):
+                raise ValueError(f"{name} must be of type {kind}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        for name in ("batch_size", "hidden_size", "num_layers", "embedding_dim"):
+        for name in ("epochs", "batch_size", "hidden_size", "num_layers", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("dropout_bilstm", "dropout_linear"):
@@ -46,9 +48,7 @@ class TrainConfig:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
         if not 0.0 < self.anneal_factor <= 1.0:
             raise ValueError(f"anneal_factor must be in (0, 1], got {self.anneal_factor}")
-        if self.anneal_after_epoch < 0 or self.freeze_embedding_epochs < 0:
-            raise ValueError("epoch thresholds must be >= 0")
-        for name in ("seed", "sentence_dim"):
+        for name in ("anneal_after_epoch", "freeze_embedding_epochs", "seed", "sentence_dim"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         return self
@@ -62,18 +62,12 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, data) -> "TrainConfig":
         """The inverse of ``to_dict``; absent keys keep their defaults, and an
-        unknown key, a value of the wrong JSON type or one that ``validate``
-        rejects is a ValueError."""
+        unknown key or a value that ``validate`` rejects is a ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a mapping, got {type(data).__name__}")
         unknown = sorted(set(data) - set(_FIELD_TYPES))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
-        for key, value in data.items():
-            kind = _FIELD_TYPES[key]
-            if isinstance(value, bool) != (kind == "bool") or not isinstance(
-                    value, int if kind == "int" else (int, float)):
-                raise ValueError(f"config key {key!r} needs a {kind}, got {value!r}")
         return dataclasses.replace(cls(), **data).validate()
 
 

@@ -15,14 +15,17 @@ temporary file beside the target, which replaces the target only when the
 block ends without error, so a reader sees the old file or the new one,
 never part of one.  ``open`` is called only in this module.
 
-Checkpoint layout (version 1, little-endian):
+Binary files share one container, little-endian, with one writer and one
+reader (``_write_container``, ``_read_container``):
 
-    magic "EMOC" | u32 version | u64 json_len | json metadata |
-    per array (in metadata order): u64 byte_len | float64 raw values
+    magic | u32 version | u64 json_len | JSON object, whose "arrays" lists
+    each array's {name, shape} | per array: u64 byte_len | raw float64 values
 
-The JSON metadata carries the vocabulary, the config snapshot, the epoch,
-the best validation score, and the name/shape of every array; array payloads
-are raw float64, so a save/load round trip is bit-exact.
+No length is trusted before the file is known to hold its bytes.  A payload
+is written from its array's own buffer and read straight into the float64
+array returned, which the caller owns: ``rcnn.restore`` adopts it uncopied.
+The checkpoint (magic "EMOC", version 1) is the one schema: the vocabulary,
+config, epoch and best validation F1.  Its round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -291,111 +294,110 @@ class Checkpoint:
     best_val_f1: float
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    names = sorted(ckpt.params)
-    meta = {
-        "arrays": [{"name": n, "shape": list(ckpt.params[n].shape)} for n in names],
-        "best_val_f1": ckpt.best_val_f1,
-        "config": ckpt.config.to_dict(),
-        "epoch": ckpt.epoch,
-        "vocab": ckpt.vocab.id_to_token,
-    }
+def _write_container(path, magic: bytes, version: int, meta: dict,
+                     arrays: dict[str, np.ndarray]) -> None:
+    """Write the JSON object ``meta``, with the array list added, and each
+    of ``arrays`` (name -> float64 array) in order from its own buffer."""
+    meta = {**meta, "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]}
     blob = json.dumps(meta, sort_keys=True, ensure_ascii=False).encode("utf-8")
     with atomic_write(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for name in names:
-            payload = np.ascontiguousarray(ckpt.params[name], dtype=np.float64)
-            raw = payload.tobytes()
-            fh.write(struct.pack("<Q", len(raw)))
-            fh.write(raw)
+        fh.write(magic + struct.pack("<IQ", version, len(blob)) + blob)
+        for payload in (np.ascontiguousarray(a, dtype="<f8") for a in arrays.values()):
+            fh.write(struct.pack("<Q", payload.nbytes))
+            fh.write(payload)
 
 
-def _need(fh, n: int, path, what: str) -> None:
-    """Raise unless the file still holds ``n`` bytes.  Checked before
-    anything is allocated, so a corrupt length field cannot ask for more."""
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ValueError(f"{path}: truncated checkpoint while reading {what}")
+def _read_container(path, magic: bytes, version: int,
+                    kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The (metadata less its array list, arrays) of a file written by
+    :func:`_write_container`.  A file that is not a ``kind`` file, is cut
+    short or too long, or has no JSON object with an array list for
+    metadata raises ValueError naming ``path``."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
+        def need(n: int, what: str) -> int:
+            if n > size - fh.tell():
+                raise ValueError(f"{path}: truncated {kind} while reading {what}")
+            return n
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    _need(fh, n, path, what)
-    return fh.read(n)
+        if fh.read(len(magic)) != magic:
+            raise ValueError(f"{path}: not a {kind} file")
+        (got,) = struct.unpack("<I", fh.read(need(4, "version")))
+        if got != version:
+            raise ValueError(f"{path}: {kind} version {got} is not the "
+                             f"supported version {version}")
+        (meta_len,) = struct.unpack("<Q", fh.read(need(8, "metadata length")))
+        try:
+            meta = json.loads(fh.read(need(meta_len, "metadata")))
+        except (ValueError, RecursionError) as err:  # not JSON or UTF-8, or nested too deep
+            raise ValueError(f"{path}: {kind} metadata is not valid JSON ({err})") from None
+        entries = meta.pop("arrays", None) if isinstance(meta, dict) else None
+        if not isinstance(entries, list) or not all(
+                isinstance(a, dict) and isinstance(a.get("name"), str)
+                and isinstance(a.get("shape"), list)
+                and all(_is_int(d) and d >= 0 for d in a["shape"]) for a in entries) \
+                or len({a["name"] for a in entries}) != len(entries):
+            raise ValueError(f"{path}: {kind} metadata has no array list "
+                             "[{name, shape}, ...] with distinct names")
+        arrays = {}
+        for entry in entries:
+            name, shape = entry["name"], tuple(entry["shape"])
+            (nbytes,) = struct.unpack("<Q", fh.read(need(8, "array length")))
+            if nbytes != math.prod(shape) * 8:
+                raise ValueError(f"{path}: array {name!r} payload is "
+                                 f"{nbytes} bytes, expected {math.prod(shape) * 8}")
+            need(nbytes, f"array {name!r}")
+            arrays[name] = np.empty(shape, dtype="<f8")  # native on a little-endian host
+            fh.readinto(arrays[name])
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after {kind} payload")
+    return meta, arrays
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _checkpoint_meta(blob: bytes, path) -> tuple[dict, TrainConfig]:
-    """The metadata block, checked field by field: malformed metadata is a
-    ValueError that names the file, never a KeyError or TypeError."""
-    try:
-        meta = json.loads(blob)
-    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
-        raise ValueError(f"{path}: checkpoint metadata is not valid JSON ({err})") from None
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    _write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, {
+        "best_val_f1": ckpt.best_val_f1,
+        "config": ckpt.config.to_dict(),
+        "epoch": ckpt.epoch,
+        "vocab": ckpt.vocab.id_to_token,
+    }, {name: ckpt.params[name] for name in sorted(ckpt.params)})
 
+
+def _checkpoint_meta(meta: dict, path) -> TrainConfig:
+    """The config, once the container's metadata has met the checkpoint
+    schema; a malformed field is a ValueError naming the file."""
     def bad(what):
         return ValueError(f"{path}: checkpoint metadata has {what}")
 
-    if not isinstance(meta, dict):
-        raise bad("no JSON object")
-    missing = sorted({"arrays", "best_val_f1", "config", "epoch", "vocab"} - set(meta))
+    missing = sorted({"best_val_f1", "config", "epoch", "vocab"} - set(meta))
     if missing:
         raise bad(f"no {', '.join(missing)}")
-    arrays = meta["arrays"]
-    if not isinstance(arrays, list) or not all(
-            isinstance(a, dict) and isinstance(a.get("name"), str)
-            and isinstance(a.get("shape"), list)
-            and all(_is_int(d) and d >= 0 for d in a["shape"]) for a in arrays):
-        raise bad("an array list that is not [{name, shape}, ...]")
-    if len({a["name"] for a in arrays}) != len(arrays):
-        raise bad("a repeated array name")
     vocab = meta["vocab"]
     if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab) \
             or vocab[:len(SPECIALS)] != list(SPECIALS):
         raise bad("a vocabulary that is not a token list starting with the reserved tokens")
-    repeated = [token for token, n in Counter(vocab).items() if n > 1]
-    if repeated:
-        raise bad(f"a repeated vocabulary token {repeated[0]!r}")
+    if len(set(vocab)) != len(vocab):
+        repeated = next(token for token, n in Counter(vocab).items() if n > 1)
+        raise bad(f"a repeated vocabulary token {repeated!r}")
     if not _is_int(meta["epoch"]) or meta["epoch"] < 1:
         raise bad(f"epoch {meta['epoch']!r}, not an integer >= 1")
     if not isinstance(meta["best_val_f1"], (int, float)) or isinstance(meta["best_val_f1"], bool):
         raise bad(f"best_val_f1 {meta['best_val_f1']!r}, not a number")
     try:
-        return meta, TrainConfig.from_dict(meta["config"])
+        return TrainConfig.from_dict(meta["config"])
     except ValueError as err:
         raise bad(f"a bad config: {err}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a file written by :func:`save_checkpoint`.  Each array payload is
-    read straight into its array.  A file that is not a checkpoint, is cut
-    short or has malformed metadata raises ValueError naming ``path``."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: checkpoint version {version} is not the "
-                             f"supported version {CHECKPOINT_VERSION}")
-        (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "metadata length"))
-        meta, config = _checkpoint_meta(_read_exact(fh, meta_len, path, "metadata"), path)
-        params = {}
-        for entry in meta["arrays"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8, path, "array length"))
-            want = math.prod(shape) * 8
-            if nbytes != want:
-                raise ValueError(f"{path}: array {name!r} payload is "
-                                 f"{nbytes} bytes, expected {want}")
-            _need(fh, nbytes, path, f"array {name!r}")
-            params[name] = np.empty(shape, dtype="<f8")
-            fh.readinto(params[name])
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
+    """Read a file written by :func:`save_checkpoint`; a file that is not a
+    checkpoint or is malformed raises ValueError naming ``path``."""
+    meta, params = _read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    config = _checkpoint_meta(meta, path)
     return Checkpoint(Vocabulary(id_to_token=meta["vocab"]), params,
                       config, meta["epoch"], float(meta["best_val_f1"]))

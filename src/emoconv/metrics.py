@@ -53,15 +53,17 @@ def precision_recall_f1(tp: float, fp: float, fn: float) -> tuple[float, float, 
     return float(p), float(r), float(f1)
 
 
+def _tp_fp_fn(cm: ConfusionMatrix, name: str) -> tuple[int, int, int]:
+    """One class's true positives, false positives and false negatives."""
+    c = LABEL_TO_INDEX[name]
+    tp = cm.counts[c, c]
+    return tp, cm.counts[:, c].sum() - tp, cm.counts[c, :].sum() - tp
+
+
 def micro_f1(cm: ConfusionMatrix, scored_classes=SCORED_CLASSES) -> float:
     """F1 from TP/FP/FN pooled across the scored classes."""
-    tp = fp = fn = 0
-    for name in scored_classes:
-        c = LABEL_TO_INDEX[name]
-        tp += cm.counts[c, c]
-        fp += cm.counts[:, c].sum() - cm.counts[c, c]
-        fn += cm.counts[c, :].sum() - cm.counts[c, c]
-    return precision_recall_f1(tp, fp, fn)[2]
+    pooled = sum((np.array(_tp_fp_fn(cm, n)) for n in scored_classes), np.zeros(3, np.int64))
+    return precision_recall_f1(*pooled)[2]
 
 
 @dataclass
@@ -88,12 +90,9 @@ def format_report(cm: ConfusionMatrix, scored_classes=SCORED_CLASSES) -> str:
     matrix, and the pooled micro-F1 over the scored classes."""
     lines = ["class\tprecision\trecall\tf1\tsupport"]
     for name in LABELS:
-        c = LABEL_TO_INDEX[name]
-        tp = cm.counts[c, c]
-        fp = cm.counts[:, c].sum() - tp
-        fn = cm.counts[c, :].sum() - tp
+        tp, fp, fn = _tp_fp_fn(cm, name)
         p, r, f1 = precision_recall_f1(tp, fp, fn)
-        lines.append(f"{name}\t{p:.4f}\t{r:.4f}\t{f1:.4f}\t{cm.counts[c, :].sum()}")
+        lines.append(f"{name}\t{p:.4f}\t{r:.4f}\t{f1:.4f}\t{tp + fn}")
     lines.append("")
     lines.append("confusion\t" + "\t".join(f"pred_{n}" for n in LABELS))
     for name in LABELS:

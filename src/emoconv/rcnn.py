@@ -19,8 +19,9 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .config import TrainConfig
+from .dataio import LABELS
 
-N_CLASSES = 4
+N_CLASSES = len(LABELS)
 
 
 @dataclass
@@ -144,8 +145,9 @@ def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Te
 
 def restore(config: TrainConfig, arrays: dict[str, np.ndarray]) -> RcnnParams:
     """Rebuild a model from checkpoint arrays (name -> array) against the
-    table of :func:`_shapes`; each parameter besides the embedding table is
-    a float64 copy of its array, and nothing is drawn."""
+    table of :func:`_shapes`, drawing nothing.  The model owns what it
+    restores: a C-ordered float64 array becomes its parameter uncopied, so
+    training the model changes it; any other array is converted first."""
     if "embedding.table" not in arrays:
         raise ValueError("checkpoint has no 'embedding.table' array")
     emb = L.EmbeddingMatrix.from_array(arrays["embedding.table"])
@@ -161,7 +163,7 @@ def restore(config: TrainConfig, arrays: dict[str, np.ndarray]) -> RcnnParams:
         if arrays[name].shape != shape:
             raise ValueError(f"checkpoint array {name!r} has shape "
                              f"{arrays[name].shape}, model expects {shape}")
-    return _build(config, emb, {name: np.array(arrays[name], dtype=np.float64, order="C")
+    return _build(config, emb, {name: np.ascontiguousarray(arrays[name], dtype=np.float64)
                                 for name in shapes})
 
 

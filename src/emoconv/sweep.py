@@ -40,7 +40,7 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 class SweepSpec:
     """One axis and its values, each converted to the axis's type: a whole
     number on an integer axis, no two alike once converted; and the run
-    seeds, each a distinct non-negative integer."""
+    seeds, each a distinct non-negative whole number, converted to int."""
     axis: str
     values: list
     seeds: list[int] = dataclasses.field(default_factory=lambda: list(DEFAULT_SEEDS))
@@ -56,9 +56,11 @@ class SweepSpec:
             raise ValueError(f"sweep value {repeats[0]!r} repeats another on axis {self.axis}")
         self.values = values
         for k, seed in enumerate(self.seeds):
-            if seed < 0 or seed in self.seeds[:k]:
-                fault = "is negative" if seed < 0 else "repeats another"
+            if not float(seed).is_integer() or seed < 0 or seed in self.seeds[:k]:
+                fault = ("is not a whole number" if not float(seed).is_integer()
+                         else "is negative" if seed < 0 else "repeats another")
                 raise ValueError(f"sweep seed {seed} {fault}")
+        self.seeds = [int(seed) for seed in self.seeds]
 
 
 @dataclass

@@ -13,9 +13,21 @@ The file named by ``--out`` gets the final JSON line of every run under
 the set's name, each metric's median and quartiles (``statistics`` with the
 inclusive method) on both sides, the pairs in which the change read better
 (by the metric's direction in the change's ``BENCHMARK.json``) and the
-change of the median in percent.  An existing file keeps its other keys and
-runs, so one file collects several sets; the file is rewritten after every
-run.  Only the standard library is used.
+change of the median in percent.  Under ``verdicts``, each set's
+end-to-end metrics get one verdict each, by the metric's ``better`` and
+``bound`` in the change's ``BENCHMARK.json``, the first that holds of:
+
+- ``better``: the change won at least 9 pairs in 10 and its median lies
+  beyond the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+- ``unresolved``: the parent's interquartile range, over its median,
+  exceeds the bound, so the sides cannot be told apart;
+- ``unchanged``: anything else.
+
+An existing file keeps its other keys and runs, so one file collects several
+sets; the file is rewritten after every run.  Only the standard library is
+used.
 """
 
 from __future__ import annotations
@@ -43,10 +55,36 @@ def run_once(checkout: Path, args) -> tuple[str, dict]:
     return " ".join(argv), json.loads(lines[-1])
 
 
+def _benchmark(checkout: Path) -> dict:
+    return json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def directions(checkout: Path) -> dict[str, str]:
     """Metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
-    bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bench = _benchmark(checkout)
     return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+
+
+def verdict(row: dict, better: str, bound: float) -> str:
+    """The verdict on one metric's summary row (see the module docstring)."""
+    sign = 1 if better == "higher" else -1
+    parent, change = row["parent_median"], row["change_median"]
+    beyond_iqr = change > row["parent_q3"] if sign > 0 else change < row["parent_q1"]
+    if row["change_wins"] >= 0.9 * row["pairs"] and beyond_iqr:
+        return "better"
+    if sign * (change - parent) < -bound * abs(parent):
+        return "worse"
+    if row["parent_q3"] - row["parent_q1"] > bound * abs(parent):
+        return "unresolved"
+    return "unchanged"
+
+
+def verdicts(summary: dict[str, dict], checkout: Path) -> dict[str, dict[str, str]]:
+    """Set -> end-to-end metric -> verdict, over every set of ``summary``."""
+    e2e = _benchmark(checkout)["end_to_end"]
+    return {label: {m["name"]: verdict(rows[m["name"]], m["better"], m["bound"])
+                    for m in e2e if m["name"] in rows}
+            for label, rows in summary.items()}
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict[str, dict]:
@@ -103,6 +141,7 @@ def main(argv=None) -> int:
                          "final_line": final})
             record["runs"].append(runs[-1])
             record["summary"][label] = summarize(runs, better)
+            record["verdicts"] = verdicts(record["summary"], checkouts["change"])
             args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
             value = final["metrics"].get("examples_per_s", {}).get("value")
             print(f"pair {pair} {side}: correct {final['correct']}, "

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -368,32 +369,71 @@ def test_checkpoint_metadata_shape_drives_the_payload_read(tmp_path):
         dio.load_checkpoint(path)
 
 
-def _sections(data: bytes, ckpt) -> list[int]:
-    """Offsets where each section of a saved checkpoint ends: magic,
-    version, metadata length, metadata, then each array's length and
-    payload."""
+def _sections(data: bytes) -> list[int]:
+    """Offsets where each section of a container file ends: magic, version,
+    metadata length, metadata, then each array's length and payload."""
     meta_len = int.from_bytes(data[8:16], "little")
     ends = [4, 8, 16, 16 + meta_len]
-    for name in sorted(ckpt.params):
+    for entry in json.loads(data[16:16 + meta_len])["arrays"]:
         ends.append(ends[-1] + 8)
-        ends.append(ends[-1] + ckpt.params[name].nbytes)
+        ends.append(ends[-1] + 8 * int(np.prod(entry["shape"])))
     assert ends[-1] == len(data)
     return ends
 
 
-def test_checkpoint_fuzz_truncations_and_flips_raise_value_error_naming_the_file(tmp_path):
+def test_the_container_round_trips_any_metadata_and_arrays_in_order(tmp_path):
+    path = tmp_path / "x.bin"
+    arrays = {"b": np.arange(6.0).reshape(2, 3), "a": np.asfortranarray(np.eye(2)[:, ::-1]),
+              "i": np.arange(3)}
+    dio._write_container(path, b"TEST", 7, {"k": [1, "\u00e9"]}, arrays)
+    meta, back = dio._read_container(path, b"TEST", 7, "test")
+    assert meta == {"k": [1, "\u00e9"]} and list(back) == ["b", "a", "i"]
+    for name, a in back.items():
+        assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable, name
+        assert a.tobytes() == np.asarray(arrays[name], dtype=np.float64).tobytes(), name
+    with pytest.raises(ValueError, match="not a checkpoint file"):
+        dio.load_checkpoint(path)
+    with pytest.raises(ValueError, match="test version 7 is not the supported version 8"):
+        dio._read_container(path, b"TEST", 8, "test")
+
+
+def test_metadata_nested_too_deep_is_a_value_error_naming_the_file(tmp_path):
+    path = tmp_path / "deep.ckpt"
+    blob = b"[" * 200_000
+    path.write_bytes(dio.CHECKPOINT_MAGIC + struct.pack("<IQ", 1, len(blob)) + blob)
+    with pytest.raises(ValueError, match="checkpoint metadata is not valid JSON") as err:
+        dio.load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def _checkpoint_schema(path):
     ckpt = _toy_checkpoint()
-    good = tmp_path / "model.ckpt"
-    dio.save_checkpoint(ckpt, good)
+    dio.save_checkpoint(ckpt, path)
+    return ckpt.params, dio.load_checkpoint, lambda back: back.params
+
+
+# One case per schema over the container: (write a good file and return its
+# arrays, the schema's loader, the arrays of what it loaded).
+CONTAINER_SCHEMAS = [pytest.param(_checkpoint_schema, id="checkpoint")]
+
+
+@pytest.mark.parametrize("schema", CONTAINER_SCHEMAS)
+def test_container_fuzz_truncations_and_flips_raise_value_error_naming_the_file(
+        tmp_path, schema):
+    good = tmp_path / "good.bin"
+    arrays, load, arrays_of = schema(good)
     data = good.read_bytes()
-    ends = _sections(data, ckpt)
-    bad = tmp_path / "bad.ckpt"
+    ends = _sections(data)
+    bad = tmp_path / "bad.bin"
     cuts = sorted({0, *ends[:-1], *(e - 1 for e in ends), *(e + 1 for e in ends[:-1])})
     for cut in cuts:
         bad.write_bytes(data[:cut])
         with pytest.raises(ValueError) as err:
-            dio.load_checkpoint(bad)
+            load(bad)
         assert str(bad) in str(err.value), cut
+    bad.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load(bad)
 
     rng = np.random.default_rng(20261018)
     outcomes = {"loaded": 0, "rejected": 0}
@@ -403,15 +443,40 @@ def test_checkpoint_fuzz_truncations_and_flips_raise_value_error_naming_the_file
             flipped[pos] ^= int(rng.integers(1, 256))
         bad.write_bytes(bytes(flipped))
         try:
-            back = dio.load_checkpoint(bad)
+            back = load(bad)
         except ValueError as err:
             assert str(bad) in str(err)
             outcomes["rejected"] += 1
         else:  # a flip the format cannot see, such as a changed vocabulary token
-            assert [a.tobytes() for a in back.params.values()] == \
-                [ckpt.params[n].tobytes() for n in sorted(ckpt.params)]
+            assert {n: a.tobytes() for n, a in arrays_of(back).items()} == \
+                {n: a.tobytes() for n, a in arrays.items()}
             outcomes["loaded"] += 1
     assert outcomes["rejected"] > 300
+
+
+@pytest.mark.parametrize("field", ["metadata length", "array length"])
+def test_a_length_past_the_end_of_the_file_allocates_nothing(tmp_path, field):
+    """A length field that asks for 64 MB of a file that holds a few hundred
+    bytes fails before any of the 64 MB is allocated."""
+    path = tmp_path / "short.bin"
+    want = 64 << 20
+    meta = _good_meta()
+    if field == "array length":
+        meta["arrays"] = [{"name": "w", "shape": [want // 8]}]
+    _write_with_meta(path, meta, [np.zeros(6)])
+    data = bytearray(path.read_bytes())
+    at = 8 if field == "metadata length" else 16 + int.from_bytes(data[8:16], "little")
+    data[at:at + 8] = struct.pack("<Q", want)
+    path.write_bytes(bytes(data[:at + 8 + 100]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"truncated checkpoint while reading "
+                                             f"{'metadata' if at == 8 else 'array'}"):
+            dio.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_config_defaults_match_stated_hyperparameters(tmp_path):
@@ -476,6 +541,26 @@ def test_every_config_path_rejects_non_finite_floats():
             TrainConfig().replace(**{key: float("inf")})
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             TrainConfig.from_dict({key: float("nan")})
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("seed", 1.5, "int"), ("hidden_size", 2.5, "int"), ("batch_size", 64.0, "int"),
+    ("epochs", True, "int"), ("lr", False, "float"), ("lr", "0.1", "float"),
+    ("projection_tanh", 1, "bool"), ("dropout_linear", None, "float")])
+def test_validate_names_a_field_of_the_wrong_type(field, value, kind):
+    """The Python API meets the rule a config file or checkpoint meets: an
+    int field takes an int, a float field an int or a float, and a bool
+    only a bool field."""
+    with pytest.raises(ValueError) as err:
+        TrainConfig(**{field: value}).validate()
+    assert str(err.value) == f"{field} must be of type {kind}, got {value!r}"
+    with pytest.raises(ValueError, match=f"{field} must be of type {kind}"):
+        TrainConfig().replace(**{field: value})
+
+
+def test_a_float_field_takes_an_int():
+    assert TrainConfig(lr=1, clip_norm=5).validate().lr == 1
+    assert TrainConfig.from_dict({"lr": 1}).lr == 1
 
 
 def test_config_replace_validates():

@@ -5,11 +5,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from emoconv import dataio as dio
 from emoconv import layers as L
 from emoconv import rcnn
 from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.config import TrainConfig
+from emoconv.textprep import SPECIALS, Vocabulary
 
 TINY = TrainConfig(hidden_size=3, num_layers=2, sentence_dim=2, embedding_dim=4,
                    dropout_bilstm=0.0, dropout_linear=0.0)
@@ -82,14 +84,33 @@ def test_restore_rebuilds_the_model_from_its_arrays_without_drawing(monkeypatch,
         assert t.shape == arrays[name].shape, name
         assert t.values.tobytes() == arrays[name].tobytes(), name
         assert t.requires_grad, name
-        if name == "embedding.table":
-            assert t.values is arrays[name], name  # the table is not copied
-        else:
-            assert not np.shares_memory(t.values, arrays[name]), name
+        assert t.values is arrays[name], name  # the model owns what it restores
     assert restored.config == params.config == config
     batch = _batch([[1, 2, 3], [4, 5, 0]], [3, 2], config.sentence_dim, rng)
     npt.assert_array_equal(rcnn.forward(restored, batch, False, None)[1].values,
                            rcnn.forward(params, batch, False, None)[1].values)
+
+
+def test_a_loaded_checkpoint_reaches_the_model_without_a_copy(tmp_path):
+    params, _ = _tiny_model(5)
+    arrays = {name: t.values for name, t in params.named().items()}
+    dio.save_checkpoint(dio.Checkpoint(Vocabulary([*SPECIALS, "a", "b", "c", "d"]), arrays,
+                                       TINY, 1, 0.5), tmp_path / "model.ckpt")
+    ckpt = dio.load_checkpoint(tmp_path / "model.ckpt")
+    for name, t in rcnn.restore(ckpt.config, ckpt.params).named().items():
+        assert t.values is ckpt.params[name], name
+
+
+def test_restore_converts_an_array_it_cannot_adopt():
+    params, _ = _tiny_model(6)
+    arrays = {name: t.values.copy() for name, t in params.named().items()}
+    arrays["projection.w"] = np.asfortranarray(arrays["projection.w"])
+    arrays["output.b"] = arrays["output.b"].astype(np.float32)
+    named = rcnn.restore(TINY, arrays).named()
+    for name in ("projection.w", "output.b"):
+        assert named[name].values.dtype == np.float64, name
+        assert named[name].values.flags.c_contiguous, name
+        npt.assert_array_equal(named[name].values, arrays[name])
 
 
 def test_restore_names_missing_unexpected_and_misshapen_arrays():

@@ -54,6 +54,15 @@ def test_sweep_seeds_must_be_distinct_and_non_negative():
     assert str(err.value) == "sweep seed -1 is negative"
 
 
+def test_a_sweep_seed_must_be_a_whole_number():
+    """A seed of 1.5 used to pass the spec and fail only when its run began."""
+    with pytest.raises(ValueError) as err:
+        sw.SweepSpec("lr", [0.02], seeds=[0, 1.5])
+    assert str(err.value) == "sweep seed 1.5 is not a whole number"
+    spec = sw.SweepSpec("lr", [0.02], seeds=[2.0, 1])
+    assert spec.seeds == [2, 1] and all(type(s) is int for s in spec.seeds)
+
+
 def test_sweep_values_must_fit_the_axis_and_differ():
     """An integer axis takes whole numbers only, and no two values may be
     one once converted; either way the error names the value.  Truncating
