@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    preprocess  raw TSVs -> statistics table
+    preprocess  raw TSVs -> statistics table; sentence-vector TSV -> binary
     finetune    word vectors + binary-sentiment corpus -> fine-tuned vectors
     train       raw TSVs -> checkpoint + per-epoch history TSV
     evaluate    checkpoint + labeled split -> metrics report
@@ -29,7 +29,7 @@ from . import train as tr
 from .config import TrainConfig, load_config
 from .dataio import (LABELS, atomic_write, build_embedding_matrix, load_checkpoint,
                      load_dataset, load_sentence_vectors, load_word_vectors,
-                     save_checkpoint, save_word_vectors)
+                     save_checkpoint, save_sentence_vectors, save_word_vectors)
 from .finetune import (FILTERS_PER_SIZE, FinetuneSchedule, build_finetune_model,
                        encode_corpus, finetune_encoded, load_finetune_corpus)
 from .textprep import SPECIALS, TokenSequence, build_vocab, token_rows
@@ -52,6 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--test", default=None)
+    p.add_argument("--sentence-vectors", nargs=2, metavar=("TSV", "OUT"),
+                   help="convert a sentence-vector TSV to the binary file OUT")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("finetune", help="fine-tune word vectors on a binary corpus")
@@ -73,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None,
                    help="pretrained word vectors (text format); random if absent")
     p.add_argument("--sentence-vectors", required=True,
-                   help="sentence-vector TSV, or 'none' for the ablation")
+                   help="sentence-vector TSV or binary file, or 'none' for the ablation")
     p.add_argument("--select", choices=("best", "last"), default="best")
     p.set_defaults(func=cmd_train)
 
@@ -138,15 +140,15 @@ def _load_store(path: str, dim: int):
     return None if path == "none" else load_sentence_vectors(path, dim)
 
 
-def _read_vectors(args, config: TrainConfig):
+def _read_vectors(args, config: TrainConfig, vocab):
     """The config, with ``sentence_dim`` 0 for ``--sentence-vectors none``,
     the sentence-vector store (None for ``none``) and the word vectors of
-    ``--embeddings`` (empty when it is absent)."""
+    ``--embeddings`` that ``vocab`` holds (empty when it is absent)."""
     store = _load_store(args.sentence_vectors, config.sentence_dim)
     if store is None:
         config = config.replace(sentence_dim=0)
-    pretrained = (load_word_vectors(args.embeddings, config.embedding_dim)
-                  if args.embeddings else {})
+    pretrained = (load_word_vectors(args.embeddings, config.embedding_dim,
+                                    keep=vocab.token_to_id) if args.embeddings else {})
     return config, store, pretrained
 
 
@@ -162,6 +164,10 @@ def cmd_preprocess(args) -> int:
         lines.append(f"{split.name}\t{len(split)}\t" + "\t".join(counts) +
                      f"\t{_avg_utterance_tokens(rows):.2f}\t{len(encoded)}")
     lines.append(f"vocab_size\t{vocab.size}")
+    if args.sentence_vectors:
+        tsv, out = args.sentence_vectors
+        save_sentence_vectors(load_sentence_vectors(tsv, _load_base_config(args).sentence_dim), out)
+        log.info("sentence vectors of %s written to %s", tsv, out)
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -173,7 +179,7 @@ def cmd_finetune(args) -> int:
     vocab = build_vocab(map(TokenSequence, rows))
     encoded = encode_corpus(corpus, vocab, rows)
     del rows  # only the ids stay through training
-    pretrained = load_word_vectors(args.embeddings_in, args.dim)
+    pretrained = load_word_vectors(args.embeddings_in, args.dim, keep=vocab.token_to_id)
     emb, coverage = build_embedding_matrix(vocab, pretrained, args.dim, rng)
     log.info("corpus vocabulary %d tokens, pretrained coverage %.1f%%",
              vocab.size, 100 * coverage)
@@ -193,7 +199,7 @@ def cmd_finetune(args) -> int:
 def cmd_train(args) -> int:
     config = _load_base_config(args)
     train_split, val_split, train_rows, vocab = _read_splits(args)
-    config, store, pretrained = _read_vectors(args, config)
+    config, store, pretrained = _read_vectors(args, config, vocab)
     train_ex = tr.encode_split(train_split, vocab, train_rows)
     val_ex = tr.encode_split(val_split, vocab)
     weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
@@ -202,7 +208,7 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(config.seed)
     emb, coverage = build_embedding_matrix(vocab, pretrained,
                                            config.embedding_dim, rng)
-    del pretrained  # every vector of --embeddings; the matrix holds what is used
+    del pretrained  # the vocabulary's rows of --embeddings, now in the matrix
     if args.embeddings:
         log.info("pretrained coverage %.1f%% of %d tokens", 100 * coverage,
                  vocab.size - len(SPECIALS))
@@ -236,7 +242,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_base_config(args)
     train_split, val_split, train_rows, vocab = _read_splits(args)
-    config, store, pretrained = _read_vectors(args, config)
+    config, store, pretrained = _read_vectors(args, config, vocab)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]

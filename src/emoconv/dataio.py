@@ -24,8 +24,9 @@ reader (``_write_container``, ``_read_container``):
 No length is trusted before the file is known to hold its bytes.  A payload
 is written from its array's own buffer and read straight into the float64
 array returned, which the caller owns: ``rcnn.restore`` adopts it uncopied.
-The checkpoint (magic "EMOC", version 1) is the one schema: the vocabulary,
-config, epoch and best validation F1.  Its round trip is bit-exact.
+Two schemas, checked before any payload is read, round-trip bit-exactly:
+the checkpoint ("EMOC", version 1: the vocabulary, config, epoch and best
+validation F1) and the sentence vectors ("\\x89EMS", version 1: the ids, one array).
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ DATASET_HEADER_UNLABELED = "id\tturn1\tturn2\tturn3"
 
 CHECKPOINT_MAGIC = b"EMOC"
 CHECKPOINT_VERSION = 1
+SENTENCE_VECTORS_MAGIC = b"\x89EMS"  # 0x89 starts no UTF-8 text, so no TSV either
+SENTENCE_VECTORS_VERSION = 1
 
 
 def line_error(path, lineno: int, message: str) -> ValueError:
@@ -82,6 +85,20 @@ def read_lines(path):
             for piece in (text,) if "\r" not in text else text.removesuffix("\r").split("\r"):
                 lineno += 1
                 yield lineno, piece
+
+
+def _read_bytes(path):
+    """``path`` open for bytes; its callers trust its size or read it twice, so no pipe."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"{path}: not a regular file")
+    return open(path, "rb")
+
+
+def _line_bound(path) -> int:
+    """At least the number of lines of ``path``: one more than its LF and CR bytes."""
+    with _read_bytes(path) as fh:  # ``in`` rules out a CR, which is rare, faster than count
+        blocks = iter(lambda: fh.read(1 << 20), b"")
+        return 1 + sum(b.count(b"\n") + (b"\r" in b and b.count(b"\r")) for b in blocks)
 
 
 @contextlib.contextmanager
@@ -128,10 +145,12 @@ class DatasetSplit:
 
 @dataclass
 class SentenceVectorStore:
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    """Sentence vectors as one float64 matrix, ``row`` giving each id's row in order."""
+    row: dict[str, int]
+    matrix: np.ndarray  # [len(row) x dim]
 
     def get(self, conv_id: str) -> np.ndarray:
-        return self.vectors[conv_id]
+        return self.matrix[self.row[conv_id]]
 
 
 def load_dataset(path, split: str) -> DatasetSplit:
@@ -167,6 +186,8 @@ def load_dataset(path, split: str) -> DatasetSplit:
             raise line_error(path, lineno, f"split {split!r} requires a label")
         if "\0" in line:
             raise line_error(path, lineno, "NUL character, which no text may hold")
+        if not fields[0]:
+            raise line_error(path, lineno, "empty conversation id")
         if fields[0] in first_line:
             raise line_error(path, lineno, f"repeated conversation id {fields[0]!r} "
                              f"(first on line {first_line[fields[0]]})")
@@ -190,63 +211,92 @@ def _vector(values: list[str], path, lineno: int) -> np.ndarray:
     return vec
 
 
-def load_word_vectors(path, expected_dim: int) -> dict[str, np.ndarray]:
-    """Text-format word vectors: token then whitespace-separated decimals.
+def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarray]:
+    """Text-format word vectors: token then whitespace-separated decimals,
+    as rows of one float64 matrix.  With ``keep`` (tokens, such as a
+    vocabulary's ``token_to_id``) only the kept tokens' lines are parsed.
 
-    A word2vec ``count dim`` first line (two integers, when
-    ``expected_dim`` is above 1) is skipped if dim is ``expected_dim`` and
-    an error naming both dims otherwise.  Duplicate tokens keep their first
-    occurrence; the number skipped is logged.  Tokens containing whitespace
-    are unsupported by the format.
-    """
-    out: dict[str, np.ndarray] = {}
-    duplicates = 0
+    A word2vec ``count dim`` first line (two integers, when ``expected_dim``
+    is above 1) is skipped if dim is ``expected_dim`` and an error naming both
+    dims otherwise.  Duplicate (kept) tokens keep their first occurrence; the
+    number skipped is logged.  Tokens holding whitespace are unsupported."""
+    # untouched rows cost no memory, so a bound on the rows is enough
+    matrix = np.empty((_line_bound(path) if keep is None else len(keep), expected_dim))
+    out, duplicates = {}, 0
     for lineno, line in read_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
+        parts = line.split(None, -1 if keep is None else 1)  # a kept line is split below
         if (lineno == 1 and expected_dim > 1 and len(parts) == 2
-                and all(p.isdecimal() for p in parts)):
+                and parts[0].isdecimal() and parts[1].strip().isdecimal()):
             if int(parts[1]) != expected_dim:
                 raise line_error(path, 1, f"header declares {int(parts[1])}-d vectors, "
                                  f"expected {expected_dim}")
             continue
-        token, raw = parts[0], parts[1:]
+        if not parts or (keep is not None and parts[0] not in keep):
+            continue
+        token, raw = parts[0], parts[1:] if keep is None else " ".join(parts[1:]).split()
         if len(raw) != expected_dim:
             raise line_error(path, lineno, f"expected {expected_dim} values, got {len(raw)}")
         vec = _vector(raw, path, lineno)
         if token in out:
             duplicates += 1
             continue
-        out[token] = vec
+        out[token] = matrix[len(out)]
+        out[token][:] = vec
     if duplicates:
         log.warning("%s: skipped %d duplicate token lines", path, duplicates)
     return out
 
 
+def _sentence_vectors_meta(meta: dict, shapes: dict, path, expected_dim: int) -> dict[str, int]:
+    """Each id's row, once the ids are distinct and non-empty, each with a ``vectors`` row."""
+    ids = meta.get("ids")
+    if not isinstance(ids, list) or not all(isinstance(i, str) and i for i in ids) \
+            or len(set(ids)) != len(ids) or list(shapes) != ["vectors"] \
+            or len(shapes["vectors"]) != 2 or shapes["vectors"][0] != len(ids):
+        raise ValueError(f"{path}: sentence-vector metadata has no distinct "
+                         "non-empty ids with one 'vectors' row each")
+    if shapes["vectors"][1] != expected_dim:
+        raise ValueError(f"{path}: the file's sentence vectors are {shapes['vectors'][1]}-d, "
+                         f"but the model's sentence_dim is {expected_dim}")
+    return {conv_id: k for k, conv_id in enumerate(ids)}
+
+
 def load_sentence_vectors(path, expected_dim: int) -> SentenceVectorStore:
-    """Sentence-vector TSV: ``id<TAB>v1 v2 ... v_dim``, one id per line."""
-    store = SentenceVectorStore()
+    """Sentence vectors from their TSV (``id<TAB>v1 v2 ... v_dim``, one non-empty
+    id per line) or :func:`save_sentence_vectors`'s container, told apart by its
+    magic.  Another width than ``expected_dim`` fails before any value is parsed.
+    The TSV's lines are counted first, so either format peaks near the matrix."""
+    with _read_bytes(path) as fh:
+        binary = fh.read(len(SENTENCE_VECTORS_MAGIC)) == SENTENCE_VECTORS_MAGIC
+    if binary:
+        row, arrays = _read_container(
+            path, SENTENCE_VECTORS_MAGIC, SENTENCE_VECTORS_VERSION, "sentence-vector",
+            lambda meta, shapes: _sentence_vectors_meta(meta, shapes, path, expected_dim))
+        return SentenceVectorStore(row, arrays["vectors"])
+    row, matrix = {}, np.empty((_line_bound(path), expected_dim))
     for lineno, line in read_lines(path):
         if not line:
             continue
         conv_id, tab, raw = line.partition("\t")
-        if not tab:
-            raise line_error(path, lineno, "expected 'id<TAB>values'")
-        if conv_id in store.vectors:
+        if not tab or not conv_id:
+            raise line_error(path, lineno, "expected 'id<TAB>values' with a non-empty id")
+        if conv_id in row:
             raise line_error(path, lineno, f"duplicate id {conv_id!r}")
         values = raw.split()
+        if len(values) != expected_dim and not row:  # the first line gives the file's width
+            raise ValueError(f"{path}: the file's sentence vectors are {len(values)}-d (line "
+                             f"{lineno}), but the model's sentence_dim is {expected_dim}")
         if len(values) != expected_dim:
-            raise line_error(path, lineno, f"expected {expected_dim} values, "
-                             f"got {len(values)}")
-        store.vectors[conv_id] = _vector(values, path, lineno)
-    return store
+            raise line_error(path, lineno, f"expected {expected_dim} values, got {len(values)}")
+        matrix[len(row)] = _vector(values, path, lineno)
+        row[conv_id] = len(row)
+    return SentenceVectorStore(row, matrix[:len(row)])
 
 
 def save_sentence_vectors(store: SentenceVectorStore, path) -> None:
-    with atomic_write(path) as fh:
-        for conv_id, vec in store.vectors.items():
-            fh.write(conv_id + "\t" + " ".join(repr(float(v)) for v in vec) + "\n")
+    """Write ``store`` as a container: its ids in the metadata, its matrix as one array."""
+    _write_container(path, SENTENCE_VECTORS_MAGIC, SENTENCE_VECTORS_VERSION,
+                     {"ids": list(store.row)}, {"vectors": store.matrix})
 
 
 def build_embedding_matrix(vocab: Vocabulary, pretrained: dict[str, np.ndarray],
@@ -307,13 +357,14 @@ def _write_container(path, magic: bytes, version: int, meta: dict,
             fh.write(payload)
 
 
-def _read_container(path, magic: bytes, version: int,
-                    kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """The (metadata less its array list, arrays) of a file written by
-    :func:`_write_container`.  A file that is not a ``kind`` file, is cut
-    short or too long, or has no JSON object with an array list for
-    metadata raises ValueError naming ``path``."""
-    with open(path, "rb") as fh:
+def _read_container(path, magic: bytes, version: int, kind: str,
+                    schema) -> tuple[object, dict[str, np.ndarray]]:
+    """The (schema's result, arrays) of a file written by :func:`_write_container`;
+    ``schema(meta less its array list, name -> shape)`` runs before any payload
+    is read.  A file that is not a ``kind`` file, is cut short or too long, or
+    has no JSON object with an array list for metadata raises ValueError
+    naming ``path``."""
+    with _read_bytes(path) as fh:
         size = os.fstat(fh.fileno()).st_size
 
         def need(n: int, what: str) -> int:
@@ -340,9 +391,9 @@ def _read_container(path, magic: bytes, version: int,
                 or len({a["name"] for a in entries}) != len(entries):
             raise ValueError(f"{path}: {kind} metadata has no array list "
                              "[{name, shape}, ...] with distinct names")
-        arrays = {}
-        for entry in entries:
-            name, shape = entry["name"], tuple(entry["shape"])
+        shapes = {a["name"]: tuple(a["shape"]) for a in entries}
+        checked, arrays = schema(meta, shapes), {}
+        for name, shape in shapes.items():
             (nbytes,) = struct.unpack("<Q", fh.read(need(8, "array length")))
             if nbytes != math.prod(shape) * 8:
                 raise ValueError(f"{path}: array {name!r} payload is "
@@ -352,7 +403,7 @@ def _read_container(path, magic: bytes, version: int,
             fh.readinto(arrays[name])
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after {kind} payload")
-    return meta, arrays
+    return checked, arrays
 
 
 def _is_int(value) -> bool:
@@ -368,9 +419,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     }, {name: ckpt.params[name] for name in sorted(ckpt.params)})
 
 
-def _checkpoint_meta(meta: dict, path) -> TrainConfig:
-    """The config, once the container's metadata has met the checkpoint
-    schema; a malformed field is a ValueError naming the file."""
+def _checkpoint_meta(meta: dict, path) -> tuple[dict, TrainConfig]:
+    """The metadata and its config, once it has met the checkpoint schema (before
+    any payload is read); a malformed field is a ValueError naming the file."""
     def bad(what):
         return ValueError(f"{path}: checkpoint metadata has {what}")
 
@@ -389,7 +440,7 @@ def _checkpoint_meta(meta: dict, path) -> TrainConfig:
     if not isinstance(meta["best_val_f1"], (int, float)) or isinstance(meta["best_val_f1"], bool):
         raise bad(f"best_val_f1 {meta['best_val_f1']!r}, not a number")
     try:
-        return TrainConfig.from_dict(meta["config"])
+        return meta, TrainConfig.from_dict(meta["config"])
     except ValueError as err:
         raise bad(f"a bad config: {err}") from None
 
@@ -397,7 +448,7 @@ def _checkpoint_meta(meta: dict, path) -> TrainConfig:
 def load_checkpoint(path) -> Checkpoint:
     """Read a file written by :func:`save_checkpoint`; a file that is not a
     checkpoint or is malformed raises ValueError naming ``path``."""
-    meta, params = _read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
-    config = _checkpoint_meta(meta, path)
+    (meta, config), params = _read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                             "checkpoint", lambda m, _: _checkpoint_meta(m, path))
     return Checkpoint(Vocabulary(id_to_token=meta["vocab"]), params,
                       config, meta["epoch"], float(meta["best_val_f1"]))

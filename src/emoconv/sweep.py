@@ -142,8 +142,8 @@ def _inputs_digest(train_split: DatasetSplit, val_split: DatasetSplit, vocab: Vo
     vocabulary, the pretrained vectors and the splits' sentence vectors."""
     convs = train_split.conversations + val_split.conversations
     words = sorted(pretrained or {})
-    stored = [c.id for c in convs if store is not None and c.id in store.vectors]
-    vectors = [pretrained[w] for w in words] + [store.vectors[i] for i in stored]
+    stored = [c.id for c in convs if store is not None and c.id in store.row]
+    vectors = [pretrained[w] for w in words] + [store.get(i) for i in stored]
     h = hashlib.sha256(json.dumps([
         len(train_split), train_split.label_counts, val_split.label_counts,
         [[c.id, c.turns, c.label] for c in convs], vocab.id_to_token, words, stored,

@@ -21,6 +21,7 @@ case-ignorable, so one space, a run of them, a tab or the string's edge all
 end a word alike and the tokens are the same.  ``tests/oracle.py`` keeps the
 per-turn path as the reference.  ``CHUNK_ROWS`` conversations or tweets
 share one joined string, and only one chunk's tokens are alive at a time.
+Tokens are interned, so held rows share one string per distinct token.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from sys import intern
 
 import numpy as np
 
@@ -41,7 +43,7 @@ MAX_TRAIN_TOKENS = 75
 SEP = "\0"
 CHUNK_ROWS = 1024
 
-_WS_RUN = re.compile(r"\s+")
+_WS_RUN = re.compile(r"\s{2,}|[^\S ]")  # each run becomes " "; a lone " " needs no match
 # a run of one repeated non-word character; `_` is a word character but
 # also punctuation (Pc), so it joins the class
 _MARK_RUN = re.compile(r"([\W_])\1+")
@@ -72,10 +74,11 @@ def clean_text(raw: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace and punctuation, peel contractions."""
+    """Lowercase, split on whitespace and punctuation, peel contractions, intern."""
     text = text.lower()
-    text = _CONTRACTION_NT.sub(" n't", text)
-    return _TOKEN.findall(text)
+    if "n't" in text:  # most texts have none, and the regex pass costs a call each
+        text = _CONTRACTION_NT.sub(" n't", text)
+    return [intern(token) for token in _TOKEN.findall(text)]
 
 
 def _tokens(texts: list[str]) -> list[str]:

@@ -304,7 +304,7 @@ def check_sentence_vectors(examples: list[EncodedExample], store: SentenceVector
     if store is None:
         raise ValueError(f"the model fuses {sentence_dim}-d sentence vectors "
                          "but no sentence-vector store was given")
-    missing = [ex.id for ex in examples if ex.id not in store.vectors]
+    missing = [ex.id for ex in examples if ex.id not in store.row]
     if missing:
         shown = ", ".join(missing[:20])
         more = f" (and {len(missing) - 20} more)" if len(missing) > 20 else ""
@@ -313,9 +313,9 @@ def check_sentence_vectors(examples: list[EncodedExample], store: SentenceVector
 
 def make_batch(examples: list[EncodedExample], store: SentenceVectorStore | None,
                sentence_dim: int) -> rcnn.Batch:
-    """Pack examples into one batch, their ids row after row; callers ran
-    check_sentence_vectors."""
-    sv = (np.stack([store.get(ex.id) for ex in examples])
+    """Pack examples into one batch, their ids row after row and their sentence
+    vectors gathered with one index; callers ran check_sentence_vectors."""
+    sv = (store.matrix[[store.row[ex.id] for ex in examples]]
           if sentence_dim > 0 else None)
     labels = None
     if all(ex.label is not None for ex in examples):

@@ -72,9 +72,11 @@ comparison skips them and says why:
   three digests;
 - ``cli_pipeline_gen_toy``: the whole toy pipeline through ``cli.main``, on
   toy corpora of ``toycorpus.py`` with 3-d sentence vectors: ``preprocess``,
+  which also converts the sentence-vector TSV to the binary file,
   ``finetune`` of 8-d word vectors on a 45-tweet corpus, ``train`` on the
-  dataset TSVs and the fine-tuned vectors, ``evaluate`` on the test split
-  and a 2 x 2 ``sweep`` (two hidden sizes, two seeds); the reports, the
+  dataset TSVs, the fine-tuned vectors and the binary sentence vectors,
+  ``evaluate`` on the test split with the TSV and a 2 x 2 ``sweep`` (two
+  hidden sizes, two seeds) with the binary file; the reports, the
   fine-tuned vectors, the checkpoint, ``history.tsv`` and the contents of
   the sweep records.
 """
@@ -353,7 +355,7 @@ def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
             for name, n, seed in (("train", 40, 21), ("val", 12, 22), ("test", 12, 23))}
     splits = {name: toycorpus.write_split(split, tmp / f"{name}.txt")
               for name, split in made.items()}
-    dataio.save_sentence_vectors(toycorpus.store_for(made.values(), 3, seed=24), tmp / "sv.tsv")
+    toycorpus.write_sentence_tsv(toycorpus.store_for(made.values(), 3, seed=24), tmp / "sv.tsv")
     tweets = toycorpus.make_split("tweets", 45, seed=25).conversations
     (tmp / "tweets.tsv").write_text("text\tlabel\n" + "".join(
         f"{' '.join(c.turns)}\t{int(c.label == 'happy')}\n" for c in tweets),
@@ -363,8 +365,9 @@ def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
                              tmp / "words.txt")
     config = tmp / "config.txt"
     config.write_text(CLI_CONFIG, encoding="utf-8")
-    run("--out", tmp / "stats.tsv", "preprocess", "--train", splits["train"],
-        "--val", splits["val"], "--test", splits["test"])
+    run("--config", config, "--out", tmp / "stats.tsv", "preprocess", "--train", splits["train"],
+        "--val", splits["val"], "--test", splits["test"],
+        "--sentence-vectors", tmp / "sv.tsv", tmp / "sv.bin")
     run("--seed", 3, "--out", tmp / "finetune.tsv", "finetune",
         "--corpus", tmp / "tweets.tsv", "--embeddings-in", tmp / "words.txt",
         "--embeddings-out", tmp / "tuned.txt", "--epochs-frozen", 1,
@@ -372,13 +375,13 @@ def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
         "--filters", 4)
     run("--config", config, "--out", tmp / "run", "train", "--train", splits["train"],
         "--val", splits["val"], "--embeddings", tmp / "tuned.txt",
-        "--sentence-vectors", tmp / "sv.tsv")
+        "--sentence-vectors", tmp / "sv.bin")
     run("--out", tmp / "evaluate.tsv", "evaluate", "--checkpoint", tmp / "run" / "model.ckpt",
         "--split", splits["test"], "--sentence-vectors", tmp / "sv.tsv")
     run("--config", config, "--out", tmp / "sweep.tsv", "sweep", "--train", splits["train"],
         "--val", splits["val"], "--axis", "hidden_size", "--values", "4,6",
         "--seeds", "0,1", "--embeddings", tmp / "tuned.txt",
-        "--sentence-vectors", tmp / "sv.tsv", "--runs-dir", tmp / "runs")
+        "--sentence-vectors", tmp / "sv.bin", "--runs-dir", tmp / "runs")
     records = sorted((tmp / "runs").glob("*.json"))
     if len(records) != 4:
         raise RuntimeError(f"the 2 x 2 sweep left {len(records)} records")

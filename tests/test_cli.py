@@ -43,7 +43,7 @@ def world(tmp_path):
     toycorpus.write_split(train_split, tmp_path / "train.txt")
     toycorpus.write_split(val_split, tmp_path / "val.txt")
     store = toycorpus.store_for([train_split, val_split], dim=3, seed=3)
-    dataio.save_sentence_vectors(store, tmp_path / "sv.tsv")
+    toycorpus.write_sentence_tsv(store, tmp_path / "sv.tsv")
     (tmp_path / "config.txt").write_text(CONFIG_TEXT)
     return tmp_path
 
@@ -162,8 +162,9 @@ def test_train_then_evaluate(world, capsys):
 
 
 def test_train_frees_the_word_vectors_before_training(world, monkeypatch):
-    """Of ``--embeddings`` only the embedding matrix lives through training:
-    every vector the file held is freed before the first step."""
+    """Of ``--embeddings`` only the vocabulary's vectors are read, and only
+    the embedding matrix lives through training: every vector read, and the
+    matrix that held them, is freed before the first step."""
     tokens = toycorpus.vocab_for(dataio.load_dataset(world / "train.txt", "train")).id_to_token
     words = tokens[len(SPECIALS):len(SPECIALS) + 3] + ["unused"]
     dataio.save_word_vectors(words, np.random.default_rng(0).normal(size=(4, 6)),
@@ -171,9 +172,10 @@ def test_train_frees_the_word_vectors_before_training(world, monkeypatch):
     refs, alive = [], []
     load, train_encoded = cli.load_word_vectors, tr.train_encoded
 
-    def loaded(*args):
-        vectors = load(*args)
+    def loaded(*args, **kwargs):
+        vectors = load(*args, **kwargs)
         refs.extend(weakref.ref(v) for v in vectors.values())
+        refs.append(weakref.ref(next(iter(vectors.values())).base))
         return vectors
 
     def entered(*args, **kwargs):
@@ -186,7 +188,7 @@ def test_train_frees_the_word_vectors_before_training(world, monkeypatch):
                      "train", "--train", str(world / "train.txt"),
                      "--val", str(world / "val.txt"), "--embeddings", str(world / "vec.txt"),
                      "--sentence-vectors", str(world / "sv.tsv")]) == 0
-    assert len(refs) == 4 and alive == [0]
+    assert len(refs) == 3 + 1 and alive == [0]
 
 
 def test_train_runs_are_bit_identical(world):
@@ -209,6 +211,50 @@ def test_sentence_vector_ablation(world):
     assert run_train(world, "ablate", sentence_vectors="none") == 0
     ckpt = dataio.load_checkpoint(world / "ablate" / "model.ckpt")
     assert ckpt.config.sentence_dim == 0
+
+
+def _convert(world, out="sv.bin"):
+    return cli.main(["--config", str(world / "config.txt"), "--out", str(world / "stats.tsv"),
+                     "preprocess", "--train", str(world / "train.txt"),
+                     "--val", str(world / "val.txt"),
+                     "--sentence-vectors", str(world / "sv.tsv"), str(world / out)])
+
+
+def test_preprocess_converts_sentence_vectors_that_train_and_evaluate_read_alike(world):
+    assert _convert(world) == 0
+    assert (world / "sv.bin").read_bytes().startswith(dataio.SENTENCE_VECTORS_MAGIC)
+    assert run_train(world, "tsv") == 0
+    assert run_train(world, "bin", sentence_vectors=str(world / "sv.bin")) == 0
+    assert ((world / "tsv" / "model.ckpt").read_bytes()
+            == (world / "bin" / "model.ckpt").read_bytes())
+    reports = []
+    for sv in ("sv.tsv", "sv.bin"):
+        assert cli.main(["--out", str(world / f"eval_{sv}"), "evaluate", "--checkpoint",
+                         str(world / "bin" / "model.ckpt"), "--split", str(world / "val.txt"),
+                         "--sentence-vectors", str(world / sv)]) == 0
+        reports.append((world / f"eval_{sv}").read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+
+
+def test_a_sentence_vector_width_conflict_names_both_widths(world, capsys):
+    """A ``--config`` with ``sentence_dim = 0`` given vectors to train on, and a
+    checkpoint trained without vectors given some to evaluate with, name the
+    file's width and the model's, not a bad line."""
+    assert _convert(world) == 0
+    (world / "nodim.txt").write_text(CONFIG_TEXT.replace("sentence_dim = 3", "sentence_dim = 0"))
+    assert run_train(world, "ablate", sentence_vectors="none") == 0
+    capsys.readouterr()
+    for sv, where in (("sv.tsv", " (line 1)"), ("sv.bin", "")):
+        path = world / sv
+        want = (f"{path}: the file's sentence vectors are 3-d{where}, "
+                "but the model's sentence_dim is 0")
+        assert cli.main(["--config", str(world / "nodim.txt"), "--out", str(world / "x"),
+                         "train", "--train", str(world / "train.txt"),
+                         "--val", str(world / "val.txt"), "--sentence-vectors", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert cli.main(["evaluate", "--checkpoint", str(world / "ablate" / "model.ckpt"),
+                         "--split", str(world / "val.txt"), "--sentence-vectors", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_evaluate_demands_sentence_vectors_when_fused(world, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import toycorpus
 from emoconv import dataio as dio
 from emoconv.config import TrainConfig, load_config
 from emoconv.textprep import SPECIALS, Vocabulary
@@ -115,7 +116,7 @@ def test_outside_files_may_start_with_a_utf8_bom(tmp_path):
                                               "c1\ta\tb\tc\tsad\n"), "train")
     assert split.conversations[0].id == "c1"
     assert list(dio.load_word_vectors(bom("vec.txt", "hi 1 2\n"), 2)) == ["hi"]
-    assert list(dio.load_sentence_vectors(bom("sv.tsv", "c1\t1 2\n"), 2).vectors) == ["c1"]
+    assert list(dio.load_sentence_vectors(bom("sv.tsv", "c1\t1 2\n"), 2).row) == ["c1"]
     assert load_finetune_corpus(bom("ft.tsv", "text\tlabel\nyay\t1\n")) == [("yay", 1)]
     assert load_config(bom("c.cfg", "lr = 0.01\n")).lr == 0.01
     record = sweep.RunRecord("lr", 0.01, 0, "ab", 0.5, 1.0, 1.4, True)
@@ -168,6 +169,25 @@ def test_load_word_vectors_rejects_a_non_finite_entry_naming_the_line(tmp_path, 
     assert str(err.value) == f"{p} line 2: non-finite vector entry {entry!r}"
 
 
+def test_load_word_vectors_parses_only_the_kept_tokens(tmp_path, caplog):
+    p = _write(tmp_path / "vec.txt", "6 2\nhi 1 2\nbye 3 x\nyo 5 6\nhi 7 8\nok 9\nyo 0 0\n")
+    got = dio.load_word_vectors(p, 2, keep={"hi", "yo", "absent"})
+    assert list(got) == ["hi", "yo"]
+    npt.assert_array_equal(got["hi"], [1.0, 2.0])
+    npt.assert_array_equal(got["yo"], [5.0, 6.0])
+    assert got["hi"].base is got["yo"].base  # rows of one matrix
+    assert "skipped 2 duplicate token lines" in caplog.text
+    with pytest.raises(ValueError) as err:
+        dio.load_word_vectors(p, 2, keep={"bye"})
+    assert str(err.value) == f"{p} line 3: non-numeric vector entry"
+    with pytest.raises(ValueError) as err:
+        dio.load_word_vectors(p, 2, keep={"ok"})
+    assert str(err.value) == f"{p} line 6: expected 2 values, got 1"
+    with pytest.raises(ValueError, match="line 1: header declares 2-d vectors, expected 3"):
+        dio.load_word_vectors(p, 3, keep={"hi"})
+    assert dio.load_word_vectors(p, 2, keep=set()) == {}
+
+
 def test_load_word_vectors_keeps_first_duplicate(tmp_path, caplog):
     p = _write(tmp_path / "vec.txt", "a 1 1\na 2 2\nb 3 3\n")
     with caplog.at_level("WARNING", logger="emoconv.dataio"):
@@ -204,15 +224,58 @@ def test_load_sentence_vectors_rejects_a_bad_entry_naming_the_line(tmp_path, ent
 
 
 def test_sentence_vectors_round_trip(tmp_path):
-    store = dio.SentenceVectorStore()
+    """TSV -> store -> container -> store keeps every bit and the id order."""
     rng = np.random.default_rng(0)
-    for i in range(5):
-        store.vectors[f"c{i}"] = rng.standard_normal(4)
-    path = tmp_path / "sv.tsv"
-    dio.save_sentence_vectors(store, path)
-    back = dio.load_sentence_vectors(path, 4)
-    for cid, vec in store.vectors.items():
-        npt.assert_array_equal(back.get(cid), vec)
+    matrix = np.concatenate([rng.standard_normal((4, 5)),
+                             [[0.0, -0.0, 5e-324, 1.7976931348623157e308, -1 / 3]]])
+    store = toycorpus.store_of({f"c{i}": row for i, row in zip([3, 0, 9, 1, 2], matrix)})
+    from_tsv = dio.load_sentence_vectors(
+        toycorpus.write_sentence_tsv(store, tmp_path / "sv.tsv"), 5)
+    dio.save_sentence_vectors(from_tsv, tmp_path / "sv.bin")
+    back = dio.load_sentence_vectors(tmp_path / "sv.bin", 5)
+    assert (tmp_path / "sv.bin").read_bytes().startswith(dio.SENTENCE_VECTORS_MAGIC)
+    for got in (from_tsv, back):
+        assert list(got.row) == ["c3", "c0", "c9", "c1", "c2"]
+        assert got.matrix.dtype == np.float64 and got.matrix.tobytes() == matrix.tobytes()
+        assert got.get("c9").tobytes() == matrix[2].tobytes()
+
+
+def test_an_empty_id_is_a_line_error_in_both_loaders(tmp_path):
+    for text, line in (("\t0.1 0.2 0.3\n", 1), ("c1\t0 0 0\n\t0.1 0.2 0.3\n", 2)):
+        sv = _write(tmp_path / "sv.tsv", text)
+        with pytest.raises(ValueError) as err:
+            dio.load_sentence_vectors(sv, 3)
+        assert str(err.value) == f"{sv} line {line}: expected 'id<TAB>values' with a non-empty id"
+    ds = _write(tmp_path / "train.txt", "id\tturn1\tturn2\tturn3\tlabel\n"
+                "c1\ta\tb\tc\thappy\n\ta\tb\tc\tsad\n")
+    with pytest.raises(ValueError) as err:
+        dio.load_dataset(ds, "train")
+    assert str(err.value) == f"{ds} line 3: empty conversation id"
+
+
+def test_a_width_conflict_names_both_widths_before_any_value_is_parsed(tmp_path, monkeypatch):
+    tsv = _write(tmp_path / "sv.tsv", "c1\t0.1 0.2 0.3\nc2\tx y\n")
+    binary = tmp_path / "sv.bin"
+    dio.save_sentence_vectors(toycorpus.store_of({"c1": np.ones(3), "c2": np.zeros(3)}), binary)
+    data = binary.read_bytes()
+    cut = tmp_path / "cut.bin"  # no payload at all: the width comes from the metadata
+    cut.write_bytes(data[:16 + int.from_bytes(data[8:16], "little")])
+    monkeypatch.setattr(dio, "_vector", lambda *a: pytest.fail("a value was parsed"))
+    for path, where in ((tsv, " (line 1)"), (binary, ""), (cut, "")):
+        for dim in (0, 4):
+            with pytest.raises(ValueError) as err:
+                dio.load_sentence_vectors(path, dim)
+            assert str(err.value) == (f"{path}: the file's sentence vectors are 3-d{where}, "
+                                      f"but the model's sentence_dim is {dim}")
+
+
+def test_a_pipe_is_refused_where_a_file_is_read_twice(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for load in (lambda p: dio.load_sentence_vectors(p, 3), lambda p: dio.load_word_vectors(p, 3),
+                 dio.load_checkpoint):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(fifo))}: not a regular file"):
+            load(fifo)
 
 
 def test_build_embedding_matrix_copies_and_fills():
@@ -386,7 +449,7 @@ def test_the_container_round_trips_any_metadata_and_arrays_in_order(tmp_path):
     arrays = {"b": np.arange(6.0).reshape(2, 3), "a": np.asfortranarray(np.eye(2)[:, ::-1]),
               "i": np.arange(3)}
     dio._write_container(path, b"TEST", 7, {"k": [1, "\u00e9"]}, arrays)
-    meta, back = dio._read_container(path, b"TEST", 7, "test")
+    meta, back = dio._read_container(path, b"TEST", 7, "test", lambda meta, shapes: meta)
     assert meta == {"k": [1, "\u00e9"]} and list(back) == ["b", "a", "i"]
     for name, a in back.items():
         assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable, name
@@ -394,7 +457,7 @@ def test_the_container_round_trips_any_metadata_and_arrays_in_order(tmp_path):
     with pytest.raises(ValueError, match="not a checkpoint file"):
         dio.load_checkpoint(path)
     with pytest.raises(ValueError, match="test version 7 is not the supported version 8"):
-        dio._read_container(path, b"TEST", 8, "test")
+        dio._read_container(path, b"TEST", 8, "test", lambda meta, shapes: meta)
 
 
 def test_metadata_nested_too_deep_is_a_value_error_naming_the_file(tmp_path):
@@ -412,9 +475,21 @@ def _checkpoint_schema(path):
     return ckpt.params, dio.load_checkpoint, lambda back: back.params
 
 
+def _sentence_vector_schema(path):
+    vectors = np.random.default_rng(5).standard_normal((3, 4))
+    dio.save_sentence_vectors(toycorpus.store_of(dict(zip(["a", "b", "c"], vectors))), path)
+
+    def load(p):  # the container route of load_sentence_vectors; an empty file is an empty TSV
+        return dio._read_container(p, dio.SENTENCE_VECTORS_MAGIC, dio.SENTENCE_VECTORS_VERSION,
+                                   "sentence-vector",
+                                   lambda m, s: dio._sentence_vectors_meta(m, s, p, 4))[1]
+    return {"vectors": vectors}, load, lambda back: back
+
+
 # One case per schema over the container: (write a good file and return its
 # arrays, the schema's loader, the arrays of what it loaded).
-CONTAINER_SCHEMAS = [pytest.param(_checkpoint_schema, id="checkpoint")]
+CONTAINER_SCHEMAS = [pytest.param(_checkpoint_schema, id="checkpoint"),
+                     pytest.param(_sentence_vector_schema, id="sentence_vectors")]
 
 
 @pytest.mark.parametrize("schema", CONTAINER_SCHEMAS)

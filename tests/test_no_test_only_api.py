@@ -21,8 +21,6 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 # Public names kept although only the tests use them, each with its reason.
 ALLOWED = {
-    "save_sentence_vectors": "the writer of the format load_sentence_vectors "
-                             "reads; tests write their fixtures with it",
     "format_shape_report": "kept for the planned `emoconv inspect` command "
                            "(ROADMAP item 6)",
 }

@@ -14,13 +14,13 @@ import numpy.testing as npt
 import pytest
 
 import oracle
+import toycorpus
 from emoconv import finetune as ft
 from emoconv import layers as L
 from emoconv import rcnn
 from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.config import TrainConfig
-from emoconv.dataio import SentenceVectorStore
 
 CONFIG = TrainConfig(hidden_size=5, num_layers=2, sentence_dim=3, embedding_dim=4,
                      dropout_bilstm=0.0, dropout_linear=0.0)
@@ -102,8 +102,7 @@ def test_both_models_match_the_oracle_on_a_batch_from_make_batch():
     lengths = [1, 2, 7, 1, 3, 2]
     examples = [tr.EncodedExample(f"c{i}", rng.integers(1, 11, n), i % 4)
                 for i, n in enumerate(lengths)]
-    store = SentenceVectorStore()
-    store.vectors.update({ex.id: rng.normal(size=3) for ex in examples})
+    store = toycorpus.store_of({ex.id: rng.normal(size=3) for ex in examples})
     batch = tr.make_batch(examples, store, 3)
     model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
     assert max(ft.KERNEL_SIZES) == 3

@@ -225,7 +225,7 @@ def test_sweep_inputs_digest_covers_what_a_run_reads():
     relabeled = copy.deepcopy(val_split)
     relabeled.conversations[0].label = "others"
     moved = copy.deepcopy(store)
-    moved.vectors[train_split.conversations[0].id] = np.zeros(3)
+    moved.matrix[moved.row[train_split.conversations[0].id]] = 0.0
     changed = [
         sw._inputs_digest(train_split, relabeled, vocab, store, pretrained),
         sw._inputs_digest(train_split, val_split, vocab, moved, pretrained),

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -216,3 +219,39 @@ def test_a_nul_character_in_a_text_is_an_error():
         tr.encode_split(split, tp.build_vocab([]))
     with pytest.raises(ValueError, match="NUL"):
         ft.encode_corpus([("ok", 1), ("\0", 0)], tp.build_vocab([]))
+
+
+def _distinct_objects(rows):
+    """True when every equal token in ``rows`` is one object."""
+    first = {}
+    return all(first.setdefault(token, token) is token for row in rows for token in row)
+
+
+def test_tokens_are_one_object_per_distinct_token():
+    split = toycorpus.make_split("train", 64, seed=3)
+    texts = [turn for conv in split.conversations for turn in conv.turns]
+    rows = list(tp.token_rows(texts, 3))
+    assembled = [tp.assemble_input(conv.turns).tokens for conv in split.conversations]
+    single = [tp.tokenize(tp.clean_text(text)) for text in texts]
+    assert rows == assembled
+    assert _distinct_objects(rows + assembled + single)
+    assert tp.tokenize("Grr, grr GRR")[0] is tp.tokenize("grr")[0]
+
+
+def test_held_token_rows_cost_a_pointer_per_token():
+    """The rows of 3,000 toy conversations, held, cost their lists and the
+    few distinct token strings; a string per token would break the budget."""
+    split = toycorpus.make_split("train", 3000, seed=4)
+    texts = [turn for conv in split.conversations for turn in conv.turns]
+    list(tp.token_rows(texts[:3], 3))  # the regexes' caches are not the rows
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = list(tp.token_rows(texts, 3))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    tokens = sum(map(len, rows))
+    lists = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+    assert tokens > 20_000
+    assert held < lists + 20_000, (held, lists, tokens)

@@ -10,7 +10,7 @@ from emoconv import rcnn
 from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.config import TrainConfig
-from emoconv.dataio import LABELS, SentenceVectorStore, save_checkpoint
+from emoconv.dataio import LABELS, save_checkpoint
 
 PUBLISHED_TRAIN = {"happy": 4243, "sad": 5463, "angry": 5506, "others": 14948}
 PUBLISHED_VAL = {"happy": 142, "sad": 125, "angry": 150, "others": 2338}
@@ -215,8 +215,7 @@ def test_make_batch_packs_rows_of_any_length():
     rng = np.random.default_rng(3)
     examples = [tr.EncodedExample(f"c{i}", rng.integers(1, 9, n), i % 4)
                 for i, n in enumerate(lengths)]
-    store = SentenceVectorStore()
-    store.vectors.update({ex.id: np.full(2, float(i)) for i, ex in enumerate(examples)})
+    store = toycorpus.store_of({ex.id: np.full(2, float(i)) for i, ex in enumerate(examples)})
     batch = tr.make_batch(examples, store, 2)
     npt.assert_array_equal(batch.ids, np.concatenate([ex.ids for ex in examples]))
     assert batch.ids.dtype == np.int64
@@ -228,6 +227,18 @@ def test_make_batch_packs_rows_of_any_length():
     examples[2] = tr.EncodedExample("empty", np.zeros(0, dtype=np.int64), 0)
     with pytest.raises(ValueError, match="valid lengths must be >= 1"):
         tr.make_batch(examples, None, 0)
+
+
+def test_make_batch_gathers_the_bytes_np_stack_would():
+    split = toycorpus.make_split("train", 12, seed=7)
+    encoded = tr.encode_split(split, toycorpus.vocab_for(split))
+    store = toycorpus.store_for([split], dim=5, seed=8)
+    picks = [encoded[i] for i in (7, 0, 7, 11, 3)]
+    got = tr.make_batch(picks, store, 5).sentence_vectors
+    want = np.stack([store.get(ex.id) for ex in picks])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+    assert not np.shares_memory(got, store.matrix)
 
 
 def test_make_batch_and_missing_vectors():
@@ -247,7 +258,7 @@ def test_make_batch_and_missing_vectors():
     emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (vocab.size, 2)))
     params = rcnn.init_model(config, emb, rng)
     assert tr.predict(params, encoded, store).shape == (4,)
-    del store.vectors[encoded[1].id]
+    del store.row[encoded[1].id]
     with pytest.raises(ValueError) as err:
         tr.predict(params, encoded, store)
     assert encoded[1].id in str(err.value)
@@ -411,7 +422,7 @@ def test_train_input_validation():
         toycorpus.train_splits(params, train_split, val_split, store, TOY_CONFIG, rng,
                                vocab=vocab, select="median")
 
-    del store.vectors[train_split.conversations[3].id]
+    del store.row[train_split.conversations[3].id]
     with pytest.raises(ValueError) as err:
         toycorpus.train_splits(params, train_split, val_split, store, TOY_CONFIG, rng, vocab=vocab)
     assert train_split.conversations[3].id in str(err.value)
@@ -431,11 +442,11 @@ def test_train_encoded_validates_before_the_first_step(case, monkeypatch):
     elif case == "unlabeled_val":
         val_ex[0].label = None
     elif case == "val_vector_missing":
-        del store.vectors[val_ex[0].id]
+        del store.row[val_ex[0].id]
         expect = val_ex[0].id
     else:  # every training id missing: 20 named, the rest counted
         for ex in train_ex:
-            del store.vectors[ex.id]
+            del store.row[ex.id]
         expect = f"{train_ex[19].id} (and 4 more)"
     forwards = []
     forward = rcnn.forward

@@ -41,13 +41,25 @@ def vocab_for(*splits):
     return build_vocab(seqs)
 
 
+def store_of(vectors):
+    """A sentence-vector store holding ``vectors`` (id -> vector), in order."""
+    rows = list(vectors.values())
+    matrix = np.stack(rows) if rows else np.zeros((0, 0))
+    return SentenceVectorStore({conv_id: k for k, conv_id in enumerate(vectors)}, matrix)
+
+
 def store_for(splits, dim, seed):
     rng = np.random.default_rng(seed)
-    store = SentenceVectorStore()
-    for split in splits:
-        for conv in split.conversations:
-            store.vectors[conv.id] = rng.uniform(-1, 1, dim)
-    return store
+    return store_of({conv.id: rng.uniform(-1, 1, dim)
+                     for split in splits for conv in split.conversations})
+
+
+def write_sentence_tsv(store, path):
+    """The sentence-vector TSV of ``store``; each value round-trips exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for conv_id, k in store.row.items():
+            fh.write(conv_id + "\t" + " ".join(map(repr, store.matrix[k].tolist())) + "\n")
+    return path
 
 
 def write_split(split, path, labeled=True):
