@@ -1,9 +1,10 @@
 """A tour of the reverse-mode autodiff engine that powers the classifier.
 
 Tensors record the operation that produced them; calling ``backward`` on a
-scalar loss walks that record once, in a deterministic order, and deposits
-gradients on every reachable leaf.  Everything below runs the classifier's
-own ops: its output layer, its softmax and its class-weighted loss.
+scalar loss walks that record once, in a deterministic order, letting go of
+it as it goes, and deposits gradients on every reachable leaf.  Everything
+below runs the classifier's own ops: its output layer, its softmax and its
+class-weighted loss.
 """
 
 import numpy as np
@@ -38,11 +39,18 @@ expected = ((probs.values - onehot) * weights.weights[labels][:, None] / 2).sum(
 print("matches (p - onehot) * w / B:", np.allclose(b.grad, expected))
 
 # -- 2. gradients accumulate until reset ------------------------------------
-# Backward twice without clearing and the leaf gradient doubles; training
-# loops call reset_grads between steps for exactly this reason.
+# A graph's backward runs once: it lets go of each node as it walks, so the
+# same loss cannot be walked again.  Build the loss a second time and its
+# backward adds to the leaf gradients, which double; training loops call
+# reset_grads between steps for exactly this reason.
 
+try:
+    T.backward(loss)
+except RuntimeError as err:
+    print("second backward through one graph:", err)
+loss = tr.weighted_cross_entropy(T.softmax_rows(T.linear_rows(x, w, b)), labels, weights)
 T.backward(loss)
-print("after second backward, ratio:", b.grad[0] / expected[0])
+print("after a second graph's backward, ratio:", b.grad[0] / expected[0])
 T.reset_grads([w, x, b])
 
 # -- 3. finite-difference checking ------------------------------------------

@@ -136,15 +136,18 @@ def _read_splits(args):
     return train_split, val_split, train_rows, vocab
 
 
-def _load_store(path: str, dim: int):
-    return None if path == "none" else load_sentence_vectors(path, dim)
+def _load_store(path: str, dim: int, splits):
+    """The store of ``path`` (None for ``none``) with the vectors of ``splits`` only."""
+    if path == "none":
+        return None
+    return load_sentence_vectors(path, dim, {c.id for split in splits for c in split.conversations})
 
 
-def _read_vectors(args, config: TrainConfig, vocab):
+def _read_vectors(args, config: TrainConfig, vocab, splits):
     """The config, with ``sentence_dim`` 0 for ``--sentence-vectors none``,
-    the sentence-vector store (None for ``none``) and the word vectors of
-    ``--embeddings`` that ``vocab`` holds (empty when it is absent)."""
-    store = _load_store(args.sentence_vectors, config.sentence_dim)
+    the sentence-vector store of ``splits`` (None for ``none``) and the word
+    vectors of ``--embeddings`` that ``vocab`` holds (empty when it is absent)."""
+    store = _load_store(args.sentence_vectors, config.sentence_dim, splits)
     if store is None:
         config = config.replace(sentence_dim=0)
     pretrained = (load_word_vectors(args.embeddings, config.embedding_dim,
@@ -199,7 +202,7 @@ def cmd_finetune(args) -> int:
 def cmd_train(args) -> int:
     config = _load_base_config(args)
     train_split, val_split, train_rows, vocab = _read_splits(args)
-    config, store, pretrained = _read_vectors(args, config, vocab)
+    config, store, pretrained = _read_vectors(args, config, vocab, (train_split, val_split))
     train_ex = tr.encode_split(train_split, vocab, train_rows)
     val_ex = tr.encode_split(val_split, vocab)
     weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
@@ -232,7 +235,7 @@ def cmd_evaluate(args) -> int:
     params = rcnn.restore(ckpt.config, ckpt.params)
     split = load_dataset(args.split, "test")
     examples = tr.encode_split(split, ckpt.vocab)
-    store = _load_store(args.sentence_vectors, ckpt.config.sentence_dim)
+    store = _load_store(args.sentence_vectors, ckpt.config.sentence_dim, [split])
     scored = LABELS if args.score_others else metrics.SCORED_CLASSES
     cm, _ = tr.evaluate(params, examples, store, ckpt.config.batch_size, scored)
     _emit(args, metrics.format_report(cm, scored))
@@ -242,7 +245,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_base_config(args)
     train_split, val_split, train_rows, vocab = _read_splits(args)
-    config, store, pretrained = _read_vectors(args, config, vocab)
+    config, store, pretrained = _read_vectors(args, config, vocab, (train_split, val_split))
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]

@@ -247,8 +247,8 @@ def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarra
     return out
 
 
-def _sentence_vectors_meta(meta: dict, shapes: dict, path, expected_dim: int) -> dict[str, int]:
-    """Each id's row, once the ids are distinct and non-empty, each with a ``vectors`` row."""
+def _sentence_vectors_meta(meta: dict, shapes: dict, path, expected_dim: int, keep=None):
+    """Each (kept) id's row, once the ids are distinct and non-empty, each with one row."""
     ids = meta.get("ids")
     if not isinstance(ids, list) or not all(isinstance(i, str) and i for i in ids) \
             or len(set(ids)) != len(ids) or list(shapes) != ["vectors"] \
@@ -258,22 +258,27 @@ def _sentence_vectors_meta(meta: dict, shapes: dict, path, expected_dim: int) ->
     if shapes["vectors"][1] != expected_dim:
         raise ValueError(f"{path}: the file's sentence vectors are {shapes['vectors'][1]}-d, "
                          f"but the model's sentence_dim is {expected_dim}")
-    return {conv_id: k for k, conv_id in enumerate(ids)}
+    return {conv_id: k for k, conv_id in enumerate(ids) if keep is None or conv_id in keep}
 
 
-def load_sentence_vectors(path, expected_dim: int) -> SentenceVectorStore:
+def load_sentence_vectors(path, expected_dim: int, keep=None) -> SentenceVectorStore:
     """Sentence vectors from their TSV (``id<TAB>v1 v2 ... v_dim``, one non-empty
     id per line) or :func:`save_sentence_vectors`'s container, told apart by its
-    magic.  Another width than ``expected_dim`` fails before any value is parsed.
-    The TSV's lines are counted first, so either format peaks near the matrix."""
+    magic.  With ``keep`` (ids) only the kept ids' vectors are parsed or read.
+    Another width than ``expected_dim`` fails before any value is parsed.
+    The TSV's lines are counted first, so either format peaks near the matrix
+    it keeps."""
     with _read_bytes(path) as fh:
         binary = fh.read(len(SENTENCE_VECTORS_MAGIC)) == SENTENCE_VECTORS_MAGIC
     if binary:
-        row, arrays = _read_container(
+        at, arrays = _read_container(
             path, SENTENCE_VECTORS_MAGIC, SENTENCE_VECTORS_VERSION, "sentence-vector",
-            lambda meta, shapes: _sentence_vectors_meta(meta, shapes, path, expected_dim))
-        return SentenceVectorStore(row, arrays["vectors"])
-    row, matrix = {}, np.empty((_line_bound(path), expected_dim))
+            lambda meta, shapes: _sentence_vectors_meta(meta, shapes, path, expected_dim, keep),
+            rows=None if keep is None else lambda at: list(at.values()))
+        return SentenceVectorStore(dict(zip(at, range(len(at)))), arrays["vectors"])
+    # untouched rows cost no memory, so a bound on the rows is enough
+    row, matrix = {}, np.empty((_line_bound(path) if keep is None else len(keep), expected_dim))
+    first = True
     for lineno, line in read_lines(path):
         if not line:
             continue
@@ -282,10 +287,16 @@ def load_sentence_vectors(path, expected_dim: int) -> SentenceVectorStore:
             raise line_error(path, lineno, "expected 'id<TAB>values' with a non-empty id")
         if conv_id in row:
             raise line_error(path, lineno, f"duplicate id {conv_id!r}")
+        skip = keep is not None and conv_id not in keep
+        if skip and not first:
+            continue
         values = raw.split()
-        if len(values) != expected_dim and not row:  # the first line gives the file's width
+        if len(values) != expected_dim and first:  # the first line gives the file's width
             raise ValueError(f"{path}: the file's sentence vectors are {len(values)}-d (line "
                              f"{lineno}), but the model's sentence_dim is {expected_dim}")
+        first = False
+        if skip:
+            continue
         if len(values) != expected_dim:
             raise line_error(path, lineno, f"expected {expected_dim} values, got {len(values)}")
         matrix[len(row)] = _vector(values, path, lineno)
@@ -358,12 +369,13 @@ def _write_container(path, magic: bytes, version: int, meta: dict,
 
 
 def _read_container(path, magic: bytes, version: int, kind: str,
-                    schema) -> tuple[object, dict[str, np.ndarray]]:
+                    schema, rows=None) -> tuple[object, dict[str, np.ndarray]]:
     """The (schema's result, arrays) of a file written by :func:`_write_container`;
     ``schema(meta less its array list, name -> shape)`` runs before any payload
-    is read.  A file that is not a ``kind`` file, is cut short or too long, or
-    has no JSON object with an array list for metadata raises ValueError
-    naming ``path``."""
+    is read.  With ``rows``, each array reads only the first-axis rows that
+    ``rows(schema's result)`` names.  A file that is not a ``kind`` file, is
+    cut short or too long, or has no JSON object with an array list for
+    metadata raises ValueError naming ``path``."""
     with _read_bytes(path) as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -393,14 +405,24 @@ def _read_container(path, magic: bytes, version: int, kind: str,
                              "[{name, shape}, ...] with distinct names")
         shapes = {a["name"]: tuple(a["shape"]) for a in entries}
         checked, arrays = schema(meta, shapes), {}
+        picked = None if rows is None else np.asarray(rows(checked), dtype=np.int64)
         for name, shape in shapes.items():
             (nbytes,) = struct.unpack("<Q", fh.read(need(8, "array length")))
             if nbytes != math.prod(shape) * 8:
                 raise ValueError(f"{path}: array {name!r} payload is "
                                  f"{nbytes} bytes, expected {math.prod(shape) * 8}")
             need(nbytes, f"array {name!r}")
-            arrays[name] = np.empty(shape, dtype="<f8")  # native on a little-endian host
-            fh.readinto(arrays[name])
+            # native on a little-endian host
+            out = arrays[name] = np.empty(shape if picked is None else (picked.size, *shape[1:]),
+                                          dtype="<f8")
+            if picked is None:
+                fh.readinto(out)
+            else:  # one seek and read per kept row
+                start, width = fh.tell(), math.prod(shape[1:]) * 8
+                for k, r in enumerate(picked):
+                    fh.seek(start + r * width)
+                    fh.readinto(out[k])
+                fh.seek(start + nbytes)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after {kind} payload")
     return checked, arrays

@@ -138,7 +138,8 @@ def _scan(x: np.ndarray, order, direction, out: np.ndarray, keep: bool):
     and returns ``backward(g, need_dx) -> (dx, dW, dU, db)`` if ``keep``.  As
     in cuDNN, x W^T + b is one product over all cells, a step adds only
     h U^T, and dW, dU and dx are single products.  Backward keeps the gates
-    and cell states, time-major, and gathers x and the previous h again."""
+    and cell states, time-major, writes each step's gate gradients over its
+    gates (it runs once), and gathers x and the previous h again."""
     w, u, b = (p.values for p in direction)
     hs = u.shape[1]
     if (w.shape[1], w.shape[0], u.shape, b.shape) != (x.shape[1], 4 * hs, (4 * hs, hs), (4 * hs,)):
@@ -154,24 +155,22 @@ def _scan(x: np.ndarray, order, direction, out: np.ndarray, keep: bool):
         out[src[s:e]], c_all[s:e] = h, c
 
     def backward(g, need_dx):
-        dh_in = g[src]
-        dz = np.empty_like(gates)
         dh, dc = np.zeros((2, offsets[1], hs))
-        first = prev < 0
-        c_prev = np.where(first[:, None], 0.0, c_all[prev])
         for s, e in zip(offsets[-2::-1], offsets[:0:-1]):
             n = e - s
             i, f, gg, o = (gates[s:e, k * hs:(k + 1) * hs] for k in range(4))
+            c_prev = c_all[prev[s:e]] if s else np.zeros((n, hs))
             tc = np.tanh(c_all[s:e])
-            dh_t = dh_in[s:e] + dh[:n]
+            dh_t = g[src[s:e]] + dh[:n]
             dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
-            dz[s:e, :hs] = dc_t * gg * i * (1.0 - i)
-            dz[s:e, hs:2 * hs] = dc_t * c_prev[s:e] * f * (1.0 - f)
-            dz[s:e, 2 * hs:3 * hs] = dc_t * i * (1.0 - gg * gg)
-            dz[s:e, 3 * hs:] = dh_t * tc * o * (1.0 - o)
             dc[:n] = dc_t * f
-            dh[:n] = dz[s:e] @ u
-        h_prev = np.where(first[:, None], 0.0, out[src[prev]])
+            # step t's gates are read only here, so its dz overwrites them
+            i[:], gg[:] = dc_t * gg * i * (1.0 - i), dc_t * i * (1.0 - gg * gg)
+            f[:] = dc_t * c_prev * f * (1.0 - f)
+            o[:] = dh_t * tc * o * (1.0 - o)
+            dh[:n] = gates[s:e] @ u
+        dz = gates
+        h_prev = np.where((prev < 0)[:, None], 0.0, out[src[prev]])
         dx = np.empty(x.shape) if need_dx else None
         if need_dx:
             dx[src] = dz @ w
@@ -188,8 +187,8 @@ def _bilstm_layer(x: T.Tensor, orders, fwd, bwd) -> T.Tensor:
     halves, backs = (slice(0, hs), slice(hs, None)), []
 
     def backward_fn(g):
-        (dx_f, *d_f), (dx_b, *d_b) = (back(g[:, h], x.requires_grad)
-                                      for back, h in zip(backs, halves))
+        # each direction's gates and cells go once its backward returns
+        (dx_f, *d_f), (dx_b, *d_b) = (backs.pop(0)(g[:, h], x.requires_grad) for h in halves)
         return (dx_f, dx_b, *d_f, *d_b)
 
     # made first, so that without a graph (no_grad) no direction's gates outlive its scan

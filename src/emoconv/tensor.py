@@ -6,9 +6,11 @@ the output gradient to input gradients.  Every tensor takes a creation
 number, and an op's result is made after its inputs, so creation order is a
 topological order: ``backward`` visits the nodes that hold a gradient, latest
 made first, and accumulates gradients into the ``grad`` field of every leaf
-that has ``requires_grad`` set.  A leaf that only row-gathering ops read
-(the embedding table) keeps a row-sparse ``RowGrad`` there instead of a
-table-sized array; ``grad_of`` gives the dense array.
+that has ``requires_grad`` set.  It consumes the graph it walks, so a graph's
+backward runs once; leaf gradients add up across graphs until ``reset_grads``.
+A leaf that only row-gathering ops read (the embedding table) keeps a
+row-sparse ``RowGrad`` there instead of a table-sized array; ``grad_of``
+gives the dense array.
 
 All arithmetic is 64-bit.  The engine is batch-major and packed: a batch
 of sequences is one ``[N x k]`` tensor of valid cells, row after row, plus
@@ -148,8 +150,9 @@ def from_op(values: np.ndarray, op: str, parents: tuple[Tensor, ...],
     purely functional.  Under ``no_grad`` the result keeps neither its
     parents nor the closure.  A closure captures only what backward reads,
     and reads a parent's values through the parent, which stays alive,
-    rather than through a copy; whatever it captures lives as long as the
-    graph does.
+    rather than through a copy; whatever it captures lives until
+    ``backward`` has run it, and it runs once, so it may overwrite what it
+    captured.
     """
     out = Tensor(values)
     out.op = op
@@ -169,8 +172,10 @@ def backward(loss: Tensor) -> None:
     Leaves that do not appear in the graph keep ``grad=None``; read them with
     ``grad_of``, which treats None as zero.  A leaf reached only through
     ``RowGrad`` contributions keeps them row-sparse, merged into one
-    ``RowGrad``.  Any dense contribution makes it dense.  Repeated calls
-    accumulate until ``reset_grads`` is invoked.
+    ``RowGrad``.  Any dense contribution makes it dense.  A graph's backward
+    runs once: a node lets go of its parents and closure once it has sent its
+    gradients, and a second call through the graph raises RuntimeError before
+    any leaf changes.  Leaf gradients add up across graphs until ``reset_grads``.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -207,8 +212,14 @@ def backward(loss: Tensor) -> None:
     send(loss, np.ones_like(loss.values))
     while latest:
         node, g = buffers.pop(-heapq.heappop(latest))
-        for parent, pg in zip(node.parents, node.backward_fn(g)):
+        parents, backward_fn = node.parents, node.backward_fn
+        node.parents, node.backward_fn = (), _spent  # not None, which would make it a leaf
+        for parent, pg in zip(parents, backward_fn(g)):
             send(parent, pg)
+
+
+def _spent(g):
+    raise RuntimeError("backward already ran through this graph")
 
 
 def reset_grads(tensors: Iterable[Tensor]) -> None:

@@ -390,11 +390,13 @@ def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, rng, *, lrs,
                batch_size: int, frozen_epochs: int, clip_norm: float | None = None):
     """The loop of both models: Adam over ``named``, one epoch per rate in
     ``lrs``, yielding (epoch, lr, mean loss, clipped fraction).  ``step``
-    maps a shuffled batch of indices to the scalar loss, whose graph is freed
-    after backward.  Gradients are clipped to norm ``clip_norm`` unless None;
-    clipped or not, a non-finite one is a ValueError naming the epoch, step
-    and parameter.  The embedding table is frozen through ``frozen_epochs``;
-    its flag is restored before each yield and on error."""
+    maps a shuffled batch of indices to the scalar loss; backward runs once
+    through its graph and frees it as it goes, so the loss keeps only its
+    value, and the gradients it leaves are reset before the next step's.
+    Gradients are clipped to norm ``clip_norm`` unless None; clipped or not,
+    a non-finite one is a ValueError naming the epoch, step and parameter.
+    The embedding table is frozen through ``frozen_epochs``; its flag is
+    restored before each yield and on error."""
     adam = AdamState()
     max_norm = math.inf if clip_norm is None else clip_norm
     table = named["embedding.table"]
@@ -408,7 +410,7 @@ def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, rng, *, lrs,
                 T.reset_grads(named.values())
                 T.backward(loss)
                 loss_sum += loss.item() * len(indices)
-                del loss  # this step's graph: free it before Adam and the next forward
+                del loss  # backward consumed its graph; only the value was left
                 steps += 1
                 try:
                     clipped += clip_gradients(named, max_norm) < 1.0

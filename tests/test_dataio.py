@@ -240,6 +240,49 @@ def test_sentence_vectors_round_trip(tmp_path):
         assert got.get("c9").tobytes() == matrix[2].tobytes()
 
 
+def test_kept_sentence_vectors_are_the_full_loads_rows_in_file_order(tmp_path):
+    """With ``keep``, both formats hold the kept ids present in the file, in
+    the file's order, bit-equal to a full load's rows; a bad line is an
+    error naming its line when its id is kept, and is not parsed otherwise."""
+    rng = np.random.default_rng(3)
+    ids = [f"c{i}" for i in range(12)]
+    store = toycorpus.store_of(dict(zip(ids, rng.standard_normal((12, 4)))))
+    tsv = toycorpus.write_sentence_tsv(store, tmp_path / "sv.tsv")
+    dio.save_sentence_vectors(store, tmp_path / "sv.bin")
+    keep = {"c7", "c0", "c1", "c2", "c9", "c11", "absent"}
+    for path in (tsv, tmp_path / "sv.bin"):
+        full, kept = dio.load_sentence_vectors(path, 4), dio.load_sentence_vectors(path, 4, keep)
+        assert list(kept.row) == ["c0", "c1", "c2", "c7", "c9", "c11"]
+        for conv_id in kept.row:
+            assert kept.get(conv_id).tobytes() == full.get(conv_id).tobytes()
+        assert dio.load_sentence_vectors(path, 4, set()).matrix.shape == (0, 4)
+        with pytest.raises(ValueError, match="sentence vectors are 4-d"):  # from line 1 on
+            dio.load_sentence_vectors(path, 5, {"c9"})
+    bad = _write(tmp_path / "bad.tsv", "c1\t0 0 0\nc2\t0.5 x 2\nc3\t1 2\n")
+    assert list(dio.load_sentence_vectors(bad, 3, {"c1"}).row) == ["c1"]
+    for kept_id, line, problem in (("c2", 2, "non-numeric vector entry"),
+                                   ("c3", 3, "expected 3 values, got 2")):
+        with pytest.raises(ValueError) as err:
+            dio.load_sentence_vectors(bad, 3, {"c1", kept_id})
+        assert str(err.value) == f"{bad} line {line}: {problem}"
+
+
+def test_kept_sentence_vectors_read_from_the_container_peak_near_the_kept_rows(tmp_path):
+    rng = np.random.default_rng(4)
+    ids = [f"c{i}" for i in range(2000)]
+    store = toycorpus.store_of(dict(zip(ids, rng.standard_normal((2000, 64)))))
+    dio.save_sentence_vectors(store, tmp_path / "sv.bin")
+    keep = set(ids[100:300]) | set(ids[1500:1600])
+    tracemalloc.start()
+    try:
+        kept = dio.load_sentence_vectors(tmp_path / "sv.bin", 64, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept.matrix.tobytes() == store.matrix[[*range(100, 300), *range(1500, 1600)]].tobytes()
+    assert peak < store.matrix.nbytes / 2, (peak, store.matrix.nbytes)
+
+
 def test_an_empty_id_is_a_line_error_in_both_loaders(tmp_path):
     for text, line in (("\t0.1 0.2 0.3\n", 1), ("c1\t0 0 0\n\t0.1 0.2 0.3\n", 2)):
         sv = _write(tmp_path / "sv.tsv", text)

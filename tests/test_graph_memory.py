@@ -1,7 +1,8 @@
 """What a training step's graph keeps, and for how long.
 
 A step's graph must be unreachable once its loss is read: the next step's
-forward and the epoch-end evaluation run without it.  While it lives, a
+forward and the epoch-end evaluation run without it.  ``backward`` consumes
+the graph it walks, so after it the loss holds only its value.  Until then, a
 graph holds its nodes' values plus the arrays its backward closures
 captured, and the arrays those closures reach through the functions they
 capture; ``held_bytes`` counts all of them, each buffer once.  A
@@ -210,7 +211,6 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     _, probs = rcnn.forward(params, batch, True, rng)
     loss = tr.weighted_cross_entropy(probs, batch.labels,
                                      tr.ClassWeights(np.full(4, 0.25)))
-    T.backward(loss)  # a graph that ran backward keeps what it kept before
 
     per_layer = 2 * (4 * h + h) + 2 * h + 2 * h  # per direction gates and cells; output, dropout
     ctx = 2 * h + d                            # [h_f; h_b; w_i]
@@ -221,6 +221,29 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     budget = 8 * floats + masks + index + 4096  # offsets and per-row indices
     held = held_bytes(loss)
     assert 0.9 * budget < held <= budget, (held, budget)
+    T.backward(loss)  # the walk consumes the graph: only the loss value is left
+    assert held_bytes(loss) == loss.values.nbytes
+
+
+def test_scan_backward_allocates_no_second_gates_array():
+    """One scan's backward peaks below one [N x 4h] array: it writes its
+    gate gradients over the gates forward kept, and reads the output
+    gradient and the previous cells a step at a time."""
+    rng = np.random.default_rng(11)
+    h, inp, lengths = 32, 4, np.array([40, 3, 25, 40, 1, 17, 30, 9])
+    n = int(lengths.sum())
+    direction = [T.Tensor(rng.uniform(-0.5, 0.5, shape))
+                 for shape in ((4 * h, inp), (4 * h, h), (4 * h,))]
+    back = L._scan(rng.normal(size=(n, inp)), L._packed_order(lengths, False), direction,
+                   np.empty((n, h)), True)
+    g = rng.normal(size=(n, h))
+    tracemalloc.start()
+    try:
+        back(g, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 4 * h * 8, (peak, n * 4 * h * 8)
 
 
 def test_max_over_time_keeps_its_argmax_and_not_its_input():

@@ -63,6 +63,16 @@ def test_backward_accumulates_until_reset():
     npt.assert_array_equal(T.grad_of(x), [0.0, 0.0])
 
 
+def test_a_second_backward_through_one_graph_raises_and_changes_no_gradient():
+    x = _t((2,), [1.0, 2.0], requires_grad=True)
+    loss = oracle.sum_all(oracle.mul(x, x))
+    T.backward(loss)
+    assert loss.parents == () and loss.item() == 5.0
+    with pytest.raises(RuntimeError, match="already ran"):
+        T.backward(loss)
+    npt.assert_array_equal(x.grad, [2.0, 4.0])
+
+
 def test_backward_requires_scalar_and_skips_unreachable():
     x = _t((2,), [1.0, 2.0], requires_grad=True)
     unused = _t((2,), [5.0, 5.0], requires_grad=True)
