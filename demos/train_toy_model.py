@@ -10,7 +10,7 @@ import numpy as np
 
 from emoconv import rcnn, train
 from emoconv.config import TrainConfig
-from emoconv.dataio import (Conversation, DatasetSplit, build_embedding_matrix)
+from emoconv.dataio import Conversation, DatasetSplit
 from emoconv.metrics import format_report
 from emoconv.textprep import TokenSequence, build_vocab
 
@@ -38,35 +38,28 @@ train_split = make_split("train", 48, seed=1)
 val_split = make_split("val", 16, seed=2)
 print(f"train {len(train_split)} conversations, val {len(val_split)}")
 
-# -- 2. model ------------------------------------------------------------------
+# -- 2. the run -----------------------------------------------------------------
 # No pretrained vectors here, so every row of the embedding table is random
 # and nothing is fused at the output (sentence_dim 0 = the ablation setting).
+# Each split is tokenized once: the training rows build the vocabulary and
+# are then encoded, and the encoded validation split serves training and the
+# report below.
 
 config = TrainConfig(lr=0.02, batch_size=8, epochs=8, hidden_size=8,
                      num_layers=1, sentence_dim=0, embedding_dim=8,
                      dropout_bilstm=0.0, dropout_linear=0.0,
                      freeze_embedding_epochs=2, anneal_after_epoch=99, seed=3)
-# Each split is tokenized once: the training rows build the vocabulary and
-# are then encoded, and the encoded validation split serves training and the
-# report below.
 train_rows = list(train.split_rows(train_split))
 vocab = build_vocab(map(TokenSequence, train_rows))
-train_examples = train.encode_split(train_split, vocab, train_rows)
-val_examples = train.encode_split(val_split, vocab)
-rng = np.random.default_rng(config.seed)
-embedding, _ = build_embedding_matrix(vocab, {}, config.embedding_dim, rng)
-params = rcnn.init_model(config, embedding, rng)
-
-shapes, total = rcnn.shape_report(params)
-print(f"{total} trainable parameters; projection {shapes['projection.w']}")
+data = train.RunData.encode(train_split, val_split, vocab, train_rows)
 
 # -- 3. train -------------------------------------------------------------------
-# The embedding stays frozen for two epochs (watch the loss still fall), then
-# the whole model moves together.
+# train.run is what `emoconv train` runs: one generator seeded with
+# config.seed draws the embedding table, then the model, then shuffles and
+# drops out through training.  The embedding stays frozen for two epochs
+# (watch the loss still fall), then the whole model moves together.
 
-weights = train.compute_class_weights(train_split.label_counts, val_split.label_counts)
-checkpoint, history = train.train_encoded(params, train_examples, val_examples, None,
-                                          config, rng, weights=weights, vocab=vocab)
+checkpoint, history = train.run(config, data, None, vocab, {})
 print()
 print(train.format_history(history))
 print(f"best epoch {checkpoint.epoch} at val micro-F1 "
@@ -75,6 +68,8 @@ print(f"best epoch {checkpoint.epoch} at val micro-F1 "
 # -- 4. inspect the selected model on the validation split ----------------------
 
 best = rcnn.restore(config, checkpoint.params)
-cm, f1 = train.evaluate(best, val_examples, None, config.batch_size)
+shapes, total = rcnn.shape_report(best)
+print(f"{total} trainable parameters; projection {shapes['projection.w']}")
+cm, f1 = train.evaluate(best, data.val_ex, None, config.batch_size)
 print()
 print(format_report(cm))

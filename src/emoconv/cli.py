@@ -203,22 +203,9 @@ def cmd_train(args) -> int:
     config = _load_base_config(args)
     train_split, val_split, train_rows, vocab = _read_splits(args)
     config, store, pretrained = _read_vectors(args, config, vocab, (train_split, val_split))
-    train_ex = tr.encode_split(train_split, vocab, train_rows)
-    val_ex = tr.encode_split(val_split, vocab)
-    weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
-    del train_split, val_split, train_rows  # only the ids stay through training
-
-    rng = np.random.default_rng(config.seed)
-    emb, coverage = build_embedding_matrix(vocab, pretrained,
-                                           config.embedding_dim, rng)
-    del pretrained  # the vocabulary's rows of --embeddings, now in the matrix
-    if args.embeddings:
-        log.info("pretrained coverage %.1f%% of %d tokens", 100 * coverage,
-                 vocab.size - len(SPECIALS))
-    params = rcnn.init_model(config, emb, rng)
-    ckpt, history = tr.train_encoded(params, train_ex, val_ex, store, config,
-                                     rng, weights=weights, vocab=vocab,
-                                     select=args.select)
+    data = tr.RunData.encode(train_split, val_split, vocab, train_rows)
+    del train_split, val_split  # only the ids stay through training
+    ckpt, history = tr.run(config, data, store, vocab, pretrained, select=args.select)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "model.ckpt")

@@ -29,9 +29,8 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)  # a float field also takes an int
-            if isinstance(value, bool) != (kind == "bool") or not isinstance(
-                    value, int if kind == "int" else (int, float)):
+            value = getattr(self, name)
+            if not has_type(value, kind):
                 raise ValueError(f"{name} must be of type {kind}, got {value!r}")
             if kind == "float" and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -72,6 +71,14 @@ class TrainConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+
+_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def has_type(value, kind: str) -> bool:
+    """Whether ``value`` may hold a field of type ``kind`` (a key of ``_TYPES``): a
+    bool is no number, an int counts as a float, and a numpy integer is no int."""
+    return isinstance(value, _TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
 
 
 def _parse_value(key: str, raw: str):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, has_type
 from .layers import EmbeddingMatrix
 from .textprep import SPECIALS, Vocabulary
 
@@ -316,8 +316,8 @@ def build_embedding_matrix(vocab: Vocabulary, pretrained: dict[str, np.ndarray],
 
     PAD stays zero; tokens found in ``pretrained`` are copied verbatim;
     everything else (including UNK and EOS) draws uniform [-0.05, 0.05]
-    entries.  Returns the matrix plus the fraction of real (non-special)
-    vocabulary tokens that were found.
+    entries, all in one draw in row order.  Returns the matrix plus the
+    fraction of real (non-special) vocabulary tokens that were found.
     """
     for token, vec in pretrained.items():
         if vec.shape != (dim,):
@@ -326,14 +326,15 @@ def build_embedding_matrix(vocab: Vocabulary, pretrained: dict[str, np.ndarray],
         break
     values = np.zeros((vocab.size, dim))
     found, reserved = 0, len(SPECIALS)
-    for idx in range(1, vocab.size):
-        token = vocab.id_to_token[idx]
-        vec = pretrained.get(token) if idx >= reserved else None
-        if vec is not None:
+    drawn = list(range(1, reserved))  # the reserved rows but PAD, which stays zero
+    for idx in range(reserved, vocab.size):
+        vec = pretrained.get(vocab.id_to_token[idx])
+        if vec is None:
+            drawn.append(idx)
+        else:
             values[idx] = vec
             found += 1
-        else:
-            values[idx] = rng.uniform(-0.05, 0.05, dim)
+    values[drawn] = rng.uniform(-0.05, 0.05, (len(drawn), dim))
     real_tokens = vocab.size - reserved
     coverage = found / real_tokens if real_tokens else 0.0
     return EmbeddingMatrix.from_array(values), coverage
@@ -399,7 +400,7 @@ def _read_container(path, magic: bytes, version: int, kind: str,
         if not isinstance(entries, list) or not all(
                 isinstance(a, dict) and isinstance(a.get("name"), str)
                 and isinstance(a.get("shape"), list)
-                and all(_is_int(d) and d >= 0 for d in a["shape"]) for a in entries) \
+                and all(has_type(d, "int") and d >= 0 for d in a["shape"]) for a in entries) \
                 or len({a["name"] for a in entries}) != len(entries):
             raise ValueError(f"{path}: {kind} metadata has no array list "
                              "[{name, shape}, ...] with distinct names")
@@ -428,10 +429,6 @@ def _read_container(path, magic: bytes, version: int, kind: str,
     return checked, arrays
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     _write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, {
         "best_val_f1": ckpt.best_val_f1,
@@ -457,9 +454,9 @@ def _checkpoint_meta(meta: dict, path) -> tuple[dict, TrainConfig]:
     if len(set(vocab)) != len(vocab):
         repeated = next(token for token, n in Counter(vocab).items() if n > 1)
         raise bad(f"a repeated vocabulary token {repeated!r}")
-    if not _is_int(meta["epoch"]) or meta["epoch"] < 1:
+    if not has_type(meta["epoch"], "int") or meta["epoch"] < 1:
         raise bad(f"epoch {meta['epoch']!r}, not an integer >= 1")
-    if not isinstance(meta["best_val_f1"], (int, float)) or isinstance(meta["best_val_f1"], bool):
+    if not has_type(meta["best_val_f1"], "float"):
         raise bad(f"best_val_f1 {meta['best_val_f1']!r}, not a number")
     try:
         return meta, TrainConfig.from_dict(meta["config"])

@@ -29,17 +29,22 @@ from .textprep import PAD_ID
 class EmbeddingMatrix:
     """Token-id rows of word vectors; row 0 is PAD, stays zero and never
     receives gradient.  Frozen while ``table.requires_grad`` is False."""
-    vocab_size: int
-    dim: int
     table: T.Tensor
+
+    @property
+    def vocab_size(self) -> int:
+        return self.table.values.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.table.values.shape[1]
 
     @classmethod
     def from_array(cls, values) -> "EmbeddingMatrix":
         arr = np.ascontiguousarray(values, dtype=np.float64)  # Adam updates it in place
         if arr.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-d, got shape {arr.shape}")
-        return cls(vocab_size=arr.shape[0], dim=arr.shape[1],
-                   table=T.Tensor(arr, requires_grad=True))
+        return cls(T.Tensor(arr, requires_grad=True))
 
 
 def init_arrays(shapes: dict[str, tuple[int, ...]], rng) -> dict[str, np.ndarray]:

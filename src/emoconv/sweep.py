@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rcnn
 from . import train as tr
-from .config import TrainConfig
-from .dataio import (DatasetSplit, SentenceVectorStore, atomic_write,
-                     build_embedding_matrix, line_error, read_lines)
+from .config import TrainConfig, has_type
+from .dataio import DatasetSplit, SentenceVectorStore, atomic_write, line_error, read_lines
 from .metrics import aggregate_seeds
 from .textprep import Vocabulary
 
@@ -91,49 +89,20 @@ def _axis_value(axis: str, value):
     return int(value)
 
 
-@dataclass
-class SweepData:
-    """What every run of a sweep shares: both splits encoded, the class
-    weights of the raw splits, and the uniform-prediction baseline loss over
-    the training examples the runs train on, those the length filter
-    keeps."""
-    train_ex: list[tr.EncodedExample]
-    val_ex: list[tr.EncodedExample]
-    weights: tr.ClassWeights
-    baseline_loss: float
-
-    @classmethod
-    def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit,
-               vocab: Vocabulary, train_rows: list[list[str]]) -> "SweepData":
-        """``train_rows`` are the training split's token rows
-        (:func:`train.split_rows`), in a list.  It is emptied once encoded,
-        so its tokens are not kept through the sweep's training runs."""
-        weights = tr.compute_class_weights(train_split.label_counts,
-                                           val_split.label_counts)
-        train_ex = tr.encode_split(train_split, vocab, train_rows)
-        train_rows.clear()
-        return cls(train_ex, tr.encode_split(val_split, vocab), weights,
-                   tr.uniform_baseline_loss(weights, [ex.label for ex in train_ex]))
-
-
-def run_one(base_config: TrainConfig, axis: str, value, seed: int, data: SweepData,
+def run_one(base_config: TrainConfig, axis: str, value, seed: int, data: tr.RunData,
             store: SentenceVectorStore | None, vocab: Vocabulary,
             pretrained: dict | None = None) -> RunRecord:
-    """One sweep cell: reseed, rebuild the model, train, score."""
+    """One sweep cell: :func:`train.run` at this value and seed, scored against
+    the uniform-prediction loss over the examples it trains on (length-filtered)."""
     value = _axis_value(axis, value)
     config = base_config.replace(**{axis: value, "seed": seed})
-    rng = np.random.default_rng(seed)
-    emb, _ = build_embedding_matrix(vocab, pretrained or {}, config.embedding_dim, rng)
-    params = rcnn.init_model(config, emb, rng)
-    ckpt, history = tr.train_encoded(params, data.train_ex, data.val_ex, store, config,
-                                     rng, weights=data.weights, vocab=vocab)
+    # the run empties the map it is given; the sweep's stays for the next cell
+    ckpt, history = tr.run(config, data, store, vocab, dict(pretrained or {}))
     final_loss = history[-1].train_loss
-    return RunRecord(axis=axis, value=value, seed=seed,
-                     config_hash=config_hash(config),
-                     best_val_f1=ckpt.best_val_f1,
-                     final_train_loss=final_loss,
-                     baseline_loss=data.baseline_loss,
-                     trained_effectively=final_loss < data.baseline_loss)
+    baseline = tr.uniform_baseline_loss(data.weights, [ex.label for ex in data.train_ex])
+    return RunRecord(axis=axis, value=value, seed=seed, config_hash=config_hash(config),
+                     best_val_f1=ckpt.best_val_f1, final_train_loss=final_loss,
+                     baseline_loss=baseline, trained_effectively=final_loss < baseline)
 
 
 def _inputs_digest(train_split: DatasetSplit, val_split: DatasetSplit, vocab: Vocabulary,
@@ -157,10 +126,6 @@ def _record_path(runs_dir, config: TrainConfig, inputs_digest: str) -> str:
     return os.path.join(runs_dir, f"run_{config_hash(config)[:16]}_{inputs_digest[:16]}.json")
 
 
-# the JSON types a record field of each annotated type may hold
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
-
-
 def load_record(path) -> RunRecord:
     """A truncated or malformed record, a field of the wrong JSON type
     included (a bool is not a number), is a ValueError that names the file,
@@ -176,8 +141,7 @@ def load_record(path) -> RunRecord:
         raise ValueError(f"{path}: malformed sweep record: {err}") from None
     for f in dataclasses.fields(RunRecord):
         value = getattr(record, f.name)
-        if isinstance(value, bool) != (f.type == "bool") or \
-                not isinstance(value, _JSON_TYPES[f.type]):
+        if not has_type(value, f.type):
             raise ValueError(f"{path}: malformed sweep record: field {f.name!r} "
                              f"holds {value!r}, not a {f.type}")
     return record
@@ -195,7 +159,7 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
     instead of retrained.  The splits are encoded on the first run that
     trains, so a fully cached sweep encodes nothing; ``train_rows`` are the
     training split's token rows, made once (:func:`train.split_rows`), which
-    the encoding empties (see :meth:`SweepData.encode`).
+    the encoding empties (see :meth:`train.RunData.encode`).
     """
     if runs_dir is not None:
         os.makedirs(runs_dir, exist_ok=True)
@@ -211,7 +175,7 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
                 log.info("sweep %s=%s seed %d: reusing %s", spec.axis, value, seed, path)
             else:
                 if data is None:
-                    data = SweepData.encode(train_split, val_split, vocab, train_rows)
+                    data = tr.RunData.encode(train_split, val_split, vocab, train_rows)
                 rec = run_one(base_config, spec.axis, value, seed, data, store,
                               vocab, pretrained)
                 if path is not None:  # whole or not at all, even if killed

@@ -1,6 +1,7 @@
 """Training: the epoch loop both models share (Adam, global-norm gradient
 clipping, embedding freezing) and the classifier's class-weighted loss,
-learning-rate annealing, and best-epoch selection on validation micro-F1.
+learning-rate annealing, and best-epoch selection on validation micro-F1;
+:func:`run`, the one route from a config and its seed to a checkpoint.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import numpy as np
 from . import metrics, rcnn
 from . import tensor as T
 from .config import TrainConfig
-from .dataio import (LABEL_TO_INDEX, LABELS, Checkpoint,
-                     DatasetSplit, SentenceVectorStore, atomic_write)
-from .textprep import MAX_TRAIN_TOKENS, Vocabulary, token_rows
+from .dataio import (LABEL_TO_INDEX, LABELS, Checkpoint, DatasetSplit,
+                     SentenceVectorStore, atomic_write, build_embedding_matrix)
+from .textprep import MAX_TRAIN_TOKENS, SPECIALS, Vocabulary, token_rows
 
 log = logging.getLogger(__name__)
 
@@ -477,3 +478,41 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
         final_arrays, final_epoch = {n: t.values.copy() for n, t in named.items()}, config.epochs
     ckpt = Checkpoint(vocab, final_arrays, config, final_epoch, best[0])
     return ckpt, history
+
+
+@dataclass
+class RunData:
+    """What a classifier run trains on: both splits encoded and the class
+    weights of the raw splits."""
+    train_ex: list[EncodedExample]
+    val_ex: list[EncodedExample]
+    weights: ClassWeights
+
+    @classmethod
+    def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit,
+               vocab: Vocabulary, train_rows: list[list[str]]) -> "RunData":
+        """``train_rows``, the training split's token rows (:func:`split_rows`)
+        in a list, is emptied once encoded, so no token is kept through training."""
+        weights = compute_class_weights(train_split.label_counts, val_split.label_counts)
+        train_ex = encode_split(train_split, vocab, train_rows)
+        train_rows.clear()
+        return cls(train_ex, encode_split(val_split, vocab), weights)
+
+
+def run(config: TrainConfig, data: RunData, sentence_store: SentenceVectorStore | None,
+        vocab: Vocabulary, pretrained: dict[str, np.ndarray], select: str = "best"):
+    """The classifier run of ``config``, the one every entry makes: one
+    generator seeded with ``config.seed`` draws the embedding table (see
+    :func:`dataio.build_embedding_matrix`), then the model, which
+    :func:`train_encoded` trains on ``data``; returns (checkpoint, history).
+    ``pretrained`` is emptied once the table holds its rows, so none of its
+    vectors is kept through training; a caller that reuses it passes a copy."""
+    rng = np.random.default_rng(config.seed)
+    emb, coverage = build_embedding_matrix(vocab, pretrained, config.embedding_dim, rng)
+    if pretrained:
+        log.info("pretrained coverage %.1f%% of %d tokens", 100 * coverage,
+                 vocab.size - len(SPECIALS))
+    pretrained.clear()
+    params = rcnn.init_model(config, emb, rng)
+    return train_encoded(params, data.train_ex, data.val_ex, sentence_store, config, rng,
+                         weights=data.weights, vocab=vocab, select=select)

@@ -222,10 +222,14 @@ def main(argv=None) -> int:
             print(side, json.dumps(record[side]), flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    parent = record["parent"]["first_step"]["tsv"].get("cpu_s")
-    change = record["change"]["first_step"].get("converted", {}).get("cpu_s")
-    if parent and change:
-        record["first_step_speedup"] = parent / change
+    # per format, the parent's first step over the change's on the same file
+    speedup = {}
+    for name, run in record["change"]["first_step"].items():
+        parent = record["parent"]["first_step"].get(name, {}).get("cpu_s")
+        if parent and run.get("cpu_s"):
+            speedup[name] = parent / run["cpu_s"]
+    if speedup:
+        record["first_step_speedup"] = speedup
     existing = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     existing["paper_inputs"] = record
     args.out.write_text(json.dumps(existing, indent=1) + "\n", encoding="utf-8")

@@ -17,7 +17,7 @@ from emoconv import cli, dataio, textprep
 from emoconv import train as tr
 from emoconv.config import TrainConfig
 from emoconv.finetune import FILTERS_PER_SIZE, FinetuneSchedule
-from emoconv.sweep import DEFAULT_SEEDS
+from emoconv.sweep import DEFAULT_SEEDS, load_record
 from emoconv.textprep import SPECIALS
 
 CONFIG_TEXT = """\
@@ -315,6 +315,31 @@ def test_sweep_report_and_records(world):
     assert report[0].startswith("axis\tvalue")
     assert len(report) == 3
     assert len(list((world / "runs").glob("run_*.json"))) == 4
+
+
+def test_a_sweep_cell_is_the_train_run_at_its_seed(world):
+    """Each cell of a sweep with ``--embeddings`` records the best val
+    micro-F1 and final training loss of ``emoconv train`` at its seed; a cell
+    that lost the word vectors the sweep shares would draw its table at
+    random."""
+    tokens = toycorpus.vocab_for(dataio.load_dataset(world / "train.txt", "train")).id_to_token
+    words = tokens[len(SPECIALS):]
+    dataio.save_word_vectors(words, np.random.default_rng(0).normal(size=(len(words), 6)),
+                             world / "vec.txt")
+    splits = ("--train", str(world / "train.txt"), "--val", str(world / "val.txt"),
+              "--embeddings", str(world / "vec.txt"), "--sentence-vectors", str(world / "sv.tsv"))
+    assert cli.main(["--config", str(world / "config.txt"), "--out", str(world / "sweep.tsv"),
+                     "sweep", *splits, "--axis", "lr", "--values", "0.02", "--seeds", "0,1",
+                     "--runs-dir", str(world / "runs")]) == 0
+    records = {r.seed: r for r in map(load_record, (world / "runs").glob("run_*.json"))}
+    assert sorted(records) == [0, 1]
+    for seed, record in records.items():
+        out = world / f"train{seed}"
+        assert cli.main(["--config", str(world / "config.txt"), "--seed", str(seed),
+                         "--out", str(out), "train", *splits]) == 0
+        final_loss = float((out / "history.tsv").read_text().splitlines()[-1].split("\t")[2])
+        ckpt = dataio.load_checkpoint(out / "model.ckpt")
+        assert (record.best_val_f1, record.final_train_loss) == (ckpt.best_val_f1, final_loss)
 
 
 def test_a_negative_seed_flag_names_the_field(world, capsys):

@@ -325,8 +325,8 @@ def test_build_embedding_matrix_copies_and_fills():
     vocab = Vocabulary([*SPECIALS, "a", "b", "c", "d"])
     pretrained = {"a": np.array([1.0, 2.0]), "c": np.array([-3.0, 4.0]),
                   "zzz": np.array([9.0, 9.0])}
-    emb, coverage = dio.build_embedding_matrix(vocab, pretrained, 2,
-                                               np.random.default_rng(0))
+    rng, per_row = np.random.default_rng(0), np.random.default_rng(0)
+    emb, coverage = dio.build_embedding_matrix(vocab, pretrained, 2, rng)
     assert emb.vocab_size == 7 and emb.dim == 2
     npt.assert_array_equal(emb.table.values[0], [0.0, 0.0])           # PAD
     npt.assert_array_equal(emb.table.values[3], [1.0, 2.0])           # "a"
@@ -334,6 +334,9 @@ def test_build_embedding_matrix_copies_and_fills():
     for row in (1, 2, 4, 6):                                          # UNK, EOS, b, d
         assert (np.abs(emb.table.values[row]) <= 0.05).all()
         assert np.abs(emb.table.values[row]).max() > 0
+        # the rows' one draw has the bytes of a draw per row, in row order
+        npt.assert_array_equal(emb.table.values[row], per_row.uniform(-0.05, 0.05, 2))
+    assert rng.bit_generator.state == per_row.bit_generator.state
     assert coverage == 2 / 4
 
     emb2, cov2 = dio.build_embedding_matrix(Vocabulary(), pretrained, 2,
@@ -664,11 +667,12 @@ def test_every_config_path_rejects_non_finite_floats():
 @pytest.mark.parametrize("field, value, kind", [
     ("seed", 1.5, "int"), ("hidden_size", 2.5, "int"), ("batch_size", 64.0, "int"),
     ("epochs", True, "int"), ("lr", False, "float"), ("lr", "0.1", "float"),
-    ("projection_tanh", 1, "bool"), ("dropout_linear", None, "float")])
+    ("projection_tanh", 1, "bool"), ("dropout_linear", None, "float"),
+    ("seed", np.int64(3), "int")])
 def test_validate_names_a_field_of_the_wrong_type(field, value, kind):
     """The Python API meets the rule a config file or checkpoint meets: an
-    int field takes an int, a float field an int or a float, and a bool
-    only a bool field."""
+    int field takes an int (a numpy integer is none), a float field an int or
+    a float, and a bool only a bool field."""
     with pytest.raises(ValueError) as err:
         TrainConfig(**{field: value}).validate()
     assert str(err.value) == f"{field} must be of type {kind}, got {value!r}"

@@ -131,8 +131,7 @@ def test_sweep_resumes_from_run_records(tmp_path):
 
 def test_sweep_runs_are_deterministic():
     train_split, val_split, vocab = _toy_data()
-    data = sw.SweepData.encode(train_split, val_split, vocab,
-                               list_rows(train_split))
+    data = tr.RunData.encode(train_split, val_split, vocab, list_rows(train_split))
     rec1 = sw.run_one(FAST, "lr", 0.02, 7, data, None, vocab)
     rec2 = sw.run_one(FAST, "lr", 0.02, 7, data, None, vocab)
     assert rec1 == rec2
@@ -140,8 +139,7 @@ def test_sweep_runs_are_deterministic():
 
 def test_axis_values_are_coerced():
     train_split, val_split, vocab = _toy_data()
-    data = sw.SweepData.encode(train_split, val_split, vocab,
-                               list_rows(train_split))
+    data = tr.RunData.encode(train_split, val_split, vocab, list_rows(train_split))
     rec = sw.run_one(FAST, "batch_size", 6.0, 3, data, None, vocab)
     assert rec.value == 6 and isinstance(rec.value, int)
 
@@ -152,12 +150,13 @@ def test_baseline_loss_is_over_the_examples_the_runs_train_on():
     assert len(textprep.assemble_input((long_turn, "yay", "um")).tokens) == 83
     train_split.conversations.append(Conversation("long", (long_turn, "yay", "um"), "happy"))
     train_split.label_counts["happy"] += 1
-    data = sw.SweepData.encode(train_split, val_split, vocab, list_rows(train_split))
+    data = tr.RunData.encode(train_split, val_split, vocab, list_rows(train_split))
     kept = [ex.label for ex in data.train_ex]
     assert len(kept) == 12  # the 83-token conversation is filtered out
-    assert data.baseline_loss == tr.uniform_baseline_loss(data.weights, kept)
+    rec = sw.run_one(FAST, "lr", 0.02, 0, data, None, vocab)
+    assert rec.baseline_loss == tr.uniform_baseline_loss(data.weights, kept)
     every = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
-    assert data.baseline_loss != tr.uniform_baseline_loss(data.weights, every)
+    assert rec.baseline_loss != tr.uniform_baseline_loss(data.weights, every)
 
 
 def test_sweep_encodes_once_and_matches_per_run_training(tmp_path, monkeypatch):

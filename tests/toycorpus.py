@@ -76,10 +76,9 @@ def write_split(split, path, labeled=True):
 
 
 def train_splits(params, train_split, val_split, store, config, rng, *, vocab, **kwargs):
-    """``train.train_encoded`` on two raw splits: encode both, weight the
-    classes by their raw distributions, and train; the keyword arguments
-    (``select``, ``epoch_hook``) pass through."""
-    weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
-    return tr.train_encoded(params, tr.encode_split(train_split, vocab),
-                            tr.encode_split(val_split, vocab), store, config, rng,
-                            weights=weights, vocab=vocab, **kwargs)
+    """``train.train_encoded`` of a model the test drew, on two raw splits
+    encoded as ``train.run`` takes them (``train.RunData``); the keyword
+    arguments (``select``, ``epoch_hook``) pass through."""
+    data = tr.RunData.encode(train_split, val_split, vocab, list(tr.split_rows(train_split)))
+    return tr.train_encoded(params, data.train_ex, data.val_ex, store, config, rng,
+                            weights=data.weights, vocab=vocab, **kwargs)
