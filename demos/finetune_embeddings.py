@@ -8,12 +8,11 @@ the moved table.
 
 import numpy as np
 
-from emoconv.dataio import build_embedding_matrix
-from emoconv.finetune import (FinetuneSchedule, build_finetune_model,
-                              encode_corpus, finetune_encoded, predict_finetune)
-from emoconv.textprep import TokenSequence, build_vocab, token_rows
+from emoconv import finetune
+from emoconv.finetune import FinetuneSchedule, encode_corpus, predict_finetune
+from emoconv.textprep import SPECIALS, TokenSequence, build_vocab, token_rows
 
-# -- 1. a noisy sentiment corpus ----------------------------------------------
+# -- 1. a noisy sentiment corpus and its starting vectors ----------------------
 # Positive texts contain "glee"; the rest is shared filler, so the only way
 # to win is to give that one row a distinctive vector.
 
@@ -33,25 +32,27 @@ rows = list(token_rows((text for text, _ in corpus), 1))
 vocab = build_vocab(map(TokenSequence, rows))
 encoded = encode_corpus(corpus, vocab, rows)
 train_part, held_out = encoded[:80], encoded[80:]
-embedding, _ = build_embedding_matrix(vocab, {}, 8, rng)
-before = embedding.table.values.copy()
+# stand-ins for pretrained vectors, one per word; the run empties the map
+pretrained = {token: rng.uniform(-0.05, 0.05, 8) for token in vocab.id_to_token[len(SPECIALS):]}
+before = dict(pretrained)
 
 # -- 2. fine-tune ---------------------------------------------------------------
 
-model = build_finetune_model(embedding, rng, filters_per_size=8)
 schedule = FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=5, lr=0.02,
                             batch_size=16)
-embedding, losses = finetune_encoded(model, train_part, schedule, rng)
+model, losses = finetune.run(schedule, 4, train_part, vocab, pretrained, dim=8,
+                             filters_per_size=8)
 for epoch, loss in enumerate(losses, start=1):
     tag = "frozen" if epoch <= schedule.frozen_epochs else "unfrozen"
     print(f"epoch {epoch} ({tag:8s}) loss {loss:.4f}")
 
 # -- 3. what moved ----------------------------------------------------------------
 
-drift = np.linalg.norm(embedding.table.values - before, axis=1)
-moved = sorted(zip(drift, vocab.id_to_token), reverse=True)[:5]
+table = model.emb.table.values
+drift = [(np.linalg.norm(table[vocab.token_to_id[token]] - vec), token)
+         for token, vec in before.items()]
 print("\nrows that moved most:")
-for dist, token in moved:
+for dist, token in sorted(drift, reverse=True)[:5]:
     print(f"  {token:8s} {dist:.4f}")
 
 preds = predict_finetune(model, held_out)

@@ -21,17 +21,14 @@ import logging
 import os
 import sys
 
-import numpy as np
-
+from . import finetune as ft
 from . import metrics, rcnn
 from . import sweep as sw
 from . import train as tr
 from .config import TrainConfig, load_config
-from .dataio import (LABELS, atomic_write, build_embedding_matrix, load_checkpoint,
-                     load_dataset, load_sentence_vectors, load_word_vectors,
-                     save_checkpoint, save_sentence_vectors, save_word_vectors)
-from .finetune import (FILTERS_PER_SIZE, FinetuneSchedule, build_finetune_model,
-                       encode_corpus, finetune_encoded, load_finetune_corpus)
+from .dataio import (LABELS, atomic_write, load_checkpoint, load_dataset,
+                     load_sentence_vectors, load_word_vectors, save_checkpoint,
+                     save_sentence_vectors, save_word_vectors)
 from .textprep import SPECIALS, TokenSequence, build_vocab, token_rows
 
 log = logging.getLogger(__name__)
@@ -60,13 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="TSV with header text<TAB>label")
     p.add_argument("--embeddings-in", required=True)
     p.add_argument("--embeddings-out", required=True)
-    schedule = FinetuneSchedule()
+    schedule = ft.FinetuneSchedule()
     p.add_argument("--epochs-frozen", type=int, default=schedule.frozen_epochs)
     p.add_argument("--epochs-unfrozen", type=int, default=schedule.unfrozen_epochs)
     p.add_argument("--lr", type=float, default=schedule.lr)
     p.add_argument("--batch-size", type=int, default=schedule.batch_size)
     p.add_argument("--dim", type=int, default=TrainConfig().embedding_dim)
-    p.add_argument("--filters", type=int, default=FILTERS_PER_SIZE)
+    p.add_argument("--filters", type=int, default=ft.FILTERS_PER_SIZE)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("train", help="train the classifier on dataset TSVs")
@@ -176,23 +173,19 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    rng = np.random.default_rng(_load_base_config(args).seed)
-    corpus = load_finetune_corpus(args.corpus)
+    seed = _load_base_config(args).seed
+    schedule = ft.FinetuneSchedule(args.epochs_frozen, args.epochs_unfrozen, args.lr,
+                                   args.batch_size)
+    ft.check_sizes(args.dim, args.filters)
+    corpus = ft.load_finetune_corpus(args.corpus)
     rows = list(token_rows((text for text, _ in corpus), 1))
     vocab = build_vocab(map(TokenSequence, rows))
-    encoded = encode_corpus(corpus, vocab, rows)
+    encoded = ft.encode_corpus(corpus, vocab, rows)
     del rows  # only the ids stay through training
     pretrained = load_word_vectors(args.embeddings_in, args.dim, keep=vocab.token_to_id)
-    emb, coverage = build_embedding_matrix(vocab, pretrained, args.dim, rng)
-    log.info("corpus vocabulary %d tokens, pretrained coverage %.1f%%",
-             vocab.size, 100 * coverage)
-    model = build_finetune_model(emb, rng, filters_per_size=args.filters)
-    schedule = FinetuneSchedule(frozen_epochs=args.epochs_frozen,
-                                unfrozen_epochs=args.epochs_unfrozen,
-                                lr=args.lr, batch_size=args.batch_size)
-    emb, losses = finetune_encoded(model, encoded, schedule, rng)
+    model, losses = ft.run(schedule, seed, encoded, vocab, pretrained, args.dim, args.filters)
     reserved = len(SPECIALS)
-    save_word_vectors(vocab.id_to_token[reserved:], emb.table.values[reserved:],
+    save_word_vectors(vocab.id_to_token[reserved:], model.emb.table.values[reserved:],
                       args.embeddings_out)
     _emit(args, "epoch\tloss\n" +
           "".join(f"{i + 1}\t{loss!r}\n" for i, loss in enumerate(losses)))

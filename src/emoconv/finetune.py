@@ -10,16 +10,17 @@ is thrown away.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .dataio import line_error, read_lines
+from .dataio import build_embedding_matrix, line_error, read_lines
 from .rcnn import Batch
 from .textprep import Vocabulary, token_rows
-from .train import LOG_FLOOR, iter_batches, run_epochs
+from .train import LOG_FLOOR, RunState, iter_batches, run_epochs
 
 log = logging.getLogger(__name__)
 
@@ -28,10 +29,23 @@ DROPOUT_RATE = 0.5  # on the pooled features, before the output layer
 
 @dataclass
 class FinetuneSchedule:
+    """Epochs with the table frozen, then unfrozen (each >= 0, one at least
+    in all), Adam's rate (finite, > 0) and the batch size (>= 1)."""
     frozen_epochs: int = 1
     unfrozen_epochs: int = 3
     lr: float = 0.0005
     batch_size: int = 64
+
+    def __post_init__(self):
+        for name in ("frozen_epochs", "unfrozen_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.frozen_epochs + self.unfrozen_epochs < 1:
+            raise ValueError("frozen_epochs + unfrozen_epochs must be >= 1, got 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 KERNEL_SIZES = (1, 2, 3)  # convolution widths, one filter bank each
@@ -54,6 +68,13 @@ class FinetuneModel:
         ``layers.conv1d_over_time`` takes."""
         return [(k, self.tensors[f"conv_k{k}.w"], self.tensors[f"conv_k{k}.b"])
                 for k in KERNEL_SIZES]
+
+
+def check_sizes(dim: int, filters_per_size: int) -> None:
+    """Raise ValueError unless the table width and the filters per width are >= 1."""
+    for name, size in (("dim", dim), ("filters_per_size", filters_per_size)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
 
 
 def _shapes(dim: int, filters_per_size: int) -> dict[str, tuple[int, ...]]:
@@ -145,9 +166,6 @@ def finetune_encoded(model: FinetuneModel, encoded, schedule: FinetuneSchedule, 
     The embedding stays bit-identical through ``frozen_epochs`` and is
     returned still attached to ``model.emb`` after the unfrozen epochs.
     """
-    if schedule.lr <= 0 or schedule.batch_size < 1:
-        raise ValueError(f"bad schedule: lr {schedule.lr}, batch {schedule.batch_size}")
-
     def step(indices):
         rows, labels = zip(*(encoded[i] for i in indices))
         return binary_cross_entropy(forward_finetune(model, Batch.of_rows(rows), True, rng),
@@ -155,7 +173,7 @@ def finetune_encoded(model: FinetuneModel, encoded, schedule: FinetuneSchedule, 
 
     epochs = schedule.frozen_epochs + schedule.unfrozen_epochs
     losses = []
-    for epoch, _, loss, _ in run_epochs(model.named(), step, len(encoded), rng,
+    for epoch, _, loss, _ in run_epochs(model.named(), step, len(encoded), RunState(rng),
                                         lrs=[schedule.lr] * epochs,
                                         batch_size=schedule.batch_size,
                                         frozen_epochs=schedule.frozen_epochs):
@@ -169,6 +187,21 @@ def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule
                         rng, *, vocab: Vocabulary):
     """:func:`encode_corpus` over (text, 0/1) pairs, then :func:`finetune_encoded`."""
     return finetune_encoded(model, encode_corpus(corpus, vocab), schedule, rng)
+
+
+def run(schedule: FinetuneSchedule, seed: int, encoded, vocab: Vocabulary,
+        pretrained: dict[str, np.ndarray], dim: int, filters_per_size: int = FILTERS_PER_SIZE):
+    """The fine-tuning run, the one every entry makes: one generator seeded
+    with ``seed`` draws the ``dim``-wide table (:func:`dataio.build_embedding_matrix`),
+    then the CNN, which :func:`finetune_encoded` trains on ``encoded``; returns
+    (model, epoch losses).  ``pretrained`` is emptied once the table holds its rows."""
+    check_sizes(dim, filters_per_size)
+    rng = np.random.default_rng(seed)
+    emb, coverage = build_embedding_matrix(vocab, pretrained, dim, rng)
+    log.info("corpus vocabulary %d tokens, pretrained coverage %.1f%%", vocab.size, 100 * coverage)
+    pretrained.clear()
+    model = build_finetune_model(emb, rng, filters_per_size)
+    return model, finetune_encoded(model, encoded, schedule, rng)[1]
 
 
 def predict_finetune(model: FinetuneModel, encoded) -> np.ndarray:

@@ -387,26 +387,36 @@ def write_history(history: list[HistoryRow], path) -> None:
         fh.write(format_history(history))
 
 
-def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, rng, *, lrs,
+@dataclass
+class RunState:
+    """A run between epochs: its generator, Adam's moments, the epochs finished
+    and, for the classifier, its history and best (val micro-F1, epoch, arrays)."""
+    rng: np.random.Generator
+    adam: AdamState = field(default_factory=AdamState)
+    epoch: int = 0
+    history: list[HistoryRow] = field(default_factory=list)
+    best: tuple[float, int, dict] | None = None
+
+
+def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, state: RunState, *, lrs,
                batch_size: int, frozen_epochs: int, clip_norm: float | None = None):
     """The loop of both models: Adam over ``named``, one epoch per rate in
-    ``lrs``, yielding (epoch, lr, mean loss, clipped fraction).  ``step``
-    maps a shuffled batch of indices to the scalar loss; backward runs once
-    through its graph and frees it as it goes, so the loss keeps only its
-    value, and the gradients it leaves are reset before the next step's.
-    Gradients are clipped to norm ``clip_norm`` unless None; clipped or not,
-    a non-finite one is a ValueError naming the epoch, step and parameter.
-    The embedding table is frozen through ``frozen_epochs``; its flag is
-    restored before each yield and on error."""
-    adam = AdamState()
+    ``lrs[state.epoch:]``, each counted in ``state.epoch``, yielding (epoch,
+    lr, mean loss, clipped fraction).  ``step`` maps a shuffled batch of
+    indices to the scalar loss; backward runs once through its graph and
+    frees it as it goes, so the loss keeps only its value, and the gradients
+    it leaves are reset before the next step's.  Gradients are clipped to norm
+    ``clip_norm`` unless None; clipped or not, a non-finite one is a ValueError
+    naming the epoch, step and parameter.  The embedding table is frozen through
+    ``frozen_epochs``; its flag is restored before each yield and on error."""
     max_norm = math.inf if clip_norm is None else clip_norm
     table = named["embedding.table"]
     trainable = table.requires_grad
-    for epoch, lr in enumerate(lrs, start=1):
+    for epoch, lr in enumerate(lrs[state.epoch:], start=state.epoch + 1):
         loss_sum, steps, clipped = 0.0, 0, 0
         table.requires_grad = trainable and epoch > frozen_epochs
         try:
-            for indices in iter_batches(rng.permutation(n_examples), batch_size):
+            for indices in iter_batches(state.rng.permutation(n_examples), batch_size):
                 loss = step(indices)
                 T.reset_grads(named.values())
                 T.backward(loss)
@@ -417,9 +427,10 @@ def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, rng, *, lrs,
                     clipped += clip_gradients(named, max_norm) < 1.0
                 except ValueError as err:
                     raise ValueError(f"epoch {epoch}, step {steps}: {err}") from err
-                adam_step(adam, named, lr)
+                adam_step(state.adam, named, lr)
         finally:
             table.requires_grad = trainable
+        state.epoch = epoch
         yield epoch, lr, loss_sum / n_examples, clipped / steps
 
 
@@ -434,9 +445,9 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
     ``select``, the config, and non-empty, fully labeled train and val
     examples with their sentence vectors are checked before the first step.
     Each :func:`run_epochs` epoch (forward -> weighted CE -> backward -> clip
-    -> Adam at the annealed rate) is scored on validation micro-F1; the
-    checkpoint holds the best epoch (ties favor the earlier) unless
-    ``select="last"``.
+    -> Adam at the annealed rate) is scored on validation micro-F1 into the
+    run's :class:`RunState`; the checkpoint holds the best epoch (ties favor
+    the earlier) unless ``select="last"``.
     """
     if select not in ("best", "last"):
         raise ValueError(f"select must be 'best' or 'last', got {select!r}")
@@ -450,34 +461,31 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
     check_sentence_vectors(train_ex, sentence_store, sentence_dim, "training")
     check_sentence_vectors(val_ex, sentence_store, sentence_dim, "validation")
     named = params.named()
-    history: list[HistoryRow] = []
-    best: tuple[float, int, dict] | None = None
+    state = RunState(rng)
 
     def step(indices):
         batch = make_batch([train_ex[i] for i in indices], sentence_store, sentence_dim)
-        probs = rcnn.forward(params, batch, training=True, rng=rng)[1]
+        probs = rcnn.forward(params, batch, training=True, rng=state.rng)[1]
         return weighted_cross_entropy(probs, batch.labels, weights)
 
     lrs = [lr_at_epoch(config, epoch) for epoch in range(1, config.epochs + 1)]
     for epoch, lr, train_loss, clip_fraction in run_epochs(
-            named, step, len(train_ex), rng, lrs=lrs, batch_size=config.batch_size,
+            named, step, len(train_ex), state, lrs=lrs, batch_size=config.batch_size,
             frozen_epochs=config.freeze_embedding_epochs, clip_norm=config.clip_norm):
         _, val_f1 = evaluate(params, val_ex, sentence_store, config.batch_size)
         row = HistoryRow(epoch, lr, train_loss, val_f1, clip_fraction)
-        history.append(row)
+        state.history.append(row)
         log.info("epoch %d: lr %.6g loss %.4f val_f1 %.4f clip %.2f",
                  row.epoch, row.lr, row.train_loss, row.val_micro_f1, row.clip_fraction)
-        if best is None or val_f1 > best[0]:
-            best = (val_f1, epoch, {n: t.values.copy() for n, t in named.items()})
+        if state.best is None or val_f1 > state.best[0]:
+            state.best = (val_f1, epoch, {n: t.values.copy() for n, t in named.items()})
         if epoch_hook is not None:
             epoch_hook(epoch, params, row)
 
-    if select == "best":
-        final_arrays, final_epoch = best[2], best[1]
-    else:
-        final_arrays, final_epoch = {n: t.values.copy() for n, t in named.items()}, config.epochs
-    ckpt = Checkpoint(vocab, final_arrays, config, final_epoch, best[0])
-    return ckpt, history
+    best_f1, final_epoch, final_arrays = state.best
+    if select == "last":
+        final_arrays, final_epoch = {n: t.values.copy() for n, t in named.items()}, state.epoch
+    return Checkpoint(vocab, final_arrays, config, final_epoch, best_f1), state.history
 
 
 @dataclass

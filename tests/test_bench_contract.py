@@ -9,8 +9,12 @@ reads ``ids.size`` and ``valid_lengths.sum()`` off each ``train.make_batch``
 result for its padding ratio; a packed batch keeps both, and the ratio
 reads 1.
 Both models train through the one loop, ``train.run_epochs``, which steps
-through the module-level ``train.adam_step``, so its traced seconds measure
-the same call, with the same arguments, on both sides of a comparison.
+through the module-level ``train.adam_step`` with the ``AdamState`` of the
+run's ``train.RunState``, so its traced seconds measure the same call, with
+the same arguments, on both sides of a comparison.  The benchmark calls
+``train_encoded`` and ``finetune_embeddings`` with a model and a generator it
+drew, not the run entries ``train.run`` and ``finetune.run``; each makes a
+fresh ``RunState`` over that generator, as the run entries' calls do.
 Likewise every dropout of both models runs through the module-level
 ``layers.dropout``, the function ``layers.dropout.s`` times.
 """

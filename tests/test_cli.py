@@ -14,6 +14,7 @@ import pytest
 
 import toycorpus
 from emoconv import cli, dataio, textprep
+from emoconv import finetune as ft
 from emoconv import train as tr
 from emoconv.config import TrainConfig
 from emoconv.finetune import FILTERS_PER_SIZE, FinetuneSchedule
@@ -279,7 +280,7 @@ def test_evaluate_names_the_first_unlabeled_example(world, capsys):
     assert "labels" in err and split.conversations[0].id in err
 
 
-def test_finetune_writes_usable_vectors(world):
+def _finetune_inputs(world):
     lines = ["text\tlabel"]
     for i in range(8):
         lines.append(f"yay great fun {i}\t1")
@@ -289,17 +290,67 @@ def test_finetune_writes_usable_vectors(world):
     dataio.save_word_vectors(["yay", "sigh", "day"],
                              rng.normal(size=(3, 6)), world / "vec_in.txt")
 
-    rc = cli.main(["--out", str(world / "ft.tsv"), "finetune",
-                   "--corpus", str(world / "corpus.tsv"),
-                   "--embeddings-in", str(world / "vec_in.txt"),
-                   "--embeddings-out", str(world / "vec_out.txt"),
-                   "--epochs-frozen", "1", "--epochs-unfrozen", "1",
-                   "--dim", "6", "--filters", "4", "--lr", "0.01"])
-    assert rc == 0
-    vectors = dataio.load_word_vectors(world / "vec_out.txt", 6)
+
+def run_finetune(world, out, extra=()):
+    return cli.main([*extra, "--out", str(world / f"{out}.tsv"), "finetune",
+                     "--corpus", str(world / "corpus.tsv"),
+                     "--embeddings-in", str(world / "vec_in.txt"),
+                     "--embeddings-out", str(world / f"{out}.txt"),
+                     "--epochs-frozen", "1", "--epochs-unfrozen", "1",
+                     "--dim", "6", "--filters", "4", "--lr", "0.01"])
+
+
+def test_finetune_writes_usable_vectors(world):
+    _finetune_inputs(world)
+    assert run_finetune(world, "ft") == 0
+    vectors = dataio.load_word_vectors(world / "ft.txt", 6)
     assert {"yay", "sigh", "great"} <= set(vectors)
     report = (world / "ft.tsv").read_text().splitlines()
     assert report[0] == "epoch\tloss" and len(report) == 3
+
+
+def test_the_finetune_command_is_the_finetune_run_at_its_seed(world):
+    """``emoconv finetune --seed S`` writes the vectors and reports the
+    losses of ``finetune.run`` at seed S on the same corpus and vectors."""
+    _finetune_inputs(world)
+    corpus = ft.load_finetune_corpus(world / "corpus.tsv")
+    rows = list(textprep.token_rows((text for text, _ in corpus), 1))
+    vocab = textprep.build_vocab(map(textprep.TokenSequence, rows))
+    encoded = ft.encode_corpus(corpus, vocab, rows)
+    schedule = FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01)
+    for seed in (0, 7):
+        assert run_finetune(world, f"cli{seed}", extra=("--seed", str(seed))) == 0
+        pretrained = dataio.load_word_vectors(world / "vec_in.txt", 6, keep=vocab.token_to_id)
+        model, losses = ft.run(schedule, seed, encoded, vocab, pretrained, 6, 4)
+        dataio.save_word_vectors(vocab.id_to_token[len(SPECIALS):],
+                                 model.emb.table.values[len(SPECIALS):], world / "run.txt")
+        assert (world / f"cli{seed}.txt").read_bytes() == (world / "run.txt").read_bytes()
+        assert (world / f"cli{seed}.tsv").read_text() == "epoch\tloss\n" + "".join(
+            f"{epoch}\t{loss!r}\n" for epoch, loss in enumerate(losses, start=1))
+    assert (world / "cli0.txt").read_bytes() != (world / "cli7.txt").read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--epochs-unfrozen", "-5"), "unfrozen_epochs must be >= 0, got -5"),
+    (("--epochs-frozen", "-1"), "frozen_epochs must be >= 0, got -1"),
+    (("--epochs-frozen", "0", "--epochs-unfrozen", "0"),
+     "frozen_epochs + unfrozen_epochs must be >= 1, got 0"),
+    (("--lr", "nan"), "lr must be finite and > 0, got nan"),
+    (("--lr", "-0.1"), "lr must be finite and > 0, got -0.1"),
+    (("--batch-size", "0"), "batch_size must be >= 1, got 0"),
+    (("--filters", "0"), "filters_per_size must be >= 1, got 0"),
+    (("--dim", "0"), "dim must be >= 1, got 0"),
+])
+def test_finetune_rejects_a_schedule_that_cannot_train_before_reading(
+        world, capsys, flags, message):
+    """The inputs do not exist: each fault is named before any file is read."""
+    rc = cli.main(["--out", str(world / "ft.tsv"), "finetune",
+                   "--corpus", str(world / "missing.tsv"),
+                   "--embeddings-in", str(world / "missing.txt"),
+                   "--embeddings-out", str(world / "out.txt"), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (world / "out.txt").exists() and not (world / "ft.tsv").exists()
 
 
 def test_sweep_report_and_records(world):

@@ -106,6 +106,47 @@ def test_encode_corpus_validation():
         ft.encode_corpus([("", 1)], vocab)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"frozen_epochs": -1}, "frozen_epochs must be >= 0, got -1"),
+    ({"unfrozen_epochs": -5}, "unfrozen_epochs must be >= 0, got -5"),
+    ({"frozen_epochs": 0, "unfrozen_epochs": 0},
+     "frozen_epochs + unfrozen_epochs must be >= 1, got 0"),
+    ({"lr": float("nan")}, "lr must be finite and > 0, got nan"),
+    ({"lr": float("inf")}, "lr must be finite and > 0, got inf"),
+    ({"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
+    ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+])
+def test_a_schedule_that_cannot_train_names_its_field(fields, message):
+    with pytest.raises(ValueError) as err:
+        ft.FinetuneSchedule(**fields)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ({"dim": 0}, "dim must be >= 1, got 0"),
+    ({"filters_per_size": 0}, "filters_per_size must be >= 1, got 0"),
+])
+def test_a_run_without_width_or_filters_names_the_size_before_drawing(sizes, message):
+    vocab = build_vocab([TokenSequence(["good", "bad"])])
+    encoded = ft.encode_corpus([("good", 1), ("bad", 0)], vocab)
+    pretrained = {"good": np.ones(4)}
+    with pytest.raises(ValueError) as err:
+        ft.run(ft.FinetuneSchedule(), 0, encoded, vocab, pretrained,
+               **{"dim": 4, "filters_per_size": 2, **sizes})
+    assert str(err.value) == message
+    assert pretrained  # nothing was drawn
+
+
+def test_the_run_empties_the_word_vectors_once_the_table_holds_them():
+    vocab = build_vocab([TokenSequence(["good", "bad"])])
+    encoded = ft.encode_corpus([("good", 1), ("bad", 0)], vocab)
+    pretrained = {"good": np.full(4, 0.5)}
+    model, losses = ft.run(ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=0), 0,
+                           encoded, vocab, pretrained, dim=4, filters_per_size=2)
+    assert pretrained == {} and len(losses) == 1
+    npt.assert_array_equal(model.emb.table.values[vocab.token_to_id["good"]], np.full(4, 0.5))
+
+
 def test_frozen_epoch_keeps_embedding_bit_identical(monkeypatch):
     model, corpus, _, vocab, rng = _setup(seed=5)
     before = model.emb.table.values.copy()

@@ -159,6 +159,22 @@ def test_baseline_loss_is_over_the_examples_the_runs_train_on():
     assert rec.baseline_loss != tr.uniform_baseline_loss(data.weights, every)
 
 
+def test_a_final_loss_at_the_baseline_did_not_train_effectively(monkeypatch):
+    """The flag asks for a final training loss strictly under the uniform
+    baseline: a run that ends exactly at it is flagged, one a step under is not."""
+    train_split, val_split, vocab = _toy_data()
+    data = tr.RunData.encode(train_split, val_split, vocab, list_rows(train_split))
+    baseline = tr.uniform_baseline_loss(data.weights, [ex.label for ex in data.train_ex])
+    for final_loss, effective in ((baseline, False), (float(np.nextafter(baseline, 0.0)), True)):
+        history = [tr.HistoryRow(1, 0.02, 2 * baseline, 0.5, 0.0),
+                   tr.HistoryRow(2, 0.02, final_loss, 0.5, 0.0)]
+        monkeypatch.setattr(tr, "run", lambda *args: (tr.Checkpoint(vocab, {}, FAST, 2, 0.5),
+                                                      history))
+        rec = sw.run_one(FAST, "lr", 0.02, 0, data, None, vocab)
+        assert (rec.final_train_loss, rec.baseline_loss) == (final_loss, baseline)
+        assert rec.trained_effectively is effective
+
+
 def test_sweep_encodes_once_and_matches_per_run_training(tmp_path, monkeypatch):
     train_split, val_split, vocab = _toy_data()
     calls = []
