@@ -33,6 +33,8 @@ from .textprep import SPECIALS, TokenSequence, build_vocab, token_rows
 
 log = logging.getLogger(__name__)
 
+SENTENCE_VECTORS_HELP = "the converted file (preprocess --sentence-vectors TSV OUT), or 'none'"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,7 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="fine-tune word vectors on a binary corpus")
     p.add_argument("--corpus", required=True, help="TSV with header text<TAB>label")
     p.add_argument("--embeddings-in", required=True)
-    p.add_argument("--embeddings-out", required=True)
+    p.add_argument("--embeddings-out", required=True,
+                   help="the corpus vocabulary's tuned vectors, then the input's other "
+                        "vectors as they were")
     schedule = ft.FinetuneSchedule()
     p.add_argument("--epochs-frozen", type=int, default=schedule.frozen_epochs)
     p.add_argument("--epochs-unfrozen", type=int, default=schedule.unfrozen_epochs)
@@ -71,15 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", required=True)
     p.add_argument("--embeddings", default=None,
                    help="pretrained word vectors (text format); random if absent")
-    p.add_argument("--sentence-vectors", required=True,
-                   help="sentence-vector TSV or binary file, or 'none' for the ablation")
+    p.add_argument("--sentence-vectors", required=True, help=SENTENCE_VECTORS_HELP)
     p.add_argument("--select", choices=("best", "last"), default="best")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", required=True, help="labeled dataset TSV")
-    p.add_argument("--sentence-vectors", default="none")
+    p.add_argument("--sentence-vectors", default="none", help=SENTENCE_VECTORS_HELP)
     p.add_argument("--score-others", action="store_true",
                    help="include the 'others' class in micro-F1")
     p.set_defaults(func=cmd_evaluate)
@@ -93,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=",".join(map(str, sw.DEFAULT_SEEDS)),
                    help="comma-separated run seeds")
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--sentence-vectors", default="none")
+    p.add_argument("--sentence-vectors", required=True, help=SENTENCE_VECTORS_HELP)
     p.add_argument("--runs-dir", default="sweep_runs",
                    help="per-run record files for resumable sweeps")
     p.set_defaults(func=cmd_sweep)
@@ -134,7 +137,7 @@ def _read_splits(args):
 
 
 def _load_store(path: str, dim: int, splits):
-    """The store of ``path`` (None for ``none``) with the vectors of ``splits`` only."""
+    """The converted store of ``path`` (None for ``none``) with the rows of ``splits`` only."""
     if path == "none":
         return None
     return load_sentence_vectors(path, dim, {c.id for split in splits for c in split.conversations})
@@ -177,6 +180,9 @@ def cmd_finetune(args) -> int:
     schedule = ft.FinetuneSchedule(args.epochs_frozen, args.epochs_unfrozen, args.lr,
                                    args.batch_size)
     ft.check_sizes(args.dim, args.filters)
+    if os.path.exists(args.embeddings_in) and not os.path.isfile(args.embeddings_in):
+        raise ValueError(f"{args.embeddings_in}: not a regular file; it is read again, "
+                         "after tuning, for the vectors the corpus lacks")
     corpus = ft.load_finetune_corpus(args.corpus)
     rows = list(token_rows((text for text, _ in corpus), 1))
     vocab = build_vocab(map(TokenSequence, rows))
@@ -186,7 +192,7 @@ def cmd_finetune(args) -> int:
     model, losses = ft.run(schedule, seed, encoded, vocab, pretrained, args.dim, args.filters)
     reserved = len(SPECIALS)
     save_word_vectors(vocab.id_to_token[reserved:], model.emb.table.values[reserved:],
-                      args.embeddings_out)
+                      args.embeddings_out, args.embeddings_in)
     _emit(args, "epoch\tloss\n" +
           "".join(f"{i + 1}\t{loss!r}\n" for i, loss in enumerate(losses)))
     return 0

@@ -1,13 +1,14 @@
 """File formats, and the one reader and one writer every file goes through.
 
-The text inputs are the dataset TSV, word vectors and sentence vectors
-(parsed here), and the fine-tuning corpus (``finetune``), the config file
-(``config``) and the sweep record (``sweep``), each parsed in its own
-module.  All of them are read by :func:`read_lines`: UTF-8, one line at a
-time, ending at LF, CRLF or a lone CR as in Python's text mode, with the
-ending and a byte-order mark on line 1 removed.  A fault on a line, a byte
-that is not UTF-8 included, is the ValueError of :func:`line_error`,
-``FILE line N: message``; a fault of the whole file names the file alone.
+The text inputs are the dataset TSV, word vectors and the sentence-vector
+TSV, read whole only to be converted (parsed here), and the fine-tuning
+corpus (``finetune``), the config file (``config``) and the sweep record
+(``sweep``), each parsed in its own module.  All of them are read by
+:func:`read_lines`: UTF-8, one line at a time, ending at LF, CRLF or a lone
+CR as in Python's text mode, with the ending and a byte-order mark on line 1
+removed.  A fault on a line, a byte that is not UTF-8 included, is the
+ValueError of :func:`line_error`, ``FILE line N: message``; a fault of the
+whole file names the file alone.
 
 Every output (checkpoint, word and sentence vectors, ``history.tsv``,
 reports and sweep records) is written through :func:`atomic_write`: to a
@@ -211,6 +212,19 @@ def _vector(values: list[str], path, lineno: int) -> np.ndarray:
     return vec
 
 
+def _word2vec_header(parts: list[str], path, expected_dim: int) -> bool:
+    """Whether the first line's fields ``parts`` are a word2vec ``count dim``
+    header (two integers, when ``expected_dim`` is above 1) of ``expected_dim``;
+    a header of another dim is an error naming both."""
+    if not (expected_dim > 1 and len(parts) == 2
+            and parts[0].isdecimal() and parts[1].strip().isdecimal()):
+        return False
+    if int(parts[1]) != expected_dim:
+        raise line_error(path, 1, f"header declares {int(parts[1])}-d vectors, "
+                         f"expected {expected_dim}")
+    return True
+
+
 def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarray]:
     """Text-format word vectors: token then whitespace-separated decimals,
     as rows of one float64 matrix.  With ``keep`` (tokens, such as a
@@ -225,11 +239,7 @@ def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarra
     out, duplicates = {}, 0
     for lineno, line in read_lines(path):
         parts = line.split(None, -1 if keep is None else 1)  # a kept line is split below
-        if (lineno == 1 and expected_dim > 1 and len(parts) == 2
-                and parts[0].isdecimal() and parts[1].strip().isdecimal()):
-            if int(parts[1]) != expected_dim:
-                raise line_error(path, 1, f"header declares {int(parts[1])}-d vectors, "
-                                 f"expected {expected_dim}")
+        if lineno == 1 and _word2vec_header(parts, path, expected_dim):
             continue
         if not parts or (keep is not None and parts[0] not in keep):
             continue
@@ -262,12 +272,11 @@ def _sentence_vectors_meta(meta: dict, shapes: dict, path, expected_dim: int, ke
 
 
 def load_sentence_vectors(path, expected_dim: int, keep=None) -> SentenceVectorStore:
-    """Sentence vectors from their TSV (``id<TAB>v1 v2 ... v_dim``, one non-empty
-    id per line) or :func:`save_sentence_vectors`'s container, told apart by its
-    magic.  With ``keep`` (ids) only the kept ids' vectors are parsed or read.
-    Another width than ``expected_dim`` fails before any value is parsed.
-    The TSV's lines are counted first, so either format peaks near the matrix
-    it keeps."""
+    """Sentence vectors from :func:`save_sentence_vectors`'s container or their
+    TSV (``id<TAB>v1 v2 ... v_dim``, one non-empty id per line), told apart by
+    the magic.  A TSV is parsed whole, to be converted; with ``keep`` (ids), as
+    a run passes, only the container's kept rows are read, and a TSV is refused.
+    Another width than ``expected_dim`` fails before any value is parsed."""
     with _read_bytes(path) as fh:
         binary = fh.read(len(SENTENCE_VECTORS_MAGIC)) == SENTENCE_VECTORS_MAGIC
     if binary:
@@ -276,9 +285,11 @@ def load_sentence_vectors(path, expected_dim: int, keep=None) -> SentenceVectorS
             lambda meta, shapes: _sentence_vectors_meta(meta, shapes, path, expected_dim, keep),
             rows=None if keep is None else lambda at: list(at.values()))
         return SentenceVectorStore(dict(zip(at, range(len(at)))), arrays["vectors"])
+    if keep is not None:
+        raise ValueError(f"{path}: a run reads converted sentence vectors, not a TSV; "
+                         "convert it once with `emoconv preprocess --sentence-vectors TSV OUT`")
     # untouched rows cost no memory, so a bound on the rows is enough
-    row, matrix = {}, np.empty((_line_bound(path) if keep is None else len(keep), expected_dim))
-    first = True
+    row, matrix = {}, np.empty((_line_bound(path), expected_dim))
     for lineno, line in read_lines(path):
         if not line:
             continue
@@ -287,17 +298,11 @@ def load_sentence_vectors(path, expected_dim: int, keep=None) -> SentenceVectorS
             raise line_error(path, lineno, "expected 'id<TAB>values' with a non-empty id")
         if conv_id in row:
             raise line_error(path, lineno, f"duplicate id {conv_id!r}")
-        skip = keep is not None and conv_id not in keep
-        if skip and not first:
-            continue
         values = raw.split()
-        if len(values) != expected_dim and first:  # the first line gives the file's width
-            raise ValueError(f"{path}: the file's sentence vectors are {len(values)}-d (line "
-                             f"{lineno}), but the model's sentence_dim is {expected_dim}")
-        first = False
-        if skip:
-            continue
         if len(values) != expected_dim:
+            if not row:  # the first line gives the file's width
+                raise ValueError(f"{path}: the file's sentence vectors are {len(values)}-d "
+                                 f"(line {lineno}), but the model's sentence_dim is {expected_dim}")
             raise line_error(path, lineno, f"expected {expected_dim} values, got {len(values)}")
         matrix[len(row)] = _vector(values, path, lineno)
         row[conv_id] = len(row)
@@ -340,11 +345,22 @@ def build_embedding_matrix(vocab: Vocabulary, pretrained: dict[str, np.ndarray],
     return EmbeddingMatrix.from_array(values), coverage
 
 
-def save_word_vectors(tokens: list[str], matrix: np.ndarray, path) -> None:
-    """Write rows in the word-vector text format, one token per line."""
+def save_word_vectors(tokens: list[str], matrix: np.ndarray, path, rest_from) -> None:
+    """Write the rows of ``tokens`` in the word-vector text format, one token
+    per line, then each token of the word-vector file ``rest_from`` (as wide
+    as ``matrix``) not written yet, once, in its order, as its line gave it;
+    its word2vec header is not copied.  ``rest_from`` is read a line at a time."""
     with atomic_write(path) as fh:
         for token, row in zip(tokens, matrix):
             fh.write(token + " " + " ".join(repr(float(v)) for v in row) + "\n")
+        written = set(tokens)
+        for lineno, line in read_lines(rest_from):
+            parts = line.split(None, 1)
+            if not parts or parts[0] in written or (
+                    lineno == 1 and _word2vec_header(parts, rest_from, matrix.shape[1])):
+                continue
+            written.add(parts[0])
+            fh.write(line + "\n")
 
 
 @dataclass

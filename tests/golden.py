@@ -344,7 +344,7 @@ def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
     import numpy as np
     import toycorpus
 
-    from emoconv import cli, dataio
+    from emoconv import cli
 
     def run(*argv) -> None:
         rc = cli.main([str(a) for a in argv])
@@ -361,8 +361,8 @@ def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
         f"{' '.join(c.turns)}\t{int(c.label == 'happy')}\n" for c in tweets),
         encoding="utf-8")
     words = toycorpus.FILLER[1:] + list(toycorpus.KEYWORDS.values())
-    dataio.save_word_vectors(words, np.random.default_rng(26).uniform(-0.5, 0.5, (len(words), 8)),
-                             tmp / "words.txt")
+    toycorpus.write_word_vectors(
+        words, np.random.default_rng(26).uniform(-0.5, 0.5, (len(words), 8)), tmp / "words.txt")
     config = tmp / "config.txt"
     config.write_text(CLI_CONFIG, encoding="utf-8")
     run("--config", config, "--out", tmp / "stats.tsv", "preprocess", "--train", splits["train"],
@@ -377,7 +377,7 @@ def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
         "--val", splits["val"], "--embeddings", tmp / "tuned.txt",
         "--sentence-vectors", tmp / "sv.bin")
     run("--out", tmp / "evaluate.tsv", "evaluate", "--checkpoint", tmp / "run" / "model.ckpt",
-        "--split", splits["test"], "--sentence-vectors", tmp / "sv.tsv")
+        "--split", splits["test"], "--sentence-vectors", tmp / "sv.bin")
     run("--config", config, "--out", tmp / "sweep.tsv", "sweep", "--train", splits["train"],
         "--val", splits["val"], "--axis", "hidden_size", "--values", "4,6",
         "--seeds", "0,1", "--embeddings", tmp / "tuned.txt",

@@ -21,7 +21,8 @@ reports the process's CPU seconds (user + system) and its peak RSS
   one-time conversion (recorded as unsupported where the flag is missing);
 - ``first_step``: ``emoconv train`` with the default config, from start to
   its first training step (``rcnn.forward`` stops the process), once on
-  the TSV and once on the converted file where there is one;
+  the TSV and once on the converted file where there is one (recorded as
+  unsupported where the run refuses the TSV and names the conversion);
 - ``word_vectors``: the RSS that ``load_word_vectors`` adds once the
   vocabulary is built, with the vocabulary as its keep set where the
   function takes one;
@@ -189,6 +190,9 @@ def measure(checkout: Path, paths: dict[str, Path], work: Path) -> dict:
     result["first_step"] = {name: probe(checkout, "first_step", paths["train"], paths["val"],
                                         paths["words"], path, work / "run")
                             for name, path in formats.items()}
+    for name, run in result["first_step"].items():
+        if "preprocess --sentence-vectors" in run.get("error", ""):  # the TSV is refused
+            result["first_step"][name] = {"unsupported": run}
     result["word_vectors"] = probe(checkout, "word_vectors", paths["train"], paths["words"])
     result["sentence_vectors"] = {name: probe(checkout, "sentence_vectors", path)
                                   for name, path in formats.items()}

@@ -4,6 +4,7 @@ Each test drives ``cli.main`` with real files in a temp directory, the way a
 user would, and inspects the artifacts it leaves behind.
 """
 
+import os
 import re
 import shlex
 import weakref
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 
 import toycorpus
-from emoconv import cli, dataio, textprep
+from emoconv import cli, dataio, metrics, rcnn, textprep
 from emoconv import finetune as ft
 from emoconv import train as tr
-from emoconv.config import TrainConfig
+from emoconv.config import TrainConfig, load_config
 from emoconv.finetune import FILTERS_PER_SIZE, FinetuneSchedule
 from emoconv.sweep import DEFAULT_SEEDS, load_record
 from emoconv.textprep import SPECIALS
@@ -45,6 +46,7 @@ def world(tmp_path):
     toycorpus.write_split(val_split, tmp_path / "val.txt")
     store = toycorpus.store_for([train_split, val_split], dim=3, seed=3)
     toycorpus.write_sentence_tsv(store, tmp_path / "sv.tsv")
+    dataio.save_sentence_vectors(store, tmp_path / "sv.bin")
     (tmp_path / "config.txt").write_text(CONFIG_TEXT)
     return tmp_path
 
@@ -54,15 +56,15 @@ def run_train(world, out_dir, extra=(), sentence_vectors=None):
                      "--out", str(world / out_dir), *extra,
                      "train", "--train", str(world / "train.txt"),
                      "--val", str(world / "val.txt"),
-                     "--sentence-vectors", sentence_vectors or str(world / "sv.tsv")])
+                     "--sentence-vectors", sentence_vectors or str(world / "sv.bin")])
 
 
 def test_preprocess_artifacts(world):
     rc = cli.main(["--out", str(world / "stats.tsv"), "preprocess",
                    "--train", str(world / "train.txt"), "--val", str(world / "val.txt")])
     assert rc == 0
-    assert sorted(p.name for p in world.iterdir()) == [
-        "config.txt", "stats.tsv", "sv.tsv", "train.txt", "val.txt"]  # a report and no more
+    assert sorted(p.name for p in world.iterdir()) == [  # a report and no more
+        "config.txt", "stats.tsv", "sv.bin", "sv.tsv", "train.txt", "val.txt"]
     vocab = toycorpus.vocab_for(dataio.load_dataset(world / "train.txt", "train"))
     assert vocab.id_to_token[:len(SPECIALS)] == list(SPECIALS)
     stats = (world / "stats.tsv").read_text().splitlines()
@@ -116,7 +118,7 @@ def test_finetune_tokenizes_each_tweet_once(world, monkeypatch):
     lines = ["text\tlabel"] + [f"{'yay great' if i % 2 else 'sigh bad'} day {i}\t{i % 2}"
                                for i in range(20)]
     (world / "corpus.tsv").write_text("\n".join(lines) + "\n")
-    dataio.save_word_vectors(["yay", "sigh"], np.ones((2, 6)), world / "vec_in.txt")
+    toycorpus.write_word_vectors(["yay", "sigh"], np.ones((2, 6)), world / "vec_in.txt")
     texts = _count_texts(monkeypatch)
     rc = cli.main(["--out", str(world / "ft.tsv"), "finetune",
                    "--corpus", str(world / "corpus.tsv"),
@@ -148,7 +150,7 @@ def test_train_then_evaluate(world, capsys):
 
     rc = cli.main(["evaluate", "--checkpoint", str(world / "run" / "model.ckpt"),
                    "--split", str(world / "val.txt"),
-                   "--sentence-vectors", str(world / "sv.tsv")])
+                   "--sentence-vectors", str(world / "sv.bin")])
     assert rc == 0
     report = capsys.readouterr().out
     assert "micro_f1\t" in report
@@ -156,7 +158,7 @@ def test_train_then_evaluate(world, capsys):
 
     rc = cli.main(["evaluate", "--checkpoint", str(world / "run" / "model.ckpt"),
                    "--split", str(world / "val.txt"),
-                   "--sentence-vectors", str(world / "sv.tsv"),
+                   "--sentence-vectors", str(world / "sv.bin"),
                    "--score-others"])
     assert rc == 0
     assert "scored_classes\thappy,sad,angry,others" in capsys.readouterr().out
@@ -168,8 +170,8 @@ def test_train_frees_the_word_vectors_before_training(world, monkeypatch):
     matrix that held them, is freed before the first step."""
     tokens = toycorpus.vocab_for(dataio.load_dataset(world / "train.txt", "train")).id_to_token
     words = tokens[len(SPECIALS):len(SPECIALS) + 3] + ["unused"]
-    dataio.save_word_vectors(words, np.random.default_rng(0).normal(size=(4, 6)),
-                             world / "vec.txt")
+    toycorpus.write_word_vectors(words, np.random.default_rng(0).normal(size=(4, 6)),
+                                 world / "vec.txt")
     refs, alive = [], []
     load, train_encoded = cli.load_word_vectors, tr.train_encoded
 
@@ -188,7 +190,7 @@ def test_train_frees_the_word_vectors_before_training(world, monkeypatch):
     assert cli.main(["--config", str(world / "config.txt"), "--out", str(world / "run"),
                      "train", "--train", str(world / "train.txt"),
                      "--val", str(world / "val.txt"), "--embeddings", str(world / "vec.txt"),
-                     "--sentence-vectors", str(world / "sv.tsv")]) == 0
+                     "--sentence-vectors", str(world / "sv.bin")]) == 0
     assert len(refs) == 3 + 1 and alive == [0]
 
 
@@ -214,48 +216,83 @@ def test_sentence_vector_ablation(world):
     assert ckpt.config.sentence_dim == 0
 
 
-def _convert(world, out="sv.bin"):
-    return cli.main(["--config", str(world / "config.txt"), "--out", str(world / "stats.tsv"),
-                     "preprocess", "--train", str(world / "train.txt"),
-                     "--val", str(world / "val.txt"),
-                     "--sentence-vectors", str(world / "sv.tsv"), str(world / out)])
-
-
 def test_preprocess_converts_sentence_vectors_that_train_and_evaluate_read_alike(world):
-    assert _convert(world) == 0
-    assert (world / "sv.bin").read_bytes().startswith(dataio.SENTENCE_VECTORS_MAGIC)
-    assert run_train(world, "tsv") == 0
-    assert run_train(world, "bin", sentence_vectors=str(world / "sv.bin")) == 0
-    assert ((world / "tsv" / "model.ckpt").read_bytes()
-            == (world / "bin" / "model.ckpt").read_bytes())
-    reports = []
-    for sv in ("sv.tsv", "sv.bin"):
-        assert cli.main(["--out", str(world / f"eval_{sv}"), "evaluate", "--checkpoint",
-                         str(world / "bin" / "model.ckpt"), "--split", str(world / "val.txt"),
-                         "--sentence-vectors", str(world / sv)]) == 0
-        reports.append((world / f"eval_{sv}").read_text(encoding="utf-8"))
-    assert reports[0] == reports[1]
+    """``train`` and ``evaluate`` on the file ``preprocess --sentence-vectors``
+    converts give the checkpoint and report of ``train.run`` and
+    ``train.evaluate`` over the TSV's whole load."""
+    assert cli.main(["--config", str(world / "config.txt"), "--out", str(world / "stats.tsv"),
+                     "preprocess", "--train", str(world / "train.txt"),
+                     "--val", str(world / "val.txt"), "--sentence-vectors",
+                     str(world / "sv.tsv"), str(world / "converted.bin")]) == 0
+    assert (world / "converted.bin").read_bytes().startswith(dataio.SENTENCE_VECTORS_MAGIC)
+    assert run_train(world, "bin", sentence_vectors=str(world / "converted.bin")) == 0
+    assert cli.main(["--out", str(world / "eval.tsv"), "evaluate", "--checkpoint",
+                     str(world / "bin" / "model.ckpt"), "--split", str(world / "val.txt"),
+                     "--sentence-vectors", str(world / "converted.bin")]) == 0
+
+    config = load_config(world / "config.txt")
+    store = dataio.load_sentence_vectors(world / "sv.tsv", config.sentence_dim)
+    train_split = dataio.load_dataset(world / "train.txt", "train")
+    val_split = dataio.load_dataset(world / "val.txt", "val")
+    rows = list(tr.split_rows(train_split))
+    vocab = textprep.build_vocab(map(textprep.TokenSequence, rows))
+    ckpt, _ = tr.run(config, tr.RunData.encode(train_split, val_split, vocab, rows),
+                     store, vocab, {})
+    dataio.save_checkpoint(ckpt, world / "direct.ckpt")
+    assert (world / "bin" / "model.ckpt").read_bytes() == (world / "direct.ckpt").read_bytes()
+    params = rcnn.restore(ckpt.config, ckpt.params)
+    cm, _ = tr.evaluate(params, tr.encode_split(dataio.load_dataset(world / "val.txt", "test"),
+                                                ckpt.vocab), store, config.batch_size)
+    assert (world / "eval.tsv").read_text(encoding="utf-8") == metrics.format_report(
+        cm, metrics.SCORED_CLASSES)
+
+
+def _run_argv(world, command, sentence_vectors):
+    """The arguments of a ``train``, ``sweep`` or ``evaluate`` run on the world."""
+    splits = ["--train", world / "train.txt", "--val", world / "val.txt"]
+    argv = {"train": ["--out", world / "out", "train", *splits],
+            "sweep": ["--out", world / "sweep.tsv", "sweep", *splits, "--axis", "lr",
+                      "--values", "0.02", "--seeds", "0", "--runs-dir", world / "runs"],
+            "evaluate": ["--out", world / "eval.tsv", "evaluate", "--checkpoint",
+                         world / "run" / "model.ckpt", "--split", world / "val.txt"]}[command]
+    return list(map(str, ["--config", world / "config.txt", *argv,
+                          "--sentence-vectors", sentence_vectors]))
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "evaluate"])
+def test_a_run_refuses_the_sentence_vector_tsv_before_parsing_a_value(
+        world, capsys, monkeypatch, command):
+    """A run reads the converted file alone: given the TSV, each run command
+    fails with one message naming the file and the conversion, parses no
+    value and writes no run directory, checkpoint, report or sweep record."""
+    assert run_train(world, "run") == 0  # the checkpoint evaluate scores
+    before = sorted(world.rglob("*"))
+    capsys.readouterr()
+    monkeypatch.setattr(dataio, "_vector", lambda *a: pytest.fail("a value was parsed"))
+    tsv = world / "sv.tsv"
+    assert cli.main(_run_argv(world, command, tsv)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tsv}: a run reads converted sentence vectors, not a TSV; convert it once "
+        "with `emoconv preprocess --sentence-vectors TSV OUT`\n")
+    assert sorted(world.rglob("*")) == before
 
 
 def test_a_sentence_vector_width_conflict_names_both_widths(world, capsys):
     """A ``--config`` with ``sentence_dim = 0`` given vectors to train on, and a
     checkpoint trained without vectors given some to evaluate with, name the
     file's width and the model's, not a bad line."""
-    assert _convert(world) == 0
     (world / "nodim.txt").write_text(CONFIG_TEXT.replace("sentence_dim = 3", "sentence_dim = 0"))
     assert run_train(world, "ablate", sentence_vectors="none") == 0
     capsys.readouterr()
-    for sv, where in (("sv.tsv", " (line 1)"), ("sv.bin", "")):
-        path = world / sv
-        want = (f"{path}: the file's sentence vectors are 3-d{where}, "
-                "but the model's sentence_dim is 0")
-        assert cli.main(["--config", str(world / "nodim.txt"), "--out", str(world / "x"),
-                         "train", "--train", str(world / "train.txt"),
-                         "--val", str(world / "val.txt"), "--sentence-vectors", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {want}\n"
-        assert cli.main(["evaluate", "--checkpoint", str(world / "ablate" / "model.ckpt"),
-                         "--split", str(world / "val.txt"), "--sentence-vectors", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {want}\n"
+    path = world / "sv.bin"
+    want = f"{path}: the file's sentence vectors are 3-d, but the model's sentence_dim is 0"
+    assert cli.main(["--config", str(world / "nodim.txt"), "--out", str(world / "x"),
+                     "train", "--train", str(world / "train.txt"),
+                     "--val", str(world / "val.txt"), "--sentence-vectors", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert cli.main(["evaluate", "--checkpoint", str(world / "ablate" / "model.ckpt"),
+                     "--split", str(world / "val.txt"), "--sentence-vectors", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_evaluate_demands_sentence_vectors_when_fused(world, capsys):
@@ -274,7 +311,7 @@ def test_evaluate_names_the_first_unlabeled_example(world, capsys):
     capsys.readouterr()
     rc = cli.main(["evaluate", "--checkpoint", str(world / "run" / "model.ckpt"),
                    "--split", str(world / "unlabeled.txt"),
-                   "--sentence-vectors", str(world / "sv.tsv")])
+                   "--sentence-vectors", str(world / "sv.bin")])
     assert rc == 1
     err = capsys.readouterr().err
     assert "labels" in err and split.conversations[0].id in err
@@ -287,8 +324,8 @@ def _finetune_inputs(world):
         lines.append(f"sigh bad day {i}\t0")
     (world / "corpus.tsv").write_text("\n".join(lines) + "\n")
     rng = np.random.default_rng(0)
-    dataio.save_word_vectors(["yay", "sigh", "day"],
-                             rng.normal(size=(3, 6)), world / "vec_in.txt")
+    toycorpus.write_word_vectors(["yay", "sigh", "day"],
+                                 rng.normal(size=(3, 6)), world / "vec_in.txt")
 
 
 def run_finetune(world, out, extra=()):
@@ -309,6 +346,36 @@ def test_finetune_writes_usable_vectors(world):
     assert report[0] == "epoch\tloss" and len(report) == 3
 
 
+def test_finetune_keeps_the_input_vectors_of_words_the_corpus_lacks(world):
+    """``--embeddings-out`` holds the corpus vocabulary's tuned vectors, then
+    each other token of ``--embeddings-in`` once, in file order, as its first
+    line gave it, and not the word2vec header."""
+    (world / "corpus.tsv").write_text("text\tlabel\nyay great\t1\nsigh bad\t0\n")
+    rows = np.random.default_rng(0).normal(size=(5, 6))
+    yay, unseen, sigh, again, other = (" ".join(map(repr, row.tolist())) for row in rows)
+    kept = [f"unseen {unseen}", f"other\t{other.replace(' ', chr(9))}"]
+    (world / "vec_in.txt").write_text("\n".join(
+        ["5 6", f"yay {yay}", kept[0], f"sigh {sigh}", "", f"unseen {again}", kept[1]]) + "\n")
+    assert run_finetune(world, "ft") == 0
+    lines = (world / "ft.txt").read_text().splitlines()
+    assert sorted(line.split()[0] for line in lines[:4]) == ["bad", "great", "sigh", "yay"]
+    assert lines[4:] == kept
+    vectors = dataio.load_word_vectors(world / "ft.txt", 6)
+    assert vectors["unseen"].tobytes() == rows[1].tobytes()
+    assert vectors["other"].tobytes() == rows[4].tobytes()
+
+
+def test_finetune_refuses_a_pipe_for_the_vectors_it_reads_twice(world, capsys):
+    fifo = world / "fifo"
+    os.mkfifo(fifo)
+    rc = cli.main(["finetune", "--corpus", str(world / "missing.tsv"),
+                   "--embeddings-in", str(fifo), "--embeddings-out", str(world / "out.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {fifo}: not a regular file; it is read again, "
+                                       "after tuning, for the vectors the corpus lacks\n")
+    assert not (world / "out.txt").exists()
+
+
 def test_the_finetune_command_is_the_finetune_run_at_its_seed(world):
     """``emoconv finetune --seed S`` writes the vectors and reports the
     losses of ``finetune.run`` at seed S on the same corpus and vectors."""
@@ -323,7 +390,8 @@ def test_the_finetune_command_is_the_finetune_run_at_its_seed(world):
         pretrained = dataio.load_word_vectors(world / "vec_in.txt", 6, keep=vocab.token_to_id)
         model, losses = ft.run(schedule, seed, encoded, vocab, pretrained, 6, 4)
         dataio.save_word_vectors(vocab.id_to_token[len(SPECIALS):],
-                                 model.emb.table.values[len(SPECIALS):], world / "run.txt")
+                                 model.emb.table.values[len(SPECIALS):], world / "run.txt",
+                                 world / "vec_in.txt")
         assert (world / f"cli{seed}.txt").read_bytes() == (world / "run.txt").read_bytes()
         assert (world / f"cli{seed}.tsv").read_text() == "epoch\tloss\n" + "".join(
             f"{epoch}\t{loss!r}\n" for epoch, loss in enumerate(losses, start=1))
@@ -375,10 +443,10 @@ def test_a_sweep_cell_is_the_train_run_at_its_seed(world):
     random."""
     tokens = toycorpus.vocab_for(dataio.load_dataset(world / "train.txt", "train")).id_to_token
     words = tokens[len(SPECIALS):]
-    dataio.save_word_vectors(words, np.random.default_rng(0).normal(size=(len(words), 6)),
-                             world / "vec.txt")
+    toycorpus.write_word_vectors(words, np.random.default_rng(0).normal(size=(len(words), 6)),
+                                 world / "vec.txt")
     splits = ("--train", str(world / "train.txt"), "--val", str(world / "val.txt"),
-              "--embeddings", str(world / "vec.txt"), "--sentence-vectors", str(world / "sv.tsv"))
+              "--embeddings", str(world / "vec.txt"), "--sentence-vectors", str(world / "sv.bin"))
     assert cli.main(["--config", str(world / "config.txt"), "--out", str(world / "sweep.tsv"),
                      "sweep", *splits, "--axis", "lr", "--values", "0.02", "--seeds", "0,1",
                      "--runs-dir", str(world / "runs")]) == 0
@@ -411,8 +479,10 @@ def test_flag_defaults_come_from_the_code_they_set():
     assert (ft_args.epochs_frozen, ft_args.epochs_unfrozen, ft_args.lr, ft_args.batch_size) \
         == (schedule.frozen_epochs, schedule.unfrozen_epochs, schedule.lr, schedule.batch_size)
     assert (ft_args.dim, ft_args.filters) == (TrainConfig().embedding_dim, FILTERS_PER_SIZE)
-    sweep_args = parser.parse_args(["sweep", "--train", "t", "--val", "v", "--axis", "lr",
-                                    "--values", "0.1"])
+    sweep = ["sweep", "--train", "t", "--val", "v", "--axis", "lr", "--values", "0.1"]
+    sweep_args = parser.parse_args([*sweep, "--sentence-vectors", "none"])
+    with pytest.raises(SystemExit):  # no default: a sweep never runs the ablation unasked
+        parser.parse_args(sweep)
     assert [int(s) for s in sweep_args.seeds.split(",")] == list(DEFAULT_SEEDS)
 
 

@@ -240,31 +240,32 @@ def test_sentence_vectors_round_trip(tmp_path):
         assert got.get("c9").tobytes() == matrix[2].tobytes()
 
 
-def test_kept_sentence_vectors_are_the_full_loads_rows_in_file_order(tmp_path):
-    """With ``keep``, both formats hold the kept ids present in the file, in
-    the file's order, bit-equal to a full load's rows; a bad line is an
-    error naming its line when its id is kept, and is not parsed otherwise."""
+def test_kept_sentence_vectors_are_the_full_loads_rows_in_file_order(tmp_path, monkeypatch):
+    """With ``keep``, the container gives the kept ids present in the file,
+    in the file's order, bit-equal to a full load's rows.  A TSV is read only
+    whole: with ``keep`` it is refused, naming the conversion, before any
+    value is parsed."""
     rng = np.random.default_rng(3)
     ids = [f"c{i}" for i in range(12)]
     store = toycorpus.store_of(dict(zip(ids, rng.standard_normal((12, 4)))))
     tsv = toycorpus.write_sentence_tsv(store, tmp_path / "sv.tsv")
-    dio.save_sentence_vectors(store, tmp_path / "sv.bin")
+    path = tmp_path / "sv.bin"
+    dio.save_sentence_vectors(store, path)
     keep = {"c7", "c0", "c1", "c2", "c9", "c11", "absent"}
-    for path in (tsv, tmp_path / "sv.bin"):
-        full, kept = dio.load_sentence_vectors(path, 4), dio.load_sentence_vectors(path, 4, keep)
-        assert list(kept.row) == ["c0", "c1", "c2", "c7", "c9", "c11"]
-        for conv_id in kept.row:
-            assert kept.get(conv_id).tobytes() == full.get(conv_id).tobytes()
-        assert dio.load_sentence_vectors(path, 4, set()).matrix.shape == (0, 4)
-        with pytest.raises(ValueError, match="sentence vectors are 4-d"):  # from line 1 on
-            dio.load_sentence_vectors(path, 5, {"c9"})
-    bad = _write(tmp_path / "bad.tsv", "c1\t0 0 0\nc2\t0.5 x 2\nc3\t1 2\n")
-    assert list(dio.load_sentence_vectors(bad, 3, {"c1"}).row) == ["c1"]
-    for kept_id, line, problem in (("c2", 2, "non-numeric vector entry"),
-                                   ("c3", 3, "expected 3 values, got 2")):
+    full, kept = dio.load_sentence_vectors(path, 4), dio.load_sentence_vectors(path, 4, keep)
+    assert list(kept.row) == ["c0", "c1", "c2", "c7", "c9", "c11"]
+    for conv_id in kept.row:
+        assert kept.get(conv_id).tobytes() == full.get(conv_id).tobytes()
+    assert dio.load_sentence_vectors(path, 4, set()).matrix.shape == (0, 4)
+    with pytest.raises(ValueError, match="sentence vectors are 4-d"):
+        dio.load_sentence_vectors(path, 5, {"c9"})
+    monkeypatch.setattr(dio, "_vector", lambda *a: pytest.fail("a value was parsed"))
+    for dim, keep in ((4, keep), (4, set()), (5, {"c9"})):
         with pytest.raises(ValueError) as err:
-            dio.load_sentence_vectors(bad, 3, {"c1", kept_id})
-        assert str(err.value) == f"{bad} line {line}: {problem}"
+            dio.load_sentence_vectors(tsv, dim, keep)
+        assert str(err.value) == (f"{tsv}: a run reads converted sentence vectors, not a TSV; "
+                                  "convert it once with "
+                                  "`emoconv preprocess --sentence-vectors TSV OUT`")
 
 
 def test_kept_sentence_vectors_read_from_the_container_peak_near_the_kept_rows(tmp_path):
@@ -704,7 +705,8 @@ def _umask() -> int:
 
 
 def test_outputs_are_created_with_the_mode_of_a_plain_open(tmp_path):
-    dio.save_word_vectors(["hi"], np.ones((1, 2)), tmp_path / "vectors.txt")
+    source = _write(tmp_path / "source.txt", "hi 0 0\nho 1 1\n")
+    dio.save_word_vectors(["hi"], np.ones((1, 2)), tmp_path / "vectors.txt", source)
     dio.save_checkpoint(_toy_checkpoint(), tmp_path / "model.ckpt")
     for name in ("vectors.txt", "model.ckpt"):
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~_umask()

@@ -62,6 +62,15 @@ def write_sentence_tsv(store, path):
     return path
 
 
+def write_word_vectors(tokens, matrix, path):
+    """Word vectors in their text format, a token and its values on each line;
+    each value round-trips exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for token, row in zip(tokens, matrix):
+            fh.write(token + " " + " ".join(map(repr, np.asarray(row, float).tolist())) + "\n")
+    return path
+
+
 def write_split(split, path, labeled=True):
     with open(path, "w", encoding="utf-8") as fh:
         if labeled:
