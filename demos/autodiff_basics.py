@@ -1,10 +1,11 @@
 """A tour of the reverse-mode autodiff engine that powers the classifier.
 
-Tensors record the operation that produced them; calling ``backward`` on a
-scalar loss walks that record once, in a deterministic order, letting go of
-it as it goes, and deposits gradients on every reachable leaf.  Everything
-below runs the classifier's own ops: its output layer, its softmax and its
-class-weighted loss.
+Each op result records its operation in a graph node: the op, its output
+shape, its backward closure and its inputs' nodes, but no values.  Calling
+``backward`` on a scalar loss walks those nodes once, in a deterministic
+order, letting go of each as it goes, and deposits gradients on every
+reachable leaf.  Everything below runs the classifier's own ops: its output
+layer, its softmax and its class-weighted loss.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from emoconv import train as tr
 # -- 1. the classifier's head -------------------------------------------------
 # Two examples' 5-d features through the output layer (x @ w.T + b), a row
 # softmax over the four classes, and the class-weighted cross-entropy.  The
-# loss is one graph node over the softmax output.
+# loss is one graph node over the softmax output's node.
 
 rng = np.random.default_rng(0)
 w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
@@ -27,7 +28,7 @@ weights = tr.ClassWeights(np.array([0.1, 0.2, 0.3, 0.4]))
 probs = T.softmax_rows(T.linear_rows(x, w, b))
 loss = tr.weighted_cross_entropy(probs, labels, weights)
 print("loss value:", loss.item())
-print("loss node:", loss, "over", loss.parents[0])
+print("loss node:", loss.node, "over", loss.node.parents[0])
 
 T.backward(loss)
 print("dL/db:", b.grad)

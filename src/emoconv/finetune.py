@@ -111,9 +111,10 @@ def forward_finetune(model: FinetuneModel, batch: Batch, training: bool, rng) ->
     pooled = L.dropout(pooled, DROPOUT_RATE, training, rng)
     logits = T.linear_rows(pooled, model.tensors["output.w"], model.tensors["output.b"])
     out = T.sigmoid_(logits.values[:, 0].copy())
+    shape = logits.shape
 
     def backward_fn(g):
-        return ((g * out * (1.0 - out)).reshape(logits.shape),)
+        return ((g * out * (1.0 - out)).reshape(shape),)
 
     return T.from_op(out, "sigmoid_column", (logits,), backward_fn)
 

@@ -189,11 +189,11 @@ def _bilstm_layer(x: T.Tensor, orders, fwd, bwd) -> T.Tensor:
     at every cell.  Its parents are (x, x, *fwd, *bwd), so the engine adds
     the two directions' input gradients forward first."""
     hs = fwd[1].shape[1]
-    halves, backs = (slice(0, hs), slice(hs, None)), []
+    halves, backs, need_dx = (slice(0, hs), slice(hs, None)), [], x.requires_grad
 
     def backward_fn(g):
         # each direction's gates and cells go once its backward returns
-        (dx_f, *d_f), (dx_b, *d_b) = (backs.pop(0)(g[:, h], x.requires_grad) for h in halves)
+        (dx_f, *d_f), (dx_b, *d_b) = (backs.pop(0)(g[:, h], need_dx) for h in halves)
         return (dx_f, dx_b, *d_f, *d_b)
 
     # made first, so that without a graph (no_grad) no direction's gates outlive its scan
@@ -269,7 +269,8 @@ def conv1d_over_time(bank, cells: T.Tensor, lengths) -> T.Tensor:
     and gradients (it is monotonic) on [B x filters] values only.  Width 1
     reads the cells themselves, which are its windows, so it records no
     gather.  The pool keeps each filter's argmax window from forward, so
-    backward reads no score again (see ``tensor.max_over_time``).
+    backward reads no score again (see ``tensor.max_over_time``), and each
+    width's scores are freed once its pool exists.
     """
     if cells.values.ndim != 2:
         raise ValueError(f"conv1d_over_time needs packed [N x dim] cells, got {cells.shape}")

@@ -132,10 +132,13 @@ def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Te
     enc = L.bilstm_encode(params.bilstm, emb, lengths, config.dropout_bilstm,
                           training, rng)
     ctx = L.dropout(T.concat([enc, emb], axis=1), config.dropout_linear, training, rng)
+    del enc  # each intermediate goes once its consumer exists, unless a backward reads it
     proj = T.linear_rows(ctx, t["projection.w"], t["projection.b"])
+    del ctx
     if config.projection_tanh:
         proj = T.tanh(proj)
     fused = T.max_over_time(proj, lengths)
+    del proj
     if config.sentence_dim > 0:
         fused = T.concat([fused, T.constant(batch.sentence_vectors)], axis=1)
     fused = L.dropout(fused, config.dropout_linear, training, rng)

@@ -1,13 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Graphs are built define-by-run: every operation returns a new ``Tensor``
-holding the numeric result, references to its inputs, and a closure that maps
-the output gradient to input gradients.  Every tensor takes a creation
-number, and an op's result is made after its inputs, so creation order is a
-topological order: ``backward`` visits the nodes that hold a gradient, latest
-made first, and accumulates gradients into the ``grad`` field of every leaf
-that has ``requires_grad`` set.  It consumes the graph it walks, so a graph's
-backward runs once; leaf gradients add up across graphs until ``reset_grads``.
+holding the numeric result and, when it takes part in a graph, a ``Node``:
+the op's name, the output shape, a closure that maps the output gradient to
+input gradients, and the nodes of its inputs (a leaf input that takes
+gradients is recorded as itself, and one that takes none not at all).  A
+node holds no values: a closure captures the arrays its backward reads, so
+an op result's values live only while a caller or a closure holds them.
+Every node takes a creation number, and an op's node is made after its
+inputs' nodes, so creation order is a topological order: ``backward`` visits
+the nodes that hold a gradient, latest made first, and accumulates gradients
+into the ``grad`` field of every leaf that has ``requires_grad`` set.  It
+consumes the graph it walks, so a graph's backward runs once; leaf gradients
+add up across graphs until ``reset_grads``.
 A leaf that only row-gathering ops read (the embedding table) keeps a
 row-sparse ``RowGrad`` there instead of a table-sized array; ``grad_of``
 gives the dense array.
@@ -35,15 +40,15 @@ A model's loss is one node of its own, built with ``from_op`` where the
 model lives (``train.weighted_cross_entropy``,
 ``finetune.binary_cross_entropy``).
 
-Inside ``with no_grad():`` operations record no parents and no backward
-closures, so an inference pass holds only the values it still uses.
+Inside ``with no_grad():`` operations record no node, so an inference pass
+holds only the values it still uses.
 
 Thread safety: a graph and its tensors belong to one thread between
 construction and ``backward``; ``no_grad`` applies to the calling thread
 only.  Distinct graphs may run on distinct threads; leaf values may be read
 concurrently as long as no update is in flight.  All threads draw creation
 numbers from one counter, so a graph's numbers still rise in the order its
-thread made its tensors.
+thread made its nodes.
 """
 
 from __future__ import annotations
@@ -58,23 +63,39 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 
-# creation numbers: a tensor is numbered after every tensor it reads
+# creation numbers: a node is numbered after every node it reads
 _creation = itertools.count()
 
 
-class Tensor:
-    """Shape + float64 values + gradient slot + record of the producing op."""
+class Node:
+    """The graph record of one op result: creation number, op name, output
+    shape, backward closure, and per input of the op its node, the input
+    itself for a leaf that takes gradients, or None for one that takes none."""
 
-    __slots__ = ("values", "grad", "requires_grad", "op", "parents", "backward_fn", "number")
+    __slots__ = ("number", "op", "shape", "backward_fn", "parents")
+
+    def __init__(self, op: str, shape: tuple[int, ...],
+                 backward_fn: Callable[[np.ndarray], tuple],
+                 parents: tuple[Node | Tensor | None, ...]):
+        self.number = next(_creation)
+        self.op, self.shape = op, shape
+        self.backward_fn, self.parents = backward_fn, parents
+
+    def __repr__(self) -> str:
+        return f"Node(#{self.number} {self.op}, shape={self.shape})"
+
+
+class Tensor:
+    """Float64 values, a gradient slot, and the node of the op that made it
+    (None for a leaf, and for a result that records no graph)."""
+
+    __slots__ = ("values", "grad", "requires_grad", "node")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.number = next(_creation)
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | RowGrad | None = None
         self.requires_grad = bool(requires_grad)
-        self.op: str | None = None
-        self.parents: tuple[Tensor, ...] = ()
-        self.backward_fn: Callable[[np.ndarray], tuple] | None = None
+        self.node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,7 +112,16 @@ class Tensor:
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag}, op={self.op!r})"
+        op = self.node.op if self.node is not None else None
+        return f"Tensor(shape={self.shape}{flag}, op={op!r})"
+
+
+def _target(t: Tensor) -> Node | Tensor | None:
+    """Where a gradient for ``t`` goes: its node, itself if it is a leaf
+    that takes gradients, or nowhere."""
+    if t.node is not None:
+        return t.node
+    return t if t.requires_grad else None
 
 
 def constant(values) -> Tensor:
@@ -145,21 +175,19 @@ def from_op(values: np.ndarray, op: str, parents: tuple[Tensor, ...],
     """Register an operation result in the graph.
 
     ``backward_fn`` receives the gradient of the output and returns one
-    gradient (an array, a ``RowGrad``, or None) per parent, in parent order.
-    Returned arrays must not be mutated afterwards; accumulation here is
-    purely functional.  Under ``no_grad`` the result keeps neither its
-    parents nor the closure.  A closure captures only what backward reads,
-    and reads a parent's values through the parent, which stays alive,
-    rather than through a copy; whatever it captures lives until
-    ``backward`` has run it, and it runs once, so it may overwrite what it
-    captured.
+    gradient (an array, a ``RowGrad``, or None) per parent, in parent order;
+    a parent that takes no gradient is not recorded, so what is returned for
+    it is dropped.  Returned arrays must not be mutated afterwards;
+    accumulation here is purely functional.  Under ``no_grad``, or when no
+    parent takes a gradient, the result records no node.  A closure captures
+    the arrays, shapes and flags it reads, never a Tensor, so it keeps no
+    values it does not read; whatever it captures lives until ``backward``
+    has run it, and it runs once, so it may overwrite what it captured.
     """
     out = Tensor(values)
-    out.op = op
     if not getattr(_recording, "off", False) and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.parents = parents
-        out.backward_fn = backward_fn
+        out.node = Node(op, out.values.shape, backward_fn, tuple(_target(p) for p in parents))
     return out
 
 
@@ -182,14 +210,14 @@ def backward(loss: Tensor) -> None:
     buffers = {}  # creation number -> (node, its gradient so far)
     latest = []  # the negated creation numbers in buffers, a heap
 
-    def send(t: Tensor, g) -> None:
+    def send(t: Node | Tensor | None, g) -> None:
         """Add ``g`` to the gradient of ``t``: to the buffer of a node, and at
         once to a leaf's grad.  Leaves (the parameters) are made first, so a
         buffered leaf gradient would wait until the walk ends, holding
         memory the walk could reuse."""
-        if g is None or not t.requires_grad:
+        if g is None or t is None:
             return
-        if t.backward_fn is None:
+        if isinstance(t, Tensor):
             have = t.grad
             if isinstance(g, RowGrad) and not isinstance(have, np.ndarray):  # stays row-sparse
                 t.grad = g if have is None else RowGrad(np.concatenate([have.rows, g.rows]),
@@ -201,7 +229,7 @@ def backward(loss: Tensor) -> None:
                 t.grad += g
             return
         if isinstance(g, RowGrad):
-            dense = np.zeros_like(t.values)
+            dense = np.zeros(t.shape)
             g.add_to(dense)
             g = dense
         held = buffers.get(t.number)
@@ -209,11 +237,11 @@ def backward(loss: Tensor) -> None:
             heapq.heappush(latest, -t.number)
         buffers[t.number] = (t, g if held is None else held[1] + g)
 
-    send(loss, np.ones_like(loss.values))
+    send(_target(loss), np.ones_like(loss.values))
     while latest:
         node, g = buffers.pop(-heapq.heappop(latest))
         parents, backward_fn = node.parents, node.backward_fn
-        node.parents, node.backward_fn = (), _spent  # not None, which would make it a leaf
+        node.parents, node.backward_fn = (), _spent
         for parent, pg in zip(parents, backward_fn(g)):
             send(parent, pg)
 
@@ -289,12 +317,15 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
+    takes = [p.requires_grad for p in parts]
+
     def backward_fn(g):
+        # a copy, so that no part's gradient keeps the whole of g alive
         slicer = [slice(None)] * ndim
         grads = []
-        for i in range(len(sizes)):
+        for i, take in enumerate(takes):
             slicer[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            grads.append(g[tuple(slicer)])
+            grads.append(g[tuple(slicer)].copy() if take else None)
         return tuple(grads)
 
     out = np.concatenate([p.values for p in parts], axis=axis)
@@ -313,10 +344,10 @@ def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                          f"{x.shape}, {w.shape}, {b.shape}")
     if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise ValueError(f"linear_rows dimensions differ: x {x.shape}, w {w.shape}, b {b.shape}")
-    xv, wv = x.values, w.values
+    xv, wv, need_dx = x.values, w.values, x.requires_grad
 
     def backward_fn(g):
-        return g @ wv if x.requires_grad else None, g.T @ xv, g.sum(axis=0)
+        return g @ wv if need_dx else None, g.T @ xv, g.sum(axis=0)
 
     out = xv @ wv.T
     out += b.values  # in place: the same sums without a second [n x m] array

@@ -67,9 +67,10 @@ def weighted_cross_entropy(probabilities: T.Tensor, labels, weights: ClassWeight
     v = np.maximum(p, LOG_FLOOR)
     w_l = weights.weights[labels]
     s = -1.0 / labels.size
+    shape = probabilities.shape
 
     def backward_fn(g):
-        z = np.zeros(probabilities.shape)
+        z = np.zeros(shape)
         z[rows, labels] = (((g * s) * w_l) / v) * (p > LOG_FLOOR)
         return (z,)
 
@@ -403,12 +404,13 @@ def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, state: RunStat
     """The loop of both models: Adam over ``named``, one epoch per rate in
     ``lrs[state.epoch:]``, each counted in ``state.epoch``, yielding (epoch,
     lr, mean loss, clipped fraction).  ``step`` maps a shuffled batch of
-    indices to the scalar loss; backward runs once through its graph and
-    frees it as it goes, so the loss keeps only its value, and the gradients
-    it leaves are reset before the next step's.  Gradients are clipped to norm
-    ``clip_norm`` unless None; clipped or not, a non-finite one is a ValueError
-    naming the epoch, step and parameter.  The embedding table is frozen through
-    ``frozen_epochs``; its flag is restored before each yield and on error."""
+    indices to the scalar loss.  The gradients of the step before are reset
+    before a step's forward, so they never live beside its graph; backward
+    runs once through the graph and frees it as it goes, so the loss keeps
+    only its value.  Gradients are clipped to norm ``clip_norm`` unless None;
+    clipped or not, a non-finite one is a ValueError naming the epoch, step
+    and parameter.  The embedding table is frozen through ``frozen_epochs``;
+    its flag is restored before each yield and on error."""
     max_norm = math.inf if clip_norm is None else clip_norm
     table = named["embedding.table"]
     trainable = table.requires_grad
@@ -417,8 +419,8 @@ def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, state: RunStat
         table.requires_grad = trainable and epoch > frozen_epochs
         try:
             for indices in iter_batches(state.rng.permutation(n_examples), batch_size):
+                T.reset_grads(named.values())  # the last step's go before this one's forward
                 loss = step(indices)
-                T.reset_grads(named.values())
                 T.backward(loss)
                 loss_sum += loss.item() * len(indices)
                 del loss  # backward consumed its graph; only the value was left

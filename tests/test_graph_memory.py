@@ -1,11 +1,13 @@
 """What a training step's graph keeps, and for how long.
 
 A step's graph must be unreachable once its loss is read: the next step's
-forward and the epoch-end evaluation run without it.  ``backward`` consumes
-the graph it walks, so after it the loss holds only its value.  Until then, a
-graph holds its nodes' values plus the arrays its backward closures
-captured, and the arrays those closures reach through the functions they
-capture; ``held_bytes`` counts all of them, each buffer once.  A
+forward and the epoch-end evaluation run without it, and so do the last
+step's gradients.  ``backward`` consumes the graph it walks, so after it the
+loss holds only its value.  Until then, a graph holds what its backward
+closures captured, and what the functions they capture hold in turn; its
+nodes hold no values, and no closure holds a Tensor, so an op result that
+no backward reads is freed once its caller drops it.
+``graphs.held_bytes`` counts the arrays a graph holds, each buffer once.  A
 mixed-length step must fit a budget derived from the layer shapes, in which
 a BiLSTM layer keeps only the gates and cell states of its two directions
 and its one output, and a dropout only a one-byte keep-mask.  A BiLSTM
@@ -19,6 +21,7 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 
+import graphs
 import oracle
 import toycorpus
 from emoconv import finetune as ft
@@ -30,68 +33,9 @@ from emoconv.config import TrainConfig
 from emoconv.textprep import TokenSequence, build_vocab
 
 
-def _nodes(*roots):
-    """Every tensor reachable from ``roots`` through parent edges."""
-    seen, stack, out = set(), list(roots), []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            out.append(node)
-            stack.extend(node.parents)
-    return out
-
-
-def _base(a: np.ndarray) -> np.ndarray:
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a
-
-
-def _captured(fn, seen: set) -> list[np.ndarray]:
-    """The ndarrays a function holds in its closure cells and default
-    arguments, directly, in a list or tuple, or through a function it holds
-    there in turn."""
-    if id(fn) in seen:
-        return []
-    seen.add(id(fn))
-    out = []
-    held = [c.cell_contents for c in fn.__closure__ or ()] + list(fn.__defaults__ or ())
-    for value in held:
-        for item in value if isinstance(value, (list, tuple)) else [value]:
-            if isinstance(item, np.ndarray):
-                out.append(item)
-            elif hasattr(item, "__code__"):
-                out += _captured(item, seen)
-    return out
-
-
-def held_bytes(root) -> int:
-    """Bytes the graph under ``root`` keeps alive: node values and the
-    ndarrays its backward closures reach (``_captured``), each underlying
-    buffer counted once.  Parameters (leaves that take gradients) belong to
-    the model."""
-    nodes = _nodes(root)
-    params = {id(_base(n.values)) for n in nodes if n.requires_grad and n.backward_fn is None}
-    held, seen = {}, set()
-    for node in nodes:
-        arrays = [node.values]
-        if node.backward_fn is not None:
-            arrays += _captured(node.backward_fn, seen)
-        for a in arrays:
-            b = _base(a)
-            if id(b) not in params:
-                held[id(b)] = b
-    return sum(b.nbytes for b in held.values())
-
-
-def _watch(*roots):
-    """Weak references to the values of every op result under ``roots``;
-    only the graph holds those arrays."""
-    return [weakref.ref(n.values) for n in _nodes(*roots) if n.op is not None]
-
-
-def test_train_step_graph_is_gone_before_the_next_forward_and_evaluate(monkeypatch):
+def _toy_run():
+    """A two-epoch classifier run, the first frozen, in 3 steps an epoch:
+    (params, the ``toycorpus.train_splits`` call that trains them)."""
     config = TrainConfig(lr=0.01, batch_size=8, epochs=2, hidden_size=4, num_layers=2,
                          sentence_dim=3, embedding_dim=4, freeze_embedding_epochs=1,
                          dropout_bilstm=0.3, dropout_linear=0.3)
@@ -102,6 +46,12 @@ def test_train_step_graph_is_gone_before_the_next_forward_and_evaluate(monkeypat
     rng = np.random.default_rng(0)
     emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (vocab.size, 4)))
     params = rcnn.init_model(config, emb, rng)
+    return params, lambda: toycorpus.train_splits(params, train_split, val_split, store,
+                                                  config, rng, vocab=vocab)
+
+
+def test_train_step_graph_is_gone_before_the_next_forward_and_evaluate(monkeypatch):
+    params, run = _toy_run()
     watched, checks = [], []
 
     def released(where):
@@ -116,7 +66,7 @@ def test_train_step_graph_is_gone_before_the_next_forward_and_evaluate(monkeypat
             released("the next forward")
         logits, probs = forward(params, batch, training, rng)
         if training:
-            watched[:] = _watch(logits, probs)
+            watched[:] = graphs.watch(logits, probs)
         return logits, probs
 
     def watched_evaluate(*args, **kwargs):
@@ -125,8 +75,27 @@ def test_train_step_graph_is_gone_before_the_next_forward_and_evaluate(monkeypat
 
     monkeypatch.setattr(rcnn, "forward", watched_forward)
     monkeypatch.setattr(tr, "evaluate", watched_evaluate)
-    toycorpus.train_splits(params, train_split, val_split, store, config, rng, vocab=vocab)
+    run()
     assert checks.count("evaluate") == 2 and checks.count("the next forward") == 6
+
+
+def test_every_training_forward_runs_without_the_last_steps_gradients(monkeypatch):
+    """``run_epochs`` resets the gradients before a step's forward, so the
+    step before's never live beside the step's graph; the last step's are
+    still there after the run."""
+    params, run = _toy_run()
+    named, seen = params.named(), []
+    forward = rcnn.forward
+
+    def checked_forward(params, batch, training, rng):
+        if training:
+            seen.append([name for name, t in named.items() if t.grad is not None])
+        return forward(params, batch, training, rng)
+
+    monkeypatch.setattr(rcnn, "forward", checked_forward)
+    run()
+    assert seen == [[]] * 6
+    assert all(t.grad is not None for t in named.values())
 
 
 def test_finetune_step_graph_is_gone_before_the_next_forward(monkeypatch):
@@ -143,7 +112,7 @@ def test_finetune_step_graph_is_gone_before_the_next_forward(monkeypatch):
         alive = sum(r() is not None for r in watched)
         assert alive == 0, f"{alive} arrays of the last step's graph alive"
         probs = forward(model, batch, training, rng)
-        watched[:] = _watch(probs)
+        watched[:] = graphs.watch(probs)
         return probs
 
     monkeypatch.setattr(ft, "forward_finetune", watched_forward)
@@ -164,13 +133,13 @@ def test_each_loss_is_one_node_over_its_model_output():
                                rng.normal(size=(3, 2)), np.array([0, 3, 1]))
     _, probs = rcnn.forward(params, batch, True, rng)
     loss = tr.weighted_cross_entropy(probs, batch.labels, tr.ClassWeights(np.full(4, 0.25)))
-    assert loss.parents == (probs,) and probs.op == "softmax_rows"
+    assert loss.node.parents == (probs.node,) and probs.node.op == "softmax_rows"
 
     model = ft.build_finetune_model(emb, rng, filters_per_size=2)
     probs = ft.forward_finetune(model, rcnn.Batch.of_rows([[1, 2, 3], [4]]), True, rng)
     loss = ft.binary_cross_entropy(probs, [1, 0])
-    assert loss.parents == (probs,) and len(probs.parents) == 1
-    assert probs.parents[0].op == "linear_rows" and probs.shape == (2,)
+    assert loss.node.parents == (probs.node,) and len(probs.node.parents) == 1
+    assert probs.node.parents[0].op == "linear_rows" and probs.shape == (2,)
 
 
 def test_each_bilstm_layer_is_one_node_over_its_input_and_weights():
@@ -187,7 +156,7 @@ def test_each_bilstm_layer_is_one_node_over_its_input_and_weights():
                                rng.normal(size=(3, 2)), np.array([0, 3, 1]))
     _, probs = rcnn.forward(params, batch, True, rng)
     loss = tr.weighted_cross_entropy(probs, batch.labels, tr.ClassWeights(np.full(4, 0.25)))
-    ops = [n for n in _nodes(loss) if n.op is not None]
+    ops = graphs.nodes(loss)
     layers = [n for n in ops if n.op == "bilstm_layer"]
     assert len(ops) == 14 and len(layers) == 2
     assert sum(n.op == "concat" for n in ops) == 2
@@ -195,6 +164,88 @@ def test_each_bilstm_layer_is_one_node_over_its_input_and_weights():
         (node,) = [n for n in layers if n.parents[2] is fwd[0]]
         x = node.parents[0]
         assert node.parents == (x, x, *fwd, *bwd) and node.shape == (8, 6)
+
+
+def _classifier_step(rng, projection_tanh=False):
+    """The loss of a one-layer classifier step, table unfrozen and dropout
+    on."""
+    config = TrainConfig(hidden_size=3, num_layers=1, sentence_dim=2, embedding_dim=4,
+                         dropout_bilstm=0.3, dropout_linear=0.3,
+                         projection_tanh=projection_tanh)
+    params = rcnn.init_model(config, L.EmbeddingMatrix.from_array(rng.uniform(-1, 1, (9, 4))),
+                             rng)
+    batch = rcnn.Batch.of_rows([rng.integers(1, 9, k) for k in (3, 1, 4)],
+                               rng.normal(size=(3, 2)), np.array([0, 3, 1]))
+    probs = rcnn.forward(params, batch, True, rng)[1]
+    return tr.weighted_cross_entropy(probs, batch.labels, tr.ClassWeights(np.full(4, 0.25)))
+
+
+def test_no_backward_closure_holds_a_tensor():
+    """A closure holds arrays, shapes and flags, so it pins no values it
+    does not read: neither a closure cell, default, list or tuple item, nor
+    a cell of a function it holds, is a Tensor."""
+    rng = np.random.default_rng(12)
+    ops = set()
+    for loss in (_classifier_step(rng), _classifier_step(rng, projection_tanh=True)):
+        assert graphs.held_tensors(loss) == []
+        ops.update(n.op for n in graphs.nodes(loss))
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-1, 1, (9, 4)))
+    model = ft.build_finetune_model(emb, rng, filters_per_size=2)
+    loss = ft.binary_cross_entropy(
+        ft.forward_finetune(model, rcnn.Batch.of_rows([[1, 2, 3], [4], [5, 6]]), True, rng),
+        [1, 0, 1])
+    assert graphs.held_tensors(loss) == []
+    ops.update(n.op for n in graphs.nodes(loss))
+    assert ops == {"embedding_lookup", "bilstm_layer", "dropout", "concat", "linear_rows",
+                   "tanh", "max_over_time", "softmax_rows", "weighted_cross_entropy",
+                   "windows", "relu", "sigmoid_column", "binary_cross_entropy"}
+
+
+def _results_of(monkeypatch, names):
+    """Patch each ``tensor`` op in ``names`` to record, per call, a weak
+    reference to the values of its (first) input and of its result."""
+    def recording(op, into):
+        def recorded(first, *args, **kwargs):
+            out = op(first, *args, **kwargs)
+            first = first[0] if isinstance(first, list) else first
+            into.append((weakref.ref(first.values), weakref.ref(out.values)))
+            return out
+        return recorded
+
+    calls = {name: [] for name in names}
+    for name in names:
+        monkeypatch.setattr(T, name, recording(getattr(T, name), calls[name]))
+    return calls
+
+
+def test_forward_frees_what_no_backward_reads(monkeypatch):
+    """By the time ``rcnn.forward`` returns, the [enc; emb] concat, the
+    projection and the max-pool are freed, though the graph is alive: the
+    next node reads none of them in backward.  The output layer's input,
+    which its backward reads, stays."""
+    calls = _results_of(monkeypatch, ["concat", "linear_rows", "max_over_time"])
+    loss = _classifier_step(np.random.default_rng(13))
+    assert loss.node is not None and [len(c) for c in calls.values()] == [2, 2, 1]
+    (_, context), (_, fused) = calls["concat"]
+    (_, projection), (output_input, logits) = calls["linear_rows"]
+    ((_, pool),) = calls["max_over_time"]
+    assert [r() for r in (context, projection, pool, fused, logits)] == [None] * 5
+    assert output_input() is not None
+
+
+def test_cnn_keeps_no_score_matrix_once_its_forward_returns(monkeypatch):
+    """Each width's [windows x filters] scores go once ``max_over_time``
+    holds their argmax, while the graph, and the pooled values its rectifier
+    reads, stay."""
+    calls = _results_of(monkeypatch, ["max_over_time"])
+    rng = np.random.default_rng(15)
+    emb = L.EmbeddingMatrix.from_array(rng.uniform(-1, 1, (9, 4)))
+    model = ft.build_finetune_model(emb, rng, filters_per_size=3)
+    probs = ft.forward_finetune(model, rcnn.Batch.of_rows([[1, 2, 3], [4], [5, 6, 7, 8]]),
+                                True, rng)
+    assert probs.node is not None and len(calls["max_over_time"]) == len(ft.KERNEL_SIZES)
+    assert [scores() for scores, _ in calls["max_over_time"]] == [None] * 3
+    assert all(pooled() is not None for _, pooled in calls["max_over_time"])
 
 
 def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
@@ -212,17 +263,19 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     loss = tr.weighted_cross_entropy(probs, batch.labels,
                                      tr.ClassWeights(np.full(4, 0.25)))
 
-    per_layer = 2 * (4 * h + h) + 2 * h + 2 * h  # per direction gates and cells; output, dropout
-    ctx = 2 * h + d                            # [h_f; h_b; w_i]
-    floats = n * (d + layers * per_layer + 2 * ctx + h)  # lookup .. projection
-    floats += b * (h + 3 * (h + s) + 8 + 5)    # pool .. softmax, then the loss
+    # what a backward reads: per direction gates and cells, then the layer's
+    # output; a dropout's output only where the next layer reads it
+    per_layer = 2 * (4 * h + h) + 2 * h
+    ctx = 2 * h + d                            # [h_f; h_b; w_i] after dropout
+    floats = n * (d + layers * per_layer + (layers - 1) * 2 * h + ctx)  # lookup .. ctx
+    floats += b * ((h + s) + 4 + 5)            # the output layer's input, softmax, loss
     masks = n * (layers * 2 * h + ctx) + b * (h + s)
     index = 8 * n * (2 * 2 + 2)                # src/prev per direction, lookup ids/mask
     budget = 8 * floats + masks + index + 4096  # offsets and per-row indices
-    held = held_bytes(loss)
+    held = graphs.held_bytes(loss)
     assert 0.9 * budget < held <= budget, (held, budget)
-    T.backward(loss)  # the walk consumes the graph: only the loss value is left
-    assert held_bytes(loss) == loss.values.nbytes
+    T.backward(loss)  # the walk consumes the graph: it holds nothing
+    assert graphs.nodes(loss) == [loss.node] and graphs.held_bytes(loss) == 0
 
 
 def test_scan_backward_allocates_no_second_gates_array():
@@ -251,7 +304,7 @@ def test_max_over_time_keeps_its_argmax_and_not_its_input():
     lengths, k = [5, 1, 9, 3], 7
     cells = T.Tensor(rng.normal(size=(sum(lengths), k)), requires_grad=True)
     pooled = T.max_over_time(cells, lengths)
-    kept = [c.cell_contents for c in pooled.backward_fn.__closure__
+    kept = [c.cell_contents for c in pooled.node.backward_fn.__closure__
             if isinstance(c.cell_contents, np.ndarray)]
     # the [B x k] argmax cells, the column numbers, and nothing [N x k]
     assert sorted(a.shape for a in kept) == sorted([(k,), (len(lengths), k)])

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import graphs
 import oracle
 from emoconv import finetune as ft
 from emoconv import layers as L
@@ -344,11 +345,12 @@ def test_conv_width_one_reads_the_cells_without_a_window_gather():
     cells = T.Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
     bank = _bank(rng, dim=3, filters_per_size=2)
     out = L.conv1d_over_time(bank, cells, [4, 2])
-    # concat <- relu <- max_over_time <- linear_rows <- cells or windows
-    products = [relu.parents[0].parents[0] for relu in out.parents]
-    assert [p.op for p in products] == ["linear_rows"] * 3
-    assert products[0].parents[0] is cells
-    assert [p.parents[0].op for p in products[1:]] == ["windows", "windows"]
+    products = [n for n in graphs.nodes(out) if n.op == "linear_rows"]
+    assert len(products) == len(bank)
+    for k, w, _ in bank:
+        (product,) = [p for p in products if p.parents[1] is w]
+        windows = product.parents[0]
+        assert windows is cells if k == 1 else windows.op == "windows"
 
 
 def test_conv_rows_match_each_row_alone():

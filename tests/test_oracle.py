@@ -271,16 +271,21 @@ def test_models_with_fused_losses_match_their_chains_byte_for_byte():
         T.backward(loss_fn(probs, batch.labels, WEIGHTS))
         return {n: T.grad_of(t).tobytes() for n, t in params.named().items()}
 
+    def cnn_logits(batch, rng):
+        """``forward_finetune`` up to the output layer's [B x 1] logits."""
+        cells = L.embedding_lookup(model.emb, batch.ids)
+        pooled = L.dropout(L.conv1d_over_time(model.bank, cells, batch.valid_lengths),
+                           ft.DROPOUT_RATE, True, rng)
+        return T.linear_rows(pooled, model.tensors["output.w"], model.tensors["output.b"])
+
     def cnn_grads(chain):
         T.reset_grads(model.named().values())
-        probs = ft.forward_finetune(model, rcnn.Batch.of_rows(rows), True,
-                                    np.random.default_rng(8))
+        batch, rng = rcnn.Batch.of_rows(rows), np.random.default_rng(8)
         if chain:
-            logits = probs.parents[0]
-            probs = oracle.reshape(oracle.sigmoid(logits), (len(rows),))
+            probs = oracle.reshape(oracle.sigmoid(cnn_logits(batch, rng)), (len(rows),))
             loss = oracle.binary_cross_entropy_chain(probs, labels)
         else:
-            loss = ft.binary_cross_entropy(probs, labels)
+            loss = ft.binary_cross_entropy(ft.forward_finetune(model, batch, True, rng), labels)
         T.backward(loss)
         return {n: T.grad_of(t).tobytes() for n, t in model.named().items()}
 

@@ -236,7 +236,7 @@ def _train_steps(params, batch, steps):
     for _ in range(steps):
         loss = tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng)[1],
                                          batch.labels, weights)
-        recorded.append(loss.backward_fn is not None)
+        recorded.append(loss.node is not None)
         T.reset_grads(named.values())
         T.backward(loss)
         grads.append({n: T.grad_of(t).tobytes() for n, t in named.items()})
