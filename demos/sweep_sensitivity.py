@@ -13,8 +13,7 @@ import numpy as np
 from emoconv import sweep
 from emoconv.config import TrainConfig
 from emoconv.dataio import Conversation, DatasetSplit
-from emoconv.textprep import TokenSequence, build_vocab
-from emoconv.train import split_rows
+from emoconv.train import RunData
 
 # -- 1. toy data (same recipe as the training demo) ---------------------------
 
@@ -38,8 +37,7 @@ def make_split(name, n, seed):
 
 train_split = make_split("train", 24, seed=1)
 val_split = make_split("val", 12, seed=2)
-train_rows = list(split_rows(train_split))  # tokenized once, for both uses
-vocab = build_vocab(map(TokenSequence, train_rows))
+data = RunData.encode(train_split, val_split)  # tokenized once, for both sweeps
 
 # -- 2. sweep the learning rate ------------------------------------------------
 # Three seeds per value; a run whose final loss fails to beat the
@@ -55,16 +53,14 @@ spec = sweep.SweepSpec(axis="lr", values=[5.0, 0.02], seeds=(0, 1, 2))
 
 with tempfile.TemporaryDirectory() as runs_dir:
     records, aggregates = sweep.run_sweep(spec, base, train_split, val_split,
-                                          None, vocab, train_rows,
-                                          runs_dir=runs_dir)
+                                          data, None, runs_dir=runs_dir)
     print(f"{len(records)} runs -> {len(list(Path(runs_dir).glob('*.json')))} "
           "record files\n")
     print(sweep.format_sweep_report(aggregates))
 
     # Calling run_sweep again with the same directory does no training at
     # all: every record is already on disk.
-    again, _ = sweep.run_sweep(spec, base, train_split, val_split, None,
-                               vocab, list(split_rows(train_split)),
-                               runs_dir=runs_dir)
+    again, _ = sweep.run_sweep(spec, base, train_split, val_split, data,
+                               None, runs_dir=runs_dir)
     print("\nresumed without retraining:",
           [f"{r.best_val_f1:.3f}" for r in again])

@@ -12,7 +12,6 @@ from emoconv import rcnn, train
 from emoconv.config import TrainConfig
 from emoconv.dataio import Conversation, DatasetSplit
 from emoconv.metrics import format_report
-from emoconv.textprep import TokenSequence, build_vocab
 
 # -- 1. a corpus whose third turn gives the emotion away ----------------------
 
@@ -41,17 +40,15 @@ print(f"train {len(train_split)} conversations, val {len(val_split)}")
 # -- 2. the run -----------------------------------------------------------------
 # No pretrained vectors here, so every row of the embedding table is random
 # and nothing is fused at the output (sentence_dim 0 = the ablation setting).
-# Each split is tokenized once: the training rows build the vocabulary and
-# are then encoded, and the encoded validation split serves training and the
-# report below.
+# train.RunData.encode tokenizes each split once: the training rows build
+# the vocabulary and are then encoded, and the encoded validation split
+# serves training and the report below.
 
 config = TrainConfig(lr=0.02, batch_size=8, epochs=8, hidden_size=8,
                      num_layers=1, sentence_dim=0, embedding_dim=8,
                      dropout_bilstm=0.0, dropout_linear=0.0,
                      freeze_embedding_epochs=2, anneal_after_epoch=99, seed=3)
-train_rows = list(train.split_rows(train_split))
-vocab = build_vocab(map(TokenSequence, train_rows))
-data = train.RunData.encode(train_split, val_split, vocab, train_rows)
+data = train.RunData.encode(train_split, val_split)
 
 # -- 3. train -------------------------------------------------------------------
 # train.run is what `emoconv train` runs: one generator seeded with
@@ -59,7 +56,7 @@ data = train.RunData.encode(train_split, val_split, vocab, train_rows)
 # drops out through training.  The embedding stays frozen for two epochs
 # (watch the loss still fall), then the whole model moves together.
 
-checkpoint, history = train.run(config, data, None, vocab, {})
+checkpoint, history = train.run(config, data, None, {})
 print()
 print(train.format_history(history))
 print(f"best epoch {checkpoint.epoch} at val micro-F1 "

@@ -126,14 +126,8 @@ def _avg_utterance_tokens(rows: list[list[str]]) -> float:
 
 
 def _read_splits(args):
-    """The splits of ``--train`` and ``--val``, the training split's token
-    rows (:func:`train.split_rows`), made once, and the vocabulary built
-    from them."""
-    train_split = load_dataset(args.train, "train")
-    val_split = load_dataset(args.val, "val")
-    train_rows = list(tr.split_rows(train_split))
-    vocab = build_vocab(map(TokenSequence, train_rows))
-    return train_split, val_split, train_rows, vocab
+    """The splits of ``--train`` and ``--val``."""
+    return load_dataset(args.train, "train"), load_dataset(args.val, "val")
 
 
 def _load_store(path: str, dim: int, splits):
@@ -156,9 +150,11 @@ def _read_vectors(args, config: TrainConfig, vocab, splits):
 
 
 def cmd_preprocess(args) -> int:
-    train_split, val_split, train_rows, vocab = _read_splits(args)
-    splits = [train_split, val_split] + ([load_dataset(args.test, "test")] if args.test else [])
-    rows_by_split = [train_rows] + [list(tr.split_rows(split)) for split in splits[1:]]
+    # rows over the length filter count in the tokens per turn, so the
+    # report keeps its own rows rather than a run's encoding
+    splits = [*_read_splits(args)] + ([load_dataset(args.test, "test")] if args.test else [])
+    rows_by_split = [list(tr.split_rows(split)) for split in splits]
+    vocab = build_vocab(map(TokenSequence, rows_by_split[0]))
     lines = ["split\ttotal\t" + "\t".join(LABELS) +
              "\tavg_tokens_per_utterance\tencoded"]
     for split, rows in zip(splits, rows_by_split):
@@ -200,11 +196,11 @@ def cmd_finetune(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_base_config(args)
-    train_split, val_split, train_rows, vocab = _read_splits(args)
-    config, store, pretrained = _read_vectors(args, config, vocab, (train_split, val_split))
-    data = tr.RunData.encode(train_split, val_split, vocab, train_rows)
-    del train_split, val_split  # only the ids stay through training
-    ckpt, history = tr.run(config, data, store, vocab, pretrained, select=args.select)
+    splits = _read_splits(args)
+    data = tr.RunData.encode(*splits)
+    config, store, pretrained = _read_vectors(args, config, data.vocab, splits)
+    del splits  # only the ids stay through training
+    ckpt, history = tr.run(config, data, store, pretrained, select=args.select)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "model.ckpt")
@@ -230,18 +226,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_base_config(args)
-    train_split, val_split, train_rows, vocab = _read_splits(args)
-    config, store, pretrained = _read_vectors(args, config, vocab, (train_split, val_split))
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ValueError(f"cannot parse --values {args.values!r} / --seeds "
                          f"{args.seeds!r} as numbers") from None
-    spec = sw.SweepSpec(args.axis, values, seeds)
-    _, aggregates = sw.run_sweep(spec, config, train_split, val_split, store,
-                                 vocab, train_rows, runs_dir=args.runs_dir,
-                                 pretrained=pretrained)
+    spec = sw.SweepSpec(args.axis, values, seeds)  # checked before any file is read
+    train_split, val_split = _read_splits(args)
+    data = tr.RunData.encode(train_split, val_split)
+    config, store, pretrained = _read_vectors(args, config, data.vocab, (train_split, val_split))
+    _, aggregates = sw.run_sweep(spec, config, train_split, val_split, data, store,
+                                 runs_dir=args.runs_dir, pretrained=pretrained)
     _emit(args, sw.format_sweep_report(aggregates))
     return 0
 

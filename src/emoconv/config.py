@@ -7,8 +7,10 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Checked when made: each field of its type, a float field finite and
+    every value in its range; a ValueError names the first field at fault."""
     lr: float = 0.0005
     batch_size: int = 64
     epochs: int = 6
@@ -27,7 +29,7 @@ class TrainConfig:
     # flag switches in a tanh for comparison runs
     projection_tanh: bool = False
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if not has_type(value, kind):
@@ -50,10 +52,9 @@ class TrainConfig:
         for name in ("anneal_after_epoch", "freeze_embedding_epochs", "seed", "sentence_dim"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        return self
 
     def replace(self, **kwargs) -> "TrainConfig":
-        return dataclasses.replace(self, **kwargs).validate()
+        return dataclasses.replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -61,13 +62,13 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, data) -> "TrainConfig":
         """The inverse of ``to_dict``; absent keys keep their defaults, and an
-        unknown key or a value that ``validate`` rejects is a ValueError."""
+        unknown key or a value that ``TrainConfig`` rejects is a ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a mapping, got {type(data).__name__}")
         unknown = sorted(set(data) - set(_FIELD_TYPES))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
-        return dataclasses.replace(cls(), **data).validate()
+        return cls(**data)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
@@ -97,7 +98,7 @@ def _parse_value(key: str, raw: str):
 
 def load_config(path) -> TrainConfig:
     """Read a key=value config file; unspecified keys keep their defaults, and
-    a line whose value ``TrainConfig.validate`` rejects names that line."""
+    a line whose value ``TrainConfig`` rejects names that line."""
     from .dataio import line_error, read_lines  # dataio imports this module
 
     config = TrainConfig()

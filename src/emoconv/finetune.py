@@ -17,10 +17,10 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .dataio import build_embedding_matrix, line_error, read_lines
+from .dataio import line_error, read_lines
 from .rcnn import Batch
 from .textprep import Vocabulary, token_rows
-from .train import LOG_FLOOR, RunState, iter_batches, run_epochs
+from .train import LOG_FLOOR, RunState, iter_batches, run_epochs, seeded_table
 
 log = logging.getLogger(__name__)
 
@@ -192,15 +192,12 @@ def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule
 
 def run(schedule: FinetuneSchedule, seed: int, encoded, vocab: Vocabulary,
         pretrained: dict[str, np.ndarray], dim: int, filters_per_size: int = FILTERS_PER_SIZE):
-    """The fine-tuning run, the one every entry makes: one generator seeded
-    with ``seed`` draws the ``dim``-wide table (:func:`dataio.build_embedding_matrix`),
-    then the CNN, which :func:`finetune_encoded` trains on ``encoded``; returns
-    (model, epoch losses).  ``pretrained`` is emptied once the table holds its rows."""
+    """The fine-tuning run, the one every entry makes: the generator and
+    ``dim``-wide table of :func:`train.seeded_table` at ``seed``, then the
+    CNN, which :func:`finetune_encoded` trains on ``encoded``; returns
+    (model, epoch losses)."""
     check_sizes(dim, filters_per_size)
-    rng = np.random.default_rng(seed)
-    emb, coverage = build_embedding_matrix(vocab, pretrained, dim, rng)
-    log.info("corpus vocabulary %d tokens, pretrained coverage %.1f%%", vocab.size, 100 * coverage)
-    pretrained.clear()
+    rng, emb = seeded_table(seed, vocab, pretrained, dim)
     model = build_finetune_model(emb, rng, filters_per_size)
     return model, finetune_encoded(model, encoded, schedule, rng)[1]
 

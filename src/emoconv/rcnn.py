@@ -73,7 +73,6 @@ def init_model(config: TrainConfig, emb: L.EmbeddingMatrix, rng) -> RcnnParams:
 
 
 def _check_embedding(config: TrainConfig, emb: L.EmbeddingMatrix) -> None:
-    config.validate()
     if emb.dim != config.embedding_dim:
         raise ValueError(f"embedding dim {emb.dim} does not match configured "
                          f"embedding_dim {config.embedding_dim}")

@@ -1,7 +1,7 @@
 """Single-axis hyperparameter sensitivity sweeps.
 
-Each (value, seed) pair is one full train+eval run; the splits are encoded
-once per sweep and shared by every run.  Run results are content-addressed
+Each (value, seed) pair is one full train+eval run; every run reads the one
+``train.RunData`` its caller encoded.  Run results are content-addressed
 by the SHA-256 of the effective config and of the run's inputs, so an
 interrupted sweep resumes without recomputing finished runs; aggregation
 reports the mean and sample standard deviation of validation micro-F1 per
@@ -24,7 +24,6 @@ from . import train as tr
 from .config import TrainConfig, has_type
 from .dataio import DatasetSplit, SentenceVectorStore, atomic_write, line_error, read_lines
 from .metrics import aggregate_seeds
-from .textprep import Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -89,33 +88,32 @@ def _axis_value(axis: str, value):
     return int(value)
 
 
-def run_one(base_config: TrainConfig, axis: str, value, seed: int, data: tr.RunData,
-            store: SentenceVectorStore | None, vocab: Vocabulary,
-            pretrained: dict | None = None) -> RunRecord:
-    """One sweep cell: :func:`train.run` at this value and seed, scored against
-    the uniform-prediction loss over the examples it trains on (length-filtered)."""
-    value = _axis_value(axis, value)
-    config = base_config.replace(**{axis: value, "seed": seed})
+def run_one(config: TrainConfig, axis: str, data: tr.RunData,
+            store: SentenceVectorStore | None, pretrained: dict | None = None) -> RunRecord:
+    """One sweep cell: the :func:`train.run` of the cell's ``config``, whose
+    ``axis`` value and seed the record keeps, scored against the
+    uniform-prediction loss over the examples it trains on (length-filtered)."""
     # the run empties the map it is given; the sweep's stays for the next cell
-    ckpt, history = tr.run(config, data, store, vocab, dict(pretrained or {}))
+    ckpt, history = tr.run(config, data, store, dict(pretrained or {}))
     final_loss = history[-1].train_loss
     baseline = tr.uniform_baseline_loss(data.weights, [ex.label for ex in data.train_ex])
-    return RunRecord(axis=axis, value=value, seed=seed, config_hash=config_hash(config),
-                     best_val_f1=ckpt.best_val_f1, final_train_loss=final_loss,
-                     baseline_loss=baseline, trained_effectively=final_loss < baseline)
+    return RunRecord(axis=axis, value=getattr(config, axis), seed=config.seed,
+                     config_hash=config_hash(config), best_val_f1=ckpt.best_val_f1,
+                     final_train_loss=final_loss, baseline_loss=baseline,
+                     trained_effectively=final_loss < baseline)
 
 
-def _inputs_digest(train_split: DatasetSplit, val_split: DatasetSplit, vocab: Vocabulary,
+def _inputs_digest(train_split: DatasetSplit, val_split: DatasetSplit, data: tr.RunData,
                    store: SentenceVectorStore | None, pretrained: dict | None) -> str:
     """SHA-256 over what the runs of a sweep read: both splits, the
-    vocabulary, the pretrained vectors and the splits' sentence vectors."""
+    vocabulary of ``data``, the pretrained vectors and the splits' sentence vectors."""
     convs = train_split.conversations + val_split.conversations
     words = sorted(pretrained or {})
     stored = [c.id for c in convs if store is not None and c.id in store.row]
     vectors = [pretrained[w] for w in words] + [store.get(i) for i in stored]
     h = hashlib.sha256(json.dumps([
         len(train_split), train_split.label_counts, val_split.label_counts,
-        [[c.id, c.turns, c.label] for c in convs], vocab.id_to_token, words, stored,
+        [[c.id, c.turns, c.label] for c in convs], data.vocab.id_to_token, words, stored,
         [np.size(v) for v in vectors]]).encode("utf-8"))
     for vec in vectors:
         h.update(np.ascontiguousarray(vec, dtype=np.float64).tobytes())
@@ -148,23 +146,20 @@ def load_record(path) -> RunRecord:
 
 
 def run_sweep(spec: SweepSpec, base_config: TrainConfig,
-              train_split: DatasetSplit, val_split: DatasetSplit,
-              store: SentenceVectorStore | None, vocab: Vocabulary,
-              train_rows: list[list[str]], runs_dir=None,
+              train_split: DatasetSplit, val_split: DatasetSplit, data: tr.RunData,
+              store: SentenceVectorStore | None, runs_dir=None,
               pretrained: dict | None = None):
-    """All |values| x |seeds| runs; returns (records, aggregate rows).
+    """All |values| x |seeds| runs on ``data``, the :meth:`train.RunData.encode`
+    of the two splits; returns (records, aggregate rows).
 
     With ``runs_dir`` set, each run's record is written there as JSON and
     any pre-existing record with a matching config and inputs is reused
-    instead of retrained.  The splits are encoded on the first run that
-    trains, so a fully cached sweep encodes nothing; ``train_rows`` are the
-    training split's token rows, made once (:func:`train.split_rows`), which
-    the encoding empties (see :meth:`train.RunData.encode`).
+    instead of retrained; the splits only key those records.  ``data`` is
+    read, never changed, so one value serves any number of sweeps.
     """
     if runs_dir is not None:
         os.makedirs(runs_dir, exist_ok=True)
-        inputs = _inputs_digest(train_split, val_split, vocab, store, pretrained)
-    data = None
+        inputs = _inputs_digest(train_split, val_split, data, store, pretrained)
     records: list[RunRecord] = []
     for value in spec.values:
         for seed in spec.seeds:
@@ -174,10 +169,7 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig,
                 rec = load_record(path)
                 log.info("sweep %s=%s seed %d: reusing %s", spec.axis, value, seed, path)
             else:
-                if data is None:
-                    data = tr.RunData.encode(train_split, val_split, vocab, train_rows)
-                rec = run_one(base_config, spec.axis, value, seed, data, store,
-                              vocab, pretrained)
+                rec = run_one(cfg, spec.axis, data, store, pretrained)
                 if path is not None:  # whole or not at all, even if killed
                     with atomic_write(path) as fh:
                         fh.write(rec.to_json() + "\n")

@@ -17,7 +17,8 @@ from . import tensor as T
 from .config import TrainConfig
 from .dataio import (LABEL_TO_INDEX, LABELS, Checkpoint, DatasetSplit,
                      SentenceVectorStore, atomic_write, build_embedding_matrix)
-from .textprep import MAX_TRAIN_TOKENS, SPECIALS, Vocabulary, token_rows
+from .textprep import (MAX_TRAIN_TOKENS, TokenSequence, Vocabulary, build_vocab,
+                       token_rows)
 
 log = logging.getLogger(__name__)
 
@@ -444,8 +445,8 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
     """Full training run over encoded examples, the one every entry uses;
     returns (checkpoint, per-epoch history).
 
-    ``select``, the config, and non-empty, fully labeled train and val
-    examples with their sentence vectors are checked before the first step.
+    ``select`` and non-empty, fully labeled train and val examples with
+    their sentence vectors are checked before the first step.
     Each :func:`run_epochs` epoch (forward -> weighted CE -> backward -> clip
     -> Adam at the annealed rate) is scored on validation micro-F1 into the
     run's :class:`RunState`; the checkpoint holds the best epoch (ties favor
@@ -453,7 +454,6 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
     """
     if select not in ("best", "last"):
         raise ValueError(f"select must be 'best' or 'last', got {select!r}")
-    config.validate()
     if not train_ex or not val_ex:
         raise ValueError("training and validation need at least one example "
                          "each (after the training length filter)")
@@ -492,37 +492,48 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
 
 @dataclass
 class RunData:
-    """What a classifier run trains on: both splits encoded and the class
-    weights of the raw splits."""
+    """What a classifier run reads: the training split's vocabulary, both
+    splits encoded with it and the class weights of the raw splits."""
+    vocab: Vocabulary
     train_ex: list[EncodedExample]
     val_ex: list[EncodedExample]
     weights: ClassWeights
 
     @classmethod
-    def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit,
-               vocab: Vocabulary, train_rows: list[list[str]]) -> "RunData":
-        """``train_rows``, the training split's token rows (:func:`split_rows`)
-        in a list, is emptied once encoded, so no token is kept through training."""
+    def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit) -> "RunData":
+        """The one step from two splits to a run's inputs.  The class weights
+        come first, so a missing class fails before any tokenizing; the
+        training split is tokenized once, its first-occurrence vocabulary
+        built from every row (those over ``MAX_TRAIN_TOKENS`` too), and both
+        splits are encoded with it.  Only the ids are kept."""
         weights = compute_class_weights(train_split.label_counts, val_split.label_counts)
-        train_ex = encode_split(train_split, vocab, train_rows)
-        train_rows.clear()
-        return cls(train_ex, encode_split(val_split, vocab), weights)
+        rows = list(split_rows(train_split))
+        vocab = build_vocab(map(TokenSequence, rows))
+        train_ex = encode_split(train_split, vocab, rows)
+        del rows  # gone before the val split is tokenized
+        return cls(vocab, train_ex, encode_split(val_split, vocab), weights)
+
+
+def seeded_table(seed: int, vocab: Vocabulary, pretrained: dict[str, np.ndarray], dim: int):
+    """The start of both run entries: a generator seeded with ``seed`` and the
+    ``dim``-wide embedding table it draws over ``vocab``
+    (:func:`dataio.build_embedding_matrix`); returns (generator, table).
+    ``pretrained`` is emptied once the table holds its rows, so none of its
+    vectors is kept through training; a caller that reuses it passes a copy."""
+    rng = np.random.default_rng(seed)
+    emb, coverage = build_embedding_matrix(vocab, pretrained, dim, rng)
+    log.info("vocabulary %d tokens, pretrained coverage %.1f%%", vocab.size, 100 * coverage)
+    pretrained.clear()
+    return rng, emb
 
 
 def run(config: TrainConfig, data: RunData, sentence_store: SentenceVectorStore | None,
-        vocab: Vocabulary, pretrained: dict[str, np.ndarray], select: str = "best"):
-    """The classifier run of ``config``, the one every entry makes: one
-    generator seeded with ``config.seed`` draws the embedding table (see
-    :func:`dataio.build_embedding_matrix`), then the model, which
-    :func:`train_encoded` trains on ``data``; returns (checkpoint, history).
-    ``pretrained`` is emptied once the table holds its rows, so none of its
-    vectors is kept through training; a caller that reuses it passes a copy."""
-    rng = np.random.default_rng(config.seed)
-    emb, coverage = build_embedding_matrix(vocab, pretrained, config.embedding_dim, rng)
-    if pretrained:
-        log.info("pretrained coverage %.1f%% of %d tokens", 100 * coverage,
-                 vocab.size - len(SPECIALS))
-    pretrained.clear()
+        pretrained: dict[str, np.ndarray], select: str = "best"):
+    """The classifier run of ``config``, the one every entry makes: the
+    generator and table of :func:`seeded_table` at ``config.seed``, then the
+    model, which :func:`train_encoded` trains on ``data``; returns
+    (checkpoint, history)."""
+    rng, emb = seeded_table(config.seed, data.vocab, pretrained, config.embedding_dim)
     params = rcnn.init_model(config, emb, rng)
     return train_encoded(params, data.train_ex, data.val_ex, sentence_store, config, rng,
-                         weights=data.weights, vocab=vocab, select=select)
+                         weights=data.weights, vocab=data.vocab, select=select)

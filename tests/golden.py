@@ -155,11 +155,13 @@ def _preprocess(inputs: Path, out: Path) -> dict[str, str]:
                    "--val", paths["val"], "--test", paths["test"]])
     if rc != 0:
         raise RuntimeError(f"emoconv preprocess on {inputs} exited with {rc}")
-    train_split, val_split, train_rows, vocab = cli._read_splits(argparse.Namespace(**paths))
+    train_split, val_split = cli._read_splits(argparse.Namespace(**paths))
+    data = tr.RunData.encode(train_split, val_split)
     test_split = dataio.load_dataset(paths["test"], "test")
-    digests = {"vocab.txt": _sha("".join(t + "\n" for t in vocab.id_to_token).encode("utf-8"))}
-    for split, rows in ((train_split, train_rows), (val_split, None), (test_split, None)):
-        encoded = tr.encode_split(split, vocab, rows)
+    vocab_text = "".join(t + "\n" for t in data.vocab.id_to_token)
+    digests = {"vocab.txt": _sha(vocab_text.encode("utf-8"))}
+    for split, encoded in ((train_split, data.train_ex), (val_split, data.val_ex),
+                           (test_split, tr.encode_split(test_split, data.vocab))):
         digests[f"{split.name}.ids.tsv"] = _sha(_encoded_tsv(split, encoded))
     digests["stats.tsv"] = _sha(report.read_bytes())
     return digests

@@ -406,15 +406,14 @@ def test_criterion_10_sweep_harness(tmp_path):
     def body():
         train_split = toycorpus.make_split("train", 12, seed=1)
         val_split = toycorpus.make_split("val", 8, seed=2)
-        vocab = toycorpus.vocab_for(train_split, val_split)
         base = TrainConfig(batch_size=4, epochs=2, hidden_size=4, num_layers=1,
                            sentence_dim=0, embedding_dim=6, dropout_bilstm=0.0,
                            dropout_linear=0.0, freeze_embedding_epochs=1,
                            anneal_after_epoch=99)
         spec = sw.SweepSpec("lr", [1e-4, 5e-4], seeds=(0, 1, 2))
         records, aggregates = sw.run_sweep(spec, base, train_split, val_split,
-                                           None, vocab, list(tr.split_rows(train_split)),
-                                           runs_dir=tmp_path)
+                                           tr.RunData.encode(train_split, val_split),
+                                           None, runs_dir=tmp_path)
         assert len(records) == 6 and len(aggregates) == 2
         assert len(list(tmp_path.glob("run_*.json"))) == 6
         assert sum(row["runs"] for row in aggregates) == 6

@@ -232,12 +232,9 @@ def test_preprocess_converts_sentence_vectors_that_train_and_evaluate_read_alike
 
     config = load_config(world / "config.txt")
     store = dataio.load_sentence_vectors(world / "sv.tsv", config.sentence_dim)
-    train_split = dataio.load_dataset(world / "train.txt", "train")
-    val_split = dataio.load_dataset(world / "val.txt", "val")
-    rows = list(tr.split_rows(train_split))
-    vocab = textprep.build_vocab(map(textprep.TokenSequence, rows))
-    ckpt, _ = tr.run(config, tr.RunData.encode(train_split, val_split, vocab, rows),
-                     store, vocab, {})
+    data = tr.RunData.encode(dataio.load_dataset(world / "train.txt", "train"),
+                             dataio.load_dataset(world / "val.txt", "val"))
+    ckpt, _ = tr.run(config, data, store, {})
     dataio.save_checkpoint(ckpt, world / "direct.ckpt")
     assert (world / "bin" / "model.ckpt").read_bytes() == (world / "direct.ckpt").read_bytes()
     params = rcnn.restore(ckpt.config, ckpt.params)
@@ -491,6 +488,11 @@ def test_errors_exit_nonzero(world, capsys):
                    "--val", str(world / "val.txt"), "--sentence-vectors", "none"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    # a sweep's values are checked before any file is read
+    rc = cli.main(["sweep", "--train", str(world / "nowhere.txt"), "--val", str(world / "val.txt"),
+                   "--axis", "lr", "--values", "0.1,x", "--sentence-vectors", "none"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot parse --values '0.1,x'")
     with pytest.raises(SystemExit):
         cli.main(["not-a-command"])
 

@@ -649,7 +649,7 @@ def test_config_file_names_the_line_of_a_value_out_of_range(tmp_path):
 
 def test_a_negative_seed_names_its_field_and_its_line(tmp_path):
     with pytest.raises(ValueError) as err:
-        TrainConfig(seed=-1).validate()
+        TrainConfig(seed=-1)
     assert str(err.value) == "seed must be >= 0, got -1"
     p = _write(tmp_path / "c.cfg", "lr = 0.1\nseed = -1\n")
     with pytest.raises(ValueError) as err:
@@ -675,14 +675,14 @@ def test_validate_names_a_field_of_the_wrong_type(field, value, kind):
     int field takes an int (a numpy integer is none), a float field an int or
     a float, and a bool only a bool field."""
     with pytest.raises(ValueError) as err:
-        TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: value})
     assert str(err.value) == f"{field} must be of type {kind}, got {value!r}"
     with pytest.raises(ValueError, match=f"{field} must be of type {kind}"):
         TrainConfig().replace(**{field: value})
 
 
 def test_a_float_field_takes_an_int():
-    assert TrainConfig(lr=1, clip_norm=5).validate().lr == 1
+    assert TrainConfig(lr=1, clip_norm=5).lr == 1
     assert TrainConfig.from_dict({"lr": 1}).lr == 1
 
 
@@ -692,6 +692,8 @@ def test_config_replace_validates():
     cfg = TrainConfig().replace(num_layers=1, hidden_size=4)
     assert cfg.num_layers == 1
     assert dataclasses.asdict(cfg) == cfg.to_dict()
+    with pytest.raises(dataclasses.FrozenInstanceError):  # checked once, so never changed
+        cfg.lr = -1.0
 
 
 class _Boom(Exception):

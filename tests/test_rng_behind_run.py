@@ -1,11 +1,12 @@
-"""A generator in ``src/emoconv`` is seeded in ``train.run`` or ``finetune.run``.
+"""A generator in ``src/emoconv`` is seeded in ``train.seeded_table`` alone.
 
 A seed reproduces a run only while the table, the model and every draw of
-training come from the one generator its run entry seeds, in one order.  A
-second place that seeds a generator is a second, hand-made run set-up, so
-no function but those two may call ``default_rng`` (or make numpy's other
-generators and seed sequences, or import one of their makers by name).
-The files are parsed, not imported.
+training come from the one generator its run entry seeds, in one order.
+Both run entries (``train.run``, ``finetune.run``) start from
+``seeded_table``; a second place that seeds a generator is a second,
+hand-made run set-up, so no other function may call ``default_rng`` (or
+make numpy's other generators and seed sequences, or import one of their
+makers by name).  The files are parsed, not imported.
 """
 
 import ast
@@ -34,11 +35,11 @@ def _seedings(source: str) -> list[str]:
     return found
 
 
-def test_only_the_two_run_entries_seed_a_generator():
+def test_only_the_seeded_start_of_both_run_entries_seeds_a_generator():
     found = [f"{path.name}: {f}" for path in sorted(PACKAGE.glob("*.py"))
              for f in _seedings(path.read_text(encoding="utf-8"))]
-    assert [f.split(" line ")[0] for f in found] == ["finetune.py: run", "train.py: run"], (
-        "a generator seeded outside train.run and finetune.run; draw from the "
+    assert [f.split(" line ")[0] for f in found] == ["train.py: seeded_table"], (
+        "a generator seeded outside train.seeded_table; draw from the "
         f"generator of the run entry instead: {found}")
 
 

@@ -33,10 +33,8 @@ run_epochs = tr.run_epochs
 def _classifier():
     train_split = toycorpus.make_split("train", 16, seed=13)
     val_split = toycorpus.make_split("val", 8, seed=14)
-    vocab = toycorpus.vocab_for(train_split, val_split)
     store = toycorpus.store_for([train_split, val_split], CLASSIFIER.sentence_dim, seed=15)
-    data = tr.RunData.encode(train_split, val_split, vocab, list(tr.split_rows(train_split)))
-    return tr.run(CLASSIFIER, data, store, vocab, {})
+    return tr.run(CLASSIFIER, tr.RunData.encode(train_split, val_split), store, {})
 
 
 def _cnn():

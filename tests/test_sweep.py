@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import re
 
@@ -11,6 +12,7 @@ from emoconv import sweep as sw
 from emoconv import train as tr
 from emoconv.config import TrainConfig
 from emoconv.dataio import LABEL_TO_INDEX, Conversation, build_embedding_matrix
+from emoconv.textprep import Vocabulary
 
 FAST = TrainConfig(lr=0.02, batch_size=4, epochs=2, hidden_size=4, num_layers=1,
                    sentence_dim=0, embedding_dim=6, dropout_bilstm=0.0,
@@ -19,15 +21,10 @@ FAST = TrainConfig(lr=0.02, batch_size=4, epochs=2, hidden_size=4, num_layers=1,
 
 
 def _toy_data():
+    """Two toy splits and the ``train.RunData`` a sweep over them reads."""
     train_split = toycorpus.make_split("train", 12, seed=100)
     val_split = toycorpus.make_split("val", 8, seed=101)
-    vocab = toycorpus.vocab_for(train_split, val_split)
-    return train_split, val_split, vocab
-
-
-def list_rows(split):
-    """The split's token rows in a list, as ``run_sweep`` takes them."""
-    return list(tr.split_rows(split))
+    return train_split, val_split, tr.RunData.encode(train_split, val_split)
 
 
 def test_sweep_spec_validation():
@@ -88,10 +85,9 @@ def test_config_hash_distinguishes_runs():
 
 
 def test_sweep_shape_and_flag_consistency(tmp_path):
-    train_split, val_split, vocab = _toy_data()
+    train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("lr", [1e-7, 0.02], seeds=[0, 1, 2])
-    records, aggregates = sw.run_sweep(spec, FAST, train_split, val_split, None,
-                                       vocab, list_rows(train_split),
+    records, aggregates = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
                                        runs_dir=tmp_path / "runs")
     assert len(records) == 6 and len(aggregates) == 2
     for rec in records:
@@ -110,50 +106,58 @@ def test_sweep_shape_and_flag_consistency(tmp_path):
 
 
 def test_sweep_resumes_from_run_records(tmp_path):
-    train_split, val_split, vocab = _toy_data()
+    train_split, val_split, data = _toy_data()
     runs_dir = tmp_path / "runs"
     spec = sw.SweepSpec("hidden_size", [4], seeds=[0, 1])
-    records1, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                               list_rows(train_split), runs_dir=runs_dir)
+    records1, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
+                               runs_dir=runs_dir)
     files = sorted(runs_dir.glob("run_*.json"))
     assert len(files) == 2
 
     # tamper with one stored record; a resumed sweep must trust the file
-    data = json.loads(files[0].read_text())
-    data["best_val_f1"] = 0.123456
-    files[0].write_text(json.dumps(data, sort_keys=True) + "\n")
-    records2, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                               list_rows(train_split), runs_dir=runs_dir)
+    fields = json.loads(files[0].read_text())
+    fields["best_val_f1"] = 0.123456
+    files[0].write_text(json.dumps(fields, sort_keys=True) + "\n")
+    records2, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
+                               runs_dir=runs_dir)
     assert 0.123456 in [r.best_val_f1 for r in records2]
     untouched = json.loads(files[1].read_text())
     assert untouched["best_val_f1"] in [r.best_val_f1 for r in records2]
 
 
 def test_sweep_runs_are_deterministic():
-    train_split, val_split, vocab = _toy_data()
-    data = tr.RunData.encode(train_split, val_split, vocab, list_rows(train_split))
-    rec1 = sw.run_one(FAST, "lr", 0.02, 7, data, None, vocab)
-    rec2 = sw.run_one(FAST, "lr", 0.02, 7, data, None, vocab)
-    assert rec1 == rec2
+    _, _, data = _toy_data()
+    config = FAST.replace(lr=0.02, seed=7)
+    rec1 = sw.run_one(config, "lr", data, None)
+    rec2 = sw.run_one(config, "lr", data, None)
+    assert rec1 == rec2 and (rec1.value, rec1.seed) == (0.02, 7)
 
 
-def test_axis_values_are_coerced():
-    train_split, val_split, vocab = _toy_data()
-    data = tr.RunData.encode(train_split, val_split, vocab, list_rows(train_split))
-    rec = sw.run_one(FAST, "batch_size", 6.0, 3, data, None, vocab)
-    assert rec.value == 6 and isinstance(rec.value, int)
+def test_axis_values_are_coerced(tmp_path):
+    """The spec converts a value to its axis's type; the cell's config and
+    record, and the record file read back, hold the converted value."""
+    train_split, val_split, data = _toy_data()
+    spec = sw.SweepSpec("batch_size", [6.0], seeds=[3.0])
+    records, aggregates = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
+                                       runs_dir=tmp_path)
+    (rec,) = records
+    assert rec.value == 6 and isinstance(rec.value, int) and aggregates[0]["value"] == 6
+    assert rec.config_hash == sw.config_hash(FAST.replace(batch_size=6, seed=3))
+    (path,) = tmp_path.glob("run_*.json")
+    loaded = sw.load_record(path)
+    assert loaded == rec and isinstance(loaded.value, int)
 
 
 def test_baseline_loss_is_over_the_examples_the_runs_train_on():
-    train_split, val_split, vocab = _toy_data()
+    train_split, val_split, _ = _toy_data()
     long_turn = " ".join(["so"] * 79)
     assert len(textprep.assemble_input((long_turn, "yay", "um")).tokens) == 83
     train_split.conversations.append(Conversation("long", (long_turn, "yay", "um"), "happy"))
     train_split.label_counts["happy"] += 1
-    data = tr.RunData.encode(train_split, val_split, vocab, list_rows(train_split))
+    data = tr.RunData.encode(train_split, val_split)
     kept = [ex.label for ex in data.train_ex]
     assert len(kept) == 12  # the 83-token conversation is filtered out
-    rec = sw.run_one(FAST, "lr", 0.02, 0, data, None, vocab)
+    rec = sw.run_one(FAST.replace(lr=0.02), "lr", data, None)
     assert rec.baseline_loss == tr.uniform_baseline_loss(data.weights, kept)
     every = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
     assert rec.baseline_loss != tr.uniform_baseline_loss(data.weights, every)
@@ -162,50 +166,38 @@ def test_baseline_loss_is_over_the_examples_the_runs_train_on():
 def test_a_final_loss_at_the_baseline_did_not_train_effectively(monkeypatch):
     """The flag asks for a final training loss strictly under the uniform
     baseline: a run that ends exactly at it is flagged, one a step under is not."""
-    train_split, val_split, vocab = _toy_data()
-    data = tr.RunData.encode(train_split, val_split, vocab, list_rows(train_split))
+    _, _, data = _toy_data()
     baseline = tr.uniform_baseline_loss(data.weights, [ex.label for ex in data.train_ex])
     for final_loss, effective in ((baseline, False), (float(np.nextafter(baseline, 0.0)), True)):
         history = [tr.HistoryRow(1, 0.02, 2 * baseline, 0.5, 0.0),
                    tr.HistoryRow(2, 0.02, final_loss, 0.5, 0.0)]
-        monkeypatch.setattr(tr, "run", lambda *args: (tr.Checkpoint(vocab, {}, FAST, 2, 0.5),
-                                                      history))
-        rec = sw.run_one(FAST, "lr", 0.02, 0, data, None, vocab)
+        ckpt = tr.Checkpoint(data.vocab, {}, FAST, 2, 0.5)
+        monkeypatch.setattr(tr, "run", lambda *args: (ckpt, history))
+        rec = sw.run_one(FAST.replace(lr=0.02), "lr", data, None)
         assert (rec.final_train_loss, rec.baseline_loss) == (final_loss, baseline)
         assert rec.trained_effectively is effective
 
 
-def test_sweep_encodes_once_and_matches_per_run_training(tmp_path, monkeypatch):
-    train_split, val_split, vocab = _toy_data()
-    calls = []
-    encode_split = tr.encode_split
-    monkeypatch.setattr(tr, "encode_split",
-                        lambda *a: calls.append(a[0].name) or encode_split(*a))
+def test_a_sweep_encodes_nothing_and_matches_per_run_training(tmp_path, monkeypatch):
+    train_split, val_split, data = _toy_data()
+    texts, splits = toycorpus.count_encoding(monkeypatch)
     spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
-    rows = list_rows(train_split)
-    records, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                              rows, runs_dir=tmp_path / "runs")
-    assert calls == ["train", "val"]
-    assert rows == []  # the tokens do not outlive the encoding
-
-    # a resumed sweep whose records are all cached encodes nothing
-    calls.clear()
-    rows = list_rows(train_split)
-    again, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                            rows, runs_dir=tmp_path / "runs")
-    assert calls == [] and again == records
-    assert len(rows) == len(train_split.conversations)
+    records, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
+                              runs_dir=tmp_path / "runs")
+    # whether its runs train or are all cached, a sweep reads the encoding it is given
+    again, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
+                            runs_dir=tmp_path / "runs")
+    assert (texts, splits) == ([], []) and again == records
 
     # each record equals one built run by run from the raw splits
-    weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
     baseline = tr.uniform_baseline_loss(
-        weights, [LABEL_TO_INDEX[c.label] for c in train_split.conversations])
+        data.weights, [LABEL_TO_INDEX[c.label] for c in train_split.conversations])
     for rec in records:
         config = FAST.replace(lr=rec.value, seed=rec.seed)
         rng = np.random.default_rng(rec.seed)
-        emb, _ = build_embedding_matrix(vocab, {}, config.embedding_dim, rng)
+        emb, _ = build_embedding_matrix(data.vocab, {}, config.embedding_dim, rng)
         ckpt, history = toycorpus.train_splits(rcnn.init_model(config, emb, rng), train_split,
-                                               val_split, None, config, rng, vocab=vocab)
+                                               val_split, None, config, rng, vocab=data.vocab)
         assert rec == sw.RunRecord(
             axis="lr", value=rec.value, seed=rec.seed,
             config_hash=sw.config_hash(config), best_val_f1=ckpt.best_val_f1,
@@ -213,46 +205,63 @@ def test_sweep_encodes_once_and_matches_per_run_training(tmp_path, monkeypatch):
             trained_effectively=history[-1].train_loss < baseline)
 
 
+def test_a_second_sweep_over_one_encoding_trains_only_its_new_cells(tmp_path, monkeypatch):
+    """``run_sweep`` leaves its ``RunData`` as it was: a second sweep over it,
+    with one value more, trains only that value's cells, and its records are
+    those of a sweep made afresh."""
+    train_split, val_split, data = _toy_data()
+    sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0, 1]), FAST, train_split, val_split,
+                 data, None, runs_dir=tmp_path / "runs")
+    trained, run = [], tr.run
+    monkeypatch.setattr(tr, "run", lambda config, *a: trained.append(config) or run(config, *a))
+    spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
+    records, aggregates = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
+                                       runs_dir=tmp_path / "runs")
+    assert [(c.lr, c.seed) for c in trained] == [(0.001, 0), (0.001, 1)]
+    assert len(list((tmp_path / "runs").glob("run_*.json"))) == 4
+    fresh = sw.run_sweep(spec, FAST, *_toy_data(), None, runs_dir=tmp_path / "fresh")
+    assert (records, aggregates) == fresh
+
+
 def test_a_sweep_on_other_training_data_retrains_in_the_same_runs_dir(tmp_path):
-    train_split, val_split, vocab = _toy_data()
+    train_split, val_split, data = _toy_data()
     other_train = toycorpus.make_split("train", 12, seed=200)
-    other_vocab = toycorpus.vocab_for(other_train, val_split)
+    other = tr.RunData.encode(other_train, val_split)
     spec = sw.SweepSpec("lr", [0.02], seeds=[0, 1])
-    first, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                            list_rows(train_split), runs_dir=tmp_path)
-    second, aggregates = sw.run_sweep(spec, FAST, other_train, val_split, None,
-                                      other_vocab, list_rows(other_train),
+    first, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None, runs_dir=tmp_path)
+    second, aggregates = sw.run_sweep(spec, FAST, other_train, val_split, other, None,
                                       runs_dir=tmp_path)
-    alone, want = sw.run_sweep(spec, FAST, other_train, val_split, None, other_vocab,
-                               list_rows(other_train))
+    alone, want = sw.run_sweep(spec, FAST, other_train, val_split, other, None)
     assert second == alone and aggregates == want
     assert [r.final_train_loss for r in second] != [r.final_train_loss for r in first]
     assert len(list(tmp_path.glob("run_*.json"))) == 4
 
 
 def test_sweep_inputs_digest_covers_what_a_run_reads():
-    train_split, val_split, vocab = _toy_data()
+    train_split, val_split, data = _toy_data()
     store = toycorpus.store_for([train_split, val_split], 3, seed=5)
     pretrained = {"happy": np.ones(6)}
-    base = sw._inputs_digest(train_split, val_split, vocab, store, pretrained)
-    assert base == sw._inputs_digest(train_split, val_split, vocab, store,
+    base = sw._inputs_digest(train_split, val_split, data, store, pretrained)
+    assert base == sw._inputs_digest(train_split, val_split, data, store,
                                      {"happy": np.ones(6)})
     relabeled = copy.deepcopy(val_split)
     relabeled.conversations[0].label = "others"
     moved = copy.deepcopy(store)
     moved.matrix[moved.row[train_split.conversations[0].id]] = 0.0
+    other_vocab = dataclasses.replace(data, vocab=Vocabulary(data.vocab.id_to_token + ["x"]))
     changed = [
-        sw._inputs_digest(train_split, relabeled, vocab, store, pretrained),
-        sw._inputs_digest(train_split, val_split, vocab, moved, pretrained),
-        sw._inputs_digest(train_split, val_split, vocab, None, pretrained),
-        sw._inputs_digest(train_split, val_split, vocab, store, {"happy": np.zeros(6)}),
-        sw._inputs_digest(train_split, val_split, vocab, store, None),
+        sw._inputs_digest(train_split, relabeled, data, store, pretrained),
+        sw._inputs_digest(train_split, val_split, data, moved, pretrained),
+        sw._inputs_digest(train_split, val_split, data, None, pretrained),
+        sw._inputs_digest(train_split, val_split, data, store, {"happy": np.zeros(6)}),
+        sw._inputs_digest(train_split, val_split, data, store, None),
+        sw._inputs_digest(train_split, val_split, other_vocab, store, pretrained),
     ]
     assert len({base, *changed}) == 1 + len(changed)
 
 
 def test_a_record_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
-    train_split, val_split, vocab = _toy_data()
+    train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("lr", [0.02], seeds=[0])
 
     def fail(self):
@@ -260,16 +269,15 @@ def test_a_record_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sw.RunRecord, "to_json", fail)
     with pytest.raises(RuntimeError):
-        sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                     list_rows(train_split), runs_dir=tmp_path)
+        sw.run_sweep(spec, FAST, train_split, val_split, data, None, runs_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []  # neither a record nor a temporary file
 
 
 def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path):
-    train_split, val_split, vocab = _toy_data()
+    train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("lr", [0.02], seeds=[0])
-    records, _ = sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                              list_rows(train_split), runs_dir=tmp_path)
+    records, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
+                              runs_dir=tmp_path)
     (path,) = tmp_path.iterdir()  # no temporary file is left beside the record
     whole = path.read_bytes()
     assert sw.load_record(path) == records[0]
@@ -294,5 +302,4 @@ def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path):
             sw.load_record(path)
     # the sweep reports such a record rather than retraining over it
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        sw.run_sweep(spec, FAST, train_split, val_split, None, vocab,
-                     list_rows(train_split), runs_dir=tmp_path)
+        sw.run_sweep(spec, FAST, train_split, val_split, data, None, runs_dir=tmp_path)

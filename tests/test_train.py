@@ -10,7 +10,8 @@ from emoconv import rcnn
 from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.config import TrainConfig
-from emoconv.dataio import LABELS, save_checkpoint
+from emoconv.dataio import LABELS, Conversation, save_checkpoint
+from emoconv.textprep import TokenSequence, build_vocab
 
 PUBLISHED_TRAIN = {"happy": 4243, "sad": 5463, "angry": 5506, "others": 14948}
 PUBLISHED_VAL = {"happy": 142, "sad": 125, "angry": 150, "others": 2338}
@@ -206,6 +207,45 @@ def test_encode_split_filters_only_train():
         encoded = tr.encode_split(split, vocab)
         assert len(encoded) == 8
         assert [ex.n for ex in encoded[:3]] == [75, 76, 500]
+
+
+def test_run_data_is_the_vocabulary_encodings_and_weights_of_its_splits(monkeypatch):
+    """``RunData.encode`` tokenizes each text once and encodes each split
+    once.  Its vocabulary is ``build_vocab`` over every training row, so an
+    83-token conversation's words are in it, while its training examples
+    leave that conversation out, as ``encode_split`` does."""
+    train_split = toycorpus.make_split("train", 12, seed=100)
+    val_split = toycorpus.make_split("val", 8, seed=101)
+    long_turns = (" ".join(["longword"] * 79), "zebra", "um")  # 83 tokens with two EOS
+    train_split.conversations.append(Conversation("long", long_turns, "happy"))
+    train_split.label_counts["happy"] += 1
+    vocab = build_vocab(map(TokenSequence, tr.split_rows(train_split)))
+    want = {split.name: [(ex.id, ex.ids.tolist(), ex.label)
+                         for ex in tr.encode_split(split, vocab)]
+            for split in (train_split, val_split)}
+    assert "long" not in [row[0] for row in want["train"]] and len(want["train"]) == 12
+
+    texts, splits = toycorpus.count_encoding(monkeypatch)
+    data = tr.RunData.encode(train_split, val_split)
+    assert texts == [t for split in (train_split, val_split)
+                     for c in split.conversations for t in c.turns]
+    assert splits == ["train", "val"]
+    assert data.vocab.id_to_token == vocab.id_to_token
+    assert {"longword", "zebra"} <= set(data.vocab.token_to_id)
+    for name, examples in (("train", data.train_ex), ("val", data.val_ex)):
+        assert [(ex.id, ex.ids.tolist(), ex.label) for ex in examples] == want[name]
+    npt.assert_array_equal(data.weights.weights, tr.compute_class_weights(
+        train_split.label_counts, val_split.label_counts).weights)
+
+
+def test_run_data_checks_the_class_counts_before_tokenizing(monkeypatch):
+    train_split = toycorpus.make_split("train", 12, seed=100)
+    val_split = toycorpus.make_split("val", 8, seed=101)
+    del val_split.label_counts["angry"]
+    texts, splits = toycorpus.count_encoding(monkeypatch)
+    with pytest.raises(ValueError, match="missing counts for classes"):
+        tr.RunData.encode(train_split, val_split)
+    assert (texts, splits) == ([], [])
 
 
 def test_make_batch_packs_rows_of_any_length():

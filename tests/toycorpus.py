@@ -7,6 +7,7 @@ small pool.
 
 import numpy as np
 
+from emoconv import textprep
 from emoconv import train as tr
 from emoconv.dataio import (LABELS, Conversation, DatasetSplit,
                             SentenceVectorStore)
@@ -86,8 +87,21 @@ def write_split(split, path, labeled=True):
 
 def train_splits(params, train_split, val_split, store, config, rng, *, vocab, **kwargs):
     """``train.train_encoded`` of a model the test drew, on two raw splits
-    encoded as ``train.run`` takes them (``train.RunData``); the keyword
-    arguments (``select``, ``epoch_hook``) pass through."""
-    data = tr.RunData.encode(train_split, val_split, vocab, list(tr.split_rows(train_split)))
-    return tr.train_encoded(params, data.train_ex, data.val_ex, store, config, rng,
-                            weights=data.weights, vocab=vocab, **kwargs)
+    encoded with the test's ``vocab`` (``train.encode_split``) and weighted
+    as ``train.RunData`` weighs them; the keyword arguments (``select``,
+    ``epoch_hook``) pass through."""
+    weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
+    return tr.train_encoded(params, tr.encode_split(train_split, vocab),
+                            tr.encode_split(val_split, vocab), store, config, rng,
+                            weights=weights, vocab=vocab, **kwargs)
+
+
+def count_encoding(monkeypatch):
+    """Two lists that fill from here on: the texts tokenized (``textprep._tokens``,
+    in order) and the name of each split encoded (``train.encode_split``)."""
+    texts, splits = [], []
+    tokens, encode_split = textprep._tokens, tr.encode_split
+    monkeypatch.setattr(textprep, "_tokens", lambda chunk: texts.extend(chunk) or tokens(chunk))
+    monkeypatch.setattr(tr, "encode_split",
+                        lambda split, *a: splits.append(split.name) or encode_split(split, *a))
+    return texts, splits
