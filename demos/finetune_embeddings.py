@@ -39,9 +39,8 @@ before = dict(pretrained)
 # -- 2. fine-tune ---------------------------------------------------------------
 
 schedule = FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=5, lr=0.02,
-                            batch_size=16)
-model, losses = finetune.run(schedule, 4, train_part, vocab, pretrained, dim=8,
-                             filters_per_size=8)
+                            batch_size=16, dim=8, filters_per_size=8)
+model, losses = finetune.run(schedule, 4, train_part, vocab, pretrained)
 for epoch, loss in enumerate(losses, start=1):
     tag = "frozen" if epoch <= schedule.frozen_epochs else "unfrozen"
     print(f"epoch {epoch} ({tag:8s}) loss {loss:.4f}")

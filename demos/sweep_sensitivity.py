@@ -1,8 +1,9 @@
 """Measure how sensitive the classifier is to one hyperparameter at a time.
 
 Each (value, seed) pair trains a fresh model; records land in a directory
-keyed by a hash of the exact configuration, so re-running the script reuses
-finished work instead of repeating it.
+keyed by hashes of the exact configuration and of the encoded inputs the
+runs read, so re-running the script reuses finished work instead of
+repeating it.
 """
 
 import tempfile
@@ -35,9 +36,8 @@ def make_split(name, n, seed):
     return DatasetSplit(name, conversations, counts)
 
 
-train_split = make_split("train", 24, seed=1)
-val_split = make_split("val", 12, seed=2)
-data = RunData.encode(train_split, val_split)  # tokenized once, for both sweeps
+# tokenized once, for both sweeps; the splits go once encoded
+data = RunData.encode(make_split("train", 24, seed=1), make_split("val", 12, seed=2))
 
 # -- 2. sweep the learning rate ------------------------------------------------
 # Three seeds per value; a run whose final loss fails to beat the
@@ -52,15 +52,13 @@ base = TrainConfig(batch_size=8, epochs=5, hidden_size=6, num_layers=1,
 spec = sweep.SweepSpec(axis="lr", values=[5.0, 0.02], seeds=(0, 1, 2))
 
 with tempfile.TemporaryDirectory() as runs_dir:
-    records, aggregates = sweep.run_sweep(spec, base, train_split, val_split,
-                                          data, None, runs_dir=runs_dir)
+    records, aggregates = sweep.run_sweep(spec, base, data, None, {}, runs_dir)
     print(f"{len(records)} runs -> {len(list(Path(runs_dir).glob('*.json')))} "
           "record files\n")
     print(sweep.format_sweep_report(aggregates))
 
     # Calling run_sweep again with the same directory does no training at
     # all: every record is already on disk.
-    again, _ = sweep.run_sweep(spec, base, train_split, val_split, data,
-                               None, runs_dir=runs_dir)
+    again, _ = sweep.run_sweep(spec, base, data, None, {}, runs_dir)
     print("\nresumed without retraining:",
           [f"{r.best_val_f1:.3f}" for r in again])

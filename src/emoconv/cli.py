@@ -66,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs-unfrozen", type=int, default=schedule.unfrozen_epochs)
     p.add_argument("--lr", type=float, default=schedule.lr)
     p.add_argument("--batch-size", type=int, default=schedule.batch_size)
-    p.add_argument("--dim", type=int, default=TrainConfig().embedding_dim)
-    p.add_argument("--filters", type=int, default=ft.FILTERS_PER_SIZE)
+    p.add_argument("--dim", type=int, default=schedule.dim)
+    p.add_argument("--filters", type=int, default=schedule.filters_per_size)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("train", help="train the classifier on dataset TSVs")
@@ -125,34 +125,33 @@ def _avg_utterance_tokens(rows: list[list[str]]) -> float:
     return sum(len(row) - 2 for row in rows) / turns if turns else 0.0
 
 
-def _read_splits(args):
-    """The splits of ``--train`` and ``--val``."""
-    return load_dataset(args.train, "train"), load_dataset(args.val, "val")
+def _load_store(path: str, dim: int, ids):
+    """The converted store of ``path`` (None for ``none``) with the rows of ``ids`` only."""
+    return None if path == "none" else load_sentence_vectors(path, dim, set(ids))
 
 
-def _load_store(path: str, dim: int, splits):
-    """The converted store of ``path`` (None for ``none``) with the rows of ``splits`` only."""
-    if path == "none":
-        return None
-    return load_sentence_vectors(path, dim, {c.id for split in splits for c in split.conversations})
-
-
-def _read_vectors(args, config: TrainConfig, vocab, splits):
-    """The config, with ``sentence_dim`` 0 for ``--sentence-vectors none``,
-    the sentence-vector store of ``splits`` (None for ``none``) and the word
-    vectors of ``--embeddings`` that ``vocab`` holds (empty when it is absent)."""
-    store = _load_store(args.sentence_vectors, config.sentence_dim, splits)
+def _read_inputs(args, config: TrainConfig):
+    """What a classifier run reads, the one input step of ``train`` and
+    ``sweep``: the config, with ``sentence_dim`` 0 for ``--sentence-vectors
+    none``; the :meth:`train.RunData.encode` of ``--train`` and ``--val``,
+    whose splits go once encoded; the sentence-vector store of its examples
+    (None for ``none``) and the word vectors of ``--embeddings`` that its
+    vocabulary holds (empty when it is absent)."""
+    data = tr.RunData.encode(load_dataset(args.train, "train"), load_dataset(args.val, "val"))
+    store = _load_store(args.sentence_vectors, config.sentence_dim,
+                        (ex.id for ex in data.train_ex + data.val_ex))
     if store is None:
         config = config.replace(sentence_dim=0)
     pretrained = (load_word_vectors(args.embeddings, config.embedding_dim,
-                                    keep=vocab.token_to_id) if args.embeddings else {})
-    return config, store, pretrained
+                                    keep=data.vocab.token_to_id) if args.embeddings else {})
+    return config, data, store, pretrained
 
 
 def cmd_preprocess(args) -> int:
     # rows over the length filter count in the tokens per turn, so the
     # report keeps its own rows rather than a run's encoding
-    splits = [*_read_splits(args)] + ([load_dataset(args.test, "test")] if args.test else [])
+    splits = [load_dataset(args.train, "train"), load_dataset(args.val, "val")]
+    splits += [load_dataset(args.test, "test")] if args.test else []
     rows_by_split = [list(tr.split_rows(split)) for split in splits]
     vocab = build_vocab(map(TokenSequence, rows_by_split[0]))
     lines = ["split\ttotal\t" + "\t".join(LABELS) +
@@ -174,8 +173,7 @@ def cmd_preprocess(args) -> int:
 def cmd_finetune(args) -> int:
     seed = _load_base_config(args).seed
     schedule = ft.FinetuneSchedule(args.epochs_frozen, args.epochs_unfrozen, args.lr,
-                                   args.batch_size)
-    ft.check_sizes(args.dim, args.filters)
+                                   args.batch_size, args.dim, args.filters)
     if os.path.exists(args.embeddings_in) and not os.path.isfile(args.embeddings_in):
         raise ValueError(f"{args.embeddings_in}: not a regular file; it is read again, "
                          "after tuning, for the vectors the corpus lacks")
@@ -184,8 +182,8 @@ def cmd_finetune(args) -> int:
     vocab = build_vocab(map(TokenSequence, rows))
     encoded = ft.encode_corpus(corpus, vocab, rows)
     del rows  # only the ids stay through training
-    pretrained = load_word_vectors(args.embeddings_in, args.dim, keep=vocab.token_to_id)
-    model, losses = ft.run(schedule, seed, encoded, vocab, pretrained, args.dim, args.filters)
+    pretrained = load_word_vectors(args.embeddings_in, schedule.dim, keep=vocab.token_to_id)
+    model, losses = ft.run(schedule, seed, encoded, vocab, pretrained)
     reserved = len(SPECIALS)
     save_word_vectors(vocab.id_to_token[reserved:], model.emb.table.values[reserved:],
                       args.embeddings_out, args.embeddings_in)
@@ -195,11 +193,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_base_config(args)
-    splits = _read_splits(args)
-    data = tr.RunData.encode(*splits)
-    config, store, pretrained = _read_vectors(args, config, data.vocab, splits)
-    del splits  # only the ids stay through training
+    config, data, store, pretrained = _read_inputs(args, _load_base_config(args))
     ckpt, history = tr.run(config, data, store, pretrained, select=args.select)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -217,9 +211,10 @@ def cmd_evaluate(args) -> int:
     params = rcnn.restore(ckpt.config, ckpt.params)
     split = load_dataset(args.split, "test")
     examples = tr.encode_split(split, ckpt.vocab)
-    store = _load_store(args.sentence_vectors, ckpt.config.sentence_dim, [split])
+    store = _load_store(args.sentence_vectors, ckpt.config.sentence_dim,
+                        (ex.id for ex in examples))
     scored = LABELS if args.score_others else metrics.SCORED_CLASSES
-    cm, _ = tr.evaluate(params, examples, store, ckpt.config.batch_size, scored)
+    cm, _ = tr.evaluate(params, examples, store, ckpt.config.batch_size)
     _emit(args, metrics.format_report(cm, scored))
     return 0
 
@@ -233,11 +228,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"cannot parse --values {args.values!r} / --seeds "
                          f"{args.seeds!r} as numbers") from None
     spec = sw.SweepSpec(args.axis, values, seeds)  # checked before any file is read
-    train_split, val_split = _read_splits(args)
-    data = tr.RunData.encode(train_split, val_split)
-    config, store, pretrained = _read_vectors(args, config, data.vocab, (train_split, val_split))
-    _, aggregates = sw.run_sweep(spec, config, train_split, val_split, data, store,
-                                 runs_dir=args.runs_dir, pretrained=pretrained)
+    config, data, store, pretrained = _read_inputs(args, config)
+    _, aggregates = sw.run_sweep(spec, config, data, store, pretrained, args.runs_dir)
     _emit(args, sw.format_sweep_report(aggregates))
     return 0
 

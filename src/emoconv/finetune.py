@@ -17,6 +17,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
+from .config import TrainConfig
 from .dataio import line_error, read_lines
 from .rcnn import Batch
 from .textprep import Vocabulary, token_rows
@@ -25,16 +26,23 @@ from .train import LOG_FLOOR, RunState, iter_batches, run_epochs, seeded_table
 log = logging.getLogger(__name__)
 
 DROPOUT_RATE = 0.5  # on the pooled features, before the output layer
+KERNEL_SIZES = (1, 2, 3)  # convolution widths, one filter bank each
+FILTERS_PER_SIZE = 300
 
 
 @dataclass
 class FinetuneSchedule:
-    """Epochs with the table frozen, then unfrozen (each >= 0, one at least
-    in all), Adam's rate (finite, > 0) and the batch size (>= 1)."""
+    """A fine-tuning run's settings: the epochs with the table frozen, then
+    unfrozen (each >= 0, one at least in all), Adam's rate (finite, > 0),
+    the batch size, the table width ``dim`` and the CNN's filters per
+    kernel width (each >= 1).  All are checked when the schedule is made,
+    so a bad one fails before any file is read or any value drawn."""
     frozen_epochs: int = 1
     unfrozen_epochs: int = 3
     lr: float = 0.0005
     batch_size: int = 64
+    dim: int = TrainConfig().embedding_dim
+    filters_per_size: int = FILTERS_PER_SIZE
 
     def __post_init__(self):
         for name in ("frozen_epochs", "unfrozen_epochs"):
@@ -44,12 +52,9 @@ class FinetuneSchedule:
             raise ValueError("frozen_epochs + unfrozen_epochs must be >= 1, got 0")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-KERNEL_SIZES = (1, 2, 3)  # convolution widths, one filter bank each
-FILTERS_PER_SIZE = 300
+        for name in ("batch_size", "dim", "filters_per_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -68,13 +73,6 @@ class FinetuneModel:
         ``layers.conv1d_over_time`` takes."""
         return [(k, self.tensors[f"conv_k{k}.w"], self.tensors[f"conv_k{k}.b"])
                 for k in KERNEL_SIZES]
-
-
-def check_sizes(dim: int, filters_per_size: int) -> None:
-    """Raise ValueError unless the table width and the filters per width are >= 1."""
-    for name, size in (("dim", dim), ("filters_per_size", filters_per_size)):
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
 
 
 def _shapes(dim: int, filters_per_size: int) -> dict[str, tuple[int, ...]]:
@@ -191,14 +189,13 @@ def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule
 
 
 def run(schedule: FinetuneSchedule, seed: int, encoded, vocab: Vocabulary,
-        pretrained: dict[str, np.ndarray], dim: int, filters_per_size: int = FILTERS_PER_SIZE):
+        pretrained: dict[str, np.ndarray]):
     """The fine-tuning run, the one every entry makes: the generator and
-    ``dim``-wide table of :func:`train.seeded_table` at ``seed``, then the
-    CNN, which :func:`finetune_encoded` trains on ``encoded``; returns
-    (model, epoch losses)."""
-    check_sizes(dim, filters_per_size)
-    rng, emb = seeded_table(seed, vocab, pretrained, dim)
-    model = build_finetune_model(emb, rng, filters_per_size)
+    ``schedule.dim``-wide table of :func:`train.seeded_table` at ``seed``,
+    then the CNN, which :func:`finetune_encoded` trains on ``encoded``;
+    returns (model, epoch losses)."""
+    rng, emb = seeded_table(seed, vocab, pretrained, schedule.dim)
+    model = build_finetune_model(emb, rng, schedule.filters_per_size)
     return model, finetune_encoded(model, encoded, schedule, rng)[1]
 
 

@@ -2,7 +2,8 @@
 
 Each (value, seed) pair is one full train+eval run; every run reads the one
 ``train.RunData`` its caller encoded.  Run results are content-addressed
-by the SHA-256 of the effective config and of the run's inputs, so an
+by the SHA-256 of the effective config and of what the runs read (that
+``RunData``, the word vectors and the examples' sentence vectors), so an
 interrupted sweep resumes without recomputing finished runs; aggregation
 reports the mean and sample standard deviation of validation micro-F1 per
 value, plus a "not trained effectively" flag for runs whose final training
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import train as tr
 from .config import TrainConfig, has_type
-from .dataio import DatasetSplit, SentenceVectorStore, atomic_write, line_error, read_lines
+from .dataio import SentenceVectorStore, atomic_write, line_error, read_lines
 from .metrics import aggregate_seeds
 
 log = logging.getLogger(__name__)
@@ -89,12 +90,12 @@ def _axis_value(axis: str, value):
 
 
 def run_one(config: TrainConfig, axis: str, data: tr.RunData,
-            store: SentenceVectorStore | None, pretrained: dict | None = None) -> RunRecord:
+            store: SentenceVectorStore | None, pretrained: dict) -> RunRecord:
     """One sweep cell: the :func:`train.run` of the cell's ``config``, whose
     ``axis`` value and seed the record keeps, scored against the
     uniform-prediction loss over the examples it trains on (length-filtered)."""
     # the run empties the map it is given; the sweep's stays for the next cell
-    ckpt, history = tr.run(config, data, store, dict(pretrained or {}))
+    ckpt, history = tr.run(config, data, store, dict(pretrained))
     final_loss = history[-1].train_loss
     baseline = tr.uniform_baseline_loss(data.weights, [ex.label for ex in data.train_ex])
     return RunRecord(axis=axis, value=getattr(config, axis), seed=config.seed,
@@ -103,19 +104,21 @@ def run_one(config: TrainConfig, axis: str, data: tr.RunData,
                      trained_effectively=final_loss < baseline)
 
 
-def _inputs_digest(train_split: DatasetSplit, val_split: DatasetSplit, data: tr.RunData,
-                   store: SentenceVectorStore | None, pretrained: dict | None) -> str:
-    """SHA-256 over what the runs of a sweep read: both splits, the
-    vocabulary of ``data``, the pretrained vectors and the splits' sentence vectors."""
-    convs = train_split.conversations + val_split.conversations
-    words = sorted(pretrained or {})
-    stored = [c.id for c in convs if store is not None and c.id in store.row]
+def _inputs_digest(data: tr.RunData, store: SentenceVectorStore | None,
+                   pretrained: dict) -> str:
+    """SHA-256 over what the runs of a sweep read: the vocabulary and class
+    weights of ``data``, each example's id, label and token ids (train, then
+    val), the pretrained vectors and the examples' sentence vectors."""
+    examples = data.train_ex + data.val_ex
+    words = sorted(pretrained)
+    stored = [ex.id for ex in examples if store is not None and ex.id in store.row]
     vectors = [pretrained[w] for w in words] + [store.get(i) for i in stored]
     h = hashlib.sha256(json.dumps([
-        len(train_split), train_split.label_counts, val_split.label_counts,
-        [[c.id, c.turns, c.label] for c in convs], data.vocab.id_to_token, words, stored,
-        [np.size(v) for v in vectors]]).encode("utf-8"))
-    for vec in vectors:
+        len(data.train_ex), data.vocab.id_to_token, [[ex.id, ex.label] for ex in examples],
+        words, stored, [ex.n for ex in examples], [np.size(v) for v in vectors]]).encode("utf-8"))
+    for ex in examples:
+        h.update(np.ascontiguousarray(ex.ids, dtype=np.int64).tobytes())
+    for vec in [data.weights.weights, *vectors]:
         h.update(np.ascontiguousarray(vec, dtype=np.float64).tobytes())
     return h.hexdigest()
 
@@ -145,34 +148,30 @@ def load_record(path) -> RunRecord:
     return record
 
 
-def run_sweep(spec: SweepSpec, base_config: TrainConfig,
-              train_split: DatasetSplit, val_split: DatasetSplit, data: tr.RunData,
-              store: SentenceVectorStore | None, runs_dir=None,
-              pretrained: dict | None = None):
-    """All |values| x |seeds| runs on ``data``, the :meth:`train.RunData.encode`
-    of the two splits; returns (records, aggregate rows).
+def run_sweep(spec: SweepSpec, base_config: TrainConfig, data: tr.RunData,
+              store: SentenceVectorStore | None, pretrained: dict, runs_dir):
+    """All |values| x |seeds| runs on ``data``; returns (records, aggregate rows).
 
-    With ``runs_dir`` set, each run's record is written there as JSON and
-    any pre-existing record with a matching config and inputs is reused
-    instead of retrained; the splits only key those records.  ``data`` is
-    read, never changed, so one value serves any number of sweeps.
+    Each run's record is written to ``runs_dir`` as JSON, and a record
+    already there for the same config and the same inputs (``data``,
+    ``pretrained`` and the examples' rows of ``store``) is reused instead of
+    retrained.  ``data`` is read, never changed, so one value serves any
+    number of sweeps.
     """
-    if runs_dir is not None:
-        os.makedirs(runs_dir, exist_ok=True)
-        inputs = _inputs_digest(train_split, val_split, data, store, pretrained)
+    os.makedirs(runs_dir, exist_ok=True)
+    inputs = _inputs_digest(data, store, pretrained)
     records: list[RunRecord] = []
     for value in spec.values:
         for seed in spec.seeds:
             cfg = base_config.replace(**{spec.axis: value}, seed=seed)
-            path = _record_path(runs_dir, cfg, inputs) if runs_dir is not None else None
-            if path is not None and os.path.exists(path):
+            path = _record_path(runs_dir, cfg, inputs)
+            if os.path.exists(path):
                 rec = load_record(path)
                 log.info("sweep %s=%s seed %d: reusing %s", spec.axis, value, seed, path)
             else:
                 rec = run_one(cfg, spec.axis, data, store, pretrained)
-                if path is not None:  # whole or not at all, even if killed
-                    with atomic_write(path) as fh:
-                        fh.write(rec.to_json() + "\n")
+                with atomic_write(path) as fh:  # whole or not at all, even if killed
+                    fh.write(rec.to_json() + "\n")
             records.append(rec)
     aggregates = []
     for value in spec.values:

@@ -347,17 +347,17 @@ def predict(params: rcnn.RcnnParams, examples: list[EncodedExample],
 
 
 def evaluate(params: rcnn.RcnnParams, examples: list[EncodedExample],
-             store: SentenceVectorStore | None, batch_size: int = 64,
-             scored_classes=metrics.SCORED_CLASSES):
-    """(confusion matrix, micro-F1) for a labeled example list; an unlabeled
-    example is an error that names the first one."""
+             store: SentenceVectorStore | None, batch_size: int = 64):
+    """(confusion matrix, micro-F1 over ``metrics.SCORED_CLASSES``) for a
+    labeled example list; an unlabeled example is an error that names the
+    first one."""
     unlabeled = next((ex.id for ex in examples if ex.label is None), None)
     if unlabeled is not None:
         raise ValueError(f"evaluation needs labels on every example; {unlabeled} has none")
     preds = predict(params, examples, store, batch_size)
     gold = [ex.label for ex in examples]
     cm = metrics.confusion_matrix(gold, preds.tolist())
-    return cm, metrics.micro_f1(cm, scored_classes)
+    return cm, metrics.micro_f1(cm)
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,9 @@ def _preprocess(inputs: Path, out: Path) -> dict[str, str]:
                    "--val", paths["val"], "--test", paths["test"]])
     if rc != 0:
         raise RuntimeError(f"emoconv preprocess on {inputs} exited with {rc}")
-    train_split, val_split = cli._read_splits(argparse.Namespace(**paths))
+    train_split, val_split, test_split = (dataio.load_dataset(paths[name], name)
+                                          for name in ("train", "val", "test"))
     data = tr.RunData.encode(train_split, val_split)
-    test_split = dataio.load_dataset(paths["test"], "test")
     vocab_text = "".join(t + "\n" for t in data.vocab.id_to_token)
     digests = {"vocab.txt": _sha(vocab_text.encode("utf-8"))}
     for split, encoded in ((train_split, data.train_ex), (val_split, data.val_ex),

@@ -411,9 +411,9 @@ def test_criterion_10_sweep_harness(tmp_path):
                            dropout_linear=0.0, freeze_embedding_epochs=1,
                            anneal_after_epoch=99)
         spec = sw.SweepSpec("lr", [1e-4, 5e-4], seeds=(0, 1, 2))
-        records, aggregates = sw.run_sweep(spec, base, train_split, val_split,
+        records, aggregates = sw.run_sweep(spec, base,
                                            tr.RunData.encode(train_split, val_split),
-                                           None, runs_dir=tmp_path)
+                                           None, {}, tmp_path)
         assert len(records) == 6 and len(aggregates) == 2
         assert len(list(tmp_path.glob("run_*.json"))) == 6
         assert sum(row["runs"] for row in aggregates) == 6

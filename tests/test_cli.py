@@ -381,11 +381,12 @@ def test_the_finetune_command_is_the_finetune_run_at_its_seed(world):
     rows = list(textprep.token_rows((text for text, _ in corpus), 1))
     vocab = textprep.build_vocab(map(textprep.TokenSequence, rows))
     encoded = ft.encode_corpus(corpus, vocab, rows)
-    schedule = FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01)
+    schedule = FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01, dim=6,
+                                filters_per_size=4)
     for seed in (0, 7):
         assert run_finetune(world, f"cli{seed}", extra=("--seed", str(seed))) == 0
         pretrained = dataio.load_word_vectors(world / "vec_in.txt", 6, keep=vocab.token_to_id)
-        model, losses = ft.run(schedule, seed, encoded, vocab, pretrained, 6, 4)
+        model, losses = ft.run(schedule, seed, encoded, vocab, pretrained)
         dataio.save_word_vectors(vocab.id_to_token[len(SPECIALS):],
                                  model.emb.table.values[len(SPECIALS):], world / "run.txt",
                                  world / "vec_in.txt")
@@ -475,7 +476,8 @@ def test_flag_defaults_come_from_the_code_they_set():
     schedule = FinetuneSchedule()
     assert (ft_args.epochs_frozen, ft_args.epochs_unfrozen, ft_args.lr, ft_args.batch_size) \
         == (schedule.frozen_epochs, schedule.unfrozen_epochs, schedule.lr, schedule.batch_size)
-    assert (ft_args.dim, ft_args.filters) == (TrainConfig().embedding_dim, FILTERS_PER_SIZE)
+    assert (ft_args.dim, ft_args.filters) == (schedule.dim, schedule.filters_per_size) \
+        == (TrainConfig().embedding_dim, FILTERS_PER_SIZE)
     sweep = ["sweep", "--train", "t", "--val", "v", "--axis", "lr", "--values", "0.1"]
     sweep_args = parser.parse_args([*sweep, "--sentence-vectors", "none"])
     with pytest.raises(SystemExit):  # no default: a sweep never runs the ablation unasked

@@ -127,22 +127,18 @@ def test_a_schedule_that_cannot_train_names_its_field(fields, message):
     ({"filters_per_size": 0}, "filters_per_size must be >= 1, got 0"),
 ])
 def test_a_run_without_width_or_filters_names_the_size_before_drawing(sizes, message):
-    vocab = build_vocab([TokenSequence(["good", "bad"])])
-    encoded = ft.encode_corpus([("good", 1), ("bad", 0)], vocab)
-    pretrained = {"good": np.ones(4)}
+    """The sizes are the schedule's, so a run cannot start with a bad one."""
     with pytest.raises(ValueError) as err:
-        ft.run(ft.FinetuneSchedule(), 0, encoded, vocab, pretrained,
-               **{"dim": 4, "filters_per_size": 2, **sizes})
+        ft.FinetuneSchedule(**{"dim": 4, "filters_per_size": 2, **sizes})
     assert str(err.value) == message
-    assert pretrained  # nothing was drawn
 
 
 def test_the_run_empties_the_word_vectors_once_the_table_holds_them():
     vocab = build_vocab([TokenSequence(["good", "bad"])])
     encoded = ft.encode_corpus([("good", 1), ("bad", 0)], vocab)
     pretrained = {"good": np.full(4, 0.5)}
-    model, losses = ft.run(ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=0), 0,
-                           encoded, vocab, pretrained, dim=4, filters_per_size=2)
+    model, losses = ft.run(ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=0, dim=4,
+                                               filters_per_size=2), 0, encoded, vocab, pretrained)
     assert pretrained == {} and len(losses) == 1
     npt.assert_array_equal(model.emb.table.values[vocab.token_to_id["good"]], np.full(4, 0.5))
 

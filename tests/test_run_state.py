@@ -26,7 +26,8 @@ CLASSIFIER = TrainConfig(lr=0.01, batch_size=8, epochs=EPOCHS, hidden_size=6, nu
                          sentence_dim=4, embedding_dim=6, dropout_bilstm=0.3,
                          dropout_linear=0.3, clip_norm=0.15, freeze_embedding_epochs=2,
                          anneal_after_epoch=2, anneal_factor=0.5, seed=13)
-CNN = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=EPOCHS - 1, lr=0.01, batch_size=8)
+CNN = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=EPOCHS - 1, lr=0.01, batch_size=8,
+                          dim=6, filters_per_size=4)
 run_epochs = tr.run_epochs
 
 
@@ -41,8 +42,7 @@ def _cnn():
     corpus = [(f"{'yay great' if i % 2 else 'sigh bad'} day {i % 5}", i % 2) for i in range(24)]
     rows = list(token_rows((text for text, _ in corpus), 1))
     vocab = build_vocab(map(TokenSequence, rows))
-    return ft.run(CNN, 3, ft.encode_corpus(corpus, vocab, rows), vocab, {}, dim=6,
-                  filters_per_size=4)
+    return ft.run(CNN, 3, ft.encode_corpus(corpus, vocab, rows), vocab, {})
 
 
 def _outcome(monkeypatch, module, train, split_at):

@@ -87,8 +87,7 @@ def test_config_hash_distinguishes_runs():
 def test_sweep_shape_and_flag_consistency(tmp_path):
     train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("lr", [1e-7, 0.02], seeds=[0, 1, 2])
-    records, aggregates = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
-                                       runs_dir=tmp_path / "runs")
+    records, aggregates = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
     assert len(records) == 6 and len(aggregates) == 2
     for rec in records:
         assert rec.trained_effectively == (rec.final_train_loss < rec.baseline_loss)
@@ -109,8 +108,7 @@ def test_sweep_resumes_from_run_records(tmp_path):
     train_split, val_split, data = _toy_data()
     runs_dir = tmp_path / "runs"
     spec = sw.SweepSpec("hidden_size", [4], seeds=[0, 1])
-    records1, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
-                               runs_dir=runs_dir)
+    records1, _ = sw.run_sweep(spec, FAST, data, None, {}, runs_dir)
     files = sorted(runs_dir.glob("run_*.json"))
     assert len(files) == 2
 
@@ -118,8 +116,7 @@ def test_sweep_resumes_from_run_records(tmp_path):
     fields = json.loads(files[0].read_text())
     fields["best_val_f1"] = 0.123456
     files[0].write_text(json.dumps(fields, sort_keys=True) + "\n")
-    records2, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
-                               runs_dir=runs_dir)
+    records2, _ = sw.run_sweep(spec, FAST, data, None, {}, runs_dir)
     assert 0.123456 in [r.best_val_f1 for r in records2]
     untouched = json.loads(files[1].read_text())
     assert untouched["best_val_f1"] in [r.best_val_f1 for r in records2]
@@ -128,8 +125,8 @@ def test_sweep_resumes_from_run_records(tmp_path):
 def test_sweep_runs_are_deterministic():
     _, _, data = _toy_data()
     config = FAST.replace(lr=0.02, seed=7)
-    rec1 = sw.run_one(config, "lr", data, None)
-    rec2 = sw.run_one(config, "lr", data, None)
+    rec1 = sw.run_one(config, "lr", data, None, {})
+    rec2 = sw.run_one(config, "lr", data, None, {})
     assert rec1 == rec2 and (rec1.value, rec1.seed) == (0.02, 7)
 
 
@@ -138,8 +135,7 @@ def test_axis_values_are_coerced(tmp_path):
     record, and the record file read back, hold the converted value."""
     train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("batch_size", [6.0], seeds=[3.0])
-    records, aggregates = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
-                                       runs_dir=tmp_path)
+    records, aggregates = sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
     (rec,) = records
     assert rec.value == 6 and isinstance(rec.value, int) and aggregates[0]["value"] == 6
     assert rec.config_hash == sw.config_hash(FAST.replace(batch_size=6, seed=3))
@@ -157,7 +153,7 @@ def test_baseline_loss_is_over_the_examples_the_runs_train_on():
     data = tr.RunData.encode(train_split, val_split)
     kept = [ex.label for ex in data.train_ex]
     assert len(kept) == 12  # the 83-token conversation is filtered out
-    rec = sw.run_one(FAST.replace(lr=0.02), "lr", data, None)
+    rec = sw.run_one(FAST.replace(lr=0.02), "lr", data, None, {})
     assert rec.baseline_loss == tr.uniform_baseline_loss(data.weights, kept)
     every = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
     assert rec.baseline_loss != tr.uniform_baseline_loss(data.weights, every)
@@ -173,7 +169,7 @@ def test_a_final_loss_at_the_baseline_did_not_train_effectively(monkeypatch):
                    tr.HistoryRow(2, 0.02, final_loss, 0.5, 0.0)]
         ckpt = tr.Checkpoint(data.vocab, {}, FAST, 2, 0.5)
         monkeypatch.setattr(tr, "run", lambda *args: (ckpt, history))
-        rec = sw.run_one(FAST.replace(lr=0.02), "lr", data, None)
+        rec = sw.run_one(FAST.replace(lr=0.02), "lr", data, None, {})
         assert (rec.final_train_loss, rec.baseline_loss) == (final_loss, baseline)
         assert rec.trained_effectively is effective
 
@@ -182,11 +178,9 @@ def test_a_sweep_encodes_nothing_and_matches_per_run_training(tmp_path, monkeypa
     train_split, val_split, data = _toy_data()
     texts, splits = toycorpus.count_encoding(monkeypatch)
     spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
-    records, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
-                              runs_dir=tmp_path / "runs")
+    records, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
     # whether its runs train or are all cached, a sweep reads the encoding it is given
-    again, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
-                            runs_dir=tmp_path / "runs")
+    again, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
     assert (texts, splits) == ([], []) and again == records
 
     # each record equals one built run by run from the raw splits
@@ -210,16 +204,15 @@ def test_a_second_sweep_over_one_encoding_trains_only_its_new_cells(tmp_path, mo
     with one value more, trains only that value's cells, and its records are
     those of a sweep made afresh."""
     train_split, val_split, data = _toy_data()
-    sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0, 1]), FAST, train_split, val_split,
-                 data, None, runs_dir=tmp_path / "runs")
+    sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0, 1]), FAST, data, None, {},
+                 tmp_path / "runs")
     trained, run = [], tr.run
     monkeypatch.setattr(tr, "run", lambda config, *a: trained.append(config) or run(config, *a))
     spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
-    records, aggregates = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
-                                       runs_dir=tmp_path / "runs")
+    records, aggregates = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
     assert [(c.lr, c.seed) for c in trained] == [(0.001, 0), (0.001, 1)]
     assert len(list((tmp_path / "runs").glob("run_*.json"))) == 4
-    fresh = sw.run_sweep(spec, FAST, *_toy_data(), None, runs_dir=tmp_path / "fresh")
+    fresh = sw.run_sweep(spec, FAST, _toy_data()[2], None, {}, tmp_path / "fresh")
     assert (records, aggregates) == fresh
 
 
@@ -228,34 +221,82 @@ def test_a_sweep_on_other_training_data_retrains_in_the_same_runs_dir(tmp_path):
     other_train = toycorpus.make_split("train", 12, seed=200)
     other = tr.RunData.encode(other_train, val_split)
     spec = sw.SweepSpec("lr", [0.02], seeds=[0, 1])
-    first, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None, runs_dir=tmp_path)
-    second, aggregates = sw.run_sweep(spec, FAST, other_train, val_split, other, None,
-                                      runs_dir=tmp_path)
-    alone, want = sw.run_sweep(spec, FAST, other_train, val_split, other, None)
+    first, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
+    second, aggregates = sw.run_sweep(spec, FAST, other, None, {}, tmp_path)
+    alone, want = sw.run_sweep(spec, FAST, other, None, {}, tmp_path / "alone")
     assert second == alone and aggregates == want
     assert [r.final_train_loss for r in second] != [r.final_train_loss for r in first]
     assert len(list(tmp_path.glob("run_*.json"))) == 4
 
 
-def test_sweep_inputs_digest_covers_what_a_run_reads():
+def test_a_sweep_over_relabeled_training_rows_never_reuses_the_originals_records(tmp_path):
+    """Three training rows relabeled leave the vocabulary and the class
+    weights as they were; a sweep keyed by the raw splits beside its
+    ``RunData`` reused the original's records and reported F1s trained on
+    other labels."""
     train_split, val_split, data = _toy_data()
+    rows = copy.deepcopy(train_split)
+    for conv, label in zip(rows.conversations, ("sad", "angry", "happy")):
+        assert conv.label != label  # rotated: the tokens and label counts stay
+        conv.label = label
+    relabeled = tr.RunData.encode(rows, val_split)
+    assert relabeled.vocab.id_to_token == data.vocab.id_to_token
+    assert relabeled.weights.weights.tobytes() == data.weights.weights.tobytes()
+    spec = sw.SweepSpec("lr", [0.02], seeds=[0, 1])
+    first, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
+    second = sw.run_sweep(spec, FAST, relabeled, None, {}, tmp_path)
+    assert second == sw.run_sweep(spec, FAST, relabeled, None, {}, tmp_path / "alone")
+    assert [r.final_train_loss for r in second[0]] != [r.final_train_loss for r in first]
+    assert len(list(tmp_path.glob("run_*.json"))) == 4
+
+
+def test_sweep_inputs_digest_covers_what_a_run_reads():
+    def examples(d):
+        return d.vocab.id_to_token, [(ex.id, ex.label, ex.ids.tolist())
+                                     for ex in d.train_ex + d.val_ex]
+
+    def changed_example(field, value):
+        out = copy.deepcopy(data)
+        setattr(out.val_ex[0], field, value)
+        return out
+
+    train_split, val_split, _ = _toy_data()
+    long_turn = " ".join(["so"] * 79)  # over MAX_TRAIN_TOKENS: filtered out of the run
+    train_split.conversations.append(Conversation("long", (long_turn, "yay", "um"), "happy"))
+    train_split.label_counts["happy"] += 1
+    data = tr.RunData.encode(train_split, val_split)
     store = toycorpus.store_for([train_split, val_split], 3, seed=5)
     pretrained = {"happy": np.ones(6)}
-    base = sw._inputs_digest(train_split, val_split, data, store, pretrained)
-    assert base == sw._inputs_digest(train_split, val_split, data, store,
+    base = sw._inputs_digest(data, store, pretrained)
+    assert base == sw._inputs_digest(tr.RunData.encode(train_split, val_split), store,
                                      {"happy": np.ones(6)})
-    relabeled = copy.deepcopy(val_split)
-    relabeled.conversations[0].label = "others"
+    # the long row's vector, and one no split holds, are read by no run
+    unread = toycorpus.store_of({**{i: store.get(i) for i in store.row},
+                                 "long": np.zeros(3), "x": np.ones(3)})
+    assert sw._inputs_digest(data, unread, pretrained) == base
+
+    # the long row's label moves the class weights alone
+    reweighted = copy.deepcopy(train_split)
+    reweighted.conversations[-1].label = "sad"
+    reweighted.label_counts["happy"] -= 1
+    reweighted.label_counts["sad"] += 1
+    reweighted = tr.RunData.encode(reweighted, val_split)
+    assert examples(reweighted) == examples(data)
     moved = copy.deepcopy(store)
-    moved.matrix[moved.row[train_split.conversations[0].id]] = 0.0
+    moved.matrix[moved.row[data.train_ex[0].id]] = 0.0
     other_vocab = dataclasses.replace(data, vocab=Vocabulary(data.vocab.id_to_token + ["x"]))
     changed = [
-        sw._inputs_digest(train_split, relabeled, data, store, pretrained),
-        sw._inputs_digest(train_split, val_split, data, moved, pretrained),
-        sw._inputs_digest(train_split, val_split, data, None, pretrained),
-        sw._inputs_digest(train_split, val_split, data, store, {"happy": np.zeros(6)}),
-        sw._inputs_digest(train_split, val_split, data, store, None),
-        sw._inputs_digest(train_split, val_split, other_vocab, store, pretrained),
+        sw._inputs_digest(reweighted, store, pretrained),
+        sw._inputs_digest(changed_example("label", (data.val_ex[0].label + 1) % 4), store,
+                          pretrained),
+        sw._inputs_digest(changed_example("ids", data.val_ex[0].ids + 1), store, pretrained),
+        sw._inputs_digest(data, moved, pretrained),
+        sw._inputs_digest(data, store, {"happy": np.zeros(6)}),
+        sw._inputs_digest(data, store, {}),
+        sw._inputs_digest(other_vocab, store, pretrained),
+        # with no store, an id moves the key by itself
+        sw._inputs_digest(data, None, pretrained),
+        sw._inputs_digest(changed_example("id", "val9999"), None, pretrained),
     ]
     assert len({base, *changed}) == 1 + len(changed)
 
@@ -269,15 +310,14 @@ def test_a_record_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sw.RunRecord, "to_json", fail)
     with pytest.raises(RuntimeError):
-        sw.run_sweep(spec, FAST, train_split, val_split, data, None, runs_dir=tmp_path)
+        sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
     assert list(tmp_path.iterdir()) == []  # neither a record nor a temporary file
 
 
 def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path):
     train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("lr", [0.02], seeds=[0])
-    records, _ = sw.run_sweep(spec, FAST, train_split, val_split, data, None,
-                              runs_dir=tmp_path)
+    records, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
     (path,) = tmp_path.iterdir()  # no temporary file is left beside the record
     whole = path.read_bytes()
     assert sw.load_record(path) == records[0]
@@ -302,4 +342,4 @@ def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path):
             sw.load_record(path)
     # the sweep reports such a record rather than retraining over it
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        sw.run_sweep(spec, FAST, train_split, val_split, data, None, runs_dir=tmp_path)
+        sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
