@@ -32,10 +32,9 @@ leaves behind:
 Text preparation runs no BLAS, so these digests do not depend on the numpy
 build and carry no numpy/BLAS key; nor do the initial draws, which are
 uniform draws and zeros.  The worlds that train do: BLAS kernels round
-differently from CPU to CPU, so their digests are recorded per key, the
-numpy version and the ``openblas configuration`` string of
-``np.show_config(mode="dicts")`` (which names the kernel the CPU picked).
-They run in a child process with one BLAS thread (numpy reads the thread
+differently from kernel to kernel, so their digests are recorded per key
+(:func:`blas_key`): the numpy version, its BLAS and the kernel OpenBLAS
+picked for this CPU when it loaded.  They run in a child process with one BLAS thread (numpy reads the thread
 variables at import time), and on a key with no recorded digests the
 comparison skips them and says why:
 
@@ -427,12 +426,36 @@ def compute() -> dict[str, dict[str, str]]:
     return _run(WORLDS)
 
 
+def blas_core() -> str | None:
+    """The kernel the OpenBLAS bundled with numpy picked for this CPU when it
+    loaded (``OPENBLAS_CORETYPE`` overrides it), or None where numpy bundles
+    no OpenBLAS that reports one."""
+    import ctypes
+    import glob
+
+    import numpy as np
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(lib), symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode("ascii")
+    return None
+
+
 def blas_key() -> str:
-    """numpy's version and its OpenBLAS build and kernel, in this process."""
+    """numpy's version, its BLAS and the kernel in use in this process.  Where
+    :func:`blas_core` finds no kernel, the ``openblas configuration`` string
+    of ``np.show_config`` stands in for it; that string is fixed when numpy
+    is built and names the build's target, not the kernel picked at run time."""
     import numpy as np
 
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
+    core = blas_core()
+    build = (f"{blas.get('name')} {blas.get('version')} kernel {core}" if core
+             else blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}")
     return f"numpy {np.__version__}; {build}"
 
 
