@@ -1,9 +1,9 @@
 """Measure how sensitive the classifier is to one hyperparameter at a time.
 
-Each (value, seed) pair trains a fresh model; records land in a directory
-keyed by hashes of the exact configuration and of the encoded inputs the
-runs read, so re-running the script reuses finished work instead of
-repeating it.
+Each (value, seed) pair trains a fresh model into a run directory (its
+checkpoint, history and run.json) named by hashes of the exact configuration
+and of the encoded inputs the runs read, so re-running the script reuses
+finished work instead of repeating it.
 """
 
 import tempfile
@@ -53,12 +53,12 @@ spec = sweep.SweepSpec(axis="lr", values=[5.0, 0.02], seeds=(0, 1, 2))
 
 with tempfile.TemporaryDirectory() as runs_dir:
     records, aggregates = sweep.run_sweep(spec, base, data, None, {}, runs_dir)
-    print(f"{len(records)} runs -> {len(list(Path(runs_dir).glob('*.json')))} "
-          "record files\n")
+    print(f"{len(records)} runs -> {len(list(Path(runs_dir).glob('*/run.json')))} "
+          "run directories\n")
     print(sweep.format_sweep_report(aggregates))
 
     # Calling run_sweep again with the same directory does no training at
-    # all: every record is already on disk.
+    # all: every run directory is already finished on disk.
     again, _ = sweep.run_sweep(spec, base, data, None, {}, runs_dir)
     print("\nresumed without retraining:",
           [f"{r.best_val_f1:.3f}" for r in again])

@@ -4,14 +4,14 @@ Subcommands:
 
     preprocess  raw TSVs -> statistics table; sentence-vector TSV -> binary
     finetune    word vectors + binary-sentiment corpus -> fine-tuned vectors
-    train       raw TSVs -> checkpoint + per-epoch history TSV
+    train       raw TSVs -> run directory: checkpoint, history TSV, run.json
     evaluate    checkpoint + labeled split -> metrics report
-    sweep       single-axis hyperparameter sensitivity runs -> report
+    sweep       single-axis sensitivity runs -> report; a run directory per cell
 
 Global flags (before the subcommand): --seed overrides the config seed,
 --config points at a key=value config file, --out directs the command's
-report (a file for evaluate/sweep, a directory for train).  Reports default
-to stdout.
+report (a file for evaluate/sweep, the run directory for train).  Reports
+default to stdout.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from . import sweep as sw
 from . import train as tr
 from .config import TrainConfig, load_config
 from .dataio import (LABELS, atomic_write, load_checkpoint, load_dataset,
-                     load_sentence_vectors, load_word_vectors, save_checkpoint,
-                     save_sentence_vectors, save_word_vectors)
+                     load_sentence_vectors, load_word_vectors, save_sentence_vectors,
+                     save_word_vectors)
 from .textprep import SPECIALS, TokenSequence, build_vocab, token_rows
 
 log = logging.getLogger(__name__)
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None)
     p.add_argument("--sentence-vectors", required=True, help=SENTENCE_VECTORS_HELP)
     p.add_argument("--runs-dir", default="sweep_runs",
-                   help="per-run record files for resumable sweeps")
+                   help="one run directory per cell, for resumable sweeps")
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -117,12 +117,6 @@ def _emit(args, text: str) -> None:
         log.info("report written to %s", args.out)
     else:
         sys.stdout.write(text)
-
-
-def _avg_utterance_tokens(rows: list[list[str]]) -> float:
-    """Mean tokens per turn; a row is three turns and two EOS tokens."""
-    turns = 3 * len(rows)
-    return sum(len(row) - 2 for row in rows) / turns if turns else 0.0
 
 
 def _load_store(path: str, dim: int, ids):
@@ -159,8 +153,10 @@ def cmd_preprocess(args) -> int:
     for split, rows in zip(splits, rows_by_split):
         encoded = tr.encode_split(split, vocab, rows)
         counts = [str(split.label_counts.get(name, 0)) for name in LABELS]
+        # tokens per turn: a row is three turns and two EOS tokens
+        per_turn = sum(len(row) - 2 for row in rows) / (3 * len(rows)) if rows else 0.0
         lines.append(f"{split.name}\t{len(split)}\t" + "\t".join(counts) +
-                     f"\t{_avg_utterance_tokens(rows):.2f}\t{len(encoded)}")
+                     f"\t{per_turn:.2f}\t{len(encoded)}")
     lines.append(f"vocab_size\t{vocab.size}")
     if args.sentence_vectors:
         tsv, out = args.sentence_vectors
@@ -194,14 +190,8 @@ def cmd_finetune(args) -> int:
 
 def cmd_train(args) -> int:
     config, data, store, pretrained = _read_inputs(args, _load_base_config(args))
-    ckpt, history = tr.run(config, data, store, pretrained, select=args.select)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "model.ckpt")
-    save_checkpoint(ckpt, ckpt_path)
-    tr.write_history(history, os.path.join(out_dir, "history.tsv"))
-    log.info("checkpoint (epoch %d, val micro-F1 %.4f) written to %s",
-             ckpt.epoch, ckpt.best_val_f1, ckpt_path)
+    inputs = tr.inputs_digest(data, store, pretrained)  # before the run empties pretrained
+    history = tr.run_into(args.out or ".", config, data, store, pretrained, inputs, args.select)
     sys.stdout.write(tr.format_history(history))
     return 0
 

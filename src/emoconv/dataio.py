@@ -2,16 +2,16 @@
 
 The text inputs are the dataset TSV, word vectors and the sentence-vector
 TSV, read whole only to be converted (parsed here), and the fine-tuning
-corpus (``finetune``), the config file (``config``) and the sweep record
-(``sweep``), each parsed in its own module.  All of them are read by
-:func:`read_lines`: UTF-8, one line at a time, ending at LF, CRLF or a lone
-CR as in Python's text mode, with the ending and a byte-order mark on line 1
-removed.  A fault on a line, a byte that is not UTF-8 included, is the
-ValueError of :func:`line_error`, ``FILE line N: message``; a fault of the
-whole file names the file alone.
+corpus (``finetune``), the config file (``config``) and a run directory's
+``history.tsv`` and ``run.json`` (``train``), each parsed in its own module.
+All of them are read by :func:`read_lines`: UTF-8, one line at a time,
+ending at LF, CRLF or a lone CR as in Python's text mode, with the ending
+and a byte-order mark on line 1 removed.  A fault on a line, a byte that is
+not UTF-8 included, is the ValueError of :func:`line_error`, ``FILE line N:
+message``; a fault of the whole file names the file alone.
 
 Every output (checkpoint, word and sentence vectors, ``history.tsv``,
-reports and sweep records) is written through :func:`atomic_write`: to a
+``run.json`` and reports) is written through :func:`atomic_write`: to a
 temporary file beside the target, which replaces the target only when the
 block ends without error, so a reader sees the old file or the new one,
 never part of one.  ``open`` is called only in this module.

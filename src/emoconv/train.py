@@ -1,14 +1,18 @@
 """Training: the epoch loop both models share (Adam, global-norm gradient
 clipping, embedding freezing) and the classifier's class-weighted loss,
 learning-rate annealing, and best-epoch selection on validation micro-F1;
-:func:`run`, the one route from a config and its seed to a checkpoint.
+:func:`run`, the one route from a config and its seed to a checkpoint, into
+the run directory that :func:`run_into` alone writes.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -16,7 +20,8 @@ from . import metrics, rcnn
 from . import tensor as T
 from .config import TrainConfig
 from .dataio import (LABEL_TO_INDEX, LABELS, Checkpoint, DatasetSplit,
-                     SentenceVectorStore, atomic_write, build_embedding_matrix)
+                     SentenceVectorStore, atomic_write, build_embedding_matrix,
+                     line_error, read_lines, save_checkpoint)
 from .textprep import (MAX_TRAIN_TOKENS, TokenSequence, Vocabulary, build_vocab,
                        token_rows)
 
@@ -389,6 +394,25 @@ def write_history(history: list[HistoryRow], path) -> None:
         fh.write(format_history(history))
 
 
+def read_history(path) -> list[HistoryRow]:
+    """The inverse of :func:`format_history`: its header, then one row of
+    finite numbers per epoch from 1; a fault, no row included, names its line."""
+    lines, rows = list(read_lines(path)), []
+    if not lines or lines[0][1] != HISTORY_HEADER:
+        raise line_error(path, 1, f"expected the header {HISTORY_HEADER!r}")
+    for lineno, line in lines[1:] or [(2, "")]:  # a header alone fails on line 2
+        epoch, *fields = line.split("\t")
+        try:
+            row = HistoryRow(int(epoch), *map(float, fields))
+        except (ValueError, TypeError):  # a field that is no number, or not five fields
+            row = None
+        if row is None or row.epoch != len(rows) + 1 or not np.isfinite(astuple(row)).all():
+            raise line_error(path, lineno, f"expected epoch {len(rows) + 1}, then four "
+                             "finite numbers, tab-separated")
+        rows.append(row)
+    return rows
+
+
 @dataclass
 class RunState:
     """A run between epochs: its generator, Adam's moments, the epochs finished
@@ -537,3 +561,68 @@ def run(config: TrainConfig, data: RunData, sentence_store: SentenceVectorStore 
     params = rcnn.init_model(config, emb, rng)
     return train_encoded(params, data.train_ex, data.val_ex, sentence_store, config, rng,
                          weights=data.weights, vocab=data.vocab, select=select)
+
+
+def config_hash(config: TrainConfig) -> str:
+    return hashlib.sha256(json.dumps(config.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def inputs_digest(data: RunData, store: SentenceVectorStore | None, pretrained: dict) -> str:
+    """SHA-256 over what a run reads: the vocabulary and class weights of
+    ``data``, each example's id, label and token ids (train, then val), the
+    pretrained vectors and the examples' sentence vectors."""
+    examples = data.train_ex + data.val_ex
+    words = sorted(pretrained)
+    stored = [ex.id for ex in examples if store is not None and ex.id in store.row]
+    vectors = [pretrained[w] for w in words] + [store.get(i) for i in stored]
+    h = hashlib.sha256(json.dumps([
+        len(data.train_ex), data.vocab.id_to_token, [[ex.id, ex.label] for ex in examples],
+        words, stored, [ex.n for ex in examples], [np.size(v) for v in vectors]]).encode("utf-8"))
+    for array in [*(ex.ids for ex in examples), data.weights.weights, *vectors]:
+        h.update(np.ascontiguousarray(array))  # int64 ids, float64 values
+    return h.hexdigest()
+
+
+def run_key(config: TrainConfig, inputs: str) -> str:
+    """16 hex digits of :func:`config_hash`, then 16 of an :func:`inputs_digest`."""
+    return f"{config_hash(config)[:16]}_{inputs[:16]}"
+
+
+def read_run(path) -> dict:
+    """The JSON object of a ``run.json``; a fault names the file (and the line)."""
+    try:
+        fields = json.loads("\n".join(line for _, line in read_lines(path)))
+    except json.JSONDecodeError as err:
+        raise line_error(path, err.lineno, f"malformed run.json: {err.msg}") from None
+    if not isinstance(fields, dict):
+        raise ValueError(f"{path}: malformed run.json: not a JSON object")
+    return fields
+
+
+def run_into(out_dir, config: TrainConfig, data: RunData,
+             sentence_store: SentenceVectorStore | None, pretrained: dict[str, np.ndarray],
+             inputs: str, select: str = "best") -> list[HistoryRow]:
+    """:func:`run` into the directory ``out_dir``, the one writer of a run's
+    outputs, ``inputs`` being the :func:`inputs_digest` of what it reads;
+    returns the history.  ``model.ckpt``, ``history.tsv``, then ``run.json``
+    (config, ``select``, :func:`run_key`) are written whole, so a directory
+    without ``run.json`` is trained again.  Before any draw, a ``run.json`` of
+    this run is reused, its history read back; any other is a ValueError."""
+    key = run_key(config, inputs)
+    record = {"config": config.to_dict(), "key": key, "select": select}
+    path = os.path.join(out_dir, "run.json")
+    if os.path.exists(path):
+        held = read_run(path)
+        if held != record:
+            raise ValueError(f"{path} holds the run {held.get('key')} (select "
+                             f"{held.get('select')}), not {key} (select {select})")
+        log.info("reusing the finished run %s in %s", key, out_dir)
+        return read_history(os.path.join(out_dir, "history.tsv"))
+    os.makedirs(out_dir, exist_ok=True)
+    ckpt, history = run(config, data, sentence_store, pretrained, select)
+    save_checkpoint(ckpt, os.path.join(out_dir, "model.ckpt"))
+    write_history(history, os.path.join(out_dir, "history.tsv"))
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    log.info("run %s (val micro-F1 %.4f) written to %s", key, ckpt.best_val_f1, out_dir)
+    return history

@@ -76,8 +76,9 @@ comparison skips them and says why:
   dataset TSVs, the fine-tuned vectors and the binary sentence vectors,
   ``evaluate`` on the test split with the TSV and a 2 x 2 ``sweep`` (two
   hidden sizes, two seeds) with the binary file; the reports, the
-  fine-tuned vectors, the checkpoint, ``history.tsv`` and the contents of
-  the sweep records.
+  fine-tuned vectors, the run directory of ``train`` (``model.ckpt``,
+  ``history.tsv`` and ``run.json``) and the four of the sweep's cells, each
+  hashed with its name.
 """
 
 from __future__ import annotations
@@ -383,13 +384,16 @@ def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
         "--val", splits["val"], "--axis", "hidden_size", "--values", "4,6",
         "--seeds", "0,1", "--embeddings", tmp / "tuned.txt",
         "--sentence-vectors", tmp / "sv.bin", "--runs-dir", tmp / "runs")
-    records = sorted((tmp / "runs").glob("*.json"))
-    if len(records) != 4:
-        raise RuntimeError(f"the 2 x 2 sweep left {len(records)} records")
+    cells = sorted(path.parent for path in (tmp / "runs").glob("*/run.json"))
+    if len(cells) != 4:
+        raise RuntimeError(f"the 2 x 2 sweep left {len(cells)} finished run directories")
     files = ["stats.tsv", "finetune.tsv", "tuned.txt", "run/model.ckpt", "run/history.tsv",
-             "evaluate.tsv", "sweep.tsv"]
+             "run/run.json", "evaluate.tsv", "sweep.tsv"]
     digests = {name: _sha((tmp / name).read_bytes()) for name in files}
-    digests["runs"] = _sha(b"".join(p.name.encode() + p.read_bytes() for p in records))
+    digests["runs"] = _sha(b"".join(
+        cell.name.encode() + b"".join((cell / name).read_bytes()
+                                      for name in ("run.json", "model.ckpt", "history.tsv"))
+        for cell in cells))
     return digests
 
 

@@ -415,7 +415,7 @@ def test_criterion_10_sweep_harness(tmp_path):
                                            tr.RunData.encode(train_split, val_split),
                                            None, {}, tmp_path)
         assert len(records) == 6 and len(aggregates) == 2
-        assert len(list(tmp_path.glob("run_*.json"))) == 6
+        assert len(list(tmp_path.glob("*/run.json"))) == 6
         assert sum(row["runs"] for row in aggregates) == 6
         for record in records:
             assert record.trained_effectively == \

@@ -19,7 +19,7 @@ from emoconv import finetune as ft
 from emoconv import train as tr
 from emoconv.config import TrainConfig, load_config
 from emoconv.finetune import FILTERS_PER_SIZE, FinetuneSchedule
-from emoconv.sweep import DEFAULT_SEEDS, load_record
+from emoconv.sweep import DEFAULT_SEEDS
 from emoconv.textprep import SPECIALS
 
 CONFIG_TEXT = """\
@@ -194,6 +194,44 @@ def test_train_frees_the_word_vectors_before_training(world, monkeypatch):
     assert len(refs) == 3 + 1 and alive == [0]
 
 
+def test_train_into_another_runs_directory_fails_before_its_first_step(world, capsys,
+                                                                     monkeypatch):
+    """``train --out DIR`` where DIR holds another run, of another seed or
+    with ``--select last`` where it kept the best epoch, names the file and
+    both keys and leaves DIR as it was, before a step is taken."""
+    assert run_train(world, "run") == 0
+    before = {p.name: p.read_bytes() for p in (world / "run").iterdir()}
+    key = tr.read_run(world / "run" / "run.json")["key"]
+    capsys.readouterr()
+    monkeypatch.setattr(tr, "seeded_table", lambda *a: pytest.fail("a generator was seeded"))
+    for seed, select in ((11, "best"), (5, "last")):  # the config's seed is 5
+        argv = ["--config", str(world / "config.txt"), "--out", str(world / "run"),
+                "--seed", str(seed), "train", "--train", str(world / "train.txt"),
+                "--val", str(world / "val.txt"), "--sentence-vectors", str(world / "sv.bin"),
+                "--select", select]
+        assert cli.main(argv) == 1
+        # the same inputs, so the same second half of the key
+        other = tr.run_key(load_config(world / "config.txt").replace(seed=seed), key[17:])
+        assert (other == key) == (seed == 5)
+        assert capsys.readouterr().err == (
+            f"error: {world / 'run' / 'run.json'} holds the run {key} (select best), "
+            f"not {other} (select {select})\n")
+        assert {p.name: p.read_bytes() for p in (world / "run").iterdir()} == before
+
+
+def test_a_second_train_into_its_run_directory_trains_nothing(world, capsys, monkeypatch):
+    """The same run into the same directory again takes no step, changes no
+    file and prints the history as the first run printed it."""
+    assert run_train(world, "run") == 0
+    first = capsys.readouterr().out
+    before = {p.name: p.read_bytes() for p in (world / "run").iterdir()}
+    assert sorted(before) == ["history.tsv", "model.ckpt", "run.json"]
+    monkeypatch.setattr(tr, "seeded_table", lambda *a: pytest.fail("a generator was seeded"))
+    assert run_train(world, "run") == 0
+    assert capsys.readouterr().out == first == before["history.tsv"].decode()
+    assert {p.name: p.read_bytes() for p in (world / "run").iterdir()} == before
+
+
 def test_train_runs_are_bit_identical(world):
     assert run_train(world, "a") == 0
     assert run_train(world, "b") == 0
@@ -261,7 +299,7 @@ def test_a_run_refuses_the_sentence_vector_tsv_before_parsing_a_value(
         world, capsys, monkeypatch, command):
     """A run reads the converted file alone: given the TSV, each run command
     fails with one message naming the file and the conversion, parses no
-    value and writes no run directory, checkpoint, report or sweep record."""
+    value and writes no run directory (of train or of a sweep cell) or report."""
     assert run_train(world, "run") == 0  # the checkpoint evaluate scores
     before = sorted(world.rglob("*"))
     capsys.readouterr()
@@ -431,14 +469,14 @@ def test_sweep_report_and_records(world):
     report = (world / "sweep.tsv").read_text().splitlines()
     assert report[0].startswith("axis\tvalue")
     assert len(report) == 3
-    assert len(list((world / "runs").glob("run_*.json"))) == 4
+    assert len(list((world / "runs").glob("*/run.json"))) == 4
 
 
 def test_a_sweep_cell_is_the_train_run_at_its_seed(world):
-    """Each cell of a sweep with ``--embeddings`` records the best val
-    micro-F1 and final training loss of ``emoconv train`` at its seed; a cell
-    that lost the word vectors the sweep shares would draw its table at
-    random."""
+    """Each cell of a sweep with ``--embeddings`` is the run directory of
+    ``emoconv train`` at its seed, byte for byte, and records its best val
+    micro-F1 and final training loss; a cell that lost the word vectors the
+    sweep shares would draw its table at random."""
     tokens = toycorpus.vocab_for(dataio.load_dataset(world / "train.txt", "train")).id_to_token
     words = tokens[len(SPECIALS):]
     toycorpus.write_word_vectors(words, np.random.default_rng(0).normal(size=(len(words), 6)),
@@ -448,15 +486,21 @@ def test_a_sweep_cell_is_the_train_run_at_its_seed(world):
     assert cli.main(["--config", str(world / "config.txt"), "--out", str(world / "sweep.tsv"),
                      "sweep", *splits, "--axis", "lr", "--values", "0.02", "--seeds", "0,1",
                      "--runs-dir", str(world / "runs")]) == 0
-    records = {r.seed: r for r in map(load_record, (world / "runs").glob("run_*.json"))}
-    assert sorted(records) == [0, 1]
-    for seed, record in records.items():
+    cells = {tr.read_run(path)["config"]["seed"]: path.parent
+             for path in (world / "runs").glob("*/run.json")}
+    assert sorted(cells) == [0, 1]
+    for seed, cell in cells.items():
         out = world / f"train{seed}"
         assert cli.main(["--config", str(world / "config.txt"), "--seed", str(seed),
                          "--out", str(out), "train", *splits]) == 0
+        for name in ("model.ckpt", "history.tsv", "run.json"):
+            assert (cell / name).read_bytes() == (out / name).read_bytes()
+        assert tr.read_run(out / "run.json")["key"] == cell.name
         final_loss = float((out / "history.tsv").read_text().splitlines()[-1].split("\t")[2])
         ckpt = dataio.load_checkpoint(out / "model.ckpt")
-        assert (record.best_val_f1, record.final_train_loss) == (ckpt.best_val_f1, final_loss)
+        history = tr.read_history(cell / "history.tsv")
+        record = (max(row.val_micro_f1 for row in history), history[-1].train_loss)
+        assert record == (ckpt.best_val_f1, final_loss)
 
 
 def test_a_negative_seed_flag_names_the_field(world, capsys):
@@ -497,6 +541,23 @@ def test_errors_exit_nonzero(world, capsys):
     assert capsys.readouterr().err.startswith("error: cannot parse --values '0.1,x'")
     with pytest.raises(SystemExit):
         cli.main(["not-a-command"])
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("lr", "0.02,-1", "lr must be positive, got -1.0"),
+    ("hidden_size", "4,0", "hidden_size must be >= 1, got 0")])
+def test_a_sweep_value_no_config_takes_fails_before_a_file_is_read(
+        world, capsys, monkeypatch, axis, values, message):
+    """Such a value failed only when its cells came up, after every file was
+    read and the values before it had trained."""
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("a file was read"))
+    rc = cli.main(["--config", str(world / "config.txt"), "sweep",
+                   "--train", str(world / "train.txt"), "--val", str(world / "val.txt"),
+                   "--axis", axis, "--values", values, "--seeds", "0",
+                   "--sentence-vectors", "none", "--runs-dir", str(world / "runs")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (world / "runs").exists()
 
 
 def test_readme_commands_parse():

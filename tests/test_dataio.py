@@ -104,7 +104,7 @@ def test_load_word_vectors(tmp_path):
 
 
 def test_outside_files_may_start_with_a_utf8_bom(tmp_path):
-    from emoconv import sweep
+    from emoconv import train as tr
     from emoconv.finetune import load_finetune_corpus
 
     def bom(name, text):
@@ -119,8 +119,9 @@ def test_outside_files_may_start_with_a_utf8_bom(tmp_path):
     assert list(dio.load_sentence_vectors(bom("sv.tsv", "c1\t1 2\n"), 2).row) == ["c1"]
     assert load_finetune_corpus(bom("ft.tsv", "text\tlabel\nyay\t1\n")) == [("yay", 1)]
     assert load_config(bom("c.cfg", "lr = 0.01\n")).lr == 0.01
-    record = sweep.RunRecord("lr", 0.01, 0, "ab", 0.5, 1.0, 1.4, True)
-    assert sweep.load_record(bom("run.json", record.to_json())) == record
+    history = [tr.HistoryRow(1, 0.01, 1.0, 0.5, 0.0)]
+    assert tr.read_history(bom("history.tsv", tr.format_history(history))) == history
+    assert tr.read_run(bom("run.json", '{"key": "ab"}\n')) == {"key": "ab"}
 
 
 def test_read_lines_ends_lines_as_text_mode_does(tmp_path):

@@ -1,7 +1,8 @@
 """Seeded fuzz over every line format the program reads from outside.
 
-Each of the six formats (dataset TSV, word vectors, sentence vectors,
-fine-tuning corpus, config file, sweep record) starts from a valid file.
+Each of the seven formats (dataset TSV, word vectors, sentence vectors,
+fine-tuning corpus, config file, and a run directory's ``history.tsv`` and
+``run.json``) starts from a valid file.
 The file is then truncated, has bytes flipped, has a byte that is not
 UTF-8 put into one line, has a number swapped for a non-number, ``nan`` or
 ``inf``, or has a line repeated.  Every case must
@@ -10,17 +11,21 @@ either load or raise a ValueError of one of the two forms ``FILE line N:``
 fault is known to sit on one line, that line must be the one named.
 """
 
+import json
 import re
 
 import numpy as np
 import pytest
 
 from emoconv import dataio as dio
-from emoconv import sweep as sw
-from emoconv.config import load_config
+from emoconv import train as tr
+from emoconv.config import TrainConfig, load_config
 from emoconv.finetune import load_finetune_corpus
 
-RECORD = sw.RunRecord("lr", 0.01, 3, "0123abcd" * 8, 0.5, 1.2, 1.386, True).to_json() + "\n"
+HISTORY = tr.format_history([tr.HistoryRow(1, 0.0005, 1.2345678901234567, 0.5, 0.25),
+                             tr.HistoryRow(2, 1e-4, 0.9, 0.6153846153846154, 0.0)])
+RUN = json.dumps({"config": TrainConfig().to_dict(), "key": "0123abcd" * 2 + "_" + "9876fedc" * 2,
+                  "select": "best"}, sort_keys=True) + "\n"
 
 # name -> (valid text, loader, first data line, whether a repeated line is a fault)
 FORMATS = {
@@ -37,7 +42,8 @@ FORMATS = {
                         load_finetune_corpus, 2, False),
     "config": ("# comment\nlr = 0.001\nhidden_size = 8\nclip_norm = 2.5  # inline\n"
                "projection_tanh = true\n", load_config, 2, False),
-    "sweep_record": (RECORD, sw.load_record, 1, True),
+    "train_history": (HISTORY, tr.read_history, 2, True),
+    "train_run": (RUN, tr.read_run, 1, True),
 }
 
 NUMBER = re.compile(rb"(?<![\w.])-?\d+(\.\d+)?(e-?\d+)?(?![\w.])")

@@ -76,11 +76,23 @@ def test_sweep_values_must_fit_the_axis_and_differ():
     assert sw.SweepSpec("lr", [1, 0.5]).values == [1.0, 0.5]
 
 
+def test_sweep_values_a_config_cannot_take_fail_when_the_spec_is_made():
+    """``lr`` -1 or ``hidden_size`` 0 passed the spec and failed only in the
+    sweep's loop, after the cells of the values before it had trained."""
+    for axis, values, message in (("lr", [0.02, -1], "lr must be positive, got -1.0"),
+                                  ("hidden_size", [4, 0], "hidden_size must be >= 1, got 0"),
+                                  ("dropout_linear", [0.0, 1], "dropout_linear must be in "
+                                                              "[0, 1), got 1.0")):
+        with pytest.raises(ValueError) as err:
+            sw.SweepSpec(axis, values, seeds=[0])
+        assert str(err.value) == message
+
+
 def test_config_hash_distinguishes_runs():
-    a = sw.config_hash(FAST.replace(seed=0))
-    b = sw.config_hash(FAST.replace(seed=1))
-    c = sw.config_hash(FAST.replace(seed=0, lr=0.01))
-    again = sw.config_hash(FAST.replace(seed=0))
+    a = tr.config_hash(FAST.replace(seed=0))
+    b = tr.config_hash(FAST.replace(seed=1))
+    c = tr.config_hash(FAST.replace(seed=0, lr=0.01))
+    again = tr.config_hash(FAST.replace(seed=0))
     assert a == again and len({a, b, c}) == 3
 
 
@@ -104,47 +116,56 @@ def test_sweep_shape_and_flag_consistency(tmp_path):
     assert len(lines) == 3
 
 
-def test_sweep_resumes_from_run_records(tmp_path):
+def test_sweep_resumes_from_run_records(tmp_path, monkeypatch):
     train_split, val_split, data = _toy_data()
     runs_dir = tmp_path / "runs"
     spec = sw.SweepSpec("hidden_size", [4], seeds=[0, 1])
     records1, _ = sw.run_sweep(spec, FAST, data, None, {}, runs_dir)
-    files = sorted(runs_dir.glob("run_*.json"))
-    assert len(files) == 2
+    cells = sorted(path.parent for path in runs_dir.glob("*/run.json"))
+    assert len(cells) == 2
 
-    # tamper with one stored record; a resumed sweep must trust the file
-    fields = json.loads(files[0].read_text())
-    fields["best_val_f1"] = 0.123456
-    files[0].write_text(json.dumps(fields, sort_keys=True) + "\n")
+    # tamper with one cell's history; a resumed sweep must trust the file
+    history = tr.read_history(cells[0] / "history.tsv")
+    for row in history:
+        row.val_micro_f1 = 0.123456
+    tr.write_history(history, cells[0] / "history.tsv")
+    monkeypatch.setattr(tr, "run", lambda *a: pytest.fail("a finished cell was retrained"))
     records2, _ = sw.run_sweep(spec, FAST, data, None, {}, runs_dir)
     assert 0.123456 in [r.best_val_f1 for r in records2]
-    untouched = json.loads(files[1].read_text())
-    assert untouched["best_val_f1"] in [r.best_val_f1 for r in records2]
+    untouched = max(row.val_micro_f1 for row in tr.read_history(cells[1] / "history.tsv"))
+    assert untouched in [r.best_val_f1 for r in records2]
+    assert untouched in [r.best_val_f1 for r in records1]
 
 
-def test_sweep_runs_are_deterministic():
+def test_sweep_runs_are_deterministic(tmp_path):
     _, _, data = _toy_data()
-    config = FAST.replace(lr=0.02, seed=7)
-    rec1 = sw.run_one(config, "lr", data, None, {})
-    rec2 = sw.run_one(config, "lr", data, None, {})
+    spec = sw.SweepSpec("lr", [0.02], seeds=[7])
+    (rec1,), _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "a")
+    (rec2,), _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "b")
     assert rec1 == rec2 and (rec1.value, rec1.seed) == (0.02, 7)
+    (cell,) = (tmp_path / "a").iterdir()
+    for name in ("model.ckpt", "history.tsv", "run.json"):
+        assert (cell / name).read_bytes() == (tmp_path / "b" / cell.name / name).read_bytes()
 
 
 def test_axis_values_are_coerced(tmp_path):
     """The spec converts a value to its axis's type; the cell's config and
-    record, and the record file read back, hold the converted value."""
+    record, its directory's name and its ``run.json`` read back hold the
+    converted value."""
     train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("batch_size", [6.0], seeds=[3.0])
     records, aggregates = sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
     (rec,) = records
     assert rec.value == 6 and isinstance(rec.value, int) and aggregates[0]["value"] == 6
-    assert rec.config_hash == sw.config_hash(FAST.replace(batch_size=6, seed=3))
-    (path,) = tmp_path.glob("run_*.json")
-    loaded = sw.load_record(path)
-    assert loaded == rec and isinstance(loaded.value, int)
+    config = FAST.replace(batch_size=6, seed=3)
+    assert rec.config_hash == tr.config_hash(config)
+    (path,) = tmp_path.glob("*/run.json")
+    assert path.parent.name == tr.run_key(config, tr.inputs_digest(data, None, {}))
+    loaded = tr.read_run(path)["config"]
+    assert loaded == config.to_dict() and isinstance(loaded["batch_size"], int)
 
 
-def test_baseline_loss_is_over_the_examples_the_runs_train_on():
+def test_baseline_loss_is_over_the_examples_the_runs_train_on(tmp_path):
     train_split, val_split, _ = _toy_data()
     long_turn = " ".join(["so"] * 79)
     assert len(textprep.assemble_input((long_turn, "yay", "um")).tokens) == 83
@@ -153,25 +174,27 @@ def test_baseline_loss_is_over_the_examples_the_runs_train_on():
     data = tr.RunData.encode(train_split, val_split)
     kept = [ex.label for ex in data.train_ex]
     assert len(kept) == 12  # the 83-token conversation is filtered out
-    rec = sw.run_one(FAST.replace(lr=0.02), "lr", data, None, {})
+    (rec,), _ = sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0]), FAST, data, None, {},
+                             tmp_path)
     assert rec.baseline_loss == tr.uniform_baseline_loss(data.weights, kept)
     every = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
     assert rec.baseline_loss != tr.uniform_baseline_loss(data.weights, every)
 
 
-def test_a_final_loss_at_the_baseline_did_not_train_effectively(monkeypatch):
+def test_a_final_loss_at_the_baseline_did_not_train_effectively(tmp_path, monkeypatch):
     """The flag asks for a final training loss strictly under the uniform
-    baseline: a run that ends exactly at it is flagged, one a step under is not."""
+    baseline: a run that ends exactly at it is flagged, one a step under is
+    not.  The record's F1 is the history's best, not its last."""
     _, _, data = _toy_data()
     baseline = tr.uniform_baseline_loss(data.weights, [ex.label for ex in data.train_ex])
     for final_loss, effective in ((baseline, False), (float(np.nextafter(baseline, 0.0)), True)):
         history = [tr.HistoryRow(1, 0.02, 2 * baseline, 0.5, 0.0),
-                   tr.HistoryRow(2, 0.02, final_loss, 0.5, 0.0)]
-        ckpt = tr.Checkpoint(data.vocab, {}, FAST, 2, 0.5)
-        monkeypatch.setattr(tr, "run", lambda *args: (ckpt, history))
-        rec = sw.run_one(FAST.replace(lr=0.02), "lr", data, None, {})
+                   tr.HistoryRow(2, 0.02, final_loss, 0.25, 0.0)]
+        monkeypatch.setattr(tr, "run_into", lambda *args: history)
+        (rec,), _ = sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0]), FAST, data, None, {},
+                                 tmp_path)
         assert (rec.final_train_loss, rec.baseline_loss) == (final_loss, baseline)
-        assert rec.trained_effectively is effective
+        assert rec.trained_effectively is effective and rec.best_val_f1 == 0.5
 
 
 def test_a_sweep_encodes_nothing_and_matches_per_run_training(tmp_path, monkeypatch):
@@ -194,7 +217,7 @@ def test_a_sweep_encodes_nothing_and_matches_per_run_training(tmp_path, monkeypa
                                                val_split, None, config, rng, vocab=data.vocab)
         assert rec == sw.RunRecord(
             axis="lr", value=rec.value, seed=rec.seed,
-            config_hash=sw.config_hash(config), best_val_f1=ckpt.best_val_f1,
+            config_hash=tr.config_hash(config), best_val_f1=ckpt.best_val_f1,
             final_train_loss=history[-1].train_loss, baseline_loss=baseline,
             trained_effectively=history[-1].train_loss < baseline)
 
@@ -211,7 +234,7 @@ def test_a_second_sweep_over_one_encoding_trains_only_its_new_cells(tmp_path, mo
     spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
     records, aggregates = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
     assert [(c.lr, c.seed) for c in trained] == [(0.001, 0), (0.001, 1)]
-    assert len(list((tmp_path / "runs").glob("run_*.json"))) == 4
+    assert len(list((tmp_path / "runs").glob("*/run.json"))) == 4
     fresh = sw.run_sweep(spec, FAST, _toy_data()[2], None, {}, tmp_path / "fresh")
     assert (records, aggregates) == fresh
 
@@ -226,7 +249,7 @@ def test_a_sweep_on_other_training_data_retrains_in_the_same_runs_dir(tmp_path):
     alone, want = sw.run_sweep(spec, FAST, other, None, {}, tmp_path / "alone")
     assert second == alone and aggregates == want
     assert [r.final_train_loss for r in second] != [r.final_train_loss for r in first]
-    assert len(list(tmp_path.glob("run_*.json"))) == 4
+    assert len(list(tmp_path.glob("*/run.json"))) == 4
 
 
 def test_a_sweep_over_relabeled_training_rows_never_reuses_the_originals_records(tmp_path):
@@ -247,7 +270,7 @@ def test_a_sweep_over_relabeled_training_rows_never_reuses_the_originals_records
     second = sw.run_sweep(spec, FAST, relabeled, None, {}, tmp_path)
     assert second == sw.run_sweep(spec, FAST, relabeled, None, {}, tmp_path / "alone")
     assert [r.final_train_loss for r in second[0]] != [r.final_train_loss for r in first]
-    assert len(list(tmp_path.glob("run_*.json"))) == 4
+    assert len(list(tmp_path.glob("*/run.json"))) == 4
 
 
 def test_sweep_inputs_digest_covers_what_a_run_reads():
@@ -267,13 +290,13 @@ def test_sweep_inputs_digest_covers_what_a_run_reads():
     data = tr.RunData.encode(train_split, val_split)
     store = toycorpus.store_for([train_split, val_split], 3, seed=5)
     pretrained = {"happy": np.ones(6)}
-    base = sw._inputs_digest(data, store, pretrained)
-    assert base == sw._inputs_digest(tr.RunData.encode(train_split, val_split), store,
+    base = tr.inputs_digest(data, store, pretrained)
+    assert base == tr.inputs_digest(tr.RunData.encode(train_split, val_split), store,
                                      {"happy": np.ones(6)})
     # the long row's vector, and one no split holds, are read by no run
     unread = toycorpus.store_of({**{i: store.get(i) for i in store.row},
                                  "long": np.zeros(3), "x": np.ones(3)})
-    assert sw._inputs_digest(data, unread, pretrained) == base
+    assert tr.inputs_digest(data, unread, pretrained) == base
 
     # the long row's label moves the class weights alone
     reweighted = copy.deepcopy(train_split)
@@ -286,60 +309,88 @@ def test_sweep_inputs_digest_covers_what_a_run_reads():
     moved.matrix[moved.row[data.train_ex[0].id]] = 0.0
     other_vocab = dataclasses.replace(data, vocab=Vocabulary(data.vocab.id_to_token + ["x"]))
     changed = [
-        sw._inputs_digest(reweighted, store, pretrained),
-        sw._inputs_digest(changed_example("label", (data.val_ex[0].label + 1) % 4), store,
+        tr.inputs_digest(reweighted, store, pretrained),
+        tr.inputs_digest(changed_example("label", (data.val_ex[0].label + 1) % 4), store,
                           pretrained),
-        sw._inputs_digest(changed_example("ids", data.val_ex[0].ids + 1), store, pretrained),
-        sw._inputs_digest(data, moved, pretrained),
-        sw._inputs_digest(data, store, {"happy": np.zeros(6)}),
-        sw._inputs_digest(data, store, {}),
-        sw._inputs_digest(other_vocab, store, pretrained),
+        tr.inputs_digest(changed_example("ids", data.val_ex[0].ids + 1), store, pretrained),
+        tr.inputs_digest(data, moved, pretrained),
+        tr.inputs_digest(data, store, {"happy": np.zeros(6)}),
+        tr.inputs_digest(data, store, {}),
+        tr.inputs_digest(other_vocab, store, pretrained),
         # with no store, an id moves the key by itself
-        sw._inputs_digest(data, None, pretrained),
-        sw._inputs_digest(changed_example("id", "val9999"), None, pretrained),
+        tr.inputs_digest(data, None, pretrained),
+        tr.inputs_digest(changed_example("id", "val9999"), None, pretrained),
     ]
     assert len({base, *changed}) == 1 + len(changed)
 
 
-def test_a_record_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
+def test_a_cell_killed_before_its_run_json_is_trained_again(tmp_path, monkeypatch):
+    """A cell that dies after writing its checkpoint leaves no ``run.json``
+    and no temporary file, and the next sweep trains it again, to the
+    records and files of a sweep that was never killed."""
     train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("lr", [0.02], seeds=[0])
 
-    def fail(self):
-        raise RuntimeError("disk full")
+    def killed(*args):
+        raise RuntimeError("killed")
 
-    monkeypatch.setattr(sw.RunRecord, "to_json", fail)
-    with pytest.raises(RuntimeError):
-        sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
-    assert list(tmp_path.iterdir()) == []  # neither a record nor a temporary file
+    with monkeypatch.context() as patched:
+        patched.setattr(tr, "write_history", killed)
+        with pytest.raises(RuntimeError):
+            sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
+    (cell,) = (tmp_path / "runs").iterdir()
+    assert sorted(p.name for p in cell.iterdir()) == ["model.ckpt"]
+    trained, run = [], tr.run
+    monkeypatch.setattr(tr, "run", lambda config, *a: trained.append(config) or run(config, *a))
+    records = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
+    assert [(c.lr, c.seed) for c in trained] == [(0.02, 0)]
+    assert records == sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "whole")
+    for name in ("model.ckpt", "history.tsv", "run.json"):
+        assert (cell / name).read_bytes() == (tmp_path / "whole" / cell.name / name).read_bytes()
 
 
-def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path):
+def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path, monkeypatch):
+    """A cell's ``run.json`` and ``history.tsv``, cut short or holding another
+    run, are reported naming the file, not trained over."""
     train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("lr", [0.02], seeds=[0])
     records, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
-    (path,) = tmp_path.iterdir()  # no temporary file is left beside the record
-    whole = path.read_bytes()
-    assert sw.load_record(path) == records[0]
+    (cell,) = tmp_path.iterdir()
+    # no temporary file is left beside the run's three files
+    assert sorted(p.name for p in cell.iterdir()) == ["history.tsv", "model.ckpt", "run.json"]
+    run_json, history = cell / "run.json", cell / "history.tsv"
+    whole, rows = run_json.read_bytes(), history.read_bytes()
+    fields = tr.read_run(run_json)
+    assert fields["key"] == cell.name and fields["select"] == "best"
+    assert max(r.val_micro_f1 for r in tr.read_history(history)) == records[0].best_val_f1
 
     rng = np.random.default_rng(0)
     cuts = {0, 1, len(whole) - 2, len(whole) - 1, *rng.integers(2, len(whole) - 2, 20)}
     for cut in sorted(cuts):
-        path.write_bytes(whole[:cut])
+        run_json.write_bytes(whole[:cut])
         if cut == len(whole) - 1:  # only the final newline is gone
-            assert sw.load_record(path) == records[0]
+            assert tr.read_run(run_json) == fields
             continue
-        with pytest.raises(ValueError, match=re.escape(str(path))):
-            sw.load_record(path)
+        with pytest.raises(ValueError, match=re.escape(str(run_json))):
+            tr.read_run(run_json)
+    run_json.write_bytes(whole)
+    # a history cut inside a row names that row's line; the header alone, line 2
+    lines = rows.decode().splitlines(keepends=True)
+    for keep in range(len(lines)):
+        history.write_text("".join(lines[:keep]) + lines[keep][:-8])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(history))} line {keep + 1}: "):
+            tr.read_history(history)
+    history.write_text(lines[0])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(history))} line 2: expected epoch 1,"):
+        tr.read_history(history)
 
-    fields = json.loads(whole)
-    for bad in ([1, 2], {**fields, "extra": 1},
-                {k: v for k, v in fields.items() if k != "seed"},
-                {**fields, "trained_effectively": "no"}, {**fields, "best_val_f1": "x"},
-                {**fields, "seed": 1.0}, {**fields, "value": True}, {**fields, "axis": 3}):
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ValueError, match=re.escape(str(path))):
-            sw.load_record(path)
-    # the sweep reports such a record rather than retraining over it
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    # the sweep reports such a file rather than retraining over it
+    monkeypatch.setattr(tr, "run", lambda *a: pytest.fail("a bad cell was retrained"))
+    with pytest.raises(ValueError, match=re.escape(str(history))):
         sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
+    history.write_bytes(rows)
+    for bad in ("[1, 2]", json.dumps({**fields, "select": "last"}),
+                json.dumps({**fields, "key": "0" * 33}), whole.decode()[:-3]):
+        run_json.write_text(bad)
+        with pytest.raises(ValueError, match=re.escape(str(run_json))):
+            sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
