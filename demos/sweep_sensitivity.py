@@ -52,13 +52,13 @@ base = TrainConfig(batch_size=8, epochs=5, hidden_size=6, num_layers=1,
 spec = sweep.SweepSpec(axis="lr", values=[5.0, 0.02], seeds=(0, 1, 2))
 
 with tempfile.TemporaryDirectory() as runs_dir:
-    records, aggregates = sweep.run_sweep(spec, base, data, None, {}, runs_dir)
+    records, aggregates = sweep.run_sweep(spec, base, data, runs_dir)
     print(f"{len(records)} runs -> {len(list(Path(runs_dir).glob('*/run.json')))} "
           "run directories\n")
     print(sweep.format_sweep_report(aggregates))
 
     # Calling run_sweep again with the same directory does no training at
     # all: every run directory is already finished on disk.
-    again, _ = sweep.run_sweep(spec, base, data, None, {}, runs_dir)
+    again, _ = sweep.run_sweep(spec, base, data, runs_dir)
     print("\nresumed without retraining:",
           [f"{r.best_val_f1:.3f}" for r in again])

@@ -42,7 +42,8 @@ print(f"train {len(train_split)} conversations, val {len(val_split)}")
 # and nothing is fused at the output (sentence_dim 0 = the ablation setting).
 # train.RunData.encode tokenizes each split once: the training rows build
 # the vocabulary and are then encoded, and the encoded validation split
-# serves training and the report below.
+# serves training and the report below.  A RunData is everything a run
+# reads; this one holds no sentence or word vectors.
 
 config = TrainConfig(lr=0.02, batch_size=8, epochs=8, hidden_size=8,
                      num_layers=1, sentence_dim=0, embedding_dim=8,
@@ -56,7 +57,7 @@ data = train.RunData.encode(train_split, val_split)
 # drops out through training.  The embedding stays frozen for two epochs
 # (watch the loss still fall), then the whole model moves together.
 
-checkpoint, history = train.run(config, data, None, {})
+checkpoint, history = train.run(config, data)
 print()
 print(train.format_history(history))
 print(f"best epoch {checkpoint.epoch} at val micro-F1 "

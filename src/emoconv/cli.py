@@ -17,6 +17,7 @@ default to stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -125,12 +126,11 @@ def _load_store(path: str, dim: int, ids):
 
 
 def _read_inputs(args, config: TrainConfig):
-    """What a classifier run reads, the one input step of ``train`` and
-    ``sweep``: the config, with ``sentence_dim`` 0 for ``--sentence-vectors
-    none``; the :meth:`train.RunData.encode` of ``--train`` and ``--val``,
-    whose splits go once encoded; the sentence-vector store of its examples
-    (None for ``none``) and the word vectors of ``--embeddings`` that its
-    vocabulary holds (empty when it is absent)."""
+    """The one input step of ``train`` and ``sweep``: the config, with
+    ``sentence_dim`` 0 for ``--sentence-vectors none``, and the run's
+    :class:`train.RunData`: the :meth:`~train.RunData.encode` of ``--train``
+    and ``--val`` (the splits go once encoded), the store of its examples'
+    sentence vectors and the ``--embeddings`` vectors its vocabulary holds."""
     data = tr.RunData.encode(load_dataset(args.train, "train"), load_dataset(args.val, "val"))
     store = _load_store(args.sentence_vectors, config.sentence_dim,
                         (ex.id for ex in data.train_ex + data.val_ex))
@@ -138,7 +138,7 @@ def _read_inputs(args, config: TrainConfig):
         config = config.replace(sentence_dim=0)
     pretrained = (load_word_vectors(args.embeddings, config.embedding_dim,
                                     keep=data.vocab.token_to_id) if args.embeddings else {})
-    return config, data, store, pretrained
+    return config, dataclasses.replace(data, store=store, pretrained=pretrained)
 
 
 def cmd_preprocess(args) -> int:
@@ -189,9 +189,8 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, data, store, pretrained = _read_inputs(args, _load_base_config(args))
-    inputs = tr.inputs_digest(data, store, pretrained)  # before the run empties pretrained
-    history = tr.run_into(args.out or ".", config, data, store, pretrained, inputs, args.select)
+    config, data = _read_inputs(args, _load_base_config(args))
+    history = tr.run_into(args.out or ".", config, data, args.select)
     sys.stdout.write(tr.format_history(history))
     return 0
 
@@ -218,8 +217,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"cannot parse --values {args.values!r} / --seeds "
                          f"{args.seeds!r} as numbers") from None
     spec = sw.SweepSpec(args.axis, values, seeds)  # checked before any file is read
-    config, data, store, pretrained = _read_inputs(args, config)
-    _, aggregates = sw.run_sweep(spec, config, data, store, pretrained, args.runs_dir)
+    config, data = _read_inputs(args, config)
+    _, aggregates = sw.run_sweep(spec, config, data, args.runs_dir)
     _emit(args, sw.format_sweep_report(aggregates))
     return 0
 

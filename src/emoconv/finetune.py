@@ -193,8 +193,10 @@ def run(schedule: FinetuneSchedule, seed: int, encoded, vocab: Vocabulary,
     """The fine-tuning run, the one every entry makes: the generator and
     ``schedule.dim``-wide table of :func:`train.seeded_table` at ``seed``,
     then the CNN, which :func:`finetune_encoded` trains on ``encoded``;
-    returns (model, epoch losses)."""
+    returns (model, epoch losses).  ``pretrained`` is emptied once the table
+    holds its rows: a tweet corpus's vocabulary can be large."""
     rng, emb = seeded_table(seed, vocab, pretrained, schedule.dim)
+    pretrained.clear()
     model = build_finetune_model(emb, rng, schedule.filters_per_size)
     return model, finetune_encoded(model, encoded, schedule, rng)[1]
 

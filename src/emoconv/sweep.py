@@ -1,7 +1,7 @@
 """Single-axis hyperparameter sensitivity sweeps.
 
 Each (value, seed) pair is one cell: the :func:`train.run_into` of its
-config, on the one ``train.RunData`` its caller encoded, into the run
+config, on the one ``train.RunData`` its caller built, into the run
 directory ``runs_dir/<train.run_key>/`` (the layout of ``emoconv train``),
 so an interrupted sweep resumes without recomputing finished cells.  A
 cell's record comes from its history; aggregation reports the mean and
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from . import train as tr
 from .config import TrainConfig
-from .dataio import SentenceVectorStore
 from .metrics import aggregate_seeds
 
 SWEEP_AXES = ("hidden_size", "num_layers", "batch_size", "lr",
@@ -75,8 +74,7 @@ def _axis_value(axis: str, value):
     return int(value)
 
 
-def run_sweep(spec: SweepSpec, base_config: TrainConfig, data: tr.RunData,
-              store: SentenceVectorStore | None, pretrained: dict, runs_dir):
+def run_sweep(spec: SweepSpec, base_config: TrainConfig, data: tr.RunData, runs_dir):
     """All |values| x |seeds| cells on ``data``; returns (records, aggregate
     rows).  A cell is the :func:`train.run_into` of its config into
     ``runs_dir/<run key>/``, reused once finished for the same config and
@@ -84,14 +82,11 @@ def run_sweep(spec: SweepSpec, base_config: TrainConfig, data: tr.RunData,
     training loss, against the uniform-prediction loss over the examples it
     trains on (length-filtered).  ``data`` is read, never changed, so one
     value serves any number of sweeps."""
-    inputs = tr.inputs_digest(data, store, pretrained)
     baseline = tr.uniform_baseline_loss(data.weights, [ex.label for ex in data.train_ex])
     records: list[RunRecord] = []
     for cfg in (base_config.replace(**{spec.axis: v}, seed=s)
                 for v in spec.values for s in spec.seeds):
-        # a run empties the map it is given; the sweep's stays for the next cell
-        history = tr.run_into(os.path.join(runs_dir, tr.run_key(cfg, inputs)), cfg, data,
-                              store, dict(pretrained), inputs)
+        history = tr.run_into(os.path.join(runs_dir, tr.run_key(cfg, data)), cfg, data)
         final_loss = history[-1].train_loss
         records.append(RunRecord(spec.axis, getattr(cfg, spec.axis), cfg.seed,
                                  tr.config_hash(cfg), max(r.val_micro_f1 for r in history),

@@ -1,12 +1,14 @@
 """Training: the epoch loop both models share (Adam, global-norm gradient
 clipping, embedding freezing) and the classifier's class-weighted loss,
 learning-rate annealing, and best-epoch selection on validation micro-F1;
-:func:`run`, the one route from a config and its seed to a checkpoint, into
-the run directory that :func:`run_into` alone writes.
+:func:`run`, the one route from a config and its seed to a checkpoint on one
+:class:`RunData` (all the run reads, and the digest that keys it), into the
+run directory that :func:`run_into` alone writes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -514,14 +516,18 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
     return Checkpoint(vocab, final_arrays, config, final_epoch, best_f1), state.history
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunData:
-    """What a classifier run reads: the training split's vocabulary, both
-    splits encoded with it and the class weights of the raw splits."""
+    """What a classifier run reads, as one value: the training split's
+    vocabulary, both splits encoded with it, the class weights of the raw
+    splits, the examples' sentence vectors (None for none) and the pretrained
+    word vectors its vocabulary holds.  Runs read it and never change it."""
     vocab: Vocabulary
     train_ex: list[EncodedExample]
     val_ex: list[EncodedExample]
     weights: ClassWeights
+    store: SentenceVectorStore | None = None
+    pretrained: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit) -> "RunData":
@@ -529,7 +535,7 @@ class RunData:
         come first, so a missing class fails before any tokenizing; the
         training split is tokenized once, its first-occurrence vocabulary
         built from every row (those over ``MAX_TRAIN_TOKENS`` too), and both
-        splits are encoded with it.  Only the ids are kept."""
+        splits are encoded with it.  Only the ids are kept, and no vectors."""
         weights = compute_class_weights(train_split.label_counts, val_split.label_counts)
         rows = list(split_rows(train_split))
         vocab = build_vocab(map(TokenSequence, rows))
@@ -537,29 +543,43 @@ class RunData:
         del rows  # gone before the val split is tokenized
         return cls(vocab, train_ex, encode_split(val_split, vocab), weights)
 
+    @functools.cached_property
+    def digest(self) -> str:
+        """SHA-256 over what a run reads: the vocabulary and class weights,
+        each example's id, label and token ids (train, then val), the
+        pretrained vectors and the examples' sentence vectors."""
+        examples = self.train_ex + self.val_ex
+        words = sorted(self.pretrained)
+        stored = [ex.id for ex in examples if self.store is not None and ex.id in self.store.row]
+        vectors = [self.pretrained[w] for w in words] + [self.store.get(i) for i in stored]
+        h = hashlib.sha256(json.dumps([
+            len(self.train_ex), self.vocab.id_to_token, [[ex.id, ex.label] for ex in examples],
+            words, stored, [ex.n for ex in examples], [np.size(v) for v in vectors]
+        ]).encode("utf-8"))
+        for array in [*(ex.ids for ex in examples), self.weights.weights, *vectors]:
+            h.update(np.ascontiguousarray(array))  # int64 ids, float64 values
+        return h.hexdigest()
+
 
 def seeded_table(seed: int, vocab: Vocabulary, pretrained: dict[str, np.ndarray], dim: int):
     """The start of both run entries: a generator seeded with ``seed`` and the
     ``dim``-wide embedding table it draws over ``vocab``
-    (:func:`dataio.build_embedding_matrix`); returns (generator, table).
-    ``pretrained`` is emptied once the table holds its rows, so none of its
-    vectors is kept through training; a caller that reuses it passes a copy."""
+    (:func:`dataio.build_embedding_matrix`), which copies the rows of
+    ``pretrained`` and leaves it as it was; returns (generator, table)."""
     rng = np.random.default_rng(seed)
     emb, coverage = build_embedding_matrix(vocab, pretrained, dim, rng)
     log.info("vocabulary %d tokens, pretrained coverage %.1f%%", vocab.size, 100 * coverage)
-    pretrained.clear()
     return rng, emb
 
 
-def run(config: TrainConfig, data: RunData, sentence_store: SentenceVectorStore | None,
-        pretrained: dict[str, np.ndarray], select: str = "best"):
+def run(config: TrainConfig, data: RunData, select: str = "best"):
     """The classifier run of ``config``, the one every entry makes: the
     generator and table of :func:`seeded_table` at ``config.seed``, then the
     model, which :func:`train_encoded` trains on ``data``; returns
     (checkpoint, history)."""
-    rng, emb = seeded_table(config.seed, data.vocab, pretrained, config.embedding_dim)
+    rng, emb = seeded_table(config.seed, data.vocab, data.pretrained, config.embedding_dim)
     params = rcnn.init_model(config, emb, rng)
-    return train_encoded(params, data.train_ex, data.val_ex, sentence_store, config, rng,
+    return train_encoded(params, data.train_ex, data.val_ex, data.store, config, rng,
                          weights=data.weights, vocab=data.vocab, select=select)
 
 
@@ -567,25 +587,9 @@ def config_hash(config: TrainConfig) -> str:
     return hashlib.sha256(json.dumps(config.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
-def inputs_digest(data: RunData, store: SentenceVectorStore | None, pretrained: dict) -> str:
-    """SHA-256 over what a run reads: the vocabulary and class weights of
-    ``data``, each example's id, label and token ids (train, then val), the
-    pretrained vectors and the examples' sentence vectors."""
-    examples = data.train_ex + data.val_ex
-    words = sorted(pretrained)
-    stored = [ex.id for ex in examples if store is not None and ex.id in store.row]
-    vectors = [pretrained[w] for w in words] + [store.get(i) for i in stored]
-    h = hashlib.sha256(json.dumps([
-        len(data.train_ex), data.vocab.id_to_token, [[ex.id, ex.label] for ex in examples],
-        words, stored, [ex.n for ex in examples], [np.size(v) for v in vectors]]).encode("utf-8"))
-    for array in [*(ex.ids for ex in examples), data.weights.weights, *vectors]:
-        h.update(np.ascontiguousarray(array))  # int64 ids, float64 values
-    return h.hexdigest()
-
-
-def run_key(config: TrainConfig, inputs: str) -> str:
-    """16 hex digits of :func:`config_hash`, then 16 of an :func:`inputs_digest`."""
-    return f"{config_hash(config)[:16]}_{inputs[:16]}"
+def run_key(config: TrainConfig, data: RunData) -> str:
+    """16 hex digits of :func:`config_hash`, then 16 of :attr:`RunData.digest`."""
+    return f"{config_hash(config)[:16]}_{data.digest[:16]}"
 
 
 def read_run(path) -> dict:
@@ -599,16 +603,14 @@ def read_run(path) -> dict:
     return fields
 
 
-def run_into(out_dir, config: TrainConfig, data: RunData,
-             sentence_store: SentenceVectorStore | None, pretrained: dict[str, np.ndarray],
-             inputs: str, select: str = "best") -> list[HistoryRow]:
+def run_into(out_dir, config: TrainConfig, data: RunData, select: str = "best") -> list[HistoryRow]:
     """:func:`run` into the directory ``out_dir``, the one writer of a run's
-    outputs, ``inputs`` being the :func:`inputs_digest` of what it reads;
-    returns the history.  ``model.ckpt``, ``history.tsv``, then ``run.json``
-    (config, ``select``, :func:`run_key`) are written whole, so a directory
-    without ``run.json`` is trained again.  Before any draw, a ``run.json`` of
-    this run is reused, its history read back; any other is a ValueError."""
-    key = run_key(config, inputs)
+    outputs; returns the history.  ``model.ckpt``, ``history.tsv``, then
+    ``run.json`` (config, ``select``, the :func:`run_key` of ``config`` and
+    ``data``) are written whole, so a directory without ``run.json`` is
+    trained again.  Before any draw, a ``run.json`` of this run is reused,
+    its history read back; any other is a ValueError naming both keys."""
+    key = run_key(config, data)
     record = {"config": config.to_dict(), "key": key, "select": select}
     path = os.path.join(out_dir, "run.json")
     if os.path.exists(path):
@@ -619,7 +621,7 @@ def run_into(out_dir, config: TrainConfig, data: RunData,
         log.info("reusing the finished run %s in %s", key, out_dir)
         return read_history(os.path.join(out_dir, "history.tsv"))
     os.makedirs(out_dir, exist_ok=True)
-    ckpt, history = run(config, data, sentence_store, pretrained, select)
+    ckpt, history = run(config, data, select)
     save_checkpoint(ckpt, os.path.join(out_dir, "model.ckpt"))
     write_history(history, os.path.join(out_dir, "history.tsv"))
     with atomic_write(path) as fh:

@@ -412,8 +412,7 @@ def test_criterion_10_sweep_harness(tmp_path):
                            anneal_after_epoch=99)
         spec = sw.SweepSpec("lr", [1e-4, 5e-4], seeds=(0, 1, 2))
         records, aggregates = sw.run_sweep(spec, base,
-                                           tr.RunData.encode(train_split, val_split),
-                                           None, {}, tmp_path)
+                                           tr.RunData.encode(train_split, val_split), tmp_path)
         assert len(records) == 6 and len(aggregates) == 2
         assert len(list(tmp_path.glob("*/run.json"))) == 6
         assert sum(row["runs"] for row in aggregates) == 6

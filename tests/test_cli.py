@@ -4,6 +4,7 @@ Each test drives ``cli.main`` with real files in a temp directory, the way a
 user would, and inspects the artifacts it leaves behind.
 """
 
+import dataclasses
 import os
 import re
 import shlex
@@ -164,10 +165,11 @@ def test_train_then_evaluate(world, capsys):
     assert "scored_classes\thappy,sad,angry,others" in capsys.readouterr().out
 
 
-def test_train_frees_the_word_vectors_before_training(world, monkeypatch):
-    """Of ``--embeddings`` only the vocabulary's vectors are read, and only
-    the embedding matrix lives through training: every vector read, and the
-    matrix that held them, is freed before the first step."""
+def test_train_keeps_only_the_vocabularys_word_vectors_and_frees_them_with_its_run(
+        world, monkeypatch):
+    """Of ``--embeddings`` only the vocabulary's vectors are read.  They are
+    part of the run's ``RunData``, so they and the matrix that holds them
+    live through training, and no longer than the command."""
     tokens = toycorpus.vocab_for(dataio.load_dataset(world / "train.txt", "train")).id_to_token
     words = tokens[len(SPECIALS):len(SPECIALS) + 3] + ["unused"]
     toycorpus.write_word_vectors(words, np.random.default_rng(0).normal(size=(4, 6)),
@@ -191,7 +193,8 @@ def test_train_frees_the_word_vectors_before_training(world, monkeypatch):
                      "train", "--train", str(world / "train.txt"),
                      "--val", str(world / "val.txt"), "--embeddings", str(world / "vec.txt"),
                      "--sentence-vectors", str(world / "sv.bin")]) == 0
-    assert len(refs) == 3 + 1 and alive == [0]
+    assert len(refs) == 3 + 1 and alive == [3 + 1]
+    assert [r() for r in refs] == [None] * (3 + 1)
 
 
 def test_train_into_another_runs_directory_fails_before_its_first_step(world, capsys,
@@ -202,6 +205,10 @@ def test_train_into_another_runs_directory_fails_before_its_first_step(world, ca
     assert run_train(world, "run") == 0
     before = {p.name: p.read_bytes() for p in (world / "run").iterdir()}
     key = tr.read_run(world / "run" / "run.json")["key"]
+    data = dataclasses.replace(  # what the run read: its splits and the examples' vectors
+        tr.RunData.encode(dataio.load_dataset(world / "train.txt", "train"),
+                          dataio.load_dataset(world / "val.txt", "val")),
+        store=dataio.load_sentence_vectors(world / "sv.bin", 3))
     capsys.readouterr()
     monkeypatch.setattr(tr, "seeded_table", lambda *a: pytest.fail("a generator was seeded"))
     for seed, select in ((11, "best"), (5, "last")):  # the config's seed is 5
@@ -210,8 +217,7 @@ def test_train_into_another_runs_directory_fails_before_its_first_step(world, ca
                 "--val", str(world / "val.txt"), "--sentence-vectors", str(world / "sv.bin"),
                 "--select", select]
         assert cli.main(argv) == 1
-        # the same inputs, so the same second half of the key
-        other = tr.run_key(load_config(world / "config.txt").replace(seed=seed), key[17:])
+        other = tr.run_key(load_config(world / "config.txt").replace(seed=seed), data)
         assert (other == key) == (seed == 5)
         assert capsys.readouterr().err == (
             f"error: {world / 'run' / 'run.json'} holds the run {key} (select best), "
@@ -272,7 +278,7 @@ def test_preprocess_converts_sentence_vectors_that_train_and_evaluate_read_alike
     store = dataio.load_sentence_vectors(world / "sv.tsv", config.sentence_dim)
     data = tr.RunData.encode(dataio.load_dataset(world / "train.txt", "train"),
                              dataio.load_dataset(world / "val.txt", "val"))
-    ckpt, _ = tr.run(config, data, store, {})
+    ckpt, _ = tr.run(config, dataclasses.replace(data, store=store))
     dataio.save_checkpoint(ckpt, world / "direct.ckpt")
     assert (world / "bin" / "model.ckpt").read_bytes() == (world / "direct.ckpt").read_bytes()
     params = rcnn.restore(ckpt.config, ckpt.params)

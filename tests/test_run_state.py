@@ -10,6 +10,8 @@ entry (``train.run``, ``finetune.run``) and its own step; only the loop is
 wrapped, to make the split and to read the state.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,8 @@ def _classifier():
     train_split = toycorpus.make_split("train", 16, seed=13)
     val_split = toycorpus.make_split("val", 8, seed=14)
     store = toycorpus.store_for([train_split, val_split], CLASSIFIER.sentence_dim, seed=15)
-    return tr.run(CLASSIFIER, tr.RunData.encode(train_split, val_split), store, {})
+    return tr.run(CLASSIFIER,
+                  dataclasses.replace(tr.RunData.encode(train_split, val_split), store=store))
 
 
 def _cnn():

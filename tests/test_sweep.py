@@ -99,7 +99,7 @@ def test_config_hash_distinguishes_runs():
 def test_sweep_shape_and_flag_consistency(tmp_path):
     train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("lr", [1e-7, 0.02], seeds=[0, 1, 2])
-    records, aggregates = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
+    records, aggregates = sw.run_sweep(spec, FAST, data, tmp_path / "runs")
     assert len(records) == 6 and len(aggregates) == 2
     for rec in records:
         assert rec.trained_effectively == (rec.final_train_loss < rec.baseline_loss)
@@ -120,7 +120,7 @@ def test_sweep_resumes_from_run_records(tmp_path, monkeypatch):
     train_split, val_split, data = _toy_data()
     runs_dir = tmp_path / "runs"
     spec = sw.SweepSpec("hidden_size", [4], seeds=[0, 1])
-    records1, _ = sw.run_sweep(spec, FAST, data, None, {}, runs_dir)
+    records1, _ = sw.run_sweep(spec, FAST, data, runs_dir)
     cells = sorted(path.parent for path in runs_dir.glob("*/run.json"))
     assert len(cells) == 2
 
@@ -130,7 +130,7 @@ def test_sweep_resumes_from_run_records(tmp_path, monkeypatch):
         row.val_micro_f1 = 0.123456
     tr.write_history(history, cells[0] / "history.tsv")
     monkeypatch.setattr(tr, "run", lambda *a: pytest.fail("a finished cell was retrained"))
-    records2, _ = sw.run_sweep(spec, FAST, data, None, {}, runs_dir)
+    records2, _ = sw.run_sweep(spec, FAST, data, runs_dir)
     assert 0.123456 in [r.best_val_f1 for r in records2]
     untouched = max(row.val_micro_f1 for row in tr.read_history(cells[1] / "history.tsv"))
     assert untouched in [r.best_val_f1 for r in records2]
@@ -140,8 +140,8 @@ def test_sweep_resumes_from_run_records(tmp_path, monkeypatch):
 def test_sweep_runs_are_deterministic(tmp_path):
     _, _, data = _toy_data()
     spec = sw.SweepSpec("lr", [0.02], seeds=[7])
-    (rec1,), _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "a")
-    (rec2,), _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "b")
+    (rec1,), _ = sw.run_sweep(spec, FAST, data, tmp_path / "a")
+    (rec2,), _ = sw.run_sweep(spec, FAST, data, tmp_path / "b")
     assert rec1 == rec2 and (rec1.value, rec1.seed) == (0.02, 7)
     (cell,) = (tmp_path / "a").iterdir()
     for name in ("model.ckpt", "history.tsv", "run.json"):
@@ -154,13 +154,13 @@ def test_axis_values_are_coerced(tmp_path):
     converted value."""
     train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("batch_size", [6.0], seeds=[3.0])
-    records, aggregates = sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
+    records, aggregates = sw.run_sweep(spec, FAST, data, tmp_path)
     (rec,) = records
     assert rec.value == 6 and isinstance(rec.value, int) and aggregates[0]["value"] == 6
     config = FAST.replace(batch_size=6, seed=3)
     assert rec.config_hash == tr.config_hash(config)
     (path,) = tmp_path.glob("*/run.json")
-    assert path.parent.name == tr.run_key(config, tr.inputs_digest(data, None, {}))
+    assert path.parent.name == tr.run_key(config, data)
     loaded = tr.read_run(path)["config"]
     assert loaded == config.to_dict() and isinstance(loaded["batch_size"], int)
 
@@ -174,8 +174,7 @@ def test_baseline_loss_is_over_the_examples_the_runs_train_on(tmp_path):
     data = tr.RunData.encode(train_split, val_split)
     kept = [ex.label for ex in data.train_ex]
     assert len(kept) == 12  # the 83-token conversation is filtered out
-    (rec,), _ = sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0]), FAST, data, None, {},
-                             tmp_path)
+    (rec,), _ = sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0]), FAST, data, tmp_path)
     assert rec.baseline_loss == tr.uniform_baseline_loss(data.weights, kept)
     every = [LABEL_TO_INDEX[c.label] for c in train_split.conversations]
     assert rec.baseline_loss != tr.uniform_baseline_loss(data.weights, every)
@@ -191,8 +190,7 @@ def test_a_final_loss_at_the_baseline_did_not_train_effectively(tmp_path, monkey
         history = [tr.HistoryRow(1, 0.02, 2 * baseline, 0.5, 0.0),
                    tr.HistoryRow(2, 0.02, final_loss, 0.25, 0.0)]
         monkeypatch.setattr(tr, "run_into", lambda *args: history)
-        (rec,), _ = sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0]), FAST, data, None, {},
-                                 tmp_path)
+        (rec,), _ = sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0]), FAST, data, tmp_path)
         assert (rec.final_train_loss, rec.baseline_loss) == (final_loss, baseline)
         assert rec.trained_effectively is effective and rec.best_val_f1 == 0.5
 
@@ -201,9 +199,9 @@ def test_a_sweep_encodes_nothing_and_matches_per_run_training(tmp_path, monkeypa
     train_split, val_split, data = _toy_data()
     texts, splits = toycorpus.count_encoding(monkeypatch)
     spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
-    records, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
+    records, _ = sw.run_sweep(spec, FAST, data, tmp_path / "runs")
     # whether its runs train or are all cached, a sweep reads the encoding it is given
-    again, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
+    again, _ = sw.run_sweep(spec, FAST, data, tmp_path / "runs")
     assert (texts, splits) == ([], []) and again == records
 
     # each record equals one built run by run from the raw splits
@@ -227,15 +225,14 @@ def test_a_second_sweep_over_one_encoding_trains_only_its_new_cells(tmp_path, mo
     with one value more, trains only that value's cells, and its records are
     those of a sweep made afresh."""
     train_split, val_split, data = _toy_data()
-    sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0, 1]), FAST, data, None, {},
-                 tmp_path / "runs")
+    sw.run_sweep(sw.SweepSpec("lr", [0.02], seeds=[0, 1]), FAST, data, tmp_path / "runs")
     trained, run = [], tr.run
     monkeypatch.setattr(tr, "run", lambda config, *a: trained.append(config) or run(config, *a))
     spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
-    records, aggregates = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
+    records, aggregates = sw.run_sweep(spec, FAST, data, tmp_path / "runs")
     assert [(c.lr, c.seed) for c in trained] == [(0.001, 0), (0.001, 1)]
     assert len(list((tmp_path / "runs").glob("*/run.json"))) == 4
-    fresh = sw.run_sweep(spec, FAST, _toy_data()[2], None, {}, tmp_path / "fresh")
+    fresh = sw.run_sweep(spec, FAST, _toy_data()[2], tmp_path / "fresh")
     assert (records, aggregates) == fresh
 
 
@@ -244,9 +241,9 @@ def test_a_sweep_on_other_training_data_retrains_in_the_same_runs_dir(tmp_path):
     other_train = toycorpus.make_split("train", 12, seed=200)
     other = tr.RunData.encode(other_train, val_split)
     spec = sw.SweepSpec("lr", [0.02], seeds=[0, 1])
-    first, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
-    second, aggregates = sw.run_sweep(spec, FAST, other, None, {}, tmp_path)
-    alone, want = sw.run_sweep(spec, FAST, other, None, {}, tmp_path / "alone")
+    first, _ = sw.run_sweep(spec, FAST, data, tmp_path)
+    second, aggregates = sw.run_sweep(spec, FAST, other, tmp_path)
+    alone, want = sw.run_sweep(spec, FAST, other, tmp_path / "alone")
     assert second == alone and aggregates == want
     assert [r.final_train_loss for r in second] != [r.final_train_loss for r in first]
     assert len(list(tmp_path.glob("*/run.json"))) == 4
@@ -266,62 +263,65 @@ def test_a_sweep_over_relabeled_training_rows_never_reuses_the_originals_records
     assert relabeled.vocab.id_to_token == data.vocab.id_to_token
     assert relabeled.weights.weights.tobytes() == data.weights.weights.tobytes()
     spec = sw.SweepSpec("lr", [0.02], seeds=[0, 1])
-    first, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
-    second = sw.run_sweep(spec, FAST, relabeled, None, {}, tmp_path)
-    assert second == sw.run_sweep(spec, FAST, relabeled, None, {}, tmp_path / "alone")
+    first, _ = sw.run_sweep(spec, FAST, data, tmp_path)
+    second = sw.run_sweep(spec, FAST, relabeled, tmp_path)
+    assert second == sw.run_sweep(spec, FAST, relabeled, tmp_path / "alone")
     assert [r.final_train_loss for r in second[0]] != [r.final_train_loss for r in first]
     assert len(list(tmp_path.glob("*/run.json"))) == 4
 
 
 def test_sweep_inputs_digest_covers_what_a_run_reads():
+    """A cell's key ends with ``RunData.digest``, which every input a run
+    reads moves and a vector no run reads does not."""
     def examples(d):
         return d.vocab.id_to_token, [(ex.id, ex.label, ex.ids.tolist())
                                      for ex in d.train_ex + d.val_ex]
 
-    def changed_example(field, value):
-        out = copy.deepcopy(data)
-        setattr(out.val_ex[0], field, value)
-        return out
+    def encoded(train, **fields):
+        fields = {"store": store, "pretrained": {"happy": np.ones(6)}, **fields}
+        return dataclasses.replace(tr.RunData.encode(train, val_split), **fields)
+
+    def changed_example(field, value, **fields):
+        val_ex = [dataclasses.replace(data.val_ex[0], **{field: value}), *data.val_ex[1:]]
+        return dataclasses.replace(data, val_ex=val_ex, **fields)
 
     train_split, val_split, _ = _toy_data()
     long_turn = " ".join(["so"] * 79)  # over MAX_TRAIN_TOKENS: filtered out of the run
     train_split.conversations.append(Conversation("long", (long_turn, "yay", "um"), "happy"))
     train_split.label_counts["happy"] += 1
-    data = tr.RunData.encode(train_split, val_split)
     store = toycorpus.store_for([train_split, val_split], 3, seed=5)
-    pretrained = {"happy": np.ones(6)}
-    base = tr.inputs_digest(data, store, pretrained)
-    assert base == tr.inputs_digest(tr.RunData.encode(train_split, val_split), store,
-                                     {"happy": np.ones(6)})
+    data = encoded(train_split)
+    base = data.digest
+    assert base == encoded(train_split).digest
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.store = None
     # the long row's vector, and one no split holds, are read by no run
     unread = toycorpus.store_of({**{i: store.get(i) for i in store.row},
                                  "long": np.zeros(3), "x": np.ones(3)})
-    assert tr.inputs_digest(data, unread, pretrained) == base
+    assert dataclasses.replace(data, store=unread).digest == base
 
     # the long row's label moves the class weights alone
     reweighted = copy.deepcopy(train_split)
     reweighted.conversations[-1].label = "sad"
     reweighted.label_counts["happy"] -= 1
     reweighted.label_counts["sad"] += 1
-    reweighted = tr.RunData.encode(reweighted, val_split)
+    reweighted = encoded(reweighted)
     assert examples(reweighted) == examples(data)
     moved = copy.deepcopy(store)
     moved.matrix[moved.row[data.train_ex[0].id]] = 0.0
-    other_vocab = dataclasses.replace(data, vocab=Vocabulary(data.vocab.id_to_token + ["x"]))
     changed = [
-        tr.inputs_digest(reweighted, store, pretrained),
-        tr.inputs_digest(changed_example("label", (data.val_ex[0].label + 1) % 4), store,
-                          pretrained),
-        tr.inputs_digest(changed_example("ids", data.val_ex[0].ids + 1), store, pretrained),
-        tr.inputs_digest(data, moved, pretrained),
-        tr.inputs_digest(data, store, {"happy": np.zeros(6)}),
-        tr.inputs_digest(data, store, {}),
-        tr.inputs_digest(other_vocab, store, pretrained),
+        reweighted,
+        changed_example("label", (data.val_ex[0].label + 1) % 4),
+        changed_example("ids", data.val_ex[0].ids + 1),
+        dataclasses.replace(data, store=moved),
+        dataclasses.replace(data, pretrained={"happy": np.zeros(6)}),
+        dataclasses.replace(data, pretrained={}),
+        dataclasses.replace(data, vocab=Vocabulary(data.vocab.id_to_token + ["x"])),
         # with no store, an id moves the key by itself
-        tr.inputs_digest(data, None, pretrained),
-        tr.inputs_digest(changed_example("id", "val9999"), None, pretrained),
+        dataclasses.replace(data, store=None),
+        changed_example("id", "val9999", store=None),
     ]
-    assert len({base, *changed}) == 1 + len(changed)
+    assert len({base, *(d.digest for d in changed)}) == 1 + len(changed)
 
 
 def test_a_cell_killed_before_its_run_json_is_trained_again(tmp_path, monkeypatch):
@@ -337,14 +337,14 @@ def test_a_cell_killed_before_its_run_json_is_trained_again(tmp_path, monkeypatc
     with monkeypatch.context() as patched:
         patched.setattr(tr, "write_history", killed)
         with pytest.raises(RuntimeError):
-            sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
+            sw.run_sweep(spec, FAST, data, tmp_path / "runs")
     (cell,) = (tmp_path / "runs").iterdir()
     assert sorted(p.name for p in cell.iterdir()) == ["model.ckpt"]
     trained, run = [], tr.run
     monkeypatch.setattr(tr, "run", lambda config, *a: trained.append(config) or run(config, *a))
-    records = sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "runs")
+    records = sw.run_sweep(spec, FAST, data, tmp_path / "runs")
     assert [(c.lr, c.seed) for c in trained] == [(0.02, 0)]
-    assert records == sw.run_sweep(spec, FAST, data, None, {}, tmp_path / "whole")
+    assert records == sw.run_sweep(spec, FAST, data, tmp_path / "whole")
     for name in ("model.ckpt", "history.tsv", "run.json"):
         assert (cell / name).read_bytes() == (tmp_path / "whole" / cell.name / name).read_bytes()
 
@@ -354,7 +354,7 @@ def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path, monkeypa
     run, are reported naming the file, not trained over."""
     train_split, val_split, data = _toy_data()
     spec = sw.SweepSpec("lr", [0.02], seeds=[0])
-    records, _ = sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
+    records, _ = sw.run_sweep(spec, FAST, data, tmp_path)
     (cell,) = tmp_path.iterdir()
     # no temporary file is left beside the run's three files
     assert sorted(p.name for p in cell.iterdir()) == ["history.tsv", "model.ckpt", "run.json"]
@@ -387,10 +387,10 @@ def test_sweep_records_are_whole_and_a_bad_one_names_its_file(tmp_path, monkeypa
     # the sweep reports such a file rather than retraining over it
     monkeypatch.setattr(tr, "run", lambda *a: pytest.fail("a bad cell was retrained"))
     with pytest.raises(ValueError, match=re.escape(str(history))):
-        sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
+        sw.run_sweep(spec, FAST, data, tmp_path)
     history.write_bytes(rows)
     for bad in ("[1, 2]", json.dumps({**fields, "select": "last"}),
                 json.dumps({**fields, "key": "0" * 33}), whole.decode()[:-3]):
         run_json.write_text(bad)
         with pytest.raises(ValueError, match=re.escape(str(run_json))):
-            sw.run_sweep(spec, FAST, data, None, {}, tmp_path)
+            sw.run_sweep(spec, FAST, data, tmp_path)

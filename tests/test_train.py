@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -11,7 +12,7 @@ from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.config import TrainConfig
 from emoconv.dataio import LABELS, Conversation, save_checkpoint
-from emoconv.textprep import TokenSequence, build_vocab
+from emoconv.textprep import SPECIALS, TokenSequence, build_vocab
 
 PUBLISHED_TRAIN = {"happy": 4243, "sad": 5463, "angry": 5506, "others": 14948}
 PUBLISHED_VAL = {"happy": 142, "sad": 125, "angry": 150, "others": 2338}
@@ -435,6 +436,51 @@ def test_train_is_bit_deterministic(tmp_path):
     save_checkpoint(ckpt1, tmp_path / "a.ckpt")
     save_checkpoint(ckpt2, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def _toy_run_data(config, train_seed=13):
+    """``RunData`` of toy splits with their sentence vectors and a pretrained
+    vector for each of the first three words of the vocabulary."""
+    train_split = toycorpus.make_split("train", 16, seed=train_seed)
+    val_split = toycorpus.make_split("val", 8, seed=14)
+    data = tr.RunData.encode(train_split, val_split)
+    words = data.vocab.id_to_token[len(SPECIALS):len(SPECIALS) + 3]
+    return dataclasses.replace(
+        data, store=toycorpus.store_for([train_split, val_split], config.sentence_dim, seed=15),
+        pretrained={w: np.full(config.embedding_dim, 0.01 * (k + 1)) for k, w in enumerate(words)})
+
+
+def test_two_runs_on_one_run_data_with_word_vectors_are_bit_identical(tmp_path):
+    """A run reads the word vectors of its ``RunData`` and leaves them, so a
+    second run on the same value draws the same table and writes the same
+    checkpoint."""
+    data = _toy_run_data(TOY_CONFIG)
+    held = {w: v.copy() for w, v in data.pretrained.items()}
+    for name in ("a", "b"):
+        ckpt, _ = tr.run(TOY_CONFIG, data)
+        save_checkpoint(ckpt, tmp_path / f"{name}.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    assert data.pretrained.keys() == held.keys()
+    for word, vector in held.items():
+        npt.assert_array_equal(data.pretrained[word], vector)
+
+
+def test_a_run_directory_refuses_a_run_on_other_training_rows(tmp_path, monkeypatch):
+    """``run_into`` keys its directory by the config and the digest of the
+    ``RunData`` itself: the same config on other training rows is refused
+    before any draw, naming both keys, and the directory stays as it was."""
+    config = TOY_CONFIG.replace(epochs=1)
+    data, other = _toy_run_data(config), _toy_run_data(config, train_seed=113)
+    tr.run_into(tmp_path, config, data)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    key, other_key = tr.run_key(config, data), tr.run_key(config, other)
+    assert key != other_key and key.split("_")[0] == other_key.split("_")[0]
+    monkeypatch.setattr(tr, "seeded_table", lambda *a: pytest.fail("a generator was seeded"))
+    with pytest.raises(ValueError) as err:
+        tr.run_into(tmp_path, config, other)
+    assert str(err.value) == (f"{tmp_path / 'run.json'} holds the run {key} (select best), "
+                              f"not {other_key} (select best)")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_train_select_last_vs_best():
