@@ -1,11 +1,13 @@
 """Golden digests: the SHA-256 of what fixed, seeded worlds write.
 
     python tests/golden.py           # compare with tests/golden.json; exit 1 on a change
-    python tests/golden.py --write   # record the current digests
+    python tests/golden.py --write   # record the current digests and fingerprints
 
 ``--write`` is the only way to refresh ``tests/golden.json``; the test
 (``tests/test_golden.py``) only compares.  A change that moves bytes on
-purpose refreshes the digests and lists each one that moved.
+purpose refreshes the digests and lists each one that moved, with the
+largest deviation behind it, which the comparison prints for every world
+whose digests moved.
 
 Each world runs the program the way a user does and hashes the files it
 leaves behind:
@@ -36,7 +38,13 @@ differently from kernel to kernel, so their digests are recorded per key
 (:func:`blas_key`): the numpy version, its BLAS and the kernel OpenBLAS
 picked for this CPU when it loaded.  They run in a child process with one BLAS thread (numpy reads the thread
 variables at import time), and on a key with no recorded digests the
-comparison skips them and says why:
+comparison skips them and says why.  Beside its digests, each keyed world
+records a fingerprint, which carries no key and is compared on every kernel
+(:func:`fingerprint_differences`): the sum, L1 and L2 norm of each trained
+array, the epoch losses and validation micro-F1s, and the predicted labels
+where the world predicts.  Its floats agree within ``TOLERANCE`` relative
+(a sum is measured against its array's L1 norm), and its F1s and labels
+exactly.  The worlds:
 
 - ``finetune_gen_toy``: ``finetune_embeddings`` on that tweet corpus with 1
   frozen and 3 unfrozen epochs, kernel widths 1 to 3 (rows shorter than a
@@ -97,6 +105,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 GOLDEN = HERE / "golden.json"
 GEN_SEED = 11
+# at most 3.6e-14 relative was measured between OpenBLAS kernels after 4 epochs
+TOLERANCE = 1e-10
 
 
 def _import_paths() -> None:
@@ -217,6 +227,29 @@ def _arrays(named) -> str:
                          for name, a in sorted(named.items())))
 
 
+def _stats(prefix: str, named) -> dict[str, dict[str, float]]:
+    """``<prefix>/<name>`` -> the sum, L1 and L2 norm of each array, summed
+    by numpy without BLAS."""
+    import numpy as np
+
+    return {f"{prefix}/{name}": {"sum": float(a.sum()), "l1": float(np.abs(a).sum()),
+                                 "l2": float(np.sqrt(np.square(a).sum()))}
+            for name, a in named.items()}
+
+
+def _run_print(prefix: str, arrays, history) -> dict:
+    """The fingerprint of a classifier run: its checkpoint's arrays under
+    ``<prefix>model.ckpt`` and its epoch losses and F1s under
+    ``<prefix>history.tsv``."""
+    return {"arrays": _stats(f"{prefix}model.ckpt", arrays),
+            "losses": {f"{prefix}history.tsv": [row.train_loss for row in history]},
+            "val_f1": {f"{prefix}history.tsv": [row.val_micro_f1 for row in history]}}
+
+
+def _labels(preds) -> str:
+    return " ".join(str(int(k)) for k in preds)
+
+
 def _world_init_draws(tmp: Path) -> dict[str, str]:
     import numpy as np
 
@@ -250,8 +283,7 @@ def _world_init_draws(tmp: Path) -> dict[str, str]:
     return out
 
 
-def _world_finetune(tmp: Path, frozen: int, unfrozen: int,
-                    batch_size: int = 16) -> dict[str, str]:
+def _world_finetune(tmp: Path, frozen: int, unfrozen: int, batch_size: int = 16):
     import numpy as np
 
     from emoconv import finetune as ft
@@ -268,15 +300,18 @@ def _world_finetune(tmp: Path, frozen: int, unfrozen: int,
     named = model.named()
     del named["embedding.table"]
     preds = ft.predict_finetune(model, ft.encode_corpus(corpus, vocab))
+    cnn = {n: t.values for n, t in named.items()}
     return {"embedding": _sha(emb.table.values.tobytes()),
-            "cnn": _arrays({n: t.values for n, t in named.items()}),
+            "cnn": _arrays(cnn),
             "losses": _sha(np.array(losses).tobytes()),
             "predictions": _sha(preds.tobytes()),
-            "rng": _rng_state(rng)}
+            "rng": _rng_state(rng)}, {
+        "arrays": {**_stats("embedding", {"table": emb.table.values}), **_stats("cnn", cnn)},
+        "losses": {"losses": list(losses)}, "labels": {"predictions": _labels(preds)}}
 
 
 def _world_classifier(tmp: Path, select: str, hidden_size: int = 6,
-                      clip_norm: float = 0.02, train_size: int = 24) -> dict[str, str]:
+                      clip_norm: float = 0.02, train_size: int = 24):
     from emoconv.config import TrainConfig
 
     config = TrainConfig(lr=0.01, batch_size=8, epochs=4, clip_norm=clip_norm,
@@ -284,17 +319,17 @@ def _world_classifier(tmp: Path, select: str, hidden_size: int = 6,
                          freeze_embedding_epochs=2, dropout_bilstm=0.3,
                          dropout_linear=0.3, hidden_size=hidden_size, num_layers=2,
                          sentence_dim=3, embedding_dim=6, seed=13)
-    digests, history = _train_toy(tmp, config, select, train_size, 8)
+    digests, fingerprint, history = _train_toy(tmp, config, select, train_size, 8)
     if hidden_size == 6 and any(row.clip_fraction != 1.0 for row in history):
         raise RuntimeError("the hidden-6 world must clip every step")
-    return digests
+    return digests, fingerprint
 
 
 def _train_toy(tmp: Path, config, select: str, train_size: int, val_size: int):
     """Train ``config`` on toy splits of ``train_size`` and ``val_size``
-    conversations with ``config.sentence_dim``-d sentence vectors; the
-    digests of the checkpoint, ``history.tsv`` and the generator state
-    afterwards, and the history."""
+    conversations with ``config.sentence_dim``-d sentence vectors into
+    ``tmp``; the digests of the checkpoint, ``history.tsv`` and the generator
+    state afterwards, the run's fingerprint and its history."""
     import numpy as np
     import toycorpus
 
@@ -316,14 +351,14 @@ def _train_toy(tmp: Path, config, select: str, train_size: int, val_size: int):
     tr.write_history(history, tmp / "history.tsv")
     return {"model.ckpt": _sha((tmp / "model.ckpt").read_bytes()),
             "history.tsv": _sha((tmp / "history.tsv").read_bytes()),
-            "rng": _rng_state(rng)}, history
+            "rng": _rng_state(rng)}, _run_print("", ckpt.params, history), history
 
 
-def _world_classifier_paper(tmp: Path) -> dict[str, str]:
+def _world_classifier_paper(tmp: Path):
     from emoconv.config import TrainConfig
 
     config = TrainConfig(epochs=3, freeze_embedding_epochs=1, anneal_after_epoch=2, seed=13)
-    return _train_toy(tmp, config, "last", 193, 64)[0]
+    return _train_toy(tmp, config, "last", 193, 64)[:2]
 
 
 CLI_CONFIG = """\
@@ -342,11 +377,12 @@ seed = 5
 """
 
 
-def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
+def _world_cli_pipeline(tmp: Path):
     import numpy as np
     import toycorpus
 
-    from emoconv import cli
+    from emoconv import cli, dataio, rcnn
+    from emoconv import train as tr
 
     def run(*argv) -> None:
         rc = cli.main([str(a) for a in argv])
@@ -394,7 +430,24 @@ def _world_cli_pipeline(tmp: Path) -> dict[str, str]:
         cell.name.encode() + b"".join((cell / name).read_bytes()
                                       for name in ("run.json", "model.ckpt", "history.tsv"))
         for cell in cells))
-    return digests
+    tuned = dataio.load_word_vectors(tmp / "tuned.txt", 8)
+    ckpt = dataio.load_checkpoint(tmp / "run" / "model.ckpt")
+    test = tr.encode_split(dataio.load_dataset(splits["test"], "test"), ckpt.vocab)
+    preds = tr.predict(rcnn.restore(ckpt.config, ckpt.params), test,
+                       dataio.load_sentence_vectors(tmp / "sv.bin", 3, {ex.id for ex in test}))
+    fingerprint = {"arrays": _stats("tuned.txt", {"vectors": np.array([tuned[w] for w in
+                                                                      sorted(tuned)])}),
+                   "losses": {}, "val_f1": {}, "labels": {"evaluate.tsv": _labels(preds)}}
+    # a sweep cell is named by its config, not by its directory, whose key
+    # moves with the tuned vectors' bytes
+    for prefix, run_dir in [("run/", tmp / "run")] + [
+            ("runs/hidden_size={hidden_size},seed={seed}/".format(
+                **tr.read_run(cell / "run.json")["config"]), cell) for cell in cells]:
+        run = _run_print(prefix, dataio.load_checkpoint(run_dir / "model.ckpt").params,
+                         tr.read_history(run_dir / "history.tsv"))
+        for field, entries in run.items():
+            fingerprint[field].update(entries)
+    return digests, fingerprint
 
 
 WORLDS = {
@@ -416,8 +469,9 @@ KEYED_WORLDS = {
 }
 
 
-def _run(worlds) -> dict[str, dict[str, str]]:
-    """Run each world in its own temporary directory; world -> file -> digest."""
+def _run(worlds) -> dict:
+    """Run each world in its own temporary directory; world -> its result:
+    file -> digest, and for a keyed world its fingerprint too."""
     _import_paths()
     out = {}
     for name, world in worlds.items():
@@ -463,16 +517,17 @@ def blas_key() -> str:
     return f"numpy {np.__version__}; {build}"
 
 
-def compute_keyed() -> tuple[str, dict[str, dict[str, str]]]:
-    """(numpy/BLAS key, digests) of the keyed worlds, run in a child process
-    with every BLAS thread variable of ``perfbench/run.py`` set to 1."""
-    env = dict(os.environ, **{var: "1" for var in _perfbench("run").THREAD_VARS})
+def compute_keyed(**env_vars) -> tuple[str, dict[str, dict[str, str]], dict[str, dict]]:
+    """(numpy/BLAS key, digests, fingerprints) of the keyed worlds, run in a
+    child process with every BLAS thread variable of ``perfbench/run.py`` set
+    to 1 and ``env_vars`` added to its environment."""
+    env = dict(os.environ, **{var: "1" for var in _perfbench("run").THREAD_VARS}, **env_vars)
     child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--keyed-here"],
                            env=env, capture_output=True, text=True, check=False)
     if child.returncode != 0:
         raise RuntimeError(f"the keyed worlds failed:\n{child.stderr}")
     out = json.loads(child.stdout.splitlines()[-1])
-    return out["key"], out["worlds"]
+    return out["key"], out["worlds"], out["fingerprints"]
 
 
 def _golden() -> dict:
@@ -486,6 +541,11 @@ def recorded() -> dict[str, dict[str, str]]:
 def recorded_keyed(key: str) -> dict[str, dict[str, str]] | None:
     """The keyed worlds' digests recorded for ``key``, None if there are none."""
     return _golden().get("keyed", {}).get(key)
+
+
+def recorded_fingerprints() -> dict[str, dict]:
+    """The keyed worlds' fingerprints, which hold on every key."""
+    return _golden()["fingerprints"]
 
 
 def differences(got, want) -> list[str]:
@@ -502,35 +562,108 @@ def differences(got, want) -> list[str]:
     return lines
 
 
+def _deviations(got: dict, want: dict):
+    """(field, entry, absolute, relative) for every value of two fingerprints
+    of one world: ``sum`` against the recorded L1 norm, ``l1``, ``l2`` and
+    ``losses`` against the recorded value, ``val_f1`` as a difference and
+    ``labels`` as the count of labels that differ.  An entry of one side
+    only, or of another length, deviates by infinity."""
+    inf = float("inf")
+
+    def rel(a, b, scale):
+        return 0.0 if a == b else abs(a - b) / scale if scale else inf
+
+    for field in sorted(set(got) | set(want)):
+        g, w = got.get(field, {}), want.get(field, {})
+        for entry in sorted(set(g) | set(w)):
+            if entry not in g or entry not in w:
+                yield field, entry, inf, inf
+            elif field == "arrays":
+                scale = abs(w[entry]["l1"])
+                for stat in ("sum", "l1", "l2"):
+                    a, b = g[entry][stat], w[entry][stat]
+                    yield stat, entry, abs(a - b), rel(a, b, scale if stat == "sum" else abs(b))
+            elif field == "labels":
+                a, b = g[entry].split(), w[entry].split()
+                wrong = inf if len(a) != len(b) else sum(x != y for x, y in zip(a, b))
+                yield field, entry, wrong, wrong
+            elif len(g[entry]) != len(w[entry]):
+                yield field, entry, inf, inf
+            else:
+                for a, b in zip(g[entry], w[entry]):
+                    yield field, entry, abs(a - b), (abs(a - b) if field == "val_f1"
+                                                     else rel(a, b, abs(b)))
+
+
+def fingerprint_differences(got, want) -> list[str]:
+    """One line per fingerprint value outside its bound: ``TOLERANCE``
+    relative for floats, none for F1s and labels."""
+    lines = []
+    for world in sorted(set(got) | set(want)):
+        if world not in want or world not in got:
+            lines.append(f"{world}: fingerprint only {'computed' if world in got else 'recorded'}")
+            continue
+        for field, entry, _, dev in _deviations(got[world], want[world]):
+            if dev > (0.0 if field in ("val_f1", "labels") else TOLERANCE):
+                lines.append(f"{world}: fingerprint {field} of {entry} deviates by {dev:.3g}")
+    return lines
+
+
+def largest_deviations(got: dict, want: dict) -> list[str]:
+    """For one world's two fingerprints, one line per field: its largest
+    relative and absolute deviation and the entry where each occurs."""
+    worst: dict[str, list] = {}
+    for field, entry, absolute, relative in _deviations(got, want):
+        top = worst.setdefault(field, [(-1.0, ""), (-1.0, "")])
+        top[0], top[1] = max(top[0], (relative, entry)), max(top[1], (absolute, entry))
+    return [f"{field}: {r:.3g} relative{f' ({r_at})' if r else ''}, "
+            f"{a:.3g} absolute{f' ({a_at})' if a else ''}"
+            for field, ((r, r_at), (a, a_at)) in worst.items()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true",
-                        help="record the current digests in tests/golden.json")
+                        help="record the current digests and fingerprints in tests/golden.json")
     parser.add_argument("--keyed-here", action="store_true",
                         help="run only the keyed worlds, in this process, and print "
-                             "their key and digests as one JSON line")
+                             "their key, digests and fingerprints as one JSON line")
     args = parser.parse_args(argv)
     if args.keyed_here:
-        print(json.dumps({"key": blas_key(), "worlds": _run(KEYED_WORLDS)}))
+        ran = _run(KEYED_WORLDS)
+        print(json.dumps({"key": blas_key(), "worlds": {w: r[0] for w, r in ran.items()},
+                          "fingerprints": {w: r[1] for w, r in ran.items()}}))
         return 0
     got = compute()
-    key, got_keyed = compute_keyed()
+    key, got_keyed, got_prints = compute_keyed()
     if args.write:
         keyed = _golden().get("keyed", {}) if GOLDEN.exists() else {}
         keyed[key] = got_keyed
-        GOLDEN.write_text(json.dumps({"worlds": got, "keyed": keyed}, indent=2,
-                                     sort_keys=True) + "\n", encoding="utf-8")
+        GOLDEN.write_text(json.dumps({"worlds": got, "keyed": keyed, "fingerprints": got_prints},
+                                     indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {sum(map(len, got.values())) + sum(map(len, got_keyed.values()))} "
-              f"digests to {GOLDEN}, the keyed ones under {key!r}")
+              f"digests to {GOLDEN}, the keyed ones under {key!r}, and "
+              f"{len(got_prints)} fingerprints")
         return 0
+    want_prints = recorded_fingerprints()
+    drift = fingerprint_differences(got_prints, want_prints)
+    print("\n".join(drift) if drift else f"every fingerprint matches within {TOLERANCE:g}")
     moved = differences(got, recorded())
     want_keyed = recorded_keyed(key)
     if want_keyed is None:
-        print(f"no keyed digests recorded for {key!r}: the keyed worlds are not compared")
+        print(f"no keyed digests recorded for {key!r}: the keyed worlds' digests "
+              "are not compared")
     else:
-        moved += differences(got_keyed, want_keyed)
-    print("\n".join(moved) if moved else "every digest matches")
-    return 1 if moved else 0
+        moved_keyed = differences(got_keyed, want_keyed)
+        moved += moved_keyed
+        for world in sorted({line.split("/")[0].split(":")[0] for line in moved_keyed}):
+            if world in got_prints and world in want_prints:
+                moved.append(f"{world}: largest fingerprint deviations")
+                moved += ["  " + line for line in
+                          largest_deviations(got_prints[world], want_prints[world])]
+    print("\n".join(moved) if moved else
+          "every digest matches" if want_keyed is not None else "every unkeyed digest matches")
+    return 1 if moved or drift else 0
 
 
 if __name__ == "__main__":

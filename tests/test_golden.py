@@ -1,8 +1,9 @@
 """The committed golden digests (``tests/golden.json``) still hold.
 
 The check only compares; ``python tests/golden.py --write`` is the one way
-to refresh the digests (see ``tests/golden.py``).  The worlds that train are
-compared only on a numpy/BLAS build with recorded digests.
+to refresh the digests (see ``tests/golden.py``).  The digests of the worlds
+that train are compared only on a numpy/BLAS key with recorded digests, their
+fingerprints on every key.
 """
 
 import json
@@ -20,8 +21,19 @@ def test_every_world_writes_its_recorded_bytes():
     assert golden.differences(golden.compute(), golden.recorded()) == []
 
 
-def test_every_keyed_world_writes_its_recorded_bytes():
-    key, got = golden.compute_keyed()
+@pytest.fixture(scope="module")
+def keyed():
+    """(key, digests, fingerprints) of the keyed worlds, run once."""
+    return golden.compute_keyed()
+
+
+def test_every_keyed_world_matches_its_recorded_fingerprint(keyed):
+    _, _, got = keyed
+    assert golden.fingerprint_differences(got, golden.recorded_fingerprints()) == []
+
+
+def test_every_keyed_world_writes_its_recorded_bytes(keyed):
+    key, got, _ = keyed
     want = golden.recorded_keyed(key)
     if want is None:
         pytest.skip(f"no keyed digests recorded for {key!r}; "
@@ -49,3 +61,23 @@ def test_the_key_names_the_kernel_openblas_picks_at_run_time():
     if core == forced_core:
         pytest.skip(f"OPENBLAS_CORETYPE=Sandybridge leaves the kernel {core!r} here")
     assert forced_core == "Sandybridge" and forced_key != key
+
+
+def test_a_forced_kernel_skips_the_digests_and_keeps_the_fingerprints():
+    """``python tests/golden.py`` with ``OPENBLAS_CORETYPE=Sandybridge`` in
+    its environment only runs the keyed worlds under another key, skips
+    their digests and says why, and finds every fingerprint matching."""
+    core, key = _child_core_and_key()
+    forced_core, forced_key = _child_core_and_key(OPENBLAS_CORETYPE="Sandybridge")
+    if core == forced_core:
+        pytest.skip(f"OPENBLAS_CORETYPE=Sandybridge leaves the kernel {core!r} here")
+    assert forced_key != key and golden.recorded_keyed(forced_key) is None
+    child = subprocess.run([sys.executable, golden.__file__],
+                           env={**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"},
+                           capture_output=True, text=True, check=False)
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert child.stdout.splitlines() == [
+        f"every fingerprint matches within {golden.TOLERANCE:g}",
+        f"no keyed digests recorded for {forced_key!r}: the keyed worlds' digests "
+        "are not compared",
+        "every unkeyed digest matches"]
