@@ -93,7 +93,7 @@ def embedding_lookup(table: EmbeddingMatrix, ids) -> T.Tensor:
 
 
 def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-              u: np.ndarray, ut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              ut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One LSTM cell update for the n rows still active, in numpy.
 
     ``gates`` [n x 4h] holds x W^T + b on entry; it becomes
@@ -102,14 +102,12 @@ def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     cell through tanh), so the caller keeps them for backward.  Returns
     (h, c) with c = f*c_prev + i*g and h = o*tanh(c).
 
-    ``ut`` is U^T as a contiguous array.  Several rows multiply it: with 2
-    to 7 rows at hidden 200, OpenBLAS's product with the transposed view
-    ``u.T`` runs a kernel up to 3x slower.  One row multiplies ``u.T``: a
-    matrix-vector product, as fast either way, and at hidden 200 the only
-    row count whose result the contiguous copy would change.
+    ``ut`` is U^T [h x 4h] as a contiguous array: with 2 to 7 rows at hidden
+    200, OpenBLAS's product with the transposed view of U runs a kernel up
+    to 3x slower.
     """
-    hs = u.shape[1]
-    gates += h_prev @ ut if h_prev.shape[0] > 1 else h_prev @ u.T
+    hs = ut.shape[0]
+    gates += h_prev @ ut
     T.sigmoid_(gates[:, :2 * hs])
     np.tanh(gates[:, 2 * hs:3 * hs], out=gates[:, 2 * hs:3 * hs])
     T.sigmoid_(gates[:, 3 * hs:])
@@ -156,7 +154,7 @@ def _scan(x: np.ndarray, order, direction, out: np.ndarray, keep: bool):
     c_all = np.empty((src.size, hs))
     h = c = np.zeros((offsets[1], hs))
     for s, e in zip(offsets[:-1], offsets[1:]):
-        h, c = lstm_step(gates[s:e], h[:e - s], c[:e - s], u, ut)
+        h, c = lstm_step(gates[s:e], h[:e - s], c[:e - s], ut)
         out[src[s:e]], c_all[s:e] = h, c
 
     def backward(g, need_dx):
@@ -186,18 +184,17 @@ def _scan(x: np.ndarray, order, direction, out: np.ndarray, keep: bool):
 
 def _bilstm_layer(x: T.Tensor, orders, fwd, bwd) -> T.Tensor:
     """One BiLSTM layer, one node: [N x input] -> [N x 2*hidden], [h_f; h_b]
-    at every cell.  Its parents are (x, x, *fwd, *bwd), so the engine adds
-    the two directions' input gradients forward first."""
+    at every cell, over parents (x, *fwd, *bwd)."""
     hs = fwd[1].shape[1]
     halves, backs, need_dx = (slice(0, hs), slice(hs, None)), [], x.requires_grad
 
     def backward_fn(g):
         # each direction's gates and cells go once its backward returns
         (dx_f, *d_f), (dx_b, *d_b) = (backs.pop(0)(g[:, h], need_dx) for h in halves)
-        return (dx_f, dx_b, *d_f, *d_b)
+        return (dx_f + dx_b if need_dx else None, *d_f, *d_b)
 
     # made first, so that without a graph (no_grad) no direction's gates outlive its scan
-    node = T.from_op(np.empty((x.shape[0], 2 * hs)), "bilstm_layer", (x, x, *fwd, *bwd),
+    node = T.from_op(np.empty((x.shape[0], 2 * hs)), "bilstm_layer", (x, *fwd, *bwd),
                      backward_fn)
     backs += [_scan(x.values, order, ps, node.values[:, half], node.requires_grad)
               for order, ps, half in zip(orders, (fwd, bwd), halves)]
@@ -276,9 +273,7 @@ def conv1d_over_time(bank, cells: T.Tensor, lengths) -> T.Tensor:
         raise ValueError(f"conv1d_over_time needs packed [N x dim] cells, got {cells.shape}")
     lengths = T.check_lengths(lengths, cells.shape[0])
     pooled = []
-    # last width first: backward visits the latest-made node first, so the
-    # cells' gradient adds the widths' contributions in bank order
-    for k, w, b in reversed(bank):
+    for k, w, b in bank:
         if w.shape[1] != k * cells.shape[1]:
             raise ValueError(f"cells shape {cells.shape} does not match bank dim "
                              f"{w.shape[1] // k} of width {k}")
@@ -286,7 +281,7 @@ def conv1d_over_time(bank, cells: T.Tensor, lengths) -> T.Tensor:
         windows = cells if k == 1 else _windows(cells, lengths, counts, k)
         scores = T.linear_rows(windows, w, b)
         pooled.append(T.relu(T.max_over_time(scores, counts)))
-    return T.concat(pooled[::-1], axis=1)
+    return T.concat(pooled, axis=1)
 
 
 def dropout(x: T.Tensor, rate: float, training: bool, rng) -> T.Tensor:

@@ -10,9 +10,7 @@ the generic elementwise and shape ops (``add``, ``mul``, ``log``,
 ``sum_all`` and the rest) that tests use as probes, the chains of them that
 each loss node must match byte for byte, the whole-array Adam step and
 gradient clipping that the blocked, skipping, row-sparse ones in ``train``
-must match byte for byte, the recurrence
-step whose product ``layers.lstm_step`` must match byte for byte at the
-paper's hidden size, and the per-turn text preparation (a Python loop per
+must match byte for byte, and the per-turn text preparation (a Python loop per
 character, then four regex calls per turn) whose tokens the chunked
 tokenizer core of ``textprep`` must reproduce exactly.
 """
@@ -271,16 +269,6 @@ def lstm_step(direction, x_t, h_prev, c_prev):
     o = sigmoid(narrow(pre, 0, 3 * h, h))
     c = add(mul(f, c_prev), mul(i, g))
     return mul(o, T.tanh(c)), c
-
-
-_LAYERS_LSTM_STEP = L.lstm_step  # bound at import: tests patch L.lstm_step with the one below
-
-
-def packed_lstm_step(gates, h_prev, c_prev, u, ut):
-    """``layers.lstm_step`` with every step's recurrent product taken against
-    the transposed view ``u.T``, as the LSTM scan did before it kept a
-    contiguous U^T."""
-    return _LAYERS_LSTM_STEP(gates, h_prev, c_prev, u, u.T)
 
 
 def scan(direction, steps):

@@ -144,7 +144,7 @@ def test_each_loss_is_one_node_over_its_model_output():
 
 def test_each_bilstm_layer_is_one_node_over_its_input_and_weights():
     """A two-layer training step, table unfrozen, records 14 nodes: one per
-    BiLSTM layer, listing its input once per direction, and no per-direction
+    BiLSTM layer, listing its input once, and no per-direction
     node or per-layer concat.  The two concats left are [enc; emb] and the
     sentence vectors'."""
     config = TrainConfig(hidden_size=3, num_layers=2, sentence_dim=2, embedding_dim=4,
@@ -161,9 +161,8 @@ def test_each_bilstm_layer_is_one_node_over_its_input_and_weights():
     assert len(ops) == 14 and len(layers) == 2
     assert sum(n.op == "concat" for n in ops) == 2
     for fwd, bwd in params.bilstm:
-        (node,) = [n for n in layers if n.parents[2] is fwd[0]]
-        x = node.parents[0]
-        assert node.parents == (x, x, *fwd, *bwd) and node.shape == (8, 6)
+        (node,) = [n for n in layers if n.parents[1] is fwd[0]]
+        assert node.parents == (node.parents[0], *fwd, *bwd) and node.shape == (8, 6)
 
 
 def _classifier_step(rng, projection_tanh=False):

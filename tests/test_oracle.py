@@ -187,10 +187,11 @@ def test_scan_bytes_match_the_transposed_view_product(monkeypatch, reverse):
     """At the paper's hidden size, the contiguous U^T product leaves a
     one-layer encoding and the four gradients of the direction read through
     its half byte-identical, at every count of active rows from 64 down to
-    1."""
+    2."""
     rng = np.random.default_rng(50)
     hidden, inp = 200, 16
-    lengths = rng.permutation(np.arange(1, 65))  # step t has 64 - t rows active
+    # two rows of 63 cells: step t has 64 - t rows active, never one
+    lengths = rng.permutation(np.r_[np.arange(1, 64), 63])
     x = T.Tensor(rng.normal(size=(lengths.sum(), inp)), requires_grad=True)
     fwd, bwd = ([T.Tensor(rng.uniform(-0.1, 0.1, shape), requires_grad=True)
                  for shape in ((4 * hidden, inp), (4 * hidden, hidden), (4 * hidden,))]
@@ -206,7 +207,10 @@ def test_scan_bytes_match_the_transposed_view_product(monkeypatch, reverse):
         return [out.values.tobytes()] + [t.grad.tobytes() for t in direction]
 
     got = run()
-    monkeypatch.setattr(L, "lstm_step", oracle.packed_lstm_step)
+    step = L.lstm_step
+    # the Fortran-ordered copy of U^T is the transposed view of a C-ordered U
+    monkeypatch.setattr(L, "lstm_step", lambda gates, h, c, ut:
+                        step(gates, h, c, np.asfortranarray(ut)))
     assert got == run()
 
 
