@@ -146,9 +146,13 @@ class DatasetSplit:
 
 @dataclass
 class SentenceVectorStore:
-    """Sentence vectors as one float64 matrix, ``row`` giving each id's row in order."""
+    """Sentence vectors as one float64 matrix, ``row`` giving each id's row in
+    order; the matrix is made read-only."""
     row: dict[str, int]
     matrix: np.ndarray  # [len(row) x dim]
+
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
 
     def get(self, conv_id: str) -> np.ndarray:
         return self.matrix[self.row[conv_id]]
@@ -227,7 +231,7 @@ def _word2vec_header(parts: list[str], path, expected_dim: int) -> bool:
 
 def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarray]:
     """Text-format word vectors: token then whitespace-separated decimals,
-    as rows of one float64 matrix.  With ``keep`` (tokens, such as a
+    as read-only rows of one float64 matrix.  With ``keep`` (tokens, such as a
     vocabulary's ``token_to_id``) only the kept tokens' lines are parsed.
 
     A word2vec ``count dim`` first line (two integers, when ``expected_dim``
@@ -236,7 +240,7 @@ def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarra
     number skipped is logged.  Tokens holding whitespace are unsupported."""
     # untouched rows cost no memory, so a bound on the rows is enough
     matrix = np.empty((_line_bound(path) if keep is None else len(keep), expected_dim))
-    out, duplicates = {}, 0
+    rows, duplicates = {}, 0
     for lineno, line in read_lines(path):
         parts = line.split(None, -1 if keep is None else 1)  # a kept line is split below
         if lineno == 1 and _word2vec_header(parts, path, expected_dim):
@@ -247,14 +251,15 @@ def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarra
         if len(raw) != expected_dim:
             raise line_error(path, lineno, f"expected {expected_dim} values, got {len(raw)}")
         vec = _vector(raw, path, lineno)
-        if token in out:
+        if token in rows:
             duplicates += 1
             continue
-        out[token] = matrix[len(out)]
-        out[token][:] = vec
+        matrix[len(rows)] = vec
+        rows[token] = len(rows)
     if duplicates:
         log.warning("%s: skipped %d duplicate token lines", path, duplicates)
-    return out
+    matrix.flags.writeable = False  # before the row views are made, which inherit it
+    return {token: matrix[k] for token, k in rows.items()}
 
 
 def _sentence_vectors_meta(meta: dict, shapes: dict, path, expected_dim: int, keep=None):

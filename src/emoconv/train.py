@@ -272,11 +272,15 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 # Dataset encoding and batching
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncodedExample:
+    """One conversation as token ids; its ``ids`` are made read-only."""
     id: str
     ids: np.ndarray
     label: int | None = None
+
+    def __post_init__(self):
+        self.ids.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -521,13 +525,20 @@ class RunData:
     """What a classifier run reads, as one value: the training split's
     vocabulary, both splits encoded with it, the class weights of the raw
     splits, the examples' sentence vectors (None for none) and the pretrained
-    word vectors its vocabulary holds.  Runs read it and never change it."""
+    word vectors its vocabulary holds.  Runs read it and never change it: its
+    examples are tuples of frozen :class:`EncodedExample`, and the vectors
+    that ``load_sentence_vectors`` and ``load_word_vectors`` return are
+    read-only, so its cached ``digest`` cannot go stale."""
     vocab: Vocabulary
-    train_ex: list[EncodedExample]
-    val_ex: list[EncodedExample]
+    train_ex: tuple[EncodedExample, ...]
+    val_ex: tuple[EncodedExample, ...]
     weights: ClassWeights
     store: SentenceVectorStore | None = None
     pretrained: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("train_ex", "val_ex"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @classmethod
     def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit) -> "RunData":

@@ -11,7 +11,8 @@ from emoconv import rcnn
 from emoconv import tensor as T
 from emoconv import train as tr
 from emoconv.config import TrainConfig
-from emoconv.dataio import LABELS, Conversation, save_checkpoint
+from emoconv.dataio import (LABELS, Conversation, load_sentence_vectors, load_word_vectors,
+                            save_checkpoint, save_sentence_vectors)
 from emoconv.textprep import SPECIALS, TokenSequence, build_vocab
 
 PUBLISHED_TRAIN = {"happy": 4243, "sad": 5463, "angry": 5506, "others": 14948}
@@ -465,6 +466,37 @@ def test_two_runs_on_one_run_data_with_word_vectors_are_bit_identical(tmp_path):
         npt.assert_array_equal(data.pretrained[word], vector)
 
 
+def test_a_run_data_whose_digest_was_read_refuses_every_change_in_place(tmp_path):
+    """Built as ``emoconv train`` builds it, a ``RunData`` refuses a change in
+    place to a label, an id, an example list, a sentence-vector row or a word
+    vector, so its cached digest cannot go stale; ``dataclasses.replace``
+    makes a new value with a digest of its own."""
+    train_split = toycorpus.make_split("train", 16, seed=13)
+    val_split = toycorpus.make_split("val", 8, seed=14)
+    data = tr.RunData.encode(train_split, val_split)
+    save_sentence_vectors(toycorpus.store_for([train_split, val_split], 3, seed=15),
+                          tmp_path / "sv.bin")
+    words = data.vocab.id_to_token[len(SPECIALS):len(SPECIALS) + 3]
+    toycorpus.write_word_vectors(words, np.ones((3, 6)), tmp_path / "words.txt")
+    data = dataclasses.replace(
+        data, store=load_sentence_vectors(tmp_path / "sv.bin", 3,
+                                          {ex.id for ex in data.train_ex + data.val_ex}),
+        pretrained=load_word_vectors(tmp_path / "words.txt", 6, data.vocab.token_to_id))
+    digest = data.digest
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.val_ex[0].label = 1
+    with pytest.raises(ValueError, match="read-only"):
+        data.train_ex[0].ids[0] = 5
+    with pytest.raises(TypeError):
+        data.train_ex[0] = data.val_ex[0]
+    with pytest.raises(ValueError, match="read-only"):
+        data.store.get(data.val_ex[0].id)[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        data.pretrained[words[0]][0] = 0.0
+    assert data.digest == digest == dataclasses.replace(data).digest
+    assert dataclasses.replace(data, pretrained={}).digest != digest
+
+
 def test_a_run_directory_refuses_a_run_on_other_training_rows(tmp_path, monkeypatch):
     """``run_into`` keys its directory by the config and the digest of the
     ``RunData`` itself: the same config on other training rows is refused
@@ -526,7 +558,7 @@ def test_train_encoded_validates_before_the_first_step(case, monkeypatch):
     elif case == "empty_train":
         train_ex = []
     elif case == "unlabeled_val":
-        val_ex[0].label = None
+        val_ex[0] = dataclasses.replace(val_ex[0], label=None)
     elif case == "val_vector_missing":
         del store.row[val_ex[0].id]
         expect = val_ex[0].id
