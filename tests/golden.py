@@ -566,11 +566,14 @@ def _deviations(got: dict, want: dict):
     of one world: ``sum`` against the recorded L1 norm, ``l1``, ``l2`` and
     ``losses`` against the recorded value, ``val_f1`` as a difference and
     ``labels`` as the count of labels that differ.  An entry of one side
-    only, or of another length, deviates by infinity."""
+    only, or of another length, and a NaN deviate by infinity."""
     inf = float("inf")
 
-    def rel(a, b, scale):
-        return 0.0 if a == b else abs(a - b) / scale if scale else inf
+    def gap(a, b, scale=1.0):
+        if a == b:
+            return 0.0
+        d = abs(a - b) / scale if scale else inf
+        return d if d == d else inf
 
     for field in sorted(set(got) | set(want)):
         g, w = got.get(field, {}), want.get(field, {})
@@ -581,7 +584,7 @@ def _deviations(got: dict, want: dict):
                 scale = abs(w[entry]["l1"])
                 for stat in ("sum", "l1", "l2"):
                     a, b = g[entry][stat], w[entry][stat]
-                    yield stat, entry, abs(a - b), rel(a, b, scale if stat == "sum" else abs(b))
+                    yield stat, entry, gap(a, b), gap(a, b, scale if stat == "sum" else abs(b))
             elif field == "labels":
                 a, b = g[entry].split(), w[entry].split()
                 wrong = inf if len(a) != len(b) else sum(x != y for x, y in zip(a, b))
@@ -590,8 +593,7 @@ def _deviations(got: dict, want: dict):
                 yield field, entry, inf, inf
             else:
                 for a, b in zip(g[entry], w[entry]):
-                    yield field, entry, abs(a - b), (abs(a - b) if field == "val_f1"
-                                                     else rel(a, b, abs(b)))
+                    yield field, entry, gap(a, b), gap(a, b, 1.0 if field == "val_f1" else abs(b))
 
 
 def fingerprint_differences(got, want) -> list[str]:
@@ -657,10 +659,9 @@ def main(argv=None) -> int:
         print(f"no keyed digests recorded for {key!r}: the keyed worlds' digests "
               "are not compared")
     else:
-        moved_keyed = differences(got_keyed, want_keyed)
-        moved += moved_keyed
-        for world in sorted({line.split("/")[0].split(":")[0] for line in moved_keyed}):
-            if world in got_prints and world in want_prints:
+        moved += differences(got_keyed, want_keyed)
+        for world in sorted(w for w in got_keyed if got_keyed[w] != want_keyed.get(w)):
+            if world in want_prints:
                 moved.append(f"{world}: largest fingerprint deviations")
                 moved += ["  " + line for line in
                           largest_deviations(got_prints[world], want_prints[world])]

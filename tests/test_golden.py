@@ -6,7 +6,9 @@ that train are compared only on a numpy/BLAS key with recorded digests, their
 fingerprints on every key.
 """
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +41,31 @@ def test_every_keyed_world_writes_its_recorded_bytes(keyed):
         pytest.skip(f"no keyed digests recorded for {key!r}; "
                     "python tests/golden.py --write records them")
     assert golden.differences(got, want) == []
+
+
+def test_a_fingerprint_holds_its_floats_to_the_tolerance_and_its_f1s_and_labels_exactly():
+    """A sum is measured against its array's L1 norm and any other float
+    against itself; an F1 or a label that differs at all, a NaN and an
+    entry of one side only each count as a difference."""
+    want = {"w": {"arrays": {"a": {"sum": 0.0, "l1": 4.0, "l2": 2.0}},
+                  "losses": {"h": [0.5, 0.25]}, "val_f1": {"h": [0.2, 0.3]},
+                  "labels": {"p": "0 1 1"}}}
+
+    def differences(field, value):
+        got = copy.deepcopy(want)
+        got["w"][field] = value
+        return golden.fingerprint_differences(got, want)
+
+    assert golden.TOLERANCE == 1e-10
+    assert differences("arrays", {"a": {"sum": 3e-10, "l1": 4.0, "l2": 2.0}}) == []
+    assert differences("arrays", {"a": {"sum": 5e-10, "l1": 4.0, "l2": 2.0}}) != []
+    assert differences("arrays", {"a": {"sum": 0.0, "l1": 4.0, "l2": 2.0 + 4e-10}}) != []
+    assert differences("losses", {"h": [0.5 + 4e-11, 0.25]}) == []
+    for losses in ([0.5 + 6e-11, 0.25], [math.nan, 0.25], [0.5]):
+        assert differences("losses", {"h": losses}) != []
+    assert differences("val_f1", {"h": [0.2, math.nextafter(0.3, 1.0)]}) != []
+    assert differences("labels", {"p": "0 1 0"}) != []
+    assert differences("losses", {}) != []
 
 
 def _child_core_and_key(**env_vars):
