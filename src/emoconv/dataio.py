@@ -240,7 +240,7 @@ def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarra
     number skipped is logged.  Tokens holding whitespace are unsupported."""
     # untouched rows cost no memory, so a bound on the rows is enough
     matrix = np.empty((_line_bound(path) if keep is None else len(keep), expected_dim))
-    rows, duplicates = {}, 0
+    out, duplicates = {}, 0
     for lineno, line in read_lines(path):
         parts = line.split(None, -1 if keep is None else 1)  # a kept line is split below
         if lineno == 1 and _word2vec_header(parts, path, expected_dim):
@@ -251,15 +251,16 @@ def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarra
         if len(raw) != expected_dim:
             raise line_error(path, lineno, f"expected {expected_dim} values, got {len(raw)}")
         vec = _vector(raw, path, lineno)
-        if token in rows:
+        if token in out:
             duplicates += 1
             continue
-        matrix[len(rows)] = vec
-        rows[token] = len(rows)
+        out[token] = matrix[len(out)]
+        out[token][:] = vec
     if duplicates:
         log.warning("%s: skipped %d duplicate token lines", path, duplicates)
-    matrix.flags.writeable = False  # before the row views are made, which inherit it
-    return {token: matrix[k] for token, k in rows.items()}
+    for row in (matrix, *out.values()):  # a view made earlier keeps its own flag
+        row.flags.writeable = False
+    return out
 
 
 def _sentence_vectors_meta(meta: dict, shapes: dict, path, expected_dim: int, keep=None):
