@@ -528,7 +528,8 @@ class RunData:
     word vectors its vocabulary holds.  Runs read it and never change it: its
     examples are tuples of frozen :class:`EncodedExample`, and the vectors
     that ``load_sentence_vectors`` and ``load_word_vectors`` return are
-    read-only, so its cached ``digest`` cannot go stale."""
+    read-only, so no change in place to them leaves the cached ``digest``
+    stale."""
     vocab: Vocabulary
     train_ex: tuple[EncodedExample, ...]
     val_ex: tuple[EncodedExample, ...]

@@ -236,7 +236,7 @@ def _stats(prefix: str, named) -> dict[str, dict[str, float]]:
             for name, a in named.items()}
 
 
-def _run_print(prefix: str, arrays, history) -> dict:
+def _run_fingerprint(prefix: str, arrays, history) -> dict:
     """The fingerprint of a classifier run: its checkpoint's arrays under
     ``<prefix>model.ckpt`` and its epoch losses and F1s under
     ``<prefix>history.tsv``."""
@@ -350,7 +350,7 @@ def _train_toy(tmp: Path, config, select: str, train_size: int, val_size: int):
     tr.write_history(history, tmp / "history.tsv")
     return {"model.ckpt": _sha((tmp / "model.ckpt").read_bytes()),
             "history.tsv": _sha((tmp / "history.tsv").read_bytes()),
-            "rng": _rng_state(rng)}, _run_print("", ckpt.params, history), history
+            "rng": _rng_state(rng)}, _run_fingerprint("", ckpt.params, history), history
 
 
 def _world_classifier_paper(tmp: Path):
@@ -442,7 +442,7 @@ def _world_cli_pipeline(tmp: Path):
     for prefix, run_dir in [("run/", tmp / "run")] + [
             ("runs/hidden_size={hidden_size},seed={seed}/".format(
                 **tr.read_run(cell / "run.json")["config"]), cell) for cell in cells]:
-        run = _run_print(prefix, dataio.load_checkpoint(run_dir / "model.ckpt").params,
+        run = _run_fingerprint(prefix, dataio.load_checkpoint(run_dir / "model.ckpt").params,
                          tr.read_history(run_dir / "history.tsv"))
         for field, entries in run.items():
             fingerprint[field].update(entries)
