@@ -516,11 +516,11 @@ def blas_key() -> str:
     return f"numpy {np.__version__}; {build}"
 
 
-def compute_keyed(**env_vars) -> tuple[str, dict[str, dict[str, str]], dict[str, dict]]:
+def compute_keyed() -> tuple[str, dict[str, dict[str, str]], dict[str, dict]]:
     """(numpy/BLAS key, digests, fingerprints) of the keyed worlds, run in a
     child process with every BLAS thread variable of ``perfbench/run.py`` set
-    to 1 and ``env_vars`` added to its environment."""
-    env = dict(os.environ, **{var: "1" for var in _perfbench("run").THREAD_VARS}, **env_vars)
+    to 1."""
+    env = dict(os.environ, **{var: "1" for var in _perfbench("run").THREAD_VARS})
     child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--keyed-here"],
                            env=env, capture_output=True, text=True, check=False)
     if child.returncode != 0:

@@ -82,23 +82,15 @@ def _child_core_and_key(**env_vars):
 def test_the_key_names_the_kernel_openblas_picks_at_run_time():
     """The numpy build is the same under ``OPENBLAS_CORETYPE=Sandybridge``,
     but the kernel is not, so the keyed digests of one CPU are never
-    compared on another."""
-    core, key = _child_core_and_key()
-    forced_core, forced_key = _child_core_and_key(OPENBLAS_CORETYPE="Sandybridge")
-    if core == forced_core:
-        pytest.skip(f"OPENBLAS_CORETYPE=Sandybridge leaves the kernel {core!r} here")
-    assert forced_core == "Sandybridge" and forced_key != key
-
-
-def test_a_forced_kernel_skips_the_digests_and_keeps_the_fingerprints():
-    """``python tests/golden.py`` with ``OPENBLAS_CORETYPE=Sandybridge`` in
+    compared on another: ``python tests/golden.py`` with that variable in
     its environment only runs the keyed worlds under another key, skips
     their digests and says why, and finds every fingerprint matching."""
     core, key = _child_core_and_key()
     forced_core, forced_key = _child_core_and_key(OPENBLAS_CORETYPE="Sandybridge")
     if core == forced_core:
         pytest.skip(f"OPENBLAS_CORETYPE=Sandybridge leaves the kernel {core!r} here")
-    assert forced_key != key and golden.recorded_keyed(forced_key) is None
+    assert forced_core == "Sandybridge" and forced_key != key
+    assert golden.recorded_keyed(forced_key) is None
     child = subprocess.run([sys.executable, golden.__file__],
                            env={**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"},
                            capture_output=True, text=True, check=False)
