@@ -63,7 +63,13 @@ exactly.  The worlds:
   hidden 6 and 2 layers, batch 8, clipping every step (``clip_norm``
   0.02), 2 of 4 epochs frozen, annealed after epoch 2, 3-d sentence vectors
   and dropout, keeping the best or the last epoch; the checkpoint file,
-  ``history.tsv`` and the generator state afterwards;
+  ``history.tsv`` and the generator state afterwards.  Their splits are
+  class-balanced, so their class weights are all 0.25;
+- ``classifier_hidden6_skewed``: the same run, keeping the last epoch, on
+  splits with the paper's skew (``SKEWED_LABELS``: 'others' is half of 24
+  training and 17 of 20 validation conversations), so the class weights are
+  0.115 for each emotion and 0.654 for 'others', and the weighted loss moves
+  its bytes;
 - ``classifier_hidden50_batch8``: the same run at hidden 50 with the
   default ``clip_norm`` of 5.0 and 27 training conversations, keeping the
   best epoch: batches of at most 8 rows against 50- and 200-wide weights
@@ -309,8 +315,16 @@ def _world_finetune(tmp: Path, frozen: int, unfrozen: int, batch_size: int = 16)
         "losses": {"losses": list(losses)}, "labels": {"predictions": _labels(preds)}}
 
 
+# the paper's skew, dealt in turn: 'others' is half of the 24 training
+# conversations and 17 of the 20 validation ones, each emotion once
+SKEWED_LABELS = (("happy", "others", "sad", "others", "angry", "others"),
+                 ("others",) * 5 + ("happy",) + ("others",) * 6 + ("sad",)
+                 + ("others",) * 6 + ("angry",))
+
+
 def _world_classifier(tmp: Path, select: str, hidden_size: int = 6,
-                      clip_norm: float = 0.02, train_size: int = 24):
+                      clip_norm: float = 0.02, train_size: int = 24, val_size: int = 8,
+                      labels=None):
     from emoconv.config import TrainConfig
 
     config = TrainConfig(lr=0.01, batch_size=8, epochs=4, clip_norm=clip_norm,
@@ -318,17 +332,21 @@ def _world_classifier(tmp: Path, select: str, hidden_size: int = 6,
                          freeze_embedding_epochs=2, dropout_bilstm=0.3,
                          dropout_linear=0.3, hidden_size=hidden_size, num_layers=2,
                          sentence_dim=3, embedding_dim=6, seed=13)
-    digests, fingerprint, history = _train_toy(tmp, config, select, train_size, 8)
+    digests, fingerprint, history = _train_toy(tmp, config, select, train_size, val_size,
+                                               labels)
     if hidden_size == 6 and any(row.clip_fraction != 1.0 for row in history):
         raise RuntimeError("the hidden-6 world must clip every step")
     return digests, fingerprint
 
 
-def _train_toy(tmp: Path, config, select: str, train_size: int, val_size: int):
+def _train_toy(tmp: Path, config, select: str, train_size: int, val_size: int,
+               labels=None):
     """Train ``config`` on toy splits of ``train_size`` and ``val_size``
     conversations with ``config.sentence_dim``-d sentence vectors into
     ``tmp``; the digests of the checkpoint, ``history.tsv`` and the generator
-    state afterwards, the run's fingerprint and its history."""
+    state afterwards, the run's fingerprint and its history.  ``labels`` is
+    the pair of label sequences the splits deal in turn, or None for
+    ``LABELS`` in both."""
     import numpy as np
     import toycorpus
 
@@ -336,8 +354,9 @@ def _train_toy(tmp: Path, config, select: str, train_size: int, val_size: int):
     from emoconv import layers as L
     from emoconv import train as tr
 
-    train_split = toycorpus.make_split("train", train_size, seed=13)
-    val_split = toycorpus.make_split("val", val_size, seed=14)
+    train_labels, val_labels = labels or (dataio.LABELS, dataio.LABELS)
+    train_split = toycorpus.make_split("train", train_size, seed=13, labels=train_labels)
+    val_split = toycorpus.make_split("val", val_size, seed=14, labels=val_labels)
     vocab = toycorpus.vocab_for(train_split, val_split)
     store = toycorpus.store_for([train_split, val_split], config.sentence_dim, seed=15)
     rng = np.random.default_rng(13)
@@ -462,6 +481,8 @@ KEYED_WORLDS = {
     "finetune_gen_toy_batch13": lambda tmp: _world_finetune(tmp, 1, 2, batch_size=13),
     "classifier_hidden6_best": lambda tmp: _world_classifier(tmp, "best"),
     "classifier_hidden6_last": lambda tmp: _world_classifier(tmp, "last"),
+    "classifier_hidden6_skewed": lambda tmp: _world_classifier(tmp, "last", val_size=20,
+                                                                labels=SKEWED_LABELS),
     "classifier_hidden50_batch8": lambda tmp: _world_classifier(tmp, "best", 50, 5.0, 27),
     "classifier_paper": _world_classifier_paper,
     "cli_pipeline_gen_toy": _world_cli_pipeline,

@@ -17,12 +17,14 @@ KEYWORDS = {"happy": "yay", "sad": "sigh", "angry": "grr", "others": "hmm"}
 FILLER = ["so", "um", "well", "right", "the", "thing", "really", "oh"]
 
 
-def make_split(name, n, seed):
+def make_split(name, n, seed, labels=LABELS):
+    """``n`` conversations drawn with ``seed``, labelled by dealing ``labels``
+    in turn; the draws do not depend on the labels."""
     rng = np.random.default_rng(seed)
     conversations = []
     counts = {label: 0 for label in LABELS}
     for i in range(n):
-        label = LABELS[i % len(LABELS)]
+        label = labels[i % len(labels)]
         counts[label] += 1
 
         def phrase(k):
