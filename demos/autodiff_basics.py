@@ -23,7 +23,7 @@ w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
 x = T.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
 b = T.Tensor(rng.normal(size=4), requires_grad=True)
 labels = [2, 0]
-weights = tr.ClassWeights(np.array([0.1, 0.2, 0.3, 0.4]))
+weights = np.array([0.1, 0.2, 0.3, 0.4])
 
 probs = T.softmax_rows(T.linear_rows(x, w, b))
 loss = tr.weighted_cross_entropy(probs, labels, weights)
@@ -36,7 +36,7 @@ print("dL/db:", b.grad)
 # The loss is -mean(w_y * log p_y), so its gradient wrt the logits is
 # (p - onehot(y)) * w_y / B per row, and wrt b the sum of those rows.
 onehot = np.eye(4)[labels]
-expected = ((probs.values - onehot) * weights.weights[labels][:, None] / 2).sum(axis=0)
+expected = ((probs.values - onehot) * weights[labels][:, None] / 2).sum(axis=0)
 print("matches (p - onehot) * w / B:", np.allclose(b.grad, expected))
 
 # -- 2. gradients accumulate until reset ------------------------------------

@@ -147,12 +147,10 @@ class DatasetSplit:
 @dataclass
 class SentenceVectorStore:
     """Sentence vectors as one float64 matrix, ``row`` giving each id's row in
-    order; the matrix is made read-only."""
+    order.  Nothing freezes it: a run hashes the rows it reads each time it
+    is keyed (``train.RunData.digest``), never caching the hash."""
     row: dict[str, int]
     matrix: np.ndarray  # [len(row) x dim]
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
 
     def get(self, conv_id: str) -> np.ndarray:
         return self.matrix[self.row[conv_id]]
@@ -231,13 +229,15 @@ def _word2vec_header(parts: list[str], path, expected_dim: int) -> bool:
 
 def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarray]:
     """Text-format word vectors: token then whitespace-separated decimals,
-    as read-only rows of one float64 matrix.  With ``keep`` (tokens, such as a
+    as rows of one float64 matrix.  With ``keep`` (tokens, such as a
     vocabulary's ``token_to_id``) only the kept tokens' lines are parsed.
 
     A word2vec ``count dim`` first line (two integers, when ``expected_dim``
     is above 1) is skipped if dim is ``expected_dim`` and an error naming both
     dims otherwise.  Duplicate (kept) tokens keep their first occurrence; the
-    number skipped is logged.  Tokens holding whitespace are unsupported."""
+    number skipped is logged.  Tokens holding whitespace are unsupported.
+    Nothing freezes the rows: a run hashes them each time it is keyed
+    (``train.RunData.digest``), never caching the hash."""
     # untouched rows cost no memory, so a bound on the rows is enough
     matrix = np.empty((_line_bound(path) if keep is None else len(keep), expected_dim))
     out, duplicates = {}, 0
@@ -258,8 +258,6 @@ def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarra
         out[token][:] = vec
     if duplicates:
         log.warning("%s: skipped %d duplicate token lines", path, duplicates)
-    for row in (matrix, *out.values()):  # a view made earlier keeps its own flag
-        row.flags.writeable = False
     return out
 
 

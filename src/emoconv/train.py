@@ -8,7 +8,6 @@ run directory that :func:`run_into` alone writes.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -32,11 +31,6 @@ log = logging.getLogger(__name__)
 LOG_FLOOR = 1e-12
 
 
-@dataclass
-class ClassWeights:
-    weights: np.ndarray  # aligned with dataio.LABELS
-
-
 def _counts_vector(counts: dict[str, int]) -> np.ndarray:
     missing = [name for name in LABELS if name not in counts]
     if missing:
@@ -44,19 +38,20 @@ def _counts_vector(counts: dict[str, int]) -> np.ndarray:
     return np.array([counts[name] for name in LABELS], dtype=np.float64)
 
 
-def compute_class_weights(train_counts: dict, val_counts: dict) -> ClassWeights:
-    """Per-class loss weights from two label -> count maps: validation
-    distribution over training distribution, normalized to sum to 1."""
+def compute_class_weights(train_counts: dict, val_counts: dict) -> np.ndarray:
+    """Per-class loss weights from two label -> count maps, aligned with
+    ``LABELS``: validation distribution over training distribution,
+    normalized to sum to 1."""
     tr = _counts_vector(train_counts)
     va = _counts_vector(val_counts)
     if (tr <= 0).any() or (va <= 0).any():
         raise ValueError("all class counts must be positive to form the "
                          f"distribution ratio (train {tr.tolist()}, val {va.tolist()})")
     ratio = (va / va.sum()) / (tr / tr.sum())
-    return ClassWeights(ratio / ratio.sum())
+    return ratio / ratio.sum()
 
 
-def weighted_cross_entropy(probabilities: T.Tensor, labels, weights: ClassWeights) -> T.Tensor:
+def weighted_cross_entropy(probabilities: T.Tensor, labels, weights: np.ndarray) -> T.Tensor:
     """Mean over the batch of w_label * (-log p[label]), log floored at 1e-12,
     as one graph node.  Its ufuncs run in the order of the chain pick, floor,
     log, weight, sum, scale, whose bytes it keeps; no gradient flows where
@@ -73,7 +68,7 @@ def weighted_cross_entropy(probabilities: T.Tensor, labels, weights: ClassWeight
     rows = np.arange(labels.size)
     p = probabilities.values[rows, labels]
     v = np.maximum(p, LOG_FLOOR)
-    w_l = weights.weights[labels]
+    w_l = weights[labels]
     s = -1.0 / labels.size
     shape = probabilities.shape
 
@@ -86,10 +81,10 @@ def weighted_cross_entropy(probabilities: T.Tensor, labels, weights: ClassWeight
     return T.from_op(loss, "weighted_cross_entropy", (probabilities,), backward_fn)
 
 
-def uniform_baseline_loss(weights: ClassWeights, labels) -> float:
+def uniform_baseline_loss(weights: np.ndarray, labels) -> float:
     """Loss a uniform-prediction model scores on these labels: mean w_y*ln 4."""
     labels = np.asarray(labels, dtype=np.int64)
-    return float(np.mean(weights.weights[labels]) * math.log(len(LABELS)))
+    return float(np.mean(weights[labels]) * math.log(len(LABELS)))
 
 
 def clip_gradients(named_params: dict[str, T.Tensor], max_norm: float) -> float:
@@ -274,13 +269,11 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 
 @dataclass(frozen=True)
 class EncodedExample:
-    """One conversation as token ids; its ``ids`` are made read-only."""
+    """One conversation as token ids, never frozen: a run hashes them each
+    time it is keyed (:attr:`RunData.digest`)."""
     id: str
     ids: np.ndarray
     label: int | None = None
-
-    def __post_init__(self):
-        self.ids.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -470,7 +463,7 @@ def run_epochs(named: dict[str, T.Tensor], step, n_examples: int, state: RunStat
 def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
                   val_ex: list[EncodedExample],
                   sentence_store: SentenceVectorStore | None, config: TrainConfig,
-                  rng, *, weights: ClassWeights, vocab: Vocabulary,
+                  rng, *, weights: np.ndarray, vocab: Vocabulary,
                   select: str = "best", epoch_hook=None):
     """Full training run over encoded examples, the one every entry uses;
     returns (checkpoint, per-epoch history).
@@ -525,21 +518,15 @@ class RunData:
     """What a classifier run reads, as one value: the training split's
     vocabulary, both splits encoded with it, the class weights of the raw
     splits, the examples' sentence vectors (None for none) and the pretrained
-    word vectors its vocabulary holds.  Runs read it and never change it: its
-    examples are tuples of frozen :class:`EncodedExample`, and the vectors
-    that ``load_sentence_vectors`` and ``load_word_vectors`` return are
-    read-only, so no change in place to them leaves the cached ``digest``
-    stale."""
+    word vectors its vocabulary holds.  Runs read it and never change it; its
+    ``digest`` hashes what it holds each time a run is keyed, never cached
+    and never an argument, so a key always names the contents."""
     vocab: Vocabulary
-    train_ex: tuple[EncodedExample, ...]
-    val_ex: tuple[EncodedExample, ...]
-    weights: ClassWeights
+    train_ex: list[EncodedExample]
+    val_ex: list[EncodedExample]
+    weights: np.ndarray
     store: SentenceVectorStore | None = None
     pretrained: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("train_ex", "val_ex"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @classmethod
     def encode(cls, train_split: DatasetSplit, val_split: DatasetSplit) -> "RunData":
@@ -555,11 +542,11 @@ class RunData:
         del rows  # gone before the val split is tokenized
         return cls(vocab, train_ex, encode_split(val_split, vocab), weights)
 
-    @functools.cached_property
+    @property
     def digest(self) -> str:
-        """SHA-256 over what a run reads: the vocabulary and class weights,
-        each example's id, label and token ids (train, then val), the
-        pretrained vectors and the examples' sentence vectors."""
+        """SHA-256 over what a run reads, as it is now: the vocabulary and
+        class weights, each example's id, label and token ids (train, then
+        val), the pretrained vectors and the examples' sentence vectors."""
         examples = self.train_ex + self.val_ex
         words = sorted(self.pretrained)
         stored = [ex.id for ex in examples if self.store is not None and ex.id in self.store.row]
@@ -568,7 +555,7 @@ class RunData:
             len(self.train_ex), self.vocab.id_to_token, [[ex.id, ex.label] for ex in examples],
             words, stored, [ex.n for ex in examples], [np.size(v) for v in vectors]
         ]).encode("utf-8"))
-        for array in [*(ex.ids for ex in examples), self.weights.weights, *vectors]:
+        for array in [*(ex.ids for ex in examples), self.weights, *vectors]:
             h.update(np.ascontiguousarray(array))  # int64 ids, float64 values
         return h.hexdigest()
 

@@ -158,7 +158,7 @@ def weighted_cross_entropy_chain(probabilities: T.Tensor, labels, weights) -> T.
     labels = np.asarray(labels, dtype=np.int64)
     picked = take_per_row(probabilities, labels)
     logs = log(clamp_min(picked, tr.LOG_FLOOR))
-    weighted = mul(logs, T.constant(weights.weights[labels]))
+    weighted = mul(logs, T.constant(weights[labels]))
     return scale(sum_all(weighted), -1.0 / labels.size)
 
 

@@ -63,7 +63,7 @@ def test_criterion_01_end_to_end_gradient_check():
             valid_lengths=np.array([5, 3]),
             sentence_vectors=rng.normal(0.0, 0.5, (2, 3)),
             labels=np.array([0, 3]))
-        weights = tr.ClassWeights(np.array([0.14, 0.10, 0.11, 0.65]))
+        weights = np.array([0.14, 0.10, 0.11, 0.65])
         named = params.named()
         tensors = [named[name] for name in sorted(named)]
 
@@ -93,7 +93,7 @@ def test_criterion_02_class_weights_match_hand_oracle():
         total = sum(raw.values())
         oracle = np.array([raw[c] / total for c in LABELS])
 
-        got = tr.compute_class_weights(train, val).weights
+        got = tr.compute_class_weights(train, val)
         npt.assert_allclose(got, oracle, atol=1e-9)
         npt.assert_allclose(got, [0.1394, 0.0953, 0.1135, 0.6517], atol=1e-3)
         assert abs(got.sum() - 1.0) < 1e-9

@@ -132,7 +132,7 @@ def test_each_loss_is_one_node_over_its_model_output():
     batch = rcnn.Batch.of_rows([rng.integers(1, 9, k) for k in (3, 1, 4)],
                                rng.normal(size=(3, 2)), np.array([0, 3, 1]))
     _, probs = rcnn.forward(params, batch, True, rng)
-    loss = tr.weighted_cross_entropy(probs, batch.labels, tr.ClassWeights(np.full(4, 0.25)))
+    loss = tr.weighted_cross_entropy(probs, batch.labels, np.full(4, 0.25))
     assert loss.node.parents == (probs.node,) and probs.node.op == "softmax_rows"
 
     model = ft.build_finetune_model(emb, rng, filters_per_size=2)
@@ -155,7 +155,7 @@ def test_each_bilstm_layer_is_one_node_over_its_input_and_weights():
     batch = rcnn.Batch.of_rows([rng.integers(1, 9, k) for k in (3, 1, 4)],
                                rng.normal(size=(3, 2)), np.array([0, 3, 1]))
     _, probs = rcnn.forward(params, batch, True, rng)
-    loss = tr.weighted_cross_entropy(probs, batch.labels, tr.ClassWeights(np.full(4, 0.25)))
+    loss = tr.weighted_cross_entropy(probs, batch.labels, np.full(4, 0.25))
     ops = graphs.nodes(loss)
     layers = [n for n in ops if n.op == "bilstm_layer"]
     assert len(ops) == 14 and len(layers) == 2
@@ -176,7 +176,7 @@ def _classifier_step(rng, projection_tanh=False):
     batch = rcnn.Batch.of_rows([rng.integers(1, 9, k) for k in (3, 1, 4)],
                                rng.normal(size=(3, 2)), np.array([0, 3, 1]))
     probs = rcnn.forward(params, batch, True, rng)[1]
-    return tr.weighted_cross_entropy(probs, batch.labels, tr.ClassWeights(np.full(4, 0.25)))
+    return tr.weighted_cross_entropy(probs, batch.labels, np.full(4, 0.25))
 
 
 def test_no_backward_closure_holds_a_tensor():
@@ -259,8 +259,7 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     batch = rcnn.Batch.of_rows([rng.integers(1, 21, k) for k in lengths],
                                rng.normal(size=(b, s)), rng.integers(0, 4, b))
     _, probs = rcnn.forward(params, batch, True, rng)
-    loss = tr.weighted_cross_entropy(probs, batch.labels,
-                                     tr.ClassWeights(np.full(4, 0.25)))
+    loss = tr.weighted_cross_entropy(probs, batch.labels, np.full(4, 0.25))
 
     # what a backward reads: per direction gates and cells, then the layer's
     # output; a dropout's output only where the next layer reads it

@@ -24,7 +24,7 @@ from emoconv.config import TrainConfig
 
 CONFIG = TrainConfig(hidden_size=5, num_layers=2, sentence_dim=3, embedding_dim=4,
                      dropout_bilstm=0.0, dropout_linear=0.0)
-WEIGHTS = tr.ClassWeights(np.array([0.1, 0.2, 0.3, 0.4]))
+WEIGHTS = np.array([0.1, 0.2, 0.3, 0.4])
 # unsorted, with a length-1 row and two rows at the batch maximum
 LENGTHS = [4, 1, 7, 3, 7, 2]
 
@@ -246,7 +246,7 @@ def test_fused_losses_match_their_chains_byte_for_byte():
         b = int(rng.integers(1, 70))
         probs = _probabilities(rng, (b, 4))
         labels = rng.integers(0, 4, b)
-        weights = tr.ClassWeights(rng.dirichlet(np.ones(4)))
+        weights = rng.dirichlet(np.ones(4))
         assert (_loss_bytes(tr.weighted_cross_entropy, probs, labels, weights)
                 == _loss_bytes(oracle.weighted_cross_entropy_chain, probs, labels, weights))
         labels_seen.update(labels.tolist())

@@ -221,7 +221,7 @@ def test_end_to_end_gradients_match_finite_differences():
     def f(ps):
         _, probs = rcnn.forward(params, batch, training=False, rng=None)
         # unit class weights: the mean of -log p[label]
-        return tr.weighted_cross_entropy(probs, batch.labels, tr.ClassWeights(np.ones(4)))
+        return tr.weighted_cross_entropy(probs, batch.labels, np.ones(4))
 
     err = T.finite_diff_check(f, tensors, eps=1e-5)
     assert err < 1e-4, f"max rel err {err}"
@@ -231,7 +231,7 @@ def _train_steps(params, batch, steps):
     """Seeded training steps with dropout, clipping and Adam: each step's
     gradients, whether each loss recorded a graph, and the final values."""
     named, state, rng = params.named(), tr.AdamState(), np.random.default_rng(31)
-    weights = tr.ClassWeights(np.full(4, 0.25))
+    weights = np.full(4, 0.25)
     grads, recorded = [], []
     for _ in range(steps):
         loss = tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng)[1],

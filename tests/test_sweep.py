@@ -236,6 +236,20 @@ def test_a_second_sweep_over_one_encoding_trains_only_its_new_cells(tmp_path, mo
     assert (records, aggregates) == fresh
 
 
+def test_a_sweep_leaves_its_run_data_as_it_found_it(tmp_path):
+    """Nothing a run reads is frozen, so a 2 x 2 sweep over one ``RunData``
+    with sentence vectors and word vectors must leave its digest as it was."""
+    train_split, val_split, data = _toy_data()
+    words = data.vocab.id_to_token[len(textprep.SPECIALS):len(textprep.SPECIALS) + 3]
+    data = dataclasses.replace(
+        data, store=toycorpus.store_for([train_split, val_split], 3, seed=7),
+        pretrained={w: np.full(6, 0.5 + i) for i, w in enumerate(words)})
+    digest = data.digest
+    spec = sw.SweepSpec("lr", [0.02, 0.001], seeds=[0, 1])
+    records, _ = sw.run_sweep(spec, FAST.replace(sentence_dim=3), data, tmp_path)
+    assert len(records) == 4 and data.digest == digest
+
+
 def test_a_sweep_on_other_training_data_retrains_in_the_same_runs_dir(tmp_path):
     train_split, val_split, data = _toy_data()
     other_train = toycorpus.make_split("train", 12, seed=200)
@@ -261,7 +275,7 @@ def test_a_sweep_over_relabeled_training_rows_never_reuses_the_originals_records
         conv.label = label
     relabeled = tr.RunData.encode(rows, val_split)
     assert relabeled.vocab.id_to_token == data.vocab.id_to_token
-    assert relabeled.weights.weights.tobytes() == data.weights.weights.tobytes()
+    assert relabeled.weights.tobytes() == data.weights.tobytes()
     spec = sw.SweepSpec("lr", [0.02], seeds=[0, 1])
     first, _ = sw.run_sweep(spec, FAST, data, tmp_path)
     second = sw.run_sweep(spec, FAST, relabeled, tmp_path)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import io
 
@@ -20,7 +21,7 @@ PUBLISHED_VAL = {"happy": 142, "sad": 125, "angry": 150, "others": 2338}
 
 
 def test_class_weights_from_the_dataset_distributions():
-    w = tr.compute_class_weights(PUBLISHED_TRAIN, PUBLISHED_VAL).weights
+    w = tr.compute_class_weights(PUBLISHED_TRAIN, PUBLISHED_VAL)
     # independent recomputation, term by term
     t_tot = sum(PUBLISHED_TRAIN.values())
     v_tot = sum(PUBLISHED_VAL.values())
@@ -33,15 +34,15 @@ def test_class_weights_from_the_dataset_distributions():
 
 
 def test_class_weights_invariances():
-    flat = tr.compute_class_weights(dict.fromkeys(LABELS, 10), dict.fromkeys(LABELS, 3)).weights
+    flat = tr.compute_class_weights(dict.fromkeys(LABELS, 10), dict.fromkeys(LABELS, 3))
     npt.assert_allclose(flat, [0.25] * 4, atol=1e-12)
 
-    base = tr.compute_class_weights(PUBLISHED_TRAIN, PUBLISHED_VAL).weights
+    base = tr.compute_class_weights(PUBLISHED_TRAIN, PUBLISHED_VAL)
     scaled_val = tr.compute_class_weights(
-        PUBLISHED_TRAIN, {k: 10 * v for k, v in PUBLISHED_VAL.items()}).weights
+        PUBLISHED_TRAIN, {k: 10 * v for k, v in PUBLISHED_VAL.items()})
     npt.assert_allclose(scaled_val, base, rtol=1e-12)
     scaled_train = tr.compute_class_weights(
-        {k: 7 * v for k, v in PUBLISHED_TRAIN.items()}, PUBLISHED_VAL).weights
+        {k: 7 * v for k, v in PUBLISHED_TRAIN.items()}, PUBLISHED_VAL)
     npt.assert_allclose(scaled_train, base, rtol=1e-12)
 
     with pytest.raises(ValueError):
@@ -51,7 +52,7 @@ def test_class_weights_invariances():
 
 
 def test_weighted_cross_entropy_values():
-    w = tr.ClassWeights(np.array([0.25, 0.25, 0.25, 0.25]))
+    w = np.array([0.25, 0.25, 0.25, 0.25])
     perfect = T.constant(np.eye(4)[[0, 1, 2, 3]])
     assert tr.weighted_cross_entropy(perfect, [0, 1, 2, 3], w).item() == 0.0
 
@@ -61,8 +62,8 @@ def test_weighted_cross_entropy_values():
 
     # doubling the gold-class weight doubles that example's contribution
     probs = T.constant(np.array([[0.7, 0.1, 0.1, 0.1]]))
-    w1 = tr.weighted_cross_entropy(probs, [0], tr.ClassWeights(np.array([0.2, 1, 1, 1])))
-    w2 = tr.weighted_cross_entropy(probs, [0], tr.ClassWeights(np.array([0.4, 1, 1, 1])))
+    w1 = tr.weighted_cross_entropy(probs, [0], np.array([0.2, 1, 1, 1]))
+    w2 = tr.weighted_cross_entropy(probs, [0], np.array([0.4, 1, 1, 1]))
     npt.assert_allclose(w2.item(), 2 * w1.item(), rtol=1e-12)
 
     with pytest.raises(ValueError):
@@ -77,7 +78,7 @@ def test_weighted_cross_entropy_values():
 
 def test_weighted_cross_entropy_gradient():
     rng = np.random.default_rng(2)
-    w = tr.ClassWeights(np.array([0.1, 0.2, 0.3, 0.4]))
+    w = np.array([0.1, 0.2, 0.3, 0.4])
     logits = T.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     labels = [2, 0, 3]
 
@@ -103,7 +104,7 @@ def test_weighted_cross_entropy_gradient():
 
 
 def test_uniform_baseline_loss():
-    w = tr.ClassWeights(np.array([0.1, 0.2, 0.3, 0.4]))
+    w = np.array([0.1, 0.2, 0.3, 0.4])
     labels = [0, 0, 3]
     expect = (0.1 + 0.1 + 0.4) / 3 * np.log(4)
     npt.assert_allclose(tr.uniform_baseline_loss(w, labels), expect, rtol=1e-12)
@@ -236,8 +237,8 @@ def test_run_data_is_the_vocabulary_encodings_and_weights_of_its_splits(monkeypa
     assert {"longword", "zebra"} <= set(data.vocab.token_to_id)
     for name, examples in (("train", data.train_ex), ("val", data.val_ex)):
         assert [(ex.id, ex.ids.tolist(), ex.label) for ex in examples] == want[name]
-    npt.assert_array_equal(data.weights.weights, tr.compute_class_weights(
-        train_split.label_counts, val_split.label_counts).weights)
+    npt.assert_array_equal(data.weights, tr.compute_class_weights(
+        train_split.label_counts, val_split.label_counts))
 
 
 def test_run_data_checks_the_class_counts_before_tokenizing(monkeypatch):
@@ -457,44 +458,99 @@ def test_two_runs_on_one_run_data_with_word_vectors_are_bit_identical(tmp_path):
     checkpoint."""
     data = _toy_run_data(TOY_CONFIG)
     held = {w: v.copy() for w, v in data.pretrained.items()}
+    digest = data.digest
     for name in ("a", "b"):
         ckpt, _ = tr.run(TOY_CONFIG, data)
         save_checkpoint(ckpt, tmp_path / f"{name}.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    assert data.digest == digest
     assert data.pretrained.keys() == held.keys()
     for word, vector in held.items():
         npt.assert_array_equal(data.pretrained[word], vector)
 
 
-def test_a_run_data_whose_digest_was_read_refuses_every_change_in_place(tmp_path):
-    """Built as ``emoconv train`` builds it, a ``RunData`` refuses a change in
-    place to a label, an id, an example list, a sentence-vector row or a word
-    vector, so its cached digest cannot go stale; ``dataclasses.replace``
-    makes a new value with a digest of its own."""
+def _loaded_run_data(directory):
+    """A ``RunData`` built as ``emoconv train`` builds it: the toy splits
+    encoded, then the sentence vectors its examples keep from the converted
+    file and the word vectors its vocabulary keeps from the text file, both
+    in ``directory`` (written by the first call)."""
     train_split = toycorpus.make_split("train", 16, seed=13)
     val_split = toycorpus.make_split("val", 8, seed=14)
     data = tr.RunData.encode(train_split, val_split)
-    save_sentence_vectors(toycorpus.store_for([train_split, val_split], 3, seed=15),
-                          tmp_path / "sv.bin")
-    words = data.vocab.id_to_token[len(SPECIALS):len(SPECIALS) + 3]
-    toycorpus.write_word_vectors(words, np.ones((3, 6)), tmp_path / "words.txt")
-    data = dataclasses.replace(
-        data, store=load_sentence_vectors(tmp_path / "sv.bin", 3,
+    if not (directory / "sv.bin").exists():
+        save_sentence_vectors(toycorpus.store_for([train_split, val_split], 4, seed=15),
+                              directory / "sv.bin")
+        words = data.vocab.id_to_token[len(SPECIALS):len(SPECIALS) + 3]
+        toycorpus.write_word_vectors(words, np.ones((3, 6)), directory / "words.txt")
+    return dataclasses.replace(
+        data, store=load_sentence_vectors(directory / "sv.bin", 4,
                                           {ex.id for ex in data.train_ex + data.val_ex}),
-        pretrained=load_word_vectors(tmp_path / "words.txt", 6, data.vocab.token_to_id))
-    digest = data.digest
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        data.val_ex[0].label = 1
-    with pytest.raises(ValueError, match="read-only"):
-        data.train_ex[0].ids[0] = 5
-    with pytest.raises(TypeError):
-        data.train_ex[0] = data.val_ex[0]
-    with pytest.raises(ValueError, match="read-only"):
-        data.store.get(data.val_ex[0].id)[:] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        data.pretrained[words[0]][0] = 0.0
-    assert data.digest == digest == dataclasses.replace(data).digest
-    assert dataclasses.replace(data, pretrained={}).digest != digest
+        pretrained=load_word_vectors(directory / "words.txt", 6, data.vocab.token_to_id))
+
+
+@pytest.fixture(scope="module")
+def first_run(tmp_path_factory):
+    """(directory, config, key) of a one-epoch run on ``_loaded_run_data``."""
+    directory = tmp_path_factory.mktemp("keyed")
+    config = TOY_CONFIG.replace(epochs=1)
+    data = _loaded_run_data(directory)
+    tr.run_into(directory / "run", config, data)
+    return directory, config, tr.run_key(config, data)
+
+
+def _changed_in_place(data, change):
+    """``data`` after ``change``, made in place (in a deep copy for the
+    last), which is returned."""
+    example, store = data.train_ex[0], data.store
+    if change == "an example's ids":
+        example.ids[0] += 1
+    elif change == "an example list":
+        data.train_ex.pop()
+    elif change == "a sentence-vector row":
+        store.get(data.val_ex[0].id)[:] += 1.0
+    elif change == "store.row":
+        a, b = example.id, data.val_ex[0].id
+        store.row[a], store.row[b] = store.row[b], store.row[a]
+    elif change == "a word vector":
+        next(iter(data.pretrained.values()))[:] += 1.0
+    elif change == "the pretrained dict":
+        data.pretrained.popitem()
+    elif change == "vocab.id_to_token":
+        data.vocab.id_to_token.append("zz")
+    elif change == "the class weights":
+        data.weights[0] += 0.125
+    elif change == "a deep copy and an id":
+        data = copy.deepcopy(data)
+        data.val_ex[0].ids[0] += 1
+    return data
+
+
+CHANGES_IN_PLACE = ["an example's ids", "an example list", "a sentence-vector row", "store.row",
+                    "a word vector", "the pretrained dict", "vocab.id_to_token",
+                    "the class weights", "a deep copy and an id"]
+
+
+@pytest.mark.parametrize("change", CHANGES_IN_PLACE)
+def test_the_run_key_follows_a_change_in_place_to_what_a_run_reads(first_run, change,
+                                                                   monkeypatch):
+    """A run is keyed by its ``RunData`` as it is when the run is keyed, so a
+    change in place to anything a run reads, even after the key was read,
+    moves the key; ``run_into`` then refuses the changed value in the first
+    run's directory before any draw, naming both keys."""
+    directory, config, key = first_run
+    data = _loaded_run_data(directory)
+    assert tr.run_key(config, data) == key
+    changed = _changed_in_place(data, change)
+    changed_key = tr.run_key(config, changed)
+    assert changed_key != key
+    run_dir = directory / "run"
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    monkeypatch.setattr(tr, "seeded_table", lambda *a: pytest.fail("a generator was seeded"))
+    with pytest.raises(ValueError) as err:
+        tr.run_into(run_dir, config, changed)
+    assert str(err.value) == (f"{run_dir / 'run.json'} holds the run {key} (select best), "
+                              f"not {changed_key} (select best)")
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
 
 def test_a_run_directory_refuses_a_run_on_other_training_rows(tmp_path, monkeypatch):
