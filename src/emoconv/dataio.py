@@ -147,8 +147,8 @@ class DatasetSplit:
 @dataclass
 class SentenceVectorStore:
     """Sentence vectors as one float64 matrix, ``row`` giving each id's row in
-    order.  Nothing freezes it: a run hashes the rows it reads each time it
-    is keyed (``train.RunData.digest``), never caching the hash."""
+    order.  A run hashes the rows it reads each time it is keyed
+    (``train.RunData.digest``), never caching the hash."""
     row: dict[str, int]
     matrix: np.ndarray  # [len(row) x dim]
 
@@ -235,8 +235,8 @@ def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarra
     A word2vec ``count dim`` first line (two integers, when ``expected_dim``
     is above 1) is skipped if dim is ``expected_dim`` and an error naming both
     dims otherwise.  Duplicate (kept) tokens keep their first occurrence; the
-    number skipped is logged.  Tokens holding whitespace are unsupported.
-    Nothing freezes the rows: a run hashes them each time it is keyed
+    number skipped is logged.  Tokens holding whitespace are unsupported.  A
+    run hashes the rows it reads each time it is keyed
     (``train.RunData.digest``), never caching the hash."""
     # untouched rows cost no memory, so a bound on the rows is enough
     matrix = np.empty((_line_bound(path) if keep is None else len(keep), expected_dim))

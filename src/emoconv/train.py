@@ -269,8 +269,8 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 
 @dataclass(frozen=True)
 class EncodedExample:
-    """One conversation as token ids, never frozen: a run hashes them each
-    time it is keyed (:attr:`RunData.digest`)."""
+    """One conversation as token ids; a run hashes them each time it is
+    keyed (:attr:`RunData.digest`), never caching the hash."""
     id: str
     ids: np.ndarray
     label: int | None = None
