@@ -230,7 +230,7 @@ def _word2vec_header(parts: list[str], path, expected_dim: int) -> bool:
 def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarray]:
     """Text-format word vectors: token then whitespace-separated decimals,
     as rows of one float64 matrix.  With ``keep`` (tokens, such as a
-    vocabulary's ``token_to_id``) only the kept tokens' lines are parsed.
+    vocabulary's ``token_to_id``) only the kept tokens' values are split and parsed.
 
     A word2vec ``count dim`` first line (two integers, when ``expected_dim``
     is above 1) is skipped if dim is ``expected_dim`` and an error naming both
@@ -242,12 +242,12 @@ def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarra
     matrix = np.empty((_line_bound(path) if keep is None else len(keep), expected_dim))
     out, duplicates = {}, 0
     for lineno, line in read_lines(path):
-        parts = line.split(None, -1 if keep is None else 1)  # a kept line is split below
+        parts = line.split(None, 1)
         if lineno == 1 and _word2vec_header(parts, path, expected_dim):
             continue
         if not parts or (keep is not None and parts[0] not in keep):
             continue
-        token, raw = parts[0], parts[1:] if keep is None else " ".join(parts[1:]).split()
+        token, raw = parts[0], parts[1].split() if len(parts) > 1 else []
         if len(raw) != expected_dim:
             raise line_error(path, lineno, f"expected {expected_dim} values, got {len(raw)}")
         vec = _vector(raw, path, lineno)
@@ -262,7 +262,8 @@ def load_word_vectors(path, expected_dim: int, keep=None) -> dict[str, np.ndarra
 
 
 def _sentence_vectors_meta(meta: dict, shapes: dict, path, expected_dim: int, keep=None):
-    """Each (kept) id's row, once the ids are distinct and non-empty, each with one row."""
+    """Each (kept) id's row, once the ids are distinct and non-empty, each with one
+    row, and the rows to read (None for all)."""
     ids = meta.get("ids")
     if not isinstance(ids, list) or not all(isinstance(i, str) and i for i in ids) \
             or len(set(ids)) != len(ids) or list(shapes) != ["vectors"] \
@@ -272,7 +273,8 @@ def _sentence_vectors_meta(meta: dict, shapes: dict, path, expected_dim: int, ke
     if shapes["vectors"][1] != expected_dim:
         raise ValueError(f"{path}: the file's sentence vectors are {shapes['vectors'][1]}-d, "
                          f"but the model's sentence_dim is {expected_dim}")
-    return {conv_id: k for k, conv_id in enumerate(ids) if keep is None or conv_id in keep}
+    at = {conv_id: k for k, conv_id in enumerate(ids) if keep is None or conv_id in keep}
+    return at, None if keep is None else np.array(list(at.values()), dtype=np.int64)
 
 
 def load_sentence_vectors(path, expected_dim: int, keep=None) -> SentenceVectorStore:
@@ -286,8 +288,7 @@ def load_sentence_vectors(path, expected_dim: int, keep=None) -> SentenceVectorS
     if binary:
         at, arrays = _read_container(
             path, SENTENCE_VECTORS_MAGIC, SENTENCE_VECTORS_VERSION, "sentence-vector",
-            lambda meta, shapes: _sentence_vectors_meta(meta, shapes, path, expected_dim, keep),
-            rows=None if keep is None else lambda at: list(at.values()))
+            lambda meta, shapes: _sentence_vectors_meta(meta, shapes, path, expected_dim, keep))
         return SentenceVectorStore(dict(zip(at, range(len(at)))), arrays["vectors"])
     if keep is not None:
         raise ValueError(f"{path}: a run reads converted sentence vectors, not a TSV; "
@@ -390,13 +391,13 @@ def _write_container(path, magic: bytes, version: int, meta: dict,
 
 
 def _read_container(path, magic: bytes, version: int, kind: str,
-                    schema, rows=None) -> tuple[object, dict[str, np.ndarray]]:
+                    schema) -> tuple[object, dict[str, np.ndarray]]:
     """The (schema's result, arrays) of a file written by :func:`_write_container`;
     ``schema(meta less its array list, name -> shape)`` runs before any payload
-    is read.  With ``rows``, each array reads only the first-axis rows that
-    ``rows(schema's result)`` names.  A file that is not a ``kind`` file, is
-    cut short or too long, or has no JSON object with an array list for
-    metadata raises ValueError naming ``path``."""
+    is read and returns its result and the first-axis rows each array reads
+    (an int array, None for all).  A file that is not a ``kind`` file, is cut
+    short or too long, or has no JSON object with an array list for metadata
+    raises ValueError naming ``path``."""
     with _read_bytes(path) as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -425,8 +426,7 @@ def _read_container(path, magic: bytes, version: int, kind: str,
             raise ValueError(f"{path}: {kind} metadata has no array list "
                              "[{name, shape}, ...] with distinct names")
         shapes = {a["name"]: tuple(a["shape"]) for a in entries}
-        checked, arrays = schema(meta, shapes), {}
-        picked = None if rows is None else np.asarray(rows(checked), dtype=np.int64)
+        (checked, picked), arrays = schema(meta, shapes), {}
         for name, shape in shapes.items():
             (nbytes,) = struct.unpack("<Q", fh.read(need(8, "array length")))
             if nbytes != math.prod(shape) * 8:
@@ -458,9 +458,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     }, {name: ckpt.params[name] for name in sorted(ckpt.params)})
 
 
-def _checkpoint_meta(meta: dict, path) -> tuple[dict, TrainConfig]:
-    """The metadata and its config, once it has met the checkpoint schema (before
-    any payload is read); a malformed field is a ValueError naming the file."""
+def _checkpoint_meta(meta: dict, shapes: dict, path) -> tuple[dict, TrainConfig]:
+    """The metadata and its config, once they and the array shapes meet the checkpoint
+    schema (before any payload is read): a malformed field, or an embedding table
+    with another row count than the vocabulary, is a ValueError naming the file."""
     def bad(what):
         return ValueError(f"{path}: checkpoint metadata has {what}")
 
@@ -474,6 +475,9 @@ def _checkpoint_meta(meta: dict, path) -> tuple[dict, TrainConfig]:
     if len(set(vocab)) != len(vocab):
         repeated = next(token for token, n in Counter(vocab).items() if n > 1)
         raise bad(f"a repeated vocabulary token {repeated!r}")
+    table = shapes.get("embedding.table", (len(vocab),))
+    if table[:1] != (len(vocab),):
+        raise bad(f"{len(vocab)} vocabulary tokens but an embedding table of shape {table}")
     if not has_type(meta["epoch"], "int") or meta["epoch"] < 1:
         raise bad(f"epoch {meta['epoch']!r}, not an integer >= 1")
     if not has_type(meta["best_val_f1"], "float"):
@@ -487,7 +491,8 @@ def _checkpoint_meta(meta: dict, path) -> tuple[dict, TrainConfig]:
 def load_checkpoint(path) -> Checkpoint:
     """Read a file written by :func:`save_checkpoint`; a file that is not a
     checkpoint or is malformed raises ValueError naming ``path``."""
-    (meta, config), params = _read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                             "checkpoint", lambda m, _: _checkpoint_meta(m, path))
+    (meta, config), params = _read_container(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
+        lambda m, shapes: (_checkpoint_meta(m, shapes, path), None))
     return Checkpoint(Vocabulary(id_to_token=meta["vocab"]), params,
                       config, meta["epoch"], float(meta["best_val_f1"]))

@@ -116,38 +116,38 @@ def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     return o * np.tanh(c), c
 
 
-def _packed_order(lengths: np.ndarray, reverse: bool):
+def _packed_order(lengths: np.ndarray):
     """Time-major order of a packed batch's cells, for the recurrence: rows
     sorted longest first, so the rows still active at step t are a prefix.
-    Returns, per time-major cell, the index of the cell it reads in the
-    row-major packing ([N]) and the time-major index of the same row's
-    previous step (-1 at step 0); then the step offsets ([T+1]).  The
-    reverse direction walks each row from its last cell."""
+    Returns a pair of [N] arrays, each giving per time-major cell the index
+    of the cell it reads in the row-major packing, the forward direction
+    walking each row from its first cell and the reverse one from its last;
+    then, shared by both, the time-major index of the same row's previous
+    step (-1 at step 0) and the step offsets ([T+1])."""
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     # (step, rank) of each cell in step-major order: rank r runs while step < sorted_len[r]
     steps, rank = np.nonzero(np.arange(sorted_len[0])[:, None] < sorted_len[None, :])
     active = np.bincount(steps)
     offsets = np.concatenate([[0], np.cumsum(active)])
-    positions = sorted_len[rank] - 1 - steps if reverse else steps
-    src = (np.cumsum(lengths) - lengths)[order[rank]] + positions
+    first = (np.cumsum(lengths) - lengths)[order[rank]]
     prev = np.where(steps > 0, offsets[steps - 1] + rank, -1)
-    return src, prev, offsets
+    return (first + steps, first + sorted_len[rank] - 1 - steps), prev, offsets
 
 
-def _scan(x: np.ndarray, order, direction, out: np.ndarray, keep: bool):
-    """One LSTM direction (W, U, b) in the ``order`` of :func:`_packed_order`:
-    fills ``out`` [N x hidden] from x [N x input], each row from zero state,
-    and returns ``backward(g, need_dx) -> (dx, dW, dU, db)`` if ``keep``.  As
-    in cuDNN, x W^T + b is one product over all cells, a step adds only
-    h U^T, and dW, dU and dx are single products.  Backward keeps the gates
-    and cell states, time-major, writes each step's gate gradients over its
-    gates (it runs once), and gathers x and the previous h again."""
+def _scan(x: np.ndarray, src, prev, offsets, direction, out: np.ndarray, keep: bool):
+    """One LSTM direction (W, U, b) in one direction's order of
+    :func:`_packed_order` (``src``, ``prev``, ``offsets``): fills ``out``
+    [N x hidden] from x [N x input], each row from zero state, and returns
+    ``backward(g, need_dx) -> (dx, dW, dU, db)`` if ``keep``.  As in cuDNN,
+    x W^T + b is one product over all cells, a step adds only h U^T, and
+    dW, dU and dx are single products.  Backward keeps the gates and cell
+    states, time-major, writes each step's gate gradients over its gates
+    (it runs once), and gathers x and the previous h again."""
     w, u, b = (p.values for p in direction)
     hs = u.shape[1]
     if (w.shape[1], w.shape[0], u.shape, b.shape) != (x.shape[1], 4 * hs, (4 * hs, hs), (4 * hs,)):
         raise ValueError(f"LSTM weights {w.shape}, {u.shape}, {b.shape} do not fit x {x.shape}")
-    src, prev, offsets = order
     ut = np.ascontiguousarray(u.T)
     gates = x[src] @ w.T
     gates += b
@@ -182,9 +182,10 @@ def _scan(x: np.ndarray, order, direction, out: np.ndarray, keep: bool):
     return backward if keep else None
 
 
-def _bilstm_layer(x: T.Tensor, orders, fwd, bwd) -> T.Tensor:
+def _bilstm_layer(x: T.Tensor, order, fwd, bwd) -> T.Tensor:
     """One BiLSTM layer, one node: [N x input] -> [N x 2*hidden], [h_f; h_b]
-    at every cell, over parents (x, *fwd, *bwd)."""
+    at every cell in :func:`_packed_order`'s ``order``, over (x, *fwd, *bwd)."""
+    srcs, prev, offsets = order
     hs = fwd[1].shape[1]
     halves, backs, need_dx = (slice(0, hs), slice(hs, None)), [], x.requires_grad
 
@@ -196,8 +197,8 @@ def _bilstm_layer(x: T.Tensor, orders, fwd, bwd) -> T.Tensor:
     # made first, so that without a graph (no_grad) no direction's gates outlive its scan
     node = T.from_op(np.empty((x.shape[0], 2 * hs)), "bilstm_layer", (x, *fwd, *bwd),
                      backward_fn)
-    backs += [_scan(x.values, order, ps, node.values[:, half], node.requires_grad)
-              for order, ps, half in zip(orders, (fwd, bwd), halves)]
+    backs += [_scan(x.values, src, prev, offsets, ps, node.values[:, half], node.requires_grad)
+              for src, ps, half in zip(srcs, (fwd, bwd), halves)]
     return node
 
 
@@ -215,10 +216,10 @@ def bilstm_encode(layers, cells: T.Tensor, lengths, dropout_rate: float,
     if cells.values.ndim != 2:
         raise ValueError(f"bilstm_encode needs a packed [N x input] tensor, got {cells.shape}")
     lengths = T.check_lengths(lengths, cells.shape[0])
-    orders = (_packed_order(lengths, False), _packed_order(lengths, True))
+    order = _packed_order(lengths)
     out = cells
     for fwd, bwd in layers:
-        out = dropout(_bilstm_layer(out, orders, fwd, bwd), dropout_rate, training, rng)
+        out = dropout(_bilstm_layer(out, order, fwd, bwd), dropout_rate, training, rng)
     return out
 
 

@@ -2,10 +2,10 @@
 
 Graphs are built define-by-run: every operation returns a new ``Tensor``
 holding the numeric result and, when it takes part in a graph, a ``Node``:
-the op's name, the output shape, a closure that maps the output gradient to
-input gradients, and the nodes of its inputs (a leaf input that takes
-gradients is recorded as itself, and one that takes none not at all).  A
-node holds no values: a closure captures the arrays its backward reads, so
+the op's name, a closure that maps the output gradient to input gradients,
+and the nodes of its inputs (a leaf input that takes gradients is recorded
+as itself, and one that takes none not at all).  A node holds no values and
+no shape: a closure captures the arrays its backward reads, so
 an op result's values live only while a caller or a closure holds them.
 Every node takes a creation number, and an op's node is made after its
 inputs' nodes, so creation order is a topological order: ``backward`` visits
@@ -15,7 +15,7 @@ consumes the graph it walks, so a graph's backward runs once; leaf gradients
 add up across graphs until ``reset_grads``.
 A leaf that only row-gathering ops read (the embedding table) keeps a
 row-sparse ``RowGrad`` there instead of a table-sized array; ``grad_of``
-gives the dense array.
+gives the dense array.  A ``RowGrad`` goes to a leaf only, never to a node.
 
 All arithmetic is 64-bit.  The engine is batch-major and packed: a batch
 of sequences is one ``[N x k]`` tensor of valid cells, row after row, plus
@@ -68,21 +68,19 @@ _creation = itertools.count()
 
 
 class Node:
-    """The graph record of one op result: creation number, op name, output
-    shape, backward closure, and per input of the op its node, the input
-    itself for a leaf that takes gradients, or None for one that takes none."""
+    """The graph record of one op result: creation number, op name,
+    backward closure, and per input of the op its node, the input itself
+    for a leaf that takes gradients, or None for one that takes none."""
 
-    __slots__ = ("number", "op", "shape", "backward_fn", "parents")
+    __slots__ = ("number", "op", "backward_fn", "parents")
 
-    def __init__(self, op: str, shape: tuple[int, ...],
-                 backward_fn: Callable[[np.ndarray], tuple],
+    def __init__(self, op: str, backward_fn: Callable[[np.ndarray], tuple],
                  parents: tuple[Node | Tensor | None, ...]):
-        self.number = next(_creation)
-        self.op, self.shape = op, shape
+        self.number, self.op = next(_creation), op
         self.backward_fn, self.parents = backward_fn, parents
 
     def __repr__(self) -> str:
-        return f"Node(#{self.number} {self.op}, shape={self.shape})"
+        return f"Node(#{self.number} {self.op})"
 
 
 class Tensor:
@@ -175,19 +173,20 @@ def from_op(values: np.ndarray, op: str, parents: tuple[Tensor, ...],
     """Register an operation result in the graph.
 
     ``backward_fn`` receives the gradient of the output and returns one
-    gradient (an array, a ``RowGrad``, or None) per parent, in parent order;
-    a parent that takes no gradient is not recorded, so what is returned for
-    it is dropped.  Returned arrays must not be mutated afterwards;
-    accumulation here is purely functional.  Under ``no_grad``, or when no
-    parent takes a gradient, the result records no node.  A closure captures
-    the arrays, shapes and flags it reads, never a Tensor, so it keeps no
-    values it does not read; whatever it captures lives until ``backward``
-    has run it, and it runs once, so it may overwrite what it captured.
+    gradient (an array, None, or for a leaf parent a ``RowGrad``) per parent,
+    in parent order; what it returns for a parent that takes no gradient,
+    which is not recorded, is dropped.  Returned arrays must not be mutated
+    afterwards; accumulation here is purely functional.  Under ``no_grad``,
+    or when no parent takes a gradient, the result records no node.  A
+    closure captures the arrays, shapes and flags it reads, never a Tensor,
+    so it keeps no values it does not read; whatever it captures lives until
+    ``backward`` has run it, and it runs once, so it may overwrite what it
+    captured.
     """
     out = Tensor(values)
     if not getattr(_recording, "off", False) and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.node = Node(op, out.values.shape, backward_fn, tuple(_target(p) for p in parents))
+        out.node = Node(op, backward_fn, tuple(_target(p) for p in parents))
     return out
 
 
@@ -228,10 +227,6 @@ def backward(loss: Tensor) -> None:
                 t.grad = grad_of(t)
                 t.grad += g
             return
-        if isinstance(g, RowGrad):
-            dense = np.zeros(t.shape)
-            g.add_to(dense)
-            g = dense
         held = buffers.get(t.number)
         if held is None:
             heapq.heappush(latest, -t.number)

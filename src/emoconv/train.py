@@ -88,17 +88,16 @@ def uniform_baseline_loss(weights: np.ndarray, labels) -> float:
 
 
 def clip_gradients(named_params: dict[str, T.Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm;
-    returns the factor applied (1.0 when under the threshold).  A parameter
-    with no gradient adds nothing to the norm; a non-finite gradient is a
-    ValueError that names its parameter.  A ``RowGrad`` counts only its
-    touched rows, so its squares sum in another order than over the dense
-    array and the factor may differ in its last bits."""
+    """Scale all gradients in place so their global L2 norm is at most
+    max_norm; returns the factor applied (1.0 when under the threshold).  A
+    parameter with no gradient adds nothing to the norm; a non-finite
+    gradient is a ValueError that names its parameter.  A ``RowGrad`` is read
+    and scaled through its touched rows' values, so its squares sum in another
+    order than over the dense array and the factor may differ in its last bits."""
+    views = {name: t.grad.values if isinstance(t.grad, T.RowGrad) else t.grad
+             for name, t in named_params.items() if t.grad is not None}
     sq = 0.0
-    for name, t in named_params.items():
-        if t.grad is None:
-            continue
-        g = t.grad.values if isinstance(t.grad, T.RowGrad) else t.grad
+    for name, g in views.items():
         s = float((g * g).sum())
         # a non-finite entry makes s non-finite, so finite sums skip the scan
         if not math.isfinite(s) and not np.isfinite(g).all():
@@ -108,11 +107,8 @@ def clip_gradients(named_params: dict[str, T.Tensor], max_norm: float) -> float:
     if norm <= max_norm or norm == 0.0:
         return 1.0
     factor = max_norm / norm
-    for t in named_params.values():
-        if isinstance(t.grad, T.RowGrad):
-            t.grad = T.RowGrad(t.grad.rows, t.grad.values * factor)
-        elif t.grad is not None:
-            t.grad *= factor
+    for g in views.values():
+        g *= factor
     return factor
 
 

@@ -1,8 +1,8 @@
 """Walks over a recorded graph, for the tests that check what it holds.
 
-A graph is its ``tensor.Node``s: each holds its op, output shape, backward
-closure and parents (nodes, leaf tensors that take gradients, or None), and
-no values.  What a graph keeps alive is what its closures capture.
+A graph is its ``tensor.Node``s: each holds its op, backward closure and
+parents (nodes, leaf tensors that take gradients, or None), and no values.
+What a graph keeps alive is what its closures capture.
 """
 
 from __future__ import annotations

@@ -160,6 +160,13 @@ def test_load_word_vectors_skips_a_count_dim_header(tmp_path):
     # with 1-d vectors "2 1" is a vector line: token "2", value 1
     npt.assert_array_equal(dio.load_word_vectors(
         _write(tmp_path / "one.txt", "2 1\nhi 4\n"), 1)["2"], [1.0])
+    # tabs and runs of blanks split alike whether or not every token is kept
+    spaced = _write(tmp_path / "spaced.txt", "2 3\t\nhello\t1  2 \t3\n  4   5\t6 7  \n")
+    every = dio.load_word_vectors(spaced, 3)
+    kept = dio.load_word_vectors(spaced, 3, keep={"hello", "4"})
+    assert list(every) == list(kept) == ["hello", "4"]
+    for token in every:
+        assert every[token].tobytes() == kept[token].tobytes(), token
 
 
 @pytest.mark.parametrize("entry", ["nan", "NaN", "inf", "-inf", "1e999"])
@@ -442,6 +449,7 @@ def _good_meta():
     ("vocab", ["hi", "<pad>"]),
     ("vocab", "<pad>"),
     ("epoch", _ABSENT),
+    ("arrays", [{"name": "embedding.table", "shape": [2, 3]}]),  # 4 vocabulary tokens
 ])
 def test_checkpoint_metadata_errors_name_the_file(tmp_path, field, value):
     meta = _good_meta()
@@ -497,7 +505,8 @@ def test_the_container_round_trips_any_metadata_and_arrays_in_order(tmp_path):
     arrays = {"b": np.arange(6.0).reshape(2, 3), "a": np.asfortranarray(np.eye(2)[:, ::-1]),
               "i": np.arange(3)}
     dio._write_container(path, b"TEST", 7, {"k": [1, "\u00e9"]}, arrays)
-    meta, back = dio._read_container(path, b"TEST", 7, "test", lambda meta, shapes: meta)
+    meta, back = dio._read_container(path, b"TEST", 7, "test",
+                                     lambda meta, shapes: (meta, None))
     assert meta == {"k": [1, "\u00e9"]} and list(back) == ["b", "a", "i"]
     for name, a in back.items():
         assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable, name
@@ -505,7 +514,7 @@ def test_the_container_round_trips_any_metadata_and_arrays_in_order(tmp_path):
     with pytest.raises(ValueError, match="not a checkpoint file"):
         dio.load_checkpoint(path)
     with pytest.raises(ValueError, match="test version 7 is not the supported version 8"):
-        dio._read_container(path, b"TEST", 8, "test", lambda meta, shapes: meta)
+        dio._read_container(path, b"TEST", 8, "test", lambda meta, shapes: (meta, None))
 
 
 def test_metadata_nested_too_deep_is_a_value_error_naming_the_file(tmp_path):

@@ -142,7 +142,7 @@ def test_each_loss_is_one_node_over_its_model_output():
     assert probs.node.parents[0].op == "linear_rows" and probs.shape == (2,)
 
 
-def test_each_bilstm_layer_is_one_node_over_its_input_and_weights():
+def test_each_bilstm_layer_is_one_node_over_its_input_and_weights(monkeypatch):
     """A two-layer training step, table unfrozen, records 14 nodes: one per
     BiLSTM layer, listing its input once, and no per-direction
     node or per-layer concat.  The two concats left are [enc; emb] and the
@@ -154,6 +154,8 @@ def test_each_bilstm_layer_is_one_node_over_its_input_and_weights():
                              rng)
     batch = rcnn.Batch.of_rows([rng.integers(1, 9, k) for k in (3, 1, 4)],
                                rng.normal(size=(3, 2)), np.array([0, 3, 1]))
+    made, layer = [], L._bilstm_layer
+    monkeypatch.setattr(L, "_bilstm_layer", lambda *args: made.append(layer(*args)) or made[-1])
     _, probs = rcnn.forward(params, batch, True, rng)
     loss = tr.weighted_cross_entropy(probs, batch.labels, np.full(4, 0.25))
     ops = graphs.nodes(loss)
@@ -162,7 +164,8 @@ def test_each_bilstm_layer_is_one_node_over_its_input_and_weights():
     assert sum(n.op == "concat" for n in ops) == 2
     for fwd, bwd in params.bilstm:
         (node,) = [n for n in layers if n.parents[1] is fwd[0]]
-        assert node.parents == (node.parents[0], *fwd, *bwd) and node.shape == (8, 6)
+        (out,) = [t for t in made if t.node is node]
+        assert node.parents == (node.parents[0], *fwd, *bwd) and out.shape == (8, 6)
 
 
 def _classifier_step(rng, projection_tanh=False):
@@ -285,7 +288,8 @@ def test_scan_backward_allocates_no_second_gates_array():
     n = int(lengths.sum())
     direction = [T.Tensor(rng.uniform(-0.5, 0.5, shape))
                  for shape in ((4 * h, inp), (4 * h, h), (4 * h,))]
-    back = L._scan(rng.normal(size=(n, inp)), L._packed_order(lengths, False), direction,
+    (src, _), prev, offsets = L._packed_order(lengths)
+    back = L._scan(rng.normal(size=(n, inp)), src, prev, offsets, direction,
                    np.empty((n, h)), True)
     g = rng.normal(size=(n, h))
     tracemalloc.start()

@@ -88,14 +88,6 @@ def test_table_gradient_stays_row_sparse_until_a_dense_contribution():
     npt.assert_array_equal(table.table.grad, np.array(want) + 2 * table.table.values)
 
 
-def test_lookup_into_a_computed_table_gets_dense_gradient():
-    # the row gradient densifies when the table is not a leaf
-    base = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    table = L.EmbeddingMatrix(oracle.scale(base, 2.0))
-    T.backward(oracle.sum_all(L.embedding_lookup(table, [2, 2, 1])))
-    npt.assert_array_equal(base.grad, [[0, 0], [2, 2], [4, 4]])
-
-
 def test_batched_lookup_matches_finite_differences():
     rng = np.random.default_rng(12)
     table = L.EmbeddingMatrix.from_array(rng.uniform(-1, 1, (6, 3)))
