@@ -1,11 +1,11 @@
 """A tour of the reverse-mode autodiff engine that powers the classifier.
 
-Each op result records its operation in a graph node: the op, its output
-shape, its backward closure and its inputs' nodes, but no values.  Calling
+Each op result records its operation in a graph node: the op, its backward
+closure and its inputs' nodes, but no values.  Calling
 ``backward`` on a scalar loss walks those nodes once, in a deterministic
 order, letting go of each as it goes, and deposits gradients on every
 reachable leaf.  Everything below runs the classifier's own ops: its output
-layer, its softmax and its class-weighted loss.
+layer and its class-weighted loss on the logits.
 """
 
 import numpy as np
@@ -14,9 +14,10 @@ from emoconv import tensor as T
 from emoconv import train as tr
 
 # -- 1. the classifier's head -------------------------------------------------
-# Two examples' 5-d features through the output layer (x @ w.T + b), a row
-# softmax over the four classes, and the class-weighted cross-entropy.  The
-# loss is one graph node over the softmax output's node.
+# Two examples' 5-d features through the output layer (x @ w.T + b) to the
+# four class logits, and the class-weighted cross-entropy on them.  The loss
+# is one graph node over the output layer's node; it takes the log-softmax
+# of the logits itself, through log-sum-exp.
 
 rng = np.random.default_rng(0)
 w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
@@ -25,16 +26,18 @@ b = T.Tensor(rng.normal(size=4), requires_grad=True)
 labels = [2, 0]
 weights = np.array([0.1, 0.2, 0.3, 0.4])
 
-probs = T.softmax_rows(T.linear_rows(x, w, b))
-loss = tr.weighted_cross_entropy(probs, labels, weights)
+logits = T.linear_rows(x, w, b)
+loss = tr.weighted_cross_entropy(logits, labels, weights)
 print("loss value:", loss.item())
 print("loss node:", loss.node, "over", loss.node.parents[0])
 
 T.backward(loss)
 print("dL/db:", b.grad)
 
-# The loss is -mean(w_y * log p_y), so its gradient wrt the logits is
-# (p - onehot(y)) * w_y / B per row, and wrt b the sum of those rows.
+# The loss is -mean(w_y * log p_y), with p the softmax of the logits, so its
+# gradient wrt the logits is (p - onehot(y)) * w_y / B per row, and wrt b the
+# sum of those rows.  softmax_rows gives p; it records no node.
+probs = T.softmax_rows(logits)
 onehot = np.eye(4)[labels]
 expected = ((probs.values - onehot) * weights[labels][:, None] / 2).sum(axis=0)
 print("matches (p - onehot) * w / B:", np.allclose(b.grad, expected))
@@ -49,7 +52,7 @@ try:
     T.backward(loss)
 except RuntimeError as err:
     print("second backward through one graph:", err)
-loss = tr.weighted_cross_entropy(T.softmax_rows(T.linear_rows(x, w, b)), labels, weights)
+loss = tr.weighted_cross_entropy(T.linear_rows(x, w, b), labels, weights)
 T.backward(loss)
 print("after a second graph's backward, ratio:", b.grad[0] / expected[0])
 T.reset_grads([w, x, b])
@@ -60,8 +63,7 @@ T.reset_grads([w, x, b])
 
 
 def f(params):
-    probs = T.softmax_rows(T.linear_rows(x, params[0], b))
-    return tr.weighted_cross_entropy(probs, labels, weights)
+    return tr.weighted_cross_entropy(T.linear_rows(x, params[0], b), labels, weights)
 
 
 err = T.finite_diff_check(f, [w], eps=1e-6)

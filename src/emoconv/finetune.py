@@ -1,10 +1,11 @@
 """Embedding fine-tuning via a binary-sentiment CNN.
 
 A small convolutional classifier (kernel widths 1/2/3, 300 filters each,
-sigmoid output) trains on noisily labeled (text, 0/1) pairs with the
-embedding table frozen for the first epoch and unfrozen afterwards.  The
-trained embedding matrix is the product; the CNN itself is scaffolding and
-is thrown away.
+one output logit, binary cross-entropy on that logit) trains on noisily
+labeled (text, 0/1) pairs with the embedding table frozen for the first
+epoch and unfrozen afterwards; a text is called positive where its logit is
+at least 0.  The trained embedding matrix is the product; the CNN itself is
+scaffolding and is thrown away.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .config import TrainConfig
 from .dataio import line_error, read_lines
 from .rcnn import Batch
 from .textprep import Vocabulary, token_rows
-from .train import LOG_FLOOR, RunState, iter_batches, run_epochs, seeded_table
+from .train import RunState, iter_batches, run_epochs, seeded_table
 
 log = logging.getLogger(__name__)
 
@@ -95,49 +96,40 @@ def _build(emb: L.EmbeddingMatrix, arrays: dict[str, np.ndarray]) -> FinetuneMod
 
 def build_finetune_model(emb: L.EmbeddingMatrix, rng,
                          filters_per_size: int = FILTERS_PER_SIZE) -> FinetuneModel:
-    """CNN over the embedding: conv bank -> max pool -> dropout -> sigmoid,
+    """CNN over the embedding: conv bank -> max pool -> dropout -> one logit,
     its parameters drawn in table order (``layers.init_arrays``)."""
     return _build(emb, L.init_arrays(_shapes(emb.dim, filters_per_size), rng))
 
 
 def forward_finetune(model: FinetuneModel, batch: Batch, training: bool, rng) -> T.Tensor:
-    """Probability of the positive class for each row of a packed batch:
-    one [B] tensor, in row order, from one pass over the batch; one node
-    takes the sigmoid of the output layer's one column."""
+    """The output layer's logit for each row of a packed batch: one [B x 1]
+    column, in row order, from one pass over the batch.  The positive
+    class's probability is its sigmoid."""
     cells = L.embedding_lookup(model.emb, batch.ids)
     pooled = L.conv1d_over_time(model.bank, cells, batch.valid_lengths)
     pooled = L.dropout(pooled, DROPOUT_RATE, training, rng)
-    logits = T.linear_rows(pooled, model.tensors["output.w"], model.tensors["output.b"])
-    out = T.sigmoid_(logits.values[:, 0].copy())
-    shape = logits.shape
-
-    def backward_fn(g):
-        return ((g * out * (1.0 - out)).reshape(shape),)
-
-    return T.from_op(out, "sigmoid_column", (logits,), backward_fn)
+    return T.linear_rows(pooled, model.tensors["output.w"], model.tensors["output.b"])
 
 
-def binary_cross_entropy(probs: T.Tensor, labels) -> T.Tensor:
-    """Mean BCE over a probability vector, logs floored at 1e-12, as one
-    graph node.  Its ufuncs run in the order of the chain floor, log, weight
-    by the label, add, sum, scale, whose bytes it keeps; no gradient flows
-    from a term whose probability (p or 1 - p) is at or below the floor."""
+def binary_cross_entropy(logits: T.Tensor, labels) -> T.Tensor:
+    """Mean BCE over a [B x 1] logit column, softplus(z) - y*z, as one graph
+    node, so a wrong answer keeps its gradient, (sigmoid(z) - y) / B,
+    however confident.  Its ufuncs run in the order of the chain softplus,
+    multiply, subtract, sum, scale, whose bytes it keeps."""
     labels = np.asarray(labels, dtype=np.float64)
-    if probs.shape != labels.shape:
-        raise ValueError(f"probs shape {probs.shape} != labels shape {labels.shape}")
-    p = probs.values
-    a = 1.0 - p
-    vp, va = np.maximum(p, LOG_FLOOR), np.maximum(a, LOG_FLOOR)
-    anti = 1.0 - labels
-    s = -1.0 / labels.size
+    if logits.shape != labels.shape + (1,):
+        raise ValueError(f"need [{labels.size} x 1] logits for labels of shape "
+                         f"{labels.shape}, got shape {logits.shape}")
+    z = logits.values[:, 0]
+    s = 1.0 / labels.size
+    # backward keeps only the gradient, (sigmoid(z) - y) / B
+    d = (T.sigmoid_(z.copy()) * s - labels * s)[:, None]
 
     def backward_fn(g):
-        gs = g * s
-        return (((gs * labels) / vp) * (p > LOG_FLOOR)
-                - ((gs * anti) / va) * (a > LOG_FLOOR),)
+        return (d * g,)
 
-    loss = np.asarray((np.log(vp) * labels + np.log(va) * anti).sum()) * s
-    return T.from_op(loss, "binary_cross_entropy", (probs,), backward_fn)
+    loss = np.asarray((np.logaddexp(0.0, z) - labels * z).sum()) * s
+    return T.from_op(loss, "binary_cross_entropy", (logits,), backward_fn)
 
 
 def encode_corpus(corpus, vocab: Vocabulary, rows=None) -> list[tuple[np.ndarray, int]]:
@@ -208,7 +200,7 @@ def predict_finetune(model: FinetuneModel, encoded) -> np.ndarray:
     with T.no_grad():
         for chunk in iter_batches(encoded, FinetuneSchedule.batch_size):
             batch = Batch.of_rows([ids for ids, _ in chunk])
-            preds.append(forward_finetune(model, batch, False, None).values >= 0.5)
+            preds.append(forward_finetune(model, batch, False, None).values[:, 0] >= 0.0)
     return np.concatenate(preds).astype(np.int64) if preds else np.zeros(0, dtype=np.int64)
 
 

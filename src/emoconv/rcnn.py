@@ -4,7 +4,8 @@ Token embeddings feed a stacked bidirectional LSTM; each position's hidden
 states are concatenated with the token's own embedding ([h_f; h_b; w_i]), a
 linear map projects that down, max-pooling over time yields one vector per
 conversation, an external sentence vector is fused in by concatenation, and
-a final linear layer plus softmax produces the four class probabilities.
+a final linear layer produces the four class logits; a softmax over them
+gives the class probabilities.
 
 With the default sizes the dimension chain is
 100 -> 400 -> 500 -> 200 -> 2504 -> 4.
@@ -107,9 +108,9 @@ def _build(config: TrainConfig, emb: L.EmbeddingMatrix,
                                     for name, a in arrays.items()})
 
 
-def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Tensor, T.Tensor]:
-    """Run the classifier over a batch; returns (logits, probabilities), one
-    row per example in batch order.
+def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> T.Tensor:
+    """Run the classifier over a batch; returns its [B x 4] logits, one row
+    per example in batch order.
 
     The batch's packed token ids index one [N x k] tensor of cells, row
     after row, and embedding, both BiLSTM layers, the [h_f; h_b; w_i]
@@ -141,8 +142,7 @@ def forward(params: RcnnParams, batch: Batch, training: bool, rng) -> tuple[T.Te
     if config.sentence_dim > 0:
         fused = T.concat([fused, T.constant(batch.sentence_vectors)], axis=1)
     fused = L.dropout(fused, config.dropout_linear, training, rng)
-    logits = T.linear_rows(fused, t["output.w"], t["output.b"])
-    return logits, T.softmax_rows(logits)
+    return T.linear_rows(fused, t["output.w"], t["output.b"])
 
 
 def restore(config: TrainConfig, arrays: dict[str, np.ndarray]) -> RcnnParams:

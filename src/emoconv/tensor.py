@@ -25,8 +25,8 @@ graph node covers the whole batch.
 The engine holds only the ops the two models run:
 
 - ``tanh`` and ``relu``, elementwise, and ``sigmoid_``, the in-place
-  logistic function on a plain array that the LSTM gates and the
-  fine-tuning CNN's output node use;
+  logistic function on a plain array that the LSTM gates, the fine-tuning
+  CNN's loss and its predictions use;
 - ``concat`` of tensors that agree on every other axis;
 - ``linear_rows`` maps every row of an ``[n x k]`` matrix and adds its bias
   to each (``[n x k] -> [n x m]``), the one place a vector broadcasts;
@@ -34,11 +34,13 @@ The engine holds only the ops the two models run:
   of a packed tensor, ``[N x k] -> [B x k]``.  It keeps each column's
   argmax cell from forward, so backward reads no input; the first cell wins
   a tie, and a NaN wins its column;
-- ``softmax_rows``, the classifier's output distribution.
+- ``softmax_rows``, the classifier's class probabilities for evaluation,
+  which records no node.
 
-A model's loss is one node of its own, built with ``from_op`` where the
-model lives (``train.weighted_cross_entropy``,
-``finetune.binary_cross_entropy``).
+A model's loss is one node of its own over the model's logits, built with
+``from_op`` where the model lives (``train.weighted_cross_entropy``,
+``finetune.binary_cross_entropy``).  It works through log-sum-exp, so a
+wrong answer passes a gradient however confident it is.
 
 Inside ``with no_grad():`` operations record no node, so an inference pass
 holds only the values it still uses.
@@ -396,21 +398,16 @@ def max_over_time(cells: Tensor, lengths) -> Tensor:
 
 
 def softmax_rows(logits: Tensor) -> Tensor:
-    """Row softmax with per-row max subtraction for stability."""
+    """Row softmax with per-row max subtraction for stability: the class
+    probabilities of evaluation, as a constant.  It records no node; a loss
+    reads the logits themselves."""
     if logits.values.ndim != 2:
         raise ValueError(f"softmax_rows needs a 2-d tensor, got shape {logits.shape}")
     v = logits.values
     if not np.isfinite(v).all():
         raise ValueError("softmax_rows requires finite inputs")
-    shifted = v - v.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def backward_fn(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return from_op(out, "softmax_rows", (logits,), backward_fn)
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    return constant(e / e.sum(axis=1, keepdims=True))
 
 
 def finite_diff_check(f: Callable[[list[Tensor]], Tensor],

@@ -1,6 +1,7 @@
 """Training: the epoch loop both models share (Adam, global-norm gradient
-clipping, embedding freezing) and the classifier's class-weighted loss,
-learning-rate annealing, and best-epoch selection on validation micro-F1;
+clipping, embedding freezing) and the classifier's class-weighted
+cross-entropy on its logits, learning-rate annealing, and best-epoch
+selection on validation micro-F1;
 :func:`run`, the one route from a config and its seed to a checkpoint on one
 :class:`RunData` (all the run reads, and the digest that keys it), into the
 run directory that :func:`run_into` alone writes.
@@ -28,8 +29,6 @@ from .textprep import (MAX_TRAIN_TOKENS, TokenSequence, Vocabulary, build_vocab,
 
 log = logging.getLogger(__name__)
 
-LOG_FLOOR = 1e-12
-
 
 def _counts_vector(counts: dict[str, int]) -> np.ndarray:
     missing = [name for name in LABELS if name not in counts]
@@ -51,34 +50,38 @@ def compute_class_weights(train_counts: dict, val_counts: dict) -> np.ndarray:
     return ratio / ratio.sum()
 
 
-def weighted_cross_entropy(probabilities: T.Tensor, labels, weights: np.ndarray) -> T.Tensor:
-    """Mean over the batch of w_label * (-log p[label]), log floored at 1e-12,
-    as one graph node.  Its ufuncs run in the order of the chain pick, floor,
-    log, weight, sum, scale, whose bytes it keeps; no gradient flows where
-    p[label] is at or below the floor."""
+def weighted_cross_entropy(logits: T.Tensor, labels, weights: np.ndarray) -> T.Tensor:
+    """Mean over the batch of -w_label * log softmax(z)[label] on [B x 4]
+    logits, as one graph node.  The log-softmax is taken through
+    log-sum-exp with the row max out, so a wrong answer keeps its gradient,
+    w_label * (softmax(z) - onehot) / B, however confident.  Its ufuncs run
+    in the order of the chain shift, exp, row sums, log, pick, subtract,
+    weight, sum, scale, whose bytes it keeps."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError(f"labels must be a non-empty 1-d sequence, got shape {labels.shape}")
     if (labels < 0).any() or (labels >= len(LABELS)).any():
         bad = labels[(labels < 0) | (labels >= len(LABELS))][0]
         raise ValueError(f"label index {int(bad)} out of range [0, {len(LABELS)})")
-    if probabilities.shape != (labels.size, len(LABELS)):
-        raise ValueError(f"need [{labels.size} x {len(LABELS)}] probabilities for "
-                         f"{labels.size} labels, got shape {probabilities.shape}")
+    if logits.shape != (labels.size, len(LABELS)):
+        raise ValueError(f"need [{labels.size} x {len(LABELS)}] logits for "
+                         f"{labels.size} labels, got shape {logits.shape}")
     rows = np.arange(labels.size)
-    p = probabilities.values[rows, labels]
-    v = np.maximum(p, LOG_FLOOR)
-    w_l = weights[labels]
+    z = logits.values
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    se = e.sum(axis=1)
     s = -1.0 / labels.size
-    shape = probabilities.shape
+    sw = s * weights[labels]
+    # backward keeps only the gradient, s * w_label * (onehot - softmax(z))
+    d = e * (-sw / se)[:, None]
+    d[rows, labels] += sw
 
     def backward_fn(g):
-        z = np.zeros(shape)
-        z[rows, labels] = (((g * s) * w_l) / v) * (p > LOG_FLOOR)
-        return (z,)
+        return (d * g,)
 
-    loss = np.asarray((np.log(v) * w_l).sum()) * s
-    return T.from_op(loss, "weighted_cross_entropy", (probabilities,), backward_fn)
+    loss = np.asarray(((shifted[rows, labels] - np.log(se)) * weights[labels]).sum()) * s
+    return T.from_op(loss, "weighted_cross_entropy", (logits,), backward_fn)
 
 
 def uniform_baseline_loss(weights: np.ndarray, labels) -> float:
@@ -334,15 +337,15 @@ def iter_batches(items, batch_size: int):
 
 def predict(params: rcnn.RcnnParams, examples: list[EncodedExample],
             store: SentenceVectorStore | None, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode argmax class index per example, in input order, without
-    building a graph."""
+    """Eval-mode argmax class index of each example's probabilities
+    (``tensor.softmax_rows``), in input order, without building a graph."""
     check_sentence_vectors(examples, store, params.config.sentence_dim, "predicted")
     preds = []
     with T.no_grad():
         for chunk in iter_batches(examples, batch_size):
             batch = make_batch(chunk, store, params.config.sentence_dim)
-            _, probs = rcnn.forward(params, batch, training=False, rng=None)
-            preds.append(np.argmax(probs.values, axis=1))
+            logits = rcnn.forward(params, batch, training=False, rng=None)
+            preds.append(np.argmax(T.softmax_rows(logits).values, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
@@ -486,8 +489,8 @@ def train_encoded(params: rcnn.RcnnParams, train_ex: list[EncodedExample],
 
     def step(indices):
         batch = make_batch([train_ex[i] for i in indices], sentence_store, sentence_dim)
-        probs = rcnn.forward(params, batch, training=True, rng=state.rng)[1]
-        return weighted_cross_entropy(probs, batch.labels, weights)
+        return weighted_cross_entropy(rcnn.forward(params, batch, training=True, rng=state.rng),
+                                      batch.labels, weights)
 
     lrs = [lr_at_epoch(config, epoch) for epoch in range(1, config.epochs + 1)]
     for epoch, lr, train_loss, clip_fraction in run_epochs(

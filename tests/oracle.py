@@ -83,6 +83,25 @@ def sigmoid(a: T.Tensor) -> T.Tensor:
     return T.from_op(out, "sigmoid", (a,), backward_fn)
 
 
+def exp(a: T.Tensor) -> T.Tensor:
+    out = np.exp(a.values)
+
+    def backward_fn(g):
+        return (g * out,)
+
+    return T.from_op(out, "exp", (a,), backward_fn)
+
+
+def softplus(a: T.Tensor) -> T.Tensor:
+    """log(1 + e^a), whose derivative is the logistic function."""
+    v = a.values
+
+    def backward_fn(g):
+        return (g * T.sigmoid_(v.copy()),)
+
+    return T.from_op(np.logaddexp(0.0, v), "softplus", (a,), backward_fn)
+
+
 def log(a: T.Tensor) -> T.Tensor:
     v = a.values
     bad = np.flatnonzero(v.reshape(-1) <= 0.0)
@@ -94,16 +113,6 @@ def log(a: T.Tensor) -> T.Tensor:
         return (g / v,)
 
     return T.from_op(np.log(v), "log", (a,), backward_fn)
-
-
-def clamp_min(a: T.Tensor, floor: float) -> T.Tensor:
-    v = a.values
-    floor = float(floor)
-
-    def backward_fn(g):
-        return (g * (v > floor),)
-
-    return T.from_op(np.maximum(v, floor), "clamp_min", (a,), backward_fn)
 
 
 def reshape(a: T.Tensor, shape) -> T.Tensor:
@@ -148,27 +157,39 @@ def sum_all(a: T.Tensor) -> T.Tensor:
     return T.from_op(np.asarray(a.values.sum()), "sum_all", (a,), backward_fn)
 
 
+def sum_rows(a: T.Tensor) -> T.Tensor:
+    """[n x k] -> [n], each row's sum."""
+    shape = a.shape
+
+    def backward_fn(g):
+        return (np.broadcast_to(g[:, None], shape),)
+
+    return T.from_op(a.values.sum(axis=1), "sum_rows", (a,), backward_fn)
+
+
 # ---------------------------------------------------------------------------
-# The losses as chains of generic ops, and the fine-tuning CNN's output
+# The losses as chains of generic ops
 
 
-def weighted_cross_entropy_chain(probabilities: T.Tensor, labels, weights) -> T.Tensor:
-    """``train.weighted_cross_entropy`` as six nodes: pick, floor, log,
+def weighted_cross_entropy_chain(logits: T.Tensor, labels, weights) -> T.Tensor:
+    """``train.weighted_cross_entropy`` as nine nodes: the log-softmax
+    (shift by the row max, exp, row sums, log, pick, subtract), then
     weight, sum, scale."""
     labels = np.asarray(labels, dtype=np.int64)
-    picked = take_per_row(probabilities, labels)
-    logs = log(clamp_min(picked, tr.LOG_FLOOR))
-    weighted = mul(logs, T.constant(weights[labels]))
+    z = logits.values
+    shifted = sub(logits, T.constant(np.broadcast_to(z.max(axis=1, keepdims=True), z.shape)))
+    lse = log(sum_rows(exp(shifted)))
+    log_probs = sub(take_per_row(shifted, labels), lse)
+    weighted = mul(log_probs, T.constant(weights[labels]))
     return scale(sum_all(weighted), -1.0 / labels.size)
 
 
-def binary_cross_entropy_chain(probs: T.Tensor, labels) -> T.Tensor:
-    """``finetune.binary_cross_entropy`` as ten nodes."""
+def binary_cross_entropy_chain(logits: T.Tensor, labels) -> T.Tensor:
+    """``finetune.binary_cross_entropy`` on a [B x 1] logit column as six
+    nodes: mean of softplus(z) - y*z."""
     labels = np.asarray(labels, dtype=np.float64)
-    pos = mul(log(clamp_min(probs, tr.LOG_FLOOR)), T.constant(labels))
-    anti = sub(T.constant(np.ones_like(labels)), probs)
-    neg = mul(log(clamp_min(anti, tr.LOG_FLOOR)), T.constant(1.0 - labels))
-    return scale(sum_all(add(pos, neg)), -1.0 / labels.size)
+    z = reshape(logits, labels.shape)
+    return scale(sum_all(sub(softplus(z), mul(z, T.constant(labels)))), 1.0 / labels.size)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +365,8 @@ def rcnn_logits(params, batch) -> T.Tensor:
     return stack_rows(rows)
 
 
-def finetune_probs(model, batch) -> T.Tensor:
-    """[b] probabilities of ``finetune.forward_finetune`` in eval mode, with
+def finetune_logits(model, batch) -> T.Tensor:
+    """[b x 1] logits of ``finetune.forward_finetune`` in eval mode, with
     the parameters read from ``named()`` by name, widths 1 to 3."""
     t = model.named()
     bank = [(t[f"conv_k{k}.w"], t[f"conv_k{k}.b"]) for k in (1, 2, 3)]
@@ -353,8 +374,8 @@ def finetune_probs(model, batch) -> T.Tensor:
     for ids in rows_of(batch):
         seq = embedding_rows(model.emb, ids)
         pooled = conv1d_over_time(bank, seq, len(ids))
-        out.append(sigmoid(linear(t["output.w"], t["output.b"], pooled)))
-    return T.concat(out, axis=0)
+        out.append(linear(t["output.w"], t["output.b"], pooled))
+    return stack_rows(out)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,8 @@ def test_criterion_01_end_to_end_gradient_check():
         tensors = [named[name] for name in sorted(named)]
 
         def loss_fn(_):
-            _, probs = rcnn.forward(params, batch, training=False, rng=None)
-            return tr.weighted_cross_entropy(probs, batch.labels, weights)
+            return tr.weighted_cross_entropy(rcnn.forward(params, batch, training=False, rng=None),
+                                             batch.labels, weights)
 
         start = time.perf_counter()
         err = T.finite_diff_check(loss_fn, tensors, eps=1e-5)

@@ -2,7 +2,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import oracle
 from emoconv import finetune as ft
 from emoconv import layers as L
 from emoconv import rcnn
@@ -50,48 +49,48 @@ def test_model_shapes_and_param_count():
 
 
 def test_forward_probability_range_and_zero_init():
+    """forward_finetune returns one logit per row, a [B x 1] column whose
+    sigmoid is the positive class's probability.  A zero output layer gives
+    logits 0, probability 1/2, which predict_finetune calls positive."""
     model, corpus, _, vocab, rng = _setup()
     rows = [vocab.ids(text.split()) for text, _ in corpus[:10]]
-    probs = ft.forward_finetune(model, rcnn.Batch.of_rows(rows), False, None).values
-    assert probs.shape == (10,)
+    logits = ft.forward_finetune(model, rcnn.Batch.of_rows(rows), False, None).values
+    assert logits.shape == (10, 1)
+    probs = T.sigmoid_(logits.copy())
     assert ((0.0 < probs) & (probs < 1.0)).all()
 
     model.named()["output.w"].values[:] = 0.0
     model.named()["output.b"].values[:] = 0.0
     npt.assert_array_equal(ft.forward_finetune(model, rcnn.Batch.of_rows(rows[:5]), False,
                                                None).values,
-                           np.full(5, 0.5))
+                           np.zeros((5, 1)))
+    assert ft.predict_finetune(model, [(ids, 0) for ids in rows[:5]]).tolist() == [1] * 5
 
 
 def test_binary_cross_entropy_values_and_gradient():
-    perfect = T.constant(np.array([1.0, 0.0]))
-    assert ft.binary_cross_entropy(perfect, [1, 0]).item() == 0.0
-
-    half = T.constant(np.array([0.5, 0.5]))
+    """The mean of softplus(z) - y*z over a [B x 1] logit column, and its
+    gradient against finite differences, logits of 40 against their label
+    among them: there the loss on sigmoid probabilities, each log floored
+    at 1e-12, passed exactly zero gradient."""
+    half = T.constant(np.zeros((2, 1)))
     npt.assert_allclose(ft.binary_cross_entropy(half, [1, 0]).item(), np.log(2))
+    # a confident right answer costs nothing, a confident wrong one its logit
+    far = T.constant(np.array([[800.0], [-800.0]]))
+    assert ft.binary_cross_entropy(far, [1, 0]).item() == 0.0
+    assert ft.binary_cross_entropy(far, [0, 1]).item() == 800.0
 
     with pytest.raises(ValueError):
         ft.binary_cross_entropy(half, [1, 0, 1])
+    with pytest.raises(ValueError):
+        ft.binary_cross_entropy(T.constant(np.zeros(2)), [1, 0])  # a column, not a vector
 
     rng = np.random.default_rng(3)
-    z = T.Tensor(rng.uniform(-1, 1, 6), requires_grad=True)
-    labels = [1, 0, 1, 1, 0, 0]
-
-    def f(ps):
-        return ft.binary_cross_entropy(oracle.sigmoid(ps[0]), labels)
-
-    assert T.finite_diff_check(f, [z], eps=1e-5) < 1e-4
-
-    # the loss node alone, on probabilities away from the floor
-    probs = T.Tensor(rng.uniform(0.05, 0.95, 6), requires_grad=True)
-    assert T.finite_diff_check(lambda ps: ft.binary_cross_entropy(ps[0], labels),
-                               [probs], eps=1e-5) < 1e-4
-
-    # no gradient from a term whose probability (p or 1 - p) is at or below
-    # the floor
-    probs = T.Tensor(np.array([1e-15, 0.0, 1.0, 0.5]), requires_grad=True)
-    T.backward(ft.binary_cross_entropy(probs, [1, 1, 0, 1]))
-    npt.assert_allclose(probs.grad, [0.0, 0.0, 0.0, -0.25 / 0.5], rtol=1e-15, atol=0)
+    for z, labels in ((rng.uniform(-1, 1, (6, 1)), [1, 0, 1, 1, 0, 0]),
+                      (np.array([[40.0], [-40.0], [40.0]]), [0, 1, 1])):
+        logits = T.Tensor(z, requires_grad=True)
+        assert T.finite_diff_check(lambda ps: ft.binary_cross_entropy(ps[0], labels),
+                                   [logits], eps=1e-5) < 1e-6
+    npt.assert_array_equal(logits.grad, [[1 / 3], [-1 / 3], [0.0]])
 
 
 def test_encode_corpus_validation():

@@ -64,10 +64,10 @@ def test_train_step_graph_is_gone_before_the_next_forward_and_evaluate(monkeypat
     def watched_forward(params, batch, training, rng):
         if training:
             released("the next forward")
-        logits, probs = forward(params, batch, training, rng)
+        logits = forward(params, batch, training, rng)
         if training:
-            watched[:] = graphs.watch(logits, probs)
-        return logits, probs
+            watched[:] = graphs.watch(logits)
+        return logits
 
     def watched_evaluate(*args, **kwargs):
         released("evaluate")
@@ -111,9 +111,9 @@ def test_finetune_step_graph_is_gone_before_the_next_forward(monkeypatch):
         calls.append(1)
         alive = sum(r() is not None for r in watched)
         assert alive == 0, f"{alive} arrays of the last step's graph alive"
-        probs = forward(model, batch, training, rng)
-        watched[:] = graphs.watch(probs)
-        return probs
+        logits = forward(model, batch, training, rng)
+        watched[:] = graphs.watch(logits)
+        return logits
 
     monkeypatch.setattr(ft, "forward_finetune", watched_forward)
     schedule = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01, batch_size=8)
@@ -122,28 +122,27 @@ def test_finetune_step_graph_is_gone_before_the_next_forward(monkeypatch):
 
 
 def test_each_loss_is_one_node_over_its_model_output():
-    """The classifier's loss is one node on the softmax output, and the
-    CNN's is one node on the one node that turns its logits into [B]
-    probabilities."""
+    """Each model's loss is one node on its logits, the output layer's
+    node: the classifier's [B x 4], the CNN's [B x 1] column."""
     config = TrainConfig(hidden_size=3, num_layers=1, sentence_dim=2, embedding_dim=4)
     rng = np.random.default_rng(5)
     emb = L.EmbeddingMatrix.from_array(rng.uniform(-0.1, 0.1, (9, 4)))
     params = rcnn.init_model(config, emb, rng)
     batch = rcnn.Batch.of_rows([rng.integers(1, 9, k) for k in (3, 1, 4)],
                                rng.normal(size=(3, 2)), np.array([0, 3, 1]))
-    _, probs = rcnn.forward(params, batch, True, rng)
-    loss = tr.weighted_cross_entropy(probs, batch.labels, np.full(4, 0.25))
-    assert loss.node.parents == (probs.node,) and probs.node.op == "softmax_rows"
+    logits = rcnn.forward(params, batch, True, rng)
+    loss = tr.weighted_cross_entropy(logits, batch.labels, np.full(4, 0.25))
+    assert loss.node.parents == (logits.node,) and logits.node.op == "linear_rows"
 
     model = ft.build_finetune_model(emb, rng, filters_per_size=2)
-    probs = ft.forward_finetune(model, rcnn.Batch.of_rows([[1, 2, 3], [4]]), True, rng)
-    loss = ft.binary_cross_entropy(probs, [1, 0])
-    assert loss.node.parents == (probs.node,) and len(probs.node.parents) == 1
-    assert probs.node.parents[0].op == "linear_rows" and probs.shape == (2,)
+    logits = ft.forward_finetune(model, rcnn.Batch.of_rows([[1, 2, 3], [4]]), True, rng)
+    loss = ft.binary_cross_entropy(logits, [1, 0])
+    assert loss.node.parents == (logits.node,) and logits.node.op == "linear_rows"
+    assert logits.shape == (2, 1)
 
 
 def test_each_bilstm_layer_is_one_node_over_its_input_and_weights(monkeypatch):
-    """A two-layer training step, table unfrozen, records 14 nodes: one per
+    """A two-layer training step, table unfrozen, records 13 nodes: one per
     BiLSTM layer, listing its input once, and no per-direction
     node or per-layer concat.  The two concats left are [enc; emb] and the
     sentence vectors'."""
@@ -156,11 +155,11 @@ def test_each_bilstm_layer_is_one_node_over_its_input_and_weights(monkeypatch):
                                rng.normal(size=(3, 2)), np.array([0, 3, 1]))
     made, layer = [], L._bilstm_layer
     monkeypatch.setattr(L, "_bilstm_layer", lambda *args: made.append(layer(*args)) or made[-1])
-    _, probs = rcnn.forward(params, batch, True, rng)
-    loss = tr.weighted_cross_entropy(probs, batch.labels, np.full(4, 0.25))
+    loss = tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng), batch.labels,
+                                     np.full(4, 0.25))
     ops = graphs.nodes(loss)
     layers = [n for n in ops if n.op == "bilstm_layer"]
-    assert len(ops) == 14 and len(layers) == 2
+    assert len(ops) == 13 and len(layers) == 2
     assert sum(n.op == "concat" for n in ops) == 2
     for fwd, bwd in params.bilstm:
         (node,) = [n for n in layers if n.parents[1] is fwd[0]]
@@ -178,8 +177,8 @@ def _classifier_step(rng, projection_tanh=False):
                              rng)
     batch = rcnn.Batch.of_rows([rng.integers(1, 9, k) for k in (3, 1, 4)],
                                rng.normal(size=(3, 2)), np.array([0, 3, 1]))
-    probs = rcnn.forward(params, batch, True, rng)[1]
-    return tr.weighted_cross_entropy(probs, batch.labels, np.full(4, 0.25))
+    return tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng), batch.labels,
+                                     np.full(4, 0.25))
 
 
 def test_no_backward_closure_holds_a_tensor():
@@ -199,8 +198,8 @@ def test_no_backward_closure_holds_a_tensor():
     assert graphs.held_tensors(loss) == []
     ops.update(n.op for n in graphs.nodes(loss))
     assert ops == {"embedding_lookup", "bilstm_layer", "dropout", "concat", "linear_rows",
-                   "tanh", "max_over_time", "softmax_rows", "weighted_cross_entropy",
-                   "windows", "relu", "sigmoid_column", "binary_cross_entropy"}
+                   "tanh", "max_over_time", "weighted_cross_entropy",
+                   "windows", "relu", "binary_cross_entropy"}
 
 
 def _results_of(monkeypatch, names):
@@ -243,9 +242,9 @@ def test_cnn_keeps_no_score_matrix_once_its_forward_returns(monkeypatch):
     rng = np.random.default_rng(15)
     emb = L.EmbeddingMatrix.from_array(rng.uniform(-1, 1, (9, 4)))
     model = ft.build_finetune_model(emb, rng, filters_per_size=3)
-    probs = ft.forward_finetune(model, rcnn.Batch.of_rows([[1, 2, 3], [4], [5, 6, 7, 8]]),
-                                True, rng)
-    assert probs.node is not None and len(calls["max_over_time"]) == len(ft.KERNEL_SIZES)
+    logits = ft.forward_finetune(model, rcnn.Batch.of_rows([[1, 2, 3], [4], [5, 6, 7, 8]]),
+                                 True, rng)
+    assert logits.node is not None and len(calls["max_over_time"]) == len(ft.KERNEL_SIZES)
     assert [scores() for scores, _ in calls["max_over_time"]] == [None] * 3
     assert all(pooled() is not None for _, pooled in calls["max_over_time"])
 
@@ -261,15 +260,15 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     params = rcnn.init_model(config, L.EmbeddingMatrix.from_array(table), rng)
     batch = rcnn.Batch.of_rows([rng.integers(1, 21, k) for k in lengths],
                                rng.normal(size=(b, s)), rng.integers(0, 4, b))
-    _, probs = rcnn.forward(params, batch, True, rng)
-    loss = tr.weighted_cross_entropy(probs, batch.labels, np.full(4, 0.25))
+    loss = tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng), batch.labels,
+                                     np.full(4, 0.25))
 
     # what a backward reads: per direction gates and cells, then the layer's
     # output; a dropout's output only where the next layer reads it
     per_layer = 2 * (4 * h + h) + 2 * h
     ctx = 2 * h + d                            # [h_f; h_b; w_i] after dropout
     floats = n * (d + layers * per_layer + (layers - 1) * 2 * h + ctx)  # lookup .. ctx
-    floats += b * ((h + s) + 4 + 5)            # the output layer's input, softmax, loss
+    floats += b * ((h + s) + 4)                # the output layer's input, the loss's gradient
     masks = n * (layers * 2 * h + ctx) + b * (h + s)
     index = 8 * n * (2 * 2 + 2)                # src/prev per direction, lookup ids/mask
     budget = 8 * floats + masks + index + 4096  # offsets and per-row indices

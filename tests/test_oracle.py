@@ -46,13 +46,13 @@ def _logits_and_grads(params, batch, logits_fn):
     named = params.named()
     T.reset_grads(named.values())
     logits = logits_fn()
-    T.backward(tr.weighted_cross_entropy(T.softmax_rows(logits), batch.labels, WEIGHTS))
+    T.backward(tr.weighted_cross_entropy(logits, batch.labels, WEIGHTS))
     return logits.values, {n: T.grad_of(t).copy() for n, t in named.items()}
 
 
 def _batched(params, batch):
     return _logits_and_grads(params, batch,
-                             lambda: rcnn.forward(params, batch, False, None)[0])
+                             lambda: rcnn.forward(params, batch, False, None))
 
 
 @pytest.mark.parametrize("seed,tanh,frozen", [(0, False, False), (1, True, False),
@@ -82,22 +82,22 @@ def test_finetune_cnn_matches_per_example_oracle():
 
     def run(fn):
         T.reset_grads(named.values())
-        probs = fn()
-        T.backward(ft.binary_cross_entropy(probs, [1, 0, 1, 0, 0]))
-        return probs.values, {n: T.grad_of(t).copy() for n, t in named.items()}
+        logits = fn()
+        T.backward(ft.binary_cross_entropy(logits, [1, 0, 1, 0, 0]))
+        return logits.values, {n: T.grad_of(t).copy() for n, t in named.items()}
 
-    probs, grads = run(lambda: ft.forward_finetune(model, batch, False, None))
-    want_probs, want_grads = run(lambda: oracle.finetune_probs(model, batch))
-    npt.assert_allclose(probs, want_probs, rtol=0, atol=1e-10)
+    logits, grads = run(lambda: ft.forward_finetune(model, batch, False, None))
+    want_logits, want_grads = run(lambda: oracle.finetune_logits(model, batch))
+    npt.assert_allclose(logits, want_logits, rtol=0, atol=1e-10)
     for name, want in want_grads.items():
         npt.assert_allclose(grads[name], want, rtol=0, atol=1e-10, err_msg=name)
 
 
 def test_both_models_match_the_oracle_on_a_batch_from_make_batch():
     """``make_batch``'s packed rows of 1 to 7 tokens, several shorter than
-    the CNN's widest kernel, through both models in eval mode: the CNN's
-    probabilities equal the per-example oracle's byte for byte; the RCNN's
-    logits, whose oracle sums its products in another order, agree to 1e-10."""
+    the CNN's widest kernel, through both models in eval mode: each model's
+    logits agree with the per-example oracle's, which sums its products in
+    another order, to 1e-10."""
     params, rng = _model(8)
     lengths = [1, 2, 7, 1, 3, 2]
     examples = [tr.EncodedExample(f"c{i}", rng.integers(1, 11, n), i % 4)
@@ -107,30 +107,30 @@ def test_both_models_match_the_oracle_on_a_batch_from_make_batch():
     model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
     assert max(ft.KERNEL_SIZES) == 3
     with T.no_grad():
-        npt.assert_array_equal(ft.forward_finetune(model, batch, False, None).values,
-                               oracle.finetune_probs(model, batch).values)
-        npt.assert_allclose(rcnn.forward(params, batch, False, None)[0].values,
+        npt.assert_allclose(ft.forward_finetune(model, batch, False, None).values,
+                            oracle.finetune_logits(model, batch).values, rtol=0, atol=1e-10)
+        npt.assert_allclose(rcnn.forward(params, batch, False, None).values,
                             oracle.rcnn_logits(params, batch).values, rtol=0, atol=1e-10)
 
 
 def test_rows_match_each_row_run_alone():
-    """A row's eval-mode RCNN logits and CNN probability do not depend on the
-    other rows packed next to it."""
+    """A row's eval-mode logits, the RCNN's and the CNN's, do not depend on
+    the other rows packed next to it."""
     params, rng = _model(5)
     batch = _batch(rng, LENGTHS)
     with T.no_grad():
-        together = rcnn.forward(params, batch, False, None)[0].values
+        together = rcnn.forward(params, batch, False, None).values
         for i, row in enumerate(oracle.rows_of(batch)):
             alone = rcnn.Batch.of_rows([row], batch.sentence_vectors[i:i + 1])
-            npt.assert_allclose(rcnn.forward(params, alone, False, None)[0].values[0],
+            npt.assert_allclose(rcnn.forward(params, alone, False, None).values[0],
                                 together[i], rtol=0, atol=1e-12)
 
         model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
         rows = [rng.integers(1, 11, n) for n in (5, 1, 2, 6, 3)]
-        probs = ft.forward_finetune(model, rcnn.Batch.of_rows(rows), False, None).values
-        for row, p in zip(rows, probs):
+        logits = ft.forward_finetune(model, rcnn.Batch.of_rows(rows), False, None).values
+        for row, z in zip(rows, logits):
             alone = ft.forward_finetune(model, rcnn.Batch.of_rows([row]), False, None)
-            npt.assert_allclose(alone.values, [p], rtol=0, atol=1e-12)
+            npt.assert_allclose(alone.values, [z], rtol=0, atol=1e-12)
 
 
 def test_graph_holds_valid_cells_only(monkeypatch):
@@ -151,8 +151,8 @@ def test_graph_holds_valid_cells_only(monkeypatch):
     for lengths in ([2] * 15 + [40], [40] * 16):
         recorded.append(0)
         batch = _batch(rng, lengths)
-        _, probs = rcnn.forward(params, batch, True, rng)
-        T.backward(tr.weighted_cross_entropy(probs, batch.labels, WEIGHTS))
+        T.backward(tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng),
+                                             batch.labels, WEIGHTS))
     assert recorded[0] < recorded[1] / 2
 
 
@@ -175,8 +175,7 @@ def test_forward_is_one_scan_per_layer_and_direction(monkeypatch):
         calls.clear()
         nodes.clear()
         batch = _batch(rng, lengths)
-        _, probs = rcnn.forward(params, batch, True, rng)
-        tr.weighted_cross_entropy(probs, batch.labels, WEIGHTS)
+        tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng), batch.labels, WEIGHTS)
         assert len(calls) == 2 * CONFIG.num_layers * max(lengths)
         sizes.append(sum(nodes))
     assert sizes[0] == sizes[1] < 100
@@ -214,55 +213,54 @@ def test_scan_bytes_match_the_transposed_view_product(monkeypatch, reverse):
     assert got == run()
 
 
-def _probabilities(rng, shape):
-    """Probabilities in [0, 1]: about one in five far below the 1e-12 floor
-    (down to 1e-20), some at the floor itself, some exactly 0, and some
-    within 1e-11 of 1 or exactly 1, so that 1 - p is below the floor too."""
-    p = rng.uniform(0.0, 1.0, shape)
-    for share, draw in ((0.2, lambda n: 10.0 ** rng.uniform(-20, -12, n)),
-                        (0.03, lambda n: np.full(n, tr.LOG_FLOOR)),
-                        (0.05, np.zeros),
-                        (0.1, lambda n: 1.0 - 10.0 ** rng.uniform(-20, -11, n))):
+def _logits(rng, shape):
+    """Logits on two scales: most within a few units of 0, and about one in
+    five of magnitude 30 to 60, either sign, where a log of the probability
+    floored at 1e-12 would pass no gradient; some are exactly 0."""
+    z = rng.normal(0.0, 1.5, shape)
+    for share, draw in ((0.2, lambda n: rng.choice([-1.0, 1.0], n) * rng.uniform(30, 60, n)),
+                        (0.05, np.zeros)):
         pick = rng.random(shape) < share
-        p[pick] = draw(int(pick.sum()))
-    return p
+        z[pick] = draw(int(pick.sum()))
+    return z
 
 
 def _loss_bytes(loss_fn, values, *args):
     """The bytes of a loss on a leaf holding ``values``, and of its gradient."""
-    probs = T.Tensor(values.copy(), requires_grad=True)
-    loss = loss_fn(probs, *args)
+    logits = T.Tensor(values.copy(), requires_grad=True)
+    loss = loss_fn(logits, *args)
     T.backward(loss)
-    return loss.values.tobytes(), probs.grad.tobytes()
+    return loss.values.tobytes(), logits.grad.tobytes()
 
 
 def test_fused_losses_match_their_chains_byte_for_byte():
-    """Each loss node against the chain of single ops it replaced, on
-    seeded batches of 1 to 69 rows, every class label among them, with
-    probabilities below the floor and BCE probabilities of exactly 0 and 1."""
+    """Each loss node against its chain of single ops (the log-softmax, the
+    softplus), on seeded batches of 1 to 69 rows, every class label among
+    them, with many examples wrong by a margin past the old floor's: a true
+    logit more than 27 below its row's top, a CNN logit beyond 37 against
+    its label."""
     rng = np.random.default_rng(61)
-    labels_seen, below_floor, exact = set(), 0, set()
+    labels_seen, far_wrong, far_wrong_cnn = set(), 0, 0
     for _ in range(400):
         b = int(rng.integers(1, 70))
-        probs = _probabilities(rng, (b, 4))
+        z = _logits(rng, (b, 4))
         labels = rng.integers(0, 4, b)
         weights = rng.dirichlet(np.ones(4))
-        assert (_loss_bytes(tr.weighted_cross_entropy, probs, labels, weights)
-                == _loss_bytes(oracle.weighted_cross_entropy_chain, probs, labels, weights))
+        assert (_loss_bytes(tr.weighted_cross_entropy, z, labels, weights)
+                == _loss_bytes(oracle.weighted_cross_entropy_chain, z, labels, weights))
         labels_seen.update(labels.tolist())
-        below_floor += int((probs[np.arange(b), labels] < tr.LOG_FLOOR).sum())
+        far_wrong += int((z.max(axis=1) - z[np.arange(b), labels] > 27).sum())
 
-        p, y = _probabilities(rng, b), rng.integers(0, 2, b)
-        assert (_loss_bytes(ft.binary_cross_entropy, p, y)
-                == _loss_bytes(oracle.binary_cross_entropy_chain, p, y))
-        exact.update(p[(p == 0.0) | (p == 1.0)].tolist())
-    assert labels_seen == {0, 1, 2, 3} and below_floor > 100 and exact == {0.0, 1.0}
+        z, y = _logits(rng, (b, 1)), rng.integers(0, 2, b)
+        assert (_loss_bytes(ft.binary_cross_entropy, z, y)
+                == _loss_bytes(oracle.binary_cross_entropy_chain, z, y))
+        far_wrong_cnn += int((z[:, 0] * (1 - 2 * y) > 37).sum())
+    assert labels_seen == {0, 1, 2, 3} and far_wrong > 100 and far_wrong_cnn > 100
 
 
 def test_models_with_fused_losses_match_their_chains_byte_for_byte():
     """Every parameter gradient of both models, with dropout on, through the
-    loss node and through the chain; the CNN's chain also ends in the
-    sigmoid and reshape nodes that ``forward_finetune`` no longer records."""
+    loss node and through its chain."""
     params, rng = _model(6)
     batch = _batch(rng, LENGTHS)
     model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
@@ -271,31 +269,20 @@ def test_models_with_fused_losses_match_their_chains_byte_for_byte():
 
     def rcnn_grads(loss_fn):
         T.reset_grads(params.named().values())
-        _, probs = rcnn.forward(params, batch, True, np.random.default_rng(7))
-        T.backward(loss_fn(probs, batch.labels, WEIGHTS))
+        logits = rcnn.forward(params, batch, True, np.random.default_rng(7))
+        T.backward(loss_fn(logits, batch.labels, WEIGHTS))
         return {n: T.grad_of(t).tobytes() for n, t in params.named().items()}
 
-    def cnn_logits(batch, rng):
-        """``forward_finetune`` up to the output layer's [B x 1] logits."""
-        cells = L.embedding_lookup(model.emb, batch.ids)
-        pooled = L.dropout(L.conv1d_over_time(model.bank, cells, batch.valid_lengths),
-                           ft.DROPOUT_RATE, True, rng)
-        return T.linear_rows(pooled, model.tensors["output.w"], model.tensors["output.b"])
-
-    def cnn_grads(chain):
+    def cnn_grads(loss_fn):
         T.reset_grads(model.named().values())
-        batch, rng = rcnn.Batch.of_rows(rows), np.random.default_rng(8)
-        if chain:
-            probs = oracle.reshape(oracle.sigmoid(cnn_logits(batch, rng)), (len(rows),))
-            loss = oracle.binary_cross_entropy_chain(probs, labels)
-        else:
-            loss = ft.binary_cross_entropy(ft.forward_finetune(model, batch, True, rng), labels)
-        T.backward(loss)
+        logits = ft.forward_finetune(model, rcnn.Batch.of_rows(rows), True,
+                                     np.random.default_rng(8))
+        T.backward(loss_fn(logits, labels))
         return {n: T.grad_of(t).tobytes() for n, t in model.named().items()}
 
     assert rcnn_grads(tr.weighted_cross_entropy) == rcnn_grads(
         oracle.weighted_cross_entropy_chain)
-    assert cnn_grads(False) == cnn_grads(True)
+    assert cnn_grads(ft.binary_cross_entropy) == cnn_grads(oracle.binary_cross_entropy_chain)
 
 
 def _twin_params(shapes, seed):

@@ -87,8 +87,8 @@ def test_restore_rebuilds_the_model_from_its_arrays_without_drawing(monkeypatch,
         assert t.values is arrays[name], name  # the model owns what it restores
     assert restored.config == params.config == config
     batch = _batch([[1, 2, 3], [4, 5, 0]], [3, 2], config.sentence_dim, rng)
-    npt.assert_array_equal(rcnn.forward(restored, batch, False, None)[1].values,
-                           rcnn.forward(params, batch, False, None)[1].values)
+    npt.assert_array_equal(rcnn.forward(restored, batch, False, None).values,
+                           rcnn.forward(params, batch, False, None).values)
 
 
 def test_a_loaded_checkpoint_reaches_the_model_without_a_copy(tmp_path):
@@ -136,8 +136,10 @@ def test_restore_names_missing_unexpected_and_misshapen_arrays():
 def test_forward_probabilities_sum_to_one():
     params, rng = _tiny_model()
     batch = _batch([[1, 2, 3], [4, 5, 0]], [3, 2], 2, rng)
-    logits, probs = rcnn.forward(params, batch, training=False, rng=None)
+    logits = rcnn.forward(params, batch, training=False, rng=None)
+    probs = T.softmax_rows(logits)
     assert logits.shape == (2, 4) and probs.shape == (2, 4)
+    assert logits.node.op == "linear_rows" and probs.node is None
     npt.assert_allclose(probs.values.sum(axis=1), [1.0, 1.0], atol=1e-12)
 
 
@@ -146,7 +148,7 @@ def test_forward_zero_params_uniform():
     for t in params.named().values():
         t.values[:] = 0.0
     batch = _batch([[1, 2]], [2], 2, rng)
-    _, probs = rcnn.forward(params, batch, training=False, rng=None)
+    probs = T.softmax_rows(rcnn.forward(params, batch, training=False, rng=None))
     npt.assert_allclose(probs.values, np.full((1, 4), 0.25), atol=1e-15)
 
 
@@ -159,8 +161,8 @@ def test_forward_padding_invariance():
         sv = rng.uniform(-1, 1, (2, 2))
         with pytest.raises(ValueError):
             rcnn.Batch(np.array(row + [0, 0, 0]), np.array([4]), sv[:1])
-        _, alone = rcnn.forward(params, rcnn.Batch.of_rows([row], sv[:1]), False, None)
-        _, beside = rcnn.forward(params, rcnn.Batch.of_rows([row, [0, 0, 0]], sv), False, None)
+        alone = rcnn.forward(params, rcnn.Batch.of_rows([row], sv[:1]), False, None)
+        beside = rcnn.forward(params, rcnn.Batch.of_rows([row, [0, 0, 0]], sv), False, None)
         npt.assert_allclose(beside.values[0], alone.values[0], atol=1e-10)
 
 
@@ -170,10 +172,10 @@ def test_forward_batch_permutation():
     lengths = [5, 3, 4, 2]
     sv = rng.uniform(-1, 1, (4, 2))
     rows = [row[:n] for row, n in zip(rows, lengths)]
-    base = rcnn.forward(params, rcnn.Batch.of_rows(rows, sv), False, None)[1].values
+    base = rcnn.forward(params, rcnn.Batch.of_rows(rows, sv), False, None).values
     order = [2, 0, 3, 1]
     perm = rcnn.forward(params, rcnn.Batch.of_rows([rows[i] for i in order], sv[order]),
-                        False, None)[1].values
+                        False, None).values
     npt.assert_allclose(perm, base[order], atol=1e-12)
 
 
@@ -189,7 +191,7 @@ def test_forward_requires_sentence_vectors():
 def test_sentence_dim_zero_changes_only_output_layer():
     params, rng = _tiny_model(5, config=TINY.replace(sentence_dim=0))
     batch = _batch([[1, 2, 3]], [3], 0, rng)
-    _, probs = rcnn.forward(params, batch, False, None)
+    probs = T.softmax_rows(rcnn.forward(params, batch, False, None))
     npt.assert_allclose(probs.values.sum(axis=1), [1.0], atol=1e-12)
     assert params.named()["output.w"].shape == (4, 3)
 
@@ -198,14 +200,14 @@ def test_training_dropout_is_seeded_and_eval_is_deterministic():
     params, rng = _tiny_model(6, config=TINY.replace(dropout_bilstm=0.5,
                                                      dropout_linear=0.7))
     batch = _batch([[1, 2, 3, 4]], [4], 2, rng)
-    a = rcnn.forward(params, batch, True, np.random.default_rng(11))[1].values
-    b = rcnn.forward(params, batch, True, np.random.default_rng(11))[1].values
-    c = rcnn.forward(params, batch, True, np.random.default_rng(12))[1].values
+    a = rcnn.forward(params, batch, True, np.random.default_rng(11)).values
+    b = rcnn.forward(params, batch, True, np.random.default_rng(11)).values
+    c = rcnn.forward(params, batch, True, np.random.default_rng(12)).values
     npt.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
-    e1 = rcnn.forward(params, batch, False, None)[1].values
-    e2 = rcnn.forward(params, batch, False, None)[1].values
+    e1 = rcnn.forward(params, batch, False, None).values
+    e2 = rcnn.forward(params, batch, False, None).values
     npt.assert_array_equal(e1, e2)
 
 
@@ -219,9 +221,9 @@ def test_end_to_end_gradients_match_finite_differences():
     tensors = [named[n] for n in names]
 
     def f(ps):
-        _, probs = rcnn.forward(params, batch, training=False, rng=None)
-        # unit class weights: the mean of -log p[label]
-        return tr.weighted_cross_entropy(probs, batch.labels, np.ones(4))
+        logits = rcnn.forward(params, batch, training=False, rng=None)
+        # unit class weights: the mean of -log softmax(logits)[label]
+        return tr.weighted_cross_entropy(logits, batch.labels, np.ones(4))
 
     err = T.finite_diff_check(f, tensors, eps=1e-5)
     assert err < 1e-4, f"max rel err {err}"
@@ -234,7 +236,7 @@ def _train_steps(params, batch, steps):
     weights = np.full(4, 0.25)
     grads, recorded = [], []
     for _ in range(steps):
-        loss = tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng)[1],
+        loss = tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng),
                                          batch.labels, weights)
         recorded.append(loss.node is not None)
         T.reset_grads(named.values())
@@ -255,7 +257,7 @@ def test_training_beside_a_no_grad_evaluation_thread_keeps_its_bytes():
     batch = rcnn.Batch.of_rows(rows, np.random.default_rng(30).uniform(-1, 1, (3, 2)),
                                np.array([0, 3, 1]))
     alone = _train_steps(_tiny_model(8, config)[0], batch, 4)
-    want_eval = rcnn.forward(_tiny_model(8, config)[0], batch, False, None)[1].values.tobytes()
+    want_eval = rcnn.forward(_tiny_model(8, config)[0], batch, False, None).values.tobytes()
     evaluating, trained = threading.Event(), threading.Event()
 
     def evaluate():
@@ -263,7 +265,7 @@ def test_training_beside_a_no_grad_evaluation_thread_keeps_its_bytes():
         with T.no_grad():
             evaluating.set()
             while not (trained.is_set() and evals):
-                evals.append(rcnn.forward(params, batch, False, None)[1].values.tobytes())
+                evals.append(rcnn.forward(params, batch, False, None).values.tobytes())
         return evals
 
     def train():

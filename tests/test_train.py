@@ -53,54 +53,50 @@ def test_class_weights_invariances():
 
 def test_weighted_cross_entropy_values():
     w = np.array([0.25, 0.25, 0.25, 0.25])
-    perfect = T.constant(np.eye(4)[[0, 1, 2, 3]])
-    assert tr.weighted_cross_entropy(perfect, [0, 1, 2, 3], w).item() == 0.0
-
-    uniform = T.constant(np.full((6, 4), 0.25))
-    loss = tr.weighted_cross_entropy(uniform, [0, 3, 1, 2, 3, 0], w)
+    # equal logits in a row are the uniform distribution, at any offset
+    equal = T.constant(np.full((6, 4), 3.0))
+    loss = tr.weighted_cross_entropy(equal, [0, 3, 1, 2, 3, 0], w)
     npt.assert_allclose(loss.item(), 0.25 * np.log(4), rtol=1e-12)
 
+    # the mean over rows of -w[label] * log softmax(z)[label]
+    z = np.array([[2.0, -1.0, 0.5, 0.0], [0.1, 0.2, 0.3, 0.4]])
+    wz = np.array([0.1, 0.2, 0.3, 0.4])
+    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    npt.assert_allclose(tr.weighted_cross_entropy(T.constant(z), [0, 3], wz).item(),
+                        -(wz[0] * np.log(p[0, 0]) + wz[3] * np.log(p[1, 3])) / 2, rtol=1e-12)
+
     # doubling the gold-class weight doubles that example's contribution
-    probs = T.constant(np.array([[0.7, 0.1, 0.1, 0.1]]))
-    w1 = tr.weighted_cross_entropy(probs, [0], np.array([0.2, 1, 1, 1]))
-    w2 = tr.weighted_cross_entropy(probs, [0], np.array([0.4, 1, 1, 1]))
+    logits = T.constant(np.array([[2.0, 0.1, 0.1, 0.1]]))
+    w1 = tr.weighted_cross_entropy(logits, [0], np.array([0.2, 1, 1, 1]))
+    w2 = tr.weighted_cross_entropy(logits, [0], np.array([0.4, 1, 1, 1]))
     npt.assert_allclose(w2.item(), 2 * w1.item(), rtol=1e-12)
 
     with pytest.raises(ValueError):
-        tr.weighted_cross_entropy(uniform, [0, 1, 2, 3, 4, 0], w)
+        tr.weighted_cross_entropy(equal, [0, 1, 2, 3, 4, 0], w)
     with pytest.raises(ValueError):
-        tr.weighted_cross_entropy(uniform, [0, 1], w)  # a label per row
-    # the clamp keeps a zero probability finite
-    zero = T.constant(np.array([[1.0, 0.0, 0.0, 0.0]]))
-    loss = tr.weighted_cross_entropy(zero, [1], w)
-    npt.assert_allclose(loss.item(), 0.25 * -np.log(1e-12))
+        tr.weighted_cross_entropy(equal, [0, 1], w)  # a label per row
+    # a confident right answer costs nothing, and a confident wrong one stays
+    # finite: its cost is the gap to the top logit
+    far = T.constant(np.array([[0.0, 800.0, 0.0, 0.0]]))
+    assert tr.weighted_cross_entropy(far, [1], w).item() == 0.0
+    assert tr.weighted_cross_entropy(far, [0], w).item() == 0.25 * 800.0
 
 
 def test_weighted_cross_entropy_gradient():
+    """Finite differences on logits, rows whose true logit sits 40 below
+    their top among them.  There a loss on softmax probabilities with its
+    log floored at 1e-12 passed exactly zero gradient; the gradient from
+    logits, w * (softmax - onehot) / B, is all but the whole weight."""
     rng = np.random.default_rng(2)
     w = np.array([0.1, 0.2, 0.3, 0.4])
-    logits = T.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-    labels = [2, 0, 3]
-
-    def f(ps):
-        return tr.weighted_cross_entropy(T.softmax_rows(ps[0]), labels, w)
-
-    assert T.finite_diff_check(f, [logits], eps=1e-5) < 1e-4
-
-    # the loss node alone, on probabilities away from the floor
-    probs = T.Tensor(rng.uniform(0.05, 0.95, (5, 4)), requires_grad=True)
-    labels = [2, 0, 3, 1, 2]
-    assert T.finite_diff_check(lambda ps: tr.weighted_cross_entropy(ps[0], labels, w),
-                               [probs], eps=1e-5) < 1e-4
-
-    # no gradient where the picked probability is at or below the floor,
-    # and none to the entries a row does not pick
-    probs = T.Tensor(np.full((3, 4), 0.5), requires_grad=True)
-    probs.values[[0, 1], [1, 3]] = [1e-15, tr.LOG_FLOOR]
-    T.backward(tr.weighted_cross_entropy(probs, [1, 3, 0], w))
-    expect = np.zeros((3, 4))
-    expect[2, 0] = -0.1 / 3 / 0.5
-    npt.assert_allclose(probs.grad, expect, rtol=1e-15, atol=0)
+    for z, labels in ((rng.uniform(-1, 1, (3, 4)), [2, 0, 3]),
+                      (np.array([[40.0, 0.0, 1.0, -2.0], [0.0, 3.0, 43.0, 1.0]]), [1, 1])):
+        logits = T.Tensor(z, requires_grad=True)
+        assert T.finite_diff_check(lambda ps: tr.weighted_cross_entropy(ps[0], labels, w),
+                                   [logits], eps=1e-5) < 1e-6
+    npt.assert_allclose(logits.grad[:, 1], [-0.1, -0.1], rtol=1e-12)
+    npt.assert_allclose(logits.grad[[0, 1], [0, 2]], [0.1, 0.1], rtol=1e-12)
+    npt.assert_allclose(logits.grad.sum(axis=1), [0.0, 0.0], atol=1e-16)
 
 
 def test_uniform_baseline_loss():
@@ -635,16 +631,21 @@ def test_train_encoded_validates_before_the_first_step(case, monkeypatch):
 
 
 def test_first_batch_loss_with_zero_output_layer_is_uniform_baseline():
+    """With output weights 0 and one bias for every class, each row's logits
+    are equal, so the loss on them is the sweep's uniform baseline, whatever
+    the batch, the class weights or the bias."""
     params, train_split, val_split, store, vocab, rng = _toy_setup(TOY_CONFIG)
     params.named()["output.w"].values[:] = 0.0
-    params.named()["output.b"].values[:] = 0.0
-    weights = tr.compute_class_weights(train_split.label_counts, val_split.label_counts)
     encoded = tr.encode_split(train_split, vocab)
-    batch = tr.make_batch(encoded[:8], store, params.config.sentence_dim)
-    _, probs = rcnn.forward(params, batch, training=True, rng=rng)
-    loss = tr.weighted_cross_entropy(probs, batch.labels, weights)
-    expect = tr.uniform_baseline_loss(weights, batch.labels)
-    npt.assert_allclose(loss.item(), expect, rtol=1e-12)
+    for weights in (tr.compute_class_weights(train_split.label_counts, val_split.label_counts),
+                    tr.compute_class_weights(PUBLISHED_TRAIN, PUBLISHED_VAL)):
+        for bias, rows in ((0.0, slice(0, 8)), (3.5, slice(8, 13)), (-40.0, slice(None))):
+            params.named()["output.b"].values[:] = bias
+            batch = tr.make_batch(encoded[rows], store, params.config.sentence_dim)
+            logits = rcnn.forward(params, batch, training=True, rng=rng)
+            loss = tr.weighted_cross_entropy(logits, batch.labels, weights)
+            expect = tr.uniform_baseline_loss(weights, batch.labels)
+            npt.assert_allclose(loss.item(), expect, rtol=1e-12)
 
 
 def test_trainability_on_separable_toy_corpus():
