@@ -71,8 +71,8 @@ def weighted_cross_entropy(logits: T.Tensor, labels, weights: np.ndarray) -> T.T
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     se = e.sum(axis=1)
-    s = -1.0 / labels.size
-    sw = s * weights[labels]
+    s, w_l = -1.0 / labels.size, weights[labels]
+    sw = s * w_l
     # backward keeps only the gradient, s * w_label * (onehot - softmax(z))
     d = e * (-sw / se)[:, None]
     d[rows, labels] += sw
@@ -80,7 +80,7 @@ def weighted_cross_entropy(logits: T.Tensor, labels, weights: np.ndarray) -> T.T
     def backward_fn(g):
         return (d * g,)
 
-    loss = np.asarray(((shifted[rows, labels] - np.log(se)) * weights[labels]).sum()) * s
+    loss = np.asarray(((shifted[rows, labels] - np.log(se)) * w_l).sum()) * s
     return T.from_op(loss, "weighted_cross_entropy", (logits,), backward_fn)
 
 
