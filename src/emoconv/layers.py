@@ -140,11 +140,10 @@ def _scan(x: np.ndarray, src, prev, offsets, direction, out: np.ndarray, keep: b
     :func:`_packed_order` (``src``, ``prev``, ``offsets``): fills ``out``
     [N x hidden] from x [N x input], each row from zero state, and returns
     ``backward(g, need_dx) -> (dx, dW, dU, db)`` if ``keep``.  As in cuDNN,
-    x W^T + b is one product over all cells, a step adds only h U^T, dx is
-    one product, and so are dW and dU together.  Backward keeps the gates
-    and cell states, time-major, writes each step's gate gradients over its
-    gates (it runs once), and gathers x and the previous h again, side by
-    side in one buffer."""
+    x W^T + b is one product over all cells, a step adds only h U^T, and
+    dW, dU and dx are single products.  Backward keeps the gates and cell
+    states, time-major, writes each step's gate gradients over its gates
+    (it runs once), and gathers x and the previous h again."""
     w, u, b = (p.values for p in direction)
     hs = u.shape[1]
     if (w.shape[1], w.shape[0], u.shape, b.shape) != (x.shape[1], 4 * hs, (4 * hs, hs), (4 * hs,)):
@@ -173,16 +172,12 @@ def _scan(x: np.ndarray, src, prev, offsets, direction, out: np.ndarray, keep: b
             f[:] = dc_t * c_prev * f * (1.0 - f)
             o[:] = dh_t * tc * o * (1.0 - o)
             dh[:n] = gates[s:e] @ u
-        dz, k = gates, x.shape[1]
-        xh = np.empty((src.size, k + hs))  # [x | h_prev] per cell, so dW and dU are one product
-        xh[:, :k] = x[src]
-        xh[:, k:] = out[src[prev]]
-        xh[prev < 0, k:] = 0.0
+        dz = gates
+        h_prev = np.where((prev < 0)[:, None], 0.0, out[src[prev]])
         dx = np.empty(x.shape) if need_dx else None
         if need_dx:
             dx[src] = dz @ w
-        dwu = (xh.T @ dz).T
-        return dx, dwu[:, :k], dwu[:, k:], dz.sum(axis=0)
+        return dx, dz.T @ x[src], dz.T @ h_prev, dz.sum(axis=0)
 
     return backward if keep else None
 

@@ -95,9 +95,10 @@ def test_finetune_cnn_matches_per_example_oracle():
 
 def test_both_models_match_the_oracle_on_a_batch_from_make_batch():
     """``make_batch``'s packed rows of 1 to 7 tokens, several shorter than
-    the CNN's widest kernel, through both models in eval mode: each model's
-    logits agree with the per-example oracle's, which sums its products in
-    another order, to 1e-10."""
+    the CNN's widest kernel, through both models in eval mode: the CNN's
+    probabilities equal the per-example oracle's byte for byte, and its
+    logits, which the oracle sums in another order, agree to 1e-15; the
+    RCNN's logits agree to 1e-10."""
     params, rng = _model(8)
     lengths = [1, 2, 7, 1, 3, 2]
     examples = [tr.EncodedExample(f"c{i}", rng.integers(1, 11, n), i % 4)
@@ -107,8 +108,10 @@ def test_both_models_match_the_oracle_on_a_batch_from_make_batch():
     model = ft.build_finetune_model(params.embedding, rng, filters_per_size=4)
     assert max(ft.KERNEL_SIZES) == 3
     with T.no_grad():
-        npt.assert_allclose(ft.forward_finetune(model, batch, False, None).values,
-                            oracle.finetune_logits(model, batch).values, rtol=0, atol=1e-10)
+        z = ft.forward_finetune(model, batch, False, None).values
+        want = oracle.finetune_logits(model, batch).values
+        npt.assert_allclose(z, want, rtol=0, atol=1e-15)
+        npt.assert_array_equal(T.sigmoid_(z.copy()), T.sigmoid_(want.copy()))
         npt.assert_allclose(rcnn.forward(params, batch, False, None).values,
                             oracle.rcnn_logits(params, batch).values, rtol=0, atol=1e-10)
 
