@@ -30,12 +30,10 @@ class TrainConfig:
     projection_tanh: bool = False
 
     def __post_init__(self):
+        check_types(self)
         for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if not has_type(value, kind):
-                raise ValueError(f"{name} must be of type {kind}, got {value!r}")
-            if kind == "float" and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if kind == "float" and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         for name in ("epochs", "batch_size", "hidden_size", "num_layers", "embedding_dim"):
@@ -80,6 +78,15 @@ def has_type(value, kind: str) -> bool:
     """Whether ``value`` may hold a field of type ``kind`` (a key of ``_TYPES``): a
     bool is no number, an int counts as a float, and a numpy integer is no int."""
     return isinstance(value, _TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+
+
+def check_types(obj) -> None:
+    """Raise a ValueError naming the first field of the dataclass ``obj``
+    whose value may not hold its declared type (see :func:`has_type`)."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not has_type(value, f.type):
+            raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 def _parse_value(key: str, raw: str):

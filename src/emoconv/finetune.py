@@ -18,7 +18,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .config import TrainConfig
+from .config import TrainConfig, check_types
 from .dataio import line_error, read_lines
 from .rcnn import Batch
 from .textprep import Vocabulary, token_rows
@@ -37,7 +37,8 @@ class FinetuneSchedule:
     unfrozen (each >= 0, one at least in all), Adam's rate (finite, > 0),
     the batch size, the table width ``dim`` and the CNN's filters per
     kernel width (each >= 1).  All are checked when the schedule is made,
-    so a bad one fails before any file is read or any value drawn."""
+    types first, so a bad one fails before any file is read or any value
+    drawn."""
     frozen_epochs: int = 1
     unfrozen_epochs: int = 3
     lr: float = 0.0005
@@ -46,6 +47,7 @@ class FinetuneSchedule:
     filters_per_size: int = FILTERS_PER_SIZE
 
     def __post_init__(self):
+        check_types(self)
         for name in ("frozen_epochs", "unfrozen_epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -128,7 +130,8 @@ def binary_cross_entropy(logits: T.Tensor, labels) -> T.Tensor:
     def backward_fn(g):
         return (d * g,)
 
-    loss = np.asarray((np.logaddexp(0.0, z) - labels * z).sum()) * s
+    with np.errstate(invalid="ignore"):  # a NaN logit stops at clip_gradients' check
+        loss = np.asarray((np.logaddexp(0.0, z) - labels * z).sum()) * s
     return T.from_op(loss, "binary_cross_entropy", (logits,), backward_fn)
 
 

@@ -299,33 +299,20 @@ def relu(a: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    if not parts:
-        raise ValueError("concat needs at least one part")
-    ndim = parts[0].values.ndim
-    if not 0 <= axis < ndim:
-        raise ValueError(f"concat axis {axis} out of range for {ndim}-d tensors")
-    for p in parts[1:]:
-        if p.values.ndim != ndim:
-            raise ValueError(f"concat rank mismatch: {parts[0].shape} vs {p.shape}")
-        for ax in range(ndim):
-            if ax != axis and p.shape[ax] != parts[0].shape[ax]:
-                raise ValueError(f"concat shape mismatch on axis {ax}: "
-                                 f"{parts[0].shape} vs {p.shape}")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
+    # numpy's ValueError names a bad part list or axis before any node is made
+    out = np.concatenate([p.values for p in parts], axis=axis)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
     takes = [p.requires_grad for p in parts]
 
     def backward_fn(g):
         # a copy, so that no part's gradient keeps the whole of g alive
-        slicer = [slice(None)] * ndim
+        slicer = [slice(None)] * g.ndim
         grads = []
         for i, take in enumerate(takes):
             slicer[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
             grads.append(g[tuple(slicer)].copy() if take else None)
         return tuple(grads)
 
-    out = np.concatenate([p.values for p in parts], axis=axis)
     return from_op(out, "concat", tuple(parts), backward_fn)
 
 

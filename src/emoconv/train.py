@@ -120,11 +120,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # temporaries are two block-sized buffers that stay in cache (32k measured
 # fastest on the fine-tuning CNN's parameters, against 4k to 4M).
 ADAM_BLOCK = 1 << 15
-# A parameter's moments are row-held while they hold under this share of its
-# rows.  A row-held walk also gathers, scatters and regrows what it holds, so
-# past about 40% of the rows (measured on a 14,109 x 100 table, 300 new rows
-# a step) walking the whole table in place is cheaper.
-ADAM_HELD_SHARE = 1 / 3
 
 
 @dataclass
@@ -132,15 +127,14 @@ class AdamState:
     """Moments by parameter name, made at the parameter's first gradient,
     and the global step count.
 
-    While a parameter has had only ``RowGrad`` gradients, and they touched
-    under ``ADAM_HELD_SHARE`` of its rows, its moments cover only those rows:
-    ``rows[name]`` holds them, sorted (the union of the gradients' rows,
-    each sorted and unique as a ``RowGrad`` keeps them), and row k of
-    ``m[name]`` and ``v[name]`` (each ``[len(rows) x width]``) belongs to
+    After a parameter's first step, when that step's gradient was a
+    ``RowGrad``, its moments cover only that gradient's rows: ``rows[name]``
+    holds them (sorted and unique, as a ``RowGrad`` keeps them), and row k
+    of ``m[name]`` and ``v[name]`` (each ``[len(rows) x width]``) belongs to
     parameter row ``rows[name][k]``.  Every other row's moments are +0.0.
-    Once the touched rows reach that share, or a dense gradient arrives, the
-    name leaves ``rows`` and its moments take the parameter's shape, as a
-    dense parameter's do from the start."""
+    The parameter's next step, whatever its gradient, scatters them into
+    moments of the parameter's shape and the name leaves ``rows``; every
+    other parameter's moments take its shape from the start."""
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
@@ -158,27 +152,18 @@ def _held_rows(state: AdamState, name: str, shape: tuple[int, ...], g) -> np.nda
     """Lay out ``name``'s moments for a step whose gradient is ``g`` (an
     array, a ``RowGrad`` or None; not None for a parameter with no
     moments yet) and return the rows they hold, or None when they are
-    parameter-shaped.  Moments that grow are scattered into fresh zeros."""
+    parameter-shaped.  Held moments are scattered into fresh zeros of the
+    parameter's shape."""
+    if name not in state.m and isinstance(g, T.RowGrad):
+        state.m[name], state.v[name] = np.zeros(g.values.shape), np.zeros(g.values.shape)
+        state.rows[name] = g.rows
+        return g.rows
     held = state.rows.pop(name, None)
-    if name in state.m and held is None:
-        return None
-    if isinstance(g, T.RowGrad):
-        rows = np.union1d(np.zeros(0, np.int64) if held is None else held, g.rows)
-    else:  # no gradient keeps the held rows, a dense one ends them
-        rows = held if g is None else None
-    if rows is not None and rows.size < ADAM_HELD_SHARE * shape[0]:
-        if held is None or rows.size > held.size:
-            m, v = np.zeros((rows.size,) + shape[1:]), np.zeros((rows.size,) + shape[1:])
-            if held is not None:
-                at = np.searchsorted(rows, held)
-                m[at], v[at] = state.m[name], state.v[name]
-            state.m[name], state.v[name] = m, v
-        state.rows[name] = rows
-        return rows
-    m, v = np.zeros(shape), np.zeros(shape)
-    if held is not None:
-        m[held], v[held] = state.m[name], state.v[name]
-    state.m[name], state.v[name] = m, v
+    if name not in state.m or held is not None:
+        m, v = np.zeros(shape), np.zeros(shape)
+        if held is not None:
+            m[held], v[held] = state.m[name], state.v[name]
+        state.m[name], state.v[name] = m, v
     return None
 
 
@@ -191,10 +176,11 @@ def adam_step(state: AdamState, named_params: dict[str, T.Tensor], lr: float) ->
     included (the moments start at +0.0 and never reach -0.0).  So a
     parameter that has had no gradient yet has no moments and is skipped,
     and a parameter with row-held moments (see :class:`AdamState`) is
-    updated only at the rows it has touched: those rows are gathered, walked
-    with their moments and scattered back.  Every other parameter is walked
-    whole, in place.  A walk goes block by block through two scratch
-    buffers, with the same operations in the same order per value as
+    updated only at its gradient's rows: those rows are gathered, walked
+    with their moments and the gradient's values as dense arrays, and
+    scattered back.  Every other parameter is walked whole, in place.  A
+    walk goes block by block through two scratch buffers, with the same
+    operations in the same order per value as
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
     ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so the bytes are those of the
     whole-array form.  For a ``RowGrad`` (or no gradient) the walked
@@ -216,13 +202,12 @@ def adam_step(state: AdamState, named_params: dict[str, T.Tensor], lr: float) ->
         values = _flat(p.values)
         if held is not None:
             table = values.reshape(p.shape[0], -1)
-            values = table[held].reshape(-1)
+            values, g = table[held].reshape(-1), g.values
         m, v = _flat(state.m[name]), _flat(state.v[name])
         at, g_at = np.zeros(0, np.int64), np.zeros(0)  # touched flat positions, ascending
         if isinstance(g, T.RowGrad):
             width = math.prod(p.shape[1:])
-            rows = g.rows if held is None else np.searchsorted(held, g.rows)
-            at = (rows[:, None] * width + np.arange(width)).reshape(-1)
+            at = (g.rows[:, None] * width + np.arange(width)).reshape(-1)
             g_at = g.values.reshape(-1)
         elif g is not None:
             g = g.reshape(-1)

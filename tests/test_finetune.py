@@ -114,6 +114,10 @@ def test_encode_corpus_validation():
     ({"lr": float("inf")}, "lr must be finite and > 0, got inf"),
     ({"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
     ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ({"frozen_epochs": 1.5}, "frozen_epochs must be of type int, got 1.5"),
+    ({"batch_size": 2.5}, "batch_size must be of type int, got 2.5"),
+    ({"dim": True}, "dim must be of type int, got True"),
+    ({"lr": "0.1"}, "lr must be of type float, got '0.1'"),
 ])
 def test_a_schedule_that_cannot_train_names_its_field(fields, message):
     with pytest.raises(ValueError) as err:

@@ -351,6 +351,7 @@ def test_adam_matches_the_whole_array_oracle_byte_for_byte():
     rng = np.random.default_rng(41)
     stops_m, table_m = [], []
     for step, lr in enumerate([0.01, 0.0005, 0.1, 0.0005, 0.002, 0.01], start=1):
+        grads = {}
         for name, shape in shapes.items():
             if name == "never" or (name == "stops" and step > 2) or (name == "late" and step < 3):
                 grad = None
@@ -367,6 +368,7 @@ def test_adam_matches_the_whole_array_oracle_byte_for_byte():
                         else T.RowGrad(np.array([step % 5]), rng.normal(size=(1, 3))))
             else:  # magnitudes from underflow in g*g to overflow in v
                 grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-200, 160, shape)
+            grads[name] = grad
             for named in (blocked, whole):
                 named[name].grad = None if grad is None else copy.deepcopy(grad)
         tr.adam_step(state, blocked, lr)
@@ -381,10 +383,11 @@ def test_adam_matches_the_whole_array_oracle_byte_for_byte():
             else:  # the oracle's moments for a parameter never given a gradient
                 assert not (want_state.m[name].any() or want_state.v[name].any()), name
         assert ("late" in state.m) == (step >= 3)
-        # row-held moments until the touched rows reach a third or a dense gradient comes
-        assert set(state.rows) == {"table"} | ({"covered"} if step < 4 else set()) \
-            | ({"densified"} if step < 3 else set()) | ({"late"} if step >= 3 else set())
-        assert state.rows["table"].size < 700
+        # rows are held after a row-sparse first step only, and they are its gradient's
+        assert set(state.rows) == ({"table", "covered", "densified"} if step == 1
+                                   else {"late"} if step == 3 else set())
+        for name, held in state.rows.items():
+            npt.assert_array_equal(held, grads[name].rows)
         stops_m.append(state.m["stops"].copy())
         table_m.append(_full_moments(state, "table", shapes["table"])[0][100].copy())
     assert "never" not in state.m and "never" not in state.v

@@ -191,6 +191,9 @@ OP_CASES = {
                             lambda ps: oracle.sum_all(T.tanh(oracle.reshape(ps[0], (2, 6))))),
     "concat": lambda rng: ([_rand(rng, (2, 3)), _rand(rng, (2, 2))],
                            lambda ps: oracle.sum_all(T.tanh(T.concat(ps, axis=1)))),
+    "concat_negative_axis": lambda rng: ([_rand(rng, (3, 2)), _rand(rng, (1, 2))],
+                                         lambda ps: oracle.sum_all(
+                                             T.tanh(T.concat(ps, axis=-2)))),
     "take_per_row": lambda rng: ([_rand(rng, (4, 5))],
                                  lambda ps: oracle.sum_all(
                                      T.tanh(oracle.take_per_row(ps[0], [1, 0, 4, 2])))),
