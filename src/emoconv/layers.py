@@ -118,32 +118,33 @@ def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
 
 def _packed_order(lengths: np.ndarray):
     """Time-major order of a packed batch's cells, for the recurrence: rows
-    sorted longest first, so the rows still active at step t are a prefix.
-    Returns a pair of [N] arrays, each giving per time-major cell the index
-    of the cell it reads in the row-major packing, the forward direction
-    walking each row from its first cell and the reverse one from its last;
-    then, shared by both, the time-major index of the same row's previous
-    step (-1 at step 0) and the step offsets ([T+1])."""
+    sorted longest first, so the rows active at step t are the first rows of
+    step t-1.  Returns a pair of [N] arrays, each giving per time-major cell
+    the index of the cell it reads in the row-major packing, the forward
+    direction walking each row from its first cell and the reverse one from
+    its last; then one (p, s, e) per step, shared by both: cells s..e read
+    their previous states at rows p..p+e-s of a time-major [N + B] array
+    whose last B rows are zero, so p is N at step 0, then the previous step's s."""
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     # (step, rank) of each cell in step-major order: rank r runs while step < sorted_len[r]
     steps, rank = np.nonzero(np.arange(sorted_len[0])[:, None] < sorted_len[None, :])
-    active = np.bincount(steps)
-    offsets = np.concatenate([[0], np.cumsum(active)])
+    ends = np.cumsum(np.bincount(steps)).tolist()
+    starts = [0] + ends[:-1]
     first = (np.cumsum(lengths) - lengths)[order[rank]]
-    prev = np.where(steps > 0, offsets[steps - 1] + rank, -1)
-    return (first + steps, first + sorted_len[rank] - 1 - steps), prev, offsets
+    return ((first + steps, first + sorted_len[rank] - 1 - steps),
+            list(zip([ends[-1]] + starts, starts, ends)))
 
 
-def _scan(x: np.ndarray, src, prev, offsets, direction, out: np.ndarray, keep: bool):
+def _scan(x: np.ndarray, src, steps, direction, out: np.ndarray, keep: bool):
     """One LSTM direction (W, U, b) in one direction's order of
-    :func:`_packed_order` (``src``, ``prev``, ``offsets``): fills ``out``
-    [N x hidden] from x [N x input], each row from zero state, and returns
+    :func:`_packed_order` (``src``, ``steps``): fills ``out`` [N x hidden]
+    from x [N x input], each row from zero state, and returns
     ``backward(g, need_dx) -> (dx, dW, dU, db)`` if ``keep``.  As in cuDNN,
-    x W^T + b is one product over all cells, a step adds only h U^T, and
-    dW, dU and dx are single products.  Backward keeps the gates and cell
-    states, time-major, writes each step's gate gradients over its gates
-    (it runs once), and gathers x and the previous h again."""
+    x W^T + b is one product over all cells, a step adds only h U^T, and dW,
+    dU and dx are single products.  h and c stay time-major over their zero
+    states, so each step reads its previous states as slices; backward keeps
+    gates, h and c, and writes each step's gate gradients over its gates."""
     w, u, b = (p.values for p in direction)
     hs = u.shape[1]
     if (w.shape[1], w.shape[0], u.shape, b.shape) != (x.shape[1], 4 * hs, (4 * hs, hs), (4 * hs,)):
@@ -151,29 +152,28 @@ def _scan(x: np.ndarray, src, prev, offsets, direction, out: np.ndarray, keep: b
     ut = np.ascontiguousarray(u.T)
     gates = x[src] @ w.T
     gates += b
-    c_all = np.empty((src.size, hs))
-    h = c = np.zeros((offsets[1], hs))
-    for s, e in zip(offsets[:-1], offsets[1:]):
-        h, c = lstm_step(gates[s:e], h[:e - s], c[:e - s], ut)
-        out[src[s:e]], c_all[s:e] = h, c
+    h_all, c_all = np.zeros((2, src.size + steps[0][2], hs))
+    for p, s, e in steps:
+        h_all[s:e], c_all[s:e] = lstm_step(gates[s:e], h_all[p:p + e - s], c_all[p:p + e - s], ut)
+    out[src] = h_all[:src.size]
 
     def backward(g, need_dx):
-        dh, dc = np.zeros((2, offsets[1], hs))
-        for s, e in zip(offsets[-2::-1], offsets[:0:-1]):
+        g = g[src]
+        dh, dc = np.zeros((2, steps[0][2], hs))
+        for p, s, e in reversed(steps):
             n = e - s
             i, f, gg, o = (gates[s:e, k * hs:(k + 1) * hs] for k in range(4))
-            c_prev = c_all[prev[s:e]] if s else np.zeros((n, hs))
             tc = np.tanh(c_all[s:e])
-            dh_t = g[src[s:e]] + dh[:n]
+            dh_t = g[s:e] + dh[:n]
             dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
             dc[:n] = dc_t * f
             # step t's gates are read only here, so its dz overwrites them
             i[:], gg[:] = dc_t * gg * i * (1.0 - i), dc_t * i * (1.0 - gg * gg)
-            f[:] = dc_t * c_prev * f * (1.0 - f)
+            f[:] = dc_t * c_all[p:p + n] * f * (1.0 - f)  # c_prev
             o[:] = dh_t * tc * o * (1.0 - o)
             dh[:n] = gates[s:e] @ u
         dz = gates
-        h_prev = np.where((prev < 0)[:, None], 0.0, out[src[prev]])
+        h_prev = np.concatenate([h_all[p:p + e - s] for p, s, e in steps])
         dx = np.empty(x.shape) if need_dx else None
         if need_dx:
             dx[src] = dz @ w
@@ -183,9 +183,9 @@ def _scan(x: np.ndarray, src, prev, offsets, direction, out: np.ndarray, keep: b
 
 
 def _bilstm_layer(x: T.Tensor, order, fwd, bwd) -> T.Tensor:
-    """One BiLSTM layer, one node: [N x input] -> [N x 2*hidden], [h_f; h_b]
-    at every cell in :func:`_packed_order`'s ``order``, over (x, *fwd, *bwd)."""
-    srcs, prev, offsets = order
+    """One BiLSTM layer, one node: [N x input] -> [N x 2*hidden], [h_f; h_b] at every
+    cell, over (x, *fwd, *bwd), in ``order``, :func:`_packed_order`'s (srcs, steps)."""
+    srcs, steps = order
     hs = fwd[1].shape[1]
     halves, backs, need_dx = (slice(0, hs), slice(hs, None)), [], x.requires_grad
 
@@ -197,7 +197,7 @@ def _bilstm_layer(x: T.Tensor, order, fwd, bwd) -> T.Tensor:
     # made first, so that without a graph (no_grad) no direction's gates outlive its scan
     node = T.from_op(np.empty((x.shape[0], 2 * hs)), "bilstm_layer", (x, *fwd, *bwd),
                      backward_fn)
-    backs += [_scan(x.values, src, prev, offsets, ps, node.values[:, half], node.requires_grad)
+    backs += [_scan(x.values, src, steps, ps, node.values[:, half], node.requires_grad)
               for src, ps, half in zip(srcs, (fwd, bwd), halves)]
     return node
 

@@ -263,15 +263,16 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
     loss = tr.weighted_cross_entropy(rcnn.forward(params, batch, True, rng), batch.labels,
                                      np.full(4, 0.25))
 
-    # what a backward reads: per direction gates and cells, then the layer's
-    # output; a dropout's output only where the next layer reads it
+    # what a backward reads: per direction gates and cells, then both
+    # directions' h; a dropout's output only where the next layer reads it
     per_layer = 2 * (4 * h + h) + 2 * h
     ctx = 2 * h + d                            # [h_f; h_b; w_i] after dropout
     floats = n * (d + layers * per_layer + (layers - 1) * 2 * h + ctx)  # lookup .. ctx
     floats += b * ((h + s) + 4)                # the output layer's input, the loss's gradient
+    floats += layers * 2 * 2 * b * h           # each direction's zero h and c before step 0
     masks = n * (layers * 2 * h + ctx) + b * (h + s)
-    index = 8 * n * (2 * 2 + 2)                # src/prev per direction, lookup ids/mask
-    budget = 8 * floats + masks + index + 4096  # offsets and per-row indices
+    index = 8 * n * (2 + 2)                    # src per direction, lookup ids/mask
+    budget = 8 * floats + masks + index + 4096  # per-row indices
     held = graphs.held_bytes(loss)
     assert 0.9 * budget < held <= budget, (held, budget)
     T.backward(loss)  # the walk consumes the graph: it holds nothing
@@ -280,16 +281,15 @@ def test_step_graph_holds_gates_cells_outputs_and_byte_masks():
 
 def test_scan_backward_allocates_no_second_gates_array():
     """One scan's backward peaks below one [N x 4h] array: it writes its
-    gate gradients over the gates forward kept, and reads the output
-    gradient and the previous cells a step at a time."""
+    gate gradients over the gates forward kept, gathers the output gradient
+    once, and reads the previous cells as slices of the cells it kept."""
     rng = np.random.default_rng(11)
     h, inp, lengths = 32, 4, np.array([40, 3, 25, 40, 1, 17, 30, 9])
     n = int(lengths.sum())
     direction = [T.Tensor(rng.uniform(-0.5, 0.5, shape))
                  for shape in ((4 * h, inp), (4 * h, h), (4 * h,))]
-    (src, _), prev, offsets = L._packed_order(lengths)
-    back = L._scan(rng.normal(size=(n, inp)), src, prev, offsets, direction,
-                   np.empty((n, h)), True)
+    (src, _), steps = L._packed_order(lengths)
+    back = L._scan(rng.normal(size=(n, inp)), src, steps, direction, np.empty((n, h)), True)
     g = rng.normal(size=(n, h))
     tracemalloc.start()
     try:

@@ -153,14 +153,18 @@ def test_lstm_step_matches_finite_differences():
     assert T.finite_diff_check(f, [x] + params, eps=1e-5) < 1e-5
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_scan_matches_finite_differences(reverse):
+@pytest.mark.parametrize("reverse, lengths", [
+    pytest.param(False, [3, 5, 1, 4], id="False"),
+    pytest.param(True, [3, 5, 1, 4], id="True"),
+    pytest.param(False, [1, 1, 1], id="ones-False"),
+    pytest.param(True, [1, 1, 1], id="ones-True"),
+])
+def test_lstm_scan_matches_finite_differences(reverse, lengths):
     # one direction's scan, probed through its half of a one-layer
     # bilstm_encode; mixed lengths, unsorted: a length-1 row and a row at
-    # the maximum
+    # the maximum; or rows of length 1, one step that reads only zero states
     rng = np.random.default_rng(6 + reverse)
     params = _scan_params(rng, 3, 2) + _scan_params(rng, 3, 2)
-    lengths = [3, 5, 1, 4]
     x = T.Tensor(rng.uniform(-1, 1, (sum(lengths), 3)), requires_grad=True)
     probe = np.zeros((sum(lengths), 4))
     probe[:, 2 * reverse:2 * reverse + 2] = rng.uniform(-1, 1, (sum(lengths), 2))
@@ -171,6 +175,35 @@ def test_lstm_scan_matches_finite_differences(reverse):
 
     direction = params[3 * reverse:3 * reverse + 3]
     assert T.finite_diff_check(f, [x] + direction, eps=1e-5) < 1e-5
+
+
+@pytest.mark.parametrize("lengths", [
+    pytest.param(np.random.default_rng(3).integers(1, 6, 12), id="ties-and-ones"),
+    pytest.param([4], id="one-row"),
+    pytest.param([1, 1, 1], id="all-ones"),
+    pytest.param([3, 3, 3], id="one-length"),
+])
+def test_packed_order_steps_read_each_rows_previous_cell(lengths):
+    lengths = np.asarray(lengths)
+    n, b = int(lengths.sum()), lengths.size
+    srcs, steps = L._packed_order(lengths)
+    # the steps tile [0, N) in order, each no larger than the one before
+    assert [s for _, s, _ in steps] == [0] + [e for _, _, e in steps[:-1]]
+    assert steps[-1][2] == n and len(steps) == lengths.max()
+    sizes = [e - s for _, s, e in steps]
+    assert sizes[0] == b and sizes == sorted(sizes, reverse=True)
+    # step 0 reads the zero block at N, every later step the step before
+    assert [p for p, _, _ in steps] == [n] + [s for _, s, _ in steps[:-1]]
+    starts = np.cumsum(lengths) - lengths
+    for src, reverse in zip(srcs, (False, True)):
+        npt.assert_array_equal(np.sort(src), np.arange(n))
+        before = {}  # brute force: each cell's predecessor in its row's walk, None first
+        for start, k in zip(starts.tolist(), lengths.tolist()):
+            walk = list(range(start, start + k))[::-1 if reverse else 1]
+            before.update(zip(walk, [None] + walk[:-1]))
+        for p, s, e in steps:
+            for r in range(e - s):
+                assert (None if p + r >= n else src[p + r]) == before[src[s + r]]
 
 
 def test_lstm_scan_rows_are_independent_and_reverse_reads_own_end():
