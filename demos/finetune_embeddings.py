@@ -6,10 +6,13 @@ vectors themselves.  The classifier is a means to an end — what we keep is
 the moved table.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from emoconv import finetune
-from emoconv.finetune import FinetuneSchedule, encode_corpus, predict_finetune
+from emoconv.finetune import FinetuneData, FinetuneSchedule, encode_corpus, predict_finetune
 from emoconv.textprep import SPECIALS, TokenSequence, build_vocab, token_rows
 
 # -- 1. a noisy sentiment corpus and its starting vectors ----------------------
@@ -32,15 +35,19 @@ rows = list(token_rows((text for text, _ in corpus), 1))
 vocab = build_vocab(map(TokenSequence, rows))
 encoded = encode_corpus(corpus, vocab, rows)
 train_part, held_out = encoded[:80], encoded[80:]
-# stand-ins for pretrained vectors, one per word; the run empties the map
-pretrained = {token: rng.uniform(-0.05, 0.05, 8) for token in vocab.id_to_token[len(SPECIALS):]}
-before = dict(pretrained)
+# stand-ins for pretrained vectors, one per word
+before = {token: rng.uniform(-0.05, 0.05, 8) for token in vocab.id_to_token[len(SPECIALS):]}
 
 # -- 2. fine-tune ---------------------------------------------------------------
 
 schedule = FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=5, lr=0.02,
                             batch_size=16, dim=8, filters_per_size=8)
-model, losses = finetune.run(schedule, 4, train_part, vocab, pretrained)
+# the run reads its starting vectors from a file in the word-vector text format
+with tempfile.TemporaryDirectory() as tmp:
+    vectors = Path(tmp) / "vectors.txt"
+    vectors.write_text("".join(f"{token} {' '.join(map(repr, vec.tolist()))}\n"
+                               for token, vec in before.items()), encoding="utf-8")
+    model, losses = finetune.run(schedule, 4, FinetuneData(vocab, train_part, str(vectors)))
 for epoch, loss in enumerate(losses, start=1):
     tag = "frozen" if epoch <= schedule.frozen_epochs else "unfrozen"
     print(f"epoch {epoch} ({tag:8s}) loss {loss:.4f}")

@@ -3,15 +3,16 @@
 Subcommands:
 
     preprocess  raw TSVs -> statistics table; sentence-vector TSV -> binary
-    finetune    word vectors + binary-sentiment corpus -> fine-tuned vectors
+    finetune    word vectors + binary-sentiment corpus -> run directory:
+                fine-tuned vectors, loss TSV, run.json
     train       raw TSVs -> run directory: checkpoint, history TSV, run.json
     evaluate    checkpoint + labeled split -> metrics report
     sweep       single-axis sensitivity runs -> report; a run directory per cell
 
 Global flags (before the subcommand): --seed overrides the config seed,
 --config points at a key=value config file, --out directs the command's
-report (a file for evaluate/sweep, the run directory for train).  Reports
-default to stdout.
+report (a file for preprocess/evaluate/sweep, the run directory for
+finetune/train).  Reports default to stdout.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import os
 import sys
 
 from . import finetune as ft
@@ -28,9 +28,8 @@ from . import sweep as sw
 from . import train as tr
 from .config import TrainConfig, load_config
 from .dataio import (LABELS, atomic_write, load_checkpoint, load_dataset,
-                     load_sentence_vectors, load_word_vectors, save_sentence_vectors,
-                     save_word_vectors)
-from .textprep import SPECIALS, TokenSequence, build_vocab, token_rows
+                     load_sentence_vectors, load_word_vectors, save_sentence_vectors)
+from .textprep import TokenSequence, build_vocab
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out", default=None,
-                        help="report destination (file; a directory for train)")
+                        help="report destination (file; the run directory for "
+                             "finetune and train)")
     parser.add_argument("--config", default=None, help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -58,10 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finetune", help="fine-tune word vectors on a binary corpus")
     p.add_argument("--corpus", required=True, help="TSV with header text<TAB>label")
-    p.add_argument("--embeddings-in", required=True)
-    p.add_argument("--embeddings-out", required=True,
-                   help="the corpus vocabulary's tuned vectors, then the input's other "
-                        "vectors as they were")
+    p.add_argument("--embeddings-in", required=True,
+                   help="word vectors to start from (text format, a regular file)")
     schedule = ft.FinetuneSchedule()
     p.add_argument("--epochs-frozen", type=int, default=schedule.frozen_epochs)
     p.add_argument("--epochs-unfrozen", type=int, default=schedule.unfrozen_epochs)
@@ -170,21 +168,9 @@ def cmd_finetune(args) -> int:
     seed = _load_base_config(args).seed
     schedule = ft.FinetuneSchedule(args.epochs_frozen, args.epochs_unfrozen, args.lr,
                                    args.batch_size, args.dim, args.filters)
-    if os.path.exists(args.embeddings_in) and not os.path.isfile(args.embeddings_in):
-        raise ValueError(f"{args.embeddings_in}: not a regular file; it is read again, "
-                         "after tuning, for the vectors the corpus lacks")
-    corpus = ft.load_finetune_corpus(args.corpus)
-    rows = list(token_rows((text for text, _ in corpus), 1))
-    vocab = build_vocab(map(TokenSequence, rows))
-    encoded = ft.encode_corpus(corpus, vocab, rows)
-    del rows  # only the ids stay through training
-    pretrained = load_word_vectors(args.embeddings_in, schedule.dim, keep=vocab.token_to_id)
-    model, losses = ft.run(schedule, seed, encoded, vocab, pretrained)
-    reserved = len(SPECIALS)
-    save_word_vectors(vocab.id_to_token[reserved:], model.emb.table.values[reserved:],
-                      args.embeddings_out, args.embeddings_in)
-    _emit(args, "epoch\tloss\n" +
-          "".join(f"{i + 1}\t{loss!r}\n" for i, loss in enumerate(losses)))
+    data = ft.FinetuneData.read(args.corpus, args.embeddings_in)
+    losses = ft.run_into(args.out or ".", schedule, seed, data)
+    sys.stdout.write(ft.format_losses(losses))
     return 0
 
 

@@ -2,8 +2,9 @@
 
 The text inputs are the dataset TSV, word vectors and the sentence-vector
 TSV, read whole only to be converted (parsed here), and the fine-tuning
-corpus (``finetune``), the config file (``config``) and a run directory's
-``history.tsv`` and ``run.json`` (``train``), each parsed in its own module.
+corpus and a fine-tuning run's ``losses.tsv`` (``finetune``), the config
+file (``config``) and a run directory's ``history.tsv`` and ``run.json``
+(``train``), each parsed in its own module.
 All of them are read by :func:`read_lines`: UTF-8, one line at a time,
 ending at LF, CRLF or a lone CR as in Python's text mode, with the ending
 and a byte-order mark on line 1 removed.  A fault on a line, a byte that is
@@ -11,10 +12,11 @@ not UTF-8 included, is the ValueError of :func:`line_error`, ``FILE line N:
 message``; a fault of the whole file names the file alone.
 
 Every output (checkpoint, word and sentence vectors, ``history.tsv``,
-``run.json`` and reports) is written through :func:`atomic_write`: to a
+``losses.tsv``, ``run.json`` and reports) is written through :func:`atomic_write`: to a
 temporary file beside the target, which replaces the target only when the
 block ends without error, so a reader sees the old file or the new one,
-never part of one.  ``open`` is called only in this module.
+never part of one.  ``open`` is called only in this module, so a file a
+run key covers whole is hashed here too (:func:`hash_file`).
 
 Binary files share one container, little-endian, with one writer and one
 reader (``_write_container``, ``_read_container``):
@@ -100,6 +102,13 @@ def _line_bound(path) -> int:
     with _read_bytes(path) as fh:  # ``in`` rules out a CR, which is rare, faster than count
         blocks = iter(lambda: fh.read(1 << 20), b"")
         return 1 + sum(b.count(b"\n") + (b"\r" in b and b.count(b"\r")) for b in blocks)
+
+
+def hash_file(path, h) -> None:
+    """Feed the bytes of the regular file ``path`` to the hash ``h``, a block at a time."""
+    with _read_bytes(path) as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
 
 
 @contextlib.contextmanager

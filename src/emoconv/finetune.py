@@ -5,24 +5,31 @@ one output logit, binary cross-entropy on that logit) trains on noisily
 labeled (text, 0/1) pairs with the embedding table frozen for the first
 epoch and unfrozen afterwards; a text is called positive where its logit is
 at least 0.  The trained embedding matrix is the product; the CNN itself is
-scaffolding and is thrown away.
+scaffolding and is thrown away.  :func:`run` goes from a schedule and its
+seed to that matrix on one :class:`FinetuneData`, and :func:`run_into`
+writes it into a run directory through ``train.write_run``, the writer of
+the classifier's run directories too.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import layers as L
 from . import tensor as T
 from .config import TrainConfig, check_types
-from .dataio import line_error, read_lines
+from .dataio import (atomic_write, hash_file, line_error, load_word_vectors, read_lines,
+                     save_word_vectors)
 from .rcnn import Batch
-from .textprep import Vocabulary, token_rows
-from .train import RunState, iter_batches, run_epochs, seeded_table
+from .textprep import SPECIALS, TokenSequence, Vocabulary, build_vocab, token_rows
+from .train import RunState, iter_batches, read_epochs, run_epochs, seeded_table, write_run
 
 log = logging.getLogger(__name__)
 
@@ -183,17 +190,103 @@ def finetune_embeddings(model: FinetuneModel, corpus, schedule: FinetuneSchedule
     return finetune_encoded(model, encode_corpus(corpus, vocab), schedule, rng)
 
 
-def run(schedule: FinetuneSchedule, seed: int, encoded, vocab: Vocabulary,
-        pretrained: dict[str, np.ndarray]):
-    """The fine-tuning run, the one every entry makes: the generator and
-    ``schedule.dim``-wide table of :func:`train.seeded_table` at ``seed``,
-    then the CNN, which :func:`finetune_encoded` trains on ``encoded``;
-    returns (model, epoch losses).  ``pretrained`` is emptied once the table
-    holds its rows: a tweet corpus's vocabulary can be large."""
-    rng, emb = seeded_table(seed, vocab, pretrained, schedule.dim)
-    pretrained.clear()
+@dataclass(frozen=True)
+class FinetuneData:
+    """What a fine-tuning run reads, as one value: the corpus's vocabulary,
+    the corpus encoded with it (:func:`encode_corpus`) and the path of the
+    word-vector file the table starts from.  The run reads the vocabulary's
+    vectors from that file itself, so they live only until the table holds
+    them, and :func:`run_into` copies the file's other lines after tuning.
+    Runs read the value and never change it; its ``digest`` hashes what it
+    holds and every byte of the file each time a run is keyed, never cached."""
+    vocab: Vocabulary
+    encoded: list[tuple[np.ndarray, int]]
+    vectors: str
+
+    @classmethod
+    def read(cls, corpus_path, vectors_path) -> "FinetuneData":
+        """The one input step of a fine-tuning run.  A ``vectors_path`` that is
+        no regular file, such as a pipe, is refused first, since it is read
+        more than once; then the corpus (:func:`load_finetune_corpus`) is
+        tokenized once, its first-occurrence vocabulary built from those rows
+        and the corpus encoded with it.  Only the ids are kept."""
+        if os.path.exists(vectors_path) and not os.path.isfile(vectors_path):
+            raise ValueError(f"{vectors_path}: not a regular file; it is read again, "
+                             "after tuning, for the vectors the corpus lacks")
+        corpus = load_finetune_corpus(corpus_path)
+        rows = list(token_rows((text for text, _ in corpus), 1))
+        vocab = build_vocab(map(TokenSequence, rows))
+        return cls(vocab, encode_corpus(corpus, vocab, rows), vectors_path)
+
+    @property
+    def digest(self) -> str:
+        """SHA-256 over what a run reads, as it is now: the vocabulary, each
+        text's label and token ids, and the bytes of the vectors file, the
+        lines the run's ``vectors.txt`` copies among them."""
+        h = hashlib.sha256(json.dumps([
+            self.vocab.id_to_token, [[label, ids.size] for ids, label in self.encoded]
+        ]).encode("utf-8"))
+        for ids, _ in self.encoded:
+            h.update(np.ascontiguousarray(ids))  # int64
+        hash_file(self.vectors, h)
+        return h.hexdigest()
+
+
+def run(schedule: FinetuneSchedule, seed: int, data: FinetuneData):
+    """The fine-tuning run, the one every entry makes: the vocabulary's rows
+    of ``data.vectors``, the generator and ``schedule.dim``-wide table of
+    :func:`train.seeded_table` at ``seed``, then the CNN, which
+    :func:`finetune_encoded` trains on ``data.encoded``; returns (model,
+    epoch losses).  The rows read are gone once the table holds them: a
+    tweet corpus's vocabulary can be large."""
+    pretrained = load_word_vectors(data.vectors, schedule.dim, keep=data.vocab.token_to_id)
+    rng, emb = seeded_table(seed, data.vocab, pretrained, schedule.dim)
+    del pretrained
     model = build_finetune_model(emb, rng, schedule.filters_per_size)
-    return model, finetune_encoded(model, encoded, schedule, rng)[1]
+    return model, finetune_encoded(model, data.encoded, schedule, rng)[1]
+
+
+LOSSES_HEADER = "epoch\tloss"
+
+
+def format_losses(losses) -> str:
+    """``losses.tsv``: its header, then each epoch from 1 and its loss by ``repr``."""
+    return LOSSES_HEADER + "\n" + "".join(f"{epoch}\t{loss!r}\n"
+                                          for epoch, loss in enumerate(losses, start=1))
+
+
+def read_losses(path) -> list[float]:
+    """The losses :func:`format_losses` wrote, the very floats (``train.read_epochs``)."""
+    return [loss for _, loss in read_epochs(path, LOSSES_HEADER)]
+
+
+def run_key(schedule: FinetuneSchedule, seed: int, data: FinetuneData) -> str:
+    """16 hex digits of the SHA-256 of the sorted schedule and seed, then 16
+    of :attr:`FinetuneData.digest`."""
+    settings = json.dumps({"schedule": asdict(schedule), "seed": seed}, sort_keys=True)
+    return f"{hashlib.sha256(settings.encode()).hexdigest()[:16]}_{data.digest[:16]}"
+
+
+def run_into(out_dir, schedule: FinetuneSchedule, seed: int, data: FinetuneData) -> list[float]:
+    """:func:`run` into the directory ``out_dir`` through ``train.write_run``;
+    returns the epoch losses.  ``vectors.txt`` holds the corpus vocabulary's
+    tuned vectors, in vocabulary order, then each other token of
+    ``data.vectors`` once, in file order, as its first line gave it, and no
+    word2vec header (``dataio.save_word_vectors``); then ``losses.tsv``
+    (:func:`format_losses`), then ``run.json`` (the schedule, the seed and
+    their :func:`run_key` with ``data``).  A reused run's losses are read back."""
+    def train(out_dir):
+        model, losses = run(schedule, seed, data)
+        reserved = len(SPECIALS)
+        save_word_vectors(data.vocab.id_to_token[reserved:], model.emb.table.values[reserved:],
+                          os.path.join(out_dir, "vectors.txt"), data.vectors)
+        with atomic_write(os.path.join(out_dir, "losses.tsv")) as fh:
+            fh.write(format_losses(losses))
+        return losses
+
+    record = {"key": run_key(schedule, seed, data), "schedule": asdict(schedule), "seed": seed}
+    return write_run(out_dir, record, train,
+                     lambda out_dir: read_losses(os.path.join(out_dir, "losses.tsv")))
 
 
 def predict_finetune(model: FinetuneModel, encoded) -> np.ndarray:

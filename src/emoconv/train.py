@@ -3,8 +3,9 @@ clipping, embedding freezing) and the classifier's class-weighted
 cross-entropy on its logits, learning-rate annealing, and best-epoch
 selection on validation micro-F1;
 :func:`run`, the one route from a config and its seed to a checkpoint on one
-:class:`RunData` (all the run reads, and the digest that keys it), into the
-run directory that :func:`run_into` alone writes.
+:class:`RunData` (all the run reads, and the digest that keys it), into a
+run directory through :func:`write_run`, the one writer of both models' run
+directories.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -364,6 +365,28 @@ class HistoryRow:
 HISTORY_HEADER = "epoch\tlr\ttrain_loss\tval_micro_f1\tclip_fraction"
 
 
+def read_epochs(path, header: str) -> list[list]:
+    """A table of one row per epoch, as the classifier's history and the
+    fine-tuning losses are written: ``header``, then rows from epoch 1, each
+    the epoch and one finite number per further field of the header, tab-separated;
+    a fault, no row included, names its line."""
+    lines, rows, names = list(read_lines(path)), [], header.split("\t")[1:]
+    if not lines or lines[0][1] != header:
+        raise line_error(path, 1, f"expected the header {header!r}")
+    for lineno, line in lines[1:] or [(2, "")]:  # a header alone fails on line 2
+        epoch, *fields = line.split("\t")
+        try:
+            row = [int(epoch), *map(float, fields)]
+        except ValueError:  # a field that is no number
+            row = None
+        if row is None or len(fields) != len(names) or row[0] != len(rows) + 1 \
+                or not np.isfinite(row).all():
+            raise line_error(path, lineno, f"expected epoch {len(rows) + 1}, then finite "
+                             f"values of {', '.join(names)}, tab-separated")
+        rows.append(row)
+    return rows
+
+
 def format_history(history: list[HistoryRow]) -> str:
     lines = [HISTORY_HEADER]
     for row in history:
@@ -378,22 +401,8 @@ def write_history(history: list[HistoryRow], path) -> None:
 
 
 def read_history(path) -> list[HistoryRow]:
-    """The inverse of :func:`format_history`: its header, then one row of
-    finite numbers per epoch from 1; a fault, no row included, names its line."""
-    lines, rows = list(read_lines(path)), []
-    if not lines or lines[0][1] != HISTORY_HEADER:
-        raise line_error(path, 1, f"expected the header {HISTORY_HEADER!r}")
-    for lineno, line in lines[1:] or [(2, "")]:  # a header alone fails on line 2
-        epoch, *fields = line.split("\t")
-        try:
-            row = HistoryRow(int(epoch), *map(float, fields))
-        except (ValueError, TypeError):  # a field that is no number, or not five fields
-            row = None
-        if row is None or row.epoch != len(rows) + 1 or not np.isfinite(astuple(row)).all():
-            raise line_error(path, lineno, f"expected epoch {len(rows) + 1}, then four "
-                             "finite numbers, tab-separated")
-        rows.append(row)
-    return rows
+    """The history that :func:`format_history` wrote (:func:`read_epochs`)."""
+    return [HistoryRow(*row) for row in read_epochs(path, HISTORY_HEADER)]
 
 
 @dataclass
@@ -586,28 +595,49 @@ def read_run(path) -> dict:
     return fields
 
 
-def run_into(out_dir, config: TrainConfig, data: RunData, select: str = "best") -> list[HistoryRow]:
-    """:func:`run` into the directory ``out_dir``, the one writer of a run's
-    outputs; returns the history.  ``model.ckpt``, ``history.tsv``, then
-    ``run.json`` (config, ``select``, the :func:`run_key` of ``config`` and
-    ``data``) are written whole, so a directory without ``run.json`` is
-    trained again.  Before any draw, a ``run.json`` of this run is reused,
-    its history read back; any other is a ValueError naming both keys."""
-    key = run_key(config, data)
-    record = {"config": config.to_dict(), "key": key, "select": select}
+def _run_name(record: dict) -> str:
+    """A ``run.json`` record as a refusal names it: its key, then each of its
+    other fields that is neither a list nor an object."""
+    plain = ", ".join(f"{name} {value}" for name, value in sorted(record.items())
+                      if name != "key" and not isinstance(value, (dict, list)))
+    return f"{record.get('key')}" + (f" ({plain})" if plain else "")
+
+
+def write_run(out_dir, record: dict, train, reuse):
+    """The one writer of a run directory, for both models' ``run_into``;
+    returns the run's result.  ``record`` is what ``run.json`` will hold, its
+    ``key`` among it.  Before anything is drawn, a ``run.json`` that holds
+    ``record`` is reused (``reuse(out_dir)`` reads the result back) and any
+    other is a ValueError naming both runs.  Otherwise ``train(out_dir)``
+    runs and writes its outputs there, each through ``atomic_write``, and
+    ``run.json`` is written last, so a directory without it trains again."""
     path = os.path.join(out_dir, "run.json")
     if os.path.exists(path):
         held = read_run(path)
         if held != record:
-            raise ValueError(f"{path} holds the run {held.get('key')} (select "
-                             f"{held.get('select')}), not {key} (select {select})")
-        log.info("reusing the finished run %s in %s", key, out_dir)
-        return read_history(os.path.join(out_dir, "history.tsv"))
+            raise ValueError(f"{path} holds the run {_run_name(held)}, not {_run_name(record)}")
+        log.info("reusing the finished run %s in %s", record["key"], out_dir)
+        return reuse(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    ckpt, history = run(config, data, select)
-    save_checkpoint(ckpt, os.path.join(out_dir, "model.ckpt"))
-    write_history(history, os.path.join(out_dir, "history.tsv"))
+    result = train(out_dir)
     with atomic_write(path) as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
-    log.info("run %s (val micro-F1 %.4f) written to %s", key, ckpt.best_val_f1, out_dir)
-    return history
+    log.info("run %s written to %s", record["key"], out_dir)
+    return result
+
+
+def run_into(out_dir, config: TrainConfig, data: RunData, select: str = "best") -> list[HistoryRow]:
+    """:func:`run` into the directory ``out_dir`` through :func:`write_run`;
+    returns the history.  ``model.ckpt``, ``history.tsv``, then ``run.json``
+    (config, ``select``, the :func:`run_key` of ``config`` and ``data``); a
+    reused run's history is read back."""
+    def train(out_dir):
+        ckpt, history = run(config, data, select)
+        save_checkpoint(ckpt, os.path.join(out_dir, "model.ckpt"))
+        write_history(history, os.path.join(out_dir, "history.tsv"))
+        log.info("best val micro-F1 %.4f", ckpt.best_val_f1)
+        return history
+
+    record = {"config": config.to_dict(), "key": run_key(config, data), "select": select}
+    return write_run(out_dir, record, train,
+                     lambda out_dir: read_history(os.path.join(out_dir, "history.tsv")))

@@ -85,11 +85,12 @@ exactly.  The worlds:
 - ``cli_pipeline_gen_toy``: the whole toy pipeline through ``cli.main``, on
   toy corpora of ``toycorpus.py`` with 3-d sentence vectors: ``preprocess``,
   which also converts the sentence-vector TSV to the binary file,
-  ``finetune`` of 8-d word vectors on a 45-tweet corpus, ``train`` on the
-  dataset TSVs, the fine-tuned vectors and the binary sentence vectors,
-  ``evaluate`` on the test split with the TSV and a 2 x 2 ``sweep`` (two
-  hidden sizes, two seeds) with the binary file; the reports, the
-  fine-tuned vectors, the run directory of ``train`` (``model.ckpt``,
+  ``finetune`` of 8-d word vectors on a 45-tweet corpus into its run
+  directory, ``train`` on the dataset TSVs, the fine-tuned vectors and the
+  binary sentence vectors, ``evaluate`` on the test split with the TSV and
+  a 2 x 2 ``sweep`` (two hidden sizes, two seeds) with the binary file; the
+  reports, the run directories of ``finetune`` (``vectors.txt``,
+  ``losses.tsv`` and ``run.json``) and ``train`` (``model.ckpt``,
   ``history.tsv`` and ``run.json``) and the four of the sweep's cells, each
   hashed with its name.
 """
@@ -424,37 +425,37 @@ def _world_cli_pipeline(tmp: Path):
     run("--config", config, "--out", tmp / "stats.tsv", "preprocess", "--train", splits["train"],
         "--val", splits["val"], "--test", splits["test"],
         "--sentence-vectors", tmp / "sv.tsv", tmp / "sv.bin")
-    run("--seed", 3, "--out", tmp / "finetune.tsv", "finetune",
+    run("--seed", 3, "--out", tmp / "ft", "finetune",
         "--corpus", tmp / "tweets.tsv", "--embeddings-in", tmp / "words.txt",
-        "--embeddings-out", tmp / "tuned.txt", "--epochs-frozen", 1,
-        "--epochs-unfrozen", 1, "--lr", 0.01, "--batch-size", 16, "--dim", 8,
-        "--filters", 4)
+        "--epochs-frozen", 1, "--epochs-unfrozen", 1, "--lr", 0.01, "--batch-size", 16,
+        "--dim", 8, "--filters", 4)
+    tuned = tmp / "ft" / "vectors.txt"
     run("--config", config, "--out", tmp / "run", "train", "--train", splits["train"],
-        "--val", splits["val"], "--embeddings", tmp / "tuned.txt",
+        "--val", splits["val"], "--embeddings", tuned,
         "--sentence-vectors", tmp / "sv.bin")
     run("--out", tmp / "evaluate.tsv", "evaluate", "--checkpoint", tmp / "run" / "model.ckpt",
         "--split", splits["test"], "--sentence-vectors", tmp / "sv.bin")
     run("--config", config, "--out", tmp / "sweep.tsv", "sweep", "--train", splits["train"],
         "--val", splits["val"], "--axis", "hidden_size", "--values", "4,6",
-        "--seeds", "0,1", "--embeddings", tmp / "tuned.txt",
+        "--seeds", "0,1", "--embeddings", tuned,
         "--sentence-vectors", tmp / "sv.bin", "--runs-dir", tmp / "runs")
     cells = sorted(path.parent for path in (tmp / "runs").glob("*/run.json"))
     if len(cells) != 4:
         raise RuntimeError(f"the 2 x 2 sweep left {len(cells)} finished run directories")
-    files = ["stats.tsv", "finetune.tsv", "tuned.txt", "run/model.ckpt", "run/history.tsv",
-             "run/run.json", "evaluate.tsv", "sweep.tsv"]
+    files = ["stats.tsv", "ft/vectors.txt", "ft/losses.tsv", "ft/run.json", "run/model.ckpt",
+             "run/history.tsv", "run/run.json", "evaluate.tsv", "sweep.tsv"]
     digests = {name: _sha((tmp / name).read_bytes()) for name in files}
     digests["runs"] = _sha(b"".join(
         cell.name.encode() + b"".join((cell / name).read_bytes()
                                       for name in ("run.json", "model.ckpt", "history.tsv"))
         for cell in cells))
-    tuned = dataio.load_word_vectors(tmp / "tuned.txt", 8)
+    tuned = dataio.load_word_vectors(tuned, 8)
     ckpt = dataio.load_checkpoint(tmp / "run" / "model.ckpt")
     test = tr.encode_split(dataio.load_dataset(splits["test"], "test"), ckpt.vocab)
     preds = tr.predict(rcnn.restore(ckpt.config, ckpt.params), test,
                        dataio.load_sentence_vectors(tmp / "sv.bin", 3, {ex.id for ex in test}))
-    fingerprint = {"arrays": _stats("tuned.txt", {"vectors": np.array([tuned[w] for w in
-                                                                      sorted(tuned)])}),
+    fingerprint = {"arrays": _stats("ft/vectors.txt", {"vectors": np.array([tuned[w] for w in
+                                                                           sorted(tuned)])}),
                    "losses": {}, "val_f1": {}, "labels": {"evaluate.tsv": _labels(preds)}}
     # a sweep cell is named by its config, not by its directory, whose key
     # moves with the tuned vectors' bytes

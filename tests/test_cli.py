@@ -121,10 +121,9 @@ def test_finetune_tokenizes_each_tweet_once(world, monkeypatch):
     (world / "corpus.tsv").write_text("\n".join(lines) + "\n")
     toycorpus.write_word_vectors(["yay", "sigh"], np.ones((2, 6)), world / "vec_in.txt")
     texts = _count_texts(monkeypatch)
-    rc = cli.main(["--out", str(world / "ft.tsv"), "finetune",
+    rc = cli.main(["--out", str(world / "ft"), "finetune",
                    "--corpus", str(world / "corpus.tsv"),
                    "--embeddings-in", str(world / "vec_in.txt"),
-                   "--embeddings-out", str(world / "vec_out.txt"),
                    "--epochs-frozen", "1", "--epochs-unfrozen", "1",
                    "--dim", "6", "--filters", "2", "--batch-size", "8"])
     assert rc == 0
@@ -370,25 +369,30 @@ def _finetune_inputs(world):
 
 
 def run_finetune(world, out, extra=()):
-    return cli.main([*extra, "--out", str(world / f"{out}.tsv"), "finetune",
+    """``emoconv finetune`` into the run directory ``world/out``."""
+    return cli.main([*extra, "--out", str(world / out), "finetune",
                      "--corpus", str(world / "corpus.tsv"),
                      "--embeddings-in", str(world / "vec_in.txt"),
-                     "--embeddings-out", str(world / f"{out}.txt"),
                      "--epochs-frozen", "1", "--epochs-unfrozen", "1",
                      "--dim", "6", "--filters", "4", "--lr", "0.01"])
 
 
-def test_finetune_writes_usable_vectors(world):
+def test_finetune_writes_usable_vectors(world, capsys):
+    """``finetune --out DIR`` writes the run directory ``vectors.txt``,
+    ``losses.tsv``, ``run.json`` and prints the loss report."""
     _finetune_inputs(world)
     assert run_finetune(world, "ft") == 0
-    vectors = dataio.load_word_vectors(world / "ft.txt", 6)
+    assert sorted(p.name for p in (world / "ft").iterdir()) == [
+        "losses.tsv", "run.json", "vectors.txt"]
+    vectors = dataio.load_word_vectors(world / "ft" / "vectors.txt", 6)
     assert {"yay", "sigh", "great"} <= set(vectors)
-    report = (world / "ft.tsv").read_text().splitlines()
-    assert report[0] == "epoch\tloss" and len(report) == 3
+    report = (world / "ft" / "losses.tsv").read_text()
+    assert report.splitlines()[0] == "epoch\tloss" and len(report.splitlines()) == 3
+    assert capsys.readouterr().out == report
 
 
 def test_finetune_keeps_the_input_vectors_of_words_the_corpus_lacks(world):
-    """``--embeddings-out`` holds the corpus vocabulary's tuned vectors, then
+    """``vectors.txt`` holds the corpus vocabulary's tuned vectors, then
     each other token of ``--embeddings-in`` once, in file order, as its first
     line gave it, and not the word2vec header."""
     (world / "corpus.tsv").write_text("text\tlabel\nyay great\t1\nsigh bad\t0\n")
@@ -398,46 +402,70 @@ def test_finetune_keeps_the_input_vectors_of_words_the_corpus_lacks(world):
     (world / "vec_in.txt").write_text("\n".join(
         ["5 6", f"yay {yay}", kept[0], f"sigh {sigh}", "", f"unseen {again}", kept[1]]) + "\n")
     assert run_finetune(world, "ft") == 0
-    lines = (world / "ft.txt").read_text().splitlines()
+    lines = (world / "ft" / "vectors.txt").read_text().splitlines()
     assert sorted(line.split()[0] for line in lines[:4]) == ["bad", "great", "sigh", "yay"]
     assert lines[4:] == kept
-    vectors = dataio.load_word_vectors(world / "ft.txt", 6)
+    vectors = dataio.load_word_vectors(world / "ft" / "vectors.txt", 6)
     assert vectors["unseen"].tobytes() == rows[1].tobytes()
     assert vectors["other"].tobytes() == rows[4].tobytes()
+
+
+def test_a_second_finetune_into_its_run_directory_trains_nothing(world, capsys, monkeypatch):
+    """The same fine-tuning run into its directory again draws nothing,
+    changes no file and prints the report the first run printed; another
+    seed is refused naming both keys."""
+    _finetune_inputs(world)
+    assert run_finetune(world, "ft") == 0
+    first = capsys.readouterr().out
+    before = {p.name: p.read_bytes() for p in (world / "ft").iterdir()}
+    monkeypatch.setattr(ft, "seeded_table", lambda *a: pytest.fail("a generator was seeded"))
+    assert run_finetune(world, "ft") == 0
+    assert capsys.readouterr().out == first == before["losses.tsv"].decode()
+    assert run_finetune(world, "ft", extra=("--seed", "7")) == 1
+    key = tr.read_run(world / "ft" / "run.json")["key"]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {world / 'ft' / 'run.json'} holds the run {key} (seed 0), "
+                          "not ") and err.endswith(" (seed 7)\n")
+    assert {p.name: p.read_bytes() for p in (world / "ft").iterdir()} == before
 
 
 def test_finetune_refuses_a_pipe_for_the_vectors_it_reads_twice(world, capsys):
     fifo = world / "fifo"
     os.mkfifo(fifo)
-    rc = cli.main(["finetune", "--corpus", str(world / "missing.tsv"),
-                   "--embeddings-in", str(fifo), "--embeddings-out", str(world / "out.txt")])
+    rc = cli.main(["--out", str(world / "out"), "finetune", "--corpus",
+                   str(world / "missing.tsv"), "--embeddings-in", str(fifo)])
     assert rc == 1
     assert capsys.readouterr().err == (f"error: {fifo}: not a regular file; it is read again, "
                                        "after tuning, for the vectors the corpus lacks\n")
-    assert not (world / "out.txt").exists()
+    assert not (world / "out").exists()
 
 
 def test_the_finetune_command_is_the_finetune_run_at_its_seed(world):
-    """``emoconv finetune --seed S`` writes the vectors and reports the
-    losses of ``finetune.run`` at seed S on the same corpus and vectors."""
+    """``emoconv finetune --seed S --out D`` writes ``D/vectors.txt`` and
+    ``D/losses.tsv`` as the former ``--embeddings-out`` file and loss report
+    were written from ``finetune.run`` at seed S on the same corpus and
+    vectors, and ``D/run.json`` under the run's key."""
     _finetune_inputs(world)
     corpus = ft.load_finetune_corpus(world / "corpus.tsv")
     rows = list(textprep.token_rows((text for text, _ in corpus), 1))
     vocab = textprep.build_vocab(map(textprep.TokenSequence, rows))
-    encoded = ft.encode_corpus(corpus, vocab, rows)
+    data = ft.FinetuneData(vocab, ft.encode_corpus(corpus, vocab, rows),
+                           str(world / "vec_in.txt"))
     schedule = FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01, dim=6,
                                 filters_per_size=4)
     for seed in (0, 7):
         assert run_finetune(world, f"cli{seed}", extra=("--seed", str(seed))) == 0
-        pretrained = dataio.load_word_vectors(world / "vec_in.txt", 6, keep=vocab.token_to_id)
-        model, losses = ft.run(schedule, seed, encoded, vocab, pretrained)
+        model, losses = ft.run(schedule, seed, data)
         dataio.save_word_vectors(vocab.id_to_token[len(SPECIALS):],
                                  model.emb.table.values[len(SPECIALS):], world / "run.txt",
                                  world / "vec_in.txt")
-        assert (world / f"cli{seed}.txt").read_bytes() == (world / "run.txt").read_bytes()
-        assert (world / f"cli{seed}.tsv").read_text() == "epoch\tloss\n" + "".join(
+        out = world / f"cli{seed}"
+        assert (out / "vectors.txt").read_bytes() == (world / "run.txt").read_bytes()
+        assert (out / "losses.tsv").read_text() == "epoch\tloss\n" + "".join(
             f"{epoch}\t{loss!r}\n" for epoch, loss in enumerate(losses, start=1))
-    assert (world / "cli0.txt").read_bytes() != (world / "cli7.txt").read_bytes()
+        assert tr.read_run(out / "run.json")["key"] == ft.run_key(schedule, seed, data)
+    assert (world / "cli0" / "vectors.txt").read_bytes() \
+        != (world / "cli7" / "vectors.txt").read_bytes()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -454,13 +482,12 @@ def test_the_finetune_command_is_the_finetune_run_at_its_seed(world):
 def test_finetune_rejects_a_schedule_that_cannot_train_before_reading(
         world, capsys, flags, message):
     """The inputs do not exist: each fault is named before any file is read."""
-    rc = cli.main(["--out", str(world / "ft.tsv"), "finetune",
+    rc = cli.main(["--out", str(world / "ft"), "finetune",
                    "--corpus", str(world / "missing.tsv"),
-                   "--embeddings-in", str(world / "missing.txt"),
-                   "--embeddings-out", str(world / "out.txt"), *flags])
+                   "--embeddings-in", str(world / "missing.txt"), *flags])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (world / "out.txt").exists() and not (world / "ft.tsv").exists()
+    assert not (world / "ft").exists()
 
 
 def test_sweep_report_and_records(world):
@@ -512,17 +539,23 @@ def test_a_sweep_cell_is_the_train_run_at_its_seed(world):
 def test_a_negative_seed_flag_names_the_field(world, capsys):
     assert run_train(world, "run", extra=("--seed", "-1")) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
-    rc = cli.main(["--seed", "-1", "finetune", "--corpus", str(world / "corpus.tsv"),
-                   "--embeddings-in", str(world / "vec_in.txt"),
-                   "--embeddings-out", str(world / "vec_out.txt")])
+    rc = cli.main(["--seed", "-1", "--out", str(world / "ft"), "finetune",
+                   "--corpus", str(world / "corpus.tsv"),
+                   "--embeddings-in", str(world / "vec_in.txt")])
     assert rc == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
-def test_flag_defaults_come_from_the_code_they_set():
+def test_flag_defaults_come_from_the_code_they_set(capsys):
     parser = cli.build_parser()
-    ft_args = parser.parse_args(["finetune", "--corpus", "c", "--embeddings-in", "i",
-                                 "--embeddings-out", "o"])
+    ft_args = parser.parse_args(["finetune", "--corpus", "c", "--embeddings-in", "i"])
+    with pytest.raises(SystemExit):  # the run directory of --out holds the vectors
+        parser.parse_args(["finetune", "--corpus", "c", "--embeddings-in", "i",
+                           "--embeddings-out", "o"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["finetune", "--help"])
+    finetune_help = capsys.readouterr().out
+    assert "--embeddings-in" in finetune_help and "--embeddings-out" not in finetune_help
     schedule = FinetuneSchedule()
     assert (ft_args.epochs_frozen, ft_args.epochs_unfrozen, ft_args.lr, ft_args.batch_size) \
         == (schedule.frozen_epochs, schedule.unfrozen_epochs, schedule.lr, schedule.batch_size)

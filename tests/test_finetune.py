@@ -1,7 +1,12 @@
+import dataclasses
+import os
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import toycorpus
 from emoconv import finetune as ft
 from emoconv import layers as L
 from emoconv import rcnn
@@ -136,13 +141,31 @@ def test_a_run_without_width_or_filters_names_the_size_before_drawing(sizes, mes
     assert str(err.value) == message
 
 
-def test_the_run_empties_the_word_vectors_once_the_table_holds_them():
+def test_the_run_empties_the_word_vectors_once_the_table_holds_them(tmp_path, monkeypatch):
+    """The run reads the vocabulary's rows of its vectors file itself, and
+    none of them, nor the matrix that holds them, lives into training."""
     vocab = build_vocab([TokenSequence(["good", "bad"])])
     encoded = ft.encode_corpus([("good", 1), ("bad", 0)], vocab)
-    pretrained = {"good": np.full(4, 0.5)}
+    toycorpus.write_word_vectors(["good", "other"], np.full((2, 4), 0.5), tmp_path / "vec.txt")
+    refs, alive = [], []
+    load, finetune_encoded = ft.load_word_vectors, ft.finetune_encoded
+
+    def loaded(*args, **kwargs):
+        vectors = load(*args, **kwargs)
+        refs.extend(weakref.ref(v) for v in vectors.values())
+        refs.append(weakref.ref(next(iter(vectors.values())).base))
+        return vectors
+
+    def entered(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        return finetune_encoded(*args, **kwargs)
+
+    monkeypatch.setattr(ft, "load_word_vectors", loaded)
+    monkeypatch.setattr(ft, "finetune_encoded", entered)
     model, losses = ft.run(ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=0, dim=4,
-                                               filters_per_size=2), 0, encoded, vocab, pretrained)
-    assert pretrained == {} and len(losses) == 1
+                                               filters_per_size=2), 0,
+                           ft.FinetuneData(vocab, encoded, str(tmp_path / "vec.txt")))
+    assert len(refs) == 1 + 1 and alive == [0] and len(losses) == 1
     npt.assert_array_equal(model.emb.table.values[vocab.token_to_id["good"]], np.full(4, 0.5))
 
 
@@ -281,3 +304,125 @@ def test_load_finetune_corpus_rejects_a_nul_character_naming_the_line(tmp_path):
     with pytest.raises(ValueError) as err:
         ft.load_finetune_corpus(p)
     assert str(err.value).startswith(f"{p} line 3: NUL character")
+
+
+# ---------------------------------------------------------------------------
+# The run directory: ft.run_into through train.write_run
+
+SMALL = ft.FinetuneSchedule(frozen_epochs=1, unfrozen_epochs=1, lr=0.01, batch_size=8, dim=4,
+                            filters_per_size=2)
+
+
+def _data(tmp_path, corpus="text\tlabel\ngood movie\t1\nbad plot\t0\ngood plot\t1\n",
+          vectors=("good 0.1 0.2 0.3 0.4", "unseen 1.0 2.0 3.0 4.0")):
+    """The FinetuneData of a corpus and a vectors file written into ``tmp_path``."""
+    (tmp_path / "corpus.tsv").write_text(corpus, encoding="utf-8")
+    (tmp_path / "vec.txt").write_text("".join(line + "\n" for line in vectors), encoding="utf-8")
+    return ft.FinetuneData.read(tmp_path / "corpus.tsv", tmp_path / "vec.txt")
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _no_step(monkeypatch):
+    """Fail at any draw or epoch of a fine-tuning run."""
+    monkeypatch.setattr(ft, "seeded_table", lambda *a: pytest.fail("a generator was seeded"))
+    monkeypatch.setattr(ft, "run_epochs", lambda *a, **k: pytest.fail("an epoch ran"))
+
+
+def test_a_finetune_run_directory_holds_the_vectors_the_losses_then_its_record(tmp_path):
+    data = _data(tmp_path)
+    losses = ft.run_into(tmp_path / "out", SMALL, 3, data)
+    model, again = ft.run(SMALL, 3, data)
+    assert losses == again and len(losses) == 2
+    files = _files(tmp_path / "out")
+    assert sorted(files) == ["losses.tsv", "run.json", "vectors.txt"]
+    assert files["losses.tsv"].decode() == ft.format_losses(losses)
+    assert ft.read_losses(tmp_path / "out" / "losses.tsv") == losses
+    assert tr.read_run(tmp_path / "out" / "run.json") == {
+        "key": ft.run_key(SMALL, 3, data), "schedule": dataclasses.asdict(SMALL), "seed": 3}
+    assert files["vectors.txt"].decode().splitlines()[-1] == "unseen 1.0 2.0 3.0 4.0"
+
+
+def test_finetune_into_another_runs_directory_fails_before_its_first_step(tmp_path, monkeypatch):
+    """A directory holding another key's ``run.json``, of another seed or of
+    a classifier run, is refused naming the file and both runs, and left as
+    it was, before anything is drawn."""
+    data = _data(tmp_path)
+    ft.run_into(tmp_path / "out", SMALL, 3, data)
+    before = _files(tmp_path / "out")
+    key = ft.run_key(SMALL, 3, data)
+    _no_step(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        ft.run_into(tmp_path / "out", SMALL, 4, data)
+    assert str(err.value) == (f"{tmp_path / 'out' / 'run.json'} holds the run {key} (seed 3), "
+                              f"not {ft.run_key(SMALL, 4, data)} (seed 4)")
+    assert _files(tmp_path / "out") == before
+    classifier = tmp_path / "classifier"
+    classifier.mkdir()
+    (classifier / "run.json").write_text('{"config": {}, "key": "abc_def", "select": "best"}\n')
+    with pytest.raises(ValueError) as err:
+        ft.run_into(classifier, SMALL, 3, data)
+    assert str(err.value) == (f"{classifier / 'run.json'} holds the run abc_def (select best), "
+                              f"not {key} (seed 3)")
+    assert sorted(p.name for p in classifier.iterdir()) == ["run.json"]
+
+
+def test_a_finished_finetune_directory_is_reused(tmp_path, monkeypatch):
+    """The same run into its directory again takes no step, changes no byte
+    and returns the very losses of the first run."""
+    data = _data(tmp_path)
+    first = ft.run_into(tmp_path / "out", SMALL, 3, data)
+    before = _files(tmp_path / "out")
+    _no_step(monkeypatch)
+    assert ft.run_into(tmp_path / "out", SMALL, 3, data) == first
+    assert _files(tmp_path / "out") == before
+
+
+def test_a_finetune_directory_without_its_record_trains_again(tmp_path, monkeypatch):
+    """Outputs without ``run.json`` are an unfinished run: the next run into
+    the directory trains and writes every file again, the record last."""
+    data = _data(tmp_path)
+    ft.run_into(tmp_path / "whole", SMALL, 3, data)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "vectors.txt").write_text("cut short\n")
+    (out / "losses.tsv").write_text("epoch\tloss\n")
+    trained, run = [], ft.run
+    monkeypatch.setattr(ft, "run", lambda *args: trained.append(args[1]) or run(*args))
+    ft.run_into(out, SMALL, 3, data)
+    assert trained == [3]
+    assert _files(out) == _files(tmp_path / "whole")
+
+
+@pytest.mark.parametrize("change", ["corpus", "copied_vector", "seed", *(
+    f.name for f in dataclasses.fields(ft.FinetuneSchedule))])
+def test_the_finetune_key_follows_everything_the_run_reads(tmp_path, change):
+    """One byte of the corpus, one byte of a vectors line the corpus lacks
+    (which ``vectors.txt`` copies), the seed and each schedule field each
+    move the key."""
+    corpus = "text\tlabel\ngood movie\t1\nbad plot\t0\n"
+    vectors = ("good 0.1 0.2 0.3 0.4", "unseen 1.0 2.0 3.0 4.0")
+    schedule, seed = SMALL, 3
+    key = ft.run_key(schedule, seed, _data(tmp_path, corpus, vectors))
+    if change == "corpus":
+        corpus = corpus.replace("movie", "movia")
+    elif change == "copied_vector":
+        vectors = (vectors[0], "unseen 1.0 2.0 3.0 4.1")
+    elif change == "seed":
+        seed = 4
+    else:
+        schedule = dataclasses.replace(schedule, **{change: getattr(schedule, change) * 2})
+    data = _data(tmp_path, corpus, vectors)
+    assert ft.run_key(schedule, seed, data) != key
+    assert ft.run_key(schedule, seed, data) == ft.run_key(schedule, seed, data)
+
+
+def test_the_input_step_refuses_a_pipe_for_the_vectors_before_reading(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(ValueError) as err:
+        ft.FinetuneData.read(tmp_path / "missing.tsv", fifo)
+    assert str(err.value) == (f"{fifo}: not a regular file; it is read again, after tuning, "
+                              "for the vectors the corpus lacks")

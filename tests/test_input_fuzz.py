@@ -1,8 +1,8 @@
 """Seeded fuzz over every line format the program reads from outside.
 
-Each of the seven formats (dataset TSV, word vectors, sentence vectors,
-fine-tuning corpus, config file, and a run directory's ``history.tsv`` and
-``run.json``) starts from a valid file.
+Each of the eight formats (dataset TSV, word vectors, sentence vectors,
+fine-tuning corpus, config file, and a run directory's ``history.tsv``,
+``losses.tsv`` and ``run.json``) starts from a valid file.
 The file is then truncated, has bytes flipped, has a byte that is not
 UTF-8 put into one line, has a number swapped for a non-number, ``nan`` or
 ``inf``, or has a line repeated.  Every case must
@@ -21,7 +21,7 @@ import pytest
 from emoconv import dataio as dio
 from emoconv import train as tr
 from emoconv.config import TrainConfig, load_config
-from emoconv.finetune import load_finetune_corpus
+from emoconv.finetune import format_losses, load_finetune_corpus, read_losses
 
 HISTORY = tr.format_history([tr.HistoryRow(1, 0.0005, 1.2345678901234567, 0.5, 0.25),
                              tr.HistoryRow(2, 1e-4, 0.9, 0.6153846153846154, 0.0)])
@@ -44,6 +44,7 @@ FORMATS = {
     "config": ("# comment\nlr = 0.001\nhidden_size = 8\nclip_norm = 2.5  # inline\n"
                "projection_tanh = true\n", load_config, 2, False),
     "train_history": (HISTORY, tr.read_history, 2, True),
+    "finetune_losses": (format_losses([0.6931471805599453, 0.25, 1e-3]), read_losses, 2, True),
     "train_run": (RUN, tr.read_run, 1, True),
 }
 

@@ -11,6 +11,8 @@ wrapped, to make the split and to read the state.
 """
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +47,11 @@ def _cnn():
     corpus = [(f"{'yay great' if i % 2 else 'sigh bad'} day {i % 5}", i % 2) for i in range(24)]
     rows = list(token_rows((text for text, _ in corpus), 1))
     vocab = build_vocab(map(TokenSequence, rows))
-    return ft.run(CNN, 3, ft.encode_corpus(corpus, vocab, rows), vocab, {})
+    with tempfile.TemporaryDirectory() as tmp:  # no word vectors: the table is all drawn
+        vectors = Path(tmp) / "vectors.txt"
+        vectors.write_text("")
+        return ft.run(CNN, 3, ft.FinetuneData(vocab, ft.encode_corpus(corpus, vocab, rows),
+                                              str(vectors)))
 
 
 def _outcome(monkeypatch, module, train, split_at):
